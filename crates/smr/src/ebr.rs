@@ -11,19 +11,15 @@
 //! the global epoch and memory grows without bound — the behaviour exercised
 //! by the `stalled_reader` example and the fault-injection harness.
 //!
-//! Retired-but-unreclaimed nodes live in per-slot *vaults* owned by the
-//! domain rather than in handle-local lists, so that when a thread dies
-//! without dropping its handle a survivor can adopt the vault: the dead
-//! slot's epoch announcement is forced to `INACTIVE` (sound — the owner can
-//! issue no further loads) and its vault drains into the shared orphan list.
+//! Everything after `retire` — limbo lists, scans, adoption of slots whose
+//! owner died — is the shared retire core ([`crate::limbo`]); this module is
+//! the epoch protocol and its [`Scheme`] impl.
 
-use crate::block::{header_of, Retired};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
+use crate::block::Retired;
+use crate::limbo::{Handle, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,27 +36,17 @@ struct EbrSlot {
 
 /// The epoch-based reclamation domain.
 pub struct Ebr {
-    config: SmrConfig,
-    registry: SlotRegistry,
+    core: RetireCore,
     global_epoch: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<EbrSlot>]>,
-    unreclaimed: ShardedCounter,
-    pool: Arc<PoolShared>,
-    /// Per-slot retire lists.  Domain-owned so a dead thread's list is
-    /// adoptable; locked per retirement, but only ever contended by an
-    /// adopter (the owner is the sole routine writer).
-    vaults: Box<[Mutex<Vec<Retired>>]>,
-    /// Limbo entries inherited from threads that deregistered (or died)
-    /// before their retired nodes became reclaimable.
-    orphans: Mutex<Vec<Retired>>,
 }
 
 impl Smr for Ebr {
     type Handle = EbrHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        let slots = (0..config.max_threads)
+        let core = RetireCore::new(config);
+        let slots = (0..core.config().max_threads)
             .map(|_| {
                 CachePadded::new(EbrSlot {
                     epoch: AtomicU64::new(INACTIVE),
@@ -68,33 +54,20 @@ impl Smr for Ebr {
             })
             .collect();
         Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
+            core,
             global_epoch: CachePadded::new(AtomicU64::new(FIRST_EPOCH)),
             slots,
-            unreclaimed: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            orphans: Mutex::new(Vec::new()),
-            config,
         })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<EbrHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
         Ok(EbrHandle {
-            pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
-            domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
+            inner: Handle::register(self)?,
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
@@ -108,10 +81,7 @@ impl Ebr {
     /// a stalled thread blocks forever.
     fn try_advance(&self) -> u64 {
         let global = self.global_epoch.load(Ordering::SeqCst);
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
-                continue;
-            }
+        for slot in self.core.claimed(&self.slots) {
             let e = slot.epoch.load(Ordering::SeqCst);
             if e != INACTIVE && e != global {
                 return global;
@@ -128,112 +98,66 @@ impl Ebr {
         self.global_epoch.load(Ordering::SeqCst)
     }
 
-    /// Frees every entry of `limbo` whose grace period has elapsed, keeping
-    /// the rest.  Freed blocks recycle into `pool`; the sweeper's own shard
-    /// (`slot`) absorbs the decrement (shards may go negative, the sum stays
-    /// exact — see [`ShardedCounter`]).
-    fn sweep(&self, limbo: &mut Vec<Retired>, slot: usize, pool: &mut BlockPool) {
-        let global = self.global_epoch.load(Ordering::SeqCst);
-        // Collect the expired blocks first, then hand them to the pool in one
-        // batch: `free_batch` amortizes the bin lookup and spill bookkeeping
-        // across the whole sweep instead of paying them per node.
-        let mut expired: Vec<*mut crate::block::Header> = Vec::new();
-        limbo.retain(|r| {
-            if r.retire_era().saturating_add(2) <= global {
-                expired.push(r.hdr);
-                false
-            } else {
-                true
-            }
-        });
-        if !expired.is_empty() {
-            // SAFETY: the global epoch advanced two past each block's retire
-            // epoch, so every thread active at retirement has since passed a
-            // quiescent point; no protected reference remains.  Each block
-            // appears in exactly one limbo entry, so the batch has no
-            // duplicates and each block is freed exactly once.
-            unsafe { pool.free_batch(&expired) };
-            self.unreclaimed.sub(slot, expired.len());
-        }
-    }
-
-    /// Sweeps the retire vault of slot `vault_idx`, charging frees to the
-    /// sweeper's counter shard.
-    fn sweep_vault(&self, vault_idx: usize, counter_slot: usize, pool: &mut BlockPool) {
-        let mut vault = self.vaults[vault_idx].lock();
-        if !vault.is_empty() {
-            self.sweep(&mut vault, counter_slot, pool);
-        }
-    }
-
-    /// Adopts and sweeps orphaned limbo entries left by deregistered threads.
-    fn sweep_orphans(&self, slot: usize, pool: &mut BlockPool) {
-        if let Some(mut orphans) = self.orphans.try_lock() {
-            if !orphans.is_empty() {
-                self.sweep(&mut orphans, slot, pool);
+    /// Publishes the current global epoch in `slot` and confirms it is still
+    /// current; if it moved, re-announces, so a critical section never runs
+    /// under an announcement older than the epoch it entered at.  Returns the
+    /// epoch announced.
+    #[inline]
+    fn announce_epoch(&self, slot: usize) -> u64 {
+        let slot = &self.slots[slot];
+        loop {
+            let e = self.global_epoch.load(Ordering::SeqCst);
+            slot.epoch.store(e, Ordering::SeqCst);
+            if self.global_epoch.load(Ordering::SeqCst) == e {
+                return e;
             }
         }
-    }
-
-    /// Scans for slots whose owning thread died without releasing (leaked
-    /// handle, thread torn down first) and adopts them: the dead slot's epoch
-    /// announcement is neutralized — sound because the owner can issue no
-    /// further memory accesses — and its retire vault drains into the orphan
-    /// list, so neither the epoch nor the memory stays pinned forever.
-    fn adopt_orphans(&self, my_slot: usize, pool: &mut BlockPool) {
-        for i in 0..self.registry.capacity() {
-            if i == my_slot {
-                continue;
-            }
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                self.slots[i].epoch.store(INACTIVE, Ordering::SeqCst);
-                let mut vault = self.vaults[i].lock();
-                if !vault.is_empty() {
-                    self.orphans.lock().append(&mut vault);
-                }
-                drop(vault);
-                adoption.finish();
-            }
-        }
-        self.sweep_orphans(my_slot, pool);
     }
 }
 
-impl Drop for Ebr {
-    fn drop(&mut self) {
-        // No handles remain (they hold `Arc<Ebr>`), so nothing can be
-        // protected any more: release whatever is still in the vaults (slots
-        // leaked by dead threads that were never adopted) and the orphan list.
-        for vault in self.vaults.iter() {
-            for r in vault.lock().drain(..) {
-                // SAFETY: dropping the domain means no handle (and hence no
-                // guard) exists; nothing can be protected any more.
-                unsafe { r.free() };
-            }
-        }
-        let mut orphans = self.orphans.lock();
-        for r in orphans.drain(..) {
-            // SAFETY: as above — no guards can exist at domain drop.
-            unsafe { r.free() };
-        }
+// SAFETY: `can_free` demands that the global epoch advanced two past the
+// block's retire epoch.  `try_advance` moves the epoch only when every active
+// slot announces the current one, so two advances imply every thread active
+// at retirement has since passed a quiescent point and no protected reference
+// remains.  `neutralize` stores `INACTIVE`, the announcement of no critical
+// section.
+unsafe impl Scheme for Ebr {
+    type Snapshot = u64;
+
+    #[inline]
+    fn core(&self) -> &RetireCore {
+        &self.core
+    }
+
+    #[inline]
+    fn retire_stamp(&self) -> Option<u64> {
+        // ORDERING: Relaxed — per-location coherence keeps the epoch read no
+        // older than the announcement made at `pin` (re-read there with
+        // SeqCst), which is all the `retire + 2 <= global` comparison needs.
+        Some(self.global_epoch.load(Ordering::Relaxed))
+    }
+
+    fn snapshot(&self) -> u64 {
+        self.global_epoch.load(Ordering::SeqCst)
+    }
+
+    #[inline]
+    fn can_free(&self, global: &u64, retired: &Retired) -> bool {
+        retired.retire_era().saturating_add(2) <= *global
+    }
+
+    fn neutralize(&self, slot: usize) {
+        self.slots[slot].epoch.store(INACTIVE, Ordering::SeqCst);
+    }
+
+    fn before_scan(&self, _force: bool) {
+        self.try_advance();
     }
 }
 
 /// Per-thread handle for [`Ebr`].
 pub struct EbrHandle {
-    domain: Arc<Ebr>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
-}
-
-impl EbrHandle {
-    fn scan(&mut self) {
-        self.domain.try_advance();
-        let domain = self.domain.clone();
-        domain.sweep_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.adopt_orphans(self.claim.index, &mut self.pool);
-    }
+    inner: Handle<Ebr>,
 }
 
 impl SmrHandle for EbrHandle {
@@ -243,20 +167,8 @@ impl SmrHandle for EbrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> EbrGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
-        let slot = &self.domain.slots[self.claim.index];
-        // Publish the epoch we observed and confirm it is still current; if it
-        // moved we re-announce so we never run a critical section under an
-        // announcement older than the epoch we entered at.
-        let announced = loop {
-            let e = self.domain.global_epoch.load(Ordering::SeqCst);
-            slot.epoch.store(e, Ordering::SeqCst);
-            if self.domain.global_epoch.load(Ordering::SeqCst) == e {
-                break e;
-            }
-        };
+        self.inner.bind();
+        let announced = self.inner.domain().announce_epoch(self.inner.slot());
         EbrGuard {
             handle: self,
             announced,
@@ -265,26 +177,7 @@ impl SmrHandle for EbrHandle {
     }
 
     fn flush(&mut self) {
-        self.scan();
-    }
-}
-
-impl Drop for EbrHandle {
-    fn drop(&mut self) {
-        let domain = self.domain.clone();
-        // The teardown runs under the slot's beacon mutex after the
-        // generation check: if the slot was adopted (registering thread died
-        // while the handle lived elsewhere), the closure is skipped — the
-        // adopter already neutralized the epoch and drained the vault.
-        domain.registry.release_with(self.claim, || {
-            domain.slots[self.claim.index]
-                .epoch
-                .store(INACTIVE, Ordering::SeqCst);
-            let mut vault = domain.vaults[self.claim.index].lock();
-            if !vault.is_empty() {
-                domain.orphans.lock().append(&mut vault);
-            }
-        });
+        self.inner.scan(true);
     }
 }
 
@@ -307,8 +200,8 @@ pub struct EbrGuard<'g> {
 
 impl Drop for EbrGuard<'_> {
     fn drop(&mut self) {
-        let domain = &self.handle.domain;
-        domain.slots[self.handle.claim.index]
+        let inner = &self.handle.inner;
+        inner.domain().slots[inner.slot()]
             .epoch
             .store(INACTIVE, Ordering::Release);
     }
@@ -317,7 +210,7 @@ impl Drop for EbrGuard<'_> {
 impl SmrGuard for EbrGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        std::sync::Arc::as_ptr(&self.handle.domain) as usize
+        self.handle.inner.domain_addr()
     }
 
     #[inline]
@@ -337,53 +230,23 @@ impl SmrGuard for EbrGuard<'_> {
     #[inline]
     fn clear(&mut self, _idx: usize) {}
 
+    #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        Shared::from_ptr(self.handle.pool.alloc(value))
+        self.handle.inner.alloc(value)
     }
 
-    // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
-    unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        let value = ptr.untagged().as_ptr();
-        debug_assert!(!value.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain and is already unlinked, so its block header is live.
-        let retired = unsafe { Retired::from_value(value) };
-        let handle = &mut *self.handle;
-        // SAFETY: the block is unlinked but not yet in any limbo list; this
-        // thread has exclusive access to its header stamp.
-        // ORDERING: Relaxed on both — per-location coherence keeps the epoch
-        // read no older than the announcement made at `pin` (re-read there
-        // with SeqCst), which is all the `retire + 2 <= global` comparison
-        // needs, and the stamp itself is published to sweepers through the
-        // vault mutex acquired just below.
-        unsafe {
-            (*retired.hdr).retire_era.store(
-                // ORDERING: see the comment above this unsafe block.
-                handle.domain.global_epoch.load(Ordering::Relaxed),
-                // ORDERING: see the comment above this unsafe block.
-                Ordering::Relaxed,
-            );
-        }
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.push(retired);
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, 1);
-        if pending >= handle.domain.config.scan_threshold {
-            // Amortized reclamation: one epoch-advance attempt plus a sweep of
-            // the local vault per `scan_threshold` retirements (§5).
-            handle.scan();
-        }
+    // SAFETY: callers must guarantee every pointer in `batch` satisfies the per-node retire contract.
+    #[inline]
+    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
+        // SAFETY: forwarded — same contract.
+        unsafe { self.handle.inner.retire_batch(batch) };
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
+    #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // this thread is the only one that has ever seen the block; freeing
-        // it through the pool runs its destructor exactly once.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — same contract.
+        unsafe { self.handle.inner.dealloc(ptr) };
     }
 
     #[inline]
@@ -392,53 +255,9 @@ impl SmrGuard for EbrGuard<'_> {
         // guard announced, a drop+pin pair would re-announce the very same
         // value — skip the store/re-read fence sequence entirely.  One SeqCst
         // load replaces the SeqCst store + SeqCst re-read of a full pin.
-        let domain = &self.handle.domain;
-        let global = domain.global_epoch.load(Ordering::SeqCst);
-        if global == self.announced {
-            return;
-        }
-        let slot = &domain.slots[self.handle.claim.index];
-        self.announced = loop {
-            let e = domain.global_epoch.load(Ordering::SeqCst);
-            slot.epoch.store(e, Ordering::SeqCst);
-            if domain.global_epoch.load(Ordering::SeqCst) == e {
-                break e;
-            }
-        };
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the per-node retire contract.
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let handle = &mut *self.handle;
-        // ORDERING: Relaxed — same argument as the single-node `retire`: the
-        // stamp is published to sweepers through the vault mutex below.
-        let epoch = handle.domain.global_epoch.load(Ordering::Relaxed);
-        let slot = handle.claim.index;
-        let pending = {
-            // One vault lock per batch instead of one per node — the whole
-            // point of the batched fast path.
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees each pointer came from `alloc`
-                // on this domain and is unlinked, so its header is live.
-                let retired = unsafe { Retired::from_value(value) };
-                // SAFETY: unlinked but not yet in any limbo list — this
-                // thread has exclusive access to the header stamp.
-                // ORDERING: Relaxed — published through the vault mutex.
-                unsafe { (*retired.hdr).retire_era.store(epoch, Ordering::Relaxed) };
-                vault.push(retired);
-            }
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, batch.len());
-        if pending >= handle.domain.config.scan_threshold {
-            handle.scan();
+        let inner = &self.handle.inner;
+        if inner.domain().global_epoch.load(Ordering::SeqCst) != self.announced {
+            self.announced = inner.domain().announce_epoch(inner.slot());
         }
     }
 }
@@ -516,35 +335,9 @@ mod tests {
 
     #[test]
     fn leaked_handle_on_dead_thread_is_adopted() {
-        let d = Ebr::new(small_config());
-        {
-            let d = d.clone();
-            std::thread::spawn(move || {
-                let mut h = d.register();
-                let mut g = h.pin();
-                for i in 0..3u64 {
-                    let p = g.alloc(i);
-                    // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
-                    unsafe { g.retire(p) };
-                }
-                drop(g);
-                // The handle is leaked with a pinned-then-released slot; the
-                // thread exits without ever releasing the slot.
-                std::mem::forget(h);
-            })
-            .join()
-            .unwrap();
-        }
-        assert_eq!(d.unreclaimed(), 3);
-        let mut h = d.register();
-        for _ in 0..8 {
-            h.flush();
-        }
-        assert_eq!(
-            d.unreclaimed(),
-            0,
-            "a survivor must adopt the dead thread's slot and drain its vault"
-        );
+        // The handle is leaked with a pinned-then-released slot; the thread
+        // exits without ever releasing the slot.
+        crate::tests::leaked_handle_on_dead_thread_is_adopted::<Ebr>(small_config(), 3, false, 8);
     }
 
     #[test]
@@ -572,19 +365,7 @@ mod tests {
 
     #[test]
     fn retire_batch_reclaims_like_per_node_retire() {
-        let d = Ebr::new(small_config());
-        let mut h = d.register();
-        {
-            let mut g = h.pin();
-            let batch: Vec<_> = (0..32u64).map(|i| g.alloc(i)).collect();
-            // SAFETY: each block was just allocated and never published, so
-            // this thread is its sole owner and retires it exactly once.
-            unsafe { g.retire_batch(&batch) };
-        }
-        for _ in 0..4 {
-            h.flush();
-        }
-        assert_eq!(d.unreclaimed(), 0);
+        crate::tests::retire_batch_reclaims_like_per_node_retire::<Ebr>(small_config(), 32, 4);
     }
 
     #[test]

@@ -15,14 +15,14 @@
 //! as HPopt: collect all reservation eras once per sweep instead of rescanning
 //! the global array per retired node (reported as "HE (opt)" style results in
 //! the paper's calibration; both variants are exposed for the ablation bench).
+//! The sweep itself, like everything else after `retire`, is the shared
+//! retire core ([`crate::limbo`]).
 
-use crate::block::{header_of, Retired};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
+use crate::block::Retired;
+use crate::limbo::{EraCountdown, Handle, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind, MAX_HAZARDS};
 use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -38,24 +38,17 @@ struct HeSlot {
 
 /// The hazard-eras domain.
 pub struct He {
-    config: SmrConfig,
-    registry: SlotRegistry,
+    core: RetireCore,
     global_era: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<HeSlot>]>,
-    unreclaimed: ShardedCounter,
-    pool: Arc<PoolShared>,
-    /// Per-slot retire lists, domain-owned so a dead thread's list is
-    /// adoptable (see [`He::adopt_orphans`]).
-    vaults: Box<[Mutex<Vec<Retired>>]>,
-    orphans: Mutex<Vec<Retired>>,
 }
 
 impl Smr for He {
     type Handle = HeHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        let slots = (0..config.max_threads)
+        let core = RetireCore::new(config);
+        let slots = (0..core.config().max_threads)
             .map(|_| {
                 CachePadded::new(HeSlot {
                     eras: std::array::from_fn(|_| AtomicU64::new(NONE)),
@@ -63,45 +56,25 @@ impl Smr for He {
             })
             .collect();
         Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
+            core,
             global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
             slots,
-            unreclaimed: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            orphans: Mutex::new(Vec::new()),
-            config,
         })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<HeHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
-        for e in &self.slots[claim.index].eras {
-            // ORDERING: Relaxed — the slot is not yet visible to sweeps (the
-            // claim CAS publishes it, and sweeps skip unclaimed slots); real
-            // reservations are published with SeqCst in `protect`/`announce`.
-            e.store(NONE, Ordering::Relaxed);
-        }
         Ok(HeHandle {
-            pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
-            domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
-            alloc_count: 0,
-            retire_count: 0,
+            inner: Handle::register(self)?,
+            era_tick: EraCountdown::new(self.core.config()),
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
-        if self.config.snapshot_scan {
+        if self.core.config().snapshot_scan {
             SmrKind::HeOpt
         } else {
             SmrKind::He
@@ -110,12 +83,12 @@ impl Smr for He {
 }
 
 impl He {
-    /// True if any thread reserves an era inside `[birth, retire]`.
+    /// True if any thread reserves an era inside `[birth, retire]`: the
+    /// per-record scan of the baseline (non-snapshot) sweep.  A function of
+    /// its own on purpose — inlined into the sweep's `retain` closure the
+    /// eight-era inner loop measured a quarter slower.
     fn is_protected(&self, birth: u64, retire: u64) -> bool {
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
-                continue;
-            }
+        for slot in self.core.claimed(&self.slots) {
             for e in &slot.eras {
                 let v = e.load(Ordering::SeqCst);
                 if v != NONE && birth <= v && v <= retire {
@@ -126,130 +99,77 @@ impl He {
         false
     }
 
-    /// Snapshot of every reserved era, sorted (HEopt sweep).
-    fn snapshot(&self) -> Vec<u64> {
-        let mut snap = Vec::with_capacity(self.config.max_threads * 2);
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
-                continue;
-            }
-            for e in &slot.eras {
-                let v = e.load(Ordering::SeqCst);
-                if v != NONE {
-                    snap.push(v);
-                }
-            }
-        }
-        snap.sort_unstable();
-        snap
-    }
-
-    fn sweep(&self, limbo: &mut Vec<Retired>, slot: usize, pool: &mut BlockPool) {
-        let mut freed = 0usize;
-        if self.config.snapshot_scan {
-            let snap = self.snapshot();
-            limbo.retain(|r| {
-                // Keep the node if some reserved era falls inside its lifetime
-                // interval: the first snapshot entry >= birth, if any, decides.
-                let birth = r.birth_era();
-                let retire = r.retire_era();
-                let idx = snap.partition_point(|&e| e < birth);
-                let protected = idx < snap.len() && snap[idx] <= retire;
-                if protected {
-                    true
-                } else {
-                    // SAFETY: no reserved era falls inside the node's
-                    // `[birth, retire]` interval (snapshot taken after the
-                    // node was unlinked), so no thread can still hold a
-                    // protected reference to it.
-                    unsafe { r.free_into(pool) };
-                    freed += 1;
-                    false
-                }
-            });
-        } else {
-            limbo.retain(|r| {
-                if self.is_protected(r.birth_era(), r.retire_era()) {
-                    true
-                } else {
-                    // SAFETY: a full SeqCst scan found no reservation inside
-                    // the node's lifetime interval, so no thread can still
-                    // hold a protected reference to it.
-                    unsafe { r.free_into(pool) };
-                    freed += 1;
-                    false
-                }
-            });
-        }
-        if freed > 0 {
-            self.unreclaimed.sub(slot, freed);
-        }
-    }
-
-    fn sweep_vault(&self, vault_idx: usize, counter_slot: usize, pool: &mut BlockPool) {
-        let mut vault = self.vaults[vault_idx].lock();
-        if !vault.is_empty() {
-            self.sweep(&mut vault, counter_slot, pool);
-        }
-    }
-
-    fn sweep_orphans(&self, slot: usize, pool: &mut BlockPool) {
-        if let Some(mut orphans) = self.orphans.try_lock() {
-            if !orphans.is_empty() {
-                self.sweep(&mut orphans, slot, pool);
-            }
-        }
-    }
-
-    /// Adopts slots abandoned by dead threads: clears the dead thread's era
-    /// reservations (sound — the owner can issue no further loads) and drains
-    /// its retire vault into the orphan list.
-    fn adopt_orphans(&self, my_slot: usize, pool: &mut BlockPool) {
-        for i in 0..self.registry.capacity() {
-            if i == my_slot {
-                continue;
-            }
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                for e in &self.slots[i].eras {
-                    e.store(NONE, Ordering::SeqCst);
-                }
-                let mut vault = self.vaults[i].lock();
-                if !vault.is_empty() {
-                    self.orphans.lock().append(&mut vault);
-                }
-                drop(vault);
-                adoption.finish();
-            }
-        }
-        self.sweep_orphans(my_slot, pool);
+    /// The global era as stamped on a block at allocation and at retirement.
+    #[inline]
+    fn era_stamp(&self) -> u64 {
+        // ORDERING: Relaxed — a read that lags the true era stamps a birth
+        // conservatively *old*, which widens the protected interval; for a
+        // retirement, per-location coherence keeps it no older than any era
+        // this thread already observed, and an old retire stamp only delays
+        // reclamation.  The stamp reaches sweepers through the vault mutex.
+        self.global_era.load(Ordering::Relaxed)
     }
 }
 
-impl Drop for He {
-    fn drop(&mut self) {
-        for vault in self.vaults.iter() {
-            for r in vault.lock().drain(..) {
-                // SAFETY: dropping the domain means no handle (and hence no
-                // guard) exists; no era can be reserved any more.
-                unsafe { r.free() };
-            }
+// SAFETY: a reader dereferences a node only under a reservation of an era in
+// which the node was reachable, i.e. an era inside `[birth, retire]`.
+// `can_free` accepts a record only when no claimed slot reserves an era in
+// that interval, read with SeqCst after the node was unlinked — from the
+// sorted snapshot (HEopt) or by a full per-record scan (HE).  `neutralize`
+// stores `NONE`, which is below every birth era.
+unsafe impl Scheme for He {
+    /// HEopt: every reserved era, sorted.  HE: `None`, rescan per record.
+    type Snapshot = Option<Vec<u64>>;
+
+    #[inline]
+    fn core(&self) -> &RetireCore {
+        &self.core
+    }
+
+    #[inline]
+    fn birth_stamp(&self) -> Option<u64> {
+        Some(self.era_stamp())
+    }
+
+    #[inline]
+    fn retire_stamp(&self) -> Option<u64> {
+        Some(self.era_stamp())
+    }
+
+    fn snapshot(&self) -> Option<Vec<u64>> {
+        self.core.config().snapshot_scan.then(|| {
+            let mut snap: Vec<u64> = (self.core.claimed(&self.slots))
+                .flat_map(|slot| slot.eras.iter().map(|e| e.load(Ordering::SeqCst)))
+                .filter(|&e| e != NONE)
+                .collect();
+            snap.sort_unstable();
+            snap
+        })
+    }
+
+    #[inline]
+    fn can_free(&self, snapshot: &Option<Vec<u64>>, retired: &Retired) -> bool {
+        let (birth, retire) = (retired.birth_era(), retired.retire_era());
+        match snapshot {
+            // The first snapshot entry >= birth, if any, decides.
+            Some(snap) => snap
+                .get(snap.partition_point(|&e| e < birth))
+                .is_none_or(|&e| e > retire),
+            None => !self.is_protected(birth, retire),
         }
-        let mut orphans = self.orphans.lock();
-        for r in orphans.drain(..) {
-            // SAFETY: as above — no guards can exist at domain drop.
-            unsafe { r.free() };
+    }
+
+    fn neutralize(&self, slot: usize) {
+        for e in &self.slots[slot].eras {
+            e.store(NONE, Ordering::SeqCst);
         }
     }
 }
 
 /// Per-thread handle for [`He`].
 pub struct HeHandle {
-    domain: Arc<He>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
-    alloc_count: usize,
-    retire_count: usize,
+    inner: Handle<He>,
+    era_tick: EraCountdown,
 }
 
 impl SmrHandle for HeHandle {
@@ -259,10 +179,8 @@ impl SmrHandle for HeHandle {
         Self: 'g;
 
     fn pin(&mut self) -> HeGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
-        let repin_era = self.domain.global_era.load(Ordering::SeqCst);
+        self.inner.bind();
+        let repin_era = self.inner.domain().global_era.load(Ordering::SeqCst);
         HeGuard {
             handle: self,
             repin_era,
@@ -271,25 +189,7 @@ impl SmrHandle for HeHandle {
     }
 
     fn flush(&mut self) {
-        let domain = self.domain.clone();
-        domain.sweep_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.adopt_orphans(self.claim.index, &mut self.pool);
-    }
-}
-
-impl Drop for HeHandle {
-    fn drop(&mut self) {
-        let domain = self.domain.clone();
-        domain.sweep_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.registry.release_with(self.claim, || {
-            for e in &domain.slots[self.claim.index].eras {
-                e.store(NONE, Ordering::Release);
-            }
-            let mut vault = domain.vaults[self.claim.index].lock();
-            if !vault.is_empty() {
-                domain.orphans.lock().append(&mut vault);
-            }
-        });
+        self.inner.scan(true);
     }
 }
 
@@ -315,7 +215,7 @@ impl Drop for HeGuard<'_> {
         // the set of protected eras (and thus memory) per thread; it is also
         // what makes a panic that unwinds through a traversal drop its
         // protections (RAII unwind safety).
-        for e in &self.handle.domain.slots[self.handle.claim.index].eras {
+        for e in self.eras() {
             e.store(NONE, Ordering::Release);
         }
     }
@@ -324,20 +224,26 @@ impl Drop for HeGuard<'_> {
 impl HeGuard<'_> {
     #[inline]
     fn eras(&self) -> &[AtomicU64; MAX_HAZARDS] {
-        &self.handle.domain.slots[self.handle.claim.index].eras
+        let inner = &self.handle.inner;
+        &inner.domain().slots[inner.slot()].eras
+    }
+
+    #[inline]
+    fn global_era(&self) -> &AtomicU64 {
+        &self.handle.inner.domain().global_era
     }
 }
 
 impl SmrGuard for HeGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        std::sync::Arc::as_ptr(&self.handle.domain) as usize
+        self.handle.inner.domain_addr()
     }
 
     #[inline]
     fn protect<T>(&mut self, idx: usize, src: &Atomic<T>) -> Shared<T> {
-        let eras = &self.handle.domain.slots[self.handle.claim.index].eras;
-        let global = &self.handle.domain.global_era;
+        let eras = self.eras();
+        let global = self.global_era();
         // ORDERING: Relaxed — the slot was last written by this same thread
         // (reservations are single-writer); the value is only an avoid-a-store
         // hint, and any actual (re)publication below uses SeqCst.
@@ -357,7 +263,7 @@ impl SmrGuard for HeGuard<'_> {
     fn announce<T>(&mut self, idx: usize, _ptr: Shared<T>) {
         // Protection is temporal: reserving the current era covers every
         // object alive in it, including `_ptr`.
-        let era = self.handle.domain.global_era.load(Ordering::SeqCst);
+        let era = self.global_era().load(Ordering::SeqCst);
         self.eras()[idx].store(era, Ordering::SeqCst);
     }
 
@@ -378,72 +284,31 @@ impl SmrGuard for HeGuard<'_> {
         self.eras()[idx].store(NONE, Ordering::Release);
     }
 
+    #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.handle.pool.alloc(value);
-        // ORDERING: Relaxed on both — a conservatively *old* era makes the
-        // birth stamp strictly more protective (it widens the protected
-        // interval), and the stamp is published to sweepers through the vault
-        // mutex taken at retire time.
-        let era = self.handle.domain.global_era.load(Ordering::Relaxed);
-        // SAFETY: `ptr` was just allocated and is not yet shared, so this
-        // thread has exclusive access to its header.
-        // ORDERING: a Relaxed era read can only lag, stamping the birth era conservatively old.
-        unsafe { (*header_of(ptr)).birth_era.store(era, Ordering::Relaxed) };
-        self.handle.alloc_count += 1;
-        if self
-            .handle
-            .alloc_count
-            .is_multiple_of(self.handle.domain.config.epoch_freq())
-        {
-            self.handle.domain.global_era.fetch_add(1, Ordering::SeqCst);
-        }
-        Shared::from_ptr(ptr)
+        let handle = &mut *self.handle;
+        let ptr = handle.inner.alloc(value);
+        handle.era_tick.tick(1, &handle.inner.domain().global_era);
+        ptr
     }
 
-    // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
-    unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        let value = ptr.untagged().as_ptr();
-        debug_assert!(!value.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain and is already unlinked, so its block header is live.
-        let retired = unsafe { Retired::from_value(value) };
+    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
+    // per-node `retire` contract (unlinked, owned, retired exactly once).
+    #[inline]
+    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
         let handle = &mut *self.handle;
-        // ORDERING: Relaxed on both — per-location coherence keeps this era
-        // read no older than any era this thread already observed, and a
-        // conservatively old retire stamp only *narrows* the freeable set;
-        // the stamp reaches sweepers through the vault mutex below.
-        let era = handle.domain.global_era.load(Ordering::Relaxed);
-        // SAFETY: the block is unlinked but not yet in any limbo list; this
-        // thread has exclusive access to its header stamp.
-        // ORDERING: a lagging retire-era stamp only delays reclamation by one scan; safety is unaffected.
-        unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.push(retired);
-            vault.len()
-        };
-        handle.retire_count += 1;
-        handle.domain.unreclaimed.add(slot, 1);
-        if handle
-            .retire_count
-            .is_multiple_of(handle.domain.config.epoch_freq())
-        {
-            handle.domain.global_era.fetch_add(1, Ordering::SeqCst);
-        }
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.sweep_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
-        }
+        // SAFETY: forwarded — same contract.
+        unsafe { handle.inner.retire_batch(batch) };
+        handle
+            .era_tick
+            .tick(batch.len(), &handle.inner.domain().global_era);
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
+    #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // no other thread has observed the block; pool-freeing it runs the
-        // destructor exactly once.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — same contract.
+        unsafe { self.handle.inner.dealloc(ptr) };
     }
 
     /// Releases every era reservation — equivalent to drop + pin without the
@@ -454,60 +319,14 @@ impl SmrGuard for HeGuard<'_> {
     /// over-protection and the [`MAX_HAZARDS`] clear-stores are skipped.
     #[inline]
     fn repin(&mut self) {
-        let era = self.handle.domain.global_era.load(Ordering::SeqCst);
+        let era = self.global_era().load(Ordering::SeqCst);
         if era == self.repin_era {
             return;
         }
-        for e in &self.handle.domain.slots[self.handle.claim.index].eras {
+        for e in self.eras() {
             e.store(NONE, Ordering::Release);
         }
         self.repin_era = era;
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let handle = &mut *self.handle;
-        // ORDERING: a lagging retire-era stamp only delays reclamation by one
-        // scan; safety is unaffected (same argument as single `retire`).
-        let era = handle.domain.global_era.load(Ordering::Relaxed);
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees every element came from
-                // `alloc` on this domain and is already unlinked, so each
-                // block header is live.
-                let retired = unsafe { Retired::from_value(value) };
-                // SAFETY: the record was just built from a live block; its
-                // header is valid until the record is freed.
-                // ORDERING: published to sweepers by the vault mutex.
-                unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
-                vault.push(retired);
-            }
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, batch.len());
-        // Preserve the per-retire era cadence across the batch: bump the era
-        // once per epoch-frequency multiple the batch crossed.
-        let freq = handle.domain.config.epoch_freq();
-        let before = handle.retire_count;
-        handle.retire_count += batch.len();
-        let bumps = (handle.retire_count / freq - before / freq) as u64;
-        if bumps > 0 {
-            handle.domain.global_era.fetch_add(bumps, Ordering::SeqCst);
-        }
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.sweep_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
-        }
     }
 }
 
@@ -628,33 +447,8 @@ mod tests {
 
     #[test]
     fn leaked_handle_on_dead_thread_is_adopted() {
-        let d = He::new(config(true));
-        {
-            let d = d.clone();
-            std::thread::spawn(move || {
-                let mut h = d.register();
-                let mut g = h.pin();
-                let p = g.alloc(1u64);
-                let cell = Atomic::new(p);
-                g.protect(0, &cell);
-                // SAFETY: `p` is test-local; the published reservation keeps this retire from freeing it.
-                unsafe { g.retire(p) };
-                // Leak guard + handle: the reservation stays published and
-                // the slot stays claimed past thread death.
-                std::mem::forget(g);
-                std::mem::forget(h);
-            })
-            .join()
-            .unwrap();
-        }
-        assert_eq!(d.unreclaimed(), 1);
-        let mut h = d.register();
-        h.flush();
-        assert_eq!(
-            d.unreclaimed(),
-            0,
-            "adoption must clear the dead thread's eras and drain its vault"
-        );
+        // Adoption must clear the dead thread's era reservation.
+        crate::tests::leaked_handle_on_dead_thread_is_adopted::<He>(config(true), 1, true, 1);
     }
 
     #[test]
@@ -689,17 +483,7 @@ mod tests {
     #[test]
     fn retire_batch_reclaims_like_per_node_retire() {
         for snapshot in [false, true] {
-            let d = He::new(config(snapshot));
-            let mut h = d.register();
-            {
-                let mut g = h.pin();
-                let batch: Vec<_> = (0..48u64).map(|i| g.alloc(i)).collect();
-                // SAFETY: each block was just allocated and never published,
-                // so this thread is its sole owner and retires it exactly once.
-                unsafe { g.retire_batch(&batch) };
-            }
-            h.flush();
-            assert_eq!(d.unreclaimed(), 0, "snapshot={snapshot}");
+            crate::tests::retire_batch_reclaims_like_per_node_retire::<He>(config(snapshot), 48, 1);
         }
     }
 
@@ -719,5 +503,12 @@ mod tests {
         for e in &d.slots[0].eras {
             assert_eq!(e.load(Ordering::SeqCst), NONE);
         }
+    }
+
+    #[test]
+    fn retire_cadence_is_batch_invariant() {
+        crate::tests::retire_cadence_is_batch_invariant::<He>(|d| {
+            d.global_era.load(Ordering::SeqCst)
+        });
     }
 }

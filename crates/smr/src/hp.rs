@@ -12,7 +12,9 @@
 //! without this, one panicked operation would pin its last-protected nodes for
 //! the life of the thread and the domain could never drain to zero.
 //!
-//! Reclamation scans every slot of every registered thread:
+//! Everything after `retire` is the shared retire core ([`crate::limbo`]);
+//! its sweep judges each retired node against every slot of every registered
+//! thread:
 //!
 //! * **HP** (baseline): for each retired node, rescan the global hazard array —
 //!   the straightforward O(retired × slots) scan of the original scheme as
@@ -33,13 +35,11 @@
 //! (SeqCst `dup`) would reintroduce the memory barrier the unrolled traversal
 //! is designed to avoid.
 
-use crate::block::{header_of, Retired};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
+use crate::block::Retired;
+use crate::limbo::{Handle, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind, MAX_HAZARDS};
 use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -47,74 +47,40 @@ struct HpSlot {
     hazards: [AtomicUsize; MAX_HAZARDS],
 }
 
-impl HpSlot {
-    fn new() -> Self {
-        Self {
-            hazards: std::array::from_fn(|_| AtomicUsize::new(0)),
-        }
-    }
-}
-
 /// The hazard-pointer domain.  `snapshot_scan` in the configuration selects
 /// between the paper's "HP" and "HPopt" variants.
 pub struct Hp {
-    config: SmrConfig,
-    registry: SlotRegistry,
+    core: RetireCore,
     slots: Box<[CachePadded<HpSlot>]>,
-    unreclaimed: ShardedCounter,
-    pool: Arc<PoolShared>,
-    /// Per-slot retire lists, domain-owned so a dead thread's list is
-    /// adoptable (see [`Hp::adopt_orphans`]).
-    vaults: Box<[Mutex<Vec<Retired>>]>,
-    orphans: Mutex<Vec<Retired>>,
 }
 
 impl Smr for Hp {
     type Handle = HpHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        let slots = (0..config.max_threads)
-            .map(|_| CachePadded::new(HpSlot::new()))
+        let core = RetireCore::new(config);
+        let slots = (0..core.config().max_threads)
+            .map(|_| {
+                CachePadded::new(HpSlot {
+                    hazards: std::array::from_fn(|_| AtomicUsize::new(0)),
+                })
+            })
             .collect();
-        Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
-            slots,
-            unreclaimed: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            orphans: Mutex::new(Vec::new()),
-            config,
-        })
+        Arc::new(Self { core, slots })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<HpHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
-        for h in &self.slots[claim.index].hazards {
-            // ORDERING: Relaxed — the slot is not yet visible to any scan
-            // (the claim CAS in `try_claim` is what publishes it, and scans
-            // skip unclaimed slots); the first real publication goes through
-            // `protect`'s SeqCst store.
-            h.store(0, Ordering::Relaxed);
-        }
         Ok(HpHandle {
-            pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
-            domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
+            inner: Handle::register(self)?,
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
-        if self.config.snapshot_scan {
+        if self.core.config().snapshot_scan {
             SmrKind::HpOpt
         } else {
             SmrKind::Hp
@@ -123,14 +89,11 @@ impl Smr for Hp {
 }
 
 impl Hp {
-    /// True if `addr` is currently published in any hazard slot.  Used by the
-    /// baseline (non-snapshot) scan: one full pass over the hazard array per
-    /// retired node.
+    /// True if `addr` is currently published in any hazard slot: the
+    /// per-record scan of the baseline (non-snapshot) sweep, one full pass
+    /// over the hazard array per retired node.
     fn is_protected(&self, addr: usize) -> bool {
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
-                continue;
-            }
+        for slot in self.core.claimed(&self.slots) {
             // Ascending index order; see the module documentation on `dup`.
             for h in &slot.hazards {
                 if h.load(Ordering::SeqCst) == addr {
@@ -140,125 +103,58 @@ impl Hp {
         }
         false
     }
-
-    /// Collects one snapshot of every published hazard (HPopt).
-    fn snapshot(&self) -> Vec<usize> {
-        let mut snap = Vec::with_capacity(self.config.max_threads * 2);
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
-                continue;
-            }
-            for h in &slot.hazards {
-                let v = h.load(Ordering::SeqCst);
-                if v != 0 {
-                    snap.push(v);
-                }
-            }
-        }
-        snap.sort_unstable();
-        snap.dedup();
-        snap
-    }
-
-    fn sweep(&self, limbo: &mut Vec<Retired>, slot: usize, pool: &mut BlockPool) {
-        let mut freed = 0usize;
-        if self.config.snapshot_scan {
-            let snap = self.snapshot();
-            limbo.retain(|r| {
-                if snap.binary_search(&r.value).is_err() {
-                    // SAFETY: the node was retired (unlinked) and its address
-                    // is absent from the hazard snapshot taken *after* it was
-                    // unlinked, so no thread can still dereference it.
-                    unsafe { r.free_into(pool) };
-                    freed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        } else {
-            limbo.retain(|r| {
-                if !self.is_protected(r.value) {
-                    // SAFETY: the node was retired (unlinked) and a full
-                    // SeqCst scan of every claimed slot's hazards found no
-                    // publication of its address, so no thread can still
-                    // dereference it.
-                    unsafe { r.free_into(pool) };
-                    freed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        if freed > 0 {
-            self.unreclaimed.sub(slot, freed);
-        }
-    }
-
-    fn sweep_vault(&self, vault_idx: usize, counter_slot: usize, pool: &mut BlockPool) {
-        let mut vault = self.vaults[vault_idx].lock();
-        if !vault.is_empty() {
-            self.sweep(&mut vault, counter_slot, pool);
-        }
-    }
-
-    fn sweep_orphans(&self, slot: usize, pool: &mut BlockPool) {
-        if let Some(mut orphans) = self.orphans.try_lock() {
-            if !orphans.is_empty() {
-                self.sweep(&mut orphans, slot, pool);
-            }
-        }
-    }
-
-    /// Adopts slots abandoned by dead threads: clears the dead thread's
-    /// hazard slots (sound — the owner can issue no further loads, so nothing
-    /// those hazards protected is still being dereferenced by it) and drains
-    /// its retire vault into the orphan list.
-    fn adopt_orphans(&self, my_slot: usize, pool: &mut BlockPool) {
-        for i in 0..self.registry.capacity() {
-            if i == my_slot {
-                continue;
-            }
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                for h in &self.slots[i].hazards {
-                    h.store(0, Ordering::SeqCst);
-                }
-                let mut vault = self.vaults[i].lock();
-                if !vault.is_empty() {
-                    self.orphans.lock().append(&mut vault);
-                }
-                drop(vault);
-                adoption.finish();
-            }
-        }
-        self.sweep_orphans(my_slot, pool);
-    }
 }
 
-impl Drop for Hp {
-    fn drop(&mut self) {
-        for vault in self.vaults.iter() {
-            for r in vault.lock().drain(..) {
-                // SAFETY: dropping the domain means no handle (and hence no
-                // guard) exists; no hazard can be published any more.
-                unsafe { r.free() };
-            }
+// SAFETY: a retired node is unlinked, so a thread can only still dereference
+// it if it published the node's address before the unlink and has not cleared
+// it since.  `can_free` accepts an address only when it is absent from every
+// claimed slot's hazards, read with SeqCst after the unlink — either from the
+// sorted snapshot (HPopt) or by a full per-record scan (HP).  `neutralize`
+// zeroes the slot's hazards; 0 is no address.
+unsafe impl Scheme for Hp {
+    /// HPopt: every published hazard, sorted.  HP: `None`, rescan per record.
+    type Snapshot = Option<Vec<usize>>;
+
+    #[inline]
+    fn core(&self) -> &RetireCore {
+        &self.core
+    }
+
+    #[inline]
+    fn retire_stamp(&self) -> Option<u64> {
+        None
+    }
+
+    fn snapshot(&self) -> Option<Vec<usize>> {
+        self.core.config().snapshot_scan.then(|| {
+            let mut snap: Vec<usize> = (self.core.claimed(&self.slots))
+                .flat_map(|slot| slot.hazards.iter().map(|h| h.load(Ordering::SeqCst)))
+                .filter(|&v| v != 0)
+                .collect();
+            snap.sort_unstable();
+            snap.dedup();
+            snap
+        })
+    }
+
+    #[inline]
+    fn can_free(&self, snapshot: &Option<Vec<usize>>, retired: &Retired) -> bool {
+        match snapshot {
+            Some(snap) => snap.binary_search(&retired.value).is_err(),
+            None => !self.is_protected(retired.value),
         }
-        let mut orphans = self.orphans.lock();
-        for r in orphans.drain(..) {
-            // SAFETY: as above — no guards can exist at domain drop.
-            unsafe { r.free() };
+    }
+
+    fn neutralize(&self, slot: usize) {
+        for h in &self.slots[slot].hazards {
+            h.store(0, Ordering::SeqCst);
         }
     }
 }
 
 /// Per-thread handle for [`Hp`].
 pub struct HpHandle {
-    domain: Arc<Hp>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
+    inner: Handle<Hp>,
 }
 
 impl SmrHandle for HpHandle {
@@ -268,9 +164,7 @@ impl SmrHandle for HpHandle {
         Self: 'g;
 
     fn pin(&mut self) -> HpGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
+        self.inner.bind();
         // Hazard pointers have no notion of a critical section: protection is
         // entirely per-pointer, so `pin` publishes nothing.
         HpGuard {
@@ -281,27 +175,7 @@ impl SmrHandle for HpHandle {
     }
 
     fn flush(&mut self) {
-        let domain = self.domain.clone();
-        domain.sweep_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.adopt_orphans(self.claim.index, &mut self.pool);
-    }
-}
-
-impl Drop for HpHandle {
-    fn drop(&mut self) {
-        // Guards cannot outlive the handle, so our hazards are already clear;
-        // sweep what we can before handing the remainder to the orphan list.
-        let domain = self.domain.clone();
-        domain.sweep_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.registry.release_with(self.claim, || {
-            for h in &domain.slots[self.claim.index].hazards {
-                h.store(0, Ordering::Release);
-            }
-            let mut vault = domain.vaults[self.claim.index].lock();
-            if !vault.is_empty() {
-                domain.orphans.lock().append(&mut vault);
-            }
-        });
+        self.inner.scan(true);
     }
 }
 
@@ -323,26 +197,34 @@ pub struct HpGuard<'g> {
 impl HpGuard<'_> {
     #[inline]
     fn hazards(&self) -> &[AtomicUsize; MAX_HAZARDS] {
-        &self.handle.domain.slots[self.handle.claim.index].hazards
+        let inner = &self.handle.inner;
+        &inner.domain().slots[inner.slot()].hazards
     }
-}
 
-impl Drop for HpGuard<'_> {
-    fn drop(&mut self) {
+    /// Clears every hazard this guard published.
+    #[inline]
+    fn unpublish(&mut self) {
         if self.used != 0 {
             for (idx, hazard) in self.hazards().iter().enumerate() {
                 if self.used & (1 << idx) != 0 {
                     hazard.store(0, Ordering::Release);
                 }
             }
+            self.used = 0;
         }
+    }
+}
+
+impl Drop for HpGuard<'_> {
+    fn drop(&mut self) {
+        self.unpublish();
     }
 }
 
 impl SmrGuard for HpGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        std::sync::Arc::as_ptr(&self.handle.domain) as usize
+        self.handle.inner.domain_addr()
     }
 
     #[inline]
@@ -351,7 +233,7 @@ impl SmrGuard for HpGuard<'_> {
         // published pointer.  The hazard slot always stores the untagged
         // address ("also clear logical-deletion bits").
         self.used |= 1 << idx;
-        let hazards = &self.handle.domain.slots[self.handle.claim.index].hazards;
+        let hazards = self.hazards();
         let mut published = usize::MAX;
         loop {
             let ptr = src.load(Ordering::Acquire);
@@ -391,37 +273,24 @@ impl SmrGuard for HpGuard<'_> {
         self.hazards()[idx].store(0, Ordering::Release);
     }
 
+    #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        Shared::from_ptr(self.handle.pool.alloc(value))
+        self.handle.inner.alloc(value)
     }
 
-    // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
-    unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        let value = ptr.untagged().as_ptr();
-        debug_assert!(!value.is_null());
-        let handle = &mut *self.handle;
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-            // domain and is already unlinked, so the block header is live.
-            vault.push(unsafe { Retired::from_value(value) });
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, 1);
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.sweep_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
-        }
+    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
+    // per-node `retire` contract (unlinked, owned, retired exactly once).
+    #[inline]
+    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
+        // SAFETY: forwarded — same contract.
+        unsafe { self.handle.inner.retire_batch(batch) };
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
+    #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // no other thread has observed the block; pool-freeing it runs the
-        // destructor exactly once.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — same contract.
+        unsafe { self.handle.inner.dealloc(ptr) };
     }
 
     /// Hazard pointers have no epoch to elide, but a repin boundary is the
@@ -430,43 +299,7 @@ impl SmrGuard for HpGuard<'_> {
     /// registry owner check.
     #[inline]
     fn repin(&mut self) {
-        if self.used != 0 {
-            for (idx, hazard) in self.hazards().iter().enumerate() {
-                if self.used & (1 << idx) != 0 {
-                    hazard.store(0, Ordering::Release);
-                }
-            }
-            self.used = 0;
-        }
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let handle = &mut *self.handle;
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees every element came from
-                // `alloc` on this domain and is already unlinked, so each
-                // block header is live.
-                vault.push(unsafe { Retired::from_value(value) });
-            }
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, batch.len());
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.sweep_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
-        }
+        self.unpublish();
     }
 }
 
@@ -628,50 +461,19 @@ mod tests {
     #[test]
     fn retire_batch_reclaims_like_per_node_retire() {
         for snapshot in [false, true] {
-            let d = Hp::new(config(snapshot));
-            let mut h = d.register();
-            {
-                let mut g = h.pin();
-                let batch: Vec<_> = (0..48u64).map(|i| g.alloc(i)).collect();
-                // SAFETY: each block was just allocated and never published,
-                // so this thread is its sole owner and retires it exactly once.
-                unsafe { g.retire_batch(&batch) };
-            }
-            h.flush();
-            assert_eq!(d.unreclaimed(), 0, "snapshot={snapshot}");
+            crate::tests::retire_batch_reclaims_like_per_node_retire::<Hp>(config(snapshot), 48, 1);
         }
     }
 
     #[test]
     fn leaked_handle_on_dead_thread_is_adopted() {
+        // Adoption must clear the dead thread's published hazard.
         for snapshot in [false, true] {
-            let d = Hp::new(config(snapshot));
-            {
-                let d = d.clone();
-                std::thread::spawn(move || {
-                    let mut h = d.register();
-                    let mut g = h.pin();
-                    let p = g.alloc(1u64);
-                    let cell = Atomic::new(p);
-                    g.protect(0, &cell);
-                    // SAFETY: `p` is test-local; the published hazard is exactly what keeps this retire from freeing it.
-                    unsafe { g.retire(p) };
-                    // Leak guard + handle: the hazard stays published and the
-                    // slot stays claimed past thread death.
-                    std::mem::forget(g);
-                    std::mem::forget(h);
-                })
-                .join()
-                .unwrap();
-            }
-            assert_eq!(d.unreclaimed(), 1, "snapshot={snapshot}");
-            let mut h = d.register();
-            h.flush();
-            assert_eq!(
-                d.unreclaimed(),
-                0,
-                "adoption must clear the dead thread's hazards and drain its \
-                 vault (snapshot={snapshot})"
+            crate::tests::leaked_handle_on_dead_thread_is_adopted::<Hp>(
+                config(snapshot),
+                1,
+                true,
+                1,
             );
         }
     }

@@ -643,41 +643,10 @@ impl SmrGuard for HyalineGuard<'_> {
         Shared::from_ptr(ptr)
     }
 
-    // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
-    unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        let value = ptr.untagged().as_ptr();
-        debug_assert!(!value.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain, is unlinked, and is retired exactly once — so the block is
-        // live and its header valid.
-        let hdr = unsafe { header_of(value) };
-        // SAFETY: header valid as above.
-        // ORDERING: Relaxed read — the stamp was written before the pointer
-        // was published, and unlink + retire on this thread ordered us after
-        // any concurrent refresh; the value only feeds the conservative
-        // `min_birth` minimum.
-        let birth = unsafe { (*hdr).birth_era.load(Ordering::Relaxed) };
-        let handle = &mut *self.handle;
-        let idx = handle.claim.index;
-        let full = {
-            let mut vault = handle.domain.vaults[idx].lock();
-            vault.min_birth = vault.min_birth.min(birth);
-            vault.nodes.push(hdr);
-            vault.nodes.len() >= handle.domain.batch_capacity
-        };
-        handle.domain.unreclaimed.add(idx, 1);
-        if full {
-            let domain = handle.domain.clone();
-            domain.flush_vault(idx, idx, &mut handle.pool);
-        }
-    }
-
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // no other thread has observed the block; pool-freeing it runs the
-        // destructor exactly once.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — same contract.
+        unsafe { crate::limbo::dealloc(&mut self.handle.pool, ptr) };
     }
 
     /// Fast path: if nothing was pushed onto our slot list since entry (the
@@ -748,8 +717,9 @@ impl SmrGuard for HyalineGuard<'_> {
                 let hdr = unsafe { header_of(value) };
                 // SAFETY: header valid as above.
                 // ORDERING: Relaxed read — the stamp was written before the
-                // pointer was published; it only feeds the conservative
-                // `min_birth` minimum (same argument as single `retire`).
+                // pointer was published, and unlink + retire on this thread
+                // ordered us after any concurrent refresh; the value only
+                // feeds the conservative `min_birth` minimum.
                 let birth = unsafe { (*hdr).birth_era.load(Ordering::Relaxed) };
                 vault.min_birth = vault.min_birth.min(birth);
                 vault.nodes.push(hdr);
@@ -924,47 +894,15 @@ mod tests {
 
     #[test]
     fn retire_batch_reclaims_like_per_node_retire() {
-        let d = Hyaline::new(config());
-        let mut h = d.register();
-        {
-            let mut g = h.pin();
-            let batch: Vec<_> = (0..10u64).map(|i| g.alloc(i)).collect();
-            // SAFETY: each block was just allocated and never published, so
-            // this thread is its sole owner and retires it exactly once.
-            unsafe { g.retire_batch(&batch) };
-        }
-        drop(h);
-        assert_eq!(d.unreclaimed(), 0);
+        crate::tests::retire_batch_reclaims_like_per_node_retire::<Hyaline>(config(), 10, 1);
     }
 
     #[test]
     fn leaked_handle_on_dead_thread_is_adopted() {
-        let d = Hyaline::new(config());
-        let dd = d.clone();
-        std::thread::spawn(move || {
-            let mut h = dd.register();
-            {
-                let mut g = h.pin();
-                for i in 0..3u64 {
-                    let p = g.alloc(i);
-                    // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
-                    unsafe { g.retire(p) };
-                }
-            }
-            // Die without unwinding the handle; the sub-batch stays in the
-            // vault.
-            std::mem::forget(h);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(d.unreclaimed(), 3);
-        let mut survivor = d.register();
-        survivor.flush();
-        assert_eq!(
-            d.unreclaimed(),
-            0,
-            "a survivor must adopt and flush the dead thread's batch"
-        );
+        // Die without unwinding the handle; the sub-batch stays in the vault
+        // until a survivor adopts and flushes it.
+        let d =
+            crate::tests::leaked_handle_on_dead_thread_is_adopted::<Hyaline>(config(), 3, false, 1);
         assert_eq!(d.registry.poisoned(), 0, "death outside a CS recycles");
     }
 

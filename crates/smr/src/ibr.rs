@@ -12,15 +12,14 @@
 //! programming model" the paper credits IBR with (§2.2.4).  The safety
 //! contract is the same as for HP/HE: data structures must not traverse past
 //! physically-unlinked nodes, which is exactly what SCOT validation (or the
-//! Harris-Michael eager unlink) guarantees.
+//! Harris-Michael eager unlink) guarantees.  Everything after `retire` is the
+//! shared retire core ([`crate::limbo`]).
 
-use crate::block::{header_of, Retired};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
+use crate::block::Retired;
+use crate::limbo::{EraCountdown, Handle, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -35,26 +34,28 @@ struct IbrSlot {
     upper: AtomicU64,
 }
 
+impl IbrSlot {
+    /// Deactivates the interval: `[MAX, 0]` overlaps nothing.
+    #[inline]
+    fn deactivate(&self, order: Ordering) {
+        self.lower.store(u64::MAX, order);
+        self.upper.store(0, order);
+    }
+}
+
 /// The interval-based reclamation domain.
 pub struct Ibr {
-    config: SmrConfig,
-    registry: SlotRegistry,
+    core: RetireCore,
     global_era: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<IbrSlot>]>,
-    unreclaimed: ShardedCounter,
-    pool: Arc<PoolShared>,
-    /// Per-slot retire lists, domain-owned so a dead thread's list is
-    /// adoptable (see [`Ibr::adopt_orphans`]).
-    vaults: Box<[Mutex<Vec<Retired>>]>,
-    orphans: Mutex<Vec<Retired>>,
 }
 
 impl Smr for Ibr {
     type Handle = IbrHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        let slots = (0..config.max_threads)
+        let core = RetireCore::new(config);
+        let slots = (0..core.config().max_threads)
             .map(|_| {
                 CachePadded::new(IbrSlot {
                     lower: AtomicU64::new(u64::MAX),
@@ -63,49 +64,25 @@ impl Smr for Ibr {
             })
             .collect();
         Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
+            core,
             global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
             slots,
-            unreclaimed: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            orphans: Mutex::new(Vec::new()),
-            config,
         })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<IbrHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
-        // ORDERING: Relaxed is enough for both resets — the slot is not yet
-        // visible to sweepers (the claim above is what publishes it, and
-        // `is_claimed` readers synchronize through the registry), so no other
-        // thread can observe these stores out of order.
-        self.slots[claim.index]
-            .lower
-            // ORDERING: the slot is newly claimed and not yet observed by reclamation scans; this reset is owner-only.
-            .store(u64::MAX, Ordering::Relaxed);
-        // ORDERING: the slot is newly claimed and not yet observed by reclamation scans; this reset is owner-only.
-        self.slots[claim.index].upper.store(0, Ordering::Relaxed);
         Ok(IbrHandle {
-            pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
-            domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
-            alloc_count: 0,
-            retire_count: 0,
+            inner: Handle::register(self)?,
+            era_tick: EraCountdown::new(self.core.config()),
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
-        if self.config.snapshot_scan {
+        if self.core.config().snapshot_scan {
             SmrKind::IbrOpt
         } else {
             SmrKind::Ibr
@@ -114,140 +91,77 @@ impl Smr for Ibr {
 }
 
 impl Ibr {
-    /// True if some thread's interval overlaps `[birth, retire]`.
-    fn is_protected(&self, birth: u64, retire: u64) -> bool {
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
-                continue;
-            }
-            let lower = slot.lower.load(Ordering::SeqCst);
-            let upper = slot.upper.load(Ordering::SeqCst);
-            if birth <= upper && retire >= lower {
-                return true;
-            }
-        }
-        false
+    /// The `(lower, upper)` interval of every claimed slot.
+    fn intervals(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.core.claimed(&self.slots).map(|slot| {
+            (
+                slot.lower.load(Ordering::SeqCst),
+                slot.upper.load(Ordering::SeqCst),
+            )
+        })
     }
 
-    /// Snapshot of all active intervals (IBRopt sweep).
-    fn snapshot(&self) -> Vec<(u64, u64)> {
-        let mut snap = Vec::with_capacity(self.config.max_threads);
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
-                continue;
-            }
-            let lower = slot.lower.load(Ordering::SeqCst);
-            let upper = slot.upper.load(Ordering::SeqCst);
-            if lower <= upper {
-                snap.push((lower, upper));
-            }
-        }
-        snap
-    }
-
-    fn sweep(&self, limbo: &mut Vec<Retired>, slot: usize, pool: &mut BlockPool) {
-        let mut freed = 0usize;
-        if self.config.snapshot_scan {
-            let snap = self.snapshot();
-            limbo.retain(|r| {
-                let birth = r.birth_era();
-                let retire = r.retire_era();
-                let protected = snap.iter().any(|&(lo, hi)| birth <= hi && retire >= lo);
-                if protected {
-                    true
-                } else {
-                    // SAFETY: no active interval overlaps the object's
-                    // lifetime in the snapshot taken after it was retired, so
-                    // no thread can still hold a protected reference; the
-                    // record owns the block and is dropped from the list.
-                    unsafe { r.free_into(pool) };
-                    freed += 1;
-                    false
-                }
-            });
-        } else {
-            limbo.retain(|r| {
-                if self.is_protected(r.birth_era(), r.retire_era()) {
-                    true
-                } else {
-                    // SAFETY: as above — the per-record scan found no
-                    // overlapping interval, so the block is unreachable and
-                    // freed exactly once.
-                    unsafe { r.free_into(pool) };
-                    freed += 1;
-                    false
-                }
-            });
-        }
-        if freed > 0 {
-            self.unreclaimed.sub(slot, freed);
-        }
-    }
-
-    fn sweep_vault(&self, vault_idx: usize, counter_slot: usize, pool: &mut BlockPool) {
-        let mut vault = self.vaults[vault_idx].lock();
-        if !vault.is_empty() {
-            self.sweep(&mut vault, counter_slot, pool);
-        }
-    }
-
-    fn sweep_orphans(&self, slot: usize, pool: &mut BlockPool) {
-        if let Some(mut orphans) = self.orphans.try_lock() {
-            if !orphans.is_empty() {
-                self.sweep(&mut orphans, slot, pool);
-            }
-        }
-    }
-
-    /// Adopts slots abandoned by dead threads: collapses the dead thread's
-    /// interval to the empty `[MAX, 0]` (sound — the owner can issue no
-    /// further loads) and drains its retire vault into the orphan list.
-    fn adopt_orphans(&self, my_slot: usize, pool: &mut BlockPool) {
-        for i in 0..self.registry.capacity() {
-            if i == my_slot {
-                continue;
-            }
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                self.slots[i].lower.store(u64::MAX, Ordering::SeqCst);
-                self.slots[i].upper.store(0, Ordering::SeqCst);
-                let mut vault = self.vaults[i].lock();
-                if !vault.is_empty() {
-                    self.orphans.lock().append(&mut vault);
-                }
-                drop(vault);
-                adoption.finish();
-            }
-        }
-        self.sweep_orphans(my_slot, pool);
+    /// The global era as stamped on a block at allocation and at retirement.
+    #[inline]
+    fn era_stamp(&self) -> u64 {
+        // ORDERING: Relaxed — a read can only lag the true era.  A lagging
+        // birth stamp is conservatively *early*, strictly more protective for
+        // the interval-overlap test; a lagging retire stamp at worst delays
+        // reclamation by one interval check.  The stamp reaches sweepers
+        // through the vault mutex.
+        self.global_era.load(Ordering::Relaxed)
     }
 }
 
-impl Drop for Ibr {
-    fn drop(&mut self) {
-        for vault in self.vaults.iter() {
-            for r in vault.lock().drain(..) {
-                // SAFETY: `&mut self` proves every handle (and so every
-                // guard) is gone; nothing can still protect the block.
-                unsafe { r.free() };
-            }
+// SAFETY: a reader's interval `[lower, upper]` covers every era in which it
+// loaded a pointer, so it can hold a reference to a node only if its interval
+// overlaps the node's lifetime `[birth, retire]`.  `can_free` accepts a record
+// only when no claimed slot's interval overlaps, read with SeqCst after the
+// node was retired — from the snapshot (IBRopt) or by a per-record scan
+// (IBR).  `neutralize` stores the empty interval `[MAX, 0]`.
+unsafe impl Scheme for Ibr {
+    /// IBRopt: every active interval.  IBR: `None`, rescan per record.
+    type Snapshot = Option<Vec<(u64, u64)>>;
+
+    #[inline]
+    fn core(&self) -> &RetireCore {
+        &self.core
+    }
+
+    #[inline]
+    fn birth_stamp(&self) -> Option<u64> {
+        Some(self.era_stamp())
+    }
+
+    #[inline]
+    fn retire_stamp(&self) -> Option<u64> {
+        Some(self.era_stamp())
+    }
+
+    fn snapshot(&self) -> Option<Vec<(u64, u64)>> {
+        (self.core.config().snapshot_scan)
+            .then(|| self.intervals().filter(|(lo, hi)| lo <= hi).collect())
+    }
+
+    #[inline]
+    fn can_free(&self, snapshot: &Option<Vec<(u64, u64)>>, retired: &Retired) -> bool {
+        let (birth, retire) = (retired.birth_era(), retired.retire_era());
+        let overlaps = |(lo, hi): (u64, u64)| birth <= hi && retire >= lo;
+        match snapshot {
+            Some(snap) => !snap.iter().copied().any(overlaps),
+            None => !self.intervals().any(overlaps),
         }
-        let mut orphans = self.orphans.lock();
-        for r in orphans.drain(..) {
-            // SAFETY: as above — the domain is being dropped, so no interval
-            // can still cover any retired block.
-            unsafe { r.free() };
-        }
+    }
+
+    fn neutralize(&self, slot: usize) {
+        self.slots[slot].deactivate(Ordering::SeqCst);
     }
 }
 
 /// Per-thread handle for [`Ibr`].
 pub struct IbrHandle {
-    domain: Arc<Ibr>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
-    alloc_count: usize,
-    retire_count: usize,
+    inner: Handle<Ibr>,
+    era_tick: EraCountdown,
 }
 
 impl SmrHandle for IbrHandle {
@@ -257,11 +171,10 @@ impl SmrHandle for IbrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> IbrGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
-        let slot = &self.domain.slots[self.claim.index];
-        let era = self.domain.global_era.load(Ordering::SeqCst);
+        self.inner.bind();
+        let domain = self.inner.domain();
+        let slot = &domain.slots[self.inner.slot()];
+        let era = domain.global_era.load(Ordering::SeqCst);
         slot.upper.store(era, Ordering::SeqCst);
         slot.lower.store(era, Ordering::SeqCst);
         IbrGuard {
@@ -273,25 +186,7 @@ impl SmrHandle for IbrHandle {
     }
 
     fn flush(&mut self) {
-        let domain = self.domain.clone();
-        domain.sweep_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.adopt_orphans(self.claim.index, &mut self.pool);
-    }
-}
-
-impl Drop for IbrHandle {
-    fn drop(&mut self) {
-        let domain = self.domain.clone();
-        domain.sweep_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.registry.release_with(self.claim, || {
-            let slot = &domain.slots[self.claim.index];
-            slot.lower.store(u64::MAX, Ordering::Release);
-            slot.upper.store(0, Ordering::Release);
-            let mut vault = domain.vaults[self.claim.index].lock();
-            if !vault.is_empty() {
-                domain.orphans.lock().append(&mut vault);
-            }
-        });
+        self.inner.scan(true);
     }
 }
 
@@ -313,45 +208,53 @@ pub struct IbrGuard<'g> {
     cached_lower: u64,
 }
 
+impl IbrGuard<'_> {
+    #[inline]
+    fn slot(&self) -> &IbrSlot {
+        let inner = &self.handle.inner;
+        &inner.domain().slots[inner.slot()]
+    }
+
+    #[inline]
+    fn global_era(&self) -> &AtomicU64 {
+        &self.handle.inner.domain().global_era
+    }
+}
+
 impl Drop for IbrGuard<'_> {
     fn drop(&mut self) {
         // Deactivating the interval on drop is what makes a panicking
         // operation release its protection (RAII unwind safety).
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
-        slot.lower.store(u64::MAX, Ordering::Release);
-        slot.upper.store(0, Ordering::Release);
+        self.slot().deactivate(Ordering::Release);
     }
 }
 
 impl SmrGuard for IbrGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        std::sync::Arc::as_ptr(&self.handle.domain) as usize
+        self.handle.inner.domain_addr()
     }
 
     #[inline]
     fn protect<T>(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
-        let global = &self.handle.domain.global_era;
         loop {
             let ptr = src.load(Ordering::Acquire);
-            let era = global.load(Ordering::SeqCst);
+            let era = self.global_era().load(Ordering::SeqCst);
             if era == self.cached_upper {
                 return ptr;
             }
             // The interval is extended *before* the pointer is re-read, so any
             // pointer we return was loaded under an already-published upper
             // bound covering its birth era.
-            slot.upper.store(era, Ordering::SeqCst);
+            self.slot().upper.store(era, Ordering::SeqCst);
             self.cached_upper = era;
         }
     }
 
     #[inline]
     fn announce<T>(&mut self, _idx: usize, _ptr: Shared<T>) {
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
-        let era = self.handle.domain.global_era.load(Ordering::SeqCst);
-        slot.upper.store(era, Ordering::SeqCst);
+        let era = self.global_era().load(Ordering::SeqCst);
+        self.slot().upper.store(era, Ordering::SeqCst);
         self.cached_upper = era;
     }
 
@@ -361,73 +264,31 @@ impl SmrGuard for IbrGuard<'_> {
     #[inline]
     fn clear(&mut self, _idx: usize) {}
 
+    #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.handle.pool.alloc(value);
-        // ORDERING: a Relaxed read of the era can only be *older* than the
-        // real current era, which makes the birth stamp conservatively early
-        // — strictly more protective for the interval-overlap test.  The
-        // Relaxed store is published to sweepers by the vault mutex taken at
-        // retire time.
-        let era = self.handle.domain.global_era.load(Ordering::Relaxed);
-        // SAFETY: `ptr` was just produced by `pool.alloc`, so its header is
-        // live and exclusively ours until the pointer is published.
-        // ORDERING: a Relaxed era read can only lag, stamping the birth era conservatively old.
-        unsafe { (*header_of(ptr)).birth_era.store(era, Ordering::Relaxed) };
-        self.handle.alloc_count += 1;
-        if self
-            .handle
-            .alloc_count
-            .is_multiple_of(self.handle.domain.config.epoch_freq())
-        {
-            self.handle.domain.global_era.fetch_add(1, Ordering::SeqCst);
-        }
-        Shared::from_ptr(ptr)
+        let handle = &mut *self.handle;
+        let ptr = handle.inner.alloc(value);
+        handle.era_tick.tick(1, &handle.inner.domain().global_era);
+        ptr
     }
 
-    // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
-    unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        let value = ptr.untagged().as_ptr();
-        debug_assert!(!value.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain, is unlinked, and is retired exactly once.
-        let retired = unsafe { Retired::from_value(value) };
+    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
+    // per-node `retire` contract (unlinked, owned, retired exactly once).
+    #[inline]
+    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
         let handle = &mut *self.handle;
-        // ORDERING: a Relaxed era read here can only lag the true era, which
-        // stamps the retirement conservatively *early* — never unsafe, at
-        // worst it delays reclamation by one interval check.  The stamp is
-        // published to sweepers by the vault mutex acquired just below.
-        let era = handle.domain.global_era.load(Ordering::Relaxed);
-        // SAFETY: the record was just built from a live block; its header is
-        // valid until the record is freed.
-        // ORDERING: a lagging retire-era stamp only delays reclamation by one scan; safety is unaffected.
-        unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.push(retired);
-            vault.len()
-        };
-        handle.retire_count += 1;
-        handle.domain.unreclaimed.add(slot, 1);
-        if handle
-            .retire_count
-            .is_multiple_of(handle.domain.config.epoch_freq())
-        {
-            handle.domain.global_era.fetch_add(1, Ordering::SeqCst);
-        }
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.sweep_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
-        }
+        // SAFETY: forwarded — same contract.
+        unsafe { handle.inner.retire_batch(batch) };
+        handle
+            .era_tick
+            .tick(batch.len(), &handle.inner.domain().global_era);
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
+    #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // no other thread has observed the block; pool-freeing it runs the
-        // destructor exactly once.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — same contract.
+        unsafe { self.handle.inner.dealloc(ptr) };
     }
 
     /// Collapses the interval back to the point `[era, era]`, releasing every
@@ -436,12 +297,11 @@ impl SmrGuard for IbrGuard<'_> {
     /// skips both SeqCst stores.
     #[inline]
     fn repin(&mut self) {
-        let domain = &self.handle.domain;
-        let era = domain.global_era.load(Ordering::SeqCst);
+        let era = self.global_era().load(Ordering::SeqCst);
         if era == self.cached_upper && era == self.cached_lower {
             return;
         }
-        let slot = &domain.slots[self.handle.claim.index];
+        let slot = self.slot();
         // Same publication order as `pin`: extend `upper` first so the
         // interval never transiently excludes an era we might still observe,
         // then raise `lower` to drop the old coverage.
@@ -449,52 +309,6 @@ impl SmrGuard for IbrGuard<'_> {
         slot.lower.store(era, Ordering::SeqCst);
         self.cached_upper = era;
         self.cached_lower = era;
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let handle = &mut *self.handle;
-        // ORDERING: a lagging retire-era stamp only delays reclamation by one
-        // scan; safety is unaffected (same argument as single `retire`).
-        let era = handle.domain.global_era.load(Ordering::Relaxed);
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees every element came from
-                // `alloc` on this domain and is already unlinked, so each
-                // block header is live.
-                let retired = unsafe { Retired::from_value(value) };
-                // SAFETY: the record was just built from a live block; its
-                // header is valid until the record is freed.
-                // ORDERING: published to sweepers by the vault mutex.
-                unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
-                vault.push(retired);
-            }
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, batch.len());
-        // Preserve the per-retire era cadence across the batch: bump the era
-        // once per epoch-frequency multiple the batch crossed.
-        let freq = handle.domain.config.epoch_freq();
-        let before = handle.retire_count;
-        handle.retire_count += batch.len();
-        let bumps = (handle.retire_count / freq - before / freq) as u64;
-        if bumps > 0 {
-            handle.domain.global_era.fetch_add(bumps, Ordering::SeqCst);
-        }
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.sweep_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
-        }
     }
 }
 
@@ -582,33 +396,8 @@ mod tests {
 
     #[test]
     fn leaked_handle_on_dead_thread_is_adopted() {
-        let d = Ibr::new(config(true));
-        {
-            let d = d.clone();
-            std::thread::spawn(move || {
-                let mut h = d.register();
-                let mut g = h.pin();
-                let p = g.alloc(1u64);
-                let cell = Atomic::new(p);
-                g.protect(0, &cell);
-                // SAFETY: `p` is test-local; the published interval keeps this retire from freeing it.
-                unsafe { g.retire(p) };
-                // Leak guard + handle: the interval stays active and the slot
-                // stays claimed past thread death.
-                std::mem::forget(g);
-                std::mem::forget(h);
-            })
-            .join()
-            .unwrap();
-        }
-        assert_eq!(d.unreclaimed(), 1);
-        let mut h = d.register();
-        h.flush();
-        assert_eq!(
-            d.unreclaimed(),
-            0,
-            "adoption must collapse the dead thread's interval and drain its vault"
-        );
+        // Adoption must collapse the dead thread's still-active interval.
+        crate::tests::leaked_handle_on_dead_thread_is_adopted::<Ibr>(config(true), 1, true, 1);
     }
 
     #[test]
@@ -677,17 +466,11 @@ mod tests {
     #[test]
     fn retire_batch_reclaims_like_per_node_retire() {
         for snapshot in [false, true] {
-            let d = Ibr::new(config(snapshot));
-            let mut h = d.register();
-            {
-                let mut g = h.pin();
-                let batch: Vec<_> = (0..48u64).map(|i| g.alloc(i)).collect();
-                // SAFETY: each block was just allocated and never published,
-                // so this thread is its sole owner and retires it exactly once.
-                unsafe { g.retire_batch(&batch) };
-            }
-            h.flush();
-            assert_eq!(d.unreclaimed(), 0, "snapshot={snapshot}");
+            crate::tests::retire_batch_reclaims_like_per_node_retire::<Ibr>(
+                config(snapshot),
+                48,
+                1,
+            );
         }
     }
 
@@ -713,5 +496,12 @@ mod tests {
         h.flush();
         drop(h);
         assert_eq!(d.unreclaimed(), 0);
+    }
+
+    #[test]
+    fn retire_cadence_is_batch_invariant() {
+        crate::tests::retire_cadence_is_batch_invariant::<Ibr>(|d| {
+            d.global_era.load(Ordering::SeqCst)
+        });
     }
 }

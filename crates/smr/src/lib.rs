@@ -31,6 +31,14 @@
 //!   epoch advancement that displaces long-running readers through the same
 //!   checkpoint protocol.
 //!
+//! Everything that happens to a block after `retire` under the six
+//! limbo-list schemes (EBR, HP, HE, IBR, NBR, VBR) — per-slot retire vaults,
+//! threshold-triggered sweeps, the orphan list, adoption of slots whose owner
+//! thread died, handle release, domain teardown — is written once, in the
+//! crate-private retire core (`limbo.rs`); a scheme contributes its stamps,
+//! its "may this block be freed" predicate and how a slot's reservation is
+//! withdrawn.  Hyaline has no limbo list and keeps its own batch machinery.
+//!
 //! All schemes expose the same narrow interface — [`Smr`] / [`SmrHandle`] /
 //! [`SmrGuard`] — modeled directly on the paper's Figure 1 (`protect`, `dup`)
 //! plus allocation and retirement.  Index-based hazard slots are a no-op for
@@ -60,6 +68,7 @@ mod he;
 mod hp;
 mod hyaline;
 mod ibr;
+mod limbo;
 mod nbr;
 mod nr;
 mod vbr;
@@ -496,13 +505,20 @@ pub trait SmrGuard {
 
     /// Retires a node that has been unlinked from the data structure.  The
     /// node is reclaimed (destructor run, memory freed) once the scheme can
-    /// prove no thread still holds a protected reference.
+    /// prove no thread still holds a protected reference.  This is
+    /// [`SmrGuard::retire_batch`] on a one-element batch: every scheme has
+    /// one retire path.
     ///
     /// # Safety
     /// * `ptr` must have been produced by [`SmrGuard::alloc`] on this domain.
     /// * The node must be unreachable for new operations (physically unlinked).
     /// * It must be retired exactly once.
-    unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>);
+    #[inline]
+    unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
+        // SAFETY: forwarded — the caller guarantees the retire contract for
+        // the batch's only element.
+        unsafe { self.retire_batch(std::slice::from_ref(&ptr)) };
+    }
 
     /// Immediately frees a node that was allocated but never published to the
     /// data structure (e.g. an `Insert` that lost its CAS and gives up).
@@ -572,24 +588,16 @@ pub trait SmrGuard {
     #[inline]
     fn repin(&mut self) {}
 
-    /// Retires a batch of unlinked nodes in one call — the fast path for
-    /// churn-heavy workloads (a traversal unlinking a whole marked chain
-    /// retires every node of the chain at once).  Scheme overrides take the
-    /// domain's retire-vault mutex **once per batch** instead of once per
-    /// node and run the amortized era/scan bookkeeping once; the default
-    /// simply loops over [`SmrGuard::retire`].
+    /// Retires a batch of unlinked nodes in one call — a traversal unlinking a
+    /// whole marked chain retires every node of the chain at once.  Schemes
+    /// take the domain's retire-vault mutex and run the amortized era/scan
+    /// bookkeeping **once per batch** instead of once per node.
     ///
     /// # Safety
     /// Every pointer in `batch` must individually satisfy the
     /// [`SmrGuard::retire`] contract: produced by [`SmrGuard::alloc`] on this
     /// domain, physically unlinked, and retired exactly once.
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        for &ptr in batch {
-            // SAFETY: forwarded — the caller guarantees the per-node retire
-            // contract for every element of the batch.
-            unsafe { self.retire(ptr) };
-        }
-    }
+    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]);
 }
 
 /// Result of [`drain_with_timeout`].
@@ -636,6 +644,123 @@ pub fn drain_with_timeout<S: Smr>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Shared body of every scheme's `retire_batch_reclaims_like_per_node_retire`:
+    /// a batch of `nodes` fresh blocks retired in one call is fully reclaimed
+    /// after `flushes` forced passes, exactly as per-node retirement would be.
+    pub(crate) fn retire_batch_reclaims_like_per_node_retire<S: Smr>(
+        config: SmrConfig,
+        nodes: u64,
+        flushes: usize,
+    ) {
+        let d = S::new(config);
+        let mut h = d.register();
+        {
+            let mut g = h.pin();
+            let batch: Vec<_> = (0..nodes).map(|i| g.alloc(i)).collect();
+            // SAFETY: each block was just allocated and never published, so
+            // this thread is its sole owner and retires it exactly once.
+            unsafe { g.retire_batch(&batch) };
+        }
+        for _ in 0..flushes {
+            h.flush();
+        }
+        assert_eq!(d.unreclaimed(), 0, "{}", d.name());
+    }
+
+    /// Shared body of every scheme's `leaked_handle_on_dead_thread_is_adopted`:
+    /// a thread retires `nodes` blocks and exits with its handle leaked —
+    /// and, under `leak_guard`, with its guard leaked too, so the reservation
+    /// protecting the blocks stays published and the slot stays claimed past
+    /// thread death.  A survivor must adopt the slot (neutralizing the
+    /// reservation) and drain its vault within `flushes` forced passes.
+    pub(crate) fn leaked_handle_on_dead_thread_is_adopted<S: Smr>(
+        config: SmrConfig,
+        nodes: u64,
+        leak_guard: bool,
+        flushes: usize,
+    ) -> Arc<S> {
+        let d = S::new(config);
+        {
+            let d = d.clone();
+            std::thread::spawn(move || {
+                let mut h = d.register();
+                let mut g = h.pin();
+                for i in 0..nodes {
+                    let p = g.alloc(i);
+                    if leak_guard {
+                        g.protect(0, &Atomic::new(p));
+                    }
+                    // SAFETY: `p` is test-local and retired exactly once; a
+                    // reservation published above is exactly what keeps this
+                    // retire from freeing it.
+                    unsafe { g.retire(p) };
+                }
+                if leak_guard {
+                    std::mem::forget(g);
+                } else {
+                    drop(g);
+                }
+                std::mem::forget(h);
+            })
+            .join()
+            .unwrap();
+        }
+        assert_eq!(d.unreclaimed(), nodes as usize, "{}", d.name());
+        let mut h = d.register();
+        for _ in 0..flushes {
+            h.flush();
+        }
+        assert_eq!(
+            d.unreclaimed(),
+            0,
+            "{}: a survivor must adopt the dead thread's slot, neutralize its \
+             reservation and drain its vault",
+            d.name()
+        );
+        d
+    }
+
+    /// Era cadence is batch-invariant: retiring `K` nodes singly (`retire`)
+    /// and in batches of 1..=16 (`retire_batch`) advances the scheme's global
+    /// clock the same number of times, `K` spanning several multiples of
+    /// `epoch_freq`.  `clock` reads the scheme's global era/epoch.
+    pub(crate) fn retire_cadence_is_batch_invariant<S: Smr>(clock: impl Fn(&S) -> u64) {
+        let config = SmrConfig {
+            max_threads: 2,
+            scan_threshold: 1024,
+            epoch_freq_per_thread: 5,
+            ..SmrConfig::default()
+        };
+        const K: usize = 47;
+        let freq = config.epoch_freq();
+        let advances = |batch: usize| {
+            let d = S::new(config.clone());
+            let mut h = d.register();
+            let mut g = h.pin();
+            let nodes: Vec<_> = (0..K as u64).map(|i| g.alloc(i)).collect();
+            let before = clock(&d);
+            for chunk in nodes.chunks(batch.max(1)) {
+                // SAFETY: each block was just allocated and never published,
+                // so this thread is its sole owner and retires it exactly once.
+                unsafe {
+                    match batch {
+                        0 => g.retire(chunk[0]),
+                        _ => g.retire_batch(chunk),
+                    }
+                }
+            }
+            clock(&d) - before
+        };
+        let singly = advances(0);
+        assert!(
+            (K / freq..=K / freq + 1).contains(&(singly as usize)),
+            "{K} retires at epoch_freq {freq} advanced the clock {singly} times"
+        );
+        for batch in 1..=16 {
+            assert_eq!(advances(batch), singly, "batch={batch}");
+        }
+    }
 
     #[test]
     fn kind_parse_roundtrip() {

@@ -1,0 +1,695 @@
+//! The retire core: everything that happens to a block between `retire` and
+//! `free`, written once for the six limbo-list schemes.
+//!
+//! To a data structure a reclamation scheme is a reservation format plus a
+//! "may this block be freed" test; everything after `retire` is plumbing that
+//! does not depend on the scheme.  This module owns that plumbing —
+//! [`RetireCore`] holds the slot registry, the per-slot retire *vaults*, the
+//! orphan list, the sharded `unreclaimed` counter and the shared block pool,
+//! and [`Handle`] drives them: batched retirement, threshold-triggered scans,
+//! adoption of slots whose owner died, handle release and domain teardown.
+//! [`crate::Ebr`], [`crate::Hp`], [`crate::He`], [`crate::Ibr`],
+//! [`crate::Nbr`] and [`crate::Vbr`] plug in through [`Scheme`] and keep only
+//! their slots, their global clock and their read-side protocol.
+//! [`crate::Hyaline`] stays outside: its vault is a batch pushed to per-slot
+//! reference-counted lists and freed by the last acknowledger, so it has no
+//! limbo list to sweep and no `can_free` to ask.
+//!
+//! ## Vaults, orphans, adoption
+//!
+//! Retired-but-unreclaimed blocks live in per-slot vaults owned by the
+//! *domain* rather than by the handle, so that when a thread dies without
+//! dropping its handle (see [`crate::registry`]) a survivor can adopt the
+//! slot: the dead owner's reservation is neutralized — sound because the
+//! owner can issue no further loads — its vault moves to the shared orphan
+//! list, and the slot returns to the free pool.  A vault is locked on every
+//! retirement, but only ever contended by an adopter: the owner is the sole
+//! routine writer.  A handle that is dropped normally does the same to its
+//! own slot after one last sweep.
+//!
+//! ## One scan
+//!
+//! A scan fires when the owner's vault reaches `scan_threshold` entries (or
+//! on `flush`, with `force`): [`Scheme::before_scan`], sweep the own vault,
+//! adopt dead slots and sweep the orphan list, and — if the own vault is
+//! still over the threshold (non-empty, when forced) — [`Scheme::still_blocked`]
+//! and at most one more sweep.  A sweep takes one [`Scheme::snapshot`] and
+//! keeps exactly the entries [`Scheme::can_free`] rejects.
+
+use crate::block::{header_of, Retired};
+use crate::pool::{BlockPool, PoolShared, ShardedCounter};
+use crate::ptr::Shared;
+use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
+use crate::{SmrConfig, SmrError};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// What a limbo-list scheme contributes to reclamation: what it stamps on a
+/// block, the predicate that decides when a retired block may be freed, how a
+/// slot's reservation is withdrawn, and two scan hooks.
+///
+/// # Safety
+/// The sweep frees every record `can_free` accepts, so an implementation must
+/// guarantee: for a `snapshot` returned by [`Scheme::snapshot`] *after* the
+/// record's block was retired (unlinked from the structure and stamped with
+/// [`Scheme::retire_stamp`]), `can_free(&snapshot, record)` returns `true`
+/// only if no thread holds, or can still obtain, a protected reference to the
+/// block.  [`Scheme::neutralize`] must leave the slot's reservation in the
+/// state that protects nothing.
+pub(crate) unsafe trait Scheme: Send + Sync + Sized + 'static {
+    /// What one sweep needs to know about every live reservation: the global
+    /// epoch (EBR), the minimum announced checkpoint/epoch (NBR, VBR), or the
+    /// sorted hazard/era/interval list under `snapshot_scan` (`None` selects
+    /// the per-record registry scan).
+    type Snapshot;
+
+    /// The core this scheme's domain embeds.
+    fn core(&self) -> &RetireCore;
+
+    /// Era to stamp into `Header::birth_era` at allocation, if the predicate
+    /// reads it.
+    #[inline]
+    fn birth_stamp(&self) -> Option<u64> {
+        None
+    }
+
+    /// Era/epoch to stamp into `Header::retire_era` at retirement, if the
+    /// predicate reads it.  A relaxed read of the global clock is enough: the
+    /// stamp reaches sweepers through the vault mutex.
+    fn retire_stamp(&self) -> Option<u64>;
+
+    /// Captures the reservations one sweep is judged against.
+    fn snapshot(&self) -> Self::Snapshot;
+
+    /// Whether `retired` may be freed; see the trait's safety contract.
+    fn can_free(&self, snapshot: &Self::Snapshot, retired: &Retired) -> bool;
+
+    /// Withdraws every reservation published in `slot`.  Called when a slot
+    /// is claimed, released, or adopted from a dead owner — never while a
+    /// guard of that slot can still dereference through the reservation.
+    fn neutralize(&self, slot: usize);
+
+    /// Runs first in every scan (`force` on `flush`).
+    #[inline]
+    fn before_scan(&self, _force: bool) {}
+
+    /// Runs when a scan left the owner's vault blocked; returns whether one
+    /// more sweep is worth it.
+    #[inline]
+    fn still_blocked(&self) -> bool {
+        false
+    }
+}
+
+/// Domain-side state of the retire path (see the module docs).
+pub(crate) struct RetireCore {
+    config: SmrConfig,
+    registry: SlotRegistry,
+    vaults: Box<[Mutex<Vec<Retired>>]>,
+    /// Limbo entries inherited from handles that were dropped (or whose
+    /// thread died) before their retired blocks became reclaimable.
+    orphans: Mutex<Vec<Retired>>,
+    unreclaimed: ShardedCounter,
+    pool: Arc<PoolShared>,
+}
+
+impl RetireCore {
+    /// Creates the core for a domain.  Panics if `config` violates its
+    /// invariants (see [`SmrConfig::validate`]).
+    pub(crate) fn new(config: SmrConfig) -> Self {
+        let config = config.validated();
+        Self {
+            registry: SlotRegistry::new(config.max_threads),
+            vaults: (0..config.max_threads)
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
+            orphans: Mutex::new(Vec::new()),
+            unreclaimed: ShardedCounter::new(config.max_threads),
+            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
+            config,
+        }
+    }
+
+    /// The domain's (validated) configuration.
+    #[inline]
+    pub(crate) fn config(&self) -> &SmrConfig {
+        &self.config
+    }
+
+    /// Retired-but-not-yet-reclaimed blocks across the domain.
+    pub(crate) fn unreclaimed(&self) -> usize {
+        self.unreclaimed.sum()
+    }
+
+    /// The entries of `slots` (a scheme's per-slot reservation array) whose
+    /// slot carries reservations a reclaimer must honour, in ascending slot
+    /// order.
+    #[inline]
+    pub(crate) fn claimed<'a, T>(&'a self, slots: &'a [T]) -> impl Iterator<Item = &'a T> + 'a {
+        slots
+            .iter()
+            .enumerate()
+            .filter(move |(i, _)| self.registry.is_claimed(*i))
+            .map(|(_, slot)| slot)
+    }
+
+    /// Frees every entry of `limbo` the scheme's predicate accepts, keeping
+    /// the rest in order.  Freed blocks recycle into `pool`; the sweeper's
+    /// own shard absorbs the decrement (shards may go negative, the sum stays
+    /// exact — see [`ShardedCounter`]).
+    fn sweep<S: Scheme>(
+        &self,
+        scheme: &S,
+        limbo: &mut Vec<Retired>,
+        shard: usize,
+        pool: &mut BlockPool,
+    ) {
+        let snapshot = scheme.snapshot();
+        let before = limbo.len();
+        limbo.retain(|r| {
+            if !scheme.can_free(&snapshot, r) {
+                return true;
+            }
+            // SAFETY: the record sits in a limbo list, so its block was
+            // retired before `snapshot` was taken, and the `Scheme` contract
+            // then makes `can_free` a proof that no thread holds or can
+            // obtain a protected reference.  Each block appears in exactly
+            // one record and `retain` drops that record, so it is freed once.
+            unsafe { r.free_into(pool) };
+            false
+        });
+        let freed = before - limbo.len();
+        if freed > 0 {
+            self.unreclaimed.sub(shard, freed);
+        }
+    }
+
+    /// Sweeps the vault of `slot` on behalf of its owner and returns how many
+    /// entries stay behind — what the scan's blocked check consumes.
+    fn sweep_vault<S: Scheme>(&self, scheme: &S, slot: usize, pool: &mut BlockPool) -> usize {
+        let mut vault = self.vaults[slot].lock();
+        if !vault.is_empty() {
+            self.sweep(scheme, &mut vault, slot, pool);
+        }
+        vault.len()
+    }
+
+    /// Moves whatever is left in the vault of `slot` to the orphan list.
+    fn orphan_vault(&self, slot: usize) {
+        let mut vault = self.vaults[slot].lock();
+        if !vault.is_empty() {
+            self.orphans.lock().append(&mut vault);
+        }
+    }
+
+    /// Adopts every slot whose owning thread died without releasing it
+    /// (leaked handle, thread torn down first) — neutralizing its reservation
+    /// and orphaning its vault, so neither the scheme's clock nor the memory
+    /// stays pinned forever — then sweeps the orphan list.
+    fn adopt_orphans<S: Scheme>(&self, scheme: &S, my_slot: usize, pool: &mut BlockPool) {
+        for i in (0..self.registry.capacity()).filter(|&i| i != my_slot) {
+            if let Some(adoption) = self.registry.try_begin_adopt(i) {
+                scheme.neutralize(i);
+                self.orphan_vault(i);
+                adoption.finish();
+            }
+        }
+        if let Some(mut orphans) = self.orphans.try_lock() {
+            if !orphans.is_empty() {
+                self.sweep(scheme, &mut orphans, my_slot, pool);
+            }
+        }
+    }
+}
+
+impl Drop for RetireCore {
+    fn drop(&mut self) {
+        // What is left are the vaults of slots leaked by dead threads that no
+        // survivor adopted, and the orphan list.
+        let orphans = std::mem::take(&mut *self.orphans.lock());
+        let vaults = self.vaults.iter().map(|v| std::mem::take(&mut *v.lock()));
+        for r in vaults.flatten().chain(orphans) {
+            // SAFETY: every handle holds an `Arc` of the domain that embeds
+            // this core, so `&mut self` proves no handle — and hence no guard
+            // — exists; nothing can be protected any more.
+            unsafe { r.free() };
+        }
+    }
+}
+
+/// Per-thread side of the retire path: the claimed slot, its liveness
+/// binding and the thread's block pool.  Every limbo-list scheme's handle
+/// wraps one.
+pub(crate) struct Handle<S: Scheme> {
+    domain: Arc<S>,
+    claim: SlotClaim,
+    binding: PinBinding,
+    pool: BlockPool,
+}
+
+impl<S: Scheme> Handle<S> {
+    /// Claims a slot of `domain` for the calling thread.
+    pub(crate) fn register(domain: &Arc<S>) -> Result<Self, SmrError> {
+        let core = domain.core();
+        let claim = core.registry.try_claim().ok_or(SmrError::RegistryFull {
+            capacity: core.registry.capacity(),
+        })?;
+        // Release and adoption both leave the slot neutral; starting every
+        // claim from that state anyway keeps a scheme's `pin` free of
+        // assumptions about the previous owner.
+        domain.neutralize(claim.index);
+        Ok(Self {
+            pool: BlockPool::new(core.pool.clone(), core.config.pool_blocks()),
+            domain: domain.clone(),
+            claim,
+            binding: PinBinding::new(),
+        })
+    }
+
+    /// The domain this handle registered with.
+    #[inline]
+    pub(crate) fn domain(&self) -> &S {
+        &self.domain
+    }
+
+    /// Index of the claimed slot.
+    #[inline]
+    pub(crate) fn slot(&self) -> usize {
+        self.claim.index
+    }
+
+    /// The guard brand: see [`crate::SmrGuard::domain_addr`].
+    #[inline]
+    pub(crate) fn domain_addr(&self) -> usize {
+        Arc::as_ptr(&self.domain) as usize
+    }
+
+    /// First step of every `pin`: verifies the slot was not adopted and binds
+    /// its liveness beacon to the calling thread
+    /// ([`SlotRegistry::check_owner_and_bind`]).
+    #[inline]
+    pub(crate) fn bind(&mut self) {
+        let registry = &self.domain.core().registry;
+        registry.check_owner_and_bind(self.claim, &mut self.binding);
+    }
+
+    /// Allocates a block through the thread's pool, stamping its birth era if
+    /// the scheme asks for one.
+    #[inline]
+    pub(crate) fn alloc<T>(&mut self, value: T) -> Shared<T> {
+        let ptr = self.pool.alloc(value);
+        if let Some(era) = self.domain.birth_stamp() {
+            // SAFETY: `ptr` was just allocated and is not yet shared, so this
+            // thread has exclusive access to its header.
+            // ORDERING: Relaxed — the stamp is published together with the
+            // pointer by whatever store links the block, and reaches sweepers
+            // through the vault mutex taken at retire time.
+            unsafe { (*header_of(ptr)).birth_era.store(era, Ordering::Relaxed) };
+        }
+        Shared::from_ptr(ptr)
+    }
+
+    /// Immediately frees a block that was never published.
+    ///
+    /// # Safety
+    /// The [`crate::SmrGuard::dealloc`] contract: `ptr` came from `alloc` on
+    /// this domain and no other thread has observed it.
+    #[inline]
+    pub(crate) unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
+        // SAFETY: forwarded — same contract.
+        unsafe { dealloc(&mut self.pool, ptr) };
+    }
+
+    /// Retires `batch` under one vault lock and one counter update, then
+    /// scans if the vault reached the threshold.  A one-element batch is the
+    /// single-node `retire`.
+    ///
+    /// # Safety
+    /// The [`crate::SmrGuard::retire`] contract for every element: produced
+    /// by `alloc` on this domain, physically unlinked, retired exactly once.
+    #[inline]
+    pub(crate) unsafe fn retire_batch<T>(&mut self, batch: &[Shared<T>]) {
+        if batch.is_empty() {
+            return;
+        }
+        let core = self.domain.core();
+        let stamp = self.domain.retire_stamp();
+        let slot = self.claim.index;
+        let pending = {
+            let mut vault = core.vaults[slot].lock();
+            if batch.len() > 1 {
+                vault.reserve(batch.len());
+            }
+            for &ptr in batch {
+                let value = ptr.untagged().as_ptr();
+                debug_assert!(!value.is_null());
+                // SAFETY: the caller guarantees every element came from
+                // `alloc` on this domain and is already unlinked, so its
+                // block header is live.
+                let retired = unsafe { Retired::from_value(value) };
+                if let Some(era) = stamp {
+                    // SAFETY: the block is unlinked but not yet in any limbo
+                    // list; this thread has exclusive access to its stamp.
+                    // ORDERING: Relaxed — published to sweepers by the vault
+                    // mutex held here.
+                    unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
+                }
+                vault.push(retired);
+            }
+            vault.len()
+        };
+        core.unreclaimed.add(slot, batch.len());
+        if pending >= core.config.scan_threshold {
+            // Amortized reclamation: one scan per `scan_threshold`
+            // retirements (§5 of the paper).
+            self.scan(false);
+        }
+    }
+
+    /// One reclamation pass (see the module docs); `force` is `flush`.
+    pub(crate) fn scan(&mut self, force: bool) {
+        let (scheme, slot, pool) = (&*self.domain, self.claim.index, &mut self.pool);
+        let core = scheme.core();
+        scheme.before_scan(force);
+        let left = core.sweep_vault(scheme, slot, pool);
+        core.adopt_orphans(scheme, slot, pool);
+        let blocked = if force {
+            left > 0
+        } else {
+            left >= core.config.scan_threshold
+        };
+        if blocked && scheme.still_blocked() {
+            core.sweep_vault(scheme, slot, pool);
+        }
+    }
+}
+
+impl<S: Scheme> Drop for Handle<S> {
+    fn drop(&mut self) {
+        let (scheme, slot, pool) = (&*self.domain, self.claim.index, &mut self.pool);
+        let core = scheme.core();
+        // The teardown runs under the slot's beacon mutex after the
+        // generation check: if the slot was adopted (its last pinning thread
+        // died while the handle lived elsewhere) the closure is skipped — the
+        // adopter already neutralized the reservation and orphaned the vault.
+        // Guards cannot outlive the handle, so neutralizing first is sound
+        // and lets the last sweep free what only this slot still pinned.
+        core.registry.release_with(self.claim, || {
+            scheme.neutralize(slot);
+            core.sweep_vault(scheme, slot, pool);
+            core.orphan_vault(slot);
+        });
+    }
+}
+
+/// Frees a never-published block through `pool` — the
+/// [`crate::SmrGuard::dealloc`] body shared by every scheme.
+///
+/// # Safety
+/// `ptr` came from `alloc` on the pool's domain and no other thread has
+/// observed it.
+#[inline]
+pub(crate) unsafe fn dealloc<T>(pool: &mut BlockPool, ptr: Shared<T>) {
+    // SAFETY: never published, so the block is live and this thread is its
+    // sole owner; pool-freeing it runs the destructor exactly once.
+    unsafe { pool.free(header_of(ptr.untagged().as_ptr())) };
+}
+
+/// Per-handle countdown to the next advance of a global era/epoch clock: the
+/// paper's "once every `epoch_freq` allocations or retirements" (§5), shared
+/// by the alloc and the retire cadence, without a division on either path.
+pub(crate) struct EraCountdown {
+    left: isize,
+    freq: isize,
+}
+
+impl EraCountdown {
+    /// A countdown that fires every [`SmrConfig::epoch_freq`] events.
+    pub(crate) fn new(config: &SmrConfig) -> Self {
+        let freq = config.epoch_freq() as isize;
+        Self { left: freq, freq }
+    }
+
+    /// Counts `n` allocations or retirements, advancing `clock` once per
+    /// `epoch_freq` events crossed.
+    #[inline]
+    pub(crate) fn tick(&mut self, n: usize, clock: &AtomicU64) {
+        self.left -= n as isize;
+        while self.left <= 0 {
+            clock.fetch_add(1, Ordering::SeqCst);
+            self.left += self.freq;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::alloc_block;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+
+    /// Retire stamp of the fake scheme; `can_free` checks every record
+    /// carries it, i.e. that stamping happens before a record is swept.
+    const STAMP: u64 = 7;
+
+    /// Test double: the test decides which records may be freed and which
+    /// slots are dead, and sees every call the core makes.
+    struct Fake {
+        core: RetireCore,
+        /// Value addresses `can_free` accepts (all of them if `permit_all`).
+        permitted: Mutex<Vec<usize>>,
+        permit_all: AtomicBool,
+        /// Every `neutralize(slot)` call, in order.
+        neutralized: Mutex<Vec<usize>>,
+        scans: AtomicUsize,
+        blocked: AtomicUsize,
+    }
+
+    impl Fake {
+        fn new(max_threads: usize, scan_threshold: usize) -> Arc<Self> {
+            Arc::new(Self {
+                core: RetireCore::new(SmrConfig {
+                    max_threads,
+                    scan_threshold,
+                    ..SmrConfig::default()
+                }),
+                permitted: Mutex::new(Vec::new()),
+                permit_all: AtomicBool::new(false),
+                neutralized: Mutex::new(Vec::new()),
+                scans: AtomicUsize::new(0),
+                blocked: AtomicUsize::new(0),
+            })
+        }
+
+        fn permit<T>(&self, ptr: Shared<T>) {
+            self.permitted.lock().push(ptr.into_raw());
+        }
+
+        fn vault_values(&self, slot: usize) -> Vec<usize> {
+            self.core.vaults[slot]
+                .lock()
+                .iter()
+                .map(|r| r.value)
+                .collect()
+        }
+    }
+
+    // SAFETY: test double — no reader ever holds a reference to a block these
+    // single-threaded tests retire, so every `can_free` answer is sound, and
+    // there is no reservation for `neutralize` to withdraw.
+    unsafe impl Scheme for Fake {
+        type Snapshot = ();
+
+        fn core(&self) -> &RetireCore {
+            &self.core
+        }
+
+        fn retire_stamp(&self) -> Option<u64> {
+            Some(STAMP)
+        }
+
+        fn snapshot(&self) {}
+
+        fn can_free(&self, _: &(), retired: &Retired) -> bool {
+            assert_eq!(retired.retire_era(), STAMP, "swept before stamped");
+            self.permit_all.load(Ordering::SeqCst) || self.permitted.lock().contains(&retired.value)
+        }
+
+        fn neutralize(&self, slot: usize) {
+            self.neutralized.lock().push(slot);
+        }
+
+        fn before_scan(&self, _force: bool) {
+            self.scans.fetch_add(1, Ordering::SeqCst);
+        }
+
+        fn still_blocked(&self) -> bool {
+            self.blocked.fetch_add(1, Ordering::SeqCst);
+            true
+        }
+    }
+
+    /// Payload whose destructor counts.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn alloc_counted(
+        h: &mut Handle<Fake>,
+        n: usize,
+        drops: &Arc<AtomicUsize>,
+    ) -> Vec<Shared<Counted>> {
+        (0..n).map(|_| h.alloc(Counted(drops.clone()))).collect()
+    }
+
+    #[test]
+    fn sweep_frees_exactly_the_permitted_records_and_keeps_the_rest_in_order() {
+        let d = Fake::new(2, 1024);
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut h = Handle::register(&d).unwrap();
+        let nodes = alloc_counted(&mut h, 6, &drops);
+        // SAFETY: freshly allocated, never published, retired exactly once.
+        unsafe { h.retire_batch(&nodes) };
+        assert_eq!(d.core.unreclaimed(), 6);
+        for i in [1, 3, 4] {
+            d.permit(nodes[i]);
+        }
+        h.scan(true);
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+        assert_eq!(d.core.unreclaimed(), 3);
+        let kept: Vec<usize> = [0, 2, 5].iter().map(|&i| nodes[i].into_raw()).collect();
+        assert_eq!(
+            d.vault_values(h.slot()),
+            kept,
+            "survivors keep retire order"
+        );
+        // Forced and still non-empty: the blocked hook ran, and so did the
+        // one re-sweep it asked for (freeing nothing new).
+        assert_eq!(d.blocked.load(Ordering::SeqCst), 1);
+        assert_eq!(d.core.unreclaimed(), 3);
+        d.permit_all.store(true, Ordering::SeqCst);
+        h.scan(true);
+        assert_eq!(drops.load(Ordering::SeqCst), 6);
+        assert_eq!(d.core.unreclaimed(), 0);
+    }
+
+    #[test]
+    fn unreclaimed_stays_exact_when_another_shard_sweeps() {
+        let d = Fake::new(2, 1024);
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut a = Handle::register(&d).unwrap();
+        let mut b = Handle::register(&d).unwrap();
+        let nodes = alloc_counted(&mut a, 3, &drops);
+        // SAFETY: freshly allocated, never published, retired exactly once.
+        unsafe { a.retire_batch(&nodes) };
+        // Nothing is freeable yet: dropping `a` sweeps, then orphans all 3.
+        drop(a);
+        assert_eq!(d.core.unreclaimed(), 3);
+        assert_eq!(d.core.orphans.lock().len(), 3);
+        // `b` frees what `a` retired, debiting its own shard.
+        d.permit_all.store(true, Ordering::SeqCst);
+        let more = alloc_counted(&mut b, 2, &drops);
+        // SAFETY: as above.
+        unsafe { b.retire_batch(&more) };
+        assert_eq!(d.core.unreclaimed(), 5);
+        b.scan(true);
+        assert_eq!(d.core.unreclaimed(), 0);
+        assert_eq!(drops.load(Ordering::SeqCst), 5);
+    }
+
+    #[test]
+    fn adoption_neutralizes_once_orphans_the_vault_and_recycles_the_slot() {
+        let d = Fake::new(3, 1024);
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut dead = Handle::register(&d).unwrap();
+        let mut survivor = Handle::register(&d).unwrap();
+        let nodes = alloc_counted(&mut dead, 2, &drops);
+        // SAFETY: freshly allocated, never published, retired exactly once.
+        unsafe { dead.retire_batch(&nodes) };
+        d.core.registry.simulate_owner_exit(dead.slot());
+        d.neutralized.lock().clear(); // registration neutralizes too
+        survivor.scan(true);
+        survivor.scan(true);
+        assert_eq!(*d.neutralized.lock(), [dead.slot()], "once per dead slot");
+        assert!(d.vault_values(dead.slot()).is_empty());
+        assert_eq!(d.core.orphans.lock().len(), 2, "vault moved to the orphans");
+        assert_eq!(d.core.unreclaimed(), 2);
+        assert!(!d.core.registry.is_claimed(dead.slot()));
+        // The slot is handed out again, and the stale handle's drop must not
+        // tear the new claim down.
+        let reuse = Handle::register(&d).unwrap();
+        assert_eq!(reuse.slot(), dead.slot());
+        d.neutralized.lock().clear();
+        drop(dead);
+        assert!(d.neutralized.lock().is_empty(), "stale release is a no-op");
+        assert!(d.core.registry.is_claimed(reuse.slot()));
+        d.permit_all.store(true, Ordering::SeqCst);
+        survivor.scan(true);
+        assert_eq!(d.core.unreclaimed(), 0);
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn mid_batch_threshold_crossing_triggers_exactly_one_scan() {
+        let d = Fake::new(1, 4);
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut h = Handle::register(&d).unwrap();
+        let nodes = alloc_counted(&mut h, 8, &drops);
+        for &p in &nodes[..3] {
+            // SAFETY: freshly allocated, never published, retired exactly once.
+            unsafe { h.retire_batch(std::slice::from_ref(&p)) };
+        }
+        assert_eq!(d.scans.load(Ordering::SeqCst), 0, "below the threshold");
+        // 3 + 5 crosses the threshold of 4 in the middle of the batch.
+        // SAFETY: as above.
+        unsafe { h.retire_batch(&nodes[3..]) };
+        assert_eq!(d.scans.load(Ordering::SeqCst), 1);
+        assert_eq!(d.blocked.load(Ordering::SeqCst), 1, "8 left >= threshold");
+        assert_eq!(d.core.unreclaimed(), 8);
+    }
+
+    #[test]
+    fn domain_drop_runs_every_destructor_exactly_once() {
+        let d = Fake::new(2, 1024);
+        let drops = Arc::new(AtomicUsize::new(0));
+        // A vault resident (a slot leaked by a dead thread that nobody
+        // adopted) and two orphans.
+        for limbo in [&d.core.vaults[1], &d.core.orphans, &d.core.orphans] {
+            let value = alloc_block(Counted(drops.clone()));
+            // SAFETY: `value` was just allocated and is referenced nowhere else.
+            limbo.lock().push(unsafe { Retired::from_value(value) });
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        drop(d);
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn countdown_fires_once_per_freq_events_however_they_are_batched() {
+        let config = SmrConfig {
+            max_threads: 2,
+            epoch_freq_per_thread: 5,
+            ..SmrConfig::default()
+        };
+        const EVENTS: usize = 10 * 4 + 7;
+        let advances = |batch: usize| {
+            let clock = AtomicU64::new(0);
+            let mut countdown = EraCountdown::new(&config);
+            let mut left = EVENTS;
+            while left > 0 {
+                let n = batch.min(left);
+                countdown.tick(n, &clock);
+                left -= n;
+            }
+            clock.load(Ordering::SeqCst)
+        };
+        for batch in 1..=EVENTS {
+            assert_eq!(advances(batch), 4, "batch={batch}");
+        }
+    }
+}

@@ -21,14 +21,15 @@
 //! accelerator.  A reader that never polls keeps its checkpoint pinned and
 //! blocks reclamation exactly like a stalled EBR reader — which is why
 //! [`SmrKind::is_robust`] reports `false` for NBR.
+//!
+//! Everything after `retire` is the shared retire core ([`crate::limbo`]);
+//! the neutralization step is its still-blocked hook.
 
-use crate::block::{header_of, Retired};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
+use crate::block::Retired;
+use crate::limbo::{Handle, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -48,16 +49,9 @@ struct NbrSlot {
 
 /// The neutralization-based reclamation domain.
 pub struct Nbr {
-    config: SmrConfig,
-    registry: SlotRegistry,
+    core: RetireCore,
     global_era: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<NbrSlot>]>,
-    unreclaimed: ShardedCounter,
-    pool: Arc<PoolShared>,
-    /// Per-slot retire lists, domain-owned so a dead thread's list is
-    /// adoptable (see [`Nbr::adopt_orphans`]).
-    vaults: Box<[Mutex<Vec<Retired>>]>,
-    orphans: Mutex<Vec<Retired>>,
     /// Total neutralize flags raised by blocked sweeps (monotonic; a
     /// diagnostic mirror of how often reclamation had to push readers).
     neutralizations: AtomicU64,
@@ -67,8 +61,8 @@ impl Smr for Nbr {
     type Handle = NbrHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        let slots = (0..config.max_threads)
+        let core = RetireCore::new(config);
+        let slots = (0..core.config().max_threads)
             .map(|_| {
                 CachePadded::new(NbrSlot {
                     checkpoint: AtomicU64::new(INACTIVE),
@@ -77,45 +71,21 @@ impl Smr for Nbr {
             })
             .collect();
         Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
+            core,
             global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
             slots,
-            unreclaimed: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            orphans: Mutex::new(Vec::new()),
             neutralizations: AtomicU64::new(0),
-            config,
         })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<NbrHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
-        // ORDERING: Relaxed is enough for both resets — the slot is not yet
-        // visible to sweepers (the claim above publishes it, and `is_claimed`
-        // readers synchronize through the registry).
-        self.slots[claim.index]
-            .checkpoint
-            // ORDERING: the slot is newly claimed and not yet observed by reclamation scans; this reset is owner-only.
-            .store(INACTIVE, Ordering::Relaxed);
-        self.slots[claim.index]
-            .neutralize
-            // ORDERING: the slot is newly claimed and not yet observed by reclamation scans; this reset is owner-only.
-            .store(false, Ordering::Relaxed);
         Ok(NbrHandle {
-            pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
-            domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
+            inner: Handle::register(self)?,
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
@@ -124,65 +94,24 @@ impl Smr for Nbr {
 }
 
 impl Nbr {
-    /// Minimum checkpoint era over all active slots, or `u64::MAX` when no
-    /// thread is inside a critical section (everything retired is then safe).
-    fn min_checkpoint(&self) -> u64 {
-        let mut min = u64::MAX;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
-                continue;
-            }
-            let c = slot.checkpoint.load(Ordering::SeqCst);
-            if c != INACTIVE && c < min {
-                min = c;
-            }
-        }
-        min
-    }
-
-    /// Frees every limbo entry retired at least two eras before the minimum
-    /// active checkpoint.  A reader checkpointed at era `C` can only reach
-    /// nodes retired at `C - 1` or later (anything older was unlinked before
-    /// the reader announced `C`), so `retire + 2 <= C` leaves one era of
-    /// slack — the same grace argument as EBR, with the quiescence check
-    /// moved from the epoch-advance path to the sweep itself.
-    fn sweep(&self, limbo: &mut Vec<Retired>, slot: usize, pool: &mut BlockPool) {
-        let min = self.min_checkpoint();
-        let mut freed = 0usize;
-        limbo.retain(|r| {
-            if r.retire_era().saturating_add(2) <= min {
-                // SAFETY: every active checkpoint is at least two eras past
-                // this entry's retirement, so no thread can still reach the
-                // block (the grace argument above); the record owns the block
-                // and is dropped from the list.
-                unsafe { r.free_into(pool) };
-                freed += 1;
-                false
-            } else {
-                true
-            }
-        });
-        if freed > 0 {
-            self.unreclaimed.sub(slot, freed);
-        }
+    /// The checkpoint era of every slot inside a critical section.
+    fn active_checkpoints(&self) -> impl Iterator<Item = (&NbrSlot, u64)> + '_ {
+        self.core
+            .claimed(&self.slots)
+            .map(|slot| (&**slot, slot.checkpoint.load(Ordering::SeqCst)))
+            .filter(|&(_, c)| c != INACTIVE)
     }
 
     /// The neutralization step: bumps the global era and raises the
     /// neutralize flag on every active reader still checkpointed below it.
-    /// Called when a sweep leaves its limbo list over the scan threshold —
-    /// i.e. exactly when lagging readers are what blocks reclamation.
+    /// Called when a sweep leaves its limbo list blocked — i.e. exactly when
+    /// lagging readers are what blocks reclamation.
     fn neutralize_laggards(&self) {
         let era = self.global_era.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut raised = 0u64;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
-                continue;
-            }
-            let c = slot.checkpoint.load(Ordering::SeqCst);
-            if c != INACTIVE && c < era && !slot.neutralize.swap(true, Ordering::AcqRel) {
-                raised += 1;
-            }
-        }
+        let raised = self
+            .active_checkpoints()
+            .filter(|&(slot, c)| c < era && !slot.neutralize.swap(true, Ordering::AcqRel))
+            .count() as u64;
         if raised > 0 {
             // ORDERING: Relaxed — a monotonic statistics counter read only by
             // the diagnostic accessor; no other memory depends on it.
@@ -190,46 +119,21 @@ impl Nbr {
         }
     }
 
-    fn sweep_vault(&self, vault_idx: usize, counter_slot: usize, pool: &mut BlockPool) {
-        let mut vault = self.vaults[vault_idx].lock();
-        if !vault.is_empty() {
-            self.sweep(&mut vault, counter_slot, pool);
-        }
-    }
-
-    /// Adopts and sweeps orphaned limbo entries left by deregistered threads.
-    fn sweep_orphans(&self, slot: usize, pool: &mut BlockPool) {
-        if let Some(mut orphans) = self.orphans.try_lock() {
-            if !orphans.is_empty() {
-                self.sweep(&mut orphans, slot, pool);
+    /// Publishes the current global era as the checkpoint of `slot`,
+    /// confirming it is still current, and clears a pending neutralize flag —
+    /// the shared body of `pin`, `checkpoint` and `repin`.
+    fn announce_checkpoint(&self, slot: usize) {
+        let slot = &self.slots[slot];
+        // ORDERING: Relaxed — the flag is a progress hint, not a safety
+        // signal; clearing it late at worst triggers one redundant restart.
+        slot.neutralize.store(false, Ordering::Relaxed);
+        loop {
+            let e = self.global_era.load(Ordering::SeqCst);
+            slot.checkpoint.store(e, Ordering::SeqCst);
+            if self.global_era.load(Ordering::SeqCst) == e {
+                break;
             }
         }
-    }
-
-    /// Adopts slots abandoned by dead threads: clears the dead thread's
-    /// checkpoint (sound — the owner can issue no further loads, so its
-    /// protection requirement has lapsed) plus its pending neutralize flag,
-    /// and drains its retire vault into the orphan list.
-    fn adopt_orphans(&self, my_slot: usize, pool: &mut BlockPool) {
-        for i in 0..self.registry.capacity() {
-            if i == my_slot {
-                continue;
-            }
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                self.slots[i].checkpoint.store(INACTIVE, Ordering::SeqCst);
-                // ORDERING: Relaxed — the flag is advisory (a progress hint,
-                // never a safety signal) and the dead owner will never poll
-                // it again; the adoption fence publishes it to any claimant.
-                self.slots[i].neutralize.store(false, Ordering::Relaxed);
-                let mut vault = self.vaults[i].lock();
-                if !vault.is_empty() {
-                    self.orphans.lock().append(&mut vault);
-                }
-                drop(vault);
-                adoption.finish();
-            }
-        }
-        self.sweep_orphans(my_slot, pool);
     }
 
     /// Total neutralize flags raised so far (diagnostic).
@@ -239,64 +143,77 @@ impl Nbr {
     }
 }
 
-impl Drop for Nbr {
-    fn drop(&mut self) {
-        // No handles remain (they hold `Arc<Nbr>`), so nothing can be
-        // protected any more: release whatever is still in the vaults and
-        // the orphan list.
-        for vault in self.vaults.iter() {
-            for r in vault.lock().drain(..) {
-                // SAFETY: `&mut self` proves every handle (and so every
-                // guard) is gone; no checkpoint can still protect the block.
-                unsafe { r.free() };
-            }
+// SAFETY: a reader checkpointed at era `C` can only reach nodes retired at
+// `C - 1` or later (anything older was unlinked before the reader announced
+// `C`), so `retire + 2 <= C` leaves one era of slack — the same grace
+// argument as EBR, with the quiescence check moved from the epoch-advance
+// path to the sweep itself.  `can_free` demands it of the minimum checkpoint
+// over all active slots, read with SeqCst after the block was retired
+// (`u64::MAX` when no thread is inside a critical section).  `neutralize`
+// stores `INACTIVE`, the checkpoint of no critical section.
+unsafe impl Scheme for Nbr {
+    /// Minimum checkpoint era over all active slots.
+    type Snapshot = u64;
+
+    #[inline]
+    fn core(&self) -> &RetireCore {
+        &self.core
+    }
+
+    #[inline]
+    fn retire_stamp(&self) -> Option<u64> {
+        // ORDERING: Relaxed — the read can only lag the true era, stamping
+        // the retirement conservatively early; at worst that delays
+        // reclamation by one sweep.
+        Some(self.global_era.load(Ordering::Relaxed))
+    }
+
+    fn snapshot(&self) -> u64 {
+        self.active_checkpoints()
+            .map(|(_, c)| c)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    #[inline]
+    fn can_free(&self, min: &u64, retired: &Retired) -> bool {
+        retired.retire_era().saturating_add(2) <= *min
+    }
+
+    fn neutralize(&self, slot: usize) {
+        let slot = &self.slots[slot];
+        slot.checkpoint.store(INACTIVE, Ordering::SeqCst);
+        // ORDERING: Relaxed — the flag is advisory (a progress hint, never a
+        // safety signal) and the old owner will never poll it again; the
+        // registry's release/adoption publishes it to the next claimant.
+        slot.neutralize.store(false, Ordering::Relaxed);
+    }
+
+    /// A forced flush is the impatient path: move the era first so entries
+    /// retired at the current one can age out.
+    fn before_scan(&self, force: bool) {
+        if force {
+            self.global_era.fetch_add(1, Ordering::SeqCst);
         }
-        let mut orphans = self.orphans.lock();
-        for r in orphans.drain(..) {
-            // SAFETY: as above — the domain is being dropped.
-            unsafe { r.free() };
-        }
+    }
+
+    /// Readers are what blocks the sweep: neutralize them and retry once —
+    /// flags raised now typically pay off at the *next* scan, but a domain
+    /// that went quiescent meanwhile drains immediately.
+    fn still_blocked(&self) -> bool {
+        self.neutralize_laggards();
+        true
     }
 }
 
 /// Per-thread handle for [`Nbr`].
 pub struct NbrHandle {
-    domain: Arc<Nbr>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
+    inner: Handle<Nbr>,
 }
 
 impl NbrHandle {
-    /// Publishes the current global era as this thread's checkpoint,
-    /// confirming it is still current, and clears a pending neutralize flag —
-    /// the shared body of `pin` and `checkpoint`.
     fn announce_checkpoint(&mut self) {
-        let slot = &self.domain.slots[self.claim.index];
-        // ORDERING: Relaxed — the flag is a progress hint, not a safety
-        // signal; clearing it late at worst triggers one redundant restart.
-        slot.neutralize.store(false, Ordering::Relaxed);
-        loop {
-            let e = self.domain.global_era.load(Ordering::SeqCst);
-            slot.checkpoint.store(e, Ordering::SeqCst);
-            if self.domain.global_era.load(Ordering::SeqCst) == e {
-                break;
-            }
-        }
-    }
-
-    fn scan(&mut self) {
-        let idx = self.claim.index;
-        let domain = self.domain.clone();
-        domain.sweep_vault(idx, idx, &mut self.pool);
-        domain.adopt_orphans(idx, &mut self.pool);
-        if domain.vaults[idx].lock().len() >= domain.config.scan_threshold {
-            // Readers are what blocks us: neutralize them and retry once —
-            // flags raised now typically pay off at the *next* scan, but a
-            // quiescent domain drains immediately.
-            domain.neutralize_laggards();
-            domain.sweep_vault(idx, idx, &mut self.pool);
-        }
+        self.inner.domain().announce_checkpoint(self.inner.slot());
     }
 }
 
@@ -307,9 +224,7 @@ impl SmrHandle for NbrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> NbrGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
+        self.inner.bind();
         self.announce_checkpoint();
         NbrGuard {
             handle: self,
@@ -318,34 +233,7 @@ impl SmrHandle for NbrHandle {
     }
 
     fn flush(&mut self) {
-        let idx = self.claim.index;
-        self.domain.global_era.fetch_add(1, Ordering::SeqCst);
-        let domain = self.domain.clone();
-        domain.sweep_vault(idx, idx, &mut self.pool);
-        domain.adopt_orphans(idx, &mut self.pool);
-        if !domain.vaults[idx].lock().is_empty() {
-            // A forced flush is the impatient path: neutralize whoever blocks
-            // even a single entry, then retry.
-            domain.neutralize_laggards();
-            domain.sweep_vault(idx, idx, &mut self.pool);
-        }
-    }
-}
-
-impl Drop for NbrHandle {
-    fn drop(&mut self) {
-        let domain = self.domain.clone();
-        domain.registry.release_with(self.claim, || {
-            let slot = &domain.slots[self.claim.index];
-            slot.checkpoint.store(INACTIVE, Ordering::SeqCst);
-            // ORDERING: Relaxed — advisory flag; the release_with callback is
-            // published to the next claimant by the registry itself.
-            slot.neutralize.store(false, Ordering::Relaxed);
-            let mut vault = domain.vaults[self.claim.index].lock();
-            if !vault.is_empty() {
-                domain.orphans.lock().append(&mut vault);
-            }
-        });
+        self.inner.scan(true);
     }
 }
 
@@ -361,19 +249,26 @@ pub struct NbrGuard<'g> {
     _thread_bound: std::marker::PhantomData<*mut ()>,
 }
 
+impl NbrGuard<'_> {
+    #[inline]
+    fn slot(&self) -> &NbrSlot {
+        let inner = &self.handle.inner;
+        &inner.domain().slots[inner.slot()]
+    }
+}
+
 impl Drop for NbrGuard<'_> {
     fn drop(&mut self) {
         // Deactivating the checkpoint on drop also covers panicking
         // operations (RAII unwind safety).
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
-        slot.checkpoint.store(INACTIVE, Ordering::Release);
+        self.slot().checkpoint.store(INACTIVE, Ordering::Release);
     }
 }
 
 impl SmrGuard for NbrGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        std::sync::Arc::as_ptr(&self.handle.domain) as usize
+        self.handle.inner.domain_addr()
     }
 
     #[inline]
@@ -393,57 +288,29 @@ impl SmrGuard for NbrGuard<'_> {
     #[inline]
     fn clear(&mut self, _idx: usize) {}
 
+    #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        Shared::from_ptr(self.handle.pool.alloc(value))
+        self.handle.inner.alloc(value)
     }
 
-    // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
-    unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        let value = ptr.untagged().as_ptr();
-        debug_assert!(!value.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain, is unlinked, and is retired exactly once.
-        let retired = unsafe { Retired::from_value(value) };
-        let handle = &mut *self.handle;
-        // SAFETY: the record was just built from a live block; its header is
-        // valid until the record is freed.
-        // ORDERING: a Relaxed era read can only lag the true era, stamping
-        // the retirement conservatively early — at worst it delays
-        // reclamation by one sweep; the stamp is published to sweepers by
-        // the vault mutex acquired just below.
-        unsafe {
-            (*retired.hdr).retire_era.store(
-                // ORDERING: see the comment above this unsafe block.
-                handle.domain.global_era.load(Ordering::Relaxed),
-                // ORDERING: see the comment above this unsafe block.
-                Ordering::Relaxed,
-            );
-        }
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.push(retired);
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, 1);
-        if pending >= handle.domain.config.scan_threshold {
-            handle.scan();
-        }
+    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
+    // per-node `retire` contract (unlinked, owned, retired exactly once).
+    #[inline]
+    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
+        // SAFETY: forwarded — same contract.
+        unsafe { self.handle.inner.retire_batch(batch) };
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
+    #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // no other thread has observed the block; pool-freeing it runs the
-        // destructor exactly once.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — same contract.
+        unsafe { self.handle.inner.dealloc(ptr) };
     }
 
     #[inline]
     fn needs_restart(&self) -> bool {
-        self.handle.domain.slots[self.handle.claim.index]
-            .neutralize
-            .load(Ordering::Acquire)
+        self.slot().neutralize.load(Ordering::Acquire)
     }
 
     #[inline]
@@ -457,49 +324,13 @@ impl SmrGuard for NbrGuard<'_> {
     /// restart — then the announcement is already as fresh as it can get.
     #[inline]
     fn repin(&mut self) {
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
-        let era = self.handle.domain.global_era.load(Ordering::SeqCst);
+        let era = self.handle.inner.domain().global_era.load(Ordering::SeqCst);
         // ORDERING: Relaxed — our own checkpoint is single-writer (only this
         // thread stores real eras into it), so the read needs no ordering.
-        if era == slot.checkpoint.load(Ordering::Relaxed) && !self.needs_restart() {
+        if era == self.slot().checkpoint.load(Ordering::Relaxed) && !self.needs_restart() {
             return;
         }
         self.handle.announce_checkpoint();
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let handle = &mut *self.handle;
-        // ORDERING: a lagging retire-era stamp only delays reclamation by one
-        // sweep; safety is unaffected (same argument as single `retire`).
-        let era = handle.domain.global_era.load(Ordering::Relaxed);
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees every element came from
-                // `alloc` on this domain and is already unlinked, so each
-                // block header is live.
-                let retired = unsafe { Retired::from_value(value) };
-                // SAFETY: the record was just built from a live block; its
-                // header is valid until the record is freed.
-                // ORDERING: published to sweepers by the vault mutex.
-                unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
-                vault.push(retired);
-            }
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, batch.len());
-        if pending >= handle.domain.config.scan_threshold {
-            handle.scan();
-        }
     }
 }
 
@@ -680,19 +511,7 @@ mod tests {
 
     #[test]
     fn retire_batch_reclaims_like_per_node_retire() {
-        let d = Nbr::new(small_config());
-        let mut h = d.register();
-        {
-            let mut g = h.pin();
-            let batch: Vec<_> = (0..48u64).map(|i| g.alloc(i)).collect();
-            // SAFETY: each block was just allocated and never published, so
-            // this thread is its sole owner and retires it exactly once.
-            unsafe { g.retire_batch(&batch) };
-        }
-        for _ in 0..4 {
-            h.flush();
-        }
-        assert_eq!(d.unreclaimed(), 0);
+        crate::tests::retire_batch_reclaims_like_per_node_retire::<Nbr>(small_config(), 48, 4);
     }
 
     #[test]
@@ -732,46 +551,28 @@ mod tests {
 
     #[test]
     fn leaked_handle_on_dead_thread_is_adopted() {
-        let d = Nbr::new(small_config());
-        {
-            let d = d.clone();
-            std::thread::spawn(move || {
-                let mut h = d.register();
-                let mut g = h.pin();
-                let p = g.alloc(1u64);
-                // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
-                unsafe { g.retire(p) };
-                // Leak guard + handle: the checkpoint stays published and the
-                // slot stays claimed past thread death.
-                std::mem::forget(g);
-                std::mem::forget(h);
-            })
-            .join()
-            .unwrap();
-        }
-        assert_eq!(d.unreclaimed(), 1);
-        let mut h = d.register();
-        for _ in 0..4 {
-            h.flush();
-        }
-        assert_eq!(
-            d.unreclaimed(),
-            0,
-            "adoption must clear the dead thread's checkpoint and drain its vault"
-        );
+        // Adoption must clear the dead thread's still-published checkpoint.
+        crate::tests::leaked_handle_on_dead_thread_is_adopted::<Nbr>(small_config(), 1, true, 4);
     }
 
     #[test]
     fn orphans_are_freed_on_domain_drop() {
         let d = Nbr::new(small_config());
+        let mut reader = d.register();
+        let mut h = d.register();
         {
-            let mut h = d.register();
             let mut g = h.pin();
             let p = g.alloc(1u64);
             // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
             unsafe { g.retire(p) };
         }
+        // A pinned reader keeps the entry ineligible, so the handle drop's
+        // last sweep must orphan it instead of freeing it.
+        let rg = reader.pin();
+        drop(h);
         assert_eq!(d.unreclaimed(), 1);
+        drop(rg);
+        drop(reader);
         drop(d);
     }
 }

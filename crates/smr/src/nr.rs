@@ -11,7 +11,6 @@
 //! the retire-path counter is sharded like every other scheme's so NR's
 //! "upper bound" role is not distorted by counter cache-line ping-pong.
 
-use crate::block::{header_of, Retired};
 use crate::pool::{BlockPool, PoolShared, ShardedCounter};
 use crate::ptr::{Atomic, Shared};
 use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
@@ -144,23 +143,19 @@ impl SmrGuard for NrGuard<'_> {
     }
 
     // SAFETY: NR never frees, so any unlinked pointer is trivially safe to retire.
-    unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
+    #[inline]
+    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
         // Leak: only account for it so memory-overhead experiments can report
         // the (ever-growing) number of unreclaimed objects.
-        debug_assert!(!ptr.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain; the record is built only to mirror the other schemes'
-        // retire paths and is immediately discarded (NR leaks).
-        let _ = unsafe { Retired::from_value(ptr.untagged().as_ptr()) };
-        self.handle.domain.retired.add(self.handle.claim.index, 1);
+        debug_assert!(batch.iter().all(|p| !p.is_null()));
+        let handle = &*self.handle;
+        handle.domain.retired.add(handle.claim.index, batch.len());
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // no other thread has observed the block; pool-freeing it runs the
-        // destructor exactly once.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — same contract.
+        unsafe { crate::limbo::dealloc(&mut self.handle.pool, ptr) };
     }
 }
 

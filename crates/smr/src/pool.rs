@@ -361,61 +361,6 @@ impl BlockPool {
         self.len += 1;
     }
 
-    /// Batched [`BlockPool::free`]: runs every destructor, then recycles the
-    /// dead blocks with one bin lookup per layout *run* (consecutive blocks of
-    /// one layout — the common case, since a sweep's batch comes from one data
-    /// structure) instead of a linear bin search per block.  Spills follow the
-    /// same once-per-`capacity / 2` amortization as the single-block path, so
-    /// the overflow mutex is touched at most once per half-capacity of the
-    /// batch rather than being re-examined per node.
-    ///
-    /// # Safety
-    /// Every block must satisfy the [`BlockPool::free`] contract: live,
-    /// unreachable by any other thread, and freed exactly once — and the
-    /// batch must not contain duplicates.
-    pub unsafe fn free_batch(&mut self, hdrs: &[*mut Header]) {
-        if self.capacity == 0 {
-            for &hdr in hdrs {
-                // SAFETY: per the contract, each block is live and unreachable;
-                // `layout` is read before the payload destructor runs.
-                let layout = unsafe { (*hdr).vtable.layout };
-                // SAFETY: as above — live, unreachable, freed exactly once.
-                unsafe { drop_value(hdr) };
-                // SAFETY: payload just dropped; `layout` is the recorded layout.
-                unsafe { dealloc_raw(hdr, layout) };
-            }
-            return;
-        }
-        let mut run: Option<(Layout, usize)> = None;
-        for &hdr in hdrs {
-            // SAFETY: per the contract, each block is live and unreachable.
-            let layout = unsafe { (*hdr).vtable.layout };
-            // SAFETY: as above — live, unreachable, freed exactly once.
-            unsafe { drop_value(hdr) };
-            if self.len >= self.capacity {
-                // `bins` is append-only (spilling pops blocks in place), so
-                // the cached bin index stays valid across the spill.
-                self.spill();
-            }
-            if self.len >= self.capacity {
-                // Overflow tier full too: give the block back for real.
-                // SAFETY: payload just dropped; `layout` is the recorded layout.
-                unsafe { dealloc_raw(hdr, layout) };
-                continue;
-            }
-            let bin = match run {
-                Some((l, i)) if l == layout => i,
-                _ => {
-                    let i = self.bin_index(layout);
-                    run = Some((layout, i));
-                    i
-                }
-            };
-            self.bins[bin].push(hdr);
-            self.len += 1;
-        }
-    }
-
     /// Moves up to half the local capacity from the fullest bin into the
     /// shared overflow; blocks that do not fit under the overflow bound are
     /// deallocated.  One lock acquisition amortizes `capacity / 2` frees.
@@ -637,59 +582,6 @@ mod tests {
             unsafe { pool.free(header_of(p)) };
         }
         assert_eq!(count.load(Ordering::SeqCst), ROUNDS);
-    }
-
-    #[test]
-    fn free_batch_matches_per_block_free_semantics() {
-        struct DropCounter(Arc<AtomicUsize>);
-        impl Drop for DropCounter {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let count = Arc::new(AtomicUsize::new(0));
-        let (shared, mut pool) = pool(4, 1);
-        // Mixed layouts exercise the run cache reset; 32 blocks against
-        // capacity 4 exercise the spill and dealloc fallbacks.
-        let mut hdrs: Vec<*mut Header> = Vec::new();
-        for i in 0..16 {
-            let a = pool.alloc(DropCounter(count.clone()));
-            let b = pool.alloc([i as u8; 128]);
-            // SAFETY: both pointers came straight from `alloc` above and
-            // refer to live blocks owned by this test.
-            unsafe {
-                hdrs.push(header_of(a));
-                hdrs.push(header_of(b));
-            }
-        }
-        // SAFETY: every block was allocated above, is unreachable elsewhere,
-        // and appears in the batch exactly once.
-        unsafe { pool.free_batch(&hdrs) };
-        assert_eq!(count.load(Ordering::SeqCst), 16, "every destructor ran");
-        assert!(pool.cached() <= pool.capacity());
-        assert!(shared.overflow_len() <= 4, "overflow bound respected");
-        // Recycled blocks are reusable afterwards.
-        let p = pool.alloc(7u64);
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe { pool.free(header_of(p)) };
-    }
-
-    #[test]
-    fn free_batch_with_zero_capacity_deallocates_everything() {
-        let (shared, mut pool) = pool(0, 1);
-        let hdrs: Vec<*mut Header> = (0..8)
-            .map(|i| {
-                let p = pool.alloc(i as u64);
-                // SAFETY: the pointer came straight from `alloc` and refers
-                // to a live block owned by this test.
-                unsafe { header_of(p) }
-            })
-            .collect();
-        // SAFETY: every block was allocated above, is unreachable elsewhere,
-        // and appears in the batch exactly once.
-        unsafe { pool.free_batch(&hdrs) };
-        assert_eq!(pool.cached(), 0);
-        assert_eq!(shared.overflow_len(), 0);
     }
 
     #[test]

@@ -334,6 +334,16 @@ impl SlotRegistry {
         })
     }
 
+    /// Test hook: makes slot `idx` look orphaned — as if the thread that last
+    /// pinned through it had exited — without spawning a thread, so the
+    /// adoption plumbing can be unit-tested deterministically.
+    #[cfg(test)]
+    pub(crate) fn simulate_owner_exit(&self, idx: usize) {
+        let fired = Beacon::new();
+        fired.exited.store(true, Ordering::Release);
+        *self.slots[idx].beacon.lock() = Some(Arc::new(fired));
+    }
+
     /// Number of permanently poisoned slots (diagnostic).
     pub fn poisoned(&self) -> usize {
         self.slots

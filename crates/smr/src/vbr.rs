@@ -2,14 +2,18 @@
 //! Lock-Free Memory Reclamation"), epoch-displaced variant.
 //!
 //! Cohen's VBR never scans limbo lists: retired nodes go straight onto a
-//! per-thread FIFO recycle queue and are handed back to the allocator in
+//! per-thread recycle queue and are handed back to the allocator in
 //! retire-order, while readers that may still hold references detect the
 //! reuse *after the fact* by re-checking a per-block version stamp.  This
-//! module keeps that shape — O(1) retire, FIFO recycling in epoch order
-//! through the [`BlockPool`]'s layout bins, a monotonic per-incarnation
+//! module keeps that shape — O(1) retire, recycling in epoch order through
+//! the [`crate::pool::BlockPool`]'s layout bins, a monotonic per-incarnation
 //! version stamp in every block header, allocation-driven epoch advancement —
 //! but gates the actual memory handoff on a two-epoch displacement bound
-//! instead of unconditional reuse:
+//! instead of unconditional reuse.  The recycle queue is the shared retire
+//! core's vault ([`crate::limbo`]): a thread's retire stamps are monotone, so
+//! the core's sweep releases exactly the eligible prefix, at one compare per
+//! entry against one minimum-epoch scan per sweep.
+//!
 //!
 //! * every operation announces the global epoch at [`SmrHandle::pin`];
 //! * a recycle-queue entry is released to the pool once its retire epoch is
@@ -31,14 +35,11 @@
 //! [`crate::Nbr`]: a reader that never polls pins the minimum epoch, so
 //! [`SmrKind::is_robust`] reports `false`.
 
-use crate::block::{header_of, Retired};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
+use crate::block::Retired;
+use crate::limbo::{EraCountdown, Handle, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -62,18 +63,9 @@ struct VbrSlot {
 
 /// The version-based reclamation domain.
 pub struct Vbr {
-    config: SmrConfig,
-    registry: SlotRegistry,
+    core: RetireCore,
     global_epoch: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<VbrSlot>]>,
-    unreclaimed: ShardedCounter,
-    pool: Arc<PoolShared>,
-    /// Per-slot FIFO recycle queues, domain-owned so a dead thread's queue is
-    /// adoptable (see [`Vbr::adopt_orphans`]).
-    vaults: Box<[Mutex<VecDeque<Retired>>]>,
-    /// Recycle entries inherited from threads that deregistered before their
-    /// entries became eligible.
-    orphans: Mutex<Vec<Retired>>,
     /// Total reader displacements acknowledged via `checkpoint` (diagnostic).
     displacements: AtomicU64,
 }
@@ -82,8 +74,8 @@ impl Smr for Vbr {
     type Handle = VbrHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        let slots = (0..config.max_threads)
+        let core = RetireCore::new(config);
+        let slots = (0..core.config().max_threads)
             .map(|_| {
                 CachePadded::new(VbrSlot {
                     epoch: AtomicU64::new(INACTIVE),
@@ -91,40 +83,22 @@ impl Smr for Vbr {
             })
             .collect();
         Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
+            core,
             global_epoch: CachePadded::new(AtomicU64::new(FIRST_EPOCH)),
             slots,
-            unreclaimed: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            orphans: Mutex::new(Vec::new()),
             displacements: AtomicU64::new(0),
-            config,
         })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<VbrHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
-        self.slots[claim.index]
-            .epoch
-            // ORDERING: the slot is newly claimed and not yet observed by reclamation scans; this reset is owner-only.
-            .store(INACTIVE, Ordering::Relaxed);
         Ok(VbrHandle {
-            pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
-            domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
-            alloc_count: 0,
-            retire_count: 0,
+            inner: Handle::register(self)?,
+            epoch_tick: EraCountdown::new(self.core.config()),
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
@@ -133,102 +107,33 @@ impl Smr for Vbr {
 }
 
 impl Vbr {
-    /// Minimum epoch announced by any active slot, or `u64::MAX` when no
-    /// thread is inside a critical section.
-    fn min_active_epoch(&self) -> u64 {
-        let mut min = u64::MAX;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
-                continue;
+    /// Publishes the current global epoch in `slot` and confirms it is still
+    /// current.  Returns exactly the epoch stored into the slot, so a guard's
+    /// cached `op_epoch` can never run ahead of the announcement (a cached
+    /// value ahead of the slot would elide `repin` forever while the stale
+    /// announcement pins the recycle queues).
+    #[inline]
+    fn announce_epoch(&self, slot: usize) -> u64 {
+        let slot = &self.slots[slot];
+        loop {
+            let e = self.global_epoch.load(Ordering::SeqCst);
+            slot.epoch.store(e, Ordering::SeqCst);
+            if self.global_epoch.load(Ordering::SeqCst) == e {
+                return e;
             }
-            let e = slot.epoch.load(Ordering::SeqCst);
-            if e != INACTIVE && e < min {
-                min = e;
-            }
-        }
-        min
-    }
-
-    /// Releases eligible entries from the front of `recycle` into the pool.
-    ///
-    /// The queue is FIFO and retire epochs are stamped from a monotonic
-    /// counter, so eligibility is a prefix: the drain stops at the first
-    /// entry retired later than two epochs before the minimum announced
-    /// epoch.  One `min_active_epoch` scan amortizes over the whole prefix —
-    /// there is no per-entry rescan, which is the structural difference from
-    /// the limbo-list schemes.
-    fn drain(&self, recycle: &mut VecDeque<Retired>, slot: usize, pool: &mut BlockPool) {
-        let min = self.min_active_epoch();
-        let mut freed = 0usize;
-        while let Some(front) = recycle.front() {
-            if front.retire_era().saturating_add(2) <= min {
-                let r = recycle.pop_front().expect("front was just observed");
-                // SAFETY: two full epochs have passed since retirement, so no reader can still be validating this incarnation.
-                unsafe { r.free_into(pool) };
-                freed += 1;
-            } else {
-                break;
-            }
-        }
-        if freed > 0 {
-            self.unreclaimed.sub(slot, freed);
         }
     }
 
-    /// Drains the recycle queue of slot `vault_idx`, charging frees to the
-    /// drainer's counter shard.
-    fn drain_vault(&self, vault_idx: usize, counter_slot: usize, pool: &mut BlockPool) {
-        let mut vault = self.vaults[vault_idx].lock();
-        if !vault.is_empty() {
-            self.drain(&mut vault, counter_slot, pool);
-        }
-    }
-
-    /// Adopts slots abandoned by dead threads: clears the dead thread's
-    /// epoch announcement (sound — the owner can issue no further loads) and
-    /// moves its recycle queue into the orphan list.
-    fn adopt_orphans(&self, my_slot: usize, pool: &mut BlockPool) {
-        for i in 0..self.registry.capacity() {
-            if i == my_slot {
-                continue;
-            }
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                self.slots[i].epoch.store(INACTIVE, Ordering::SeqCst);
-                let mut vault = self.vaults[i].lock();
-                if !vault.is_empty() {
-                    self.orphans.lock().extend(vault.drain(..));
-                }
-                drop(vault);
-                adoption.finish();
-            }
-        }
-        self.drain_orphans(my_slot, pool);
-    }
-
-    /// Adopts and drains orphaned recycle entries left by deregistered
-    /// threads.  Orphans lose their FIFO ordering guarantee (several queues
-    /// may have been appended), so this path re-checks every entry.
-    fn drain_orphans(&self, slot: usize, pool: &mut BlockPool) {
-        if let Some(mut orphans) = self.orphans.try_lock() {
-            if orphans.is_empty() {
-                return;
-            }
-            let min = self.min_active_epoch();
-            let mut freed = 0usize;
-            orphans.retain(|r| {
-                if r.retire_era().saturating_add(2) <= min {
-                    // SAFETY: two full epochs have passed since the orphan was retired; no reader can still address it.
-                    unsafe { r.free_into(pool) };
-                    freed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            if freed > 0 {
-                self.unreclaimed.sub(slot, freed);
-            }
-        }
+    /// The global epoch as stamped on a block at allocation and retirement.
+    #[inline]
+    fn epoch_stamp(&self) -> u64 {
+        // ORDERING: Relaxed — the birth stamp is informational (safety rests
+        // on the two-epoch bound, not on epoch precision), and a retire stamp
+        // only has to be no older than the epoch this thread announced at its
+        // last checkpoint (published with SeqCst there), which per-location
+        // coherence guarantees; a stale one only delays recycling.  The stamp
+        // reaches the recycler through the vault mutex.
+        self.global_epoch.load(Ordering::Relaxed)
     }
 
     /// Total reader displacements acknowledged so far (diagnostic).
@@ -237,30 +142,63 @@ impl Vbr {
     }
 }
 
-impl Drop for Vbr {
-    fn drop(&mut self) {
-        for vault in self.vaults.iter() {
-            for r in vault.lock().drain(..) {
-                // SAFETY: the domain is being dropped, so no handle can still reference the block.
-                unsafe { r.free() };
-            }
-        }
-        let mut orphans = self.orphans.lock();
-        for r in orphans.drain(..) {
-            // SAFETY: the domain is being dropped, so no handle can still reference the block.
-            unsafe { r.free() };
-        }
+// SAFETY: a reader that announced epoch `E` can only reach blocks retired at
+// `E - 1` or later, so a block whose retire epoch is two behind the minimum
+// announced epoch can no longer be addressed — or still be validated — by
+// any reader.  `can_free` demands exactly that of the minimum over all active
+// slots, read with SeqCst after the block was retired (`u64::MAX` when no
+// thread is inside a critical section).  `neutralize` stores `INACTIVE`, the
+// announcement of no critical section.
+unsafe impl Scheme for Vbr {
+    /// Minimum epoch announced by any active slot.
+    type Snapshot = u64;
+
+    #[inline]
+    fn core(&self) -> &RetireCore {
+        &self.core
+    }
+
+    #[inline]
+    fn birth_stamp(&self) -> Option<u64> {
+        Some(self.epoch_stamp())
+    }
+
+    #[inline]
+    fn retire_stamp(&self) -> Option<u64> {
+        Some(self.epoch_stamp())
+    }
+
+    fn snapshot(&self) -> u64 {
+        self.core
+            .claimed(&self.slots)
+            .map(|slot| slot.epoch.load(Ordering::SeqCst))
+            .filter(|&e| e != INACTIVE)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    #[inline]
+    fn can_free(&self, min: &u64, retired: &Retired) -> bool {
+        retired.retire_era().saturating_add(2) <= *min
+    }
+
+    fn neutralize(&self, slot: usize) {
+        self.slots[slot].epoch.store(INACTIVE, Ordering::SeqCst);
+    }
+
+    /// Still blocked: advance the epoch so lagging readers trip the
+    /// displacement bound and re-announce.  No second sweep — the minimum
+    /// only rises once those readers have answered.
+    fn still_blocked(&self) -> bool {
+        self.global_epoch.fetch_add(1, Ordering::SeqCst);
+        false
     }
 }
 
 /// Per-thread handle for [`Vbr`].
 pub struct VbrHandle {
-    domain: Arc<Vbr>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
-    alloc_count: usize,
-    retire_count: usize,
+    inner: Handle<Vbr>,
+    epoch_tick: EraCountdown,
 }
 
 impl SmrHandle for VbrHandle {
@@ -270,17 +208,8 @@ impl SmrHandle for VbrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> VbrGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
-        let slot = &self.domain.slots[self.claim.index];
-        let op_epoch = loop {
-            let e = self.domain.global_epoch.load(Ordering::SeqCst);
-            slot.epoch.store(e, Ordering::SeqCst);
-            if self.domain.global_epoch.load(Ordering::SeqCst) == e {
-                break e;
-            }
-        };
+        self.inner.bind();
+        let op_epoch = self.inner.domain().announce_epoch(self.inner.slot());
         VbrGuard {
             op_epoch,
             handle: self,
@@ -289,32 +218,7 @@ impl SmrHandle for VbrHandle {
     }
 
     fn flush(&mut self) {
-        let idx = self.claim.index;
-        let domain = self.domain.clone();
-        domain.drain_vault(idx, idx, &mut self.pool);
-        domain.adopt_orphans(idx, &mut self.pool);
-        if !domain.vaults[idx].lock().is_empty() {
-            // Entries retired at the current epoch need the epoch to move two
-            // ticks before any quiescent observer may release them.
-            domain.global_epoch.fetch_add(1, Ordering::SeqCst);
-            domain.drain_vault(idx, idx, &mut self.pool);
-        }
-    }
-}
-
-impl Drop for VbrHandle {
-    fn drop(&mut self) {
-        let domain = self.domain.clone();
-        domain.drain_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.registry.release_with(self.claim, || {
-            domain.slots[self.claim.index]
-                .epoch
-                .store(INACTIVE, Ordering::SeqCst);
-            let mut vault = domain.vaults[self.claim.index].lock();
-            if !vault.is_empty() {
-                domain.orphans.lock().extend(vault.drain(..));
-            }
-        });
+        self.inner.scan(true);
     }
 }
 
@@ -336,15 +240,17 @@ impl Drop for VbrGuard<'_> {
     fn drop(&mut self) {
         // Deactivating the epoch announcement on drop also covers panicking
         // operations (RAII unwind safety).
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
-        slot.epoch.store(INACTIVE, Ordering::Release);
+        let inner = &self.handle.inner;
+        inner.domain().slots[inner.slot()]
+            .epoch
+            .store(INACTIVE, Ordering::Release);
     }
 }
 
 impl SmrGuard for VbrGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        std::sync::Arc::as_ptr(&self.handle.domain) as usize
+        self.handle.inner.domain_addr()
     }
 
     #[inline]
@@ -363,86 +269,42 @@ impl SmrGuard for VbrGuard<'_> {
     #[inline]
     fn clear(&mut self, _idx: usize) {}
 
+    #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.handle.pool.alloc(value);
-        // ORDERING: an approximate epoch read is fine here -- VBR safety rests on version-stamp validation, not on epoch precision.
-        let epoch = self.handle.domain.global_epoch.load(Ordering::Relaxed);
-        // SAFETY: `ptr` was just handed out by the pool, so the header is initialized and unaliased.
-        // ORDERING: the birth-era stamp becomes visible via the Release publish that first links the block.
-        unsafe { (*header_of(ptr)).birth_era.store(epoch, Ordering::Relaxed) };
-        self.handle.alloc_count += 1;
-        if self
-            .handle
-            .alloc_count
-            .is_multiple_of(self.handle.domain.config.epoch_freq())
-        {
-            // Allocation-driven epoch advancement: reuse pressure, not limbo
-            // growth, is what moves the clock under VBR.
-            self.handle
-                .domain
-                .global_epoch
-                .fetch_add(1, Ordering::SeqCst);
-        }
-        Shared::from_ptr(ptr)
+        let handle = &mut *self.handle;
+        let ptr = handle.inner.alloc(value);
+        // Allocation-driven epoch advancement: reuse pressure, not limbo
+        // growth, is what moves the clock under VBR.
+        handle
+            .epoch_tick
+            .tick(1, &handle.inner.domain().global_epoch);
+        ptr
     }
 
-    // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
-    unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        let value = ptr.untagged().as_ptr();
-        debug_assert!(!value.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain and is already unlinked, so its block header is live.
-        let retired = unsafe { Retired::from_value(value) };
+    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
+    // per-node `retire` contract (unlinked, owned, retired exactly once).
+    #[inline]
+    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
         let handle = &mut *self.handle;
-        // ORDERING: a stale epoch read only delays reclamation; safety comes from the two-era grace-period check.
-        let epoch = handle.domain.global_epoch.load(Ordering::Relaxed);
-        // SAFETY: the block is unlinked but not yet in any vault; this
-        // thread has exclusive access to its header stamp.
-        // ORDERING: Relaxed on both — the stamp only has to be no older than
-        // the epoch this thread announced at its last checkpoint (published
-        // with SeqCst there), and it is handed to the recycler through the
-        // vault mutex acquired just below, which orders the store.
-        unsafe { (*retired.hdr).retire_era.store(epoch, Ordering::Relaxed) };
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.push_back(retired);
-            vault.len()
-        };
-        handle.retire_count += 1;
-        handle.domain.unreclaimed.add(slot, 1);
-        if handle
-            .retire_count
-            .is_multiple_of(handle.domain.config.epoch_freq())
-        {
-            handle.domain.global_epoch.fetch_add(1, Ordering::SeqCst);
-        }
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.drain_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
-            if domain.vaults[slot].lock().len() >= domain.config.scan_threshold {
-                // Still blocked: advance the epoch so lagging readers trip
-                // the displacement bound and re-announce.
-                domain.global_epoch.fetch_add(1, Ordering::SeqCst);
-            }
-        }
+        // SAFETY: forwarded — same contract.
+        unsafe { handle.inner.retire_batch(batch) };
+        handle
+            .epoch_tick
+            .tick(batch.len(), &handle.inner.domain().global_epoch);
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
+    #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // this thread is the only one that has ever seen the block; freeing
-        // it through the pool runs its destructor exactly once. VBR's version
-        // stamp is irrelevant here — an unpublished block has no readers to
-        // displace.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — same contract.  VBR's version stamp is
+        // irrelevant here: an unpublished block has no readers to displace.
+        unsafe { self.handle.inner.dealloc(ptr) };
     }
 
     #[inline]
     fn needs_restart(&self) -> bool {
-        let global = self.handle.domain.global_epoch.load(Ordering::Acquire);
-        global.saturating_sub(self.op_epoch) >= DISPLACEMENT_SLACK
+        let global = &self.handle.inner.domain().global_epoch;
+        global.load(Ordering::Acquire).saturating_sub(self.op_epoch) >= DISPLACEMENT_SLACK
     }
 
     /// Re-announces the current epoch at an op boundary — same announcement
@@ -451,93 +313,17 @@ impl SmrGuard for VbrGuard<'_> {
     /// restart).  Elided entirely when the epoch has not moved.
     #[inline]
     fn repin(&mut self) {
-        let domain = &self.handle.domain;
-        let global = domain.global_epoch.load(Ordering::SeqCst);
-        if global == self.op_epoch {
-            return;
-        }
-        let slot = &domain.slots[self.handle.claim.index];
-        // The loop breaks with exactly the epoch stored into the slot, so the
-        // cached `op_epoch` can never run ahead of the announcement (a cached
-        // value ahead of the slot would elide forever while the stale
-        // announcement pins the recycle queues).
-        self.op_epoch = loop {
-            let e = domain.global_epoch.load(Ordering::SeqCst);
-            slot.epoch.store(e, Ordering::SeqCst);
-            if domain.global_epoch.load(Ordering::SeqCst) == e {
-                break e;
-            }
-        };
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let handle = &mut *self.handle;
-        // ORDERING: a stale epoch read only delays reclamation; safety comes
-        // from the two-era grace-period check (same argument as `retire`).
-        let epoch = handle.domain.global_epoch.load(Ordering::Relaxed);
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees every element came from
-                // `alloc` on this domain and is already unlinked, so each
-                // block header is live.
-                let retired = unsafe { Retired::from_value(value) };
-                // SAFETY: the record was just built from a live block; its
-                // header is valid until the record is freed.
-                // ORDERING: published to the recycler by the vault mutex.
-                unsafe { (*retired.hdr).retire_era.store(epoch, Ordering::Relaxed) };
-                vault.push_back(retired);
-            }
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, batch.len());
-        // Preserve the per-retire epoch cadence across the batch: bump once
-        // per epoch-frequency multiple the batch crossed.
-        let freq = handle.domain.config.epoch_freq();
-        let before = handle.retire_count;
-        handle.retire_count += batch.len();
-        let bumps = (handle.retire_count / freq - before / freq) as u64;
-        if bumps > 0 {
-            handle
-                .domain
-                .global_epoch
-                .fetch_add(bumps, Ordering::SeqCst);
-        }
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.drain_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
-            if domain.vaults[slot].lock().len() >= domain.config.scan_threshold {
-                // Still blocked: advance the epoch so lagging readers trip
-                // the displacement bound and re-announce.
-                domain.global_epoch.fetch_add(1, Ordering::SeqCst);
-            }
+        let inner = &self.handle.inner;
+        if inner.domain().global_epoch.load(Ordering::SeqCst) != self.op_epoch {
+            self.op_epoch = inner.domain().announce_epoch(inner.slot());
         }
     }
 
     #[inline]
     fn checkpoint(&mut self) {
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
-        self.op_epoch = loop {
-            let e = self.handle.domain.global_epoch.load(Ordering::SeqCst);
-            slot.epoch.store(e, Ordering::SeqCst);
-            if self.handle.domain.global_epoch.load(Ordering::SeqCst) == e {
-                break e;
-            }
-        };
-        self.handle
-            .domain
-            .displacements
-            .fetch_add(1, Ordering::Relaxed);
+        let inner = &self.handle.inner;
+        self.op_epoch = inner.domain().announce_epoch(inner.slot());
+        inner.domain().displacements.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -733,19 +519,7 @@ mod tests {
 
     #[test]
     fn retire_batch_reclaims_like_per_node_retire() {
-        let d = Vbr::new(small_config());
-        let mut h = d.register();
-        {
-            let mut g = h.pin();
-            let batch: Vec<_> = (0..48u64).map(|i| g.alloc(i)).collect();
-            // SAFETY: each block was just allocated and never published, so
-            // this thread is its sole owner and retires it exactly once.
-            unsafe { g.retire_batch(&batch) };
-        }
-        for _ in 0..4 {
-            h.flush();
-        }
-        assert_eq!(d.unreclaimed(), 0);
+        crate::tests::retire_batch_reclaims_like_per_node_retire::<Vbr>(small_config(), 48, 4);
     }
 
     #[test]
@@ -778,8 +552,7 @@ mod tests {
             }
         }
         assert_eq!(d.unreclaimed(), 4);
-        let domain = d.clone();
-        domain.drain_vault(worker.claim.index, worker.claim.index, &mut worker.pool);
+        worker.flush();
         assert_eq!(
             d.unreclaimed(),
             2,
@@ -790,32 +563,9 @@ mod tests {
 
     #[test]
     fn leaked_handle_on_dead_thread_is_adopted() {
-        let d = Vbr::new(small_config());
-        let dd = d.clone();
-        std::thread::spawn(move || {
-            let mut h = dd.register();
-            {
-                let mut g = h.pin();
-                for i in 0..3u64 {
-                    let p = g.alloc(i);
-                    // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
-                    unsafe { g.retire(p) };
-                }
-            }
-            // Simulate a thread dying without unwinding its handle.
-            std::mem::forget(h);
-        })
-        .join()
-        .unwrap();
-        let mut survivor = d.register();
-        for _ in 0..8 {
-            survivor.flush();
-        }
-        assert_eq!(
-            d.unreclaimed(),
-            0,
-            "a survivor must adopt and drain the dead thread's recycle queue"
-        );
+        // A thread dying without unwinding its handle: a survivor must adopt
+        // and drain its recycle queue.
+        crate::tests::leaked_handle_on_dead_thread_is_adopted::<Vbr>(small_config(), 3, false, 8);
     }
 
     #[test]
@@ -873,5 +623,12 @@ mod tests {
         drop(rg);
         drop(reader);
         drop(d);
+    }
+
+    #[test]
+    fn retire_cadence_is_batch_invariant() {
+        crate::tests::retire_cadence_is_batch_invariant::<Vbr>(|d| {
+            d.global_epoch.load(Ordering::SeqCst)
+        });
     }
 }
