@@ -1,46 +1,20 @@
 //! Cursor hot-path ablation benchmarks: the Criterion counterpart of the
 //! `exp cursor` preset.
 //!
-//! Each group member runs the fixed-op mixed workload with exactly one of the
-//! hot-path optimizations enabled on top of the everything-off base — repin
-//! elision (one guard per run, refreshed every 16 operations), the one-hop
-//! successor prefetch, bounded CAS/restart backoff, batched chain retire —
-//! plus an arm with all four together, on the two deepest traversal
-//! structures (skip list and NM tree) under EBR.
+//! The two arms run the fixed-op mixed workload with the paper's per-op pin
+//! (`base`) and with repin elision (`repin`: one guard per run, refreshed
+//! every 16 operations) on the two deepest traversal structures (skip list
+//! and NM tree) under EBR; the sweep below varies the refresh interval.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use scot_harness::{run_fixed_ops, BackoffMode, DsKind, RunConfig, SmrKind};
+use scot_harness::{run_fixed_ops, DsKind, RunConfig, SmrKind};
 use std::time::Duration;
 
 const OPS_PER_THREAD: u64 = 20_000;
 
-/// The guard-refresh interval of the repin arms (the `--pin-batch` default
+/// The guard-refresh interval of the repin arm (the `--pin-batch` default
 /// the `exp cursor` preset uses).
 const REPIN_BATCH: u64 = 16;
-
-/// Builds the config for one ablation arm: everything off, then the named
-/// optimization (or all of them) switched on.
-fn arm_config(threads: usize, arm: &str) -> RunConfig {
-    let mut cfg = RunConfig::paper_default(threads, 8192);
-    cfg.pin_batch = 1;
-    cfg.prefetch = false;
-    cfg.backoff = BackoffMode::None;
-    cfg.chain_batch = false;
-    match arm {
-        "repin" => cfg.pin_batch = REPIN_BATCH,
-        "prefetch" => cfg.prefetch = true,
-        "backoff" => cfg.backoff = BackoffMode::Bounded,
-        "batch" => cfg.chain_batch = true,
-        "all" => {
-            cfg.pin_batch = REPIN_BATCH;
-            cfg.prefetch = true;
-            cfg.backoff = BackoffMode::Bounded;
-            cfg.chain_batch = true;
-        }
-        _ => debug_assert_eq!(arm, "base"),
-    }
-    cfg
-}
 
 fn cursor_hot_path(c: &mut Criterion) {
     let threads = 2;
@@ -50,13 +24,14 @@ fn cursor_hot_path(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1))
         .throughput(Throughput::Elements(OPS_PER_THREAD * threads as u64));
     for ds in [DsKind::SkipList, DsKind::Tree] {
-        for arm in ["base", "repin", "prefetch", "backoff", "batch", "all"] {
+        for (arm, pin_batch) in [("base", 1), ("repin", REPIN_BATCH)] {
             let name = format!("{}_{}", ds.name(), arm);
             group.bench_function(BenchmarkId::new("EBR", name), |b| {
                 b.iter_custom(|iters| {
                     let mut total = Duration::ZERO;
                     for _ in 0..iters {
-                        let cfg = arm_config(threads, arm);
+                        let mut cfg = RunConfig::paper_default(threads, 8192);
+                        cfg.pin_batch = pin_batch;
                         let (_, elapsed, _) = run_fixed_ops(ds, SmrKind::Ebr, &cfg, OPS_PER_THREAD);
                         total += Duration::from_secs_f64(elapsed);
                     }

@@ -30,7 +30,7 @@ use scot_harness::experiments::{
     skiplist_table, write_bench_artifact, write_fault_artifact, write_service_artifact,
     ExperimentOptions, ALL_EXPERIMENTS,
 };
-use scot_harness::{run_timed, BackoffMode, DsKind, FaultKind, Mix, RunConfig, RunResult, SmrKind};
+use scot_harness::{run_timed, DsKind, FaultKind, Mix, RunConfig, RunResult, SmrKind};
 use std::time::Duration;
 
 /// Upper bound on `--threads`/`<threads>`: far above any sane benchmark
@@ -44,7 +44,7 @@ fn usage() -> ! {
     let schemes: Vec<&str> = SmrKind::ALL.iter().map(|s| s.name()).collect();
     let faults: Vec<&str> = FaultKind::ALL.iter().map(|f| f.name()).collect();
     eprintln!(
-        "usage:\n  scot-bench run <ds> <seconds> <key_range> <threads> <read%> <ins%> <del%> <SMR> [scan% [scan_len]] [--pin-batch N] [--backoff none|bounded] [--no-prefetch] [--no-chain-batch]\n  scot-bench exp <id|all> [--quick] [--seconds N] [--runs N] [--threads A,B,..] [--value-bytes N] [--scan-lens A,B,..] [--faults A,B,..] [--zipf-theta T] [--pin-batch N] [--backoff none|bounded] [--json DIR] [--bench-dir DIR]\n  scot-bench bench-diff <baseline.json> <fresh.json> [--max-regress PCT] [--max-latency-regress PCT]\n  scot-bench list\n\ndata structures: listlf listwf hmlist tree hashmap skiplist\nSMR schemes:     {}\nexperiments:     {}\nfault classes:   {}",
+        "usage:\n  scot-bench run <ds> <seconds> <key_range> <threads> <read%> <ins%> <del%> <SMR> [scan% [scan_len]] [--pin-batch N]\n  scot-bench exp <id|all> [--quick] [--seconds N] [--runs N] [--threads A,B,..] [--value-bytes N] [--scan-lens A,B,..] [--faults A,B,..] [--zipf-theta T] [--pin-batch N] [--json DIR] [--bench-dir DIR]\n  scot-bench bench-diff <baseline.json> <fresh.json> [--max-regress PCT] [--max-latency-regress PCT]\n  scot-bench list\n\ndata structures: listlf listwf hmlist tree hashmap skiplist\nSMR schemes:     {}\nexperiments:     {}\nfault classes:   {}",
         schemes.join(" "),
         ALL_EXPERIMENTS.join(" "),
         faults.join(" ")
@@ -106,33 +106,21 @@ fn parse_pin_batch(v: &str) -> u64 {
     n
 }
 
-/// Parses and validates a `--backoff` mode name.
-fn parse_backoff(v: &str) -> BackoffMode {
-    BackoffMode::parse(v).unwrap_or_else(|| {
-        fail(&format!(
-            "unknown backoff mode `{v}` (known: none, bounded)"
-        ))
-    })
-}
-
 fn cmd_run(args: &[String]) {
-    // Tuning flags may trail the positional arguments; split them off first.
+    // `--pin-batch` may appear anywhere among the positional arguments;
+    // split it off first.
     let mut pos: Vec<&String> = Vec::new();
     let mut pin_batch = 1u64;
-    let mut backoff = BackoffMode::Bounded;
-    let mut prefetch = true;
-    let mut chain_batch = true;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--pin-batch" => {
                 pin_batch = parse_pin_batch(next_arg(args, &mut i, "--pin-batch"));
             }
-            "--backoff" => {
-                backoff = parse_backoff(next_arg(args, &mut i, "--backoff"));
+            other if other.starts_with("--") => {
+                eprintln!("unknown option {other}");
+                usage();
             }
-            "--no-prefetch" => prefetch = false,
-            "--no-chain-batch" => chain_batch = false,
             _ => pos.push(&args[i]),
         }
         i += 1;
@@ -173,9 +161,6 @@ fn cmd_run(args: &[String]) {
         scan_len,
         zipf_theta: 0.0,
         pin_batch,
-        backoff,
-        prefetch,
-        chain_batch,
     };
     let result = run_timed(ds, smr, &cfg);
     println!("{}", result.row());
@@ -250,9 +235,6 @@ fn cmd_exp(args: &[String]) {
             }
             "--pin-batch" => {
                 opts.pin_batch = parse_pin_batch(next_arg(args, &mut i, "--pin-batch"));
-            }
-            "--backoff" => {
-                opts.backoff = parse_backoff(next_arg(args, &mut i, "--backoff"));
             }
             "--zipf-theta" => {
                 let theta: f64 = parse(next_arg(args, &mut i, "--zipf-theta"), "--zipf-theta");

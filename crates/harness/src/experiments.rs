@@ -19,7 +19,7 @@
 //! | pool   | (ablation) | block pool on vs off, write-only, HMList + NMTree |
 //! | skiplist | (extension) | skip-list 50r/50w sweep over every scheme variant |
 //! | scan   | (extension) | guard-scoped range scans, scan-length sweep × every scheme variant |
-//! | cursor | (ablation) | hot-path pass: repin/prefetch/backoff/batched-retire arms vs all-off base |
+//! | cursor | (ablation) | hot-path pass: repin elision (`+repin`) vs the per-op pin base |
 //! | service | (extension) | phased cache-server soak: Zipfian keys, p50/p99/p999 per op-class |
 //!
 //! Key ranges and mixes match the paper exactly; thread counts are scaled to
@@ -30,7 +30,7 @@
 use crate::faults::{run_fault_scenario, FaultKind, FaultPlan, FaultReport};
 use crate::kv::run_timed_kv;
 use crate::service::{run_service_scenario, ServicePlan, ServiceReport};
-use crate::workload::{run_timed, BackoffMode, DsKind, Mix, RunConfig, RunResult};
+use crate::workload::{run_timed, DsKind, Mix, RunConfig, RunResult};
 use crate::{default_thread_counts, SmrKind};
 
 use std::time::Duration;
@@ -62,12 +62,9 @@ pub struct ExperimentOptions {
     /// Operations per guard pin in the measurement hot loops (the
     /// `--pin-batch` CLI knob).  1 preserves the paper's pin-per-operation
     /// protocol; larger values exercise repin elision.  The `cursor`
-    /// ablation's repin arms use this value when it is above 1, and 16
+    /// ablation's repin arm uses this value when it is above 1, and 16
     /// otherwise.
     pub pin_batch: u64,
-    /// Contention backoff mode for the traversal retry ladder (the
-    /// `--backoff` CLI knob).
-    pub backoff: BackoffMode,
 }
 
 impl Default for ExperimentOptions {
@@ -82,7 +79,6 @@ impl Default for ExperimentOptions {
             faults: FaultKind::ALL.to_vec(),
             zipf_theta: 0.99,
             pin_batch: 1,
-            backoff: BackoffMode::Bounded,
         }
     }
 }
@@ -100,17 +96,15 @@ impl ExperimentOptions {
             faults: FaultKind::ALL.to_vec(),
             zipf_theta: 0.99,
             pin_batch: 1,
-            backoff: BackoffMode::Bounded,
         }
     }
 
     /// Base [`RunConfig`] for a preset point with this options set's tuning
-    /// knobs (duration, pin batch, backoff) already applied.
+    /// knobs (duration, pin batch) already applied.
     fn base_config(&self, threads: usize, key_range: u64) -> RunConfig {
         let mut cfg = RunConfig::paper_default(threads, key_range);
         cfg.duration = self.duration;
         cfg.pin_batch = self.pin_batch;
-        cfg.backoff = self.backoff;
         cfg
     }
 }
@@ -304,8 +298,8 @@ pub fn spec(id: &str, opts: &ExperimentOptions) -> Option<ExperimentSpec> {
         },
         "cursor" => ExperimentSpec {
             id: "cursor",
-            description: "Cursor hot-path ablation: repin elision, prefetch, CAS backoff and \
-                 batched retire, each arm against an all-off base (skip list + NM tree)",
+            description: "Cursor hot-path ablation: repin elision against the per-op pin base \
+                 (skip list + NM tree)",
             structures: vec![DsKind::SkipList, DsKind::Tree],
             schemes: vec![SmrKind::Ebr, SmrKind::Hp, SmrKind::Ibr, SmrKind::Vbr],
             key_range: 8192,
@@ -520,60 +514,12 @@ fn run_scan_experiment(
     results
 }
 
-/// One arm of the cursor hot-path ablation: a scheme-label suffix plus the
-/// tuning knobs it enables on top of the everything-off base.
-#[derive(Clone, Copy)]
-struct CursorArm {
-    /// Appended to the scheme name in results (e.g. `EBR+repin`), mirroring
-    /// the pool ablation's `+pool`/`-pool` labelling.
-    suffix: &'static str,
-    pin_batch: u64,
-    prefetch: bool,
-    backoff: BackoffMode,
-    chain_batch: bool,
-}
-
-/// The six ablation arms: the all-off base, each optimization alone, and all
-/// four together.  `repin_batch` is the guard-refresh interval used by the
-/// repin arms.
-fn cursor_arms(repin_batch: u64) -> [CursorArm; 6] {
-    let base = CursorArm {
-        suffix: "+base",
-        pin_batch: 1,
-        prefetch: false,
-        backoff: BackoffMode::None,
-        chain_batch: false,
-    };
-    [
-        base,
-        CursorArm {
-            suffix: "+repin",
-            pin_batch: repin_batch,
-            ..base
-        },
-        CursorArm {
-            suffix: "+prefetch",
-            prefetch: true,
-            ..base
-        },
-        CursorArm {
-            suffix: "+backoff",
-            backoff: BackoffMode::Bounded,
-            ..base
-        },
-        CursorArm {
-            suffix: "+batch",
-            chain_batch: true,
-            ..base
-        },
-        CursorArm {
-            suffix: "+all",
-            pin_batch: repin_batch,
-            prefetch: true,
-            backoff: BackoffMode::Bounded,
-            chain_batch: true,
-        },
-    ]
+/// The two arms of the cursor hot-path ablation as (scheme-label suffix,
+/// pin batch): the per-op pin base and repin elision at `repin_batch`.  The
+/// suffix is appended to the scheme name in results (e.g. `EBR+repin`),
+/// mirroring the pool ablation's `+pool`/`-pool` labelling.
+fn cursor_arms(repin_batch: u64) -> [(&'static str, u64); 2] {
+    [("+base", 1), ("+repin", repin_batch)]
 }
 
 /// Runs the cursor hot-path ablation: every structure × scheme pair of the
@@ -594,18 +540,15 @@ fn run_cursor_ablation(
     let mut results = Vec::new();
     for &ds in &spec.structures {
         for &smr in &spec.schemes {
-            for arm in cursor_arms(repin_batch) {
+            for (suffix, pin_batch) in cursor_arms(repin_batch) {
                 let mut cfg = opts.base_config(threads, spec.key_range);
                 cfg.mix = Mix::READ_50;
-                cfg.pin_batch = arm.pin_batch;
-                cfg.prefetch = arm.prefetch;
-                cfg.backoff = arm.backoff;
-                cfg.chain_batch = arm.chain_batch;
+                cfg.pin_batch = pin_batch;
                 let mut runs: Vec<RunResult> =
                     (0..opts.runs).map(|_| run_timed(ds, smr, &cfg)).collect();
                 runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
                 let mut median = runs.swap_remove(runs.len() / 2);
-                median.smr = format!("{}{}", smr.name(), arm.suffix);
+                median.smr = format!("{}{suffix}", smr.name());
                 progress(&median);
                 results.push(median);
             }
@@ -827,17 +770,8 @@ pub fn write_service_artifact(dir: &str, reports: &[ServiceReport]) -> std::io::
 }
 
 /// Ablation suffixes a result-table scheme label may carry: the pool
-/// ablation's on/off pair and the cursor ablation's arms.
-const SCHEME_LABEL_SUFFIXES: [&str; 8] = [
-    "+pool",
-    "-pool",
-    "+base",
-    "+repin",
-    "+prefetch",
-    "+backoff",
-    "+batch",
-    "+all",
-];
+/// ablation's on/off pair and the cursor ablation's two arms.
+const SCHEME_LABEL_SUFFIXES: [&str; 4] = ["+pool", "-pool", "+base", "+repin"];
 
 /// Strips a known ablation suffix off a scheme label, if present.
 fn strip_scheme_suffix(smr: &str) -> &str {
@@ -1080,71 +1014,46 @@ pub fn pool_table(results: &[RunResult]) -> String {
 }
 
 /// Renders the cursor hot-path ablation: one row per structure × scheme with
-/// the all-off base throughput and each arm's delta against it, plus the
-/// backoff spin count of the `+all` arm (0 proves the arm's backoff never
-/// fired; a large count flags a contention-bound configuration).
+/// the per-op pin base throughput, the `+repin` arm's delta against it, and
+/// the base arm's backoff spin count (a large count flags a contention-bound
+/// configuration, where the delta says little about repin).
 pub fn cursor_table(results: &[RunResult]) -> String {
     let mut out = String::new();
     out.push_str(
-        "Cursor hot-path ablation: 50% read / 50% write, arms relative to the all-off base\n",
+        "Cursor hot-path ablation: 50% read / 50% write, +repin relative to the per-op pin base\n",
     );
     out.push_str(&format!(
-        "{:<12}{:<8}{:>7}{:>8}{:>14}{:>9}{:>11}{:>10}{:>8}{:>8}{:>12}\n",
-        "structure",
-        "scheme",
-        "robust",
-        "threads",
-        "base ops/s",
-        "+repin",
-        "+prefetch",
-        "+backoff",
-        "+batch",
-        "+all",
-        "spins(all)"
+        "{:<12}{:<8}{:>7}{:>8}{:>14}{:>9}{:>13}\n",
+        "structure", "scheme", "robust", "threads", "base ops/s", "+repin", "spins(base)"
     ));
     for base in results {
         let Some(scheme) = base.smr.strip_suffix("+base") else {
             continue;
         };
-        let arm = |suffix: &str| {
-            results
-                .iter()
-                .find(|r| {
-                    r.ds == base.ds
-                        && r.threads == base.threads
-                        && r.smr == format!("{scheme}{suffix}")
-                })
-                .map(|r| {
-                    if base.ops_per_sec > 0.0 {
-                        format!(
-                            "{:+.1}%",
-                            100.0 * (r.ops_per_sec - base.ops_per_sec) / base.ops_per_sec
-                        )
-                    } else {
-                        "-".to_string()
-                    }
-                })
-                .unwrap_or_else(|| "-".to_string())
-        };
-        let all_spins = results
+        let repin = results
             .iter()
             .find(|r| {
-                r.ds == base.ds && r.threads == base.threads && r.smr == format!("{scheme}+all")
+                r.ds == base.ds && r.threads == base.threads && r.smr == format!("{scheme}+repin")
             })
-            .map_or(0, |r| r.spins);
+            .filter(|_| base.ops_per_sec > 0.0)
+            .map_or_else(
+                || "-".to_string(),
+                |r| {
+                    format!(
+                        "{:+.1}%",
+                        100.0 * (r.ops_per_sec - base.ops_per_sec) / base.ops_per_sec
+                    )
+                },
+            );
         out.push_str(&format!(
-            "{:<12}{:<8}{:>7}{:>8}{:>14.0}{:>9}{:>11}{:>10}{:>8}{:>8}{:>12}\n",
+            "{:<12}{:<8}{:>7}{:>8}{:>14.0}{:>9}{:>13}\n",
             base.ds,
             scheme,
             robust_cell(scheme),
             base.threads,
             base.ops_per_sec,
-            arm("+repin"),
-            arm("+prefetch"),
-            arm("+backoff"),
-            arm("+batch"),
-            arm("+all"),
-            all_spins,
+            repin,
+            base.spins,
         ));
     }
     out
@@ -1436,9 +1345,9 @@ mod tests {
     fn quick_cursor_ablation_runs_and_renders_deltas() {
         let opts = ExperimentOptions::quick();
         let results = run_experiment("cursor", &opts, |_| {}).unwrap();
-        // 2 structures × 4 schemes × 6 arms.
-        assert_eq!(results.len(), 48);
-        for arm in ["+base", "+repin", "+prefetch", "+backoff", "+batch", "+all"] {
+        // 2 structures × 4 schemes × 2 arms.
+        assert_eq!(results.len(), 16);
+        for arm in ["+base", "+repin"] {
             assert!(
                 results
                     .iter()
@@ -1448,7 +1357,7 @@ mod tests {
         }
         let table = cursor_table(&results);
         assert!(table.contains("SkipList") && table.contains("NMTree"));
-        assert!(table.contains("spins(all)"));
+        assert!(table.contains("spins(base)"));
         // One delta row per structure × scheme pair.
         let rows = table
             .lines()
@@ -1460,31 +1369,19 @@ mod tests {
     #[test]
     fn cursor_arm_labels_do_not_hide_robustness() {
         assert!(
-            smr_is_robust("HP+all"),
-            "+all must not hide HP's robustness"
+            smr_is_robust("HP+base"),
+            "+base must not hide HP's robustness"
         );
         assert!(smr_is_robust("IBR+repin"));
         assert!(!smr_is_robust("EBR+base"));
-        assert_eq!(strip_scheme_suffix("VBR+prefetch"), "VBR");
+        assert_eq!(strip_scheme_suffix("VBR+repin"), "VBR");
         assert_eq!(strip_scheme_suffix("EBR"), "EBR");
     }
 
     #[test]
     fn cursor_arms_toggle_exactly_one_knob_each() {
-        let arms = cursor_arms(16);
-        let base = &arms[0];
-        assert_eq!(base.suffix, "+base");
-        assert_eq!(base.pin_batch, 1);
-        assert!(!base.prefetch && !base.chain_batch);
-        assert_eq!(base.backoff, BackoffMode::None);
-        let by_suffix = |s: &str| arms.iter().find(|a| a.suffix == s).unwrap();
-        assert_eq!(by_suffix("+repin").pin_batch, 16);
-        assert!(by_suffix("+prefetch").prefetch);
-        assert_eq!(by_suffix("+backoff").backoff, BackoffMode::Bounded);
-        assert!(by_suffix("+batch").chain_batch);
-        let all = by_suffix("+all");
-        assert!(all.pin_batch == 16 && all.prefetch && all.chain_batch);
-        assert_eq!(all.backoff, BackoffMode::Bounded);
+        // One knob is left: the base pins per operation, `+repin` batches.
+        assert_eq!(cursor_arms(16), [("+base", 1), ("+repin", 16)]);
     }
 
     #[test]

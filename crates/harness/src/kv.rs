@@ -340,7 +340,6 @@ fn kv_timed_inner<C: ConcurrentMap<u64, Payload>>(
     target: &KvTarget<C>,
     cfg: &RunConfig,
 ) -> TimedOutput {
-    cfg.apply_tuning();
     kv_prefill(
         target.map.as_ref(),
         cfg.key_range,

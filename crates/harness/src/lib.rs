@@ -39,7 +39,7 @@ pub use faults::{run_fault_scenario, FaultKind, FaultPlan, FaultReport};
 pub use hist::{LatencyHistogram, OpClass, OpHistograms};
 pub use kv::{run_timed_kv, Payload};
 pub use service::{run_service_scenario, ServicePlan, ServiceReport};
-pub use workload::{run_fixed_ops, run_timed, BackoffMode, DsKind, Mix, RunConfig, RunResult};
+pub use workload::{run_fixed_ops, run_timed, DsKind, Mix, RunConfig, RunResult};
 
 pub use scot_smr::SmrKind;
 

@@ -300,51 +300,6 @@ impl Mix {
     }
 }
 
-/// Backoff policy applied by the shared cursor's restart ladder
-/// (`--backoff`): either retry immediately (the seed behavior) or wait out a
-/// bounded-exponential number of spin hints between consecutive failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackoffMode {
-    /// Retry failed CASes and restarts immediately.
-    None,
-    /// Bounded exponential backoff (doubling spin hints, capped well below a
-    /// scheduling quantum) between consecutive failures.
-    Bounded,
-}
-
-impl BackoffMode {
-    /// Parses the CLI spelling (`none` / `bounded`), case-insensitively.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "none" | "off" => Some(BackoffMode::None),
-            "bounded" | "exp" | "exponential" => Some(BackoffMode::Bounded),
-            _ => None,
-        }
-    }
-
-    /// Canonical display name (round-trips through [`BackoffMode::parse`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackoffMode::None => "none",
-            BackoffMode::Bounded => "bounded",
-        }
-    }
-}
-
-impl std::fmt::Display for BackoffMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-// The vendored serde stub derives only structs; render the mode as its
-// canonical CLI spelling.
-impl Serialize for BackoffMode {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_string())
-    }
-}
-
 /// One benchmark configuration (a single point of a figure).
 #[derive(Debug, Clone, Serialize)]
 pub struct RunConfig {
@@ -383,14 +338,6 @@ pub struct RunConfig {
     /// larger batches amortize the repin across N operations, bounding the
     /// reclamation delay to one batch instead of one op.  Must be ≥ 1.
     pub pin_batch: u64,
-    /// Backoff policy of the cursor's restart ladder (`--backoff`).
-    pub backoff: BackoffMode,
-    /// Whether the cursor issues the one-hop successor prefetch (ablation
-    /// knob of the `exp cursor` preset; no CLI flag).
-    pub prefetch: bool,
-    /// Whether unlinked marked chains retire through `retire_batch` (ablation
-    /// knob of the `exp cursor` preset; no CLI flag).
-    pub chain_batch: bool,
 }
 
 impl RunConfig {
@@ -409,19 +356,7 @@ impl RunConfig {
             scan_len: 64,
             zipf_theta: 0.0,
             pin_batch: 1,
-            backoff: BackoffMode::Bounded,
-            prefetch: true,
-            chain_batch: true,
         }
-    }
-
-    /// Applies this configuration's process-global cursor tuning (prefetch,
-    /// backoff, chain batching) — called by every runner before its workers
-    /// start, so each run measures exactly the knobs it was configured with.
-    pub(crate) fn apply_tuning(&self) {
-        scot::tuning::set_prefetch(self.prefetch);
-        scot::tuning::set_backoff(self.backoff == BackoffMode::Bounded);
-        scot::tuning::set_chain_batch(self.chain_batch);
     }
 
     /// Shrinks the run duration (used by `--quick` sweeps and unit tests).
@@ -456,8 +391,7 @@ pub struct RunResult {
     /// Total §3.2.1 recoveries (dangerous-zone escapes and skip-list ladder
     /// re-entries that avoided a full restart).
     pub recoveries: u64,
-    /// Total backoff spin iterations waited by the cursor's restart ladder
-    /// (0 when the run's [`RunConfig::backoff`] is [`BackoffMode::None`]).
+    /// Total backoff spin iterations waited by the cursor's restart ladder.
     pub spins: u64,
     /// Range-scan window width of this run (0 when the mix has no scans).
     pub scan_len: u64,
@@ -834,7 +768,6 @@ fn timed_inner<C: ConcurrentMap<u64, ()> + 'static>(
     cfg: &RunConfig,
 ) -> TimedOutput {
     cfg.mix.validate();
-    cfg.apply_tuning();
     prefill(target.set.as_ref(), cfg.key_range, cfg.seed, cfg.threads);
     let stop = Arc::new(AtomicBool::new(false));
     let total_ops = Arc::new(AtomicU64::new(0));
@@ -885,7 +818,6 @@ fn fixed_inner<C: ConcurrentMap<u64, ()> + 'static>(
     ops_per_thread: u64,
 ) -> FixedOutput {
     cfg.mix.validate();
-    cfg.apply_tuning();
     prefill(target.set.as_ref(), cfg.key_range, cfg.seed, cfg.threads);
     let stop = AtomicBool::new(false);
     let total_ops = AtomicU64::new(0);
@@ -1187,27 +1119,6 @@ mod tests {
                 assert!(r.ops > 0, "{ds} under {smr} completed no operations");
             }
         }
-    }
-
-    #[test]
-    fn backoff_mode_parse_roundtrip() {
-        for m in [BackoffMode::None, BackoffMode::Bounded] {
-            assert_eq!(
-                BackoffMode::parse(m.name()),
-                Some(m),
-                "display name {} must round-trip",
-                m.name()
-            );
-            assert_eq!(m.to_string(), m.name());
-        }
-        // CLI aliases, case-insensitively.
-        assert_eq!(BackoffMode::parse("OFF"), Some(BackoffMode::None));
-        assert_eq!(BackoffMode::parse("exp"), Some(BackoffMode::Bounded));
-        assert_eq!(
-            BackoffMode::parse("Exponential"),
-            Some(BackoffMode::Bounded)
-        );
-        assert_eq!(BackoffMode::parse("frantic"), None);
     }
 
     #[test]

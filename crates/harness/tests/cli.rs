@@ -594,7 +594,7 @@ fn exp_cursor_renders_ablation_arms_and_deltas() {
     );
     let text = stdout(&out);
     // Every arm label appears for at least one scheme...
-    for arm in ["+base", "+repin", "+prefetch", "+backoff", "+batch", "+all"] {
+    for arm in ["+base", "+repin"] {
         assert!(
             text.contains(&format!("EBR{arm}")),
             "cursor output missing arm {arm}:\n{text}"
@@ -602,40 +602,60 @@ fn exp_cursor_renders_ablation_arms_and_deltas() {
     }
     // ...both structures are swept, and the delta table renders.
     assert!(text.contains("SkipList") && text.contains("NMTree"));
-    for col in ["base ops/s", "+repin", "spins(all)"] {
+    for col in ["base ops/s", "+repin", "spins(base)"] {
         assert!(text.contains(col), "cursor table missing {col}:\n{text}");
     }
     let body = std::fs::read_to_string(bench.artifact("cursor"))
         .expect("exp cursor must write BENCH_cursor.json");
-    assert!(body.contains("\"EBR+all\"") && body.contains("\"VBR+base\""));
+    assert!(body.contains("\"EBR+repin\"") && body.contains("\"VBR+base\""));
 }
 
 #[test]
 fn run_arm_accepts_tuning_flags_anywhere() {
-    let out = scot_bench(&[
-        "run",
-        "listlf",
-        "0.05",
-        "64",
-        "1",
-        "50",
-        "25",
-        "25",
-        "EBR",
-        "--pin-batch",
-        "16",
-        "--backoff",
-        "none",
-        "--no-prefetch",
-        "--no-chain-batch",
-    ]);
-    assert!(out.status.success(), "run must exit 0: {}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("spins="), "row output missing spins:\n{text}");
-    assert!(
-        text.contains("\"ops_per_sec\""),
-        "JSON result missing:\n{text}"
-    );
+    // `--pin-batch` after, between and before the positional arguments.
+    let pos = ["listlf", "0.05", "64", "1", "50", "25", "25", "EBR"];
+    for at in [pos.len(), 3, 0] {
+        let mut args = vec!["run"];
+        args.extend_from_slice(&pos[..at]);
+        args.extend_from_slice(&["--pin-batch", "16"]);
+        args.extend_from_slice(&pos[at..]);
+        let out = scot_bench(&args);
+        assert!(
+            out.status.success(),
+            "run must exit 0 with --pin-batch at {at}: {}",
+            stderr(&out)
+        );
+        let text = stdout(&out);
+        assert!(text.contains("spins="), "row output missing spins:\n{text}");
+        assert!(
+            text.contains("\"ops_per_sec\""),
+            "JSON result missing:\n{text}"
+        );
+    }
+}
+
+#[test]
+fn removed_tuning_flags_are_unknown_options() {
+    // The cursor's prefetch / backoff / chain-retire toggles are gone, and so
+    // are their flags: each must take the unknown-option path (usage, exit 2)
+    // on both arms instead of being silently accepted.
+    let run = ["run", "listlf", "0.05", "64", "1", "50", "25", "25", "EBR"];
+    let exp = ["exp", "tab2", "--quick"];
+    for flag in [
+        &["--backoff", "none"][..],
+        &["--no-prefetch"],
+        &["--no-chain-batch"],
+    ] {
+        for arm in [&run[..], &exp[..]] {
+            let out = scot_bench(&[arm, flag].concat());
+            assert_eq!(out.status.code(), Some(2), "{arm:?} {flag:?}");
+            let err = stderr(&out);
+            assert!(
+                err.contains(&format!("unknown option {}", flag[0])) && err.contains("usage:"),
+                "{arm:?} {flag:?}:\n{err}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -655,29 +675,6 @@ fn run_arm_rejects_zero_pin_batch() {
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--pin-batch"));
-}
-
-#[test]
-fn run_arm_rejects_unknown_backoff_mode() {
-    let out = scot_bench(&[
-        "run",
-        "listlf",
-        "0.05",
-        "64",
-        "1",
-        "50",
-        "25",
-        "25",
-        "EBR",
-        "--backoff",
-        "frantic",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(
-        err.contains("unknown backoff mode") && err.contains("bounded"),
-        "error must name the bad mode and list the known ones:\n{err}"
-    );
 }
 
 #[test]

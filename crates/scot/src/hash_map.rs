@@ -3,13 +3,14 @@
 //! Harris-Michael lists").
 //!
 //! Keys are partitioned into a fixed number of buckets by a multiplicative
-//! hash; each bucket is an independent [`HarrisList`] (with SCOT traversals),
-//! and all buckets share one reclamation domain so memory-overhead accounting
-//! matches the paper's methodology.
+//! hash; each bucket is one head word of the list core in [`crate::list`]
+//! (with SCOT traversals), and all buckets share one reclamation domain — so
+//! memory-overhead accounting matches the paper's methodology — and one
+//! [`TraversalStats`] block.
 
-use crate::harris_list::{HarrisList, HarrisListHandle, Node};
-use crate::traverse::{ScanState, SeekBound};
-use crate::{ConcurrentMap, Key, RangeScan, TraversalSnapshot, Value};
+use crate::list::{BoundList, ListHandle, Node, RawList};
+use crate::traverse::{ScanState, SeekBound, SlotNode, TraversalStats, ZoneMode};
+use crate::{check_guard, ConcurrentMap, Key, RangeScan, TraversalSnapshot, Value};
 use scot_smr::{Smr, SmrConfig, SmrHandle};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -68,31 +69,22 @@ impl Hasher for FibHasher {
 /// assert_eq!(map.remove(&mut g, &42).map(String::as_str), Some("answer"));
 /// ```
 pub struct HashMap<K, S: Smr, V = ()> {
-    buckets: Box<[HarrisList<K, S, V>]>,
+    buckets: Box<[RawList<K, V>]>,
     smr: Arc<S>,
-}
-
-/// Per-thread handle for [`HashMap`].
-pub struct HashMapHandle<S: Smr> {
-    inner: HarrisListHandle<S>,
-}
-
-impl<S: Smr> HashMapHandle<S> {
-    /// Forces a reclamation pass on this thread's SMR handle.
-    pub fn flush(&mut self) {
-        self.inner.flush();
-    }
+    /// Shared by every bucket: the counters fire on restarts, recoveries and
+    /// zone entries only, which one-node bucket traversals almost never see.
+    stats: TraversalStats,
 }
 
 impl<K: Key + Hash, S: Smr, V: Value> HashMap<K, S, V> {
     /// Creates a hash map with `buckets` buckets sharing the given domain.
     pub fn new(buckets: usize, smr: Arc<S>) -> Self {
         assert!(buckets > 0, "at least one bucket is required");
-        let buckets = (0..buckets)
-            .map(|_| HarrisList::new(smr.clone()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self { buckets, smr }
+        Self {
+            buckets: (0..buckets).map(|_| RawList::new()).collect(),
+            smr,
+            stats: TraversalStats::default(),
+        }
     }
 
     /// Creates a hash map with a freshly created domain.
@@ -111,38 +103,36 @@ impl<K: Key + Hash, S: Smr, V: Value> HashMap<K, S, V> {
     }
 
     /// Registers the calling thread.
-    pub fn handle(&self) -> HashMapHandle<S> {
-        HashMapHandle {
-            inner: HarrisListHandle {
-                smr: self.smr.register(),
-            },
+    pub fn handle(&self) -> ListHandle<S> {
+        ListHandle {
+            smr: self.smr.register(),
         }
     }
 
-    fn bucket(&self, key: &K) -> &HarrisList<K, S, V> {
+    /// `bucket` as a SCOT list recording into the shared statistics block.
+    #[inline]
+    fn bind<'a>(&'a self, bucket: &'a RawList<K, V>) -> BoundList<'a, K, V> {
+        bucket.bind(&self.stats, ZoneMode::Scot { recovery: true })
+    }
+
+    /// Brand-checks `guard` (once per operation, here rather than inside the
+    /// bucket) and returns `key`'s bucket.
+    #[inline]
+    fn bucket<G: scot_smr::SmrGuard>(&self, guard: &G, key: &K) -> BoundList<'_, K, V> {
+        check_guard(&self.smr, guard);
         let mut hasher = FibHasher(0);
         key.hash(&mut hasher);
         // Lemire's widening-multiply range reduction: maps the hash onto
         // [0, buckets) from the high bits, avoiding the division a modulo
         // would cost per operation.
         let idx = ((u128::from(hasher.finish()) * self.buckets.len() as u128) >> 64) as usize;
-        &self.buckets[idx]
-    }
-
-    /// Brand check — see [`HarrisList::check_guard`](crate::HarrisList).
-    #[inline]
-    fn check_guard<G: scot_smr::SmrGuard>(&self, g: &G) {
-        assert_eq!(
-            g.domain_addr(),
-            Arc::as_ptr(&self.smr) as usize,
-            "guard was pinned from a handle of a different map's reclamation domain"
-        );
+        self.bind(&self.buckets[idx])
     }
 
     /// Total number of live keys (testing/diagnostics; not atomic).
-    pub fn len(&self, handle: &mut HashMapHandle<S>) -> usize {
-        let mut g = handle.inner.smr.pin();
-        self.check_guard(&g);
+    pub fn len(&self, handle: &mut ListHandle<S>) -> usize {
+        let mut g = handle.smr.pin();
+        check_guard(&self.smr, &g);
         let mut count = 0usize;
         for b in &self.buckets {
             b.walk(&mut g, |_, _| count += 1);
@@ -151,7 +141,7 @@ impl<K: Key + Hash, S: Smr, V: Value> HashMap<K, S, V> {
     }
 
     /// True if no live keys are present (testing/diagnostics; not atomic).
-    pub fn is_empty(&self, handle: &mut HashMapHandle<S>) -> bool {
+    pub fn is_empty(&self, handle: &mut ListHandle<S>) -> bool {
         self.len(handle) == 0
     }
 }
@@ -178,7 +168,7 @@ impl<'r, 'h, K: Key + Hash, S: Smr, V: Value> RangeScan<K, V> for HashMapRange<'
         // Position first (bucket hopping re-borrows the guard per iteration),
         // then hand out the guard-scoped borrow once, outside the loop.
         let node = loop {
-            let list = self.map.buckets.get(self.bucket)?;
+            let list = self.map.bind(self.map.buckets.get(self.bucket)?);
             let node = crate::traverse::scan_next(
                 &mut *self.guard,
                 &mut self.state,
@@ -198,12 +188,12 @@ impl<'r, 'h, K: Key + Hash, S: Smr, V: Value> RangeScan<K, V> for HashMapRange<'
         // SAFETY: `node` is protected by HP_CURR; the exclusive guard borrow
         // (held by `self`) keeps that slot published until the next advance.
         let node_ref = unsafe { node.deref_guarded(&*self.guard) };
-        Some((node_ref.key, &node_ref.value))
+        Some((*node_ref.node_key(), node_ref.node_value()))
     }
 }
 
 impl<K: Key + Hash, S: Smr, V: Value> ConcurrentMap<K, V> for HashMap<K, S, V> {
-    type Handle = HashMapHandle<S>;
+    type Handle = ListHandle<S>;
     type Guard<'h>
         = <S::Handle as SmrHandle>::Guard<'h>
     where
@@ -219,28 +209,28 @@ impl<K: Key + Hash, S: Smr, V: Value> ConcurrentMap<K, V> for HashMap<K, S, V> {
     }
 
     fn pin<'h>(&self, handle: &'h mut Self::Handle) -> Self::Guard<'h> {
-        handle.inner.smr.pin()
+        handle.smr.pin()
     }
 
     fn repin<'h>(&self, guard: &mut Self::Guard<'h>) {
-        self.check_guard(&*guard);
+        check_guard(&self.smr, &*guard);
         scot_smr::SmrGuard::repin(guard);
     }
 
     fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
-        self.bucket(key).get(guard, key)
+        self.bucket(&*guard, key).get(guard, key)
     }
 
     fn insert<'h>(&self, guard: &mut Self::Guard<'h>, key: K, value: V) -> Result<(), V> {
-        self.bucket(&key).insert(guard, key, value)
+        self.bucket(&*guard, &key).insert(guard, key, value)
     }
 
     fn remove<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
-        self.bucket(key).remove(guard, key)
+        self.bucket(&*guard, key).remove(guard, key)
     }
 
     fn contains<'h>(&self, guard: &mut Self::Guard<'h>, key: &K) -> bool {
-        self.bucket(key).contains(guard, key)
+        self.bucket(&*guard, key).contains(guard, key)
     }
 
     fn scan<'r, 'h>(
@@ -252,7 +242,7 @@ impl<K: Key + Hash, S: Smr, V: Value> ConcurrentMap<K, V> for HashMap<K, S, V> {
     where
         'h: 'r,
     {
-        self.check_guard(&*guard);
+        check_guard(&self.smr, &*guard);
         HashMapRange {
             map: self,
             guard,
@@ -267,8 +257,8 @@ impl<K: Key + Hash, S: Smr, V: Value> ConcurrentMap<K, V> for HashMap<K, S, V> {
     where
         V: Clone,
     {
-        let mut g = handle.inner.smr.pin();
-        self.check_guard(&g);
+        let mut g = handle.smr.pin();
+        check_guard(&self.smr, &g);
         let mut out = Vec::new();
         for b in &self.buckets {
             b.walk(&mut g, |k, v| out.push((*k, v.clone())));
@@ -282,12 +272,7 @@ impl<K: Key + Hash, S: Smr, V: Value> ConcurrentMap<K, V> for HashMap<K, S, V> {
     }
 
     fn traversal_stats(&self) -> TraversalSnapshot {
-        // The buckets share one domain but count independently; the map's
-        // numbers are the aggregate.
-        self.buckets
-            .iter()
-            .map(ConcurrentMap::traversal_stats)
-            .fold(TraversalSnapshot::default(), TraversalSnapshot::merged)
+        self.stats.snapshot()
     }
 }
 
@@ -297,19 +282,10 @@ mod tests {
     // the set adapter, and having both traits in scope would make the
     // `insert`/`remove`/`contains` method calls ambiguous.
     use super::HashMap;
+    use crate::list::tests::cfg;
     use crate::ConcurrentSet;
-    use scot_smr::{Ebr, Hp, Hyaline, Nbr, Smr, SmrConfig, SmrHandle, Vbr};
+    use scot_smr::{Ebr, Hp, Hyaline, Nbr, Smr, SmrHandle, Vbr};
     use std::sync::Arc;
-
-    fn cfg() -> SmrConfig {
-        SmrConfig {
-            max_threads: 16,
-            scan_threshold: 8,
-            epoch_freq_per_thread: 1,
-            snapshot_scan: false,
-            ..SmrConfig::default()
-        }
-    }
 
     fn basic_semantics_under<S: Smr>() {
         let map: HashMap<u64, S> = HashMap::with_config(8, cfg());
@@ -345,10 +321,15 @@ mod tests {
         for i in 0..512u64 {
             map.insert(&mut h, i);
         }
+        let mut g = h.smr.pin();
         let nonempty = map
             .buckets
             .iter()
-            .filter(|b| !b.collect_keys(&mut h.inner).is_empty())
+            .filter(|b| {
+                let mut live = 0;
+                b.walk(&mut g, |_, _| live += 1);
+                live > 0
+            })
             .count();
         assert!(
             nonempty >= 12,
@@ -377,14 +358,28 @@ mod tests {
                             map.remove(&mut h, &key);
                         }
                     }
-                    h.inner.smr.flush();
+                    h.flush();
                 });
             }
         });
         let mut h = map.handle();
-        h.inner.smr.flush();
+        h.flush();
         drop(h);
         assert_eq!(domain.unreclaimed(), 0);
+    }
+
+    #[test]
+    fn a_bucket_is_one_word_and_the_map_holds_one_domain_reference() {
+        assert_eq!(
+            std::mem::size_of::<crate::list::RawList<u64, u64>>(),
+            std::mem::size_of::<usize>()
+        );
+        for buckets in [1, 64, 4096] {
+            let domain = Hp::new(cfg());
+            let map: HashMap<u64, Hp> = HashMap::new(buckets, domain.clone());
+            assert_eq!(Arc::strong_count(&domain), 2, "{buckets} buckets");
+            assert_eq!(map.buckets(), buckets);
+        }
     }
 
     #[test]

@@ -15,22 +15,9 @@
 //! `Hp2` = prev (see [`crate::slots`]).  No dangerous zone ever forms, so no
 //! anchor slot is needed — the shared `crate::traverse::Cursor` runs in its
 //! `ZoneMode::Eager` for this list, where a marked node is unlinked on the
-//! spot instead of validated past.
-use crate::harris_list::Node;
-use crate::slots::{HP_CURR, HP_NEXT};
-use crate::traverse::{self, Cursor, ScanState, Seek, SeekBound, TraversalStats, ZoneMode, MARK};
-use crate::{Key, RangeScan, TraversalSnapshot, Value};
-use scot_smr::{Atomic, Link, Shared, Smr, SmrConfig, SmrGuard, SmrHandle};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-
-/// Result of the internal find.
-struct FindResult<K, V> {
-    prev: Link<Node<K, V>>,
-    curr: Shared<Node<K, V>>,
-    next: Shared<Node<K, V>>,
-    found: bool,
-}
+//! spot instead of validated past.  That mode is the whole difference:
+//! [`HarrisMichaelList`] is the eager instantiation (`EAGER = true`) of the
+//! one list core in [`crate::list`], with no code of its own.
 
 /// Harris-Michael ordered map, parameterized by the reclamation scheme.  As
 /// with every structure in this crate, `V = ()` (the default) gives the
@@ -46,362 +33,18 @@ struct FindResult<K, V> {
 /// assert!(list.insert(&mut h, 1));
 /// assert!(list.remove(&mut h, &1));
 /// ```
-pub struct HarrisMichaelList<K, S: Smr, V = ()> {
-    head: Atomic<Node<K, V>>,
-    smr: Arc<S>,
-    stats: TraversalStats,
-}
-
-// SAFETY: the structure owns its nodes; every cross-thread access goes through atomic links and the SMR protocol.
-unsafe impl<K: Key, S: Smr, V: Value> Send for HarrisMichaelList<K, S, V> {}
-// SAFETY: shared access is mediated by atomic links and guard-protected traversal; there is no unsynchronized interior mutability.
-unsafe impl<K: Key, S: Smr, V: Value> Sync for HarrisMichaelList<K, S, V> {}
-
-/// Per-thread handle for [`HarrisMichaelList`].
-pub struct HmListHandle<S: Smr> {
-    pub(crate) smr: S::Handle,
-}
-
-impl<S: Smr> HmListHandle<S> {
-    /// Forces a reclamation pass on this thread's SMR handle.
-    pub fn flush(&mut self) {
-        self.smr.flush();
-    }
-}
-
-impl<K: Key, S: Smr, V: Value> HarrisMichaelList<K, S, V> {
-    /// Creates an empty list managed by the given reclamation domain.
-    pub fn new(smr: Arc<S>) -> Self {
-        Self {
-            head: Atomic::null(),
-            smr,
-            stats: TraversalStats::default(),
-        }
-    }
-
-    /// Creates an empty list with a freshly created domain using `config`.
-    pub fn with_config(config: SmrConfig) -> Self {
-        Self::new(S::new(config))
-    }
-
-    /// The reclamation domain backing this list.
-    pub fn domain(&self) -> &Arc<S> {
-        &self.smr
-    }
-
-    /// Registers the calling thread.
-    pub fn handle(&self) -> HmListHandle<S> {
-        HmListHandle {
-            smr: self.smr.register(),
-        }
-    }
-
-    /// Number of full traversal restarts (Table 2).
-    pub fn restarts(&self) -> u64 {
-        self.stats.restarts()
-    }
-
-    /// The one positioning traversal of this list: the shared `Cursor` in
-    /// `ZoneMode::Eager`, looping until a seek completes (every marked node
-    /// on the way is unlinked by the cursor itself, so there is no separate
-    /// cleanup phase).
-    fn seek_bound<G: SmrGuard>(&self, g: &mut G, bound: &SeekBound<K>) -> FindResult<K, V> {
-        loop {
-            // The head link is never tagged, so `begin` cannot fail here.
-            let Ok(mut c) = Cursor::begin(
-                g,
-                Shared::null(),
-                self.head.as_link(),
-                0,
-                Shared::null(),
-                true,
-                &self.stats,
-                ZoneMode::Eager,
-            ) else {
-                continue;
-            };
-            match c.seek(g, bound, || false) {
-                Seek::Positioned => {}
-                Seek::Restart(_) => continue,
-                Seek::Interrupted => unreachable!("find has no interrupt source"),
-            }
-            let curr = c.curr();
-            let found = !curr.is_null() && {
-                match bound {
-                    // SAFETY: `curr` is protected (HP_CURR) and durable.
-                    SeekBound::Ge(k) => unsafe { curr.deref() }.key == *k,
-                    SeekBound::Gt(_) => false,
-                }
-            };
-            return FindResult {
-                prev: c.prev_link(),
-                curr,
-                next: c.next(),
-                found,
-            };
-        }
-    }
-
-    /// Michael's find: locate the position for `key`, eagerly unlinking any
-    /// marked node encountered on the way (restarting if the unlink fails).
-    fn find<G: SmrGuard>(&self, g: &mut G, key: &K) -> FindResult<K, V> {
-        self.seek_bound(g, &SeekBound::Ge(*key))
-    }
-
-    /// Validated re-positioning primitive of the range scan, in the same
-    /// eager mode as `find`.
-    fn scan_seek<G: SmrGuard>(&self, g: &mut G, bound: &SeekBound<K>) -> Shared<Node<K, V>> {
-        self.seek_bound(g, bound).curr
-    }
-
-    /// Brand check — see [`HarrisList::check_guard`](crate::HarrisList).
-    #[inline]
-    fn check_guard<G: SmrGuard>(&self, g: &G) {
-        assert_eq!(
-            g.domain_addr(),
-            Arc::as_ptr(&self.smr) as usize,
-            "guard was pinned from a handle of a different map's reclamation domain"
-        );
-    }
-
-    /// Visits every live entry in ascending key order (testing/diagnostics;
-    /// not an atomic snapshot).
-    fn walk<G: SmrGuard, F: FnMut(&K, &V)>(&self, g: &mut G, mut f: F) {
-        let mut curr = g.protect(HP_CURR, &self.head);
-        while !curr.is_null() {
-            // SAFETY: see `find` — only used quiescently in tests.
-            let node = unsafe { curr.deref() };
-            let next = g.protect(HP_NEXT, &node.next);
-            if next.tag() == 0 {
-                f(&node.key, &node.value);
-            }
-            curr = next.untagged();
-            g.dup(HP_NEXT, HP_CURR);
-        }
-    }
-}
-
-/// Guard-scoped range scan over a [`HarrisMichaelList`]; same lending
-/// contract as [`crate::harris_list::ListRange`], with the eager-unlink
-/// traversal as its re-positioning primitive.
-pub struct HmRange<'r, 'h, K: Key, S: Smr, V: Value = ()> {
-    list: &'r HarrisMichaelList<K, S, V>,
-    guard: &'r mut <S::Handle as SmrHandle>::Guard<'h>,
-    state: ScanState<K, Node<K, V>>,
-    hi: Option<K>,
-}
-
-impl<'r, 'h, K: Key, S: Smr, V: Value> RangeScan<K, V> for HmRange<'r, 'h, K, S, V> {
-    fn next_entry(&mut self) -> Option<(K, &V)> {
-        let list = self.list;
-        traverse::scan_entry(
-            &mut *self.guard,
-            &mut self.state,
-            self.hi.as_ref(),
-            0,
-            |g, bound| list.scan_seek(g, bound),
-        )
-    }
-}
-
-impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for HarrisMichaelList<K, S, V> {
-    type Handle = HmListHandle<S>;
-    type Guard<'h>
-        = <S::Handle as SmrHandle>::Guard<'h>
-    where
-        Self: 'h;
-    type Range<'r, 'h>
-        = HmRange<'r, 'h, K, S, V>
-    where
-        Self: 'h,
-        'h: 'r;
-
-    fn handle(&self) -> Self::Handle {
-        HarrisMichaelList::handle(self)
-    }
-
-    fn pin<'h>(&self, handle: &'h mut Self::Handle) -> Self::Guard<'h> {
-        handle.smr.pin()
-    }
-
-    fn repin<'h>(&self, guard: &mut Self::Guard<'h>) {
-        self.check_guard(&*guard);
-        guard.repin();
-    }
-
-    fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
-        self.check_guard(&*guard);
-        let r = self.find(&mut *guard, key);
-        if r.found {
-            // SAFETY: `curr` is protected by HP_CURR; the `&'g mut` guard
-            // borrow keeps that slot published while the borrow is alive.
-            Some(&unsafe { r.curr.deref_guarded(&*guard) }.value)
-        } else {
-            None
-        }
-    }
-
-    fn insert<'h>(&self, guard: &mut Self::Guard<'h>, key: K, value: V) -> Result<(), V> {
-        self.check_guard(&*guard);
-        let mut r = self.find(&mut *guard, &key);
-        if r.found {
-            return Err(value);
-        }
-        let new = guard.alloc(Node {
-            next: Atomic::null(),
-            key,
-            value,
-        });
-        loop {
-            // SAFETY: exclusively owned until the publishing CAS.
-            // ORDERING: the publishing CAS (Release) below makes this initialization visible.
-            unsafe { new.deref().next.store(r.curr, Ordering::Relaxed) };
-            // SAFETY: `prev` owner protected or head.
-            if unsafe { r.prev.cas(r.curr, new) }.is_ok() {
-                return Ok(());
-            }
-            r = self.find(&mut *guard, &key);
-            if r.found {
-                // SAFETY: `new` was never published; reclaim the block and
-                // hand the caller's value back instead of dropping it.
-                let node = unsafe { crate::take_unpublished(new) };
-                return Err(node.value);
-            }
-        }
-    }
-
-    fn remove<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
-        self.check_guard(&*guard);
-        loop {
-            let r = self.find(&mut *guard, key);
-            if !r.found {
-                return None;
-            }
-            // SAFETY: protected by HP_CURR.
-            let curr_ref = unsafe { r.curr.deref() };
-            if curr_ref
-                .next
-                .compare_exchange(
-                    r.next,
-                    r.next.with_tag(MARK),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_err()
-            {
-                continue;
-            }
-            // SAFETY: `prev` owner protected or head.
-            if unsafe { r.prev.cas(r.curr, r.next) }.is_ok() {
-                // SAFETY: unlink winner is the unique retirer.
-                unsafe { guard.retire(r.curr) };
-            } else {
-                // Someone else will (or did) unlink it during their find.
-            }
-            // SAFETY: the victim stays protected by HP_CURR for as long as
-            // the `&'g mut` guard borrow is alive (retire defers the free).
-            return Some(&unsafe { r.curr.deref_guarded(&*guard) }.value);
-        }
-    }
-
-    fn contains<'h>(&self, guard: &mut Self::Guard<'h>, key: &K) -> bool {
-        self.check_guard(&*guard);
-        self.find(&mut *guard, key).found
-    }
-
-    fn scan<'r, 'h>(
-        &'r self,
-        guard: &'r mut Self::Guard<'h>,
-        lo: K,
-        hi: Option<K>,
-    ) -> Self::Range<'r, 'h>
-    where
-        'h: 'r,
-    {
-        self.check_guard(&*guard);
-        HmRange {
-            list: self,
-            guard,
-            state: ScanState::Seek(SeekBound::Ge(lo)),
-            hi,
-        }
-    }
-
-    fn collect(&self, handle: &mut Self::Handle) -> Vec<(K, V)>
-    where
-        V: Clone,
-    {
-        let mut g = handle.smr.pin();
-        self.check_guard(&g);
-        let mut out = Vec::new();
-        self.walk(&mut g, |k, v| out.push((*k, v.clone())));
-        out
-    }
-
-    fn flush(&self, handle: &mut Self::Handle) {
-        handle.flush();
-    }
-
-    fn traversal_stats(&self) -> TraversalSnapshot {
-        self.stats.snapshot()
-    }
-}
-
-impl<K, S: Smr, V> Drop for HarrisMichaelList<K, S, V> {
-    fn drop(&mut self) {
-        // ORDERING: drop holds `&mut self`, so no other thread can touch these links.
-        let mut curr = self.head.load(Ordering::Relaxed).untagged();
-        while !curr.is_null() {
-            // SAFETY: exclusive access during drop.
-            unsafe {
-                // ORDERING: drop holds `&mut self`, so no other thread can touch these links.
-                let next = curr.deref().next.load(Ordering::Relaxed).untagged();
-                scot_smr::free_block(scot_smr::header_of(curr.as_ptr()));
-                curr = next;
-            }
-        }
-    }
-}
+pub type HarrisMichaelList<K, S, V = ()> = crate::list::List<K, S, V, true>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ConcurrentSet;
-    use scot_smr::{Ebr, He, Hp, Hyaline, Ibr, Nbr, Nr, Vbr};
-
-    fn cfg() -> SmrConfig {
-        SmrConfig {
-            max_threads: 16,
-            scan_threshold: 8,
-            epoch_freq_per_thread: 1,
-            snapshot_scan: false,
-            ..SmrConfig::default()
-        }
-    }
-
-    fn basic_set_semantics<S: Smr>() {
-        let list: HarrisMichaelList<u64, S> = HarrisMichaelList::with_config(cfg());
-        let mut h = list.handle();
-        assert!(list.insert(&mut h, 10));
-        assert!(list.insert(&mut h, 20));
-        assert!(list.insert(&mut h, 15));
-        assert!(!list.insert(&mut h, 15));
-        assert!(list.contains(&mut h, &15));
-        assert!(list.remove(&mut h, &15));
-        assert!(!list.contains(&mut h, &15));
-        assert_eq!(list.collect_keys(&mut h), vec![10, 20]);
-    }
+    use crate::list::tests::{self as shared, cfg};
+    use crate::{ConcurrentSet, HarrisList, HashMap, WfHarrisList};
+    use scot_smr::{Ebr, He, Hp, Hyaline, Ibr, Nbr, Nr, Smr, Vbr};
 
     #[test]
     fn basic_semantics_under_every_scheme() {
-        basic_set_semantics::<Nr>();
-        basic_set_semantics::<Ebr>();
-        basic_set_semantics::<Hp>();
-        basic_set_semantics::<He>();
-        basic_set_semantics::<Ibr>();
-        basic_set_semantics::<Hyaline>();
-        basic_set_semantics::<Nbr>();
-        basic_set_semantics::<Vbr>();
+        shared::basic_semantics_under_every_scheme::<true>();
     }
 
     #[test]
@@ -421,7 +64,7 @@ mod tests {
         }
         // Traverse to the end to trigger any remaining cleanup.
         assert!(!list.contains(&mut h, &1000));
-        h.smr.flush();
+        h.flush();
         drop(h);
         assert_eq!(domain.unreclaimed(), 0);
         let mut h = list.handle();
@@ -430,68 +73,67 @@ mod tests {
 
     #[test]
     fn concurrent_mixed_workload_is_consistent() {
-        fn run<S: Smr>() {
-            let list: Arc<HarrisMichaelList<u32, S>> =
-                Arc::new(HarrisMichaelList::with_config(cfg()));
-            std::thread::scope(|s| {
-                for t in 0..8u32 {
-                    let list = list.clone();
-                    s.spawn(move || {
-                        let mut h = list.handle();
-                        let mut x = t as u64 + 1;
-                        for _ in 0..3000 {
-                            x ^= x << 13;
-                            x ^= x >> 7;
-                            x ^= x << 17;
-                            let key = (x % 64) as u32;
-                            match x % 3 {
-                                0 => {
-                                    list.insert(&mut h, key);
-                                }
-                                1 => {
-                                    list.remove(&mut h, &key);
-                                }
-                                _ => {
-                                    list.contains(&mut h, &key);
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            let mut h = list.handle();
-            let keys = list.collect_keys(&mut h);
-            let mut sorted = keys.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(keys, sorted);
-        }
-        run::<Hp>();
-        run::<Ebr>();
-        run::<Hyaline>();
-        run::<Nbr>();
-        run::<Vbr>();
+        shared::concurrent_mixed_workload_is_consistent::<true>();
     }
 
-    #[test]
-    fn agreement_with_harris_list_on_random_sequence() {
-        use crate::HarrisList;
-        let hm: HarrisMichaelList<u32, Hp> = HarrisMichaelList::with_config(cfg());
-        let harris: HarrisList<u32, Hp> = HarrisList::with_config(cfg());
-        let mut hh = hm.handle();
-        let mut gh = harris.handle();
+    /// Replays the 5 000-op xorshift tape on `set`, recording every result.
+    fn replay<M: ConcurrentSet<u32>>(set: M) -> (Vec<bool>, Vec<u32>) {
+        let mut h = set.handle();
         let mut x = 0xdeadbeefu64;
+        let mut results = Vec::with_capacity(5000);
         for _ in 0..5000 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             let key = (x % 128) as u32;
-            match x % 3 {
-                0 => assert_eq!(hm.insert(&mut hh, key), harris.insert(&mut gh, key)),
-                1 => assert_eq!(hm.remove(&mut hh, &key), harris.remove(&mut gh, &key)),
-                _ => assert_eq!(hm.contains(&mut hh, &key), harris.contains(&mut gh, &key)),
+            results.push(match x % 3 {
+                0 => set.insert(&mut h, key),
+                1 => set.remove(&mut h, &key),
+                _ => set.contains(&mut h, &key),
+            });
+        }
+        let keys = set.collect_keys(&mut h);
+        (results, keys)
+    }
+
+    #[test]
+    fn agreement_with_harris_list_on_random_sequence() {
+        // One tape, every list-backed structure, every scheme: per-op results
+        // and the final key set must equal the Harris list's under HP.
+        fn all_structures<S: Smr>(want: &(Vec<bool>, Vec<u32>)) {
+            let name = std::any::type_name::<S>();
+            assert_eq!(
+                &replay(HarrisList::<u32, S>::with_config(cfg())),
+                want,
+                "HList/{name}"
+            );
+            assert_eq!(
+                &replay(HarrisMichaelList::<u32, S>::with_config(cfg())),
+                want,
+                "HMList/{name}"
+            );
+            assert_eq!(
+                &replay(WfHarrisList::<u32, S>::with_config(cfg())),
+                want,
+                "WFList/{name}"
+            );
+            for buckets in [1, 7] {
+                assert_eq!(
+                    &replay(HashMap::<u32, S>::with_config(buckets, cfg())),
+                    want,
+                    "HashMap({buckets})/{name}"
+                );
             }
         }
-        assert_eq!(hm.collect_keys(&mut hh), harris.collect_keys(&mut gh));
+        let want = replay(HarrisList::<u32, Hp>::with_config(cfg()));
+        assert!(want.0.iter().any(|&r| r) && !want.1.is_empty());
+        all_structures::<Nr>(&want);
+        all_structures::<Ebr>(&want);
+        all_structures::<Hp>(&want);
+        all_structures::<He>(&want);
+        all_structures::<Ibr>(&want);
+        all_structures::<Hyaline>(&want);
+        all_structures::<Nbr>(&want);
+        all_structures::<Vbr>(&want);
     }
 }

@@ -46,7 +46,11 @@
 //! crate**: the [`traverse`] module holds the shared traversal cursor (and the
 //! [`TraversalStats`] every structure reports through), the [`slots`] module
 //! holds the one hazard-slot role table, and every Harris-style traversal in
-//! the crate is a client of that cursor.  On top of it, every structure
+//! the crate is a client of that cursor.  So is the list: the [`list`] module
+//! holds the one ordered list, of which [`HarrisList`] and
+//! [`HarrisMichaelList`] are the two compile-time instantiations, [`HashMap`]
+//! an array of bare heads, and [`WfHarrisList`] a wrapper adding the helping
+//! protocol.  On top of the cursor, every structure
 //! supports **guard-scoped range scans** ([`ConcurrentMap::range`] /
 //! [`ConcurrentMap::iter_from`]): lending cursors whose yielded value borrows
 //! are protected exactly like [`ConcurrentMap::get`]'s.
@@ -57,11 +61,11 @@
 pub mod harris_list;
 pub mod hash_map;
 pub mod hm_list;
+pub mod list;
 pub mod nm_tree;
 pub mod skip_list;
 pub mod slots;
 pub mod traverse;
-pub mod tuning;
 pub mod wait_free;
 
 pub use harris_list::HarrisList;
@@ -431,6 +435,21 @@ impl<K: Key, M: ConcurrentMap<K, ()>> ConcurrentSet<K> for M {
     fn traversal_stats(&self) -> TraversalSnapshot {
         ConcurrentMap::traversal_stats(self)
     }
+}
+
+/// Brand check: operations only accept guards pinned from a handle of the
+/// map's own reclamation domain `smr`.  A foreign guard would publish its
+/// hazard slots / epoch announcements into a *different* domain's tables —
+/// which no reclaimer of this domain ever scans — so accepting it would
+/// silently void every protection the guard-scoped API promises.  One
+/// pointer compare per operation buys back the soundness hole.
+#[inline]
+pub(crate) fn check_guard<S, G: scot_smr::SmrGuard>(smr: &std::sync::Arc<S>, g: &G) {
+    assert_eq!(
+        g.domain_addr(),
+        std::sync::Arc::as_ptr(smr) as usize,
+        "guard was pinned from a handle of a different map's reclamation domain"
+    );
 }
 
 /// Takes the payload back out of a node that was allocated through an SMR

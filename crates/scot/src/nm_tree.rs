@@ -503,16 +503,6 @@ impl<K: Key, S: Smr, V: Value> NmTree<K, S, V> {
         }
     }
 
-    /// Brand check — see [`HarrisList::check_guard`](crate::HarrisList).
-    #[inline]
-    fn check_guard<G: SmrGuard>(&self, g: &G) {
-        assert_eq!(
-            g.domain_addr(),
-            Arc::as_ptr(&self.smr) as usize,
-            "guard was pinned from a handle of a different map's reclamation domain"
-        );
-    }
-
     /// Visits every live `(key, value)` leaf pair (testing/diagnostics; must
     /// not run concurrently with removals under robust schemes — see
     /// [`crate::ConcurrentMap::collect`]).
@@ -640,12 +630,12 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
     }
 
     fn repin<'h>(&self, guard: &mut Self::Guard<'h>) {
-        self.check_guard(&*guard);
+        crate::check_guard(&self.smr, &*guard);
         guard.repin();
     }
 
     fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
-        self.check_guard(&*guard);
+        crate::check_guard(&self.smr, &*guard);
         let tkey = TreeKey::Fin(*key);
         let s = self.seek(&mut *guard, &SeekQuery::At(tkey), true);
         // SAFETY: `leaf` is protected by HP_LEAF, and the `&'g mut` guard
@@ -659,7 +649,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
     }
 
     fn insert<'h>(&self, guard: &mut Self::Guard<'h>, key: K, value: V) -> Result<(), V> {
-        self.check_guard(&*guard);
+        crate::check_guard(&self.smr, &*guard);
         let tkey = TreeKey::Fin(key);
         let mut s = self.seek(&mut *guard, &SeekQuery::At(tkey), true);
         // SAFETY: `leaf` is protected by HP_LEAF.
@@ -740,7 +730,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
     }
 
     fn remove<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
-        self.check_guard(&*guard);
+        crate::check_guard(&self.smr, &*guard);
         let tkey = TreeKey::Fin(*key);
         // Injection phase: flag the edge to the victim leaf.
         let mut target: Shared<TreeNode<K, V>> = Shared::null();
@@ -815,7 +805,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
     }
 
     fn contains<'h>(&self, guard: &mut Self::Guard<'h>, key: &K) -> bool {
-        self.check_guard(&*guard);
+        crate::check_guard(&self.smr, &*guard);
         let tkey = TreeKey::Fin(*key);
         let s = self.seek(&mut *guard, &SeekQuery::At(tkey), true);
         // SAFETY: protected by HP_LEAF.
@@ -831,7 +821,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
     where
         'h: 'r,
     {
-        self.check_guard(&*guard);
+        crate::check_guard(&self.smr, &*guard);
         TreeRange {
             tree: self,
             guard,

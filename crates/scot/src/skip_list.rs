@@ -339,18 +339,6 @@ impl<K: Key, S: Smr, V: Value> SkipList<K, S, V> {
         self.stats.recoveries()
     }
 
-    /// Brand check, identical in purpose to [`crate::HarrisList`]'s: reject
-    /// guards pinned from another domain's handle before they publish
-    /// protections where this domain's reclaimers never look.
-    #[inline]
-    fn check_guard(&self, g: &SkipListGuard<'_, S>) {
-        assert_eq!(
-            g.g.domain_addr(),
-            Arc::as_ptr(&self.smr) as usize,
-            "guard was pinned from a handle of a different map's reclamation domain"
-        );
-    }
-
     /// Allocates a tower of the given height through the guard (and therefore
     /// through the scheme's block pool), dispatching to the height-specific
     /// monomorphized layout so each height class recycles in its own pool
@@ -684,12 +672,12 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
     }
 
     fn repin<'h>(&self, guard: &mut Self::Guard<'h>) {
-        self.check_guard(&*guard);
+        crate::check_guard(&self.smr, &guard.g);
         guard.g.repin();
     }
 
     fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
-        self.check_guard(&*guard);
+        crate::check_guard(&self.smr, &guard.g);
         let pos = self.find(&mut guard.g, key, false, true, 0);
         if pos.found {
             // SAFETY: `curr` is protected by Hp1 (published under the SCOT
@@ -703,7 +691,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
     }
 
     fn insert<'h>(&self, guard: &mut Self::Guard<'h>, key: K, value: V) -> Result<(), V> {
-        self.check_guard(&*guard);
+        crate::check_guard(&self.smr, &guard.g);
         let mut pos = self.find(&mut guard.g, &key, true, true, 0);
         if pos.found {
             return Err(value);
@@ -738,7 +726,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
     }
 
     fn remove<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
-        self.check_guard(&*guard);
+        crate::check_guard(&self.smr, &guard.g);
         'retry: loop {
             let pos = self.find(&mut guard.g, key, true, true, 0);
             if !pos.found {
@@ -818,7 +806,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
     }
 
     fn contains<'h>(&self, guard: &mut Self::Guard<'h>, key: &K) -> bool {
-        self.check_guard(&*guard);
+        crate::check_guard(&self.smr, &guard.g);
         self.find(&mut guard.g, key, false, true, 0).found
     }
 
@@ -831,7 +819,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
     where
         'h: 'r,
     {
-        self.check_guard(&*guard);
+        crate::check_guard(&self.smr, &guard.g);
         SkipRange {
             list: self,
             guard,
@@ -845,11 +833,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
         V: Clone,
     {
         let mut g = handle.smr.pin();
-        assert_eq!(
-            g.domain_addr(),
-            Arc::as_ptr(&self.smr) as usize,
-            "guard was pinned from a handle of a different map's reclamation domain"
-        );
+        crate::check_guard(&self.smr, &g);
         let mut out = Vec::new();
         self.walk(&mut g, |k, v| out.push((*k, v.clone())));
         out

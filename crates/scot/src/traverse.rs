@@ -2,12 +2,11 @@
 //! protect → validate → recover loop of the paper's Figure 5 (right), used by
 //! every Harris-style traversal in this crate.
 //!
-//! Before this module existed, the Harris list, the Harris-Michael list, the
-//! hash-map buckets, the wait-free list's fast path and every skip-list level
-//! each hand-rolled their own copy of the loop.  The algorithmic content —
-//! which slot protects what, when the dangerous-zone validation fires, and
-//! what happens when it fails — is identical in all of them, so it now lives
-//! here exactly once, as the `Cursor`.  The per-structure code keeps only
+//! The algorithmic content — which slot protects what, when the
+//! dangerous-zone validation fires, and what happens when it fails — is
+//! identical in the list core ([`crate::list`], behind both lists, the
+//! hash-map buckets and the wait-free list) and in every skip-list level, so
+//! it lives here exactly once, as the `Cursor`.  Its two clients keep only
 //! what genuinely differs: where a traversal starts, what happens at its end
 //! (insert/delete CASes), and the restart *policy* (the skip list re-enters a
 //! level through its entry anchor instead of restarting from the head).
@@ -164,13 +163,12 @@ pub struct TraversalSnapshot {
     pub recoveries: u64,
     /// Dangerous-zone entries (marked-chain traversals begun).
     pub zone_entries: u64,
-    /// Backoff spin iterations waited before retries (0 when backoff is
-    /// disabled through [`crate::tuning::set_backoff`]).
+    /// Backoff spin iterations waited before retries.
     pub spins: u64,
 }
 
 impl TraversalSnapshot {
-    /// Component-wise sum, used to aggregate per-bucket and per-layer stats.
+    /// Component-wise sum, for callers aggregating several structures.
     pub fn merged(self, other: TraversalSnapshot) -> TraversalSnapshot {
         TraversalSnapshot {
             restarts: self.restarts + other.restarts,
@@ -214,9 +212,6 @@ pub(crate) unsafe fn validate_link<T>(link: Link<T>, expected: Shared<T>) -> boo
 /// address.
 #[inline(always)]
 fn prefetch_next<N>(next: Shared<N>) {
-    if !crate::tuning::prefetch_enabled() {
-        return;
-    }
     let ptr = next.untagged().as_ptr();
     if ptr.is_null() {
         return;
@@ -261,13 +256,9 @@ std::thread_local! {
 /// restart-ladder climb), recording the spin count into `stats`.  Under
 /// contention storms every thread otherwise re-enters the same contended
 /// neighborhood in lockstep and fails again; staggered waits let one winner
-/// finish per round.  No-op when disabled through
-/// [`crate::tuning::set_backoff`].
+/// finish per round.
 #[inline]
 fn backoff(stats: &TraversalStats) {
-    if !crate::tuning::backoff_enabled() {
-        return;
-    }
     let spins = BACKOFF_SHIFT.with(|s| {
         let shift = s.get();
         s.set((shift + 1).min(BACKOFF_MAX_SHIFT));
@@ -563,6 +554,9 @@ impl<'t, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, K, N> {
     /// the ladder when it is disabled or the last safe node is itself marked.
     ///
     /// `observed` is the value the validation load saw in `prev`.
+    /// Out of line: validations fail a few times per million operations, and
+    /// a single-caller instantiation would otherwise fold into the hop loop.
+    #[cold]
     fn recover<G: SmrGuard>(&mut self, g: &mut G, observed: Shared<N>) -> Recovery {
         let recovery_enabled = matches!(self.mode, ZoneMode::Scot { recovery: true });
         if observed.tag() == 0 && recovery_enabled {
@@ -815,50 +809,33 @@ impl<'t, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, K, N> {
             return Err(self.climb(g));
         }
         if retire {
-            if crate::tuning::chain_batch_enabled() {
-                // Hand the scheme whole chain segments through `retire_batch`
-                // so the domain's retire bookkeeping (one vault mutex per
-                // batch) is paid once per chunk instead of once per node.
-                // The chunk buffer lives on the stack — no allocation on the
-                // unlink path.
-                const CHUNK: usize = 16;
-                let mut buf = [Shared::null(); CHUNK];
-                let mut n = 0;
-                let mut cur = self.chain;
-                while cur != self.curr {
-                    debug_assert!(!cur.is_null(), "marked chain must end at `curr`");
-                    // SAFETY: we won the unlink CAS, so this thread
-                    // exclusively owns every node of the chain; the successor
-                    // links of unlinked nodes are no longer written by anyone.
-                    let next = unsafe { cur.deref().successor(self.level).load(Ordering::Acquire) };
-                    buf[n] = cur;
-                    n += 1;
-                    if n == CHUNK {
-                        // SAFETY: the unlink winner is the unique retirer of
-                        // each chain node, and each appears in the batch once.
-                        unsafe { g.retire_batch(&buf[..n]) };
-                        n = 0;
-                    }
-                    cur = next.untagged();
-                }
-                if n > 0 {
-                    // SAFETY: as above — unique retirer, no duplicates.
+            // Hand the scheme whole chain segments through `retire_batch` so
+            // the domain's retire bookkeeping (one vault mutex per batch) is
+            // paid once per chunk instead of once per node.  The chunk buffer
+            // lives on the stack — no allocation on the unlink path.
+            const CHUNK: usize = 16;
+            let mut buf = [Shared::null(); CHUNK];
+            let mut n = 0;
+            let mut cur = self.chain;
+            while cur != self.curr {
+                debug_assert!(!cur.is_null(), "marked chain must end at `curr`");
+                // SAFETY: we won the unlink CAS, so this thread exclusively
+                // owns every node of the chain; the successor links of
+                // unlinked nodes are no longer written by anyone.
+                let next = unsafe { cur.deref().successor(self.level).load(Ordering::Acquire) };
+                buf[n] = cur;
+                n += 1;
+                if n == CHUNK {
+                    // SAFETY: the unlink winner is the unique retirer of each
+                    // chain node, and each appears in the batch once.
                     unsafe { g.retire_batch(&buf[..n]) };
+                    n = 0;
                 }
-            } else {
-                let mut cur = self.chain;
-                while cur != self.curr {
-                    debug_assert!(!cur.is_null(), "marked chain must end at `curr`");
-                    // SAFETY: we won the unlink CAS, so this thread
-                    // exclusively owns (and retires) every node of the chain;
-                    // the successor links of unlinked nodes are no longer
-                    // written by anyone.
-                    unsafe {
-                        let next = cur.deref().successor(self.level).load(Ordering::Acquire);
-                        g.retire(cur);
-                        cur = next.untagged();
-                    }
-                }
+                cur = next.untagged();
+            }
+            if n > 0 {
+                // SAFETY: as above — unique retirer, no duplicates.
+                unsafe { g.retire_batch(&buf[..n]) };
             }
         }
         self.chain = Shared::null();
@@ -1045,7 +1022,6 @@ mod tests {
 
     #[test]
     fn backoff_grows_caps_and_resets() {
-        let _serial = crate::tuning::TEST_TOGGLE_LOCK.lock().unwrap();
         let stats = TraversalStats::default();
         // Fresh thread-local state on this test thread: consecutive failures
         // double the wait up to the cap.
@@ -1058,10 +1034,6 @@ mod tests {
         backoff(&stats);
         assert_eq!(stats.spins(), 192, "reset restarts the ladder at 1 spin");
         backoff_reset();
-        crate::tuning::set_backoff(false);
-        backoff(&stats);
-        assert_eq!(stats.spins(), 192, "disabled backoff is a strict no-op");
-        crate::tuning::set_backoff(true);
     }
 
     #[test]

@@ -24,11 +24,10 @@
 //! Updates themselves remain lock-free; only traversals gain wait-freedom
 //! (Theorem 7), which matches the evaluation's `listwf` configuration.
 
-use crate::harris_list::{HarrisList, HarrisListHandle, ListRange};
-use crate::traverse::{Cursor, Seek, SeekBound, TraversalStats, ZoneMode};
-use crate::{Key, TraversalSnapshot, Value};
+use crate::list::{ListHandle, ListRange};
+use crate::{check_guard, HarrisList, Key, TraversalSnapshot, Value};
 use crossbeam_utils::CachePadded;
-use scot_smr::{Shared, SlotClaim, SlotRegistry, Smr, SmrConfig, SmrGuard, SmrHandle};
+use scot_smr::{SlotClaim, SlotRegistry, Smr, SmrConfig, SmrGuard, SmrHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -36,8 +35,8 @@ use std::sync::Arc;
 /// amortization constant of Figure 7).
 const DELAY: usize = 16;
 
-/// Number of fast-path restarts a `Search` tolerates before requesting help.
-const FAST_PATH_RESTARTS: usize = 8;
+/// Fast-path traversals a `Search` attempts (one plus 8 restarts) before requesting help.
+const FAST_PATH_ATTEMPTS: usize = 9;
 
 /// Packed `helpTag` word: bit 0 is `IsInput`, the remaining bits carry either
 /// the request tag (input) or the boolean result (output).
@@ -130,9 +129,6 @@ pub struct WfHarrisList<K, S: Smr, V = ()> {
     list: HarrisList<K, S, V>,
     records: Box<[CachePadded<HelpRecord>]>,
     record_slots: Arc<SlotRegistry>,
-    /// Restarts (and recoveries) of the read-only fast/slow-path traversals,
-    /// kept separate from the underlying list's update traversals.
-    stats: TraversalStats,
     /// Number of searches that exhausted the fast-path restart budget and
     /// entered `Slow_Search`.
     slow_entries: AtomicU64,
@@ -140,7 +136,7 @@ pub struct WfHarrisList<K, S: Smr, V = ()> {
 
 /// Per-thread handle for [`WfHarrisList`].
 pub struct WfListHandle<S: Smr> {
-    inner: HarrisListHandle<S>,
+    inner: ListHandle<S>,
     /// Registry the announcement-record index was claimed from.
     record_slots: Arc<SlotRegistry>,
     /// Claim on this thread's announcement record.
@@ -179,7 +175,6 @@ impl<K: WfKey, S: Smr, V: Value> WfHarrisList<K, S, V> {
             list: HarrisList::new(smr),
             records,
             record_slots: Arc::new(SlotRegistry::new(max_threads)),
-            stats: TraversalStats::default(),
             slow_entries: AtomicU64::new(0),
         }
     }
@@ -209,7 +204,7 @@ impl<K: WfKey, S: Smr, V: Value> WfHarrisList<K, S, V> {
 
     /// Number of full traversal restarts of the underlying list (Table 2).
     pub fn restarts(&self) -> u64 {
-        self.list.restarts() + self.stats.restarts()
+        self.list.restarts()
     }
 
     /// Number of slow-path searches that were actually entered; exposed for
@@ -263,80 +258,19 @@ impl<K: WfKey, S: Smr, V: Value> WfHarrisList<K, S, V> {
         tag
     }
 
-    /// Read-only SCOT traversal shared by the fast path and `Slow_Search`:
-    /// the shared `Cursor` with an interrupt hook.
-    ///
-    /// `max_restarts = None` means unbounded (slow path); `check` is consulted
-    /// on every step and may abort the traversal with an externally produced
-    /// result.  Returns `None` when the restart budget is exhausted.
-    fn traverse<G: SmrGuard>(
-        &self,
-        g: &mut G,
-        key: &K,
-        max_restarts: Option<usize>,
-        mut check: impl FnMut() -> Option<bool>,
-    ) -> Option<bool> {
-        let bound = SeekBound::Ge(*key);
-        let mut restarts = 0usize;
-        loop {
-            if let Some(done) = check() {
-                return Some(done);
-            }
-            if let Some(limit) = max_restarts {
-                if restarts > limit {
-                    return None;
-                }
-            }
-            restarts += 1;
-
-            // The head link is never tagged, so `begin` cannot fail here.
-            let Ok(mut c) = Cursor::begin(
-                g,
-                Shared::null(),
-                self.list.head.as_link(),
-                0,
-                Shared::null(),
-                true,
-                &self.stats,
-                ZoneMode::Scot { recovery: true },
-            ) else {
-                continue;
-            };
-            let mut answered = None;
-            match c.seek(g, &bound, || {
-                if let Some(done) = check() {
-                    answered = Some(done);
-                    true
-                } else {
-                    false
-                }
-            }) {
-                Seek::Positioned => {
-                    let curr = c.curr();
-                    // SAFETY: `curr` is protected (HP_CURR) and durable.
-                    return Some(!curr.is_null() && unsafe { curr.deref() }.key == *key);
-                }
-                Seek::Restart(_) => continue,
-                Seek::Interrupted => return answered,
-            }
-        }
-    }
-
     /// `Slow_Search` (Figure 7, L33-L42): run the traversal on behalf of
     /// `help_tid`'s request, aborting as soon as anyone published a result,
     /// and publish our own result with a tag-keyed CAS when we finish first.
     fn slow_search<G: SmrGuard>(&self, g: &mut G, key: &K, help_tid: usize, tag: HelpTag) -> bool {
         let rec = &self.records[help_tid];
-        let outcome = self.traverse(g, key, None, || {
-            let r = HelpTag(rec.help_tag.load(Ordering::Acquire));
-            if r != tag {
-                // Either the output is available or (for helpers only) the
-                // requester has already moved on to a newer request.
-                return Some(!r.is_input() && r.value() != 0);
-            }
-            None
-        });
-        let found = outcome.unwrap_or(false);
+        // The list core's one positioning loop, unbounded, interrupted on
+        // every step once the record left `tag`: either the output is
+        // available or (for helpers only) the requester has already moved on
+        // to a newer request.  Both make the CAS below fail, and the re-read
+        // then picks up whatever was installed.
+        let moved_on = || rec.help_tag.load(Ordering::Acquire) != tag.0;
+        let list = self.list.bound();
+        let found = list.search(g, key, usize::MAX, moved_on).unwrap_or(false);
         // Publish the result; only the first CAS for this tag wins (Lemma 5).
         let _ = rec.help_tag.compare_exchange(
             tag.0,
@@ -392,8 +326,7 @@ impl<K: WfKey, S: Smr, V: Value> crate::ConcurrentMap<K, V> for WfHarrisList<K, 
     }
 
     fn repin<'h>(&self, guard: &mut Self::Guard<'h>) {
-        self.list.check_guard(&guard.g);
-        guard.g.repin();
+        crate::ConcurrentMap::repin(&self.list, &mut guard.g);
     }
 
     fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
@@ -403,21 +336,22 @@ impl<K: WfKey, S: Smr, V: Value> crate::ConcurrentMap<K, V> for WfHarrisList<K, 
     }
 
     fn insert<'h>(&self, guard: &mut Self::Guard<'h>, key: K, value: V) -> Result<(), V> {
-        self.list.check_guard(&guard.g);
+        check_guard(self.domain(), &guard.g);
         self.maybe_help(guard);
         crate::ConcurrentMap::insert(&self.list, &mut guard.g, key, value)
     }
 
     fn remove<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
-        self.list.check_guard(&guard.g);
+        check_guard(self.domain(), &guard.g);
         self.maybe_help(guard);
         crate::ConcurrentMap::remove(&self.list, &mut guard.g, key)
     }
 
     fn contains<'h>(&self, guard: &mut Self::Guard<'h>, key: &K) -> bool {
-        self.list.check_guard(&guard.g);
+        check_guard(self.domain(), &guard.g);
         // Fast path: bounded number of ordinary SCOT traversals.
-        if let Some(found) = self.traverse(&mut guard.g, key, Some(FAST_PATH_RESTARTS), || None) {
+        let list = self.list.bound();
+        if let Some(found) = list.search(&mut guard.g, key, FAST_PATH_ATTEMPTS, || false) {
             return found;
         }
         // Slow path: announce the request and search with helpers.
@@ -449,18 +383,12 @@ impl<K: WfKey, S: Smr, V: Value> crate::ConcurrentMap<K, V> for WfHarrisList<K, 
         crate::ConcurrentMap::collect(&self.list, &mut handle.inner)
     }
 
-    fn restart_count(&self) -> u64 {
-        self.restarts()
-    }
-
     fn flush(&self, handle: &mut Self::Handle) {
         handle.flush();
     }
 
     fn traversal_stats(&self) -> TraversalSnapshot {
-        // The underlying list's update traversals plus this structure's
-        // read-only fast/slow-path traversals.
-        crate::ConcurrentMap::traversal_stats(&self.list).merged(self.stats.snapshot())
+        crate::ConcurrentMap::traversal_stats(&self.list)
     }
 }
 
@@ -485,6 +413,7 @@ impl<S: Smr> Drop for WfListHandle<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list::tests::cfg;
     use crate::ConcurrentSet;
     use scot_smr::{Ebr, Hp, Hyaline, Ibr, Nbr, Vbr};
 
@@ -495,16 +424,6 @@ mod tests {
         handle: &'h mut WfListHandle<S>,
     ) -> WfGuard<'h, S> {
         crate::ConcurrentMap::pin(list, handle)
-    }
-
-    fn cfg() -> SmrConfig {
-        SmrConfig {
-            max_threads: 16,
-            scan_threshold: 8,
-            epoch_freq_per_thread: 1,
-            snapshot_scan: false,
-            ..SmrConfig::default()
-        }
     }
 
     #[test]
