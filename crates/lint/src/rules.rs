@@ -690,6 +690,44 @@ fn check_docs(docs: &[DocFile], info: &EnumInfo, out: &mut Vec<Finding>) {
 // L5 · guard-discipline
 // ---------------------------------------------------------------------------
 
+/// What a guard `impl` body must not contain, and what to call it.
+const REDERIVATIONS: [(&str, &str); 4] = [
+    ("domain.clone()", "clones the domain `Arc`"),
+    ("Arc::clone(", "clones an `Arc`"),
+    (".domain()", "re-derives the domain through the handle"),
+    (".slots[", "re-indexes the slot array"),
+];
+
+/// The re-derivation half of [`l5_guard_discipline`] for one file.
+fn guard_rederivations(f: &SourceFile, out: &mut Vec<Finding>) {
+    for (i, header) in f.code.iter().enumerate() {
+        let is_guard_impl = !f.test_lines[i]
+            && word_in(header, "impl")
+            && idents_of(header).iter().any(|id| id.ends_with("Guard"));
+        if !is_guard_impl {
+            continue;
+        }
+        let Some((_, end)) = collect_block(f, i, '{', '}') else {
+            continue;
+        };
+        for line in i + 1..=end {
+            for (pattern, what) in REDERIVATIONS {
+                if f.code[line].contains(pattern) {
+                    out.push(finding(
+                        Rule::L5,
+                        &f.rel,
+                        line,
+                        format!(
+                            "guard body {what} (`{pattern}`) — resolve it once in `pin` and \
+                             keep the reference in the guard"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+}
+
 /// Item context for a line: whether it sits inside a `impl Trait for Type`
 /// block (where `#[must_use]` on methods is inert and therefore not
 /// required), some other item, or at file scope.
@@ -774,9 +812,18 @@ fn has_must_use(file: &SourceFile, i: usize) -> bool {
 ///   block must be `#[must_use]`, so dropping a freshly pinned guard on the
 ///   floor — which unpublishes every protection — is always a compiler
 ///   warning.
+/// * Inside a guard's `impl` blocks under `crates/smr/src/` (`impl SmrGuard
+///   for …`, `impl Drop for …Guard`, `impl …Guard`), nothing re-derives what
+///   `pin` already resolved: no `.clone()` of the domain `Arc`, no
+///   `.domain()` call, no `.slots[` index.  A guard holds `&Slot` and `&S`
+///   from `pin` on; walking handle → `Arc` → slot array again per `protect`
+///   is what made Hyaline's enter/leave cost four times EBR's.
 pub fn l5_guard_discipline(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in files {
+        if in_scope(f, &["crates/smr/src/"]) {
+            guard_rederivations(f, &mut out);
+        }
         let forget_scope = in_scope(
             f,
             &[
@@ -849,4 +896,88 @@ pub fn l5_guard_discipline(files: &[SourceFile]) -> Vec<Finding> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn l5(rel: &str, src: &str) -> Vec<(usize, String)> {
+        l5_guard_discipline(&[SourceFile::scan(rel.to_string(), src)])
+            .into_iter()
+            .map(|f| (f.line, f.message))
+            .collect()
+    }
+
+    const GUARD_BEFORE: &str = "\
+#[must_use]
+pub struct XGuard<'g> {
+    handle: &'g mut XHandle,
+}
+impl XGuard<'_> {
+    fn slot(&self) -> &XSlot {
+        &self.handle.inner.domain().slots[self.handle.inner.slot()]
+    }
+}
+impl Drop for XGuard<'_> {
+    fn drop(&mut self) {
+        let domain = self.handle.domain.clone();
+        domain.acknowledge(self.handle.claim.index);
+    }
+}
+impl SmrGuard for XGuard<'_> {
+    fn clear(&mut self, idx: usize) {
+        let d = Arc::clone(&self.handle.shared);
+        d.slots[self.handle.claim.index].hazards[idx].store(0, Ordering::Release);
+    }
+}
+";
+
+    const GUARD_AFTER: &str = "\
+#[must_use]
+pub struct XGuard<'g> {
+    pinned: Pinned<'g, X>,
+    slot: &'g XSlot,
+}
+impl SmrHandle for XHandle {
+    fn pin(&mut self) -> XGuard<'_> {
+        let pinned = self.inner.pin();
+        XGuard { slot: &pinned.scheme().slots[pinned.slot()], pinned }
+    }
+}
+impl X {
+    fn try_register(self: &Arc<Self>) -> XHandle {
+        XHandle { domain: self.clone() }
+    }
+}
+impl Drop for XGuard<'_> {
+    fn drop(&mut self) {
+        self.slot.epoch.store(0, Ordering::Release);
+    }
+}
+impl SmrGuard for XGuard<'_> {
+    fn alloc<T>(&mut self, value: T) -> Shared<T> {
+        self.pinned.alloc(value.clone())
+    }
+}
+";
+
+    #[test]
+    fn l5_flags_every_rederivation_inside_guard_impls() {
+        let got = l5("crates/smr/src/x.rs", GUARD_BEFORE);
+        let lines: Vec<usize> = got.iter().map(|(l, _)| *l).collect();
+        // `.domain()` and `.slots[` on line 7, the domain clone in `Drop`,
+        // `Arc::clone` and `.slots[` in the `SmrGuard` impl.
+        assert_eq!(lines, [7, 7, 12, 18, 19], "{got:#?}");
+        assert!(got[2].1.contains("clones the domain `Arc`"), "{got:#?}");
+    }
+
+    #[test]
+    fn l5_accepts_guards_that_resolve_in_pin_and_ignores_other_crates() {
+        // `pin` may index, `try_register` may clone, and a `.clone()` of
+        // something that is not the domain is fine inside a guard.
+        assert_eq!(l5("crates/smr/src/x.rs", GUARD_AFTER), []);
+        // The rule is about the reclamation back ends only.
+        assert_eq!(l5("crates/scot/src/x.rs", GUARD_BEFORE), []);
+    }
 }

@@ -16,7 +16,7 @@
 //! the epoch protocol and its [`Scheme`] impl.
 
 use crate::block::Retired;
-use crate::limbo::{Handle, RetireCore, Scheme};
+use crate::limbo::{Handle, Pinned, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
@@ -103,8 +103,7 @@ impl Ebr {
     /// under an announcement older than the epoch it entered at.  Returns the
     /// epoch announced.
     #[inline]
-    fn announce_epoch(&self, slot: usize) -> u64 {
-        let slot = &self.slots[slot];
+    fn announce_epoch(&self, slot: &EbrSlot) -> u64 {
         loop {
             let e = self.global_epoch.load(Ordering::SeqCst);
             slot.epoch.store(e, Ordering::SeqCst);
@@ -167,24 +166,28 @@ impl SmrHandle for EbrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> EbrGuard<'_> {
-        self.inner.bind();
-        let announced = self.inner.domain().announce_epoch(self.inner.slot());
+        let pinned = self.inner.pin();
+        let slot = &*pinned.scheme().slots[pinned.slot()];
+        let announced = pinned.scheme().announce_epoch(slot);
         EbrGuard {
-            handle: self,
+            pinned,
+            slot,
             announced,
             _thread_bound: std::marker::PhantomData,
         }
     }
 
     fn flush(&mut self) {
-        self.inner.scan(true);
+        self.inner.flush();
     }
 }
 
 /// Critical-section guard for [`Ebr`].
 #[must_use = "dropping a guard unpublishes every protection it holds"]
 pub struct EbrGuard<'g> {
-    handle: &'g mut EbrHandle,
+    pinned: Pinned<'g, Ebr>,
+    /// The handle's announcement slot, resolved once at `pin`.
+    slot: &'g EbrSlot,
     /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
     /// read-side critical section, and the slot registry's liveness beacon
     /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
@@ -200,17 +203,14 @@ pub struct EbrGuard<'g> {
 
 impl Drop for EbrGuard<'_> {
     fn drop(&mut self) {
-        let inner = &self.handle.inner;
-        inner.domain().slots[inner.slot()]
-            .epoch
-            .store(INACTIVE, Ordering::Release);
+        self.slot.epoch.store(INACTIVE, Ordering::Release);
     }
 }
 
 impl SmrGuard for EbrGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        self.handle.inner.domain_addr()
+        self.pinned.domain_addr()
     }
 
     #[inline]
@@ -232,21 +232,21 @@ impl SmrGuard for EbrGuard<'_> {
 
     #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        self.handle.inner.alloc(value)
+        self.pinned.alloc(value)
     }
 
     // SAFETY: callers must guarantee every pointer in `batch` satisfies the per-node retire contract.
     #[inline]
     unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
         // SAFETY: forwarded — same contract.
-        unsafe { self.handle.inner.retire_batch(batch) };
+        unsafe { self.pinned.retire_batch(batch) };
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
-        unsafe { self.handle.inner.dealloc(ptr) };
+        unsafe { self.pinned.dealloc(ptr) };
     }
 
     #[inline]
@@ -255,9 +255,9 @@ impl SmrGuard for EbrGuard<'_> {
         // guard announced, a drop+pin pair would re-announce the very same
         // value — skip the store/re-read fence sequence entirely.  One SeqCst
         // load replaces the SeqCst store + SeqCst re-read of a full pin.
-        let inner = &self.handle.inner;
-        if inner.domain().global_epoch.load(Ordering::SeqCst) != self.announced {
-            self.announced = inner.domain().announce_epoch(inner.slot());
+        let scheme = self.pinned.scheme();
+        if scheme.global_epoch.load(Ordering::SeqCst) != self.announced {
+            self.announced = scheme.announce_epoch(self.slot);
         }
     }
 }

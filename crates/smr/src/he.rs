@@ -19,7 +19,7 @@
 //! retire core ([`crate::limbo`]).
 
 use crate::block::Retired;
-use crate::limbo::{EraCountdown, Handle, RetireCore, Scheme};
+use crate::limbo::{EraCountdown, Handle, Pinned, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind, MAX_HAZARDS};
 use crossbeam_utils::CachePadded;
@@ -179,24 +179,29 @@ impl SmrHandle for HeHandle {
         Self: 'g;
 
     fn pin(&mut self) -> HeGuard<'_> {
-        self.inner.bind();
-        let repin_era = self.inner.domain().global_era.load(Ordering::SeqCst);
+        let pinned = self.inner.pin();
+        let scheme = pinned.scheme();
         HeGuard {
-            handle: self,
-            repin_era,
+            eras: &scheme.slots[pinned.slot()].eras,
+            repin_era: scheme.global_era.load(Ordering::SeqCst),
+            pinned,
+            era_tick: &mut self.era_tick,
             _thread_bound: std::marker::PhantomData,
         }
     }
 
     fn flush(&mut self) {
-        self.inner.scan(true);
+        self.inner.flush();
     }
 }
 
 /// Critical-section guard for [`He`].
 #[must_use = "dropping a guard unpublishes every protection it holds"]
 pub struct HeGuard<'g> {
-    handle: &'g mut HeHandle,
+    pinned: Pinned<'g, He>,
+    /// The handle's reservation array, resolved once at `pin`.
+    eras: &'g [AtomicU64; MAX_HAZARDS],
+    era_tick: &'g mut EraCountdown,
     /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
     /// read-side critical section, and the slot registry's liveness beacon
     /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
@@ -215,35 +220,21 @@ impl Drop for HeGuard<'_> {
         // the set of protected eras (and thus memory) per thread; it is also
         // what makes a panic that unwinds through a traversal drop its
         // protections (RAII unwind safety).
-        for e in self.eras() {
+        for e in self.eras {
             e.store(NONE, Ordering::Release);
         }
-    }
-}
-
-impl HeGuard<'_> {
-    #[inline]
-    fn eras(&self) -> &[AtomicU64; MAX_HAZARDS] {
-        let inner = &self.handle.inner;
-        &inner.domain().slots[inner.slot()].eras
-    }
-
-    #[inline]
-    fn global_era(&self) -> &AtomicU64 {
-        &self.handle.inner.domain().global_era
     }
 }
 
 impl SmrGuard for HeGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        self.handle.inner.domain_addr()
+        self.pinned.domain_addr()
     }
 
     #[inline]
     fn protect<T>(&mut self, idx: usize, src: &Atomic<T>) -> Shared<T> {
-        let eras = self.eras();
-        let global = self.global_era();
+        let (eras, global) = (self.eras, &self.pinned.scheme().global_era);
         // ORDERING: Relaxed — the slot was last written by this same thread
         // (reservations are single-writer); the value is only an avoid-a-store
         // hint, and any actual (re)publication below uses SeqCst.
@@ -263,14 +254,14 @@ impl SmrGuard for HeGuard<'_> {
     fn announce<T>(&mut self, idx: usize, _ptr: Shared<T>) {
         // Protection is temporal: reserving the current era covers every
         // object alive in it, including `_ptr`.
-        let era = self.global_era().load(Ordering::SeqCst);
-        self.eras()[idx].store(era, Ordering::SeqCst);
+        let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
+        self.eras[idx].store(era, Ordering::SeqCst);
     }
 
     #[inline]
     fn dup(&mut self, from: usize, to: usize) {
         debug_assert!(from < to, "dup must copy a lower slot into a higher slot");
-        let eras = self.eras();
+        let eras = self.eras;
         // ORDERING: Relaxed read — `from` was last written by this same
         // thread.  The Release store plus the lower-to-higher slot discipline
         // and ascending-order scans close the publication window, exactly as
@@ -281,14 +272,13 @@ impl SmrGuard for HeGuard<'_> {
 
     #[inline]
     fn clear(&mut self, idx: usize) {
-        self.eras()[idx].store(NONE, Ordering::Release);
+        self.eras[idx].store(NONE, Ordering::Release);
     }
 
     #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let handle = &mut *self.handle;
-        let ptr = handle.inner.alloc(value);
-        handle.era_tick.tick(1, &handle.inner.domain().global_era);
+        let ptr = self.pinned.alloc(value);
+        self.era_tick.tick(1, &self.pinned.scheme().global_era);
         ptr
     }
 
@@ -296,19 +286,17 @@ impl SmrGuard for HeGuard<'_> {
     // per-node `retire` contract (unlinked, owned, retired exactly once).
     #[inline]
     unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        let handle = &mut *self.handle;
         // SAFETY: forwarded — same contract.
-        unsafe { handle.inner.retire_batch(batch) };
-        handle
-            .era_tick
-            .tick(batch.len(), &handle.inner.domain().global_era);
+        unsafe { self.pinned.retire_batch(batch) };
+        self.era_tick
+            .tick(batch.len(), &self.pinned.scheme().global_era);
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
-        unsafe { self.handle.inner.dealloc(ptr) };
+        unsafe { self.pinned.dealloc(ptr) };
     }
 
     /// Releases every era reservation — equivalent to drop + pin without the
@@ -319,11 +307,11 @@ impl SmrGuard for HeGuard<'_> {
     /// over-protection and the [`MAX_HAZARDS`] clear-stores are skipped.
     #[inline]
     fn repin(&mut self) {
-        let era = self.global_era().load(Ordering::SeqCst);
+        let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
         if era == self.repin_era {
             return;
         }
-        for e in self.eras() {
+        for e in self.eras {
             e.store(NONE, Ordering::Release);
         }
         self.repin_era = era;

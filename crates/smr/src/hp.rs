@@ -36,7 +36,7 @@
 //! is designed to avoid.
 
 use crate::block::Retired;
-use crate::limbo::{Handle, RetireCore, Scheme};
+use crate::limbo::{Handle, Pinned, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind, MAX_HAZARDS};
 use crossbeam_utils::CachePadded;
@@ -164,25 +164,28 @@ impl SmrHandle for HpHandle {
         Self: 'g;
 
     fn pin(&mut self) -> HpGuard<'_> {
-        self.inner.bind();
+        let pinned = self.inner.pin();
         // Hazard pointers have no notion of a critical section: protection is
         // entirely per-pointer, so `pin` publishes nothing.
         HpGuard {
-            handle: self,
+            hazards: &pinned.scheme().slots[pinned.slot()].hazards,
+            pinned,
             used: 0,
             _thread_bound: std::marker::PhantomData,
         }
     }
 
     fn flush(&mut self) {
-        self.inner.scan(true);
+        self.inner.flush();
     }
 }
 
 /// Critical-section guard for [`Hp`].
 #[must_use = "dropping a guard unpublishes every protection it holds"]
 pub struct HpGuard<'g> {
-    handle: &'g mut HpHandle,
+    pinned: Pinned<'g, Hp>,
+    /// The handle's hazard array, resolved once at `pin`.
+    hazards: &'g [AtomicUsize; MAX_HAZARDS],
     /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
     /// read-side critical section, and the slot registry's liveness beacon
     /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
@@ -195,17 +198,11 @@ pub struct HpGuard<'g> {
 }
 
 impl HpGuard<'_> {
-    #[inline]
-    fn hazards(&self) -> &[AtomicUsize; MAX_HAZARDS] {
-        let inner = &self.handle.inner;
-        &inner.domain().slots[inner.slot()].hazards
-    }
-
     /// Clears every hazard this guard published.
     #[inline]
     fn unpublish(&mut self) {
         if self.used != 0 {
-            for (idx, hazard) in self.hazards().iter().enumerate() {
+            for (idx, hazard) in self.hazards.iter().enumerate() {
                 if self.used & (1 << idx) != 0 {
                     hazard.store(0, Ordering::Release);
                 }
@@ -224,7 +221,7 @@ impl Drop for HpGuard<'_> {
 impl SmrGuard for HpGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        self.handle.inner.domain_addr()
+        self.pinned.domain_addr()
     }
 
     #[inline]
@@ -233,7 +230,7 @@ impl SmrGuard for HpGuard<'_> {
         // published pointer.  The hazard slot always stores the untagged
         // address ("also clear logical-deletion bits").
         self.used |= 1 << idx;
-        let hazards = self.hazards();
+        let hazards = self.hazards;
         let mut published = usize::MAX;
         loop {
             let ptr = src.load(Ordering::Acquire);
@@ -249,7 +246,7 @@ impl SmrGuard for HpGuard<'_> {
     #[inline]
     fn announce<T>(&mut self, idx: usize, ptr: Shared<T>) {
         self.used |= 1 << idx;
-        self.hazards()[idx].store(ptr.untagged().into_raw(), Ordering::SeqCst);
+        self.hazards[idx].store(ptr.untagged().into_raw(), Ordering::SeqCst);
     }
 
     #[inline]
@@ -259,7 +256,7 @@ impl SmrGuard for HpGuard<'_> {
             "dup must copy a lower slot into a higher slot (paper §3.2)"
         );
         self.used |= 1 << to;
-        let hazards = self.hazards();
+        let hazards = self.hazards;
         // ORDERING: Relaxed — `from` was last written by this same thread
         // (protect/announce), so the read needs no synchronization; the
         // Release store plus the lower-to-higher slot discipline and the
@@ -270,12 +267,13 @@ impl SmrGuard for HpGuard<'_> {
 
     #[inline]
     fn clear(&mut self, idx: usize) {
-        self.hazards()[idx].store(0, Ordering::Release);
+        self.used &= !(1 << idx);
+        self.hazards[idx].store(0, Ordering::Release);
     }
 
     #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        self.handle.inner.alloc(value)
+        self.pinned.alloc(value)
     }
 
     // SAFETY: callers must guarantee every pointer in `batch` satisfies the
@@ -283,14 +281,14 @@ impl SmrGuard for HpGuard<'_> {
     #[inline]
     unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
         // SAFETY: forwarded — same contract.
-        unsafe { self.handle.inner.retire_batch(batch) };
+        unsafe { self.pinned.retire_batch(batch) };
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
-        unsafe { self.handle.inner.dealloc(ptr) };
+        unsafe { self.pinned.dealloc(ptr) };
     }
 
     /// Hazard pointers have no epoch to elide, but a repin boundary is the
@@ -416,7 +414,13 @@ mod tests {
         assert_ne!(d.slots[0].hazards[4].load(Ordering::SeqCst), 0);
         // SAFETY: `p` is unlinked; this guard's own hazards do not block its later reclamation.
         unsafe { g.retire(p) };
+        // A cleared slot leaves the mask, so drop does not store to it again:
+        // a value planted there afterwards survives the drop.
+        g.clear(1);
+        assert_eq!(g.used, 1 << 4);
+        d.slots[0].hazards[1].store(usize::MAX, Ordering::SeqCst);
         drop(g);
+        assert_eq!(d.slots[0].hazards[1].swap(0, Ordering::SeqCst), usize::MAX);
         for i in 0..MAX_HAZARDS {
             assert_eq!(
                 d.slots[0].hazards[i].load(Ordering::SeqCst),

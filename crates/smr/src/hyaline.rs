@@ -9,16 +9,19 @@
 //! This implementation follows the published design at the level the paper
 //! describes it:
 //!
-//! * Threads entering a critical section increment their slot's reference
-//!   counter and remember the slot's current retirement-list head (the
-//!   *handle*).
+//! * A thread entering a critical section loads the global era, stores it
+//!   into its slot only if the slot publishes a different one, and increments
+//!   the slot's reference counter with one `fetch_add`, whose return value is
+//!   the slot's current retirement-list head (the *handle*): "load,
+//!   maybe-store, fetch_add".
 //! * Retirement is batched.  A batch is pushed onto the retirement list of
 //!   every *active* slot; the number of threads active in those slots at push
 //!   time is added to the batch's reference counter.
-//! * A thread leaving a critical section traverses its slot's list from the
-//!   head observed at leave time down to its handle, decrementing each
-//!   traversed batch once.  A batch whose counter reaches zero is freed by
-//!   that thread — hence "any thread reclaims".
+//! * A thread leaving a critical section takes its reference back and
+//!   detaches the slot's list with one `swap`, then traverses from the head
+//!   the swap returned down to its handle, decrementing each traversed batch
+//!   once.  A batch whose counter reaches zero is freed by that thread —
+//!   hence "any thread reclaims".
 //! * Robustness (the "-1S" birth-era mechanism): every object records its
 //!   birth era and every thread publishes the era it is operating in
 //!   (refreshed on `protect`, exactly like IBR's upper bound).  When retiring
@@ -27,6 +30,47 @@
 //!   batch was allocated can never acquire a reference to them (given the
 //!   SCOT/Harris-Michael traversal discipline), so it does not need to
 //!   acknowledge the batch and cannot delay its reclamation.
+//!
+//! ## Enter and leave: two RMWs, `refs ∈ {0, 1}`
+//!
+//! Nikolaev's Hyaline sells one RMW on enter and one on leave, and with one
+//! slot per thread that is what the per-operation path costs here.  A slot
+//! has exactly one owner: `pin` takes `&mut` of the handle and guards are
+//! `!Send`, so at most one guard of a handle is alive and the slot's count is
+//! 0 (outside a critical section, head pointer 0 too) or 1 (inside).  That
+//! invariant is why leave needs no CAS loop — there is no other thread's
+//! count to preserve, so `head.swap(0)` both drops the reference and
+//! detaches the list — and it is `debug_assert!`ed at enter, at leave and in
+//! the push loop.  The one way safe code can break it is `mem::forget` on a
+//! guard followed by another `pin`; the arithmetic then still only
+//! *under*-acknowledges (the forgotten reference keeps its batches leaked, as
+//! it must), never over-acknowledges, which is what the acknowledgement
+//! boundary below is for.
+//!
+//! The packed `refs:16` field is kept although one bit would hold `{0, 1}`:
+//! the push CAS has to observe "owner inside a critical section" and the list
+//! head in one word either way, `fetch_add` is the cheapest RMW there is for
+//! setting it, a count (unlike a flag) keeps the forgotten-guard case a leak
+//! instead of a lost reference, and adoption reads it from a dead owner's slot
+//! to tell "died outside" from "died inside" a critical section.
+//!
+//! The handle remembers which era its slot publishes (the owner is the slot's
+//! only writer; `try_register` resets slot and cache to 0 together), so enter
+//! skips the SeqCst era store — a full fence on x86 — whenever the global era
+//! has not moved since the slot last published, which is nearly always: the
+//! era advances once per `epoch_freq` allocations.  A guard that republishes
+//! (`protect`, `announce`, `repin`) hands the new era back when it leaves.
+//!
+//! Guards hold `&Hyaline`, `&HySlot` and `&mut` of the handle's thread-local
+//! half, all taken in `pin` by one disjoint-field borrow; nothing on the
+//! per-operation path clones or dereferences the domain `Arc`.
+//!
+//! Against the previous enter (unconditional era `xchg`) and leave (load + CAS
+//! loop + a clone of the domain `Arc`), 10 alternating runs per side of the
+//! repo benchmark's `hashmap-wo`: `smr.pin_ns.HLN` 45.5 → 20.2 ns,
+//! `scot.pin_unpin_ns.HLN` 113 → 15.5 ns, `ops_per_s.HLN` 8.43 → 11.20 M/s
+//! (+33 %, 10 wins of 10).  The full table with quartiles is in `DESIGN.md`
+//! § Hot-path engineering.
 //!
 //! ## Deviations from the published algorithm
 //!
@@ -52,7 +96,10 @@
 //!   unaffected.  The window is one critical section and requires the exact
 //!   boundary address to cycle through free → pool → alloc → retire → push
 //!   onto the same slot inside it, the same accepted-risk class as the
-//!   handle ABA of the published algorithm.
+//!   handle ABA of the published algorithm.  While `refs ∈ {0, 1}` holds the
+//!   boundary is always 0 (leave detaches the list, and nothing is pushed
+//!   onto a slot whose count is 0), which no block can alias: the window only
+//!   opens after a forgotten guard.
 //! * Orphaned slots (owner thread died without releasing): the accumulating
 //!   batch lives in a domain-owned vault so a survivor can adopt and retire
 //!   it.  If the owner died *outside* a critical section (`refs == 0`) the
@@ -64,6 +111,7 @@
 //!   the batches already pinned by its list are leaked permanently.
 
 use crate::block::{header_of, Header};
+use crate::limbo::EraCountdown;
 use crate::pool::{BlockPool, PoolShared, ShardedCounter};
 use crate::ptr::{Atomic, Shared};
 use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
@@ -176,11 +224,14 @@ impl Smr for Hyaline {
         // ORDERING: same as the head reset above -- the slot is unclaimed, so this races with nothing.
         self.slots[claim.index].era.store(0, Ordering::Relaxed);
         Ok(HyalineHandle {
-            pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
             domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
-            alloc_count: 0,
+            local: HyLocal {
+                claim,
+                binding: PinBinding::new(),
+                pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
+                era_tick: EraCountdown::new(&self.config),
+                published_era: 0,
+            },
         })
     }
 
@@ -345,6 +396,7 @@ impl Hyaline {
                     // cannot hold references to the batch.
                     break;
                 }
+                debug_assert_eq!(refs, 1, "a slot has one owner (module docs)");
                 // SAFETY: `node` is unpublished until the CAS below succeeds.
                 // ORDERING: the Relaxed `next` store is published by the
                 // AcqRel CAS that installs the node.
@@ -470,13 +522,47 @@ impl Drop for Hyaline {
     }
 }
 
-/// Per-thread handle for [`Hyaline`].
+/// Per-thread handle for [`Hyaline`].  The domain is shared with every
+/// thread; [`HyLocal`] is touched only by the owner, and `pin` lends the two
+/// out together so a guard never reaches the slot through the `Arc`.
 pub struct HyalineHandle {
     domain: Arc<Hyaline>,
+    local: HyLocal,
+}
+
+/// Thread-local half of a [`HyalineHandle`].
+struct HyLocal {
     claim: SlotClaim,
     binding: PinBinding,
     pool: BlockPool,
-    alloc_count: usize,
+    era_tick: EraCountdown,
+    /// What the slot's `era` currently holds.  The owner is the only writer
+    /// of a claimed slot's era (`try_register` resets slot and cache together
+    /// to 0, below every real era), so enter can skip the store whenever the
+    /// global era still equals this.  A forgotten guard can leave it behind
+    /// the slot but never ahead; eras only grow, so it then differs from the
+    /// global era and the store happens.
+    published_era: u64,
+}
+
+/// Enter: one global-era load, an era store only when the slot publishes
+/// something else, one `fetch_add`.  Returns the era the slot now publishes
+/// and the acknowledgement boundary: the `fetch_add` returns the packed head
+/// at exactly the enter instant, and every node pushed above its pointer half
+/// counted this thread.
+#[inline]
+fn enter(global_era: &AtomicU64, slot: &HySlot, published_era: u64) -> (u64, usize) {
+    let era = global_era.load(Ordering::SeqCst);
+    if era != published_era {
+        slot.era.store(era, Ordering::SeqCst);
+    }
+    // ORDERING: when the store above is elided the slot has held `era` since
+    // this thread's last SeqCst store of it, so retirers already read the
+    // value a fresh store would publish; in both cases the era is in place
+    // before this RMW makes the thread visible to pushers.
+    let (refs, entry_addr) = unpack(slot.head.fetch_add(REF_ONE, Ordering::AcqRel));
+    debug_assert_eq!(refs, 0, "enter inside a live critical section");
+    (era, entry_addr)
 }
 
 impl SmrHandle for HyalineHandle {
@@ -486,19 +572,16 @@ impl SmrHandle for HyalineHandle {
         Self: 'g;
 
     fn pin(&mut self) -> HyalineGuard<'_> {
-        self.domain
+        let (domain, local) = (&*self.domain, &mut self.local);
+        domain
             .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
-        let slot = &self.domain.slots[self.claim.index];
-        let era = self.domain.global_era.load(Ordering::SeqCst);
-        slot.era.store(era, Ordering::SeqCst);
-        // Enter: bump the slot's reference count.  The fetch_add returns the
-        // packed head at exactly the enter instant — its pointer half is the
-        // acknowledgement boundary: every node pushed above it counted us.
-        let prev = slot.head.fetch_add(REF_ONE, Ordering::AcqRel);
-        let (_, entry_addr) = unpack(prev);
+            .check_owner_and_bind(local.claim, &mut local.binding);
+        let slot = &*domain.slots[local.claim.index];
+        let (era, entry_addr) = enter(&domain.global_era, slot, local.published_era);
         HyalineGuard {
-            handle: self,
+            domain,
+            slot,
+            local,
             entry_addr,
             cached_era: era,
             _thread_bound: std::marker::PhantomData,
@@ -506,18 +589,15 @@ impl SmrHandle for HyalineHandle {
     }
 
     fn flush(&mut self) {
-        let idx = self.claim.index;
-        let domain = self.domain.clone();
-        domain.flush_vault(idx, idx, &mut self.pool);
-        domain.adopt_orphans(idx, &mut self.pool);
+        let (domain, idx, pool) = (&*self.domain, self.local.claim.index, &mut self.local.pool);
+        domain.flush_vault(idx, idx, pool);
+        domain.adopt_orphans(idx, pool);
     }
 }
 
 impl Drop for HyalineHandle {
     fn drop(&mut self) {
-        let domain = self.domain.clone();
-        let claim = self.claim;
-        let pool = &mut self.pool;
+        let (domain, claim, pool) = (&*self.domain, self.local.claim, &mut self.local.pool);
         domain.registry.release_with(claim, || {
             domain.flush_vault(claim.index, claim.index, pool);
         });
@@ -527,7 +607,10 @@ impl Drop for HyalineHandle {
 /// Critical-section guard for [`Hyaline`].
 #[must_use = "dropping a guard unpublishes every protection it holds"]
 pub struct HyalineGuard<'g> {
-    handle: &'g mut HyalineHandle,
+    domain: &'g Hyaline,
+    /// The handle's slot, resolved once at `pin`.
+    slot: &'g HySlot,
+    local: &'g mut HyLocal,
     /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
     /// read-side critical section, and the slot registry's liveness beacon
     /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
@@ -537,7 +620,35 @@ pub struct HyalineGuard<'g> {
     /// Slot-list head address observed atomically when entering; the
     /// traversal boundary for leave-time acknowledgements.
     entry_addr: usize,
+    /// The era the slot publishes; handed back to the handle on leave.
     cached_era: u64,
+}
+
+impl HyalineGuard<'_> {
+    /// Leave: one swap drops the reference and detaches the list, and its
+    /// return value is where acknowledgement starts.  A plain swap (no CAS
+    /// loop) is enough because the owner holds the slot's only reference
+    /// (`refs ∈ {0, 1}`, see the module docs): there is no count to preserve.
+    /// A pusher's CAS that loses to the swap retries, sees `refs == 0` and
+    /// skips the slot; one that wins is seen here and acknowledged.
+    #[inline]
+    fn leave(&mut self) {
+        let (refs, observed) = unpack(self.slot.head.swap(0, Ordering::AcqRel));
+        debug_assert_eq!(refs, 1, "leave without exactly one matching enter");
+        self.local.published_era = self.cached_era;
+        // SAFETY: this thread held its slot reference continuously from the
+        // enter `fetch_add` (which returned `entry_addr`) until the swap above
+        // that released it and returned `observed` — exactly `acknowledge`'s
+        // contract.
+        unsafe {
+            self.domain.acknowledge(
+                observed,
+                self.entry_addr,
+                self.local.claim.index,
+                &mut self.local.pool,
+            )
+        };
+    }
 }
 
 impl Drop for HyalineGuard<'_> {
@@ -545,48 +656,14 @@ impl Drop for HyalineGuard<'_> {
         // Runs on unwind too: a panicking operation still drops its slot
         // reference and acknowledges the batches pushed during its critical
         // section (RAII unwind safety).
-        let domain = &self.handle.domain;
-        let slot = &domain.slots[self.handle.claim.index];
-        // Leave: drop our reference.  If we are the last thread in the slot we
-        // also detach the list so the next entrant starts from a clean head.
-        let observed = loop {
-            let cur = slot.head.load(Ordering::Acquire);
-            let (refs, ptr) = unpack(cur);
-            debug_assert!(refs >= 1, "leave without matching enter");
-            let new = if refs == 1 {
-                pack(0, 0)
-            } else {
-                pack(refs - 1, ptr)
-            };
-            if slot
-                .head
-                .compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break ptr;
-            }
-        };
-        // Acknowledge every batch pushed during our critical section.
-        let domain = self.handle.domain.clone();
-        // SAFETY: this thread held its slot reference continuously from the
-        // enter `fetch_add` (which returned `entry_addr`) until the CAS above
-        // that released it and returned `observed` — exactly `acknowledge`'s
-        // contract.
-        unsafe {
-            domain.acknowledge(
-                observed,
-                self.entry_addr,
-                self.handle.claim.index,
-                &mut self.handle.pool,
-            )
-        };
+        self.leave();
     }
 }
 
 impl SmrGuard for HyalineGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        std::sync::Arc::as_ptr(&self.handle.domain) as usize
+        std::ptr::from_ref(self.domain) as usize
     }
 
     #[inline]
@@ -594,24 +671,21 @@ impl SmrGuard for HyalineGuard<'_> {
         // Same publication protocol as IBR's upper bound: the era is published
         // before the pointer that is returned is (re-)read, so any returned
         // pointer's birth era is covered by the published era.
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
-        let global = &self.handle.domain.global_era;
         loop {
             let ptr = src.load(Ordering::Acquire);
-            let era = global.load(Ordering::SeqCst);
+            let era = self.domain.global_era.load(Ordering::SeqCst);
             if era == self.cached_era {
                 return ptr;
             }
-            slot.era.store(era, Ordering::SeqCst);
+            self.slot.era.store(era, Ordering::SeqCst);
             self.cached_era = era;
         }
     }
 
     #[inline]
     fn announce<T>(&mut self, _idx: usize, _ptr: Shared<T>) {
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
-        let era = self.handle.domain.global_era.load(Ordering::SeqCst);
-        slot.era.store(era, Ordering::SeqCst);
+        let era = self.domain.global_era.load(Ordering::SeqCst);
+        self.slot.era.store(era, Ordering::SeqCst);
         self.cached_era = era;
     }
 
@@ -622,31 +696,24 @@ impl SmrGuard for HyalineGuard<'_> {
     fn clear(&mut self, _idx: usize) {}
 
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.handle.pool.alloc(value);
+        let ptr = self.local.pool.alloc(value);
         // ORDERING: a Relaxed era read can only lag the true era, making the
         // birth stamp conservatively old — strictly more protective for the
         // `-1S` stalled-reader exemption.  The Relaxed store is published to
         // retirers by the vault mutex taken at retire time.
-        let era = self.handle.domain.global_era.load(Ordering::Relaxed);
+        let era = self.domain.global_era.load(Ordering::Relaxed);
         // SAFETY: `ptr` was just produced by `pool.alloc`; its header is live
         // and exclusively ours until the pointer is published.
         // ORDERING: see the era comment just above.
         unsafe { (*header_of(ptr)).birth_era.store(era, Ordering::Relaxed) };
-        self.handle.alloc_count += 1;
-        if self
-            .handle
-            .alloc_count
-            .is_multiple_of(self.handle.domain.config.epoch_freq())
-        {
-            self.handle.domain.global_era.fetch_add(1, Ordering::SeqCst);
-        }
+        self.local.era_tick.tick(1, &self.domain.global_era);
         Shared::from_ptr(ptr)
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
-        unsafe { crate::limbo::dealloc(&mut self.handle.pool, ptr) };
+        unsafe { crate::limbo::dealloc(&mut self.local.pool, ptr) };
     }
 
     /// Fast path: if nothing was pushed onto our slot list since entry (the
@@ -658,43 +725,13 @@ impl SmrGuard for HyalineGuard<'_> {
     /// module docs — batches are never freed early.)  Otherwise this is a
     /// genuine leave + re-enter, minus the registry owner re-check.
     fn repin(&mut self) {
-        let idx = self.handle.claim.index;
-        let domain = self.handle.domain.clone();
-        let slot = &domain.slots[idx];
-        let (_, head_ptr) = unpack(slot.head.load(Ordering::Acquire));
+        let (_, head_ptr) = unpack(self.slot.head.load(Ordering::Acquire));
         if head_ptr == self.entry_addr {
             return;
         }
-        // Leave: drop our reference, detaching the list if we are last.
-        let observed = loop {
-            let cur = slot.head.load(Ordering::Acquire);
-            let (refs, ptr) = unpack(cur);
-            debug_assert!(refs >= 1, "repin leave without matching enter");
-            let new = if refs == 1 {
-                pack(0, 0)
-            } else {
-                pack(refs - 1, ptr)
-            };
-            if slot
-                .head
-                .compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break ptr;
-            }
-        };
-        // SAFETY: this thread held its slot reference continuously from the
-        // enter `fetch_add` that produced `entry_addr` until the CAS above
-        // that released it and returned `observed` — exactly `acknowledge`'s
-        // contract.
-        unsafe { domain.acknowledge(observed, self.entry_addr, idx, &mut self.handle.pool) };
-        // Re-enter with a fresh era and acknowledgement boundary.
-        let era = domain.global_era.load(Ordering::SeqCst);
-        slot.era.store(era, Ordering::SeqCst);
-        self.cached_era = era;
-        let prev = slot.head.fetch_add(REF_ONE, Ordering::AcqRel);
-        let (_, entry_addr) = unpack(prev);
-        self.entry_addr = entry_addr;
+        self.leave();
+        (self.cached_era, self.entry_addr) =
+            enter(&self.domain.global_era, self.slot, self.cached_era);
     }
 
     // SAFETY: callers must guarantee every pointer in `batch` satisfies the
@@ -703,10 +740,9 @@ impl SmrGuard for HyalineGuard<'_> {
         if batch.is_empty() {
             return;
         }
-        let handle = &mut *self.handle;
-        let idx = handle.claim.index;
+        let idx = self.local.claim.index;
         let full = {
-            let mut vault = handle.domain.vaults[idx].lock();
+            let mut vault = self.domain.vaults[idx].lock();
             vault.nodes.reserve(batch.len());
             for &ptr in batch {
                 let value = ptr.untagged().as_ptr();
@@ -724,15 +760,14 @@ impl SmrGuard for HyalineGuard<'_> {
                 vault.min_birth = vault.min_birth.min(birth);
                 vault.nodes.push(hdr);
             }
-            vault.nodes.len() >= handle.domain.batch_capacity
+            vault.nodes.len() >= self.domain.batch_capacity
         };
-        handle.domain.unreclaimed.add(idx, batch.len());
+        self.domain.unreclaimed.add(idx, batch.len());
         if full {
             // One oversized push is fine: the batch carries *at least* one
             // linkage node per slot, and the vault mutex was touched once for
             // the whole batch instead of once per node.
-            let domain = handle.domain.clone();
-            domain.flush_vault(idx, idx, &mut handle.pool);
+            self.domain.flush_vault(idx, idx, &mut self.local.pool);
         }
     }
 }
@@ -895,6 +930,163 @@ mod tests {
     #[test]
     fn retire_batch_reclaims_like_per_node_retire() {
         crate::tests::retire_batch_reclaims_like_per_node_retire::<Hyaline>(config(), 10, 1);
+    }
+
+    /// Era that no run of these tests reaches; planted in a slot to see
+    /// whether `pin` stored over it.
+    const PLANTED: u64 = u64::MAX - 1;
+
+    #[test]
+    fn pin_elides_the_era_store_until_the_global_era_moves() {
+        let d = Hyaline::new(config());
+        let mut h = d.register();
+        let era = d.global_era.load(Ordering::SeqCst);
+        drop(h.pin());
+        assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era);
+        assert_eq!(h.local.published_era, era);
+
+        // Unchanged global era: the slot's era is not written again.
+        d.slots[0].era.store(PLANTED, Ordering::SeqCst);
+        let g = h.pin();
+        assert_eq!(d.slots[0].era.load(Ordering::SeqCst), PLANTED);
+        assert_eq!(unpack(d.slots[0].head.load(Ordering::SeqCst)), (1, 0));
+        drop(g);
+        assert_eq!(d.slots[0].head.load(Ordering::SeqCst), 0, "leave detaches");
+        d.slots[0].era.store(era, Ordering::SeqCst);
+
+        // The era advanced: the guard is inside its critical section with
+        // the new era already published.
+        d.global_era.fetch_add(1, Ordering::SeqCst);
+        let g = h.pin();
+        assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era + 1);
+        assert_eq!(unpack(d.slots[0].head.load(Ordering::SeqCst)), (1, 0));
+        drop(g);
+        assert_eq!(h.local.published_era, era + 1);
+    }
+
+    #[test]
+    fn guard_hands_a_republished_era_back_to_the_handle() {
+        let d = Hyaline::new(config());
+        let mut h = d.register();
+        let mut worker = d.register();
+        let cell = Atomic::new(worker.pin().alloc(1u64));
+        let republish: [fn(&mut HyalineGuard<'_>, &Atomic<u64>); 3] = [
+            |g, cell| {
+                g.protect(0, cell);
+            },
+            |g, _| g.announce(0, Shared::<u64>::null()),
+            |g, _| g.repin(),
+        ];
+        for republish in republish {
+            let mut g = h.pin();
+            // Something on the slot's list, so `repin` really re-enters.
+            for i in 0..16u64 {
+                let mut wg = worker.pin();
+                let p = wg.alloc(i);
+                // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
+                unsafe { wg.retire(p) };
+            }
+            let era = d.global_era.fetch_add(1, Ordering::SeqCst) + 1;
+            republish(&mut g, &cell);
+            assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era);
+            drop(g);
+            assert_eq!(h.local.published_era, era, "handed back on leave");
+            // So the next pin elides against what the slot really holds.
+            d.slots[0].era.store(PLANTED, Ordering::SeqCst);
+            drop(h.pin());
+            assert_eq!(d.slots[0].era.load(Ordering::SeqCst), PLANTED);
+            d.slots[0].era.store(era, Ordering::SeqCst);
+        }
+        // SAFETY: the cell's node was never shared beyond this test and is retired exactly once.
+        unsafe { worker.pin().retire(cell.load(Ordering::Acquire)) };
+    }
+
+    #[test]
+    fn register_on_a_recycled_slot_starts_from_era_zero_on_both_sides() {
+        let d = Hyaline::new(config());
+        let mut h = d.register();
+        drop(h.pin());
+        assert_ne!(d.slots[0].era.load(Ordering::SeqCst), 0);
+        drop(h);
+        let mut h = d.register();
+        assert_eq!(
+            h.local.claim.index, 0,
+            "the released slot is handed out again"
+        );
+        assert_eq!(d.slots[0].era.load(Ordering::SeqCst), 0);
+        assert_eq!(h.local.published_era, 0);
+        // 0 is below every real era, so the first pin always publishes.
+        drop(h.pin());
+        assert_eq!(
+            d.slots[0].era.load(Ordering::SeqCst),
+            d.global_era.load(Ordering::SeqCst)
+        );
+    }
+
+    #[test]
+    fn concurrent_pin_loop_races_batch_pushes_and_every_block_is_freed_once() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
+
+        struct Counted(Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        const RETIRED: usize = 100_000;
+        let d = Hyaline::new(config());
+        let drops = Arc::new(AtomicUsize::new(0));
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            // The leave swap, over and over, against the pusher's CAS.
+            s.spawn(|| {
+                let mut h = d.register();
+                start.wait();
+                while !done.load(Ordering::Acquire) {
+                    drop(h.pin());
+                }
+                h.flush();
+            });
+            s.spawn(|| {
+                let mut h = d.register();
+                start.wait();
+                for _ in 0..RETIRED {
+                    let mut g = h.pin();
+                    let p = g.alloc(Counted(drops.clone()));
+                    // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
+                    unsafe { g.retire(p) };
+                }
+                h.flush();
+                done.store(true, Ordering::Release);
+            });
+        });
+        assert_eq!(d.unreclaimed(), 0);
+        assert_eq!(drops.load(Ordering::SeqCst), RETIRED);
+    }
+
+    #[test]
+    fn domain_refcount_is_untouched_between_register_and_handle_drop() {
+        // The probe of `crate::tests::per_operation_path_leaves_the_refcount_alone`,
+        // but the blocks are freed by *another* handle's leave: the reader
+        // acknowledges the worker's batches when its guard drops.
+        let d = Hyaline::new(config());
+        let (mut reader, mut worker) = (d.register(), d.register());
+        let held = Arc::strong_count(&d);
+        let probe = crate::tests::CountProbe::new(&d);
+        let rg = reader.pin();
+        for _ in 0..16 {
+            let mut g = worker.pin();
+            let p = g.alloc(probe.clone());
+            // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
+            unsafe { g.retire(p) };
+        }
+        worker.flush();
+        assert!(d.unreclaimed() > 0, "the reader pins the batches");
+        drop(rg);
+        assert_eq!(d.unreclaimed(), 0);
+        assert_eq!(probe.max_seen(), held);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! shared retire core ([`crate::limbo`]).
 
 use crate::block::Retired;
-use crate::limbo::{EraCountdown, Handle, RetireCore, Scheme};
+use crate::limbo::{EraCountdown, Handle, Pinned, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
@@ -171,29 +171,34 @@ impl SmrHandle for IbrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> IbrGuard<'_> {
-        self.inner.bind();
-        let domain = self.inner.domain();
-        let slot = &domain.slots[self.inner.slot()];
-        let era = domain.global_era.load(Ordering::SeqCst);
+        let pinned = self.inner.pin();
+        let scheme = pinned.scheme();
+        let slot = &*scheme.slots[pinned.slot()];
+        let era = scheme.global_era.load(Ordering::SeqCst);
         slot.upper.store(era, Ordering::SeqCst);
         slot.lower.store(era, Ordering::SeqCst);
         IbrGuard {
+            pinned,
+            slot,
+            era_tick: &mut self.era_tick,
             cached_upper: era,
             cached_lower: era,
-            handle: self,
             _thread_bound: std::marker::PhantomData,
         }
     }
 
     fn flush(&mut self) {
-        self.inner.scan(true);
+        self.inner.flush();
     }
 }
 
 /// Critical-section guard for [`Ibr`].
 #[must_use = "dropping a guard unpublishes every protection it holds"]
 pub struct IbrGuard<'g> {
-    handle: &'g mut IbrHandle,
+    pinned: Pinned<'g, Ibr>,
+    /// The handle's interval slot, resolved once at `pin`.
+    slot: &'g IbrSlot,
+    era_tick: &'g mut EraCountdown,
     /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
     /// read-side critical section, and the slot registry's liveness beacon
     /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
@@ -208,53 +213,40 @@ pub struct IbrGuard<'g> {
     cached_lower: u64,
 }
 
-impl IbrGuard<'_> {
-    #[inline]
-    fn slot(&self) -> &IbrSlot {
-        let inner = &self.handle.inner;
-        &inner.domain().slots[inner.slot()]
-    }
-
-    #[inline]
-    fn global_era(&self) -> &AtomicU64 {
-        &self.handle.inner.domain().global_era
-    }
-}
-
 impl Drop for IbrGuard<'_> {
     fn drop(&mut self) {
         // Deactivating the interval on drop is what makes a panicking
         // operation release its protection (RAII unwind safety).
-        self.slot().deactivate(Ordering::Release);
+        self.slot.deactivate(Ordering::Release);
     }
 }
 
 impl SmrGuard for IbrGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        self.handle.inner.domain_addr()
+        self.pinned.domain_addr()
     }
 
     #[inline]
     fn protect<T>(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
         loop {
             let ptr = src.load(Ordering::Acquire);
-            let era = self.global_era().load(Ordering::SeqCst);
+            let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
             if era == self.cached_upper {
                 return ptr;
             }
             // The interval is extended *before* the pointer is re-read, so any
             // pointer we return was loaded under an already-published upper
             // bound covering its birth era.
-            self.slot().upper.store(era, Ordering::SeqCst);
+            self.slot.upper.store(era, Ordering::SeqCst);
             self.cached_upper = era;
         }
     }
 
     #[inline]
     fn announce<T>(&mut self, _idx: usize, _ptr: Shared<T>) {
-        let era = self.global_era().load(Ordering::SeqCst);
-        self.slot().upper.store(era, Ordering::SeqCst);
+        let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
+        self.slot.upper.store(era, Ordering::SeqCst);
         self.cached_upper = era;
     }
 
@@ -266,9 +258,8 @@ impl SmrGuard for IbrGuard<'_> {
 
     #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let handle = &mut *self.handle;
-        let ptr = handle.inner.alloc(value);
-        handle.era_tick.tick(1, &handle.inner.domain().global_era);
+        let ptr = self.pinned.alloc(value);
+        self.era_tick.tick(1, &self.pinned.scheme().global_era);
         ptr
     }
 
@@ -276,19 +267,17 @@ impl SmrGuard for IbrGuard<'_> {
     // per-node `retire` contract (unlinked, owned, retired exactly once).
     #[inline]
     unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        let handle = &mut *self.handle;
         // SAFETY: forwarded — same contract.
-        unsafe { handle.inner.retire_batch(batch) };
-        handle
-            .era_tick
-            .tick(batch.len(), &handle.inner.domain().global_era);
+        unsafe { self.pinned.retire_batch(batch) };
+        self.era_tick
+            .tick(batch.len(), &self.pinned.scheme().global_era);
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
-        unsafe { self.handle.inner.dealloc(ptr) };
+        unsafe { self.pinned.dealloc(ptr) };
     }
 
     /// Collapses the interval back to the point `[era, era]`, releasing every
@@ -297,11 +286,11 @@ impl SmrGuard for IbrGuard<'_> {
     /// skips both SeqCst stores.
     #[inline]
     fn repin(&mut self) {
-        let era = self.global_era().load(Ordering::SeqCst);
+        let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
         if era == self.cached_upper && era == self.cached_lower {
             return;
         }
-        let slot = self.slot();
+        let slot = self.slot;
         // Same publication order as `pin`: extend `upper` first so the
         // interval never transiently excludes an era we might still observe,
         // then raise `lower` to drop the old coverage.

@@ -762,6 +762,100 @@ mod tests {
         }
     }
 
+    /// Payload that records, from inside its destructor, the highest strong
+    /// count of the domain `Arc` any clone of it saw.  Destructors run in the
+    /// middle of `retire`, a sweep or a guard drop, so this is the one vantage
+    /// point from which a clone taken *and dropped again* inside those calls
+    /// is visible; the count sampled between calls never moves.
+    pub(crate) struct CountProbe<S> {
+        domain: std::sync::Weak<S>,
+        max_seen: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl<S> CountProbe<S> {
+        pub(crate) fn new(domain: &Arc<S>) -> Self {
+            Self {
+                domain: Arc::downgrade(domain),
+                max_seen: Arc::default(),
+            }
+        }
+
+        /// Highest strong count any dropped clone observed (0 if none ran).
+        pub(crate) fn max_seen(&self) -> usize {
+            self.max_seen.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl<S> Clone for CountProbe<S> {
+        fn clone(&self) -> Self {
+            Self {
+                domain: self.domain.clone(),
+                max_seen: self.max_seen.clone(),
+            }
+        }
+    }
+
+    impl<S> Drop for CountProbe<S> {
+        fn drop(&mut self) {
+            let count = self.domain.strong_count();
+            self.max_seen
+                .fetch_max(count, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    /// The per-operation path is refcount-free: the domain's strong count
+    /// changes on `register` and on handle drop, and nowhere in 1 000 ×
+    /// {`pin`, `protect`, `alloc`, `retire`, guard drop}, `repin` or `flush`
+    /// — neither between the calls nor (see [`CountProbe`]) inside them.
+    fn per_operation_path_leaves_the_refcount_alone<S: Smr>(config: SmrConfig) {
+        let d = S::new(config);
+        let unregistered = Arc::strong_count(&d);
+        let mut h = d.register();
+        let held = Arc::strong_count(&d);
+        assert_eq!(held, unregistered + 1, "{}: register takes one", d.name());
+        let probe = CountProbe::new(&d);
+        for _ in 0..1000 {
+            let mut g = h.pin();
+            let cell = Atomic::new(g.alloc(probe.clone()));
+            let seen = g.protect(0, &cell);
+            // SAFETY: `seen` is test-local, unreachable to other threads and
+            // retired exactly once.
+            unsafe { g.retire(seen) };
+            assert_eq!(Arc::strong_count(&d), held, "{}: inside a guard", d.name());
+            drop(g);
+            assert_eq!(Arc::strong_count(&d), held, "{}: guard drop", d.name());
+        }
+        let mut g = h.pin();
+        g.repin();
+        assert_eq!(Arc::strong_count(&d), held, "{}: repin", d.name());
+        drop(g);
+        h.flush();
+        assert_eq!(Arc::strong_count(&d), held, "{}: flush", d.name());
+        if d.kind() != SmrKind::Nr {
+            assert_eq!(probe.max_seen(), held, "{}: inside a call", d.name());
+        }
+        drop(h);
+        assert_eq!(Arc::strong_count(&d), unregistered, "{}: drop", d.name());
+    }
+
+    #[test]
+    fn per_operation_path_leaves_the_refcount_alone_under_every_scheme() {
+        let config = || SmrConfig {
+            max_threads: 4,
+            scan_threshold: 8,
+            epoch_freq_per_thread: 1,
+            ..SmrConfig::default()
+        };
+        per_operation_path_leaves_the_refcount_alone::<Nr>(config());
+        per_operation_path_leaves_the_refcount_alone::<Ebr>(config());
+        per_operation_path_leaves_the_refcount_alone::<Hp>(config());
+        per_operation_path_leaves_the_refcount_alone::<He>(config());
+        per_operation_path_leaves_the_refcount_alone::<Ibr>(config());
+        per_operation_path_leaves_the_refcount_alone::<Hyaline>(config());
+        per_operation_path_leaves_the_refcount_alone::<Nbr>(config());
+        per_operation_path_leaves_the_refcount_alone::<Vbr>(config());
+    }
+
     #[test]
     fn kind_parse_roundtrip() {
         assert_eq!(SmrKind::ALL.len(), 11, "8 families, 11 variants");

@@ -240,7 +240,11 @@ impl Drop for RetireCore {
 
 /// Per-thread side of the retire path: the claimed slot, its liveness
 /// binding and the thread's block pool.  Every limbo-list scheme's handle
-/// wraps one.
+/// wraps one.  The domain is shared with every thread, the rest is touched
+/// only by the owner; [`Handle::pin`] lends both out at once (a disjoint-field
+/// borrow), so a guard resolves what it needs — scheme, reservation slot,
+/// pool — when the critical section opens and never walks handle → `Arc` →
+/// slot array again.
 pub(crate) struct Handle<S: Scheme> {
     domain: Arc<S>,
     claim: SlotClaim,
@@ -267,31 +271,60 @@ impl<S: Scheme> Handle<S> {
         })
     }
 
-    /// The domain this handle registered with.
+    /// First step of every `pin`: verifies the slot was not adopted, binds
+    /// its liveness beacon to the calling thread
+    /// ([`SlotRegistry::check_owner_and_bind`]) and lends the handle to the
+    /// guard being built.
     #[inline]
-    pub(crate) fn domain(&self) -> &S {
-        &self.domain
+    #[must_use = "the guard being built must embed it"]
+    pub(crate) fn pin(&mut self) -> Pinned<'_, S> {
+        let registry = &self.domain.core().registry;
+        registry.check_owner_and_bind(self.claim, &mut self.binding);
+        self.split()
+    }
+
+    /// One forced reclamation pass: the `flush` of every limbo-list scheme.
+    pub(crate) fn flush(&mut self) {
+        self.split().scan(true);
+    }
+
+    #[inline]
+    fn split(&mut self) -> Pinned<'_, S> {
+        Pinned {
+            scheme: &self.domain,
+            slot: self.claim.index,
+            pool: &mut self.pool,
+        }
+    }
+}
+
+/// A [`Handle`] lent out for one critical section: the domain by `&`, the
+/// thread's pool by `&mut`, the slot index by value.  Guards embed it next to
+/// the `&'g` reservation slot they resolve from [`Pinned::scheme`] and
+/// [`Pinned::slot`] once, in `pin`.
+pub(crate) struct Pinned<'g, S: Scheme> {
+    scheme: &'g S,
+    slot: usize,
+    pool: &'g mut BlockPool,
+}
+
+impl<'g, S: Scheme> Pinned<'g, S> {
+    /// The domain the handle registered with.
+    #[inline]
+    pub(crate) fn scheme(&self) -> &'g S {
+        self.scheme
     }
 
     /// Index of the claimed slot.
     #[inline]
     pub(crate) fn slot(&self) -> usize {
-        self.claim.index
+        self.slot
     }
 
     /// The guard brand: see [`crate::SmrGuard::domain_addr`].
     #[inline]
     pub(crate) fn domain_addr(&self) -> usize {
-        Arc::as_ptr(&self.domain) as usize
-    }
-
-    /// First step of every `pin`: verifies the slot was not adopted and binds
-    /// its liveness beacon to the calling thread
-    /// ([`SlotRegistry::check_owner_and_bind`]).
-    #[inline]
-    pub(crate) fn bind(&mut self) {
-        let registry = &self.domain.core().registry;
-        registry.check_owner_and_bind(self.claim, &mut self.binding);
+        std::ptr::from_ref(self.scheme) as usize
     }
 
     /// Allocates a block through the thread's pool, stamping its birth era if
@@ -299,7 +332,7 @@ impl<S: Scheme> Handle<S> {
     #[inline]
     pub(crate) fn alloc<T>(&mut self, value: T) -> Shared<T> {
         let ptr = self.pool.alloc(value);
-        if let Some(era) = self.domain.birth_stamp() {
+        if let Some(era) = self.scheme.birth_stamp() {
             // SAFETY: `ptr` was just allocated and is not yet shared, so this
             // thread has exclusive access to its header.
             // ORDERING: Relaxed — the stamp is published together with the
@@ -318,7 +351,7 @@ impl<S: Scheme> Handle<S> {
     #[inline]
     pub(crate) unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
-        unsafe { dealloc(&mut self.pool, ptr) };
+        unsafe { dealloc(self.pool, ptr) };
     }
 
     /// Retires `batch` under one vault lock and one counter update, then
@@ -333,9 +366,9 @@ impl<S: Scheme> Handle<S> {
         if batch.is_empty() {
             return;
         }
-        let core = self.domain.core();
-        let stamp = self.domain.retire_stamp();
-        let slot = self.claim.index;
+        let core = self.scheme.core();
+        let stamp = self.scheme.retire_stamp();
+        let slot = self.slot;
         let pending = {
             let mut vault = core.vaults[slot].lock();
             if batch.len() > 1 {
@@ -369,7 +402,7 @@ impl<S: Scheme> Handle<S> {
 
     /// One reclamation pass (see the module docs); `force` is `flush`.
     pub(crate) fn scan(&mut self, force: bool) {
-        let (scheme, slot, pool) = (&*self.domain, self.claim.index, &mut self.pool);
+        let (scheme, slot, pool) = (self.scheme, self.slot, &mut *self.pool);
         let core = scheme.core();
         scheme.before_scan(force);
         let left = core.sweep_vault(scheme, slot, pool);
@@ -544,7 +577,9 @@ mod tests {
         n: usize,
         drops: &Arc<AtomicUsize>,
     ) -> Vec<Shared<Counted>> {
-        (0..n).map(|_| h.alloc(Counted(drops.clone()))).collect()
+        (0..n)
+            .map(|_| h.split().alloc(Counted(drops.clone())))
+            .collect()
     }
 
     #[test]
@@ -554,17 +589,17 @@ mod tests {
         let mut h = Handle::register(&d).unwrap();
         let nodes = alloc_counted(&mut h, 6, &drops);
         // SAFETY: freshly allocated, never published, retired exactly once.
-        unsafe { h.retire_batch(&nodes) };
+        unsafe { h.split().retire_batch(&nodes) };
         assert_eq!(d.core.unreclaimed(), 6);
         for i in [1, 3, 4] {
             d.permit(nodes[i]);
         }
-        h.scan(true);
+        h.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 3);
         assert_eq!(d.core.unreclaimed(), 3);
         let kept: Vec<usize> = [0, 2, 5].iter().map(|&i| nodes[i].into_raw()).collect();
         assert_eq!(
-            d.vault_values(h.slot()),
+            d.vault_values(h.claim.index),
             kept,
             "survivors keep retire order"
         );
@@ -573,7 +608,7 @@ mod tests {
         assert_eq!(d.blocked.load(Ordering::SeqCst), 1);
         assert_eq!(d.core.unreclaimed(), 3);
         d.permit_all.store(true, Ordering::SeqCst);
-        h.scan(true);
+        h.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 6);
         assert_eq!(d.core.unreclaimed(), 0);
     }
@@ -586,7 +621,7 @@ mod tests {
         let mut b = Handle::register(&d).unwrap();
         let nodes = alloc_counted(&mut a, 3, &drops);
         // SAFETY: freshly allocated, never published, retired exactly once.
-        unsafe { a.retire_batch(&nodes) };
+        unsafe { a.split().retire_batch(&nodes) };
         // Nothing is freeable yet: dropping `a` sweeps, then orphans all 3.
         drop(a);
         assert_eq!(d.core.unreclaimed(), 3);
@@ -595,9 +630,9 @@ mod tests {
         d.permit_all.store(true, Ordering::SeqCst);
         let more = alloc_counted(&mut b, 2, &drops);
         // SAFETY: as above.
-        unsafe { b.retire_batch(&more) };
+        unsafe { b.split().retire_batch(&more) };
         assert_eq!(d.core.unreclaimed(), 5);
-        b.scan(true);
+        b.flush();
         assert_eq!(d.core.unreclaimed(), 0);
         assert_eq!(drops.load(Ordering::SeqCst), 5);
     }
@@ -610,26 +645,30 @@ mod tests {
         let mut survivor = Handle::register(&d).unwrap();
         let nodes = alloc_counted(&mut dead, 2, &drops);
         // SAFETY: freshly allocated, never published, retired exactly once.
-        unsafe { dead.retire_batch(&nodes) };
-        d.core.registry.simulate_owner_exit(dead.slot());
+        unsafe { dead.split().retire_batch(&nodes) };
+        d.core.registry.simulate_owner_exit(dead.claim.index);
         d.neutralized.lock().clear(); // registration neutralizes too
-        survivor.scan(true);
-        survivor.scan(true);
-        assert_eq!(*d.neutralized.lock(), [dead.slot()], "once per dead slot");
-        assert!(d.vault_values(dead.slot()).is_empty());
+        survivor.flush();
+        survivor.flush();
+        assert_eq!(
+            *d.neutralized.lock(),
+            [dead.claim.index],
+            "once per dead slot"
+        );
+        assert!(d.vault_values(dead.claim.index).is_empty());
         assert_eq!(d.core.orphans.lock().len(), 2, "vault moved to the orphans");
         assert_eq!(d.core.unreclaimed(), 2);
-        assert!(!d.core.registry.is_claimed(dead.slot()));
+        assert!(!d.core.registry.is_claimed(dead.claim.index));
         // The slot is handed out again, and the stale handle's drop must not
         // tear the new claim down.
         let reuse = Handle::register(&d).unwrap();
-        assert_eq!(reuse.slot(), dead.slot());
+        assert_eq!(reuse.claim.index, dead.claim.index);
         d.neutralized.lock().clear();
         drop(dead);
         assert!(d.neutralized.lock().is_empty(), "stale release is a no-op");
-        assert!(d.core.registry.is_claimed(reuse.slot()));
+        assert!(d.core.registry.is_claimed(reuse.claim.index));
         d.permit_all.store(true, Ordering::SeqCst);
-        survivor.scan(true);
+        survivor.flush();
         assert_eq!(d.core.unreclaimed(), 0);
         assert_eq!(drops.load(Ordering::SeqCst), 2);
     }
@@ -642,12 +681,12 @@ mod tests {
         let nodes = alloc_counted(&mut h, 8, &drops);
         for &p in &nodes[..3] {
             // SAFETY: freshly allocated, never published, retired exactly once.
-            unsafe { h.retire_batch(std::slice::from_ref(&p)) };
+            unsafe { h.split().retire_batch(std::slice::from_ref(&p)) };
         }
         assert_eq!(d.scans.load(Ordering::SeqCst), 0, "below the threshold");
         // 3 + 5 crosses the threshold of 4 in the middle of the batch.
         // SAFETY: as above.
-        unsafe { h.retire_batch(&nodes[3..]) };
+        unsafe { h.split().retire_batch(&nodes[3..]) };
         assert_eq!(d.scans.load(Ordering::SeqCst), 1);
         assert_eq!(d.blocked.load(Ordering::SeqCst), 1, "8 left >= threshold");
         assert_eq!(d.core.unreclaimed(), 8);

@@ -26,7 +26,7 @@
 //! the neutralization step is its still-blocked hook.
 
 use crate::block::Retired;
-use crate::limbo::{Handle, RetireCore, Scheme};
+use crate::limbo::{Handle, Pinned, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
@@ -122,8 +122,7 @@ impl Nbr {
     /// Publishes the current global era as the checkpoint of `slot`,
     /// confirming it is still current, and clears a pending neutralize flag —
     /// the shared body of `pin`, `checkpoint` and `repin`.
-    fn announce_checkpoint(&self, slot: usize) {
-        let slot = &self.slots[slot];
+    fn announce_checkpoint(&self, slot: &NbrSlot) {
         // ORDERING: Relaxed — the flag is a progress hint, not a safety
         // signal; clearing it late at worst triggers one redundant restart.
         slot.neutralize.store(false, Ordering::Relaxed);
@@ -211,12 +210,6 @@ pub struct NbrHandle {
     inner: Handle<Nbr>,
 }
 
-impl NbrHandle {
-    fn announce_checkpoint(&mut self) {
-        self.inner.domain().announce_checkpoint(self.inner.slot());
-    }
-}
-
 impl SmrHandle for NbrHandle {
     type Guard<'g>
         = NbrGuard<'g>
@@ -224,23 +217,27 @@ impl SmrHandle for NbrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> NbrGuard<'_> {
-        self.inner.bind();
-        self.announce_checkpoint();
+        let pinned = self.inner.pin();
+        let slot = &*pinned.scheme().slots[pinned.slot()];
+        pinned.scheme().announce_checkpoint(slot);
         NbrGuard {
-            handle: self,
+            pinned,
+            slot,
             _thread_bound: std::marker::PhantomData,
         }
     }
 
     fn flush(&mut self) {
-        self.inner.scan(true);
+        self.inner.flush();
     }
 }
 
 /// Critical-section guard for [`Nbr`].
 #[must_use = "dropping a guard unpublishes every protection it holds"]
 pub struct NbrGuard<'g> {
-    handle: &'g mut NbrHandle,
+    pinned: Pinned<'g, Nbr>,
+    /// The handle's checkpoint slot, resolved once at `pin`.
+    slot: &'g NbrSlot,
     /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
     /// read-side critical section, and the slot registry's liveness beacon
     /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
@@ -249,26 +246,18 @@ pub struct NbrGuard<'g> {
     _thread_bound: std::marker::PhantomData<*mut ()>,
 }
 
-impl NbrGuard<'_> {
-    #[inline]
-    fn slot(&self) -> &NbrSlot {
-        let inner = &self.handle.inner;
-        &inner.domain().slots[inner.slot()]
-    }
-}
-
 impl Drop for NbrGuard<'_> {
     fn drop(&mut self) {
         // Deactivating the checkpoint on drop also covers panicking
         // operations (RAII unwind safety).
-        self.slot().checkpoint.store(INACTIVE, Ordering::Release);
+        self.slot.checkpoint.store(INACTIVE, Ordering::Release);
     }
 }
 
 impl SmrGuard for NbrGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        self.handle.inner.domain_addr()
+        self.pinned.domain_addr()
     }
 
     #[inline]
@@ -290,7 +279,7 @@ impl SmrGuard for NbrGuard<'_> {
 
     #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        self.handle.inner.alloc(value)
+        self.pinned.alloc(value)
     }
 
     // SAFETY: callers must guarantee every pointer in `batch` satisfies the
@@ -298,24 +287,24 @@ impl SmrGuard for NbrGuard<'_> {
     #[inline]
     unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
         // SAFETY: forwarded — same contract.
-        unsafe { self.handle.inner.retire_batch(batch) };
+        unsafe { self.pinned.retire_batch(batch) };
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
-        unsafe { self.handle.inner.dealloc(ptr) };
+        unsafe { self.pinned.dealloc(ptr) };
     }
 
     #[inline]
     fn needs_restart(&self) -> bool {
-        self.slot().neutralize.load(Ordering::Acquire)
+        self.slot.neutralize.load(Ordering::Acquire)
     }
 
     #[inline]
     fn checkpoint(&mut self) {
-        self.handle.announce_checkpoint();
+        self.pinned.scheme().announce_checkpoint(self.slot);
     }
 
     /// An op-boundary repin is semantically a checkpoint: re-announce the
@@ -324,13 +313,13 @@ impl SmrGuard for NbrGuard<'_> {
     /// restart — then the announcement is already as fresh as it can get.
     #[inline]
     fn repin(&mut self) {
-        let era = self.handle.inner.domain().global_era.load(Ordering::SeqCst);
+        let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
         // ORDERING: Relaxed — our own checkpoint is single-writer (only this
         // thread stores real eras into it), so the read needs no ordering.
-        if era == self.slot().checkpoint.load(Ordering::Relaxed) && !self.needs_restart() {
+        if era == self.slot.checkpoint.load(Ordering::Relaxed) && !self.needs_restart() {
             return;
         }
-        self.handle.announce_checkpoint();
+        self.checkpoint();
     }
 }
 

@@ -36,7 +36,7 @@
 //! [`SmrKind::is_robust`] reports `false`.
 
 use crate::block::Retired;
-use crate::limbo::{EraCountdown, Handle, RetireCore, Scheme};
+use crate::limbo::{EraCountdown, Handle, Pinned, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
@@ -113,8 +113,7 @@ impl Vbr {
     /// value ahead of the slot would elide `repin` forever while the stale
     /// announcement pins the recycle queues).
     #[inline]
-    fn announce_epoch(&self, slot: usize) -> u64 {
-        let slot = &self.slots[slot];
+    fn announce_epoch(&self, slot: &VbrSlot) -> u64 {
         loop {
             let e = self.global_epoch.load(Ordering::SeqCst);
             slot.epoch.store(e, Ordering::SeqCst);
@@ -208,24 +207,29 @@ impl SmrHandle for VbrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> VbrGuard<'_> {
-        self.inner.bind();
-        let op_epoch = self.inner.domain().announce_epoch(self.inner.slot());
+        let pinned = self.inner.pin();
+        let slot = &*pinned.scheme().slots[pinned.slot()];
         VbrGuard {
-            op_epoch,
-            handle: self,
+            op_epoch: pinned.scheme().announce_epoch(slot),
+            pinned,
+            slot,
+            epoch_tick: &mut self.epoch_tick,
             _thread_bound: std::marker::PhantomData,
         }
     }
 
     fn flush(&mut self) {
-        self.inner.scan(true);
+        self.inner.flush();
     }
 }
 
 /// Critical-section guard for [`Vbr`].
 #[must_use = "dropping a guard unpublishes every protection it holds"]
 pub struct VbrGuard<'g> {
-    handle: &'g mut VbrHandle,
+    pinned: Pinned<'g, Vbr>,
+    /// The handle's announcement slot, resolved once at `pin`.
+    slot: &'g VbrSlot,
+    epoch_tick: &'g mut EraCountdown,
     /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
     /// read-side critical section, and the slot registry's liveness beacon
     /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
@@ -240,17 +244,14 @@ impl Drop for VbrGuard<'_> {
     fn drop(&mut self) {
         // Deactivating the epoch announcement on drop also covers panicking
         // operations (RAII unwind safety).
-        let inner = &self.handle.inner;
-        inner.domain().slots[inner.slot()]
-            .epoch
-            .store(INACTIVE, Ordering::Release);
+        self.slot.epoch.store(INACTIVE, Ordering::Release);
     }
 }
 
 impl SmrGuard for VbrGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        self.handle.inner.domain_addr()
+        self.pinned.domain_addr()
     }
 
     #[inline]
@@ -271,13 +272,10 @@ impl SmrGuard for VbrGuard<'_> {
 
     #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let handle = &mut *self.handle;
-        let ptr = handle.inner.alloc(value);
+        let ptr = self.pinned.alloc(value);
         // Allocation-driven epoch advancement: reuse pressure, not limbo
         // growth, is what moves the clock under VBR.
-        handle
-            .epoch_tick
-            .tick(1, &handle.inner.domain().global_epoch);
+        self.epoch_tick.tick(1, &self.pinned.scheme().global_epoch);
         ptr
     }
 
@@ -285,12 +283,10 @@ impl SmrGuard for VbrGuard<'_> {
     // per-node `retire` contract (unlinked, owned, retired exactly once).
     #[inline]
     unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        let handle = &mut *self.handle;
         // SAFETY: forwarded — same contract.
-        unsafe { handle.inner.retire_batch(batch) };
-        handle
-            .epoch_tick
-            .tick(batch.len(), &handle.inner.domain().global_epoch);
+        unsafe { self.pinned.retire_batch(batch) };
+        self.epoch_tick
+            .tick(batch.len(), &self.pinned.scheme().global_epoch);
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
@@ -298,12 +294,12 @@ impl SmrGuard for VbrGuard<'_> {
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.  VBR's version stamp is
         // irrelevant here: an unpublished block has no readers to displace.
-        unsafe { self.handle.inner.dealloc(ptr) };
+        unsafe { self.pinned.dealloc(ptr) };
     }
 
     #[inline]
     fn needs_restart(&self) -> bool {
-        let global = &self.handle.inner.domain().global_epoch;
+        let global = &self.pinned.scheme().global_epoch;
         global.load(Ordering::Acquire).saturating_sub(self.op_epoch) >= DISPLACEMENT_SLACK
     }
 
@@ -313,17 +309,17 @@ impl SmrGuard for VbrGuard<'_> {
     /// restart).  Elided entirely when the epoch has not moved.
     #[inline]
     fn repin(&mut self) {
-        let inner = &self.handle.inner;
-        if inner.domain().global_epoch.load(Ordering::SeqCst) != self.op_epoch {
-            self.op_epoch = inner.domain().announce_epoch(inner.slot());
+        let scheme = self.pinned.scheme();
+        if scheme.global_epoch.load(Ordering::SeqCst) != self.op_epoch {
+            self.op_epoch = scheme.announce_epoch(self.slot);
         }
     }
 
     #[inline]
     fn checkpoint(&mut self) {
-        let inner = &self.handle.inner;
-        self.op_epoch = inner.domain().announce_epoch(inner.slot());
-        inner.domain().displacements.fetch_add(1, Ordering::Relaxed);
+        let scheme = self.pinned.scheme();
+        self.op_epoch = scheme.announce_epoch(self.slot);
+        scheme.displacements.fetch_add(1, Ordering::Relaxed);
     }
 }
 
