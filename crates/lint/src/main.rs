@@ -10,7 +10,7 @@ fn usage() -> &'static str {
      \n\
      Enforces the repo's concurrency-protocol invariants:\n\
      \x20 L1 unsafe-audit         every unsafe site carries // SAFETY:\n\
-     \x20 L2 ordering-audit       Relaxed on protection state carries // ORDERING:\n\
+     \x20 L2 ordering-audit       Relaxed on protection state, and compiler_fence, carry // ORDERING:\n\
      \x20 L3 slot-discipline      hazard slots are named HP_* constants\n\
      \x20 L4 matrix-completeness  SmrKind/DsKind matrices enumerate every variant\n\
      \x20 L5 guard-discipline     no mem::forget on guards; guards are #[must_use]\n\

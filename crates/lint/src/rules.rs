@@ -84,8 +84,10 @@ pub fn l1_unsafe_audit(files: &[SourceFile]) -> Vec<Finding> {
 
 /// Identifier components that name protection-publication state: hazard
 /// slots, era/epoch/checkpoint words, liveness beacons, interval bounds
-/// (IBR/HE `lower`/`upper`), recycling version stamps, and the pool
-/// free-list links.  A `Ordering::Relaxed` that touches one of these is
+/// (IBR/HE `lower`/`upper`), recycling version stamps, HP's `light` word
+/// (which tells a sweep that the slot's hazards were published without a
+/// fence), and the pool free-list links.  A `Ordering::Relaxed` that touches
+/// one of these is
 /// load-bearing for the reclamation protocol and must say *why* relaxed is
 /// enough in an `// ORDERING:` comment.
 const PROTECTION_STEMS: &[&str] = &[
@@ -110,6 +112,7 @@ const PROTECTION_STEMS: &[&str] = &[
     "neutralize",
     "neutralized",
     "phase",
+    "light",
 ];
 
 fn touches_protection_word(code: &str) -> bool {
@@ -122,7 +125,9 @@ fn touches_protection_word(code: &str) -> bool {
 /// `Ordering::Relaxed` on protection-publication state must carry an
 /// `// ORDERING:` justification.  The previous line is inspected too, because
 /// rustfmt regularly splits `x.store(v, Ordering::Relaxed)` across lines and
-/// the field name lands one line up.
+/// the field name lands one line up.  So must every `compiler_fence(`: it is
+/// one half of an asymmetric fence, and the comment is where the other half
+/// (who runs the hardware barrier, and when) is named.
 pub fn l2_ordering_audit(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in files {
@@ -130,6 +135,17 @@ pub fn l2_ordering_audit(files: &[SourceFile]) -> Vec<Finding> {
             continue;
         }
         for i in 0..f.code.len() {
+            if f.code[i].contains("compiler_fence(") && f.marker_above(i, &["ORDERING:"]).is_none()
+            {
+                out.push(finding(
+                    Rule::L2,
+                    &f.rel,
+                    i,
+                    "`compiler_fence` without an `// ORDERING:` justification naming the \
+                     hardware barrier it pairs with"
+                        .to_string(),
+                ));
+            }
             if !f.code[i].contains("Ordering::Relaxed") {
                 continue;
             }

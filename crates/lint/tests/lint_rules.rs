@@ -56,6 +56,10 @@ fn fixture_tree_produces_exactly_the_seeded_findings() {
         // Relaxed on protection state; the ORDERING-justified twin is
         // covered and must NOT appear.
         (Rule::L2, "crates/smr/src/unsafe_bad.rs", 25),
+        // Relaxed on HP's `light` word, and a bare `compiler_fence(`; the
+        // ORDERING-justified pair below them must NOT appear.
+        (Rule::L2, "crates/smr/src/unsafe_bad.rs", 36),
+        (Rule::L2, "crates/smr/src/unsafe_bad.rs", 37),
     ]
     .into_iter()
     .map(|(r, f, l)| (r, f.to_string(), l))
@@ -86,6 +90,8 @@ fn fixture_messages_name_the_violation() {
     assert!(msg(Rule::L4, 1).contains("`SmrKind::ALL` is missing variant(s) [\"Ibr\"]"));
     assert!(msg(Rule::L5, 4).contains("`LeakyGuard`"));
     assert!(msg(Rule::L2, 25).contains("ORDERING"));
+    assert!(msg(Rule::L2, 36).contains("`Ordering::Relaxed` on protection-publication state"));
+    assert!(msg(Rule::L2, 37).contains("`compiler_fence` without"));
     // Both dup arguments are checked.
     let dup: Vec<_> = report
         .findings

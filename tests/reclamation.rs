@@ -88,22 +88,42 @@ fn churn_then_quiesce_vbr() {
 /// grows with the amount of churn.
 #[test]
 fn stalled_reader_bounded_under_hp_unbounded_under_ebr() {
-    fn run<S: Smr>(churn: u64) -> usize {
-        let domain = S::new(cfg());
-        let list: Arc<HarrisList<u64, S>> = Arc::new(HarrisList::new(domain.clone()));
-        // Stalled reader: registers with the domain, enters a critical section
-        // and never leaves (the SMR-level equivalent of a preempted operation).
-        let mut stalled = domain.register();
-        let _guard = stalled.pin();
+    /// Resident keys, above every churned one, that the stalled reader's one
+    /// lookup walks: more hops than any budget of fenced hazard publications,
+    /// so under HP it stalls *light* (see `scot_smr`'s `hp` module docs) with
+    /// its hazards still published.
+    const RESIDENT: std::ops::Range<u64> = 1 << 20..(1 << 20) + 64;
 
+    fn run<S: Smr>(churn: u64, long_lookup: bool) -> usize {
+        type Map<S> = HarrisList<u64, S>;
+        let domain = S::new(cfg());
+        let list: Arc<Map<S>> = Arc::new(HarrisList::new(domain.clone()));
         let mut writer = list.handle();
+        for k in RESIDENT {
+            list.insert(&mut writer, k);
+        }
+        // Stalled reader: enters a critical section — and, in the
+        // long-lookup variant, runs one lookup to the far end of the list —
+        // and never leaves (the SMR-level equivalent of a preempted
+        // operation).
+        let mut stalled = list.handle();
+        let mut guard = <Map<S> as scot::ConcurrentMap<u64, ()>>::pin(&list, &mut stalled);
+        if long_lookup {
+            let last = RESIDENT.end - 1;
+            assert!(
+                <Map<S> as scot::ConcurrentMap<u64, ()>>::get(&list, &mut guard, &last).is_some()
+            );
+        }
+
         for i in 0..churn {
             let k = 10 + (i % 1024);
             list.insert(&mut writer, k);
             list.remove(&mut writer, &k);
         }
         writer.flush();
-        domain.unreclaimed()
+        let backlog = domain.unreclaimed();
+        drop(guard);
+        backlog
     }
 
     // Both backlogs depend only on the churn count (the SMR state machines
@@ -112,22 +132,22 @@ fn stalled_reader_bounded_under_hp_unbounded_under_ebr() {
     // executes: scale the churn tenfold and compare the resulting backlogs.
     const SMALL_CHURN: u64 = 2_000;
     const LARGE_CHURN: u64 = 20_000;
-    let hp_small = run::<Hp>(SMALL_CHURN);
-    let hp_large = run::<Hp>(LARGE_CHURN);
-    let ebr_small = run::<Ebr>(SMALL_CHURN);
-    let ebr_large = run::<Ebr>(LARGE_CHURN);
+    let ebr_small = run::<Ebr>(SMALL_CHURN, false);
+    let ebr_large = run::<Ebr>(LARGE_CHURN, false);
 
     // HP: bounded by H*N + N*R regardless of churn volume (Theorem 1), so the
-    // backlog must NOT scale with the churn: 10x the work, same ceiling.
+    // backlog must NOT scale with the churn: 10x the work, same ceiling —
+    // whether the reader stalled before its first hazard or light.
     let bound = scot_smr::MAX_HAZARDS * 16 + 16 * 16;
-    assert!(
-        hp_small <= bound,
-        "HP small churn exceeded bound: {hp_small}"
-    );
-    assert!(
-        hp_large <= bound,
-        "HP large churn exceeded bound: {hp_large}"
-    );
+    for long_lookup in [false, true] {
+        for churn in [SMALL_CHURN, LARGE_CHURN] {
+            let backlog = run::<Hp>(churn, long_lookup);
+            assert!(
+                backlog <= bound,
+                "HP churn {churn} (long_lookup={long_lookup}) exceeded bound: {backlog}"
+            );
+        }
+    }
     // EBR: the stalled reader freezes the epoch, so the backlog grows in
     // proportion to the churn count.  Demand at least half the 10x churn
     // ratio to leave slack for the limbo entries reclaimed before the stall
@@ -291,6 +311,141 @@ mod value_reads_under_churn {
     #[test]
     fn ibr_guard_protects_value_borrows() {
         churn::<Ibr>();
+    }
+}
+
+/// Long optimistic traversals against a sweep storm.  Past a fixed number of
+/// hops an HP guard stops fencing its hazard publications and leaves the
+/// fence to the sweeper (a process-wide barrier, run only when the sweeper
+/// sees such a reader — `scot_smr`'s `hp` module docs), so this is the shape
+/// in which a missed hazard would show: a list several times longer than that
+/// budget, a sweep every fourth retire, and a payload whose destructor
+/// poisons it, so a reader still inside a freed — or freed and recycled —
+/// node fails its check instead of reading plausible bytes.
+mod long_traversals_under_sweep_storm {
+    use scot::{ConcurrentMap, HarrisList};
+    use scot_smr::{Hp, Smr, SmrConfig};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{Arc, Barrier};
+
+    const POISON: u64 = 0xdead_dead_dead_dead;
+    /// Half of them resident at any time: a lookup walks ~64 nodes on average.
+    const KEYS: u64 = 256;
+    const OPS_PER_THREAD: u64 = 20_000;
+
+    /// A value that encodes its key twice and counts its construction and its
+    /// destruction.  Atomic fields, so that the poisoning stores cannot be
+    /// discarded as dead and a racing read would be a failed check, not UB.
+    struct Canary {
+        stamp: AtomicU64,
+        complement: AtomicU64,
+        dropped: Arc<AtomicUsize>,
+    }
+
+    impl Canary {
+        fn new(key: u64, made: &AtomicUsize, dropped: &Arc<AtomicUsize>) -> Self {
+            made.fetch_add(1, Ordering::Relaxed);
+            let stamp = key.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            Self {
+                stamp: AtomicU64::new(stamp),
+                complement: AtomicU64::new(!stamp),
+                dropped: dropped.clone(),
+            }
+        }
+
+        fn verify(&self, key: u64, what: &str) {
+            let stamp = self.stamp.load(Ordering::Relaxed);
+            let complement = self.complement.load(Ordering::Relaxed);
+            assert!(
+                stamp == key.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1 && complement == !stamp,
+                "{what}({key}) read a freed or recycled value \
+                 (stamp={stamp:#x}, complement={complement:#x})"
+            );
+        }
+    }
+
+    impl Drop for Canary {
+        fn drop(&mut self) {
+            self.stamp.store(POISON, Ordering::Relaxed);
+            self.complement.store(POISON, Ordering::Relaxed);
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn storm(snapshot_scan: bool) {
+        let domain = Hp::new(SmrConfig {
+            max_threads: 8,
+            scan_threshold: 4,
+            snapshot_scan,
+            ..SmrConfig::default()
+        });
+        let list: HarrisList<u64, Hp, Canary> = HarrisList::new(domain.clone());
+        let made = AtomicUsize::new(0);
+        let dropped = Arc::new(AtomicUsize::new(0));
+        {
+            let mut h = list.handle();
+            for k in (0..KEYS).step_by(2) {
+                let mut g = list.pin(&mut h);
+                assert!(list
+                    .insert(&mut g, k, Canary::new(k, &made, &dropped))
+                    .is_ok());
+            }
+        }
+        let start = Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (list, made, dropped, start) = (&list, &made, &dropped, &start);
+                s.spawn(move || {
+                    let mut h = list.handle();
+                    let mut x = 0x2545_f491_4f6c_dd1d ^ (t + 1);
+                    start.wait();
+                    for _ in 0..OPS_PER_THREAD {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let k = (x >> 8) % KEYS;
+                        let mut g = list.pin(&mut h);
+                        // Two writers, two readers.
+                        if t >= 2 {
+                            if let Some(v) = list.get(&mut g, &k) {
+                                v.verify(k, "get");
+                            }
+                        } else if x & 1 == 0 {
+                            let _ = list.insert(&mut g, k, Canary::new(k, made, dropped));
+                        } else if let Some(v) = list.remove(&mut g, &k) {
+                            v.verify(k, "remove");
+                        }
+                    }
+                    drop(h);
+                });
+            }
+        });
+        let mut h = list.handle();
+        h.flush();
+        drop(h);
+        assert_eq!(
+            domain.unreclaimed(),
+            0,
+            "{}: every retired node reclaimed at quiescence",
+            domain.name()
+        );
+        drop(list);
+        assert_eq!(
+            dropped.load(Ordering::Relaxed),
+            made.load(Ordering::Relaxed),
+            "{}: every value destroyed exactly once",
+            domain.name()
+        );
+    }
+
+    #[test]
+    fn hp_long_traversals_survive_a_sweep_storm() {
+        storm(false);
+    }
+
+    #[test]
+    fn hpopt_long_traversals_survive_a_sweep_storm() {
+        storm(true);
     }
 }
 
