@@ -30,7 +30,7 @@ use scot_harness::experiments::{
     skiplist_table, write_bench_artifact, write_fault_artifact, write_service_artifact,
     ExperimentOptions, ALL_EXPERIMENTS,
 };
-use scot_harness::{run_timed, DsKind, FaultKind, Mix, RunConfig, RunResult, SmrKind};
+use scot_harness::{run_timed, DsKind, FaultKind, Mix, RunConfig, SmrKind};
 use std::time::Duration;
 
 /// Upper bound on `--threads`/`<threads>`: far above any sane benchmark
@@ -145,8 +145,6 @@ fn cmd_run(args: &[String]) {
         std::process::exit(2);
     }
     let cfg = RunConfig {
-        threads,
-        key_range,
         mix: Mix {
             read_pct: read,
             insert_pct: ins,
@@ -154,25 +152,45 @@ fn cmd_run(args: &[String]) {
             scan_pct: scan,
         },
         duration: Duration::from_secs_f64(seconds),
-        sample_interval: Duration::from_millis(10),
-        seed: 0x5c07,
-        pool: true,
-        value_bytes: 0,
         scan_len,
-        zipf_theta: 0.0,
         pin_batch,
+        ..RunConfig::paper_default(threads, key_range)
     };
     let result = run_timed(ds, smr, &cfg);
     println!("{}", result.row());
     println!("{}", serde_json::to_string_pretty(&result).unwrap());
 }
 
-fn write_json(dir: &str, id: &str, results: &[RunResult]) {
-    std::fs::create_dir_all(dir).expect("cannot create output directory");
-    let path = format!("{dir}/{id}.json");
-    let json = serde_json::to_string_pretty(results).unwrap();
-    std::fs::write(&path, json).expect("cannot write results file");
-    println!("wrote {path}");
+/// Prints one finished preset — its table, if it has one — and writes what
+/// every preset leaves behind: the raw rows as `<id>.json` under `--json`,
+/// and the normalized `BENCH_<id>.json` trajectory artifact (`artifact` is
+/// the outcome of writing it), so the committed files stay regenerable and
+/// diffable across sessions.
+fn emit<T: serde::Serialize>(
+    id: &str,
+    table: Option<String>,
+    rows: &[T],
+    json_dir: Option<&str>,
+    artifact: std::io::Result<String>,
+) {
+    if let Some(table) = table {
+        println!("\n{table}");
+    }
+    if let Some(dir) = json_dir {
+        std::fs::create_dir_all(dir).expect("cannot create output directory");
+        let path = format!("{dir}/{id}.json");
+        let json = serde_json::to_string_pretty(rows).unwrap();
+        std::fs::write(&path, json).expect("cannot write results file");
+        println!("wrote {path}");
+    }
+    match artifact {
+        Ok(path) => println!("wrote {path}"),
+        Err(e) => {
+            eprintln!("cannot write bench artifact for {id}: {e}");
+            std::process::exit(1);
+        }
+    }
+    println!();
 }
 
 fn cmd_exp(args: &[String]) {
@@ -265,97 +283,70 @@ fn cmd_exp(args: &[String]) {
         vec![id]
     };
 
+    let json_dir = json_dir.as_deref();
     for id in &ids {
         println!("=== {id} ===");
-        if id == "faults" {
-            // The fault harness renders verdicts, not throughput rows, so it
-            // bypasses the generic RunResult plumbing.
-            let reports = run_faults_experiment(&opts, |r| {
-                println!(
-                    "{:<10} {:<7} {:<16} warmup-end={:<8} peak={:<8} residual={:<6} {}",
-                    r.ds, r.smr, r.fault, r.baseline, r.peak, r.residual, r.verdict
-                )
-            });
-            println!("\n{}", faults_table(&reports));
-            if let Some(dir) = &json_dir {
-                std::fs::create_dir_all(dir).expect("cannot create output directory");
-                let path = format!("{dir}/faults.json");
-                let json = serde_json::to_string_pretty(&reports).unwrap();
-                std::fs::write(&path, json).expect("cannot write results file");
-                println!("wrote {path}");
-            }
-            match write_fault_artifact(&bench_dir, &reports) {
-                Ok(path) => println!("wrote {path}"),
-                Err(e) => {
-                    eprintln!("cannot write fault artifact: {e}");
-                    std::process::exit(1);
-                }
-            }
-            println!();
-            continue;
-        }
-        if id == "service" {
-            // The service runner renders per-phase latency rows, not uniform
-            // throughput rows, so it bypasses the RunResult plumbing too.
-            let reports = run_service_experiment(&opts, |r| {
-                println!(
-                    "{:<10} {:<7} {:<14} ops/s={:<12.0} p50={}ns p99={}ns p999={}ns peak={}",
-                    r.ds,
-                    r.smr,
-                    r.phase,
-                    r.ops_per_sec,
-                    r.p50_ns.unwrap_or(0),
-                    r.p99_ns.unwrap_or(0),
-                    r.p999_ns.unwrap_or(0),
-                    r.peak_unreclaimed,
-                )
-            });
-            println!("\n{}", service_table(&reports));
-            if let Some(dir) = &json_dir {
-                std::fs::create_dir_all(dir).expect("cannot create output directory");
-                let path = format!("{dir}/service.json");
-                let json = serde_json::to_string_pretty(&reports).unwrap();
-                std::fs::write(&path, json).expect("cannot write results file");
-                println!("wrote {path}");
-            }
-            match write_service_artifact(&bench_dir, &reports) {
-                Ok(path) => println!("wrote {path}"),
-                Err(e) => {
-                    eprintln!("cannot write service artifact: {e}");
-                    std::process::exit(1);
-                }
-            }
-            println!();
-            continue;
-        }
-        let Some(results) = run_experiment(id, &opts, |r| println!("{}", r.row())) else {
-            eprintln!("unknown experiment id: {id}");
-            usage();
-        };
         match id.as_str() {
-            "tab1" => println!("\n{}", compatibility_matrix(&results)),
-            "tab2" => println!("\n{}", restart_table(&results)),
-            "pool" => println!("\n{}", pool_table(&results)),
-            "cache" => println!("\n{}", cache_table(&results, opts.value_bytes)),
-            "skiplist" => println!("\n{}", skiplist_table(&results)),
-            "scan" => println!("\n{}", scan_table(&results)),
-            "cursor" => println!("\n{}", cursor_table(&results)),
-            _ => {}
-        }
-        if let Some(dir) = &json_dir {
-            write_json(dir, id, &results);
-        }
-        // Every `exp` run refreshes the normalized trajectory artifact, so
-        // the committed BENCH_<preset>.json files stay regenerable and
-        // diffable across sessions.
-        match write_bench_artifact(&bench_dir, id, &results) {
-            Ok(path) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write bench artifact for {id}: {e}");
-                std::process::exit(1);
+            // The fault harness renders verdicts and the service runner
+            // per-phase latency rows, not uniform throughput rows.
+            "faults" => {
+                let reports = run_faults_experiment(&opts, |r| {
+                    println!(
+                        "{:<10} {:<7} {:<16} warmup-end={:<8} peak={:<8} residual={:<6} {}",
+                        r.ds, r.smr, r.fault, r.baseline, r.peak, r.residual, r.verdict
+                    )
+                });
+                let artifact = write_fault_artifact(&bench_dir, &reports);
+                emit(
+                    id,
+                    Some(faults_table(&reports)),
+                    &reports,
+                    json_dir,
+                    artifact,
+                );
+            }
+            "service" => {
+                let reports = run_service_experiment(&opts, |r| {
+                    println!(
+                        "{:<10} {:<7} {:<14} ops/s={:<12.0} p50={}ns p99={}ns p999={}ns peak={}",
+                        r.ds,
+                        r.smr,
+                        r.phase,
+                        r.ops_per_sec,
+                        r.p50_ns.unwrap_or(0),
+                        r.p99_ns.unwrap_or(0),
+                        r.p999_ns.unwrap_or(0),
+                        r.peak_unreclaimed,
+                    )
+                });
+                let artifact = write_service_artifact(&bench_dir, &reports);
+                emit(
+                    id,
+                    Some(service_table(&reports)),
+                    &reports,
+                    json_dir,
+                    artifact,
+                );
+            }
+            _ => {
+                let Some(results) = run_experiment(id, &opts, |r| println!("{}", r.row())) else {
+                    eprintln!("unknown experiment id: {id}");
+                    usage();
+                };
+                let table = match id.as_str() {
+                    "tab1" => Some(compatibility_matrix(&results)),
+                    "tab2" => Some(restart_table(&results)),
+                    "pool" => Some(pool_table(&results)),
+                    "cache" => Some(cache_table(&results, opts.value_bytes)),
+                    "skiplist" => Some(skiplist_table(&results)),
+                    "scan" => Some(scan_table(&results)),
+                    "cursor" => Some(cursor_table(&results)),
+                    _ => None,
+                };
+                let artifact = write_bench_artifact(&bench_dir, id, &results);
+                emit(id, table, &results, json_dir, artifact);
             }
         }
-        println!();
     }
 }
 
@@ -364,6 +355,9 @@ fn cmd_exp(args: &[String]) {
 struct DiffRecord {
     ds: String,
     smr: String,
+    /// Ablation arm; artifacts from before the field existed (and presets
+    /// without arms, which write `null`) read as `None`.
+    arm: Option<String>,
     threads: u64,
     ops_per_sec: f64,
     /// `p50` latency in nanoseconds where the preset records it (`null` in
@@ -377,6 +371,21 @@ struct DiffRecord {
     /// them.  Rows with fewer than [`LATENCY_SAMPLE_FLOOR`] samples on
     /// either side are exempt from the latency gate.
     samples: Option<f64>,
+}
+
+impl DiffRecord {
+    /// What two artifacts' rows are matched on.
+    fn key(&self) -> (&str, &str, Option<&str>, u64) {
+        (&self.ds, &self.smr, self.arm.as_deref(), self.threads)
+    }
+
+    /// The scheme column: the scheme, with the arm where there is one.
+    fn scheme(&self) -> String {
+        match &self.arm {
+            Some(arm) => format!("{}[{arm}]", self.smr),
+            None => self.smr.clone(),
+        }
+    }
 }
 
 /// Minimum samples on both sides for a row's median to be gated: below
@@ -397,7 +406,7 @@ fn parse_bench_records(body: &str) -> Vec<DiffRecord> {
     let mut records = Vec::new();
     let mut in_records = false;
     let (mut ds, mut smr, mut threads, mut ops) = (None::<String>, None::<String>, None, None);
-    let (mut p50, mut samples) = (None, None);
+    let (mut arm, mut p50, mut samples) = (None::<String>, None, None);
     for line in body.lines() {
         if line.trim_start().starts_with("\"records\"") {
             in_records = true;
@@ -410,6 +419,10 @@ fn parse_bench_records(body: &str) -> Vec<DiffRecord> {
             ds = Some(v.trim_matches('"').to_string());
         } else if let Some(v) = field(line, "smr") {
             smr = Some(v.trim_matches('"').to_string());
+        } else if let Some(v) = field(line, "arm") {
+            arm = v
+                .strip_prefix('"')
+                .map(|a| a.trim_end_matches('"').to_string());
         } else if let Some(v) = field(line, "threads") {
             threads = v.parse::<u64>().ok();
         } else if let Some(v) = field(line, "ops_per_sec") {
@@ -425,6 +438,7 @@ fn parse_bench_records(body: &str) -> Vec<DiffRecord> {
                 records.push(DiffRecord {
                     ds: d.clone(),
                     smr: s.clone(),
+                    arm: arm.take(),
                     threads: t,
                     ops_per_sec: o,
                     p50_ns: p50,
@@ -432,7 +446,7 @@ fn parse_bench_records(body: &str) -> Vec<DiffRecord> {
                 });
             }
             (ds, smr, threads, ops) = (None, None, None, None);
-            (p50, samples) = (None, None);
+            (arm, p50, samples) = (None, None, None);
         }
     }
     records
@@ -491,24 +505,25 @@ fn cmd_bench_diff(args: &[String]) {
     // row with no baseline means the committed artifact is stale, and a
     // baseline row with no fresh counterpart means coverage silently shrank.
     let mut unmatched = 0usize;
-    // Occurrence-indexed matching: presets that sweep an extra dimension
-    // (e.g. scan lengths) emit several rows per (ds, smr, threads) key, in a
-    // stable order.
-    let mut seen: std::collections::HashMap<(String, String, u64), usize> =
-        std::collections::HashMap::new();
+    // A fresh row pairs with the first baseline row of its (ds, smr, arm,
+    // threads) key not paired yet: presets that sweep an extra dimension
+    // (e.g. scan lengths) emit several rows per key, in a stable order.
+    let mut matched = vec![false; baseline.len()];
     for f in &fresh {
-        let key = (f.ds.clone(), f.smr.clone(), f.threads);
-        let occurrence = seen.entry(key).or_insert(0);
-        let base = baseline
-            .iter()
-            .filter(|b| b.ds == f.ds && b.smr == f.smr && b.threads == f.threads)
-            .nth(*occurrence);
-        *occurrence += 1;
-        let Some(base) = base else {
+        let base = (0..baseline.len()).find(|&i| !matched[i] && baseline[i].key() == f.key());
+        let Some(base) = base.map(|i| {
+            matched[i] = true;
+            &baseline[i]
+        }) else {
             unmatched += 1;
             println!(
                 "{:<12}{:<10}{:>8}{:>16}{:>16.0}{:>10}  << NOT IN BASELINE",
-                f.ds, f.smr, f.threads, "(new)", f.ops_per_sec, "-"
+                f.ds,
+                f.scheme(),
+                f.threads,
+                "(new)",
+                f.ops_per_sec,
+                "-"
             );
             continue;
         };
@@ -546,23 +561,28 @@ fn cmd_bench_diff(args: &[String]) {
         }
         println!(
             "{:<12}{:<10}{:>8}{:>16.0}{:>16.0}{:>+9.1}%{}{}",
-            f.ds, f.smr, f.threads, base.ops_per_sec, f.ops_per_sec, change, lat_col, flag
+            f.ds,
+            f.scheme(),
+            f.threads,
+            base.ops_per_sec,
+            f.ops_per_sec,
+            change,
+            lat_col,
+            flag
         );
     }
     // The reverse direction: baseline rows the fresh artifact never matched.
-    let mut base_seen: std::collections::HashMap<(String, String, u64), usize> =
-        std::collections::HashMap::new();
-    for b in &baseline {
-        let key = (b.ds.clone(), b.smr.clone(), b.threads);
-        let occurrence = base_seen.entry(key.clone()).or_insert(0);
-        if *occurrence >= seen.get(&key).copied().unwrap_or(0) {
-            unmatched += 1;
-            println!(
-                "{:<12}{:<10}{:>8}{:>16.0}{:>16}{:>10}  << MISSING FROM FRESH",
-                b.ds, b.smr, b.threads, b.ops_per_sec, "(gone)", "-"
-            );
-        }
-        *occurrence += 1;
+    for (b, _) in baseline.iter().zip(&matched).filter(|(_, m)| !**m) {
+        unmatched += 1;
+        println!(
+            "{:<12}{:<10}{:>8}{:>16.0}{:>16}{:>10}  << MISSING FROM FRESH",
+            b.ds,
+            b.scheme(),
+            b.threads,
+            b.ops_per_sec,
+            "(gone)",
+            "-"
+        );
     }
     println!(
         "{compared} points compared, {regressions} regressed beyond {max_regress}%, \

@@ -17,20 +17,27 @@
 //! | tab1   | Table 1    | compatibility matrix (every DS × every SMR) |
 //! | tab2   | Table 2    | restart statistics, HP, key range 10,000 |
 //! | pool   | (ablation) | block pool on vs off, write-only, HMList + NMTree |
+//! | cache  | (extension) | key-value cache, 90% value-returning get, every scheme variant |
 //! | skiplist | (extension) | skip-list 50r/50w sweep over every scheme variant |
 //! | scan   | (extension) | guard-scoped range scans, scan-length sweep × every scheme variant |
-//! | cursor | (ablation) | hot-path pass: repin elision (`+repin`) vs the per-op pin base |
+//! | cursor | (ablation) | hot-path pass: repin elision (`repin` arm) vs the per-op pin `base` arm |
+//! | faults | (extension) | fault-injection robustness verdicts, every scheme variant |
 //! | service | (extension) | phased cache-server soak: Zipfian keys, p50/p99/p999 per op-class |
 //!
 //! Key ranges and mixes match the paper exactly; thread counts are scaled to
 //! the host (`default_thread_counts`), and fig12's 50M-key range can be scaled
 //! down with `ExperimentOptions::scale_large_range` so the sweep finishes on
 //! small machines while still exceeding cache capacity.
+//!
+//! Every preset is a row of [`spec`]'s table run by one sweep driver
+//! ([`run_experiment`]): enumerate the cells, run each `opts.runs` times,
+//! keep the median.  Every result table is a column list over one renderer.
 
 use crate::faults::{run_fault_scenario, FaultKind, FaultPlan, FaultReport};
 use crate::kv::run_timed_kv;
 use crate::service::{run_service_scenario, ServicePlan, ServiceReport};
-use crate::workload::{run_timed, DsKind, Mix, RunConfig, RunResult};
+use crate::table::{render, Column};
+use crate::workload::{run_timed, Arm, DsKind, Mix, RunConfig, RunResult};
 use crate::{default_thread_counts, SmrKind};
 
 use std::time::Duration;
@@ -59,11 +66,11 @@ pub struct ExperimentOptions {
     /// Zipfian skew exponent used by the `service` experiment's key draws
     /// (the `--zipf-theta` CLI knob; the YCSB-style default is 0.99).
     pub zipf_theta: f64,
-    /// Operations per guard pin in the measurement hot loops (the
-    /// `--pin-batch` CLI knob).  1 preserves the paper's pin-per-operation
-    /// protocol; larger values exercise repin elision.  The `cursor`
-    /// ablation's repin arm uses this value when it is above 1, and 16
-    /// otherwise.
+    /// Operations per critical section in the measurement loop (the
+    /// `--pin-batch` CLI knob).  1 is the paper's protocol — pin, one
+    /// operation, unpin; larger values hold one guard and `repin` it every N
+    /// operations.  The `cursor` ablation's repin arm uses this value when it
+    /// is above 1, and 16 otherwise.
     pub pin_batch: u64,
 }
 
@@ -91,22 +98,27 @@ impl ExperimentOptions {
             runs: 1,
             threads: vec![1, 2],
             scale_large_range: 5_000,
-            value_bytes: 64,
             scan_lens: vec![8, 64],
-            faults: FaultKind::ALL.to_vec(),
-            zipf_theta: 0.99,
-            pin_batch: 1,
+            ..Self::default()
         }
     }
 
-    /// Base [`RunConfig`] for a preset point with this options set's tuning
-    /// knobs (duration, pin batch) already applied.
-    fn base_config(&self, threads: usize, key_range: u64) -> RunConfig {
-        let mut cfg = RunConfig::paper_default(threads, key_range);
-        cfg.duration = self.duration;
-        cfg.pin_batch = self.pin_batch;
-        cfg
+    /// The largest requested thread count: where single-point presets run.
+    fn last_threads(&self) -> usize {
+        *self.threads.last().unwrap_or(&2)
     }
+}
+
+/// What a preset sweeps within each structure × scheme pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Axis {
+    /// Every thread count of [`ExperimentOptions::threads`].
+    Threads,
+    /// Every window width of [`ExperimentOptions::scan_lens`], at the largest
+    /// thread count.
+    ScanLen,
+    /// Nothing: one point, at the largest thread count.
+    Point,
 }
 
 /// A fully described experiment (one paper table/figure).
@@ -124,6 +136,24 @@ pub struct ExperimentSpec {
     pub key_range: u64,
     /// Whether the headline metric is memory overhead rather than throughput.
     pub memory_metric: bool,
+    /// Operation mix of every cell.
+    pub(crate) mix: Mix,
+    /// Whether cells store and read back values (the key-value workload of
+    /// [`run_timed_kv`]) instead of running the membership workload.
+    pub(crate) values: bool,
+    /// The arms run at every point (empty: one unnamed run).
+    pub(crate) arms: &'static [Arm],
+    /// The axis swept within each structure × scheme pair.
+    pub(crate) axis: Axis,
+}
+
+impl ExperimentSpec {
+    /// The structure × scheme pairs of the preset, structure-major.
+    fn pairs(&self) -> impl Iterator<Item = (DsKind, SmrKind)> + '_ {
+        self.structures
+            .iter()
+            .flat_map(|&ds| self.schemes.iter().map(move |&smr| (ds, smr)))
+    }
 }
 
 /// All experiment identifiers, in paper order (the `pool` ablation, the
@@ -135,461 +165,231 @@ pub const ALL_EXPERIMENTS: [&str; 19] = [
     "tab1", "tab2", "pool", "cache", "skiplist", "scan", "cursor", "faults", "service",
 ];
 
-/// The scheme list used by the paper's figures, in legend order.
-fn paper_schemes() -> Vec<SmrKind> {
-    vec![
-        SmrKind::Nr,
-        SmrKind::Ebr,
-        SmrKind::Hp,
-        SmrKind::HpOpt,
-        SmrKind::Ibr,
-        SmrKind::He,
-        SmrKind::Hyaline,
-    ]
-}
-
-/// Robust schemes for which the paper reports memory overhead (Hyaline is
-/// skipped, exactly as in §5).
-fn memory_schemes() -> Vec<SmrKind> {
-    vec![
-        SmrKind::Ebr,
-        SmrKind::Hp,
-        SmrKind::HpOpt,
-        SmrKind::Ibr,
-        SmrKind::He,
-    ]
+/// The caption of each preset, as `scot-bench list` prints it.
+fn description(id: &str) -> &'static str {
+    match id {
+        "fig8a" => "Linked list throughput, 50% read / 50% write, key range 512",
+        "fig8b" => "Linked list throughput, 50% read / 50% write, key range 10,000",
+        "fig9a" => "NMTree throughput, 50% read / 50% write, key range 128",
+        "fig9b" => "NMTree throughput, 50% read / 50% write, key range 100,000",
+        "fig10a" => "Linked list avg. not-yet-reclaimed objects, key range 512",
+        "fig10b" => "Linked list avg. not-yet-reclaimed objects, key range 10,000",
+        "fig11a" => "NMTree avg. not-yet-reclaimed objects, key range 128",
+        "fig11b" => "NMTree avg. not-yet-reclaimed objects, key range 100,000",
+        "fig12a" => "NMTree throughput, key range 50,000,000 (out of cache)",
+        "fig12b" => "NMTree avg. not-yet-reclaimed objects, key range 50,000,000",
+        "tab1" => "Compatibility matrix: every data structure under every SMR scheme",
+        "tab2" => "Restart statistics under HP, key range 10,000 (Harris-Michael vs Harris)",
+        "pool" => "Block-pool ablation: pool on vs off, write-only, HMList + NMTree",
+        "cache" => "Key-value cache workload: 90% value-returning get, every SMR scheme variant",
+        "skiplist" => "Skip-list sweep: 50% read / 50% write over every SMR scheme variant",
+        "scan" => {
+            "Guard-scoped range scans: scan-length sweep, every SMR scheme variant, \
+             oracle-checked output (skip list + NM tree)"
+        }
+        "cursor" => {
+            "Cursor hot-path ablation: repin elision against the per-op pin base \
+             (skip list + NM tree)"
+        }
+        "faults" => {
+            "Fault-injection robustness: stalled, dying and panicking threads \
+             against every SMR scheme variant, with a bounded-footprint verdict per cell"
+        }
+        "service" => {
+            "Phased cache-server soak: Zipfian keys, per-phase p50/p99/p999 \
+             latency per op-class, robust vs non-robust scheme spread"
+        }
+        _ => unreachable!("{id} is not in ALL_EXPERIMENTS"),
+    }
 }
 
 /// Looks up the specification for an experiment id.
 pub fn spec(id: &str, opts: &ExperimentOptions) -> Option<ExperimentSpec> {
-    let lists = vec![DsKind::HmList, DsKind::ListLf, DsKind::ListWf];
-    let tree = vec![DsKind::Tree];
+    use {DsKind::*, SmrKind::*};
+    let id = *ALL_EXPERIMENTS.iter().find(|known| **known == id)?;
+    // The scheme list of the paper's figures in legend order, and the robust
+    // schemes for which it reports memory overhead (Hyaline is skipped,
+    // exactly as in §5).
+    let paper = || vec![Nr, Ebr, Hp, HpOpt, Ibr, He, Hyaline];
+    let memory = || vec![Ebr, Hp, HpOpt, Ibr, He];
+    let every = || SmrKind::ALL.to_vec();
+    let lists = [HmList, ListLf, ListWf];
     let large_range = 50_000_000 / opts.scale_large_range.max(1);
-    let s = match id {
-        "fig8a" => ExperimentSpec {
-            id: "fig8a",
-            description: "Linked list throughput, 50% read / 50% write, key range 512",
-            structures: lists,
-            schemes: paper_schemes(),
-            key_range: 512,
-            memory_metric: false,
-        },
-        "fig8b" => ExperimentSpec {
-            id: "fig8b",
-            description: "Linked list throughput, 50% read / 50% write, key range 10,000",
-            structures: lists,
-            schemes: paper_schemes(),
-            key_range: 10_000,
-            memory_metric: false,
-        },
-        "fig9a" => ExperimentSpec {
-            id: "fig9a",
-            description: "NMTree throughput, 50% read / 50% write, key range 128",
-            structures: tree,
-            schemes: paper_schemes(),
-            key_range: 128,
-            memory_metric: false,
-        },
-        "fig9b" => ExperimentSpec {
-            id: "fig9b",
-            description: "NMTree throughput, 50% read / 50% write, key range 100,000",
-            structures: tree,
-            schemes: paper_schemes(),
-            key_range: 100_000,
-            memory_metric: false,
-        },
-        "fig10a" => ExperimentSpec {
-            id: "fig10a",
-            description: "Linked list avg. not-yet-reclaimed objects, key range 512",
-            structures: lists,
-            schemes: memory_schemes(),
-            key_range: 512,
-            memory_metric: true,
-        },
-        "fig10b" => ExperimentSpec {
-            id: "fig10b",
-            description: "Linked list avg. not-yet-reclaimed objects, key range 10,000",
-            structures: lists,
-            schemes: memory_schemes(),
-            key_range: 10_000,
-            memory_metric: true,
-        },
-        "fig11a" => ExperimentSpec {
-            id: "fig11a",
-            description: "NMTree avg. not-yet-reclaimed objects, key range 128",
-            structures: tree,
-            schemes: memory_schemes(),
-            key_range: 128,
-            memory_metric: true,
-        },
-        "fig11b" => ExperimentSpec {
-            id: "fig11b",
-            description: "NMTree avg. not-yet-reclaimed objects, key range 100,000",
-            structures: tree,
-            schemes: memory_schemes(),
-            key_range: 100_000,
-            memory_metric: true,
-        },
-        "fig12a" => ExperimentSpec {
-            id: "fig12a",
-            description: "NMTree throughput, key range 50,000,000 (out of cache)",
-            structures: tree,
-            schemes: paper_schemes(),
-            key_range: large_range,
-            memory_metric: false,
-        },
-        "fig12b" => ExperimentSpec {
-            id: "fig12b",
-            description: "NMTree avg. not-yet-reclaimed objects, key range 50,000,000",
-            structures: tree,
-            schemes: memory_schemes(),
-            key_range: large_range,
-            memory_metric: true,
-        },
-        "tab1" => ExperimentSpec {
-            id: "tab1",
-            description: "Compatibility matrix: every data structure under every SMR scheme",
-            structures: DsKind::ALL.to_vec(),
-            schemes: SmrKind::ALL.to_vec(),
-            key_range: 256,
-            memory_metric: false,
-        },
-        "tab2" => ExperimentSpec {
-            id: "tab2",
-            description: "Restart statistics under HP, key range 10,000 (Harris-Michael vs Harris)",
-            structures: vec![DsKind::HmList, DsKind::ListLf],
-            schemes: vec![SmrKind::Hp],
-            key_range: 10_000,
-            memory_metric: false,
-        },
+    // Quick sweeps keep the fault and service matrices affordable with a
+    // single structure (and, for service, a small range); the full runs add
+    // the tree (and the skip list, over millions of keys).
+    let quick = opts.duration <= Duration::from_millis(150);
+    let row = |structures: &[DsKind], schemes: Vec<SmrKind>, key_range: u64, memory_metric| {
+        ExperimentSpec {
+            id,
+            description: description(id),
+            structures: structures.to_vec(),
+            schemes,
+            key_range,
+            memory_metric,
+            mix: Mix::READ_50,
+            values: false,
+            arms: &[],
+            axis: Axis::Threads,
+        }
+    };
+    let point = |spec: ExperimentSpec| ExperimentSpec {
+        axis: Axis::Point,
+        ..spec
+    };
+    Some(match id {
+        "fig8a" => row(&lists, paper(), 512, false),
+        "fig8b" => row(&lists, paper(), 10_000, false),
+        "fig9a" => row(&[Tree], paper(), 128, false),
+        "fig9b" => row(&[Tree], paper(), 100_000, false),
+        "fig10a" => row(&lists, memory(), 512, true),
+        "fig10b" => row(&lists, memory(), 10_000, true),
+        "fig11a" => row(&[Tree], memory(), 128, true),
+        "fig11b" => row(&[Tree], memory(), 100_000, true),
+        "fig12a" => row(&[Tree], paper(), large_range, false),
+        "fig12b" => row(&[Tree], memory(), large_range, true),
+        "tab1" => point(row(&DsKind::ALL, every(), 256, false)),
+        "tab2" => row(&[HmList, ListLf], vec![Hp], 10_000, false),
         "pool" => ExperimentSpec {
-            id: "pool",
-            description: "Block-pool ablation: pool on vs off, write-only, HMList + NMTree",
-            structures: vec![DsKind::HmList, DsKind::Tree],
-            schemes: vec![SmrKind::Ebr, SmrKind::Hp, SmrKind::Ibr],
-            key_range: 512,
-            memory_metric: false,
+            mix: Mix::WRITE_ONLY,
+            arms: &[Arm::POOL_ON, Arm::POOL_OFF],
+            ..point(row(&[HmList, Tree], vec![Ebr, Hp, Ibr], 512, false))
         },
         "cache" => ExperimentSpec {
-            id: "cache",
-            description:
-                "Key-value cache workload: 90% value-returning get, every SMR scheme variant",
-            structures: vec![DsKind::HashMap],
-            schemes: SmrKind::ALL.to_vec(),
-            key_range: 8192,
-            memory_metric: false,
+            mix: Mix::READ_90,
+            values: true,
+            ..point(row(&[HashMap], every(), 8192, false))
         },
-        "skiplist" => ExperimentSpec {
-            id: "skiplist",
-            description: "Skip-list sweep: 50% read / 50% write over every SMR scheme variant",
-            structures: vec![DsKind::SkipList],
-            schemes: SmrKind::ALL.to_vec(),
-            key_range: 10_000,
-            memory_metric: false,
-        },
+        "skiplist" => point(row(&[SkipList], every(), 10_000, false)),
         "scan" => ExperimentSpec {
-            id: "scan",
-            description: "Guard-scoped range scans: scan-length sweep, every SMR scheme variant, \
-                 oracle-checked output (skip list + NM tree)",
-            structures: vec![DsKind::SkipList, DsKind::Tree],
-            schemes: SmrKind::ALL.to_vec(),
-            key_range: 8192,
-            memory_metric: false,
+            mix: Mix::SCAN_HEAVY,
+            axis: Axis::ScanLen,
+            ..row(&[SkipList, Tree], every(), 8192, false)
         },
         "cursor" => ExperimentSpec {
-            id: "cursor",
-            description: "Cursor hot-path ablation: repin elision against the per-op pin base \
-                 (skip list + NM tree)",
-            structures: vec![DsKind::SkipList, DsKind::Tree],
-            schemes: vec![SmrKind::Ebr, SmrKind::Hp, SmrKind::Ibr, SmrKind::Vbr],
-            key_range: 8192,
-            memory_metric: false,
+            arms: &[Arm::BASE, Arm::REPIN],
+            ..point(row(&[SkipList, Tree], vec![Ebr, Hp, Ibr, Vbr], 8192, false))
         },
-        "faults" => ExperimentSpec {
-            id: "faults",
-            description: "Fault-injection robustness: stalled, dying and panicking threads \
-                 against every SMR scheme variant, with a bounded-footprint verdict per cell",
-            // Quick sweeps keep the matrix affordable with a single
-            // structure; the full run adds the tree.
-            structures: if opts.duration <= Duration::from_millis(150) {
-                vec![DsKind::ListLf]
-            } else {
-                vec![DsKind::ListLf, DsKind::Tree]
-            },
-            schemes: SmrKind::ALL.to_vec(),
-            key_range: 512,
-            memory_metric: true,
-        },
-        "service" => ExperimentSpec {
-            id: "service",
-            description: "Phased cache-server soak: Zipfian keys, per-phase p50/p99/p999 \
-                 latency per op-class, robust vs non-robust scheme spread",
-            // Quick sweeps keep the matrix affordable with one structure over
-            // a small range; the full run spans list/tree/skip-list over
-            // millions of keys.
-            structures: if opts.duration <= Duration::from_millis(150) {
-                vec![DsKind::ListLf]
-            } else {
-                vec![DsKind::ListLf, DsKind::Tree, DsKind::SkipList]
-            },
-            schemes: vec![
-                SmrKind::Ebr,
-                SmrKind::Hp,
-                SmrKind::Ibr,
-                SmrKind::Nbr,
-                SmrKind::Vbr,
-            ],
-            key_range: if opts.duration <= Duration::from_millis(150) {
-                4096
-            } else {
-                2_000_000
-            },
-            memory_metric: false,
-        },
-        _ => return None,
-    };
-    Some(s)
+        "faults" if quick => point(row(&[ListLf], every(), 512, true)),
+        "faults" => point(row(&[ListLf, Tree], every(), 512, true)),
+        "service" if quick => point(row(&[ListLf], vec![Ebr, Hp, Ibr, Nbr, Vbr], 4096, false)),
+        "service" => point(row(
+            &[ListLf, Tree, SkipList],
+            vec![Ebr, Hp, Ibr, Nbr, Vbr],
+            2_000_000,
+            false,
+        )),
+        _ => unreachable!("{id} is not in ALL_EXPERIMENTS"),
+    })
+}
+
+/// The median of a cell's repetitions by throughput, as in the paper.
+fn median_by_throughput(mut runs: Vec<RunResult>) -> RunResult {
+    runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
+    runs.swap_remove(runs.len() / 2)
 }
 
 /// Runs one experiment preset, returning every measured point.
 /// `progress` is invoked after each completed run with its textual row.
+///
+/// The `faults` and `service` presets have richer report types of their own
+/// (the CLI calls [`run_faults_experiment`] / [`run_service_experiment`] for
+/// the verdicts and the latency table); here their footprint and per-phase
+/// throughput numbers are projected onto the uniform [`RunResult`] shape.
 pub fn run_experiment(
     id: &str,
     opts: &ExperimentOptions,
     mut progress: impl FnMut(&RunResult),
 ) -> Option<Vec<RunResult>> {
     let spec = spec(id, opts)?;
-    if id == "pool" {
-        return Some(run_pool_ablation(&spec, opts, progress));
-    }
-    if id == "faults" {
-        // The fault harness has its own richer report type; expose the
-        // footprint numbers through the uniform `RunResult` plumbing and let
-        // the CLI call `run_faults_experiment` directly for the verdicts.
-        let reports = run_faults_experiment(opts, |_| {});
-        let results: Vec<RunResult> = reports.iter().map(fault_run_result).collect();
-        for r in &results {
-            progress(r);
-        }
-        return Some(results);
-    }
-    if id == "cache" {
-        return Some(run_cache_experiment(&spec, opts, progress));
-    }
-    if id == "scan" {
-        return Some(run_scan_experiment(&spec, opts, progress));
-    }
-    if id == "cursor" {
-        return Some(run_cursor_ablation(&spec, opts, progress));
-    }
-    if id == "service" {
-        // The service runner has its own richer report type; expose the
-        // per-phase throughput through the uniform `RunResult` plumbing and
-        // let the CLI call `run_service_experiment` directly for the full
-        // latency table.
-        let reports = run_service_experiment(opts, |_| {});
-        let results: Vec<RunResult> = reports
+    let results: Vec<RunResult> = match id {
+        "faults" => run_faults_experiment(opts, |_| {})
+            .iter()
+            .map(fault_run_result)
+            .collect(),
+        "service" => run_service_experiment(opts, |_| {})
             .iter()
             .filter(|r| r.op_class == "get")
             .map(service_run_result)
-            .collect();
-        for r in &results {
-            progress(r);
-        }
-        return Some(results);
-    }
-    // Single-point presets render one table row per scheme at the largest
-    // requested thread count instead of sweeping the full thread range.
-    let thread_counts: Vec<usize> = if id == "tab1" || id == "skiplist" {
-        vec![*opts.threads.last().unwrap_or(&2)]
-    } else {
-        opts.threads.clone()
+            .collect(),
+        _ => return Some(run_cells(&spec, opts, progress)),
     };
-    let mut results = Vec::new();
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            for &threads in &thread_counts {
-                let mut cfg = opts.base_config(threads, spec.key_range);
-                cfg.mix = Mix::READ_50;
-                // Median of `runs` repetitions, as in the paper.
-                let mut runs: Vec<RunResult> =
-                    (0..opts.runs).map(|_| run_timed(ds, smr, &cfg)).collect();
-                runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
-                let median = runs.swap_remove(runs.len() / 2);
-                progress(&median);
-                results.push(median);
-            }
-        }
-    }
+    results.iter().for_each(&mut progress);
     Some(results)
 }
 
-/// Runs the block-pool ablation: every structure/scheme pair of the spec,
-/// write-only mix (the workload where alloc/retire dominate), once with the
-/// pool enabled and once without.  The pool-off arm's scheme label carries a
-/// `-pool` suffix so the two series stay distinguishable in JSON output and
-/// in [`pool_table`].
-fn run_pool_ablation(
+/// The sweep driver of every timed preset: for each structure × scheme pair,
+/// each point of the spec's axis and each arm, `opts.runs` repetitions of one
+/// timed cell and their median.
+fn run_cells(
     spec: &ExperimentSpec,
     opts: &ExperimentOptions,
     mut progress: impl FnMut(&RunResult),
 ) -> Vec<RunResult> {
-    let mut results = Vec::new();
-    let threads = *opts.threads.last().unwrap_or(&2);
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            for pool in [true, false] {
-                let mut cfg = opts.base_config(threads, spec.key_range);
-                cfg.mix = Mix::WRITE_ONLY;
-                cfg.pool = pool;
-                let mut runs: Vec<RunResult> =
-                    (0..opts.runs).map(|_| run_timed(ds, smr, &cfg)).collect();
-                runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
-                let mut median = runs.swap_remove(runs.len() / 2);
-                median.smr = format!("{}{}", smr.name(), if pool { "+pool" } else { "-pool" });
-                progress(&median);
-                results.push(median);
-            }
-        }
-    }
-    results
-}
-
-/// Runs the key-value cache experiment: the read-dominated (90% get) workload
-/// of [`run_timed_kv`], with `opts.value_bytes` of padding per stored value,
-/// swept over every scheme variant in the spec (all of [`SmrKind::ALL`], per
-/// the Table-1 claim that one fixed structure serves them all).
-fn run_cache_experiment(
-    spec: &ExperimentSpec,
-    opts: &ExperimentOptions,
-    mut progress: impl FnMut(&RunResult),
-) -> Vec<RunResult> {
-    let mut results = Vec::new();
-    let threads = *opts.threads.last().unwrap_or(&2);
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            let mut cfg = opts.base_config(threads, spec.key_range);
-            cfg.mix = Mix::READ_90;
-            cfg.value_bytes = opts.value_bytes;
-            let mut runs: Vec<RunResult> = (0..opts.runs)
-                .map(|_| run_timed_kv(ds, smr, &cfg))
-                .collect();
-            runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
-            let median = runs.swap_remove(runs.len() / 2);
-            progress(&median);
-            results.push(median);
-        }
-    }
-    results
-}
-
-/// Runs the range-scan experiment: the scan-heavy mix of [`Mix::SCAN_HEAVY`]
-/// (80% guard-scoped scans over a churning key space) swept over every scheme
-/// variant and every scan length in `opts.scan_lens`.  Every scan's output is
-/// oracle-checked in the hot loop (window bounds, uniqueness, ascending order
-/// for the ordered structures), so a run that completes at all certifies
-/// scan correctness under that scheme.
-fn run_scan_experiment(
-    spec: &ExperimentSpec,
-    opts: &ExperimentOptions,
-    mut progress: impl FnMut(&RunResult),
-) -> Vec<RunResult> {
-    let mut results = Vec::new();
-    let threads = *opts.threads.last().unwrap_or(&2);
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            for &scan_len in &opts.scan_lens {
-                let mut cfg = opts.base_config(threads, spec.key_range);
-                cfg.mix = Mix::SCAN_HEAVY;
-                cfg.scan_len = scan_len;
-                let mut runs: Vec<RunResult> =
-                    (0..opts.runs).map(|_| run_timed(ds, smr, &cfg)).collect();
-                runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
-                let median = runs.swap_remove(runs.len() / 2);
-                progress(&median);
-                results.push(median);
-            }
-        }
-    }
-    results
-}
-
-/// The two arms of the cursor hot-path ablation as (scheme-label suffix,
-/// pin batch): the per-op pin base and repin elision at `repin_batch`.  The
-/// suffix is appended to the scheme name in results (e.g. `EBR+repin`),
-/// mirroring the pool ablation's `+pool`/`-pool` labelling.
-fn cursor_arms(repin_batch: u64) -> [(&'static str, u64); 2] {
-    [("+base", 1), ("+repin", repin_batch)]
-}
-
-/// Runs the cursor hot-path ablation: every structure × scheme pair of the
-/// spec at the largest requested thread count, once per arm, with the arm
-/// suffix carried on the scheme label (as the pool ablation does), so the
-/// JSON artifact and [`cursor_table`] can compute per-arm deltas.
-fn run_cursor_ablation(
-    spec: &ExperimentSpec,
-    opts: &ExperimentOptions,
-    mut progress: impl FnMut(&RunResult),
-) -> Vec<RunResult> {
-    let threads = *opts.threads.last().unwrap_or(&2);
-    let repin_batch = if opts.pin_batch > 1 {
-        opts.pin_batch
-    } else {
-        16
+    let last = opts.last_threads();
+    // The axis as (threads, scan window override) points.
+    let points: Vec<(usize, Option<u64>)> = match spec.axis {
+        Axis::Threads => opts.threads.iter().map(|&t| (t, None)).collect(),
+        Axis::ScanLen => opts.scan_lens.iter().map(|&l| (last, Some(l))).collect(),
+        Axis::Point => vec![(last, None)],
     };
+    let arms: Vec<Option<Arm>> = match spec.arms {
+        [] => vec![None],
+        arms => arms.iter().copied().map(Some).collect(),
+    };
+    let run = if spec.values { run_timed_kv } else { run_timed };
     let mut results = Vec::new();
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            for (suffix, pin_batch) in cursor_arms(repin_batch) {
-                let mut cfg = opts.base_config(threads, spec.key_range);
-                cfg.mix = Mix::READ_50;
-                cfg.pin_batch = pin_batch;
-                let mut runs: Vec<RunResult> =
-                    (0..opts.runs).map(|_| run_timed(ds, smr, &cfg)).collect();
-                runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
-                let mut median = runs.swap_remove(runs.len() / 2);
-                median.smr = format!("{}{suffix}", smr.name());
+    for (ds, smr) in spec.pairs() {
+        for &(threads, scan_len) in &points {
+            for &arm in &arms {
+                let mut cfg = RunConfig::paper_default(threads, spec.key_range);
+                cfg.duration = opts.duration;
+                cfg.pin_batch = opts.pin_batch;
+                cfg.value_bytes = opts.value_bytes;
+                cfg.mix = spec.mix;
+                if let Some(len) = scan_len {
+                    cfg.scan_len = len;
+                }
+                if let Some(arm) = arm {
+                    (arm.set)(&mut cfg);
+                }
+                let mut median =
+                    median_by_throughput((0..opts.runs).map(|_| run(ds, smr, &cfg)).collect());
+                median.arm = arm.map(|a| a.name.to_string());
                 progress(&median);
                 results.push(median);
             }
         }
     }
     results
-}
-
-/// Derives the phase schedule for one fault cell from the options: the
-/// requested per-run duration is split 1/4 warmup, 1/2 fault, 1/4 recovery
-/// (with floors so `--quick` cells still have meaningful phases).
-fn fault_plan_for(kind: FaultKind, opts: &ExperimentOptions) -> FaultPlan {
-    let d = opts.duration;
-    FaultPlan {
-        warmup: (d / 4).max(Duration::from_millis(30)),
-        fault: (d / 2).max(Duration::from_millis(60)),
-        recovery: (d / 4).max(Duration::from_millis(30)),
-        ..FaultPlan::new(kind)
-    }
 }
 
 /// Runs the fault-injection robustness experiment: every structure × scheme
 /// pair of the `faults` spec under every fault class in `opts.faults`,
-/// returning one verdict per cell.  This is the entry point the CLI uses so
-/// it can render the verdict table; [`run_experiment`] wraps it for uniform
+/// returning one verdict per cell.  The requested per-run duration is split
+/// 1/4 warmup, 1/2 fault, 1/4 recovery (with floors so `--quick` cells still
+/// have meaningful phases).  This is the entry point the CLI uses so it can
+/// render the verdict table; [`run_experiment`] wraps it for uniform
 /// `RunResult` plumbing.
 pub fn run_faults_experiment(
     opts: &ExperimentOptions,
     mut progress: impl FnMut(&FaultReport),
 ) -> Vec<FaultReport> {
     let spec = spec("faults", opts).expect("faults spec always exists");
-    let threads = *opts.threads.last().unwrap_or(&2);
+    let cfg = RunConfig::paper_default(opts.last_threads(), spec.key_range);
+    let d = opts.duration;
     let mut reports = Vec::new();
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            for &kind in &opts.faults {
-                let cfg = RunConfig::paper_default(threads, spec.key_range);
-                let r = run_fault_scenario(ds, smr, &cfg, &fault_plan_for(kind, opts));
-                progress(&r);
-                reports.push(r);
-            }
+    for (ds, smr) in spec.pairs() {
+        for &kind in &opts.faults {
+            let plan = FaultPlan {
+                warmup: (d / 4).max(Duration::from_millis(30)),
+                fault: (d / 2).max(Duration::from_millis(60)),
+                recovery: (d / 4).max(Duration::from_millis(30)),
+                ..FaultPlan::new(kind)
+            };
+            let r = run_fault_scenario(ds, smr, &cfg, &plan);
+            progress(&r);
+            reports.push(r);
         }
     }
     reports
@@ -601,6 +401,7 @@ fn fault_run_result(r: &FaultReport) -> RunResult {
     RunResult {
         ds: r.ds.clone(),
         smr: r.smr.clone(),
+        arm: None,
         threads: r.threads,
         key_range: 0,
         ops: r.ops,
@@ -620,49 +421,40 @@ fn fault_run_result(r: &FaultReport) -> RunResult {
     }
 }
 
-/// Derives the service phase schedule from the options: the requested
-/// per-run duration is the *total* across the four phases, split by
-/// [`ServicePlan::new`], with the options' Zipfian skew.
-fn service_plan_for(opts: &ExperimentOptions) -> ServicePlan {
-    ServicePlan::new(opts.duration, opts.zipf_theta)
-}
-
 /// Runs the service experiment: every structure × scheme pair of the
 /// `service` spec through the four-phase cache-server scenario, at the
-/// largest requested thread count.  Returns one row per (structure, scheme,
-/// phase, op-class); `progress` fires once per phase (on its `get` row).
-/// This is the entry point the CLI uses so it can render the latency table;
-/// [`run_experiment`] wraps it for uniform `RunResult` plumbing.
+/// largest requested thread count; the requested per-run duration is the
+/// *total* across the four phases, split by [`ServicePlan::new`].  Returns
+/// one row per (structure, scheme, phase, op-class); `progress` fires once
+/// per phase (on its `get` row).  This is the entry point the CLI uses so it
+/// can render the latency table; [`run_experiment`] wraps it for uniform
+/// `RunResult` plumbing.
 pub fn run_service_experiment(
     opts: &ExperimentOptions,
     mut progress: impl FnMut(&ServiceReport),
 ) -> Vec<ServiceReport> {
     let spec = spec("service", opts).expect("service spec always exists");
-    let threads = *opts.threads.last().unwrap_or(&2);
-    let plan = service_plan_for(opts);
+    let cfg = RunConfig::paper_default(opts.last_threads(), spec.key_range);
+    let plan = ServicePlan::new(opts.duration, opts.zipf_theta);
     let mut reports = Vec::new();
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            let cfg = RunConfig::paper_default(threads, spec.key_range);
-            let rows = run_service_scenario(ds, smr, &cfg, &plan);
-            for r in &rows {
-                if r.op_class == "get" {
-                    progress(r);
-                }
-            }
-            reports.extend(rows);
-        }
+    for (ds, smr) in spec.pairs() {
+        let rows = run_service_scenario(ds, smr, &cfg, &plan);
+        rows.iter()
+            .filter(|r| r.op_class == "get")
+            .for_each(&mut progress);
+        reports.extend(rows);
     }
     reports
 }
 
 /// Projects a service row onto the uniform [`RunResult`] shape (per-phase
 /// throughput and footprint only; the latency numbers live in
-/// [`ServiceReport`]).
+/// [`ServiceReport`]).  The phase rides on the scheme label (`HP/warmup`).
 fn service_run_result(r: &ServiceReport) -> RunResult {
     RunResult {
         ds: r.ds.clone(),
         smr: format!("{}/{}", r.smr, r.phase),
+        arm: None,
         threads: r.threads,
         key_range: 0,
         ops: r.ops,
@@ -678,122 +470,81 @@ fn service_run_result(r: &ServiceReport) -> RunResult {
     }
 }
 
+fn yes_no(yes: bool) -> String {
+    if yes { "yes" } else { "no" }.to_string()
+}
+
+/// Whether a result's scheme is robust ([`SmrKind::is_robust`]).
+fn is_robust(r: &RunResult) -> bool {
+    SmrKind::parse(&r.smr).is_some_and(|k| k.is_robust())
+}
+
+/// Percentage by which `new` differs from `base`.
+fn delta_pct(new: f64, base: f64) -> f64 {
+    100.0 * (new - base) / base
+}
+
+/// A column over throughput results.
+type ResultColumn<'a> = Column<'a, RunResult>;
+
+/// The four leading columns every throughput table shares.
+fn lead_columns<'a>(structure_width: usize) -> Vec<ResultColumn<'a>> {
+    vec![
+        ResultColumn::left("structure", structure_width, |r| r.ds.clone()),
+        ResultColumn::left("scheme", 8, |r| r.smr.clone()),
+        ResultColumn::right("robust", 7, |r| yes_no(is_robust(r))),
+        ResultColumn::right("threads", 8, |r| r.threads.to_string()),
+    ]
+}
+
+/// The uniform restart / recovery counter columns.
+fn counter_columns<'a>() -> [ResultColumn<'a>; 2] {
+    [
+        ResultColumn::right("restarts", 10, |r| r.restarts.to_string()),
+        ResultColumn::right("recoveries", 12, |r| r.recoveries.to_string()),
+    ]
+}
+
+/// The row of `arm` measured at the same (structure, scheme, threads) point
+/// as `r`.
+fn partner<'a>(results: &'a [RunResult], r: &RunResult, arm: Arm) -> Option<&'a RunResult> {
+    results.iter().find(|o| {
+        (&o.ds, &o.smr, o.threads) == (&r.ds, &r.smr, r.threads)
+            && o.arm.as_deref() == Some(arm.name)
+    })
+}
+
+/// The rows of `results` measured under `arm`.
+fn arm_rows(results: &[RunResult], arm: Arm) -> impl Iterator<Item = &RunResult> {
+    results
+        .iter()
+        .filter(move |r| r.arm.as_deref() == Some(arm.name))
+}
+
 /// Renders the service experiment: one row per structure × scheme × phase ×
 /// op-class with the phase throughput, the class's latency percentiles (`-`
 /// where the class recorded no samples), and the per-phase footprint and
 /// restart/recovery counters.
 pub fn service_table(reports: &[ServiceReport]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Service scenario: Zipfian cache-server phases \
-         (warmup -> read-storm -> churn-spike -> reader-stall)\n",
-    );
-    out.push_str(&format!(
-        "{:<10}{:<8}{:<14}{:<8}{:>7}{:>14}{:>10}{:>10}{:>10}{:>9}{:>10}{:>10}{:>11}\n",
-        "structure",
-        "scheme",
-        "phase",
-        "class",
-        "robust",
-        "ops/s",
-        "p50_ns",
-        "p99_ns",
-        "p999_ns",
-        "samples",
-        "peak",
-        "restarts",
-        "recoveries"
-    ));
-    let fmt_ns = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |ns| ns.to_string());
-    for r in reports {
-        out.push_str(&format!(
-            "{:<10}{:<8}{:<14}{:<8}{:>7}{:>14.0}{:>10}{:>10}{:>10}{:>9}{:>10}{:>10}{:>11}\n",
-            r.ds,
-            r.smr,
-            r.phase,
-            r.op_class,
-            if r.is_robust { "yes" } else { "no" },
-            r.ops_per_sec,
-            fmt_ns(r.p50_ns),
-            fmt_ns(r.p99_ns),
-            fmt_ns(r.p999_ns),
-            r.samples,
-            r.peak_unreclaimed,
-            r.restarts,
-            r.recoveries,
-        ));
-    }
-    out
-}
-
-/// Normalizes service rows into [`BenchRecord`]s: one record per (structure,
-/// scheme, phase, op-class), with the percentile fields populated and the
-/// phase throughput as `ops_per_sec`.
-pub fn service_bench_records(reports: &[ServiceReport]) -> Vec<BenchRecord> {
-    reports
-        .iter()
-        .map(|r| BenchRecord {
-            ds: r.ds.clone(),
-            smr: r.smr.clone(),
-            threads: r.threads,
-            is_robust: r.is_robust,
-            ops_per_sec: r.ops_per_sec,
-            restarts: r.restarts,
-            recoveries: r.recoveries,
-            peak_unreclaimed: Some(r.peak_unreclaimed),
-            phase: Some(r.phase.clone()),
-            op_class: Some(r.op_class.clone()),
-            samples: Some(r.samples),
-            p50_ns: r.p50_ns,
-            p99_ns: r.p99_ns,
-            p999_ns: r.p999_ns,
-        })
-        .collect()
-}
-
-/// Writes the `BENCH_service.json` artifact into `dir` and returns the path
-/// written.  Unlike the throughput presets the records carry `phase`,
-/// `op_class` and the latency percentiles, so `bench-diff` can gate tail
-/// latency separately from throughput.
-pub fn write_service_artifact(dir: &str, reports: &[ServiceReport]) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
-    let path = format!("{dir}/BENCH_service.json");
-    let artifact = BenchArtifact {
-        preset: "service".to_string(),
-        schemes: SmrKind::ALL.iter().map(|s| s.name().to_string()).collect(),
-        records: service_bench_records(reports),
-    };
-    let json = serde_json::to_string_pretty(&artifact)
-        .expect("service artifact serialization cannot fail");
-    std::fs::write(&path, json + "\n")?;
-    Ok(path)
-}
-
-/// Ablation suffixes a result-table scheme label may carry: the pool
-/// ablation's on/off pair and the cursor ablation's two arms.
-const SCHEME_LABEL_SUFFIXES: [&str; 4] = ["+pool", "-pool", "+base", "+repin"];
-
-/// Strips a known ablation suffix off a scheme label, if present.
-fn strip_scheme_suffix(smr: &str) -> &str {
-    SCHEME_LABEL_SUFFIXES
-        .iter()
-        .find_map(|s| smr.strip_suffix(s))
-        .unwrap_or(smr)
-}
-
-/// Whether a result-table scheme label (possibly carrying an ablation
-/// suffix) names a robust scheme.
-fn smr_is_robust(smr: &str) -> bool {
-    SmrKind::parse(strip_scheme_suffix(smr)).is_some_and(|k| k.is_robust())
-}
-
-/// `yes`/`no` robustness column value for a scheme label.
-fn robust_cell(smr: &str) -> &'static str {
-    if smr_is_robust(smr) {
-        "yes"
-    } else {
-        "no"
-    }
+    let ns = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |ns| ns.to_string());
+    let columns = [
+        Column::<ServiceReport>::left("structure", 10, |r| r.ds.clone()),
+        Column::<ServiceReport>::left("scheme", 8, |r| r.smr.clone()),
+        Column::<ServiceReport>::left("phase", 14, |r| r.phase.clone()),
+        Column::<ServiceReport>::left("class", 8, |r| r.op_class.clone()),
+        Column::<ServiceReport>::right("robust", 7, |r| yes_no(r.is_robust)),
+        Column::<ServiceReport>::right("ops/s", 14, |r| format!("{:.0}", r.ops_per_sec)),
+        Column::<ServiceReport>::right("p50_ns", 10, |r| ns(r.p50_ns)),
+        Column::<ServiceReport>::right("p99_ns", 10, |r| ns(r.p99_ns)),
+        Column::<ServiceReport>::right("p999_ns", 10, |r| ns(r.p999_ns)),
+        Column::<ServiceReport>::right("samples", 9, |r| r.samples.to_string()),
+        Column::<ServiceReport>::right("peak", 10, |r| r.peak_unreclaimed.to_string()),
+        Column::<ServiceReport>::right("restarts", 10, |r| r.restarts.to_string()),
+        Column::<ServiceReport>::right("recoveries", 11, |r| r.recoveries.to_string()),
+    ];
+    let title = "Service scenario: Zipfian cache-server phases \
+                 (warmup -> read-storm -> churn-spike -> reader-stall)";
+    render(title, &columns, reports)
 }
 
 /// Renders the fault-injection verdict table: peak/steady unreclaimed per
@@ -804,88 +555,31 @@ fn robust_cell(smr: &str) -> &'static str {
 /// ([`FaultReport::pool_leak_bound`]).  Ends with a one-line claim-violation
 /// summary.
 pub fn faults_table(reports: &[FaultReport]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Fault-injection robustness: bounded peak unreclaimed per scheme x structure x fault\n",
-    );
-    out.push_str(&format!(
-        "{:<10}{:<8}{:<18}{:>7}{:>10}{:>10}{:>10}{:>10}{:>9}{:>10}  {}\n",
-        "structure",
-        "scheme",
-        "fault",
-        "robust",
-        "warmup-end",
-        "peak",
-        "bound",
-        "residual",
-        "drained",
-        "pool-leak",
-        "verdict"
-    ));
-    for r in reports {
-        out.push_str(&format!(
-            "{:<10}{:<8}{:<18}{:>7}{:>10}{:>10}{:>10}{:>10}{:>9}{:>10}  {}\n",
-            r.ds,
-            r.smr,
-            r.fault,
-            if r.is_robust { "yes" } else { "no" },
-            r.baseline,
-            r.peak,
-            r.bound,
-            r.residual,
-            if r.drained { "yes" } else { "no" },
-            if r.pool_leak_bound > 0 {
-                format!("<={}", r.pool_leak_bound)
-            } else {
-                "0".to_string()
-            },
-            r.verdict,
-        ));
-    }
+    let pool_leak = |r: &FaultReport| match r.pool_leak_bound {
+        0 => "0".to_string(),
+        n => format!("<={n}"),
+    };
+    let columns = [
+        Column::<FaultReport>::left("structure", 10, |r| r.ds.clone()),
+        Column::<FaultReport>::left("scheme", 8, |r| r.smr.clone()),
+        Column::<FaultReport>::left("fault", 18, |r| r.fault.clone()),
+        Column::<FaultReport>::right("robust", 7, |r| yes_no(r.is_robust)),
+        Column::<FaultReport>::right("warmup-end", 10, |r| r.baseline.to_string()),
+        Column::<FaultReport>::right("peak", 10, |r| r.peak.to_string()),
+        Column::<FaultReport>::right("bound", 10, |r| r.bound.to_string()),
+        Column::<FaultReport>::right("residual", 10, |r| r.residual.to_string()),
+        Column::<FaultReport>::right("drained", 9, |r| yes_no(r.drained)),
+        Column::<FaultReport>::right("pool-leak", 10, pool_leak),
+        Column::<FaultReport>::left("  verdict", 0, |r| format!("  {}", r.verdict)),
+    ];
+    let title =
+        "Fault-injection robustness: bounded peak unreclaimed per scheme x structure x fault";
     let violations = reports.iter().filter(|r| r.violates_claim()).count();
-    out.push_str(&format!(
-        "{} cells, {} robustness-claim violations\n",
+    format!(
+        "{}{} cells, {violations} robustness-claim violations\n",
+        render(title, &columns, reports),
         reports.len(),
-        violations
-    ));
-    out
-}
-
-/// The top-level shape of the `BENCH_faults.json` artifact: full fault
-/// verdicts rather than throughput rows.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct FaultArtifact {
-    /// Always `faults`.
-    pub preset: String,
-    /// Scheme names available at generation time, in [`SmrKind::ALL`] order.
-    pub schemes: Vec<String>,
-    /// Fault-class names covered, in [`FaultKind::ALL`] order.
-    pub faults: Vec<String>,
-    /// One verdict per measured (structure, scheme, fault) cell.
-    pub records: Vec<FaultReport>,
-}
-
-/// Normalizes fault verdicts into the committed-artifact shape.
-pub fn fault_artifact(reports: &[FaultReport]) -> FaultArtifact {
-    FaultArtifact {
-        preset: "faults".to_string(),
-        schemes: SmrKind::ALL.iter().map(|s| s.name().to_string()).collect(),
-        faults: FaultKind::ALL
-            .iter()
-            .map(|f| f.name().to_string())
-            .collect(),
-        records: reports.to_vec(),
-    }
-}
-
-/// Writes `BENCH_faults.json` into `dir` and returns the path written.
-pub fn write_fault_artifact(dir: &str, reports: &[FaultReport]) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
-    let path = format!("{dir}/BENCH_faults.json");
-    let json = serde_json::to_string_pretty(&fault_artifact(reports))
-        .expect("fault artifact serialization cannot fail");
-    std::fs::write(&path, json + "\n")?;
-    Ok(path)
+    )
 }
 
 /// Renders the scan experiment: throughput and scanned-key volume per
@@ -893,170 +587,43 @@ pub fn write_fault_artifact(dir: &str, reports: &[FaultReport]) -> std::io::Resu
 /// columns.  `keys/scan` is the average scan yield — about half the window
 /// width at the harness's 50% prefill density.
 pub fn scan_table(results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Range-scan sweep: 80% guard-scoped scans / 10% insert / 10% delete, \
-         oracle-checked output\n",
-    );
-    out.push_str(&format!(
-        "{:<10}{:<8}{:>7}{:>8}{:>10}{:>14}{:>16}{:>11}{:>10}{:>12}\n",
-        "structure",
-        "scheme",
-        "robust",
-        "threads",
-        "scan_len",
-        "ops/s",
-        "keys scanned",
-        "keys/scan",
-        "restarts",
-        "recoveries"
-    ));
-    for r in results {
-        // Scans are scan_pct% of all completed operations.
-        let scan_ops = (r.ops as f64 * f64::from(Mix::SCAN_HEAVY.scan_pct) / 100.0).max(1.0);
-        out.push_str(&format!(
-            "{:<10}{:<8}{:>7}{:>8}{:>10}{:>14.0}{:>16}{:>11.1}{:>10}{:>12}\n",
-            r.ds,
-            r.smr,
-            robust_cell(&r.smr),
-            r.threads,
-            r.scan_len,
-            r.ops_per_sec,
-            r.scanned_keys,
-            r.scanned_keys as f64 / scan_ops,
-            r.restarts,
-            r.recoveries,
-        ));
-    }
-    out
+    // Scans are scan_pct% of all completed operations.
+    let scans =
+        |r: &RunResult| (r.ops as f64 * f64::from(Mix::SCAN_HEAVY.scan_pct) / 100.0).max(1.0);
+    let mut columns = lead_columns(10);
+    columns.extend([
+        ResultColumn::right("scan_len", 10, |r| r.scan_len.to_string()),
+        ResultColumn::right("ops/s", 14, |r| format!("{:.0}", r.ops_per_sec)),
+        ResultColumn::right("keys scanned", 16, |r| r.scanned_keys.to_string()),
+        ResultColumn::right("keys/scan", 11, move |r| {
+            format!("{:.1}", r.scanned_keys as f64 / scans(r))
+        }),
+    ]);
+    columns.extend(counter_columns());
+    let title = "Range-scan sweep: 80% guard-scoped scans / 10% insert / 10% delete, \
+                 oracle-checked output";
+    render(title, &columns, results)
+}
+
+/// A per-scheme sweep table: throughput, the sampled reclamation backlog and
+/// the restart/recovery counters.
+fn backlog_table(title: &str, results: &[RunResult]) -> String {
+    let mut columns = lead_columns(12);
+    columns.extend([
+        ResultColumn::right("ops/s", 16, |r| format!("{:.0}", r.ops_per_sec)),
+        ResultColumn::right("unreclaimed(avg)", 18, RunResult::backlog),
+    ]);
+    columns.extend(counter_columns());
+    render(title, &columns, results)
 }
 
 /// Renders the cache experiment as a per-scheme table: value-read throughput
 /// plus the sampled reclamation backlog (n/a where the paper skips it).
 pub fn cache_table(results: &[RunResult], value_bytes: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Key-value cache workload: 90% get / 5% insert / 5% remove, {value_bytes}-byte values\n"
-    ));
-    out.push_str(&format!(
-        "{:<12}{:<8}{:>7}{:>8}{:>16}{:>18}{:>10}{:>12}\n",
-        "structure",
-        "scheme",
-        "robust",
-        "threads",
-        "ops/s",
-        "unreclaimed(avg)",
-        "restarts",
-        "recoveries"
-    ));
-    for r in results {
-        out.push_str(&format!(
-            "{:<12}{:<8}{:>7}{:>8}{:>16.0}{:>18}{:>10}{:>12}\n",
-            r.ds,
-            r.smr,
-            robust_cell(&r.smr),
-            r.threads,
-            r.ops_per_sec,
-            r.avg_unreclaimed
-                .map(|v| format!("{v:.1}"))
-                .unwrap_or_else(|| "n/a".into()),
-            r.restarts,
-            r.recoveries,
-        ));
-    }
-    out
-}
-
-/// Renders the block-pool ablation as pool-on/pool-off pairs with the
-/// throughput delta the pool buys on this machine.
-pub fn pool_table(results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str("Block-pool ablation, write-only mix (50% insert / 50% delete)\n");
-    out.push_str(&format!(
-        "{:<12}{:<8}{:>7}{:>8}{:>16}{:>16}{:>10}{:>12}{:>12}\n",
-        "structure",
-        "scheme",
-        "robust",
-        "threads",
-        "pool-on ops/s",
-        "pool-off ops/s",
-        "restarts",
-        "recoveries",
-        "delta"
-    ));
-    for on in results {
-        let Some(base) = on.smr.strip_suffix("+pool") else {
-            continue;
-        };
-        let off = results
-            .iter()
-            .find(|r| r.ds == on.ds && r.threads == on.threads && r.smr == format!("{base}-pool"));
-        let Some(off) = off else { continue };
-        let delta = if off.ops_per_sec > 0.0 {
-            100.0 * (on.ops_per_sec - off.ops_per_sec) / off.ops_per_sec
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "{:<12}{:<8}{:>7}{:>8}{:>16.0}{:>16.0}{:>10}{:>12}{:>+11.1}%\n",
-            on.ds,
-            base,
-            robust_cell(base),
-            on.threads,
-            on.ops_per_sec,
-            off.ops_per_sec,
-            on.restarts,
-            on.recoveries,
-            delta
-        ));
-    }
-    out
-}
-
-/// Renders the cursor hot-path ablation: one row per structure × scheme with
-/// the per-op pin base throughput, the `+repin` arm's delta against it, and
-/// the base arm's backoff spin count (a large count flags a contention-bound
-/// configuration, where the delta says little about repin).
-pub fn cursor_table(results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Cursor hot-path ablation: 50% read / 50% write, +repin relative to the per-op pin base\n",
+    let title = format!(
+        "Key-value cache workload: 90% get / 5% insert / 5% remove, {value_bytes}-byte values"
     );
-    out.push_str(&format!(
-        "{:<12}{:<8}{:>7}{:>8}{:>14}{:>9}{:>13}\n",
-        "structure", "scheme", "robust", "threads", "base ops/s", "+repin", "spins(base)"
-    ));
-    for base in results {
-        let Some(scheme) = base.smr.strip_suffix("+base") else {
-            continue;
-        };
-        let repin = results
-            .iter()
-            .find(|r| {
-                r.ds == base.ds && r.threads == base.threads && r.smr == format!("{scheme}+repin")
-            })
-            .filter(|_| base.ops_per_sec > 0.0)
-            .map_or_else(
-                || "-".to_string(),
-                |r| {
-                    format!(
-                        "{:+.1}%",
-                        100.0 * (r.ops_per_sec - base.ops_per_sec) / base.ops_per_sec
-                    )
-                },
-            );
-        out.push_str(&format!(
-            "{:<12}{:<8}{:>7}{:>8}{:>14.0}{:>9}{:>13}\n",
-            base.ds,
-            scheme,
-            robust_cell(scheme),
-            base.threads,
-            base.ops_per_sec,
-            repin,
-            base.spins,
-        ));
-    }
-    out
+    backlog_table(&title, results)
 }
 
 /// Renders the skip-list sweep as a per-scheme table: throughput, the sampled
@@ -1064,35 +631,55 @@ pub fn cursor_table(results: &[RunResult]) -> String {
 /// nothing is ever reclaimed — NR) and the traversal restarts the recovery
 /// ladder could not absorb.
 pub fn skiplist_table(results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str("Skip-list sweep: 50% read / 25% insert / 25% delete, every scheme variant\n");
-    out.push_str(&format!(
-        "{:<12}{:<8}{:>7}{:>8}{:>16}{:>18}{:>10}{:>12}\n",
-        "structure",
-        "scheme",
-        "robust",
-        "threads",
-        "ops/s",
-        "unreclaimed(avg)",
-        "restarts",
-        "recoveries"
-    ));
-    for r in results {
-        out.push_str(&format!(
-            "{:<12}{:<8}{:>7}{:>8}{:>16.0}{:>18}{:>10}{:>12}\n",
-            r.ds,
-            r.smr,
-            robust_cell(&r.smr),
-            r.threads,
-            r.ops_per_sec,
-            r.avg_unreclaimed
-                .map(|v| format!("{v:.1}"))
-                .unwrap_or_else(|| "n/a".into()),
-            r.restarts,
-            r.recoveries,
-        ));
-    }
-    out
+    let title = "Skip-list sweep: 50% read / 25% insert / 25% delete, every scheme variant";
+    backlog_table(title, results)
+}
+
+/// Renders the block-pool ablation as pool-on/pool-off pairs with the
+/// throughput delta the pool buys on this machine.
+pub fn pool_table(results: &[RunResult]) -> String {
+    let off = |on: &RunResult| partner(results, on, Arm::POOL_OFF).map_or(0.0, |r| r.ops_per_sec);
+    let delta = |on: &RunResult| match off(on) {
+        off if off > 0.0 => delta_pct(on.ops_per_sec, off),
+        _ => 0.0,
+    };
+    let mut columns = lead_columns(12);
+    columns.extend([
+        ResultColumn::right("pool-on ops/s", 16, |on| format!("{:.0}", on.ops_per_sec)),
+        ResultColumn::right("pool-off ops/s", 16, |on| format!("{:.0}", off(on))),
+    ]);
+    columns.extend(counter_columns());
+    columns.push(ResultColumn::right("delta", 12, |on| {
+        format!("{:+.1}%", delta(on))
+    }));
+    let title = "Block-pool ablation, write-only mix (50% insert / 50% delete)";
+    let paired =
+        arm_rows(results, Arm::POOL_ON).filter(|on| partner(results, on, Arm::POOL_OFF).is_some());
+    render(title, &columns, paired)
+}
+
+/// Renders the cursor hot-path ablation: one row per structure × scheme with
+/// the per-op pin base throughput, the `+repin` arm's delta against it, and
+/// the base arm's backoff spin count (a large count flags a contention-bound
+/// configuration, where the delta says little about repin).
+pub fn cursor_table(results: &[RunResult]) -> String {
+    let repin = |base: &RunResult| {
+        partner(results, base, Arm::REPIN)
+            .filter(|_| base.ops_per_sec > 0.0)
+            .map_or_else(
+                || "-".to_string(),
+                |r| format!("{:+.1}%", delta_pct(r.ops_per_sec, base.ops_per_sec)),
+            )
+    };
+    let mut columns = lead_columns(12);
+    columns.extend([
+        ResultColumn::right("base ops/s", 14, |base| format!("{:.0}", base.ops_per_sec)),
+        ResultColumn::right("+repin", 9, repin),
+        ResultColumn::right("spins(base)", 13, |base| base.spins.to_string()),
+    ]);
+    let title =
+        "Cursor hot-path ablation: 50% read / 50% write, +repin relative to the per-op pin base";
+    render(title, &columns, arm_rows(results, Arm::BASE))
 }
 
 /// Renders a compatibility matrix (Table 1) from smoke-run results: a
@@ -1100,41 +687,54 @@ pub fn skiplist_table(results: &[RunResult]) -> String {
 /// Robust schemes (bounded unreclaimed growth under stalled readers) carry a
 /// `*` marker.
 pub fn compatibility_matrix(results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{:<12}", "structure"));
-    for smr in SmrKind::ALL {
-        let label = if smr.is_robust() {
-            format!("{}*", smr.name())
-        } else {
-            smr.name().to_string()
-        };
-        out.push_str(&format!("{label:>9}"));
-    }
-    out.push('\n');
-    for ds in DsKind::ALL {
-        out.push_str(&format!("{:<12}", ds.name()));
-        for smr in SmrKind::ALL {
-            let ok = results
-                .iter()
-                .any(|r| r.ds == ds.name() && r.smr == smr.name() && r.ops > 0);
-            out.push_str(&format!("{:>9}", if ok { "ok" } else { "-" }));
-        }
-        out.push('\n');
-    }
-    out.push_str("(* = robust: bounded unreclaimed memory under stalled/dead readers)\n");
-    out
+    let ran = |ds: &DsKind, smr: SmrKind| {
+        results
+            .iter()
+            .any(|r| r.ds == ds.name() && r.smr == smr.name() && r.ops > 0)
+    };
+    let mut columns = vec![Column::<DsKind>::left("structure", 12, |ds| {
+        ds.name().to_string()
+    })];
+    columns.extend(SmrKind::ALL.map(|smr| {
+        let star = if smr.is_robust() { "*" } else { "" };
+        let cell = move |ds: &DsKind| if ran(ds, smr) { "ok" } else { "-" }.to_string();
+        Column::<DsKind>::right(format!("{}{star}", smr.name()), 9, cell)
+    }));
+    render("", &columns, &DsKind::ALL)
+        + "(* = robust: bounded unreclaimed memory under stalled/dead readers)\n"
+}
+
+/// Renders Table 2 (restart statistics) from the tab2 results.
+pub fn restart_table(results: &[RunResult]) -> String {
+    let pct = |r: &RunResult| match r.ops {
+        0 => 0.0,
+        ops => 100.0 * r.restarts as f64 / ops as f64,
+    };
+    let columns = [
+        ResultColumn::left("structure", 12, |r| r.ds.clone()),
+        ResultColumn::right("threads", 10, |r| r.threads.to_string()),
+        ResultColumn::right("restarts", 16, |r| r.restarts.to_string()),
+        ResultColumn::right("recoveries", 12, |r| r.recoveries.to_string()),
+        ResultColumn::right("ops/sec", 16, |r| format!("{:.0}", r.ops_per_sec)),
+        ResultColumn::right("restart %", 12, move |r| format!("{:.2}%", pct(r))),
+    ];
+    let title = "Restart statistics under HP (robust), key range 10,000 (paper Table 2)";
+    render(title, &columns, results)
 }
 
 /// One normalized row of a `BENCH_<preset>.json` trajectory artifact: the
 /// stable subset of [`RunResult`] that is comparable across machines and
 /// sessions (throughput and the paper's robustness counters), keyed by
-/// scheme × structure × thread count.
+/// scheme × structure × arm × thread count.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct BenchRecord {
     /// Data structure name (e.g. `HList`).
     pub ds: String,
-    /// Scheme name (e.g. `NBR`; the pool ablation suffixes `+pool`/`-pool`).
+    /// Scheme name (e.g. `NBR`), always one [`SmrKind::parse`] accepts.
     pub smr: String,
+    /// Ablation arm (`pool-on` / `pool-off`, `base` / `repin`); `None` for
+    /// presets without arms.
+    pub arm: Option<String>,
     /// Worker threads.
     pub threads: usize,
     /// Whether the scheme is robust ([`SmrKind::is_robust`]): bounded
@@ -1179,35 +779,103 @@ pub struct BenchArtifact {
     /// Scheme names available at generation time, in [`SmrKind::ALL`] order —
     /// lets a reader detect artifacts from before a scheme existed.
     pub schemes: Vec<String>,
-    /// One record per measured (structure, scheme, threads) point.
+    /// One record per measured (structure, scheme, arm, threads) point.
     pub records: Vec<BenchRecord>,
+}
+
+/// The top-level shape of the `BENCH_faults.json` artifact: full fault
+/// verdicts rather than throughput rows.
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct FaultArtifact {
+    /// Always `faults`.
+    pub preset: String,
+    /// Scheme names available at generation time, in [`SmrKind::ALL`] order.
+    pub schemes: Vec<String>,
+    /// Fault-class names covered, in [`FaultKind::ALL`] order.
+    pub faults: Vec<String>,
+    /// One verdict per measured (structure, scheme, fault) cell.
+    pub records: Vec<FaultReport>,
+}
+
+fn scheme_names() -> Vec<String> {
+    SmrKind::ALL.iter().map(|s| s.name().to_string()).collect()
 }
 
 /// Normalizes experiment results into the committed-trajectory shape.
 pub fn bench_artifact(id: &str, results: &[RunResult]) -> BenchArtifact {
+    let record = |r: &RunResult| BenchRecord {
+        ds: r.ds.clone(),
+        smr: r.smr.clone(),
+        arm: r.arm.clone(),
+        threads: r.threads,
+        is_robust: is_robust(r),
+        ops_per_sec: r.ops_per_sec,
+        restarts: r.restarts,
+        recoveries: r.recoveries,
+        peak_unreclaimed: r.max_unreclaimed,
+        phase: None,
+        op_class: None,
+        samples: None,
+        p50_ns: None,
+        p99_ns: None,
+        p999_ns: None,
+    };
     BenchArtifact {
         preset: id.to_string(),
-        schemes: SmrKind::ALL.iter().map(|s| s.name().to_string()).collect(),
-        records: results
-            .iter()
-            .map(|r| BenchRecord {
-                ds: r.ds.clone(),
-                smr: r.smr.clone(),
-                threads: r.threads,
-                is_robust: smr_is_robust(&r.smr),
-                ops_per_sec: r.ops_per_sec,
-                restarts: r.restarts,
-                recoveries: r.recoveries,
-                peak_unreclaimed: r.max_unreclaimed,
-                phase: None,
-                op_class: None,
-                samples: None,
-                p50_ns: None,
-                p99_ns: None,
-                p999_ns: None,
-            })
-            .collect(),
+        schemes: scheme_names(),
+        records: results.iter().map(record).collect(),
     }
+}
+
+/// Normalizes service rows into [`BenchRecord`]s: one record per (structure,
+/// scheme, phase, op-class), with the percentile fields populated and the
+/// phase throughput as `ops_per_sec`.
+pub fn service_bench_records(reports: &[ServiceReport]) -> Vec<BenchRecord> {
+    let record = |r: &ServiceReport| BenchRecord {
+        ds: r.ds.clone(),
+        smr: r.smr.clone(),
+        arm: None,
+        threads: r.threads,
+        is_robust: r.is_robust,
+        ops_per_sec: r.ops_per_sec,
+        restarts: r.restarts,
+        recoveries: r.recoveries,
+        peak_unreclaimed: Some(r.peak_unreclaimed),
+        phase: Some(r.phase.clone()),
+        op_class: Some(r.op_class.clone()),
+        samples: Some(r.samples),
+        p50_ns: r.p50_ns,
+        p99_ns: r.p99_ns,
+        p999_ns: r.p999_ns,
+    };
+    reports.iter().map(record).collect()
+}
+
+/// Normalizes fault verdicts into the committed-artifact shape.
+pub fn fault_artifact(reports: &[FaultReport]) -> FaultArtifact {
+    FaultArtifact {
+        preset: "faults".to_string(),
+        schemes: scheme_names(),
+        faults: FaultKind::ALL
+            .iter()
+            .map(|f| f.name().to_string())
+            .collect(),
+        records: reports.to_vec(),
+    }
+}
+
+/// Writes `artifact` as `BENCH_<id>.json` into `dir`; returns the path.
+fn write_artifact(
+    dir: &str,
+    id: &str,
+    artifact: &impl serde::Serialize,
+) -> std::io::Result<String> {
+    std::fs::create_dir_all(dir)?;
+    let path = format!("{dir}/BENCH_{id}.json");
+    let json =
+        serde_json::to_string_pretty(artifact).expect("bench artifact serialization cannot fail");
+    std::fs::write(&path, json + "\n")?;
+    Ok(path)
 }
 
 /// Writes the normalized `BENCH_<preset>.json` artifact into `dir` and returns
@@ -1215,34 +883,25 @@ pub fn bench_artifact(id: &str, results: &[RunResult]) -> BenchArtifact {
 /// this, so the benchmark trajectory is regenerated (and diffable) on each
 /// run.
 pub fn write_bench_artifact(dir: &str, id: &str, results: &[RunResult]) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
-    let path = format!("{dir}/BENCH_{id}.json");
-    let json = serde_json::to_string_pretty(&bench_artifact(id, results))
-        .expect("bench artifact serialization cannot fail");
-    std::fs::write(&path, json + "\n")?;
-    Ok(path)
+    write_artifact(dir, id, &bench_artifact(id, results))
 }
 
-/// Renders Table 2 (restart statistics) from the tab2 results.
-pub fn restart_table(results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str("Restart statistics under HP (robust), key range 10,000 (paper Table 2)\n");
-    out.push_str(&format!(
-        "{:<12}{:>10}{:>16}{:>12}{:>16}{:>12}\n",
-        "structure", "threads", "restarts", "recoveries", "ops/sec", "restart %"
-    ));
-    for r in results {
-        let pct = if r.ops > 0 {
-            100.0 * r.restarts as f64 / r.ops as f64
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "{:<12}{:>10}{:>16}{:>12}{:>16.0}{:>11.2}%\n",
-            r.ds, r.threads, r.restarts, r.recoveries, r.ops_per_sec, pct
-        ));
-    }
-    out
+/// Writes `BENCH_faults.json` into `dir` and returns the path written.
+pub fn write_fault_artifact(dir: &str, reports: &[FaultReport]) -> std::io::Result<String> {
+    write_artifact(dir, "faults", &fault_artifact(reports))
+}
+
+/// Writes the `BENCH_service.json` artifact into `dir` and returns the path
+/// written.  Unlike the throughput presets the records carry `phase`,
+/// `op_class` and the latency percentiles, so `bench-diff` can gate tail
+/// latency separately from throughput.
+pub fn write_service_artifact(dir: &str, reports: &[ServiceReport]) -> std::io::Result<String> {
+    let artifact = BenchArtifact {
+        preset: "service".to_string(),
+        schemes: scheme_names(),
+        records: service_bench_records(reports),
+    };
+    write_artifact(dir, "service", &artifact)
 }
 
 #[cfg(test)]
@@ -1291,8 +950,14 @@ mod tests {
         let results = run_experiment("pool", &opts, |_| {}).unwrap();
         // 2 structures × 3 schemes × {on, off}.
         assert_eq!(results.len(), 12);
-        assert!(results.iter().any(|r| r.smr == "EBR+pool"));
-        assert!(results.iter().any(|r| r.smr == "IBR-pool"));
+        let has = |smr: &str, arm: &str| {
+            results
+                .iter()
+                .any(|r| r.smr == smr && r.arm.as_deref() == Some(arm))
+        };
+        assert!(has("EBR", "pool-on") && has("IBR", "pool-off"));
+        assert!(results.iter().any(|r| r.row().contains("EBR+pool ")));
+        assert!(results.iter().any(|r| r.row().contains("IBR-pool ")));
         let table = pool_table(&results);
         assert!(table.contains("HMList"));
         assert!(table.contains("NMTree"));
@@ -1347,11 +1012,11 @@ mod tests {
         let results = run_experiment("cursor", &opts, |_| {}).unwrap();
         // 2 structures × 4 schemes × 2 arms.
         assert_eq!(results.len(), 16);
-        for arm in ["+base", "+repin"] {
+        for arm in ["base", "repin"] {
             assert!(
                 results
                     .iter()
-                    .any(|r| r.smr == format!("EBR{arm}") && r.ops > 0),
+                    .any(|r| r.smr == "EBR" && r.arm.as_deref() == Some(arm) && r.ops > 0),
                 "cursor ablation idle on arm {arm}"
             );
         }
@@ -1366,22 +1031,77 @@ mod tests {
         assert_eq!(rows, 8, "table:\n{table}");
     }
 
+    /// A result whose only interesting fields are the scheme and the arm.
+    fn labelled(smr: &str, arm: Option<Arm>) -> RunResult {
+        RunResult {
+            ds: "HMList".into(),
+            smr: smr.into(),
+            arm: arm.map(|a| a.name.to_string()),
+            threads: 2,
+            key_range: 64,
+            ops: 10,
+            ops_per_sec: 1.0,
+            avg_unreclaimed: None,
+            max_unreclaimed: None,
+            restarts: 0,
+            recoveries: 0,
+            spins: 0,
+            scan_len: 0,
+            scanned_keys: 0,
+            elapsed_secs: 0.1,
+        }
+    }
+
     #[test]
     fn cursor_arm_labels_do_not_hide_robustness() {
-        assert!(
-            smr_is_robust("HP+base"),
-            "+base must not hide HP's robustness"
-        );
-        assert!(smr_is_robust("IBR+repin"));
-        assert!(!smr_is_robust("EBR+base"));
-        assert_eq!(strip_scheme_suffix("VBR+repin"), "VBR");
-        assert_eq!(strip_scheme_suffix("EBR"), "EBR");
+        // The arm is a field of its own, so the scheme always parses and a
+        // record's robustness flag never depends on which arm it belongs to.
+        let results = [
+            labelled("HP", Some(Arm::BASE)),
+            labelled("IBR", Some(Arm::REPIN)),
+            labelled("EBR", Some(Arm::BASE)),
+            labelled("VBR", Some(Arm::REPIN)),
+        ];
+        let records = bench_artifact("cursor", &results).records;
+        let flags: Vec<bool> = records.iter().map(|r| r.is_robust).collect();
+        assert_eq!(flags, [true, true, false, false]);
+        for (record, result) in records.iter().zip(&results) {
+            assert!(SmrKind::parse(&record.smr).is_some(), "{}", record.smr);
+            assert_eq!(record.arm, result.arm);
+        }
+        assert_eq!(records[3].smr, "VBR");
+        assert_eq!(records[3].arm.as_deref(), Some("repin"));
+        // Presentation only: the progress row still reads `VBR+repin`, and
+        // every arm has a label.
+        assert!(results[3].row().contains(" VBR+repin "));
+        for arm in [Arm::POOL_ON, Arm::POOL_OFF, Arm::BASE, Arm::REPIN] {
+            let row = labelled("EBR", Some(arm)).row();
+            assert!(!row.contains(" EBR "), "{} has no label: {row}", arm.name);
+        }
+        assert!(labelled("EBR", None).row().contains(" EBR "));
     }
 
     #[test]
     fn cursor_arms_toggle_exactly_one_knob_each() {
-        // One knob is left: the base pins per operation, `+repin` batches.
-        assert_eq!(cursor_arms(16), [("+base", 1), ("+repin", 16)]);
+        // One knob is left: the base pins per operation, `repin` batches.
+        let spec = spec("cursor", &ExperimentOptions::quick()).unwrap();
+        let names: Vec<&str> = spec.arms.iter().map(|a| a.name).collect();
+        assert_eq!(names, ["base", "repin"]);
+        // The pin batch an arm leaves on a cell that requested `requested`;
+        // nothing else in the configuration may move.
+        let batch_of = |arm: Arm, requested: u64| {
+            let mut untouched = RunConfig::paper_default(2, 64);
+            untouched.pin_batch = requested;
+            let mut cfg = untouched.clone();
+            (arm.set)(&mut cfg);
+            let pin_batch = std::mem::replace(&mut cfg.pin_batch, requested);
+            assert_eq!(format!("{cfg:?}"), format!("{untouched:?}"), "{}", arm.name);
+            pin_batch
+        };
+        assert_eq!(batch_of(Arm::BASE, 1), 1);
+        assert_eq!(batch_of(Arm::REPIN, 1), 16);
+        assert_eq!(batch_of(Arm::BASE, 4), 1, "the base is never batched");
+        assert_eq!(batch_of(Arm::REPIN, 4), 4);
     }
 
     #[test]
@@ -1389,6 +1109,7 @@ mod tests {
         let results = vec![RunResult {
             ds: "SkipList".into(),
             smr: "NBR".into(),
+            arm: None,
             threads: 2,
             key_range: 64,
             ops: 10,
@@ -1502,28 +1223,16 @@ mod tests {
 
     #[test]
     fn bench_records_carry_the_robustness_flag() {
-        let mk = |smr: &str| RunResult {
-            ds: "HMList".into(),
-            smr: smr.into(),
-            threads: 2,
-            key_range: 64,
-            ops: 10,
-            ops_per_sec: 1.0,
-            avg_unreclaimed: None,
-            max_unreclaimed: None,
-            restarts: 0,
-            recoveries: 0,
-            spins: 0,
-            scan_len: 0,
-            scanned_keys: 0,
-            elapsed_secs: 0.1,
-        };
-        let artifact = bench_artifact("smoke", &[mk("HP"), mk("EBR"), mk("IBR+pool")]);
+        let pooled = labelled("IBR", Some(Arm::POOL_ON));
+        let artifact = bench_artifact(
+            "smoke",
+            &[labelled("HP", None), labelled("EBR", None), pooled],
+        );
         assert!(artifact.records[0].is_robust, "HP is robust");
         assert!(!artifact.records[1].is_robust, "EBR is not robust");
         assert!(
             artifact.records[2].is_robust,
-            "pool suffix must not hide IBR's robustness"
+            "the pool arm must not hide IBR's robustness"
         );
     }
 

@@ -41,18 +41,19 @@
 //! Rather than silently fold that into the verdict, each report carries the
 //! worst case explicitly as [`FaultReport::pool_leak_bound`].
 
+use crate::hist::OpClass;
 use crate::phases::{
-    do_op, drive_phases, silence_injected_panics, stall_actor, wait_for_phase, PhaseEvent,
+    run_phased, silence_injected_panics, stall_actor, wait_for_phase, Actor, PhaseEvent,
 };
 use crate::workload::{
-    op_loop, prefill, smr_config, with_target, DsKind, FastRng, RunConfig, Target,
+    smr_config, with_target, Draw, DsKind, Membership, Mix, Ops, RunConfig, Tally, Target, Visitor,
+    Workload,
 };
-use scot::{ConcurrentMap, ConcurrentSet, RangeScan};
+use scot::ConcurrentMap;
 use scot_smr::SmrKind;
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 /// Phase word value: fault-free warmup (baseline measurement at its end).
@@ -192,96 +193,114 @@ impl FaultPlan {
     }
 }
 
-/// Raw output of one phased fault run (one structure × scheme × fault cell).
-#[derive(Debug, Clone)]
-pub struct FaultOutput {
-    /// Unreclaimed count at the end of warmup (steady state).
-    pub baseline: usize,
-    /// Peak sampled unreclaimed count from the fault phase onwards.
-    pub peak: usize,
-    /// Unreclaimed count when the fault phase ended.
-    pub end_of_fault: usize,
-    /// Unreclaimed count after the post-join drain loop.
-    pub residual: usize,
-    /// Whether the drain reached zero within the timeout.
-    pub drained: bool,
-    /// Total worker operations completed.
-    pub ops: u64,
-    /// Wall-clock seconds for the phased run (drain excluded).
-    pub elapsed_secs: f64,
-    /// `(phase, unreclaimed)` series sampled every
-    /// [`RunConfig::sample_interval`] — the memory-footprint-over-time trace.
-    pub samples: Vec<(u8, usize)>,
+/// Raw output of one phased fault run (one structure × scheme × fault cell);
+/// [`FaultReport`] documents the fields.
+struct FaultOutput {
+    baseline: usize,
+    peak: usize,
+    end_of_fault: usize,
+    residual: usize,
+    drained: bool,
+    ops: u64,
+    elapsed_secs: f64,
+}
+
+/// What the actors draw from when they just hammer the structure: point
+/// operations in equal thirds.
+const ACTOR_MIX: Mix = Mix {
+    read_pct: 34,
+    insert_pct: 33,
+    delete_pct: 33,
+    scan_pct: 0,
+};
+
+type ActorOps<'a, C> = Ops<'a, C, Membership>;
+
+/// `n` insert-else-remove rounds on drawn keys: each one retires a node or
+/// sets one up to be retired.
+fn write_burst<C: ConcurrentMap<u64, ()>>(
+    ops: &ActorOps<'_, C>,
+    handle: &mut C::Handle,
+    draw: &mut Draw,
+    n: usize,
+) {
+    for _ in 0..n {
+        let (_, k) = draw.next(&ACTOR_MIX);
+        if !ops.once(handle, OpClass::Insert, k) {
+            ops.once(handle, OpClass::Remove, k);
+        }
+    }
 }
 
 /// [`FaultKind::ThreadDeath`]: retire some garbage, then exit without
 /// releasing the handle.  The slot stays claimed until the thread's exit
 /// beacon fires, at which point survivors adopt it.
-fn death_actor<C: ConcurrentMap<u64, ()>>(set: &C, phase: &AtomicU8, key_range: u64, seed: u64) {
-    let mut handle = ConcurrentMap::handle(set);
-    let mut rng = FastRng::new(seed);
+fn death_actor<C: ConcurrentMap<u64, ()>>(ops: &ActorOps<'_, C>, phase: &AtomicU8, mut draw: Draw) {
+    let mut handle = ops.target.map.handle();
     while phase.load(Ordering::Acquire) < PHASE_FAULT {
-        do_op(set, &mut handle, &mut rng, key_range);
+        let (class, key) = draw.next(&ACTOR_MIX);
+        ops.once(&mut handle, class, key);
     }
     // Freshly retired nodes land in this slot's vault right before death.
-    for _ in 0..64 {
-        let k = rng.below(key_range);
-        if !ConcurrentSet::insert(set, &mut handle, k) {
-            ConcurrentSet::remove(set, &mut handle, &k);
-        }
-    }
+    write_burst(ops, &mut handle, &mut draw, 64);
     // Die mid-run: leak the handle so the slot is orphaned, not released.
     std::mem::forget(handle);
 }
 
+/// The panic actor's workload: membership whose read-back hook is the
+/// injection point, so a `get`, a `remove` that found its key and a scan
+/// that yielded one unwind from *inside* the operation — borrow of the value
+/// live, scan cursor parked mid-window.
+#[derive(Clone, Copy)]
+struct PanicOnRead;
+
+impl Workload for PanicOnRead {
+    type V = ();
+    const READS_VALUES: bool = true;
+
+    fn value(&self, _key: u64) {}
+
+    fn verify(&self, _op: OpClass, _key: u64, _value: &()) -> u64 {
+        panic!("injected fault");
+    }
+}
+
 /// [`FaultKind::PanicDuringOp`]: panic with a guard live, rotating through
 /// the four operation kinds; each unwind must tear down guard and handle.
-fn panic_actor<C: ConcurrentMap<u64, ()>>(set: &C, phase: &AtomicU8, key_range: u64, seed: u64) {
-    let mut rng = FastRng::new(seed);
+fn panic_actor<C: ConcurrentMap<u64, ()>>(ops: &ActorOps<'_, C>, phase: &AtomicU8, mut draw: Draw) {
+    let ops = Ops {
+        target: ops.target,
+        workload: PanicOnRead,
+        scan_len: 16,
+    };
+    let map = &ops.target.map;
     wait_for_phase(phase, PHASE_FAULT);
-    let mut op = 0u64;
+    let mut round = 0;
     while phase.load(Ordering::Acquire) == PHASE_FAULT {
-        let key = rng.below(key_range);
+        let (_, key) = draw.next(&ACTOR_MIX);
+        let class = OpClass::ALL[round % OpClass::ALL.len()];
+        round += 1;
         let result = catch_unwind(AssertUnwindSafe(|| {
             // Fresh handle per attempt: the unwind tears down the guard
             // (dropping its protections) and then the handle (releasing its
             // slot) — exactly the RAII path a panicking application exercises.
-            let mut handle = ConcurrentMap::handle(set);
-            let mut guard = set.pin(&mut handle);
-            match op % 4 {
-                0 => {
-                    let _ = set.get(&mut guard, &key);
-                }
-                1 => {
-                    let _ = set.insert(&mut guard, key, ());
-                }
-                2 => {
-                    let _ = set.remove(&mut guard, &key);
-                }
-                _ => {
-                    let mut scan = set.scan(&mut guard, key, Some(key.saturating_add(16)));
-                    let _ = scan.next_entry();
-                }
-            }
+            let mut handle = map.handle();
+            let mut guard = map.pin(&mut handle);
+            ops.apply(&mut guard, class, key, &mut Tally::default());
+            // The operation read nothing back (an insert, a miss): panic
+            // after it, guard still live.
             panic!("injected fault");
         }));
         assert!(result.is_err(), "injected panic did not propagate");
-        op += 1;
     }
 }
 
 /// [`FaultKind::ChurnSpike`]: bursts of writes through short-lived handles.
-fn churn_actor<C: ConcurrentMap<u64, ()>>(set: &C, phase: &AtomicU8, key_range: u64, seed: u64) {
-    let mut rng = FastRng::new(seed);
+fn churn_actor<C: ConcurrentMap<u64, ()>>(ops: &ActorOps<'_, C>, phase: &AtomicU8, mut draw: Draw) {
     wait_for_phase(phase, PHASE_FAULT);
     while phase.load(Ordering::Acquire) == PHASE_FAULT {
-        let mut handle = ConcurrentMap::handle(set);
-        for _ in 0..256 {
-            let k = rng.below(key_range);
-            if !ConcurrentSet::insert(set, &mut handle, k) {
-                ConcurrentSet::remove(set, &mut handle, &k);
-            }
-        }
+        let mut handle = ops.target.map.handle();
+        write_burst(ops, &mut handle, &mut draw, 256);
         // Handle drops here: slot released, retire list flushed — at spike
         // rate.
     }
@@ -289,137 +308,107 @@ fn churn_actor<C: ConcurrentMap<u64, ()>>(set: &C, phase: &AtomicU8, key_range: 
 
 /// [`FaultKind::PreemptionStorm`]: ops with a yield after each one, on 4×
 /// oversubscribed threads.
-fn storm_actor<C: ConcurrentMap<u64, ()>>(set: &C, phase: &AtomicU8, key_range: u64, seed: u64) {
-    let mut handle = ConcurrentMap::handle(set);
-    let mut rng = FastRng::new(seed);
+fn storm_actor<C: ConcurrentMap<u64, ()>>(ops: &ActorOps<'_, C>, phase: &AtomicU8, mut draw: Draw) {
+    let mut handle = ops.target.map.handle();
     wait_for_phase(phase, PHASE_FAULT);
     while phase.load(Ordering::Acquire) == PHASE_FAULT {
-        do_op(set, &mut handle, &mut rng, key_range);
+        let (class, key) = draw.next(&ACTOR_MIX);
+        ops.once(&mut handle, class, key);
         std::thread::yield_now();
     }
 }
 
-/// The phased fault runner (monomorphized per structure × scheme via
-/// [`crate::workload::TargetAny`]).
-pub(crate) fn faults_inner<C: ConcurrentMap<u64, ()> + 'static>(
-    target: &Target<C>,
-    cfg: &RunConfig,
-    plan: &FaultPlan,
-) -> FaultOutput {
-    cfg.mix.validate();
-    silence_injected_panics();
-    prefill(target.set.as_ref(), cfg.key_range, cfg.seed, cfg.threads);
-    let phase = Arc::new(AtomicU8::new(PHASE_WARMUP));
-    let stop = Arc::new(AtomicBool::new(false));
-    let total_ops = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    let mut samples: Vec<(u8, usize)> = Vec::new();
-    let mut baseline = 0usize;
-    let mut end_of_fault = 0usize;
-    let mut peak = 0usize;
-    std::thread::scope(|s| {
-        for t in 0..cfg.threads {
-            let set = target.set.clone();
-            let stop = stop.clone();
-            let total_ops = total_ops.clone();
-            let ordered = target.ordered;
-            let cfg = cfg.clone();
-            s.spawn(move || {
-                let (ops, _) = op_loop(set.as_ref(), &cfg, &stop, t, None, ordered);
-                total_ops.fetch_add(ops, Ordering::Relaxed);
-            });
-        }
-        for v in 0..plan.actor_threads() {
-            let set = target.set.clone();
-            let phase = phase.clone();
-            let kind = plan.kind;
-            let key_range = cfg.key_range;
-            let seed = cfg.seed ^ (v as u64 + 0x0fa7).wrapping_mul(0x9e3779b97f4a7c15);
-            std::thread::Builder::new()
-                .name(format!("fault-actor-{v}"))
-                .spawn_scoped(s, move || match kind {
+/// The phased fault runner.
+struct FaultRun<'a> {
+    cfg: &'a RunConfig,
+    plan: &'a FaultPlan,
+}
+
+impl Visitor<()> for FaultRun<'_> {
+    type Out = FaultOutput;
+
+    fn run<C: ConcurrentMap<u64, ()>>(self, target: &Target<C>) -> FaultOutput {
+        let (cfg, plan) = (self.cfg, self.plan);
+        cfg.mix.validate();
+        silence_injected_panics();
+        let ops = Ops::prefilled(target, Membership, cfg);
+        let actors = (0..plan.actor_threads())
+            .map(|v| {
+                let ops = &ops;
+                // Actor streams are numbered well away from the workers'.
+                let draw = Draw::for_thread(cfg.seed, 0x0fa6 + v, cfg.key_range, 0.0);
+                let body = move |phase: &AtomicU8| match plan.kind {
                     FaultKind::ReaderStall => {
-                        stall_actor(set.as_ref(), &phase, key_range, v, PHASE_FAULT)
+                        stall_actor(ops, phase, v as u64 % cfg.key_range.max(1), PHASE_FAULT)
                     }
-                    FaultKind::ThreadDeath => death_actor(set.as_ref(), &phase, key_range, seed),
-                    FaultKind::PanicDuringOp => panic_actor(set.as_ref(), &phase, key_range, seed),
-                    FaultKind::ChurnSpike => churn_actor(set.as_ref(), &phase, key_range, seed),
-                    FaultKind::PreemptionStorm => {
-                        storm_actor(set.as_ref(), &phase, key_range, seed)
-                    }
-                })
-                .expect("failed to spawn fault actor");
-        }
-        // The main thread is the phase clock and the footprint sampler
-        // (shared with the service runner via [`crate::phases`]).  Unlike
-        // the timed runner, Hyaline is sampled too: robustness is precisely
-        // a question about footprint under faults.
-        drive_phases(
-            &phase,
+                    FaultKind::ThreadDeath => death_actor(ops, phase, draw),
+                    FaultKind::PanicDuringOp => panic_actor(ops, phase, draw),
+                    FaultKind::ChurnSpike => churn_actor(ops, phase, draw),
+                    FaultKind::PreemptionStorm => storm_actor(ops, phase, draw),
+                };
+                Box::new(body) as Actor<'_>
+            })
+            .collect();
+        let mut baseline = 0usize;
+        let mut end_of_fault = 0usize;
+        let mut peak = 0usize;
+        // The main thread is the phase clock and the footprint sampler.
+        // Unlike the timed runner, Hyaline is sampled too: robustness is
+        // precisely a question about footprint under faults.
+        let (tally, elapsed) = run_phased(
+            cfg.threads,
+            &|t, phase| ops.steady_worker(cfg, t, phase, PHASE_STOP),
+            actors,
             &[plan.warmup, plan.fault, plan.recovery],
             cfg.sample_interval,
             target.unreclaimed.as_ref(),
-            |ev| match ev {
-                PhaseEvent::Edge {
-                    phase: PHASE_WARMUP,
-                    unreclaimed,
-                    ..
-                } => baseline = unreclaimed,
-                PhaseEvent::Edge {
-                    phase: PHASE_FAULT,
-                    unreclaimed,
-                    ..
-                } => {
-                    end_of_fault = unreclaimed;
-                    peak = peak.max(unreclaimed);
-                }
-                PhaseEvent::Edge { .. } => {}
-                PhaseEvent::Sample {
-                    phase: p,
-                    unreclaimed,
-                } => {
-                    samples.push((p, unreclaimed));
-                    if p >= PHASE_FAULT {
-                        peak = peak.max(unreclaimed);
+            &mut |ev: PhaseEvent| {
+                let n = ev.unreclaimed;
+                if ev.edge.is_some() {
+                    match ev.phase {
+                        PHASE_WARMUP => baseline = n,
+                        PHASE_FAULT => end_of_fault = n,
+                        // The recovery edge is the end of the run.
+                        _ => return,
                     }
+                }
+                if ev.phase >= PHASE_FAULT {
+                    peak = peak.max(n);
                 }
             },
         );
-        stop.store(true, Ordering::SeqCst);
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    // Every worker and actor has joined; dead actors' exit beacons have
-    // fired, so their orphaned slots are adoptable.  Shutdown drain: flush
-    // through a fresh handle until empty or the timeout expires — report,
-    // never hang.
-    let mut residual = (target.unreclaimed)();
-    let mut drained = residual == 0;
-    if !drained && plan.drain_timeout > Duration::ZERO {
-        let deadline = Instant::now() + plan.drain_timeout;
-        let mut handle = ConcurrentMap::handle(target.set.as_ref());
-        loop {
-            ConcurrentMap::flush(target.set.as_ref(), &mut handle);
-            residual = (target.unreclaimed)();
-            if residual == 0 {
-                drained = true;
-                break;
+        // Every worker and actor has joined; dead actors' exit beacons have
+        // fired, so their orphaned slots are adoptable.  Shutdown drain: flush
+        // through a fresh handle until empty or the timeout expires — report,
+        // never hang.
+        let mut residual = (target.unreclaimed)();
+        let mut drained = residual == 0;
+        if !drained && plan.drain_timeout > Duration::ZERO {
+            let deadline = Instant::now() + plan.drain_timeout;
+            let mut handle = target.map.handle();
+            loop {
+                target.map.flush(&mut handle);
+                residual = (target.unreclaimed)();
+                if residual == 0 {
+                    drained = true;
+                    break;
+                }
+                if Instant::now() >= deadline {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
             }
-            if Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
         }
-    }
-    peak = peak.max(residual);
-    FaultOutput {
-        baseline,
-        peak,
-        end_of_fault,
-        residual,
-        drained,
-        ops: total_ops.load(Ordering::Relaxed),
-        elapsed_secs: elapsed,
-        samples,
+        peak = peak.max(residual);
+        FaultOutput {
+            baseline,
+            peak,
+            end_of_fault,
+            residual,
+            drained,
+            ops: tally.ops,
+            elapsed_secs: elapsed,
+        }
     }
 }
 
@@ -514,16 +503,15 @@ pub fn run_fault_scenario(
     let actors = plan.actor_threads();
     // Size the registry for workers + actors + the post-join drain handle.
     // (Actors that churn handles only hold one claim at a time each.)
-    let capacity_threads = cfg.threads + actors + 1;
-    let out = with_target(ds, smr, capacity_threads, cfg.key_range, cfg.pool, |t| {
-        (t.run_faults)(cfg, &plan)
-    });
+    let extra_threads = actors + 1;
+    let run = FaultRun { cfg, plan: &plan };
+    let out = with_target(ds, smr, cfg, extra_threads, run);
     let bound = robustness_bound(smr, cfg.threads, actors, cfg.pool, out.baseline);
     // Dead victims leak their handles, and with them their block-pool
     // caches; those blocks are pool capacity, not tracked garbage, so the
     // drain cannot see them.  Surface the worst case alongside the verdict.
     let pool_leak_bound = if plan.kind == FaultKind::ThreadDeath {
-        plan.victims * smr_config(smr, capacity_threads, cfg.pool).pool_blocks()
+        plan.victims * smr_config(smr, cfg.threads + extra_threads, cfg.pool).pool_blocks()
     } else {
         0
     };

@@ -14,10 +14,14 @@
 //!   objects, sampled periodically during the run (Figures 10-12b);
 //! * traversal **restarts** are counted for Table 2.
 //!
-//! Two run modes exist: [`run_timed`] (duration-based, like the paper's
-//! `./bench <ds> <seconds> ...`) used by the `scot-bench` binary, and
-//! [`run_fixed_ops`] (fixed operation count) used by the Criterion benches so
-//! that every sample performs a deterministic amount of work.
+//! One run mode exists: [`run_timed`] (duration-based, like the paper's
+//! `./bench <ds> <seconds> ...`), and one pipeline behind it.  Every cell of
+//! every preset — membership or key-value, timed, fault-injected or phased —
+//! is the same five pieces: one operation (draw, apply, verify) in one loop
+//! with one pin policy and one structure × scheme dispatch
+//! ([`workload`]), one phased driver (the crate-private `phases` module),
+//! one sweep driver ([`experiments::run_experiment`]) and one table renderer
+//! (the crate-private `table` module).
 //!
 //! The hardware substitution relative to the paper (128-core EPYC + mimalloc
 //! versus whatever machine this crate runs on with the system allocator) is
@@ -33,13 +37,14 @@ pub mod hist;
 pub mod kv;
 mod phases;
 pub mod service;
+mod table;
 pub mod workload;
 
 pub use faults::{run_fault_scenario, FaultKind, FaultPlan, FaultReport};
 pub use hist::{LatencyHistogram, OpClass, OpHistograms};
 pub use kv::{run_timed_kv, Payload};
 pub use service::{run_service_scenario, ServicePlan, ServiceReport};
-pub use workload::{run_fixed_ops, run_timed, DsKind, Mix, RunConfig, RunResult};
+pub use workload::{run_timed, DsKind, Mix, RunConfig, RunResult};
 
 pub use scot_smr::SmrKind;
 

@@ -1,36 +1,30 @@
-//! Shared phased-run machinery: the phase clock, the phase-waiting helper,
-//! the injected-panic hook and the stalled-reader actor.
+//! Shared phased-run machinery: the phase clock, the driver that runs
+//! workers and actors against it, the phase-waiting helper, the
+//! injected-panic hook and the stalled-reader actor.
 //!
-//! Both phased runners — the fault harness ([`crate::faults`]) and the
-//! service scenario ([`crate::service`]) — drive their worker and actor
-//! threads through a shared `AtomicU8` phase word while the main thread acts
-//! as the clock and the memory-footprint sampler.  This module is the single
-//! copy of that machinery, so the two runners cannot drift apart.
+//! Every run of the harness is a phased run.  The timed runner
+//! ([`crate::workload`]) has one phase, the fault harness ([`crate::faults`])
+//! three, the service scenario ([`crate::service`]) four; all of them drive
+//! their worker and actor threads through a shared `AtomicU8` phase word
+//! while the main thread acts as the clock and the memory-footprint sampler.
+//! This module is the single copy of that machinery.
 
-use crate::workload::FastRng;
-use scot::{ConcurrentMap, ConcurrentSet};
+use crate::hist::OpClass;
+use crate::workload::{Membership, Ops, Tally};
+use scot::ConcurrentMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
-/// One observation made by the phase clock ([`drive_phases`]).
-pub(crate) enum PhaseEvent {
-    /// A periodic footprint sample taken inside a phase.
-    Sample {
-        /// Phase word value when the sample was taken.
-        phase: u8,
-        /// The domain's unreclaimed count at that moment.
-        unreclaimed: usize,
-    },
-    /// The edge that *ends* a phase: sampled once, right before the phase
-    /// word advances.
-    Edge {
-        /// The phase that just ended.
-        phase: u8,
-        /// The domain's unreclaimed count at the edge.
-        unreclaimed: usize,
-        /// Wall-clock time since the clock started.
-        elapsed: Duration,
-    },
+/// One observation made by the phase clock ([`drive_phases`]): a periodic
+/// footprint sample taken inside a phase or, with `edge` set, the sample that
+/// *ends* one — taken once, right before the phase word advances.
+pub(crate) struct PhaseEvent {
+    /// Phase word value when the sample was taken.
+    pub(crate) phase: u8,
+    /// The domain's unreclaimed count at that moment.
+    pub(crate) unreclaimed: usize,
+    /// At a phase edge, the wall-clock time since the clock started.
+    pub(crate) edge: Option<Duration>,
 }
 
 /// The phase clock: walks the phase word through `0..durations.len()` on the
@@ -46,7 +40,7 @@ pub(crate) fn drive_phases(
     durations: &[Duration],
     sample_interval: Duration,
     unreclaimed: &dyn Fn() -> usize,
-    mut on_event: impl FnMut(PhaseEvent),
+    on_event: &mut dyn FnMut(PhaseEvent),
 ) -> f64 {
     assert!(!durations.is_empty() && durations.len() < u8::MAX as usize);
     let start = Instant::now();
@@ -62,26 +56,21 @@ pub(crate) fn drive_phases(
         debug_assert!(cur < durations.len(), "clock raced past the stop value");
         let next_edge = edges[cur];
         let now = Instant::now();
-        if now >= next_edge {
-            let n = unreclaimed();
-            on_event(PhaseEvent::Edge {
-                phase: cur as u8,
-                unreclaimed: n,
-                elapsed: start.elapsed(),
-            });
+        let at_edge = now >= next_edge;
+        on_event(PhaseEvent {
+            phase: cur as u8,
+            unreclaimed: unreclaimed(),
+            edge: at_edge.then(|| start.elapsed()),
+        });
+        if at_edge {
             let next = cur + 1;
             phase.store(next as u8, Ordering::Release);
             if next == durations.len() {
                 break;
             }
-            continue;
+        } else {
+            std::thread::sleep(sample_interval.min(next_edge - now));
         }
-        let n = unreclaimed();
-        on_event(PhaseEvent::Sample {
-            phase: cur as u8,
-            unreclaimed: n,
-        });
-        std::thread::sleep(sample_interval.min(next_edge - now));
     }
     start.elapsed().as_secs_f64()
 }
@@ -113,22 +102,21 @@ pub(crate) fn wait_for_phase(phase: &AtomicU8, at_least: u8) {
     }
 }
 
-/// A stalled reader: pins a guard, performs one lookup, then holds the guard
-/// for the whole `stall_at` phase — the canonical robustness killer for
-/// epoch-style schemes.  The fault harness stalls through its fault phase,
-/// the service scenario through its reader-stall phase.
+/// A stalled reader: pins a guard, performs one lookup of `key`, then holds
+/// the guard for the whole `stall_at` phase — the canonical robustness killer
+/// for epoch-style schemes.  The fault harness stalls through its fault
+/// phase, the service scenario through its reader-stall phase.
 pub(crate) fn stall_actor<C: ConcurrentMap<u64, ()>>(
-    set: &C,
+    ops: &Ops<'_, C, Membership>,
     phase: &AtomicU8,
-    key_range: u64,
-    idx: usize,
+    key: u64,
     stall_at: u8,
 ) {
-    let mut handle = ConcurrentMap::handle(set);
+    let map = &ops.target.map;
+    let mut handle = map.handle();
     wait_for_phase(phase, stall_at);
-    let mut guard = set.pin(&mut handle);
-    let key = idx as u64 % key_range.max(1);
-    let _ = set.get(&mut guard, &key);
+    let mut guard = map.pin(&mut handle);
+    ops.apply(&mut guard, OpClass::Get, key, &mut Tally::default());
     while phase.load(Ordering::Acquire) == stall_at {
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -136,27 +124,60 @@ pub(crate) fn stall_actor<C: ConcurrentMap<u64, ()>>(
     // holding back; the handle drop then releases the slot cleanly.
 }
 
-/// One random set operation through a plain handle (no explicit guard).
-/// Shared by the fault actors that hammer the structure while misbehaving.
-pub(crate) fn do_op<C: ConcurrentMap<u64, ()>>(
-    set: &C,
-    handle: &mut <C as ConcurrentMap<u64, ()>>::Handle,
-    rng: &mut FastRng,
-    key_range: u64,
-) {
-    let r = rng.next_u64();
-    let key = r % key_range.max(1);
-    match (r >> 48) % 3 {
-        0 => {
-            ConcurrentSet::contains(set, handle, &key);
+/// A misbehaving (or merely extra) thread of a phased run: its body, which
+/// receives the phase word.
+pub(crate) type Actor<'a> = Box<dyn FnOnce(&AtomicU8) + Send + 'a>;
+
+/// The driver of every run: spawns `workers` threads running
+/// `worker(index, phase_word)` plus the `actors` (on threads named
+/// `fault-actor-…`, which [`silence_injected_panics`] keys on), walks the
+/// phase word through `durations` on the calling thread ([`drive_phases`],
+/// feeding `on_event`), and joins.  Returns the workers' summed tallies and the
+/// wall-clock seconds from the moment all workers run to the last one's exit.
+///
+/// A worker's panic (an oracle or integrity assertion) is re-raised here
+/// with its own message once the schedule has run out.
+///
+/// Nothing here is generic: the runners are instantiated per structure ×
+/// scheme, and the thread plumbing should not be.
+pub(crate) fn run_phased(
+    workers: usize,
+    worker: &(dyn Fn(usize, &AtomicU8) -> Tally + Sync),
+    actors: Vec<Actor<'_>>,
+    durations: &[Duration],
+    sample_interval: Duration,
+    unreclaimed: &dyn Fn() -> usize,
+    on_event: &mut dyn FnMut(PhaseEvent),
+) -> (Tally, f64) {
+    let phase = AtomicU8::new(0);
+    // The clock starts once every worker thread is running: on a loaded
+    // two-core box a thread can take longer to be scheduled for the first
+    // time than a smoke run's whole 40 ms schedule lasts.
+    let running = std::sync::Barrier::new(workers + 1);
+    let (phase, running) = (&phase, &running);
+    std::thread::scope(|s| {
+        let spawn = |t| {
+            s.spawn(move || {
+                running.wait();
+                worker(t, phase)
+            })
+        };
+        let handles: Vec<_> = (0..workers).map(spawn).collect();
+        running.wait();
+        let start = Instant::now();
+        for (i, actor) in actors.into_iter().enumerate() {
+            std::thread::Builder::new()
+                .name(format!("fault-actor-{i}"))
+                .spawn_scoped(s, move || actor(phase))
+                .expect("failed to spawn actor thread");
         }
-        1 => {
-            ConcurrentSet::insert(set, handle, key);
-        }
-        _ => {
-            ConcurrentSet::remove(set, handle, &key);
-        }
-    }
+        drive_phases(phase, durations, sample_interval, unreclaimed, on_event);
+        let total = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .fold(Tally::default(), Tally::merged);
+        (total, start.elapsed().as_secs_f64())
+    })
 }
 
 #[cfg(test)]
@@ -180,9 +201,9 @@ mod tests {
             &durations,
             Duration::from_millis(2),
             &|| calls.fetch_add(1, Ordering::Relaxed),
-            |ev| match ev {
-                PhaseEvent::Edge { phase, elapsed, .. } => edges.push((phase, elapsed)),
-                PhaseEvent::Sample { .. } => samples += 1,
+            &mut |ev| match ev.edge {
+                Some(elapsed) => edges.push((ev.phase, elapsed)),
+                None => samples += 1,
             },
         );
         assert_eq!(phase.load(Ordering::Acquire), 3, "stop value is len()");

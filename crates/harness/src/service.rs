@@ -31,11 +31,11 @@
 //! measurement for the other N−1 ops (see DESIGN.md § Latency methodology).
 
 use crate::hist::{OpClass, OpHistograms};
-use crate::phases::{drive_phases, silence_injected_panics, stall_actor, PhaseEvent};
+use crate::phases::{run_phased, silence_injected_panics, stall_actor, Actor, PhaseEvent};
 use crate::workload::{
-    prefill, scan_once, with_target, DsKind, FastRng, Mix, RunConfig, Target, Zipf,
+    with_target, Draw, DsKind, LoopControl, Membership, Mix, Ops, RunConfig, Target, Visitor,
 };
-use scot::{ConcurrentMap, ConcurrentSet, TraversalSnapshot};
+use scot::{ConcurrentMap, TraversalSnapshot};
 use scot_smr::SmrKind;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -140,216 +140,159 @@ impl PhaseAccum {
     }
 }
 
-/// What one phase produced, before flattening into report rows.
-#[derive(Debug)]
-pub struct ServicePhaseOutput {
-    /// Phase name ([`SERVICE_PHASE_NAMES`]).
-    pub name: &'static str,
-    /// Worker operations completed during the phase.
-    pub ops: u64,
+/// What one phase produced, before flattening into report rows;
+/// [`ServiceReport`] documents the fields.
+struct PhaseOutput {
+    name: &'static str,
+    ops: u64,
     /// Wall-clock length of the phase as driven (edge-to-edge).
-    pub secs: f64,
-    /// Merged latency histograms, one per op-class.
-    pub hists: OpHistograms,
-    /// Peak sampled unreclaimed count during the phase.
-    pub peak_unreclaimed: usize,
-    /// Traversal restarts during the phase (edge-to-edge delta).
-    pub restarts: u64,
-    /// §3.2.1 recoveries during the phase (edge-to-edge delta).
-    pub recoveries: u64,
+    secs: f64,
+    hists: OpHistograms,
+    peak_unreclaimed: usize,
+    restarts: u64,
+    recoveries: u64,
 }
 
-/// Raw output of one service run (one structure × scheme cell).
-#[derive(Debug)]
-pub struct ServiceOutput {
-    /// One entry per phase, in phase order.
-    pub phases: Vec<ServicePhaseOutput>,
-    /// Total wall-clock seconds for the phased run.
-    pub elapsed_secs: f64,
-    /// Total worker operations across all phases.
-    pub ops: u64,
-}
-
-/// The service hot loop: one worker thread's life across all four phases.
+/// A service worker's side of the measurement loop: its life across all
+/// four phases.
 ///
-/// The worker keeps *thread-local* histograms and an op counter, re-reads the
-/// phase word every operation (an uncontended `Acquire` load), and flushes
-/// its locals into the phase's shared accumulator only when the word changes
-/// — so the measurement adds no shared-memory traffic to the hot path.
-fn service_worker<C: ConcurrentMap<u64, ()>>(
-    set: &C,
-    phase: &AtomicU8,
-    cfg: &RunConfig,
-    plan: &ServicePlan,
-    thread_idx: usize,
-    ordered: bool,
-    accums: &[PhaseAccum; NUM_SERVICE_PHASES],
-) {
-    let mut handle = ConcurrentMap::handle(set);
-    let mut rng = FastRng::new(cfg.seed ^ (thread_idx as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
-    let zipf = (plan.zipf_theta > 0.0).then(|| Zipf::new(cfg.key_range.max(1), plan.zipf_theta));
-    let sample_every = plan.sample_every.max(1);
-    let mut my_phase = 0u8;
-    let mut mix = plan.mix_for(my_phase);
-    let mut local = OpHistograms::new();
-    let mut local_ops = 0u64;
-    let mut tick = 0u32;
-    loop {
-        let cur = phase.load(Ordering::Acquire);
-        if cur != my_phase {
+/// The worker keeps *thread-local* histograms, re-reads the phase word before
+/// every operation (an uncontended `Acquire` load), and flushes its locals
+/// into the phase's shared accumulator only when the word changes — so the
+/// measurement adds no shared-memory traffic to the hot path.
+struct ServiceControl<'a> {
+    phase: &'a AtomicU8,
+    plan: &'a ServicePlan,
+    accums: &'a [PhaseAccum; NUM_SERVICE_PHASES],
+    my_phase: u8,
+    /// The loop's operation count when `my_phase` began.
+    ops_at_edge: u64,
+    local: OpHistograms,
+    tick: u32,
+}
+
+impl LoopControl for ServiceControl<'_> {
+    fn proceed(&mut self, ops: u64, mix: &mut Mix) -> bool {
+        let cur = self.phase.load(Ordering::Acquire);
+        if cur != self.my_phase {
             // Phase edge: drain the thread-local measurements into the phase
             // that just ended.  This is the only shared-state touch.
-            let acc = &accums[my_phase as usize];
-            acc.hists.lock().unwrap().merge(&local);
-            acc.ops.fetch_add(local_ops, Ordering::Relaxed);
-            local = OpHistograms::new();
-            local_ops = 0;
-            my_phase = cur;
+            let acc = &self.accums[self.my_phase as usize];
+            acc.hists.lock().unwrap().merge(&self.local);
+            acc.ops.fetch_add(ops - self.ops_at_edge, Ordering::Relaxed);
+            self.local = OpHistograms::new();
+            self.ops_at_edge = ops;
+            self.my_phase = cur;
             if cur as usize >= NUM_SERVICE_PHASES {
-                break;
+                return false;
             }
-            mix = plan.mix_for(my_phase);
+            *mix = self.plan.mix_for(cur);
         }
-        let r = rng.next_u64();
-        let op = ((r >> 48) % 100) as u32;
-        let key = match &zipf {
-            Some(z) => z.key(&mut rng),
-            None => r % cfg.key_range.max(1),
-        };
-        let class = if op < mix.read_pct {
-            OpClass::Get
-        } else if op < mix.read_pct + mix.insert_pct {
-            OpClass::Insert
-        } else if op < mix.read_pct + mix.insert_pct + mix.delete_pct {
-            OpClass::Remove
-        } else {
-            OpClass::Scan
-        };
-        tick = tick.wrapping_add(1);
-        let stamp = tick.is_multiple_of(sample_every);
-        let t0 = stamp.then(Instant::now);
-        match class {
-            OpClass::Get => {
-                ConcurrentSet::contains(set, &mut handle, &key);
-            }
-            OpClass::Insert => {
-                ConcurrentSet::insert(set, &mut handle, key);
-            }
-            OpClass::Remove => {
-                ConcurrentSet::remove(set, &mut handle, &key);
-            }
-            OpClass::Scan => {
-                scan_once(set, &mut handle, key, cfg.scan_len, ordered);
-            }
-        }
-        if let Some(t0) = t0 {
-            local.record(class, t0.elapsed().as_nanos() as u64);
-        }
-        local_ops += 1;
+        true
+    }
+
+    /// Amortized timing: 1-in-`sample_every` operations are stamped.
+    #[inline]
+    fn start(&mut self) -> Option<Instant> {
+        self.tick = self.tick.wrapping_add(1);
+        self.tick
+            .is_multiple_of(self.plan.sample_every.max(1))
+            .then(Instant::now)
+    }
+
+    #[inline]
+    fn finish(&mut self, class: OpClass, started: Instant) {
+        self.local
+            .record(class, started.elapsed().as_nanos() as u64);
     }
 }
 
-/// The phased service runner (monomorphized per structure × scheme via
-/// [`crate::workload::TargetAny`]).
-pub(crate) fn service_inner<C: ConcurrentMap<u64, ()> + 'static>(
-    target: &Target<C>,
-    cfg: &RunConfig,
-    plan: &ServicePlan,
-) -> ServiceOutput {
-    for p in 0..NUM_SERVICE_PHASES {
-        plan.mix_for(p as u8).validate();
-    }
-    // Stall actors run on "fault-actor-…" named threads; keep their panics
-    // (there are none by design, but symmetry with the fault harness is
-    // cheap) from spamming if one ever trips.
-    silence_injected_panics();
-    prefill(target.set.as_ref(), cfg.key_range, cfg.seed, cfg.threads);
-    let phase = AtomicU8::new(0);
-    let accums: [PhaseAccum; NUM_SERVICE_PHASES] = std::array::from_fn(|_| PhaseAccum::new());
-    let baseline: TraversalSnapshot = (target.stats)();
-    let mut edge_stats: Vec<TraversalSnapshot> = Vec::with_capacity(NUM_SERVICE_PHASES);
-    let mut edge_elapsed: Vec<f64> = Vec::with_capacity(NUM_SERVICE_PHASES);
-    let mut peaks = [0usize; NUM_SERVICE_PHASES];
-    let durations = plan.durations();
-    let mut elapsed_secs = 0.0;
-    std::thread::scope(|s| {
-        for t in 0..cfg.threads {
-            let set = target.set.clone();
-            let phase = &phase;
-            let accums = &accums;
-            let ordered = target.ordered;
-            s.spawn(move || {
-                service_worker(set.as_ref(), phase, cfg, plan, t, ordered, accums);
-            });
+/// The phased service runner.
+struct ServiceRun<'a> {
+    cfg: &'a RunConfig,
+    plan: &'a ServicePlan,
+}
+
+impl Visitor<()> for ServiceRun<'_> {
+    /// One entry per phase, in phase order.
+    type Out = Vec<PhaseOutput>;
+
+    fn run<C: ConcurrentMap<u64, ()>>(self, target: &Target<C>) -> Vec<PhaseOutput> {
+        let (cfg, plan) = (self.cfg, self.plan);
+        for p in 0..NUM_SERVICE_PHASES {
+            plan.mix_for(p as u8).validate();
         }
-        for v in 0..plan.stall_victims {
-            let set = target.set.clone();
-            let phase = &phase;
-            let key_range = cfg.key_range;
-            let stall_at = (NUM_SERVICE_PHASES - 1) as u8;
-            std::thread::Builder::new()
-                .name(format!("fault-actor-stall-{v}"))
-                .spawn_scoped(s, move || {
-                    stall_actor(set.as_ref(), phase, key_range, v, stall_at);
-                })
-                .expect("failed to spawn stall actor");
-        }
+        // Stall actors run on "fault-actor-…" named threads; keep their panics
+        // (there are none by design, but symmetry with the fault harness is
+        // cheap) from spamming if one ever trips.
+        silence_injected_panics();
+        let ops = Ops::prefilled(target, Membership, cfg);
+        let accums: [PhaseAccum; NUM_SERVICE_PHASES] = std::array::from_fn(|_| PhaseAccum::new());
+        let baseline: TraversalSnapshot = target.map.traversal_stats();
+        let mut edge_stats: Vec<TraversalSnapshot> = Vec::with_capacity(NUM_SERVICE_PHASES);
+        let mut edge_elapsed: Vec<f64> = Vec::with_capacity(NUM_SERVICE_PHASES);
+        let mut peaks = [0usize; NUM_SERVICE_PHASES];
+        let stall_at = (NUM_SERVICE_PHASES - 1) as u8;
+        let actors = (0..plan.stall_victims)
+            .map(|v| {
+                let (ops, key) = (&ops, v as u64 % cfg.key_range.max(1));
+                Box::new(move |phase: &AtomicU8| stall_actor(ops, phase, key, stall_at))
+                    as Actor<'_>
+            })
+            .collect();
         // The main thread is the phase clock and the footprint sampler —
         // Hyaline included, since the stall phase is a robustness question.
-        elapsed_secs = drive_phases(
-            &phase,
-            &durations,
+        run_phased(
+            cfg.threads,
+            &|t, phase| {
+                let mut draw = Draw::for_thread(cfg.seed, t, cfg.key_range, plan.zipf_theta);
+                let control = ServiceControl {
+                    phase,
+                    plan,
+                    accums: &accums,
+                    my_phase: 0,
+                    ops_at_edge: 0,
+                    local: OpHistograms::new(),
+                    tick: 0,
+                };
+                ops.run_loop(&mut draw, plan.mix_for(0), cfg.pin_batch, control)
+            },
+            actors,
+            &plan.durations(),
             cfg.sample_interval,
             target.unreclaimed.as_ref(),
-            |ev| match ev {
-                PhaseEvent::Sample {
-                    phase: p,
-                    unreclaimed,
-                } => {
-                    let p = p as usize;
-                    peaks[p] = peaks[p].max(unreclaimed);
-                }
-                PhaseEvent::Edge {
-                    phase: p,
-                    unreclaimed,
-                    elapsed,
-                } => {
-                    let p = p as usize;
-                    peaks[p] = peaks[p].max(unreclaimed);
-                    edge_stats.push((target.stats)());
+            &mut |ev: PhaseEvent| {
+                let p = ev.phase as usize;
+                peaks[p] = peaks[p].max(ev.unreclaimed);
+                if let Some(elapsed) = ev.edge {
+                    edge_stats.push(target.map.traversal_stats());
                     edge_elapsed.push(elapsed.as_secs_f64());
                 }
             },
         );
-    });
-    // Every worker flushed its locals when it saw the stop value, and every
-    // thread has joined, so the accumulators are complete and unaliased.
-    let mut phases = Vec::with_capacity(NUM_SERVICE_PHASES);
-    let mut prev_stats = baseline;
-    let mut prev_t = 0.0;
-    let mut total_ops = 0u64;
-    for (p, acc) in accums.into_iter().enumerate() {
-        let hists = acc.hists.into_inner().unwrap();
-        let ops = acc.ops.into_inner();
-        let at_edge = edge_stats[p];
-        let t_edge = edge_elapsed[p];
-        total_ops += ops;
-        phases.push(ServicePhaseOutput {
-            name: SERVICE_PHASE_NAMES[p],
-            ops,
-            secs: (t_edge - prev_t).max(0.0),
-            hists,
-            peak_unreclaimed: peaks[p],
-            restarts: at_edge.restarts.saturating_sub(prev_stats.restarts),
-            recoveries: at_edge.recoveries.saturating_sub(prev_stats.recoveries),
-        });
-        prev_stats = at_edge;
-        prev_t = t_edge;
-    }
-    ServiceOutput {
-        phases,
-        elapsed_secs,
-        ops: total_ops,
+        // Every worker flushed its locals when it saw the stop value, and every
+        // thread has joined, so the accumulators are complete and unaliased.
+        let mut phases = Vec::with_capacity(NUM_SERVICE_PHASES);
+        let mut prev_stats = baseline;
+        let mut prev_t = 0.0;
+        for (p, acc) in accums.into_iter().enumerate() {
+            let hists = acc.hists.into_inner().unwrap();
+            let ops = acc.ops.into_inner();
+            let at_edge = edge_stats[p];
+            let t_edge = edge_elapsed[p];
+            phases.push(PhaseOutput {
+                name: SERVICE_PHASE_NAMES[p],
+                ops,
+                secs: (t_edge - prev_t).max(0.0),
+                hists,
+                peak_unreclaimed: peaks[p],
+                restarts: at_edge.restarts.saturating_sub(prev_stats.restarts),
+                recoveries: at_edge.recoveries.saturating_sub(prev_stats.recoveries),
+            });
+            prev_stats = at_edge;
+            prev_t = t_edge;
+        }
+        phases
     }
 }
 
@@ -402,13 +345,11 @@ pub fn run_service_scenario(
     cfg: &RunConfig,
     plan: &ServicePlan,
 ) -> Vec<ServiceReport> {
-    // Size the registry for the workers plus the stalled readers.
-    let capacity_threads = cfg.threads + plan.stall_victims;
-    let out = with_target(ds, smr, capacity_threads, cfg.key_range, cfg.pool, |t| {
-        (t.run_service)(cfg, plan)
-    });
-    let mut reports = Vec::with_capacity(out.phases.len() * OpClass::ALL.len());
-    for ph in &out.phases {
+    // The registry is sized for the workers plus the stalled readers.
+    let run = ServiceRun { cfg, plan };
+    let phases = with_target(ds, smr, cfg, plan.stall_victims, run);
+    let mut reports = Vec::with_capacity(phases.len() * OpClass::ALL.len());
+    for ph in &phases {
         let ops_per_sec = if ph.secs > 0.0 {
             ph.ops as f64 / ph.secs
         } else {

@@ -1,14 +1,15 @@
 //! Workload generator and runner: the Rust counterpart of the C++ benchmark
 //! the paper extends (prefill, timed mixed workload, memory-overhead sampler).
 
+use crate::hist::OpClass;
+use crate::phases::{run_phased, PhaseEvent};
 use scot::{
-    ConcurrentMap, ConcurrentSet, HarrisList, HarrisMichaelList, HashMap, NmTree, RangeScan,
-    SkipList, TraversalSnapshot, WfHarrisList,
+    ConcurrentMap, HarrisList, HarrisMichaelList, HashMap, NmTree, RangeScan, SkipList, Value,
+    WfHarrisList,
 };
 use scot_smr::{Ebr, He, Hp, Hyaline, Ibr, Nbr, Nr, Smr, SmrConfig, SmrKind, Vbr};
 use serde::Serialize;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 /// A tiny, dependency-free xorshift64* generator used in the measurement hot
@@ -30,13 +31,6 @@ impl FastRng {
         x ^= x >> 27;
         self.0 = x;
         x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// Uniform-enough value in `[0, bound)` (modulo bias is irrelevant at the
-    /// key-range sizes used by the paper's workloads).
-    #[inline]
-    pub(crate) fn below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound.max(1)
     }
 
     /// Uniform `f64` in `[0, 1)` built from the top 53 bits of one draw.
@@ -329,13 +323,12 @@ pub struct RunConfig {
     /// Zipfian skew exponent for key draws: `0.0` (the default) keeps the
     /// paper's uniform draw; any positive value routes keys through the
     /// rejection-inversion Zipf sampler (`--zipf-theta`; the service preset
-    /// uses ≈0.99).  Ignored by the key-value workloads, which stay uniform.
+    /// uses ≈0.99).
     pub zipf_theta: f64,
-    /// Operations executed under one guard before the worker calls
-    /// [`ConcurrentMap::repin`] (`--pin-batch`).  `1` refreshes the critical
-    /// section after every operation (the per-op pin/unpin discipline of the
-    /// seed harness, minus the full fence when the scheme can elide it);
-    /// larger batches amortize the repin across N operations, bounding the
+    /// Operations per critical section (`--pin-batch`).  `1` is the paper's
+    /// protocol: every operation pins, runs and unpins.  Larger values hold
+    /// one guard for the whole run and call [`ConcurrentMap::repin`] every N
+    /// operations, amortizing the pin across the batch and bounding the
     /// reclamation delay to one batch instead of one op.  Must be ≥ 1.
     pub pin_batch: u64,
 }
@@ -371,8 +364,11 @@ impl RunConfig {
 pub struct RunResult {
     /// Data structure under test.
     pub ds: String,
-    /// Reclamation scheme under test.
+    /// Reclamation scheme under test ([`SmrKind::name`]).
     pub smr: String,
+    /// Ablation arm this point belongs to (`pool-on` / `pool-off`, `base` /
+    /// `repin`); `None` outside the `pool` and `cursor` presets.
+    pub arm: Option<String>,
     /// Worker threads.
     pub threads: usize,
     /// Key range.
@@ -401,19 +397,63 @@ pub struct RunResult {
     pub elapsed_secs: f64,
 }
 
+/// One arm of an ablation preset: its name (the `arm` field of results and
+/// bench records), how it is shown next to its scheme in progress rows, and
+/// the one knob it sets on a cell's configuration.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Arm {
+    pub(crate) name: &'static str,
+    suffix: &'static str,
+    pub(crate) set: fn(&mut RunConfig),
+}
+
+impl Arm {
+    /// Block pool enabled (the default configuration).
+    pub(crate) const POOL_ON: Arm = Arm::new("pool-on", "+pool", |cfg| cfg.pool = true);
+    /// Every node alloc/free through the global allocator.
+    pub(crate) const POOL_OFF: Arm = Arm::new("pool-off", "-pool", |cfg| cfg.pool = false);
+    /// The paper's per-operation pin.
+    pub(crate) const BASE: Arm = Arm::new("base", "+base", |cfg| cfg.pin_batch = 1);
+    /// One held guard, `repin` at batch edges: of the requested `--pin-batch`
+    /// if that is above 1, of 16 otherwise.
+    pub(crate) const REPIN: Arm = Arm::new("repin", "+repin", |cfg| {
+        if cfg.pin_batch <= 1 {
+            cfg.pin_batch = 16;
+        }
+    });
+    const ALL: [Arm; 4] = [Arm::POOL_ON, Arm::POOL_OFF, Arm::BASE, Arm::REPIN];
+
+    const fn new(name: &'static str, suffix: &'static str, set: fn(&mut RunConfig)) -> Self {
+        Self { name, suffix, set }
+    }
+}
+
 impl RunResult {
+    /// The scheme as progress rows show it: its name plus the arm's suffix
+    /// (`EBR+repin`, `HP-pool`).
+    fn label(&self) -> String {
+        let arm = Arm::ALL
+            .iter()
+            .find(|arm| self.arm.as_deref() == Some(arm.name));
+        format!("{}{}", self.smr, arm.map_or("", |arm| arm.suffix))
+    }
+
+    /// The sampled backlog as tables show it (`n/a` where it is not sampled).
+    pub(crate) fn backlog(&self) -> String {
+        self.avg_unreclaimed
+            .map_or_else(|| "n/a".into(), |v| format!("{v:.1}"))
+    }
+
     /// One-line human-readable summary (the format the binary prints).
     pub fn row(&self) -> String {
         format!(
             "{:<10} {:<7} thr={:<4} range={:<10} ops/s={:<14.0} unreclaimed(avg)={:<12} restarts={:<8} recoveries={:<8} spins={}",
             self.ds,
-            self.smr,
+            self.label(),
             self.threads,
             self.key_range,
             self.ops_per_sec,
-            self.avg_unreclaimed
-                .map(|v| format!("{v:.1}"))
-                .unwrap_or_else(|| "n/a".into()),
+            self.backlog(),
             self.restarts,
             self.recoveries,
             self.spins,
@@ -421,17 +461,59 @@ impl RunResult {
     }
 }
 
-/// Internal: everything the generic runner needs from a concrete structure.
-/// `pub(crate)` so the fault-injection runner ([`crate::faults`]) can drive
-/// the same monomorphized targets.
+/// What a workload stores under each key and how it checks what comes back:
+/// the one point where the membership runs of the paper and the
+/// value-bearing cache runs differ.  Everything else — the draw, the
+/// operation, the scan oracle, prefill, the loop, the driver — is written
+/// once, generic over this.
+pub(crate) trait Workload: Copy + Send + Sync {
+    /// The stored value type.
+    type V: Value;
+    /// Whether a point read fetches the value (`get`) or only asks for
+    /// membership (`contains` — the wait-free list's cheaper path, and what
+    /// the paper measures).
+    const READS_VALUES: bool;
+    /// Builds the value stored under `key`.
+    fn value(&self, key: u64) -> Self::V;
+    /// Verifies a value that `op` read back for `key` under a live guard
+    /// (panicking on a mismatch: that is a reclamation bug, not a result) and
+    /// returns a word of it, which the loop accumulates so the read cannot
+    /// be optimized away.
+    fn verify(&self, op: OpClass, key: u64, value: &Self::V) -> u64;
+}
+
+/// The paper's workload: keys only.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Membership;
+
+impl Workload for Membership {
+    type V = ();
+    const READS_VALUES: bool = false;
+
+    fn value(&self, _key: u64) {}
+
+    fn verify(&self, _op: OpClass, _key: u64, _value: &()) -> u64 {
+        0
+    }
+}
+
+/// A built structure and the reclamation domain behind it, as the runners
+/// see it.
 pub(crate) struct Target<C> {
-    pub(crate) set: Arc<C>,
-    pub(crate) unreclaimed: Arc<dyn Fn() -> usize + Send + Sync>,
-    pub(crate) stats: Arc<dyn Fn() -> TraversalSnapshot + Send + Sync>,
-    pub(crate) track_memory: bool,
-    /// Whether scans must yield globally ascending keys (see
-    /// [`DsKind::is_ordered`]).
-    pub(crate) ordered: bool,
+    pub(crate) ds: DsKind,
+    pub(crate) smr: SmrKind,
+    pub(crate) map: C,
+    pub(crate) unreclaimed: Box<dyn Fn() -> usize + Send + Sync>,
+}
+
+/// What runs against a built target: implemented by the timed, fault and
+/// service runners, so [`with_target`] is the only place that names a
+/// concrete structure or scheme type.
+pub(crate) trait Visitor<V: Value> {
+    /// What the run produces.
+    type Out;
+    /// Runs against the monomorphized structure.
+    fn run<C: ConcurrentMap<u64, V>>(self, target: &Target<C>) -> Self::Out;
 }
 
 pub(crate) fn smr_config(kind: SmrKind, threads: usize, pool: bool) -> SmrConfig {
@@ -447,85 +529,50 @@ pub(crate) fn smr_config(kind: SmrKind, threads: usize, pool: bool) -> SmrConfig
 
 /// Number of hash-map buckets used by the harness (a fraction of the key
 /// range, mirroring typical load factors in the artifact's hash-map tests).
-pub(crate) fn hash_buckets(key_range: u64) -> usize {
+fn hash_buckets(key_range: u64) -> usize {
     ((key_range / 16).clamp(16, 65_536)) as usize
 }
 
-/// Wraps a freshly built structure and its domain into the type-erased
-/// target; shared by every arm of [`with_target`]'s dispatch matrix.
-fn make_set_target<C, D>(set: C, domain: Arc<D>, track_memory: bool, ordered: bool) -> TargetAny
-where
-    C: ConcurrentMap<u64, ()>,
-    D: Smr,
-{
-    let set = Arc::new(set);
-    let s = set.clone();
-    TargetAny::from(Target {
-        set,
-        unreclaimed: Arc::new(move || domain.unreclaimed()),
-        stats: Arc::new(move || ConcurrentSet::traversal_stats(&*s)),
-        track_memory,
-        ordered,
-    })
-}
-
-/// Builds the requested structure/scheme pair and hands it to `f`.
+/// Builds the requested structure/scheme pair over values of type `V`, its
+/// domain sized for `cfg.threads` workers plus `extra_threads` others, and
+/// hands it to `visitor`.
 ///
 /// This is the single dispatch point where the (data structure × SMR) matrix
 /// is monomorphized, exactly once for the whole harness.
-pub(crate) fn with_target<R>(
+pub(crate) fn with_target<V: Value, R: Visitor<V>>(
     ds: DsKind,
     smr: SmrKind,
-    threads: usize,
-    key_range: u64,
-    pool: bool,
-    f: impl FnOnce(TargetAny) -> R,
-) -> R {
+    cfg: &RunConfig,
+    extra_threads: usize,
+    visitor: R,
+) -> R::Out {
     macro_rules! build_for_scheme {
         ($scheme:ty) => {{
-            let cfg = smr_config(smr, threads, pool);
-            let domain = <$scheme as Smr>::new(cfg.clone());
-            let track_memory = smr != SmrKind::Hyaline;
-            let ordered = ds.is_ordered();
-            let target = match ds {
-                DsKind::ListLf => make_set_target(
-                    HarrisList::<u64, $scheme>::new(domain.clone()),
-                    domain,
-                    track_memory,
-                    ordered,
-                ),
-                DsKind::ListWf => make_set_target(
-                    WfHarrisList::<u64, $scheme>::new(domain.clone(), cfg.max_threads),
-                    domain,
-                    track_memory,
-                    ordered,
-                ),
-                DsKind::HmList => make_set_target(
-                    HarrisMichaelList::<u64, $scheme>::new(domain.clone()),
-                    domain,
-                    track_memory,
-                    ordered,
-                ),
-                DsKind::Tree => make_set_target(
-                    NmTree::<u64, $scheme>::new(domain.clone()),
-                    domain,
-                    track_memory,
-                    ordered,
-                ),
-                DsKind::HashMap => make_set_target(
-                    HashMap::<u64, $scheme>::new(hash_buckets(key_range), domain.clone()),
-                    domain,
-                    track_memory,
-                    ordered,
-                ),
-                DsKind::SkipList => make_set_target(
-                    SkipList::<u64, $scheme>::new(domain.clone()),
-                    domain,
-                    track_memory,
-                    ordered,
-                ),
-            };
-            f(target)
+            let smr_cfg = smr_config(smr, cfg.threads + extra_threads, cfg.pool);
+            let domain = <$scheme as Smr>::new(smr_cfg.clone());
+            let d = domain.clone();
+            let buckets = hash_buckets(cfg.key_range);
+            // The structure's own half of the target; `run` adds the rest.
+            macro_rules! run {
+                ($map:expr) => {
+                    visitor.run(&Target {
+                        ds,
+                        smr,
+                        map: $map,
+                        unreclaimed: Box::new(move || domain.unreclaimed()),
+                    })
+                };
+            }
+            match ds {
+                DsKind::ListLf => run!(HarrisList::<u64, $scheme, V>::new(d)),
+                DsKind::ListWf => {
+                    run!(WfHarrisList::<u64, $scheme, V>::new(d, smr_cfg.max_threads))
+                }
+                DsKind::HmList => run!(HarrisMichaelList::<u64, $scheme, V>::new(d)),
+                DsKind::Tree => run!(NmTree::<u64, $scheme, V>::new(d)),
+                DsKind::HashMap => run!(HashMap::<u64, $scheme, V>::new(buckets, d)),
+                DsKind::SkipList => run!(SkipList::<u64, $scheme, V>::new(d)),
+            }
         }};
     }
 
@@ -541,362 +588,522 @@ pub(crate) fn with_target<R>(
     }
 }
 
-/// Raw output of a timed run:
-/// `(ops, elapsed_secs, memory_samples, stats, scanned_keys)`.
-pub(crate) type TimedOutput = (u64, f64, Vec<usize>, TraversalSnapshot, u64);
-/// Raw output of a fixed-ops run: `(ops, elapsed_secs, restarts)`.
-type FixedOutput = (u64, f64, u64);
-/// Boxed timed-run entry point of a monomorphized target.
-type TimedRunner = Box<dyn FnOnce(&RunConfig) -> TimedOutput + Send>;
-/// Boxed fixed-ops entry point of a monomorphized target.
-type FixedRunner = Box<dyn FnOnce(&RunConfig, u64) -> FixedOutput + Send>;
-/// Boxed fault-scenario entry point of a monomorphized target.
-type FaultRunner =
-    Box<dyn FnOnce(&RunConfig, &crate::faults::FaultPlan) -> crate::faults::FaultOutput + Send>;
-/// Boxed service-scenario entry point of a monomorphized target.
-type ServiceRunner = Box<
-    dyn FnOnce(&RunConfig, &crate::service::ServicePlan) -> crate::service::ServiceOutput + Send,
->;
-
-/// Type-erased target: the generic runner functions below are instantiated per
-/// concrete set type through this enum-free trampoline.
-pub(crate) struct TargetAny {
-    pub(crate) run_timed: TimedRunner,
-    pub(crate) run_fixed: FixedRunner,
-    pub(crate) run_faults: FaultRunner,
-    pub(crate) run_service: ServiceRunner,
+/// A thread's operation source: its RNG, the optional Zipfian sampler and
+/// the key range.
+pub(crate) struct Draw {
+    rng: FastRng,
+    zipf: Option<Zipf>,
+    key_range: u64,
 }
 
-impl<C> From<Target<C>> for TargetAny
-where
-    C: ConcurrentMap<u64, ()> + 'static,
-{
-    fn from(target: Target<C>) -> Self {
-        let clone = |t: &Target<C>| Target {
-            set: t.set.clone(),
-            unreclaimed: t.unreclaimed.clone(),
-            stats: t.stats.clone(),
-            track_memory: t.track_memory,
-            ordered: t.ordered,
-        };
-        let t2 = clone(&target);
-        let t3 = clone(&target);
-        let t4 = clone(&target);
-        TargetAny {
-            run_timed: Box::new(move |cfg| timed_inner(&target, cfg)),
-            run_fixed: Box::new(move |cfg, ops| fixed_inner(&t2, cfg, ops)),
-            run_faults: Box::new(move |cfg, plan| crate::faults::faults_inner(&t3, cfg, plan)),
-            run_service: Box::new(move |cfg, plan| crate::service::service_inner(&t4, cfg, plan)),
+impl Draw {
+    /// The source of worker (or actor) `thread_idx` of a run seeded `seed`;
+    /// `zipf_theta > 0` routes keys through the Zipf sampler.
+    pub(crate) fn for_thread(
+        seed: u64,
+        thread_idx: usize,
+        key_range: u64,
+        zipf_theta: f64,
+    ) -> Self {
+        let key_range = key_range.max(1);
+        Self {
+            rng: FastRng::new(seed ^ (thread_idx as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15)),
+            zipf: (zipf_theta > 0.0).then(|| Zipf::new(key_range, zipf_theta)),
+            key_range,
         }
     }
-}
 
-/// Prefills the structure with unique keys covering 50% of the key range,
-/// exactly like the paper's benchmark.
-///
-/// Large ranges are prefilled in parallel across `threads` workers (each
-/// claims keys by successful insert, so collisions between workers just move
-/// the work to whoever won), because at the 50M-key range of Figure 12 a
-/// single-threaded prefill dwarfs the measurement itself.  Tiny ranges keep
-/// the deterministic single-threaded fill so the populated key set (every
-/// other key) stays exactly what the small-range figures assume.
-pub(crate) fn prefill<C: ConcurrentSet<u64>>(set: &C, key_range: u64, seed: u64, threads: usize) {
-    let target = (key_range / 2).max(1);
-    if key_range <= 1024 {
-        let mut handle = set.handle();
-        let mut inserted = 0u64;
-        let mut k = 0;
-        while inserted < target {
-            if set.insert(&mut handle, k) {
-                inserted += 1;
-            }
-            k = (k + 2) % key_range.max(1);
-            if k == 0 {
-                k = 1;
-            }
-        }
-        return;
-    }
-    let threads = threads.max(1) as u64;
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            // Split the insert quota across workers; the remainder goes to
-            // worker 0 so the total is exactly `target`.
-            let share = target / threads + if t == 0 { target % threads } else { 0 };
-            s.spawn(move || {
-                let mut handle = set.handle();
-                let mut rng = FastRng::new(seed ^ (t + 1).wrapping_mul(0x9e3779b97f4a7c15));
-                let mut inserted = 0u64;
-                while inserted < share {
-                    let k = rng.below(key_range);
-                    if set.insert(&mut handle, k) {
-                        inserted += 1;
-                    }
-                }
-            });
-        }
-    });
-}
-
-/// Runs one guard-scoped range scan over `[lo, lo + scan_len)` and returns
-/// the number of keys yielded, verifying the scan's correctness oracle on the
-/// fly: every key in bounds, no duplicates, and (for ordered structures)
-/// strictly ascending.  A violation is a traversal/reclamation bug, so the
-/// harness panics rather than recording garbage throughput.
-pub(crate) fn scan_once<C: ConcurrentMap<u64, ()>>(
-    set: &C,
-    handle: &mut C::Handle,
-    lo: u64,
-    scan_len: u64,
-    ordered: bool,
-) -> u64 {
-    let mut guard = set.pin(handle);
-    scan_once_pinned(set, &mut guard, lo, scan_len, ordered)
-}
-
-/// [`scan_once`] against an already-pinned guard — what the batched op loop
-/// uses so a scan rides the same critical section as the point ops around it.
-pub(crate) fn scan_once_pinned<C: ConcurrentMap<u64, ()>>(
-    set: &C,
-    guard: &mut C::Guard<'_>,
-    lo: u64,
-    scan_len: u64,
-    ordered: bool,
-) -> u64 {
-    let hi = lo.saturating_add(scan_len.max(1));
-    let mut scan = set.scan(&mut *guard, lo, Some(hi));
-    let mut prev: Option<u64> = None;
-    // Unordered (hash-map) scans: ascending order cannot prove uniqueness, so
-    // the yielded keys are collected and dedup-checked after the scan.  The
-    // window is at most `scan_len` keys, so this stays cheap.
-    let mut seen: Vec<u64> = Vec::new();
-    let mut yielded = 0u64;
-    while let Some((k, ())) = scan.next_entry() {
-        assert!(
-            (lo..hi).contains(&k),
-            "scan [{lo}, {hi}) yielded out-of-window key {k} — traversal bug"
-        );
-        if ordered {
-            assert!(
-                prev.is_none_or(|p| p < k),
-                "scan [{lo}, {hi}) yielded {k} after {prev:?} — ordering bug"
-            );
-        } else {
-            seen.push(k);
-        }
-        prev = Some(k);
-        yielded += 1;
-    }
-    if !ordered {
-        seen.sort_unstable();
-        let deduped = seen.len();
-        seen.dedup();
-        assert_eq!(
-            seen.len(),
-            deduped,
-            "scan [{lo}, {hi}) yielded duplicate keys — traversal bug"
-        );
-    }
-    yielded
-}
-
-/// The measurement hot loop.  Returns `(ops, scanned_keys)`.
-pub(crate) fn op_loop<C: ConcurrentMap<u64, ()>>(
-    set: &C,
-    cfg: &RunConfig,
-    stop: &AtomicBool,
-    thread_idx: usize,
-    max_ops: Option<u64>,
-    ordered: bool,
-) -> (u64, u64) {
-    let mut handle = ConcurrentMap::handle(set);
-    let mut rng = FastRng::new(cfg.seed ^ (thread_idx as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
-    let zipf = (cfg.zipf_theta > 0.0).then(|| Zipf::new(cfg.key_range.max(1), cfg.zipf_theta));
-    let pin_batch = cfg.pin_batch.max(1);
-    let mut ops = 0u64;
-    let mut scanned = 0u64;
-    // One guard held for the whole loop, refreshed in place every `pin_batch`
-    // operations: the guard-entry/exit fences are paid once per batch (and
-    // elided entirely by the epoch/era schemes while the epoch stands still)
-    // instead of once per operation, while reclamation still advances at
-    // every batch edge.
-    let mut guard = set.pin(&mut handle);
-    let mut in_batch = 0u64;
-    loop {
-        if let Some(limit) = max_ops {
-            if ops >= limit {
-                break;
-            }
-        }
-        // Check the stop flag only every few operations to keep the hot loop
-        // tight, as the original benchmark does.
-        if ops.is_multiple_of(64) && stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if in_batch >= pin_batch {
-            set.repin(&mut guard);
-            in_batch = 0;
-        }
-        // One RNG draw per operation, as in the original C++ harness: the low
-        // bits choose the key (key ranges stay far below 2^48) and the high 16
-        // bits choose the operation, so the two stay independent.  With a
-        // Zipfian skew requested, the key comes from the sampler instead (it
-        // draws from the same per-thread RNG, so runs stay repeatable).
-        let r = rng.next_u64();
+    /// Draws the next operation.  One RNG word per operation, as in the
+    /// original C++ harness: the low bits choose the key (key ranges stay far
+    /// below 2^48) and the high 16 bits choose the operation class, so the
+    /// two stay independent.  With a Zipfian skew the key comes from the
+    /// sampler instead (it draws from the same RNG, so runs stay repeatable).
+    #[inline]
+    pub(crate) fn next(&mut self, mix: &Mix) -> (OpClass, u64) {
+        let r = self.rng.next_u64();
         let op = ((r >> 48) % 100) as u32;
-        let key = match &zipf {
-            Some(z) => z.key(&mut rng),
-            None => r % cfg.key_range.max(1),
-        };
-        if op < cfg.mix.read_pct {
-            ConcurrentMap::contains(set, &mut guard, &key);
-        } else if op < cfg.mix.read_pct + cfg.mix.insert_pct {
-            let _ = ConcurrentMap::insert(set, &mut guard, key, ());
-        } else if op < cfg.mix.read_pct + cfg.mix.insert_pct + cfg.mix.delete_pct {
-            ConcurrentMap::remove(set, &mut guard, &key);
+        let class = if op < mix.read_pct {
+            OpClass::Get
+        } else if op < mix.read_pct + mix.insert_pct {
+            OpClass::Insert
+        } else if op < mix.read_pct + mix.insert_pct + mix.delete_pct {
+            OpClass::Remove
         } else {
-            scanned += scan_once_pinned(set, &mut guard, key, cfg.scan_len, ordered);
-        }
-        ops += 1;
-        in_batch += 1;
+            OpClass::Scan
+        };
+        let key = match &self.zipf {
+            Some(z) => z.key(&mut self.rng),
+            // Modulo bias is irrelevant at the key-range sizes the paper's
+            // workloads use.
+            None => r % self.key_range,
+        };
+        (class, key)
     }
-    (ops, scanned)
 }
 
-fn timed_inner<C: ConcurrentMap<u64, ()> + 'static>(
-    target: &Target<C>,
-    cfg: &RunConfig,
-) -> TimedOutput {
-    cfg.mix.validate();
-    prefill(target.set.as_ref(), cfg.key_range, cfg.seed, cfg.threads);
-    let stop = Arc::new(AtomicBool::new(false));
-    let total_ops = Arc::new(AtomicU64::new(0));
-    let total_scanned = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    let mut samples = Vec::new();
-    std::thread::scope(|s| {
-        for t in 0..cfg.threads {
-            let set = target.set.clone();
-            let stop = stop.clone();
-            let total_ops = total_ops.clone();
-            let total_scanned = total_scanned.clone();
-            let ordered = target.ordered;
-            let cfg = cfg.clone();
-            s.spawn(move || {
-                let (ops, scanned) = op_loop(set.as_ref(), &cfg, &stop, t, None, ordered);
-                total_ops.fetch_add(ops, Ordering::Relaxed);
-                total_scanned.fetch_add(scanned, Ordering::Relaxed);
-            });
+/// What one thread's loop did: operations completed, keys its scans yielded,
+/// and the accumulated words of the values it read.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    pub(crate) ops: u64,
+    pub(crate) scanned: u64,
+    sink: u64,
+}
+
+impl Tally {
+    /// Component-wise sum, for totalling a run's workers.
+    pub(crate) fn merged(self, other: Tally) -> Tally {
+        Tally {
+            ops: self.ops + other.ops,
+            scanned: self.scanned + other.scanned,
+            sink: self.sink.wrapping_add(other.sink),
         }
-        // The main thread doubles as the memory-overhead sampler.
-        let deadline = start + cfg.duration;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
+    }
+}
+
+/// The caller's side of [`Ops::run_loop`]: when to stop, what mix to draw
+/// from, and (optionally) which operations to time.  A plain
+/// `FnMut(ops_so_far, &mut Mix) -> bool` is a control that never times.
+pub(crate) trait LoopControl {
+    /// Called before every operation with the number completed so far; may
+    /// change `mix` for the operations that follow.  `false` ends the loop.
+    fn proceed(&mut self, ops: u64, mix: &mut Mix) -> bool;
+
+    /// `Some(now)` if the coming operation is to be timed.
+    #[inline]
+    fn start(&mut self) -> Option<Instant> {
+        None
+    }
+
+    /// Receives the class and start stamp of an operation [`Self::start`]
+    /// chose to time, once it has completed.
+    #[inline]
+    fn finish(&mut self, _class: OpClass, _started: Instant) {}
+}
+
+impl<F: FnMut(u64, &mut Mix) -> bool> LoopControl for F {
+    #[inline]
+    fn proceed(&mut self, ops: u64, mix: &mut Mix) -> bool {
+        self(ops, mix)
+    }
+}
+
+/// The prefill "mix": inserts only.
+const FILL: Mix = Mix {
+    read_pct: 0,
+    insert_pct: 100,
+    delete_pct: 0,
+    scan_pct: 0,
+};
+
+/// A workload bound to a target: the one definition of "apply an operation",
+/// and of the prefill and the loop built on it.  The timed workers, the fault
+/// workers and actors, the stalled readers and the service workers all go
+/// through [`Ops::apply`].
+pub(crate) struct Ops<'a, C, W> {
+    pub(crate) target: &'a Target<C>,
+    pub(crate) workload: W,
+    /// Width of a scan operation's window, in keys.
+    pub(crate) scan_len: u64,
+}
+
+impl<'a, W: Workload, C: ConcurrentMap<u64, W::V>> Ops<'a, C, W> {
+    /// Binds `workload` to `target` and prefills the structure for a run of
+    /// `cfg`.
+    pub(crate) fn prefilled(target: &'a Target<C>, workload: W, cfg: &RunConfig) -> Self {
+        let ops = Ops {
+            target,
+            workload,
+            scan_len: cfg.scan_len,
+        };
+        ops.prefill(cfg.key_range, cfg.seed, cfg.threads);
+        ops
+    }
+
+    /// Applies one operation under `guard` and verifies what comes back.
+    /// Returns whether it took effect: the key was found (get, remove), the
+    /// insert won, the scan yielded at least one key.
+    #[inline]
+    pub(crate) fn apply(
+        &self,
+        guard: &mut C::Guard<'_>,
+        class: OpClass,
+        key: u64,
+        tally: &mut Tally,
+    ) -> bool {
+        let (map, w) = (&self.target.map, &self.workload);
+        let read = match class {
+            OpClass::Get if !W::READS_VALUES => return map.contains(guard, &key),
+            OpClass::Get => map.get(guard, &key),
+            OpClass::Insert => return map.insert(guard, key, w.value(key)).is_ok(),
+            // The evicted value is still readable under the guard.
+            OpClass::Remove => map.remove(guard, &key),
+            OpClass::Scan => return self.scan(guard, key, tally) > 0,
+        };
+        if let Some(v) = read {
+            tally.sink = tally.sink.wrapping_add(w.verify(class, key, v));
+        }
+        read.is_some()
+    }
+
+    /// One guard-scoped range scan over `[lo, lo + scan_len)`, verifying the
+    /// scan's correctness oracle on the fly: every key in bounds, no
+    /// duplicates, (for ordered structures) strictly ascending — and every
+    /// yielded value intact.  A violation is a traversal/reclamation bug, so
+    /// the harness panics rather than recording garbage throughput.  Returns
+    /// the number of keys yielded.
+    fn scan(&self, guard: &mut C::Guard<'_>, lo: u64, tally: &mut Tally) -> u64 {
+        // Only the hash map's scans are not globally ascending.
+        let ordered = self.target.ds.is_ordered();
+        let hi = lo.saturating_add(self.scan_len.max(1));
+        let mut scan = self.target.map.scan(guard, lo, Some(hi));
+        let mut prev: Option<u64> = None;
+        // Unordered (hash-map) scans: ascending order cannot prove uniqueness, so
+        // the yielded keys are collected and dedup-checked after the scan.  The
+        // window is at most `scan_len` keys, so this stays cheap.
+        let mut seen: Vec<u64> = Vec::new();
+        let mut yielded = 0u64;
+        while let Some((k, v)) = scan.next_entry() {
+            assert!(
+                (lo..hi).contains(&k),
+                "scan [{lo}, {hi}) yielded out-of-window key {k} — traversal bug"
+            );
+            if ordered {
+                assert!(
+                    prev.is_none_or(|p| p < k),
+                    "scan [{lo}, {hi}) yielded {k} after {prev:?} — ordering bug"
+                );
+            } else {
+                seen.push(k);
             }
-            if target.track_memory {
-                samples.push((target.unreclaimed)());
+            tally.sink = tally
+                .sink
+                .wrapping_add(self.workload.verify(OpClass::Scan, k, v));
+            prev = Some(k);
+            yielded += 1;
+        }
+        if !ordered {
+            seen.sort_unstable();
+            let deduped = seen.len();
+            seen.dedup();
+            assert_eq!(
+                seen.len(),
+                deduped,
+                "scan [{lo}, {hi}) yielded duplicate keys — traversal bug"
+            );
+        }
+        tally.scanned += yielded;
+        yielded
+    }
+
+    /// One operation in a critical section of its own: pin, apply, unpin.
+    pub(crate) fn once(&self, handle: &mut C::Handle, class: OpClass, key: u64) -> bool {
+        let mut guard = self.target.map.pin(handle);
+        self.apply(&mut guard, class, key, &mut Tally::default())
+    }
+
+    /// Prefills the structure with unique keys covering 50% of the key range,
+    /// exactly like the paper's benchmark.
+    ///
+    /// Large ranges are prefilled in parallel across `threads` workers (each
+    /// claims keys by successful insert, so collisions between workers just move
+    /// the work to whoever won), because at the 50M-key range of Figure 12 a
+    /// single-threaded prefill dwarfs the measurement itself.  Tiny ranges keep
+    /// the deterministic single-threaded fill so the populated key set (every
+    /// other key) stays exactly what the small-range figures assume.
+    fn prefill(&self, key_range: u64, seed: u64, threads: usize) {
+        let target = (key_range / 2).max(1);
+        if key_range <= 1024 {
+            let mut handle = self.target.map.handle();
+            let mut inserted = 0u64;
+            let mut k = 0;
+            while inserted < target {
+                if self.once(&mut handle, OpClass::Insert, k) {
+                    inserted += 1;
+                }
+                k = (k + 2) % key_range.max(1);
+                if k == 0 {
+                    k = 1;
+                }
             }
-            std::thread::sleep(cfg.sample_interval.min(deadline - now));
+            return;
         }
-        stop.store(true, Ordering::SeqCst);
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    (
-        total_ops.load(Ordering::Relaxed),
-        elapsed,
-        samples,
-        (target.stats)(),
-        total_scanned.load(Ordering::Relaxed),
-    )
+        let threads = threads.max(1) as u64;
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                // Split the insert quota across workers; the remainder goes to
+                // worker 0 so the total is exactly `target`.
+                let share = target / threads + if t == 0 { target % threads } else { 0 };
+                s.spawn(move || {
+                    let mut handle = self.target.map.handle();
+                    let mut draw = Draw::for_thread(seed, t as usize, key_range, 0.0);
+                    let mut inserted = 0u64;
+                    while inserted < share {
+                        let (class, k) = draw.next(&FILL);
+                        if self.once(&mut handle, class, k) {
+                            inserted += 1;
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// The measurement loop — the only one.  Draws an operation from `mix`,
+    /// applies it, counts it, until `control` says stop.
+    ///
+    /// Pin policy: at `pin_batch == 1` every operation runs in a critical
+    /// section of its own — the guard is dropped and the handle pinned again
+    /// between operations, which is the paper's protocol.  At `pin_batch > 1`
+    /// one guard is held for the whole loop and refreshed in place with
+    /// [`ConcurrentMap::repin`] every `pin_batch` operations, so the
+    /// guard-entry/exit fences are paid once per batch while reclamation still
+    /// advances at every batch edge.
+    ///
+    /// A timed operation's stamp is taken before the pin edge, so at
+    /// `pin_batch == 1` it covers one unpin, one pin and the operation.
+    pub(crate) fn run_loop(
+        &self,
+        draw: &mut Draw,
+        mut mix: Mix,
+        pin_batch: u64,
+        mut control: impl LoopControl,
+    ) -> Tally {
+        let map = &self.target.map;
+        let pin_batch = pin_batch.max(1);
+        let mut handle = map.handle();
+        let mut tally = Tally::default();
+        let mut in_batch = 0u64;
+        let mut guard = map.pin(&mut handle);
+        while control.proceed(tally.ops, &mut mix) {
+            let (class, key) = draw.next(&mix);
+            let started = control.start();
+            if in_batch == pin_batch {
+                if pin_batch == 1 {
+                    drop(guard);
+                    guard = map.pin(&mut handle);
+                } else {
+                    map.repin(&mut guard);
+                }
+                in_batch = 0;
+            }
+            self.apply(&mut guard, class, key, &mut tally);
+            if let Some(started) = started {
+                control.finish(class, started);
+            }
+            tally.ops += 1;
+            in_batch += 1;
+        }
+        drop(guard);
+        std::hint::black_box(tally.sink);
+        tally
+    }
+
+    /// A worker of a steady run: draws from `cfg.mix` until the phase word
+    /// reaches `stop_at`.  The word is polled only every 64 operations to
+    /// keep the hot loop tight, as the original benchmark does.
+    pub(crate) fn steady_worker(
+        &self,
+        cfg: &RunConfig,
+        thread_idx: usize,
+        phase: &AtomicU8,
+        stop_at: u8,
+    ) -> Tally {
+        let mut draw = Draw::for_thread(cfg.seed, thread_idx, cfg.key_range, cfg.zipf_theta);
+        let running = |ops: u64, _: &mut Mix| {
+            !(ops.is_multiple_of(64) && phase.load(Ordering::Relaxed) >= stop_at)
+        };
+        self.run_loop(&mut draw, cfg.mix, cfg.pin_batch, running)
+    }
 }
 
-fn fixed_inner<C: ConcurrentMap<u64, ()> + 'static>(
-    target: &Target<C>,
-    cfg: &RunConfig,
-    ops_per_thread: u64,
-) -> FixedOutput {
-    cfg.mix.validate();
-    prefill(target.set.as_ref(), cfg.key_range, cfg.seed, cfg.threads);
-    let stop = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..cfg.threads {
-            let set = target.set.clone();
-            let stop = &stop;
-            let total_ops = &total_ops;
-            let ordered = target.ordered;
-            let cfg = cfg.clone();
-            s.spawn(move || {
-                let (ops, _) = op_loop(set.as_ref(), &cfg, stop, t, Some(ops_per_thread), ordered);
-                total_ops.fetch_add(ops, Ordering::Relaxed);
-            });
-        }
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    (
-        total_ops.load(Ordering::Relaxed),
-        elapsed,
-        (target.stats)().restarts,
-    )
+/// The timed runner: prefill, then `cfg.threads` steady workers for
+/// `cfg.duration` while the main thread samples the backlog; the numbers
+/// behind one figure point come back.
+struct Timed<'a, W> {
+    cfg: &'a RunConfig,
+    workload: W,
 }
 
-/// Collapses a memory-overhead sample series into `(average, peak)`.
-pub(crate) fn summarize_samples(samples: &[usize]) -> (Option<f64>, Option<usize>) {
-    if samples.is_empty() {
-        (None, None)
-    } else {
+impl<W: Workload> Visitor<W::V> for Timed<'_, W> {
+    type Out = RunResult;
+
+    fn run<C: ConcurrentMap<u64, W::V>>(self, target: &Target<C>) -> RunResult {
+        let cfg = self.cfg;
+        cfg.mix.validate();
+        let ops = Ops::prefilled(target, self.workload, cfg);
+        let mut samples = Vec::new();
+        let (tally, elapsed) = run_phased(
+            cfg.threads,
+            &|t, phase| ops.steady_worker(cfg, t, phase, 1),
+            Vec::new(),
+            &[cfg.duration],
+            cfg.sample_interval,
+            target.unreclaimed.as_ref(),
+            &mut |ev: PhaseEvent| {
+                // Hyaline's backlog is not sampled, as in the paper.
+                if ev.edge.is_none() && target.smr != SmrKind::Hyaline {
+                    samples.push(ev.unreclaimed);
+                }
+            },
+        );
+        let stats = target.map.traversal_stats();
         let sum: usize = samples.iter().sum();
-        (
-            Some(sum as f64 / samples.len() as f64),
-            samples.iter().copied().max(),
-        )
+        RunResult {
+            ds: target.ds.name().to_string(),
+            smr: target.smr.name().to_string(),
+            arm: None,
+            threads: cfg.threads,
+            key_range: cfg.key_range,
+            ops: tally.ops,
+            ops_per_sec: tally.ops as f64 / elapsed,
+            avg_unreclaimed: (!samples.is_empty()).then(|| sum as f64 / samples.len() as f64),
+            max_unreclaimed: samples.iter().copied().max(),
+            restarts: stats.restarts,
+            recoveries: stats.recoveries,
+            spins: stats.spins,
+            scan_len: if cfg.mix.scan_pct > 0 {
+                cfg.scan_len
+            } else {
+                0
+            },
+            scanned_keys: tally.scanned,
+            elapsed_secs: elapsed,
+        }
     }
+}
+
+/// Runs one timed cell of `workload`.
+pub(crate) fn run_workload<W: Workload>(
+    ds: DsKind,
+    smr: SmrKind,
+    cfg: &RunConfig,
+    workload: W,
+) -> RunResult {
+    with_target(ds, smr, cfg, 0, Timed { cfg, workload })
 }
 
 /// Runs a timed workload (the paper's main measurement mode) and returns the
 /// numbers behind one figure point.
 pub fn run_timed(ds: DsKind, smr: SmrKind, cfg: &RunConfig) -> RunResult {
-    let (ops, elapsed, samples, stats, scanned_keys) =
-        with_target(ds, smr, cfg.threads, cfg.key_range, cfg.pool, |t| {
-            (t.run_timed)(cfg)
-        });
-    let (avg, max) = summarize_samples(&samples);
-    RunResult {
-        ds: ds.name().to_string(),
-        smr: smr.name().to_string(),
-        threads: cfg.threads,
-        key_range: cfg.key_range,
-        ops,
-        ops_per_sec: ops as f64 / elapsed,
-        avg_unreclaimed: avg,
-        max_unreclaimed: max,
-        restarts: stats.restarts,
-        recoveries: stats.recoveries,
-        spins: stats.spins,
-        scan_len: if cfg.mix.scan_pct > 0 {
-            cfg.scan_len
-        } else {
-            0
-        },
-        scanned_keys,
-        elapsed_secs: elapsed,
-    }
+    run_workload(ds, smr, cfg, Membership)
 }
 
-/// Runs a fixed number of operations per thread and returns
-/// `(total_ops, elapsed_seconds, restarts)`.  Used by the Criterion benches.
-pub fn run_fixed_ops(
-    ds: DsKind,
-    smr: SmrKind,
-    cfg: &RunConfig,
-    ops_per_thread: u64,
-) -> (u64, f64, u64) {
-    with_target(ds, smr, cfg.threads, cfg.key_range, cfg.pool, |t| {
-        (t.run_fixed)(cfg, ops_per_thread)
-    })
+/// A scripted [`ConcurrentMap`] double for the pipeline's own tests: it
+/// answers `get` and `scan` from a script instead of from a structure, and
+/// counts `pin`s and `repin`s.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{DsKind, SmrKind, Target};
+    use scot::{ConcurrentMap, RangeScan, TraversalSnapshot, Value};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// What the double answers, and what it saw.
+    pub(crate) struct Script<V> {
+        /// The answer to every `get` and `remove`.
+        pub(crate) get: Option<V>,
+        /// What every scan yields, in this order, whatever its bounds.
+        pub(crate) scan: Vec<(u64, V)>,
+        pub(crate) pins: AtomicU64,
+        pub(crate) repins: AtomicU64,
+    }
+
+    pub(crate) struct Scripted<V>(pub(crate) Arc<Script<V>>);
+
+    pub(crate) struct ScriptedScan<'r, V>(std::slice::Iter<'r, (u64, V)>);
+
+    impl<V> RangeScan<u64, V> for ScriptedScan<'_, V> {
+        fn next_entry(&mut self) -> Option<(u64, &V)> {
+            self.0.next().map(|(k, v)| (*k, v))
+        }
+    }
+
+    impl<V: Value> ConcurrentMap<u64, V> for Scripted<V> {
+        type Handle = Arc<Script<V>>;
+        type Guard<'h> = &'h Script<V>;
+        type Range<'r, 'h>
+            = ScriptedScan<'r, V>
+        where
+            'h: 'r;
+
+        fn handle(&self) -> Self::Handle {
+            self.0.clone()
+        }
+
+        fn pin<'h>(&self, handle: &'h mut Self::Handle) -> Self::Guard<'h> {
+            handle.pins.fetch_add(1, Ordering::Relaxed);
+            handle
+        }
+
+        fn repin<'h>(&self, guard: &mut Self::Guard<'h>) {
+            guard.repins.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, _key: &u64) -> Option<&'g V> {
+            guard.get.as_ref()
+        }
+
+        fn insert<'h>(&self, _guard: &mut Self::Guard<'h>, _key: u64, _value: V) -> Result<(), V> {
+            Ok(())
+        }
+
+        fn remove<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &u64) -> Option<&'g V> {
+            self.get(guard, key)
+        }
+
+        fn scan<'r, 'h>(
+            &'r self,
+            _guard: &'r mut Self::Guard<'h>,
+            _lo: u64,
+            _hi: Option<u64>,
+        ) -> Self::Range<'r, 'h>
+        where
+            'h: 'r,
+        {
+            ScriptedScan(self.0.scan.iter())
+        }
+
+        fn collect(&self, _handle: &mut Self::Handle) -> Vec<(u64, V)>
+        where
+            V: Clone,
+        {
+            self.0.scan.clone()
+        }
+
+        fn flush(&self, _handle: &mut Self::Handle) {}
+
+        fn traversal_stats(&self) -> TraversalSnapshot {
+            TraversalSnapshot::default()
+        }
+    }
+
+    /// A target over a double answering reads with `get` and scans with
+    /// `scan`.
+    pub(crate) fn scripted<V: Value>(
+        get: Option<V>,
+        scan: Vec<(u64, V)>,
+        ordered: bool,
+    ) -> Target<Scripted<V>> {
+        let script = Script {
+            get,
+            scan,
+            pins: AtomicU64::new(0),
+            repins: AtomicU64::new(0),
+        };
+        // Of the six structures only the hash map scans out of order.
+        let ds = if ordered {
+            DsKind::ListLf
+        } else {
+            DsKind::HashMap
+        };
+        Target {
+            ds,
+            smr: SmrKind::Nr,
+            map: Scripted(Arc::new(script)),
+            unreclaimed: Box::new(|| 0),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -996,12 +1203,106 @@ mod tests {
         );
     }
 
+    /// Runs `per_thread` operations on each of two threads, stopping through
+    /// the loop's control closure.
+    struct ExactOps(u64);
+
+    impl Visitor<()> for ExactOps {
+        type Out = Tally;
+
+        fn run<C: ConcurrentMap<u64, ()>>(self, target: &Target<C>) -> Tally {
+            let ops = Ops::prefilled(target, Membership, &RunConfig::paper_default(2, 128));
+            let (total, _) = run_phased(
+                2,
+                &|t, _| {
+                    let mut draw = Draw::for_thread(7, t, 128, 0.0);
+                    let stop = |done: u64, _: &mut Mix| done < self.0;
+                    ops.run_loop(&mut draw, Mix::READ_50, 1, stop)
+                },
+                Vec::new(),
+                &[Duration::from_millis(1)],
+                Duration::from_millis(1),
+                &|| 0,
+                &mut |_| {},
+            );
+            total
+        }
+    }
+
     #[test]
     fn fixed_ops_mode_executes_exactly_the_requested_work() {
-        let cfg = RunConfig::paper_default(2, 128).quick();
-        let (ops, elapsed, _) = run_fixed_ops(DsKind::Tree, SmrKind::Ebr, &cfg, 1_000);
-        assert_eq!(ops, 2 * 1_000);
-        assert!(elapsed > 0.0);
+        // Exactly-N-operations control is the loop's stop closure.
+        let cfg = RunConfig::paper_default(2, 128);
+        let total = with_target(DsKind::Tree, SmrKind::Ebr, &cfg, 0, ExactOps(1_000));
+        assert_eq!(total.ops, 2 * 1_000);
+    }
+
+    #[test]
+    fn the_loop_pins_per_operation_unless_batched() {
+        // The paper's protocol at pin_batch 1: every operation in a critical
+        // section of its own, so N operations are N pins and no repin.  A
+        // batch of 4 holds one guard and refreshes it in place at batch edges.
+        let run = |n: u64, pin_batch: u64| {
+            let target = testing::scripted(None::<()>, Vec::new(), true);
+            let ops = Ops {
+                target: &target,
+                workload: Membership,
+                scan_len: 8,
+            };
+            let mut draw = Draw::for_thread(1, 0, 64, 0.0);
+            let stop = |done: u64, _: &mut Mix| done < n;
+            let tally = ops.run_loop(&mut draw, Mix::READ_50, pin_batch, stop);
+            assert_eq!(tally.ops, n);
+            let script = &target.map.0;
+            (
+                script.pins.load(Ordering::Relaxed),
+                script.repins.load(Ordering::Relaxed),
+            )
+        };
+        for n in [1, 2, 7, 64] {
+            assert_eq!(run(n, 1), (n, 0), "{n} operations, one pin each");
+            assert_eq!(
+                run(n, 4),
+                (1, (n - 1) / 4),
+                "{n} operations in batches of 4"
+            );
+        }
+    }
+
+    /// One scan of `[10, 18)` over a double whose scan yields `keys`.
+    fn scan_scripted(keys: &[u64], ordered: bool) {
+        let target = testing::scripted(None, keys.iter().map(|&k| (k, ())).collect(), ordered);
+        let ops = Ops {
+            target: &target,
+            workload: Membership,
+            scan_len: 8,
+        };
+        ops.once(&mut target.map.handle(), OpClass::Scan, 10);
+    }
+
+    #[test]
+    fn scan_oracle_accepts_what_the_contract_allows() {
+        scan_scripted(&[10, 11, 17], true);
+        scan_scripted(&[17, 10, 11], false);
+        scan_scripted(&[], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "yielded out-of-window key 18")]
+    fn scan_oracle_rejects_an_out_of_window_key() {
+        scan_scripted(&[10, 18], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "yielded 11 after Some(12) — ordering bug")]
+    fn scan_oracle_rejects_a_descending_pair_in_an_ordered_structure() {
+        scan_scripted(&[12, 11], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "yielded duplicate keys")]
+    fn scan_oracle_rejects_a_duplicate_in_an_unordered_structure() {
+        scan_scripted(&[12, 11, 12], false);
     }
 
     #[test]

@@ -607,7 +607,11 @@ fn exp_cursor_renders_ablation_arms_and_deltas() {
     }
     let body = std::fs::read_to_string(bench.artifact("cursor"))
         .expect("exp cursor must write BENCH_cursor.json");
-    assert!(body.contains("\"EBR+repin\"") && body.contains("\"VBR+base\""));
+    // The arm is a field of its own in the artifact, never part of the scheme.
+    assert!(body.contains("\"smr\": \"EBR\"") && body.contains("\"smr\": \"VBR\""));
+    assert_eq!(body.matches("\"arm\": \"base\"").count(), 8);
+    assert_eq!(body.matches("\"arm\": \"repin\"").count(), 8);
+    assert!(!body.contains("+repin") && !body.contains("+base"));
 }
 
 #[test]
@@ -718,6 +722,71 @@ fn bench_diff_fails_on_rows_missing_in_either_direction() {
     let grew = scot_bench(&["bench-diff", one.to_str().unwrap(), two.to_str().unwrap()]);
     assert_eq!(grew.status.code(), Some(1), "a new row must fail the gate");
     assert!(stdout(&grew).contains("NOT IN BASELINE"));
+}
+
+#[test]
+fn bench_diff_matches_rows_on_the_arm() {
+    // Two arms of one (structure, scheme, threads) point are two rows: a
+    // regression in one arm is flagged against that arm's baseline, an arm
+    // missing on either side fails the gate, and a record without an `arm`
+    // line (artifacts from before the field existed) reads as no arm.
+    let bench = BenchDir::new("armdiff");
+    let write = |name: &str, records: &[(Option<&str>, f64)]| {
+        let body: Vec<String> = records
+            .iter()
+            .map(|(arm, ops)| {
+                let arm = arm.map_or(String::new(), |a| format!("      \"arm\": \"{a}\",\n"));
+                format!(
+                    "    {{\n      \"ds\": \"NMTree\",\n      \"smr\": \"EBR\",\n{arm}      \"threads\": 2,\n      \"ops_per_sec\": {ops}\n    }}"
+                )
+            })
+            .collect();
+        let path = bench.0.join(name);
+        std::fs::write(
+            &path,
+            format!("{{\n  \"records\": [\n{}\n  ]\n}}\n", body.join(",\n")),
+        )
+        .unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let both = write(
+        "both.json",
+        &[(Some("base"), 1000.0), (Some("repin"), 2000.0)],
+    );
+    let swapped = write(
+        "swapped.json",
+        &[(Some("repin"), 2000.0), (Some("base"), 1000.0)],
+    );
+    let slow_repin = write(
+        "slow.json",
+        &[(Some("base"), 1000.0), (Some("repin"), 200.0)],
+    );
+    let base_only = write("base.json", &[(Some("base"), 1000.0)]);
+    let armless = write("armless.json", &[(None, 1000.0)]);
+
+    // Rows pair by arm, not by position.
+    let same = scot_bench(&["bench-diff", &both, &swapped]);
+    assert!(same.status.success(), "{}", stdout(&same));
+    assert!(stdout(&same).contains("2 points compared, 0 regressed"));
+
+    let slow = scot_bench(&["bench-diff", &both, &slow_repin]);
+    assert_eq!(slow.status.code(), Some(1));
+    let text = stdout(&slow);
+    let flagged: Vec<&str> = text.lines().filter(|l| l.contains("REGRESSION")).collect();
+    assert_eq!(flagged.len(), 1, "{text}");
+    assert!(flagged[0].contains("EBR[repin]"), "{text}");
+
+    for (a, b, what) in [
+        (&both, &base_only, "MISSING FROM FRESH"),
+        (&base_only, &both, "NOT IN BASELINE"),
+        (&armless, &base_only, "NOT IN BASELINE"),
+    ] {
+        let out = scot_bench(&["bench-diff", a, b]);
+        assert_eq!(out.status.code(), Some(1), "{a} vs {b}");
+        assert!(stdout(&out).contains(what), "{a} vs {b}:\n{}", stdout(&out));
+    }
+    let old = scot_bench(&["bench-diff", &armless, &armless]);
+    assert!(old.status.success(), "{}", stdout(&old));
 }
 
 #[test]

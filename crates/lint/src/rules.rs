@@ -551,7 +551,6 @@ fn check_code_matrices(files: &[SourceFile], info: &EnumInfo, out: &mut Vec<Find
         "crates/smr/src/",
         "crates/scot/src/",
         "crates/harness/src/",
-        "crates/bench/src/",
         "tests/",
         "src/",
         "examples/",
@@ -842,12 +841,7 @@ pub fn l5_guard_discipline(files: &[SourceFile]) -> Vec<Finding> {
         }
         let forget_scope = in_scope(
             f,
-            &[
-                "crates/smr/src/",
-                "crates/scot/src/",
-                "crates/harness/src/",
-                "crates/bench/src/",
-            ],
+            &["crates/smr/src/", "crates/scot/src/", "crates/harness/src/"],
         ) && !f.rel.ends_with("harness/src/faults.rs");
         let must_use_scope = in_scope(f, &["crates/smr/src/", "crates/scot/src/"]);
         if !forget_scope && !must_use_scope {
