@@ -96,8 +96,8 @@ fn next_arg<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
         .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
 }
 
-/// Parses and validates a `--pin-batch` value: at least 1 (a batch of 0
-/// operations per pin would never repin).
+/// Parses and validates a `--pin-batch` value: at least 1 (every critical
+/// section runs at least one operation).
 fn parse_pin_batch(v: &str) -> u64 {
     let n: u64 = parse(v, "--pin-batch");
     if n == 0 {

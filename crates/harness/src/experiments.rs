@@ -20,7 +20,7 @@
 //! | cache  | (extension) | key-value cache, 90% value-returning get, every scheme variant |
 //! | skiplist | (extension) | skip-list 50r/50w sweep over every scheme variant |
 //! | scan   | (extension) | guard-scoped range scans, scan-length sweep × every scheme variant |
-//! | cursor | (ablation) | hot-path pass: repin elision (`repin` arm) vs the per-op pin `base` arm |
+//! | cursor | (ablation) | hot-path pass: one guard per 16 operations (`batch` arm) vs the per-op pin `base` arm |
 //! | faults | (extension) | fault-injection robustness verdicts, every scheme variant |
 //! | service | (extension) | phased cache-server soak: Zipfian keys, p50/p99/p999 per op-class |
 //!
@@ -68,9 +68,9 @@ pub struct ExperimentOptions {
     pub zipf_theta: f64,
     /// Operations per critical section in the measurement loop (the
     /// `--pin-batch` CLI knob).  1 is the paper's protocol — pin, one
-    /// operation, unpin; larger values hold one guard and `repin` it every N
-    /// operations.  The `cursor` ablation's repin arm uses this value when it
-    /// is above 1, and 16 otherwise.
+    /// operation, unpin; larger values hold one guard across N operations,
+    /// then drop it and pin again.  The `cursor` ablation's batch arm uses
+    /// this value when it is above 1, and 16 otherwise.
     pub pin_batch: u64,
 }
 
@@ -188,8 +188,8 @@ fn description(id: &str) -> &'static str {
              oracle-checked output (skip list + NM tree)"
         }
         "cursor" => {
-            "Cursor hot-path ablation: repin elision against the per-op pin base \
-             (skip list + NM tree)"
+            "Cursor hot-path ablation: one guard per batch of operations against \
+             the per-op pin base (skip list + NM tree)"
         }
         "faults" => {
             "Fault-injection robustness: stalled, dying and panicking threads \
@@ -267,7 +267,7 @@ pub fn spec(id: &str, opts: &ExperimentOptions) -> Option<ExperimentSpec> {
             ..row(&[SkipList, Tree], every(), 8192, false)
         },
         "cursor" => ExperimentSpec {
-            arms: &[Arm::BASE, Arm::REPIN],
+            arms: &[Arm::BASE, Arm::BATCH],
             ..point(row(&[SkipList, Tree], vec![Ebr, Hp, Ibr, Vbr], 8192, false))
         },
         "faults" if quick => point(row(&[ListLf], every(), 512, true)),
@@ -659,12 +659,12 @@ pub fn pool_table(results: &[RunResult]) -> String {
 }
 
 /// Renders the cursor hot-path ablation: one row per structure × scheme with
-/// the per-op pin base throughput, the `+repin` arm's delta against it, and
+/// the per-op pin base throughput, the `+batch` arm's delta against it, and
 /// the base arm's backoff spin count (a large count flags a contention-bound
-/// configuration, where the delta says little about repin).
+/// configuration, where the delta says little about batching).
 pub fn cursor_table(results: &[RunResult]) -> String {
-    let repin = |base: &RunResult| {
-        partner(results, base, Arm::REPIN)
+    let batch = |base: &RunResult| {
+        partner(results, base, Arm::BATCH)
             .filter(|_| base.ops_per_sec > 0.0)
             .map_or_else(
                 || "-".to_string(),
@@ -674,11 +674,11 @@ pub fn cursor_table(results: &[RunResult]) -> String {
     let mut columns = lead_columns(12);
     columns.extend([
         ResultColumn::right("base ops/s", 14, |base| format!("{:.0}", base.ops_per_sec)),
-        ResultColumn::right("+repin", 9, repin),
+        ResultColumn::right("+batch", 9, batch),
         ResultColumn::right("spins(base)", 13, |base| base.spins.to_string()),
     ]);
     let title =
-        "Cursor hot-path ablation: 50% read / 50% write, +repin relative to the per-op pin base";
+        "Cursor hot-path ablation: 50% read / 50% write, +batch relative to the per-op pin base";
     render(title, &columns, arm_rows(results, Arm::BASE))
 }
 
@@ -732,7 +732,7 @@ pub struct BenchRecord {
     pub ds: String,
     /// Scheme name (e.g. `NBR`), always one [`SmrKind::parse`] accepts.
     pub smr: String,
-    /// Ablation arm (`pool-on` / `pool-off`, `base` / `repin`); `None` for
+    /// Ablation arm (`pool-on` / `pool-off`, `base` / `batch`); `None` for
     /// presets without arms.
     pub arm: Option<String>,
     /// Worker threads.
@@ -1012,7 +1012,7 @@ mod tests {
         let results = run_experiment("cursor", &opts, |_| {}).unwrap();
         // 2 structures × 4 schemes × 2 arms.
         assert_eq!(results.len(), 16);
-        for arm in ["base", "repin"] {
+        for arm in ["base", "batch"] {
             assert!(
                 results
                     .iter()
@@ -1058,9 +1058,9 @@ mod tests {
         // record's robustness flag never depends on which arm it belongs to.
         let results = [
             labelled("HP", Some(Arm::BASE)),
-            labelled("IBR", Some(Arm::REPIN)),
+            labelled("IBR", Some(Arm::BATCH)),
             labelled("EBR", Some(Arm::BASE)),
-            labelled("VBR", Some(Arm::REPIN)),
+            labelled("VBR", Some(Arm::BATCH)),
         ];
         let records = bench_artifact("cursor", &results).records;
         let flags: Vec<bool> = records.iter().map(|r| r.is_robust).collect();
@@ -1070,11 +1070,11 @@ mod tests {
             assert_eq!(record.arm, result.arm);
         }
         assert_eq!(records[3].smr, "VBR");
-        assert_eq!(records[3].arm.as_deref(), Some("repin"));
-        // Presentation only: the progress row still reads `VBR+repin`, and
+        assert_eq!(records[3].arm.as_deref(), Some("batch"));
+        // Presentation only: the progress row still reads `VBR+batch`, and
         // every arm has a label.
-        assert!(results[3].row().contains(" VBR+repin "));
-        for arm in [Arm::POOL_ON, Arm::POOL_OFF, Arm::BASE, Arm::REPIN] {
+        assert!(results[3].row().contains(" VBR+batch "));
+        for arm in [Arm::POOL_ON, Arm::POOL_OFF, Arm::BASE, Arm::BATCH] {
             let row = labelled("EBR", Some(arm)).row();
             assert!(!row.contains(" EBR "), "{} has no label: {row}", arm.name);
         }
@@ -1083,10 +1083,10 @@ mod tests {
 
     #[test]
     fn cursor_arms_toggle_exactly_one_knob_each() {
-        // One knob is left: the base pins per operation, `repin` batches.
+        // One knob is left: the base pins per operation, `batch` batches.
         let spec = spec("cursor", &ExperimentOptions::quick()).unwrap();
         let names: Vec<&str> = spec.arms.iter().map(|a| a.name).collect();
-        assert_eq!(names, ["base", "repin"]);
+        assert_eq!(names, ["base", "batch"]);
         // The pin batch an arm leaves on a cell that requested `requested`;
         // nothing else in the configuration may move.
         let batch_of = |arm: Arm, requested: u64| {
@@ -1099,9 +1099,9 @@ mod tests {
             pin_batch
         };
         assert_eq!(batch_of(Arm::BASE, 1), 1);
-        assert_eq!(batch_of(Arm::REPIN, 1), 16);
+        assert_eq!(batch_of(Arm::BATCH, 1), 16);
         assert_eq!(batch_of(Arm::BASE, 4), 1, "the base is never batched");
-        assert_eq!(batch_of(Arm::REPIN, 4), 4);
+        assert_eq!(batch_of(Arm::BATCH, 4), 4);
     }
 
     #[test]

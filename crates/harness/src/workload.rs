@@ -327,9 +327,9 @@ pub struct RunConfig {
     pub zipf_theta: f64,
     /// Operations per critical section (`--pin-batch`).  `1` is the paper's
     /// protocol: every operation pins, runs and unpins.  Larger values hold
-    /// one guard for the whole run and call [`ConcurrentMap::repin`] every N
-    /// operations, amortizing the pin across the batch and bounding the
-    /// reclamation delay to one batch instead of one op.  Must be ≥ 1.
+    /// one guard across N operations, then drop it and pin again, amortizing
+    /// the pin across the batch and bounding the reclamation delay to one
+    /// batch instead of one op.  Must be ≥ 1.
     pub pin_batch: u64,
 }
 
@@ -367,7 +367,7 @@ pub struct RunResult {
     /// Reclamation scheme under test ([`SmrKind::name`]).
     pub smr: String,
     /// Ablation arm this point belongs to (`pool-on` / `pool-off`, `base` /
-    /// `repin`); `None` outside the `pool` and `cursor` presets.
+    /// `batch`); `None` outside the `pool` and `cursor` presets.
     pub arm: Option<String>,
     /// Worker threads.
     pub threads: usize,
@@ -414,14 +414,14 @@ impl Arm {
     pub(crate) const POOL_OFF: Arm = Arm::new("pool-off", "-pool", |cfg| cfg.pool = false);
     /// The paper's per-operation pin.
     pub(crate) const BASE: Arm = Arm::new("base", "+base", |cfg| cfg.pin_batch = 1);
-    /// One held guard, `repin` at batch edges: of the requested `--pin-batch`
-    /// if that is above 1, of 16 otherwise.
-    pub(crate) const REPIN: Arm = Arm::new("repin", "+repin", |cfg| {
+    /// One guard held across a batch of operations: of the requested
+    /// `--pin-batch` if that is above 1, of 16 otherwise.
+    pub(crate) const BATCH: Arm = Arm::new("batch", "+batch", |cfg| {
         if cfg.pin_batch <= 1 {
             cfg.pin_batch = 16;
         }
     });
-    const ALL: [Arm; 4] = [Arm::POOL_ON, Arm::POOL_OFF, Arm::BASE, Arm::REPIN];
+    const ALL: [Arm; 4] = [Arm::POOL_ON, Arm::POOL_OFF, Arm::BASE, Arm::BATCH];
 
     const fn new(name: &'static str, suffix: &'static str, set: fn(&mut RunConfig)) -> Self {
         Self { name, suffix, set }
@@ -430,7 +430,7 @@ impl Arm {
 
 impl RunResult {
     /// The scheme as progress rows show it: its name plus the arm's suffix
-    /// (`EBR+repin`, `HP-pool`).
+    /// (`EBR+batch`, `HP-pool`).
     fn label(&self) -> String {
         let arm = Arm::ALL
             .iter()
@@ -852,13 +852,11 @@ impl<'a, W: Workload, C: ConcurrentMap<u64, W::V>> Ops<'a, C, W> {
     /// The measurement loop — the only one.  Draws an operation from `mix`,
     /// applies it, counts it, until `control` says stop.
     ///
-    /// Pin policy: at `pin_batch == 1` every operation runs in a critical
-    /// section of its own — the guard is dropped and the handle pinned again
-    /// between operations, which is the paper's protocol.  At `pin_batch > 1`
-    /// one guard is held for the whole loop and refreshed in place with
-    /// [`ConcurrentMap::repin`] every `pin_batch` operations, so the
-    /// guard-entry/exit fences are paid once per batch while reclamation still
-    /// advances at every batch edge.
+    /// Pin policy: every `pin_batch` operations the guard is dropped and the
+    /// handle pinned again.  At `pin_batch == 1` every operation runs in a
+    /// critical section of its own, which is the paper's protocol; larger
+    /// batches pay the guard-entry/exit fences once per batch while
+    /// reclamation still advances at every batch edge.
     ///
     /// A timed operation's stamp is taken before the pin edge, so at
     /// `pin_batch == 1` it covers one unpin, one pin and the operation.
@@ -879,12 +877,8 @@ impl<'a, W: Workload, C: ConcurrentMap<u64, W::V>> Ops<'a, C, W> {
             let (class, key) = draw.next(&mix);
             let started = control.start();
             if in_batch == pin_batch {
-                if pin_batch == 1 {
-                    drop(guard);
-                    guard = map.pin(&mut handle);
-                } else {
-                    map.repin(&mut guard);
-                }
+                drop(guard);
+                guard = map.pin(&mut handle);
                 in_batch = 0;
             }
             self.apply(&mut guard, class, key, &mut tally);
@@ -991,7 +985,7 @@ pub fn run_timed(ds: DsKind, smr: SmrKind, cfg: &RunConfig) -> RunResult {
 
 /// A scripted [`ConcurrentMap`] double for the pipeline's own tests: it
 /// answers `get` and `scan` from a script instead of from a structure, and
-/// counts `pin`s and `repin`s.
+/// counts `pin`s.
 #[cfg(test)]
 pub(crate) mod testing {
     use super::{DsKind, SmrKind, Target};
@@ -1006,7 +1000,6 @@ pub(crate) mod testing {
         /// What every scan yields, in this order, whatever its bounds.
         pub(crate) scan: Vec<(u64, V)>,
         pub(crate) pins: AtomicU64,
-        pub(crate) repins: AtomicU64,
     }
 
     pub(crate) struct Scripted<V>(pub(crate) Arc<Script<V>>);
@@ -1034,10 +1027,6 @@ pub(crate) mod testing {
         fn pin<'h>(&self, handle: &'h mut Self::Handle) -> Self::Guard<'h> {
             handle.pins.fetch_add(1, Ordering::Relaxed);
             handle
-        }
-
-        fn repin<'h>(&self, guard: &mut Self::Guard<'h>) {
-            guard.repins.fetch_add(1, Ordering::Relaxed);
         }
 
         fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, _key: &u64) -> Option<&'g V> {
@@ -1089,7 +1078,6 @@ pub(crate) mod testing {
             get,
             scan,
             pins: AtomicU64::new(0),
-            repins: AtomicU64::new(0),
         };
         // Of the six structures only the hash map scans out of order.
         let ds = if ordered {
@@ -1240,8 +1228,8 @@ mod tests {
     #[test]
     fn the_loop_pins_per_operation_unless_batched() {
         // The paper's protocol at pin_batch 1: every operation in a critical
-        // section of its own, so N operations are N pins and no repin.  A
-        // batch of 4 holds one guard and refreshes it in place at batch edges.
+        // section of its own, so N operations are N pins.  A batch of 4 holds
+        // one guard for 4 operations, then drops it and pins again.
         let run = |n: u64, pin_batch: u64| {
             let target = testing::scripted(None::<()>, Vec::new(), true);
             let ops = Ops {
@@ -1253,19 +1241,11 @@ mod tests {
             let stop = |done: u64, _: &mut Mix| done < n;
             let tally = ops.run_loop(&mut draw, Mix::READ_50, pin_batch, stop);
             assert_eq!(tally.ops, n);
-            let script = &target.map.0;
-            (
-                script.pins.load(Ordering::Relaxed),
-                script.repins.load(Ordering::Relaxed),
-            )
+            target.map.0.pins.load(Ordering::Relaxed)
         };
         for n in [1, 2, 7, 64] {
-            assert_eq!(run(n, 1), (n, 0), "{n} operations, one pin each");
-            assert_eq!(
-                run(n, 4),
-                (1, (n - 1) / 4),
-                "{n} operations in batches of 4"
-            );
+            assert_eq!(run(n, 1), n, "{n} operations, one pin each");
+            assert_eq!(run(n, 4), n.div_ceil(4), "{n} operations in batches of 4");
         }
     }
 
@@ -1424,11 +1404,12 @@ mod tests {
 
     #[test]
     fn every_scheme_variant_is_correct_with_a_batched_pin() {
-        // The `--pin-batch 16` counterpart of the Table-1 smoke: the
-        // held-guard hot loop (one guard per run, refreshed in place at batch
-        // edges) must stay correct under every scheme variant's repin
-        // implementation.  The in-loop scan oracles (window bounds, ordering,
-        // uniqueness) turn each run into a semantics check.
+        // The `--pin-batch 16` counterpart of the Table-1 smoke: one guard
+        // held across 16 operations, dropped and re-pinned at each batch edge,
+        // must stay correct under every scheme variant, including the
+        // checkpoint schemes' mid-batch restarts.  The in-loop scan oracles
+        // (window bounds, ordering, uniqueness) turn each run into a
+        // semantics check.
         let cfg = RunConfig {
             duration: Duration::from_millis(40),
             pin_batch: 16,
@@ -1453,11 +1434,12 @@ mod tests {
 
     #[test]
     fn held_guard_with_repin_keeps_unreclaimed_bounded() {
-        // The repin-elision hot loop holds ONE guard for the whole run and
-        // refreshes it in place every `pin_batch` operations.  Under an epoch
-        // scheme a guard held forever would pin the epoch and let the retire
-        // backlog grow with the operation count; repinning at batch edges
-        // must keep the peak bounded by a constant independent of run length.
+        // "repin" in the name now means the batch edge: drop + pin.
+        // The batched loop holds one guard across `pin_batch` operations.
+        // Under an epoch scheme a guard held forever would pin the epoch and
+        // let the retire backlog grow with the operation count; re-pinning at
+        // batch edges must keep the peak bounded by a constant independent of
+        // run length.
         let mut cfg = RunConfig::paper_default(2, 256);
         cfg.duration = Duration::from_millis(120);
         cfg.mix = Mix::WRITE_ONLY;
@@ -1472,7 +1454,7 @@ mod tests {
         assert!(
             peak < 20_000,
             "peak unreclaimed {peak} scales with the {} completed ops — \
-             repin is not advancing the reclamation epoch",
+             the batch edge is not advancing the reclamation epoch",
             r.ops
         );
     }

@@ -594,7 +594,7 @@ fn exp_cursor_renders_ablation_arms_and_deltas() {
     );
     let text = stdout(&out);
     // Every arm label appears for at least one scheme...
-    for arm in ["+base", "+repin"] {
+    for arm in ["+base", "+batch"] {
         assert!(
             text.contains(&format!("EBR{arm}")),
             "cursor output missing arm {arm}:\n{text}"
@@ -602,7 +602,7 @@ fn exp_cursor_renders_ablation_arms_and_deltas() {
     }
     // ...both structures are swept, and the delta table renders.
     assert!(text.contains("SkipList") && text.contains("NMTree"));
-    for col in ["base ops/s", "+repin", "spins(base)"] {
+    for col in ["base ops/s", "+batch", "spins(base)"] {
         assert!(text.contains(col), "cursor table missing {col}:\n{text}");
     }
     let body = std::fs::read_to_string(bench.artifact("cursor"))
@@ -610,8 +610,8 @@ fn exp_cursor_renders_ablation_arms_and_deltas() {
     // The arm is a field of its own in the artifact, never part of the scheme.
     assert!(body.contains("\"smr\": \"EBR\"") && body.contains("\"smr\": \"VBR\""));
     assert_eq!(body.matches("\"arm\": \"base\"").count(), 8);
-    assert_eq!(body.matches("\"arm\": \"repin\"").count(), 8);
-    assert!(!body.contains("+repin") && !body.contains("+base"));
+    assert_eq!(body.matches("\"arm\": \"batch\"").count(), 8);
+    assert!(!body.contains("+batch") && !body.contains("+base"));
 }
 
 #[test]
@@ -751,15 +751,15 @@ fn bench_diff_matches_rows_on_the_arm() {
     };
     let both = write(
         "both.json",
-        &[(Some("base"), 1000.0), (Some("repin"), 2000.0)],
+        &[(Some("base"), 1000.0), (Some("batch"), 2000.0)],
     );
     let swapped = write(
         "swapped.json",
-        &[(Some("repin"), 2000.0), (Some("base"), 1000.0)],
+        &[(Some("batch"), 2000.0), (Some("base"), 1000.0)],
     );
-    let slow_repin = write(
+    let slow_batch = write(
         "slow.json",
-        &[(Some("base"), 1000.0), (Some("repin"), 200.0)],
+        &[(Some("base"), 1000.0), (Some("batch"), 200.0)],
     );
     let base_only = write("base.json", &[(Some("base"), 1000.0)]);
     let armless = write("armless.json", &[(None, 1000.0)]);
@@ -769,12 +769,12 @@ fn bench_diff_matches_rows_on_the_arm() {
     assert!(same.status.success(), "{}", stdout(&same));
     assert!(stdout(&same).contains("2 points compared, 0 regressed"));
 
-    let slow = scot_bench(&["bench-diff", &both, &slow_repin]);
+    let slow = scot_bench(&["bench-diff", &both, &slow_batch]);
     assert_eq!(slow.status.code(), Some(1));
     let text = stdout(&slow);
     let flagged: Vec<&str> = text.lines().filter(|l| l.contains("REGRESSION")).collect();
     assert_eq!(flagged.len(), 1, "{text}");
-    assert!(flagged[0].contains("EBR[repin]"), "{text}");
+    assert!(flagged[0].contains("EBR[batch]"), "{text}");
 
     for (a, b, what) in [
         (&both, &base_only, "MISSING FROM FRESH"),

@@ -4,7 +4,9 @@
 //! functions of PR 19, before the tables moved onto one renderer.  Only the
 //! row builders at the top may follow a schema change (`run` did once: the
 //! arm used to ride on the scheme string as `EBR+repin`); the expected
-//! strings may not.
+//! strings may not — except where an arm is renamed: PR 25 deleted `repin`
+//! and renamed the cursor arm to `batch` (`EBR+batch`, the `+batch` column
+//! and title), the only golden strings that changed.
 
 use scot_harness::experiments::{
     cache_table, compatibility_matrix, cursor_table, faults_table, pool_table, restart_table,
@@ -13,7 +15,7 @@ use scot_harness::experiments::{
 use scot_harness::{FaultReport, RunResult, ServiceReport};
 
 /// A throughput row.  `arm` is the ablation arm (`pool-on`, `pool-off`,
-/// `base`, `repin`) where the preset has one.
+/// `base`, `batch`) where the preset has one.
 fn run(
     ds: &str,
     smr: &str,
@@ -106,10 +108,10 @@ fn golden_run_result_row() {
         plain.row(),
         "HList      HP      thr=4    range=8192       ops/s=2000000        unreclaimed(avg)=87.2         restarts=1000     recoveries=2500     spins=20000"
     );
-    let armed = run("SkipList", "EBR", Some("repin"), 2, 5_000, 9_999.5, None);
+    let armed = run("SkipList", "EBR", Some("batch"), 2, 5_000, 9_999.5, None);
     assert_eq!(
         armed.row(),
-        "SkipList   EBR+repin thr=2    range=8192       ops/s=10000          unreclaimed(avg)=n/a          restarts=5        recoveries=12       spins=100"
+        "SkipList   EBR+batch thr=2    range=8192       ops/s=10000          unreclaimed(avg)=n/a          restarts=5        recoveries=12       spins=100"
     );
     let off = run("HMList", "IBR", Some("pool-off"), 1, 0, 0.0, Some(0.0));
     assert_eq!(
@@ -238,7 +240,7 @@ fn golden_cursor_table() {
         run(
             "SkipList",
             "EBR",
-            Some("repin"),
+            Some("batch"),
             2,
             50_000,
             4_600_000.0,
@@ -256,7 +258,7 @@ fn golden_cursor_table() {
         run(
             "NMTree",
             "HP",
-            Some("repin"),
+            Some("batch"),
             2,
             50_000,
             2_910_000.0,
@@ -273,11 +275,11 @@ fn golden_cursor_table() {
             Some(1.0),
         ),
         run("SkipList", "IBR", Some("base"), 2, 0, 0.0, Some(1.0)),
-        run("SkipList", "IBR", Some("repin"), 2, 50_000, 1.0, Some(1.0)),
+        run("SkipList", "IBR", Some("batch"), 2, 50_000, 1.0, Some(1.0)),
     ];
     let want = table(&[
-        "Cursor hot-path ablation: 50% read / 50% write, +repin relative to the per-op pin base",
-        "structure   scheme   robust threads    base ops/s   +repin  spins(base)",
+        "Cursor hot-path ablation: 50% read / 50% write, +batch relative to the per-op pin base",
+        "structure   scheme   robust threads    base ops/s   +batch  spins(base)",
         "SkipList    EBR          no       2       4000000   +15.0%         1000",
         "NMTree      HP          yes       2       3000000    -3.0%         1000",
         "NMTree      VBR          no       2       3000000        -         1000",

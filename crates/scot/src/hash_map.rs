@@ -212,11 +212,6 @@ impl<K: Key + Hash, S: Smr, V: Value> ConcurrentMap<K, V> for HashMap<K, S, V> {
         handle.smr.pin()
     }
 
-    fn repin<'h>(&self, guard: &mut Self::Guard<'h>) {
-        check_guard(&self.smr, &*guard);
-        scot_smr::SmrGuard::repin(guard);
-    }
-
     fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
         self.bucket(&*guard, key).get(guard, key)
     }

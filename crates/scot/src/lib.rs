@@ -218,18 +218,6 @@ pub trait ConcurrentMap<K: Key, V: Value>: Send + Sync + 'static {
     #[must_use = "dropping the guard immediately leaves the critical section"]
     fn pin<'h>(&self, handle: &'h mut Self::Handle) -> Self::Guard<'h>;
 
-    /// Refreshes the guard's critical section **in place**, between
-    /// operations batched under one guard — the cheap equivalent of dropping
-    /// the guard and pinning again (forwards to [`scot_smr::SmrGuard::repin`]).
-    ///
-    /// Holding one guard across a batch of operations amortizes the pin/unpin
-    /// fences, but a guard held forever blocks reclamation under the
-    /// epoch/era schemes; calling this at batch edges re-announces the
-    /// current epoch so the domain can advance.  The `&mut` receiver ends all
-    /// guard-scoped value borrows, exactly as re-pinning would.  For schemes
-    /// without batch state (e.g. NR) this is a no-op.
-    fn repin<'h>(&self, guard: &mut Self::Guard<'h>);
-
     /// Looks up `key`, returning a borrow of its value that lives as long as
     /// the guard borrow — the value stays protected by the SMR scheme for
     /// exactly that long (see the trait-level discussion).

@@ -470,11 +470,6 @@ impl<K: Key, S: Smr, V: Value, const EAGER: bool> ConcurrentMap<K, V> for List<K
         handle.smr.pin()
     }
 
-    fn repin<'h>(&self, guard: &mut Self::Guard<'h>) {
-        check_guard(&self.smr, &*guard);
-        guard.repin();
-    }
-
     fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
         check_guard(&self.smr, &*guard);
         self.bound().get(guard, key)

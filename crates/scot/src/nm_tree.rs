@@ -629,11 +629,6 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
         handle.smr.pin()
     }
 
-    fn repin<'h>(&self, guard: &mut Self::Guard<'h>) {
-        crate::check_guard(&self.smr, &*guard);
-        guard.repin();
-    }
-
     fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
         crate::check_guard(&self.smr, &*guard);
         let tkey = TreeKey::Fin(*key);

@@ -671,11 +671,6 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
         SkipListGuard { g: smr.pin(), rng }
     }
 
-    fn repin<'h>(&self, guard: &mut Self::Guard<'h>) {
-        crate::check_guard(&self.smr, &guard.g);
-        guard.g.repin();
-    }
-
     fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
         crate::check_guard(&self.smr, &guard.g);
         let pos = self.find(&mut guard.g, key, false, true, 0);

@@ -325,10 +325,6 @@ impl<K: WfKey, S: Smr, V: Value> crate::ConcurrentMap<K, V> for WfHarrisList<K, 
         }
     }
 
-    fn repin<'h>(&self, guard: &mut Self::Guard<'h>) {
-        crate::ConcurrentMap::repin(&self.list, &mut guard.g);
-    }
-
     fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
         // Lock-free, not wait-free: a value borrow must be backed by this
         // thread's own protection (see the type-level documentation).

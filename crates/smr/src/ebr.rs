@@ -100,15 +100,14 @@ impl Ebr {
 
     /// Publishes the current global epoch in `slot` and confirms it is still
     /// current; if it moved, re-announces, so a critical section never runs
-    /// under an announcement older than the epoch it entered at.  Returns the
-    /// epoch announced.
+    /// under an announcement older than the epoch it entered at.
     #[inline]
-    fn announce_epoch(&self, slot: &EbrSlot) -> u64 {
+    fn announce_epoch(&self, slot: &EbrSlot) {
         loop {
             let e = self.global_epoch.load(Ordering::SeqCst);
             slot.epoch.store(e, Ordering::SeqCst);
             if self.global_epoch.load(Ordering::SeqCst) == e {
-                return e;
+                return;
             }
         }
     }
@@ -168,11 +167,10 @@ impl SmrHandle for EbrHandle {
     fn pin(&mut self) -> EbrGuard<'_> {
         let pinned = self.inner.pin();
         let slot = &*pinned.scheme().slots[pinned.slot()];
-        let announced = pinned.scheme().announce_epoch(slot);
+        pinned.scheme().announce_epoch(slot);
         EbrGuard {
             pinned,
             slot,
-            announced,
             _thread_bound: std::marker::PhantomData,
         }
     }
@@ -194,11 +192,6 @@ pub struct EbrGuard<'g> {
     /// crossed threads could see its protections neutralized when the
     /// pinning thread exits.
     _thread_bound: std::marker::PhantomData<*mut ()>,
-    /// The epoch this guard's slot currently announces; [`SmrGuard::repin`]
-    /// elides the re-announce fences whenever the global epoch still equals
-    /// it (the common case, since the announcement itself is what holds the
-    /// epoch back).
-    announced: u64,
 }
 
 impl Drop for EbrGuard<'_> {
@@ -247,18 +240,6 @@ impl SmrGuard for EbrGuard<'_> {
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
         unsafe { self.pinned.dealloc(ptr) };
-    }
-
-    #[inline]
-    fn repin(&mut self) {
-        // Repin elision: while the global epoch still equals the epoch this
-        // guard announced, a drop+pin pair would re-announce the very same
-        // value — skip the store/re-read fence sequence entirely.  One SeqCst
-        // load replaces the SeqCst store + SeqCst re-read of a full pin.
-        let scheme = self.pinned.scheme();
-        if scheme.global_epoch.load(Ordering::SeqCst) != self.announced {
-            self.announced = scheme.announce_epoch(self.slot);
-        }
     }
 }
 
@@ -341,37 +322,15 @@ mod tests {
     }
 
     #[test]
-    fn repin_elides_until_epoch_moves_and_reannounces_after() {
-        let d = Ebr::new(small_config());
-        let mut h = d.register();
-        let mut g = h.pin();
-        let announced = d.slots[0].epoch.load(Ordering::SeqCst);
-        g.repin();
-        assert_eq!(
-            d.slots[0].epoch.load(Ordering::SeqCst),
-            announced,
-            "repin with an unmoved epoch must elide the re-announce"
-        );
-        // Our announcement equals the global epoch, so it is free to advance.
-        d.try_advance();
-        g.repin();
-        assert_eq!(
-            d.slots[0].epoch.load(Ordering::SeqCst),
-            announced + 1,
-            "repin must re-announce once the epoch moved"
-        );
-        drop(g);
-    }
-
-    #[test]
     fn retire_batch_reclaims_like_per_node_retire() {
         crate::tests::retire_batch_reclaims_like_per_node_retire::<Ebr>(small_config(), 32, 4);
     }
 
     #[test]
     fn guard_held_across_repins_does_not_freeze_the_epoch() {
-        // The pin-batch scenario: one guard held across many operations with
-        // repin at each boundary must not behave like a stalled reader.
+        // "repin" in the name now means the batch edge: drop + pin every 16
+        // worker retires.  A guard held across such batches must not behave
+        // like a stalled reader.
         let d = Ebr::new(small_config());
         let mut holder = d.register();
         let mut worker = d.register();
@@ -382,14 +341,17 @@ mod tests {
             // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
             unsafe { wg.retire(p) };
             drop(wg);
-            g.repin();
+            if i % 16 == 15 {
+                drop(g);
+                g = holder.pin();
+            }
         }
         worker.flush();
         drop(g);
         worker.flush();
         assert!(
             d.unreclaimed() < 128,
-            "repin at op boundaries must let the epoch advance (got {})",
+            "re-pinning at batch edges must let the epoch advance (got {})",
             d.unreclaimed()
         );
     }

@@ -180,10 +180,8 @@ impl SmrHandle for HeHandle {
 
     fn pin(&mut self) -> HeGuard<'_> {
         let pinned = self.inner.pin();
-        let scheme = pinned.scheme();
         HeGuard {
-            eras: &scheme.slots[pinned.slot()].eras,
-            repin_era: scheme.global_era.load(Ordering::SeqCst),
+            eras: &pinned.scheme().slots[pinned.slot()].eras,
             pinned,
             era_tick: &mut self.era_tick,
             _thread_bound: std::marker::PhantomData,
@@ -208,10 +206,6 @@ pub struct HeGuard<'g> {
     /// crossed threads could see its protections neutralized when the
     /// pinning thread exits.
     _thread_bound: std::marker::PhantomData<*mut ()>,
-    /// Global era observed at pin (or the last non-elided repin).  While the
-    /// global era still equals it, every reservation this guard published
-    /// names the *current* era, so [`SmrGuard::repin`] can skip the clears.
-    repin_era: u64,
 }
 
 impl Drop for HeGuard<'_> {
@@ -297,24 +291,6 @@ impl SmrGuard for HeGuard<'_> {
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
         unsafe { self.pinned.dealloc(ptr) };
-    }
-
-    /// Releases every era reservation — equivalent to drop + pin without the
-    /// registry owner check — unless the global era still equals the one
-    /// observed at the last (re)pin.  In that case every published
-    /// reservation names the current era, which the next operation would
-    /// immediately re-reserve anyway, so holding it is bounded
-    /// over-protection and the [`MAX_HAZARDS`] clear-stores are skipped.
-    #[inline]
-    fn repin(&mut self) {
-        let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
-        if era == self.repin_era {
-            return;
-        }
-        for e in self.eras {
-            e.store(NONE, Ordering::Release);
-        }
-        self.repin_era = era;
     }
 }
 
@@ -437,35 +413,6 @@ mod tests {
     fn leaked_handle_on_dead_thread_is_adopted() {
         // Adoption must clear the dead thread's era reservation.
         crate::tests::leaked_handle_on_dead_thread_is_adopted::<He>(config(true), 1, true, 1);
-    }
-
-    #[test]
-    fn repin_elides_until_era_moves_then_clears_reservations() {
-        let d = He::new(config(false));
-        let mut h = d.register();
-        let mut g = h.pin();
-        let p = g.alloc(1u64);
-        let cell = Atomic::new(p);
-        g.protect(0, &cell);
-        let reserved = d.slots[0].eras[0].load(Ordering::SeqCst);
-        assert_ne!(reserved, NONE);
-        g.repin();
-        assert_eq!(
-            d.slots[0].eras[0].load(Ordering::SeqCst),
-            reserved,
-            "repin with an unmoved era must elide the clears"
-        );
-        d.global_era.fetch_add(1, Ordering::SeqCst);
-        g.repin();
-        for e in &d.slots[0].eras {
-            assert_eq!(
-                e.load(Ordering::SeqCst),
-                NONE,
-                "repin after an era advance must release every reservation"
-            );
-        }
-        // SAFETY: `p` was never published to another thread.
-        unsafe { g.dealloc(p) };
     }
 
     #[test]

@@ -42,9 +42,9 @@
 //!   cost sweeps nothing.
 //! * When the budget runs out the guard *goes light*: it sets the `light`
 //!   word of its slot, issues one `SeqCst` fence, and publishes light from
-//!   then on.  Guard drop and `repin` clear the hazards, then the flag, and
-//!   refill the budget; `retire_batch` leaves light mode first, so a sweep
-//!   never pays a barrier on account of its own thread.
+//!   then on.  Guard drop clears the hazards, then the flag, and the next
+//!   `pin` starts with a full budget; `retire_batch` leaves light mode
+//!   first, so a sweep never pays a barrier on account of its own thread.
 //! * Every sweep starts in `Scheme::snapshot`: a `SeqCst` fence, one read of
 //!   every claimed slot's `light` word, and one `membarrier` iff any is set.
 //!
@@ -440,26 +440,19 @@ impl HpGuard<'_> {
         }
         self.budget = HEAVY_BUDGET;
     }
+}
 
-    /// Clears every hazard this guard published, then its `light` word, and
-    /// refills the budget: the guard is as `pin` made it.
-    #[inline]
-    fn unpublish(&mut self) {
+impl Drop for HpGuard<'_> {
+    /// Clears every hazard this guard published, then its `light` word.
+    fn drop(&mut self) {
         if self.used != 0 {
             for (idx, hazard) in self.slot.hazards.iter().enumerate() {
                 if self.used & (1 << idx) != 0 {
                     hazard.store(0, Ordering::Release);
                 }
             }
-            self.used = 0;
         }
         self.refill();
-    }
-}
-
-impl Drop for HpGuard<'_> {
-    fn drop(&mut self) {
-        self.unpublish();
     }
 }
 
@@ -536,15 +529,6 @@ impl SmrGuard for HpGuard<'_> {
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
         unsafe { self.pinned.dealloc(ptr) };
-    }
-
-    /// Hazard pointers have no epoch to elide, but a repin boundary is the
-    /// moment the caller promises it holds no guard-derived references, so we
-    /// unpublish everything — equivalent to drop + pin without re-running the
-    /// registry owner check.
-    #[inline]
-    fn repin(&mut self) {
-        self.unpublish();
     }
 }
 
@@ -811,6 +795,7 @@ mod tests {
 
     #[test]
     fn repin_unpublishes_every_hazard() {
+        // "repin" in the name now means the batch edge: drop + pin.
         each_domain(|d| {
             let mut h = d.register();
             let mut g = h.pin();
@@ -822,17 +807,18 @@ mod tests {
             assert_ne!(d.slots[0].hazards[1].load(Ordering::SeqCst), 0);
             assert_ne!(d.slots[0].hazards[5].load(Ordering::SeqCst), 0);
             assert_eq!(light_words(&d)[0], usize::from(d.asymmetric));
-            g.repin();
+            drop(g);
+            let mut g = h.pin();
             for i in 0..MAX_HAZARDS {
                 assert_eq!(
                     d.slots[0].hazards[i].load(Ordering::SeqCst),
                     0,
-                    "hazard {i} must be unpublished by repin"
+                    "hazard {i} must be unpublished at the batch edge"
                 );
             }
             assert_eq!(light_words(&d), [0; 4], "{}", tag(&d));
-            // The guard is still usable after repin, and heavy again: its
-            // next publication spends from a full budget.
+            // The re-pinned guard is heavy: its next publication spends from
+            // a full budget.
             assert_eq!(g.budget, HEAVY_BUDGET, "{}", tag(&d));
             let seen = g.protect(0, &cell);
             assert_eq!(seen, p);

@@ -59,7 +59,7 @@
 //! skips the SeqCst era store — a full fence on x86 — whenever the global era
 //! has not moved since the slot last published, which is nearly always: the
 //! era advances once per `epoch_freq` allocations.  A guard that republishes
-//! (`protect`, `announce`, `repin`) hands the new era back when it leaves.
+//! (`protect`, `announce`) hands the new era back when it leaves.
 //!
 //! Guards hold `&Hyaline`, `&HySlot` and `&mut` of the handle's thread-local
 //! half, all taken in `pin` by one disjoint-field borrow; nothing on the
@@ -716,24 +716,6 @@ impl SmrGuard for HyalineGuard<'_> {
         unsafe { crate::limbo::dealloc(&mut self.local.pool, ptr) };
     }
 
-    /// Fast path: if nothing was pushed onto our slot list since entry (the
-    /// head pointer still equals the entry boundary), there is no batch to
-    /// acknowledge and the held reference can simply carry over — the whole
-    /// leave/re-enter round trip is elided.  (A recycled block landing back
-    /// at the exact boundary address would also elide; that is the same
-    /// accepted address-ABA class as the leave traversal's boundary, see the
-    /// module docs — batches are never freed early.)  Otherwise this is a
-    /// genuine leave + re-enter, minus the registry owner re-check.
-    fn repin(&mut self) {
-        let (_, head_ptr) = unpack(self.slot.head.load(Ordering::Acquire));
-        if head_ptr == self.entry_addr {
-            return;
-        }
-        self.leave();
-        (self.cached_era, self.entry_addr) =
-            enter(&self.domain.global_era, self.slot, self.cached_era);
-    }
-
     // SAFETY: callers must guarantee every pointer in `batch` satisfies the
     // per-node `retire` contract (unlinked, owned, retired exactly once).
     unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
@@ -887,47 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn repin_elides_on_untouched_list_and_acknowledges_otherwise() {
-        let d = Hyaline::new(config());
-        let mut holder = d.register();
-        let mut worker = d.register();
-
-        let mut g = holder.pin();
-        let entry_before = g.entry_addr;
-        // Nothing pushed onto our slot yet: repin must keep the boundary.
-        g.repin();
-        assert_eq!(g.entry_addr, entry_before, "untouched list elides repin");
-        let (refs, _) = unpack(d.slots[0].head.load(Ordering::SeqCst));
-        assert_eq!(refs, 1, "the elided repin must keep the reference held");
-
-        // Worker churn pushes batches onto every active slot — ours included.
-        for i in 0..16u64 {
-            let mut wg = worker.pin();
-            let p = wg.alloc(i);
-            // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
-            unsafe { wg.retire(p) };
-        }
-        worker.flush();
-        let pinned = d.unreclaimed();
-        assert!(pinned > 0, "batches must be pinned by the held guard");
-
-        // Repin now acknowledges everything pushed during the old critical
-        // section: as the last holder the guard frees the pinned batches.
-        g.repin();
-        worker.flush();
-        assert!(
-            d.unreclaimed() < pinned,
-            "repin must acknowledge and release pinned batches (got {} of {})",
-            d.unreclaimed(),
-            pinned
-        );
-        drop(g);
-        drop(worker);
-        drop(holder);
-        assert_eq!(d.unreclaimed(), 0);
-    }
-
-    #[test]
     fn retire_batch_reclaims_like_per_node_retire() {
         crate::tests::retire_batch_reclaims_like_per_node_retire::<Hyaline>(config(), 10, 1);
     }
@@ -970,22 +911,14 @@ mod tests {
         let mut h = d.register();
         let mut worker = d.register();
         let cell = Atomic::new(worker.pin().alloc(1u64));
-        let republish: [fn(&mut HyalineGuard<'_>, &Atomic<u64>); 3] = [
+        let republish: [fn(&mut HyalineGuard<'_>, &Atomic<u64>); 2] = [
             |g, cell| {
                 g.protect(0, cell);
             },
             |g, _| g.announce(0, Shared::<u64>::null()),
-            |g, _| g.repin(),
         ];
         for republish in republish {
             let mut g = h.pin();
-            // Something on the slot's list, so `repin` really re-enters.
-            for i in 0..16u64 {
-                let mut wg = worker.pin();
-                let p = wg.alloc(i);
-                // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
-                unsafe { wg.retire(p) };
-            }
             let era = d.global_era.fetch_add(1, Ordering::SeqCst) + 1;
             republish(&mut g, &cell);
             assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era);

@@ -182,7 +182,6 @@ impl SmrHandle for IbrHandle {
             slot,
             era_tick: &mut self.era_tick,
             cached_upper: era,
-            cached_lower: era,
             _thread_bound: std::marker::PhantomData,
         }
     }
@@ -208,9 +207,6 @@ pub struct IbrGuard<'g> {
     /// Local cache of the published `upper`, avoiding an atomic load per
     /// protect call on the fast path.
     cached_upper: u64,
-    /// Local cache of the published `lower`; [`SmrGuard::repin`] elides the
-    /// interval reset when the interval is already the point `[era, era]`.
-    cached_lower: u64,
 }
 
 impl Drop for IbrGuard<'_> {
@@ -278,26 +274,6 @@ impl SmrGuard for IbrGuard<'_> {
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
         unsafe { self.pinned.dealloc(ptr) };
-    }
-
-    /// Collapses the interval back to the point `[era, era]`, releasing every
-    /// era the previous operations stretched it over.  Elided entirely when
-    /// the interval is already that point — the common no-churn case, which
-    /// skips both SeqCst stores.
-    #[inline]
-    fn repin(&mut self) {
-        let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
-        if era == self.cached_upper && era == self.cached_lower {
-            return;
-        }
-        let slot = self.slot;
-        // Same publication order as `pin`: extend `upper` first so the
-        // interval never transiently excludes an era we might still observe,
-        // then raise `lower` to drop the old coverage.
-        slot.upper.store(era, Ordering::SeqCst);
-        slot.lower.store(era, Ordering::SeqCst);
-        self.cached_upper = era;
-        self.cached_lower = era;
     }
 }
 
@@ -405,6 +381,7 @@ mod tests {
 
     #[test]
     fn repin_collapses_a_stretched_interval() {
+        // "repin" in the name now means the batch edge: drop + pin.
         let d = Ibr::new(config(false));
         let mut h = d.register();
         let mut g = h.pin();
@@ -416,13 +393,9 @@ mod tests {
         g.protect(0, &cell);
         assert!(d.slots[0].upper.load(Ordering::SeqCst) > lower_at_pin);
         assert_eq!(d.slots[0].lower.load(Ordering::SeqCst), lower_at_pin);
-        g.repin();
+        drop(g);
+        let mut g = h.pin();
         let era = d.global_era.load(Ordering::SeqCst);
-        assert_eq!(d.slots[0].lower.load(Ordering::SeqCst), era);
-        assert_eq!(d.slots[0].upper.load(Ordering::SeqCst), era);
-        // A second repin with an unmoved era is the elided path: the interval
-        // must stay the point [era, era].
-        g.repin();
         assert_eq!(d.slots[0].lower.load(Ordering::SeqCst), era);
         assert_eq!(d.slots[0].upper.load(Ordering::SeqCst), era);
         // SAFETY: `p` was never published to another thread.
@@ -431,6 +404,8 @@ mod tests {
 
     #[test]
     fn guard_held_across_repins_does_not_freeze_reclamation() {
+        // "repin" in the name now means the batch edge: drop + pin every 16
+        // worker retires.
         let d = Ibr::new(config(true));
         let mut holder = d.register();
         let mut worker = d.register();
@@ -441,12 +416,15 @@ mod tests {
             // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
             unsafe { wg.retire(p) };
             drop(wg);
-            g.repin();
+            if i % 16 == 15 {
+                drop(g);
+                g = holder.pin();
+            }
         }
         worker.flush();
         assert!(
             d.unreclaimed() < 64,
-            "repin at op boundaries must keep the interval narrow (got {})",
+            "re-pinning at batch edges must keep the interval narrow (got {})",
             d.unreclaimed()
         );
         drop(g);

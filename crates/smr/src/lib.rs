@@ -560,34 +560,6 @@ pub trait SmrGuard {
     #[inline]
     fn checkpoint(&mut self) {}
 
-    /// Refreshes this guard between operations, as if it had been dropped and
-    /// re-pinned — the hot-loop alternative to a per-operation pin/unpin pair
-    /// (the DEBRA-style amortization: one guard held across a batch of
-    /// operations, with `repin` at each operation boundary).
-    ///
-    /// The epoch/era-family schemes (EBR, IBR, HE, NBR, VBR) override this to
-    /// **elide** the publication fences entirely when the global epoch/era has
-    /// not advanced since the last pin/repin — the common case, turning the
-    /// per-operation SeqCst announce sequence into one relaxed-ish load.  HP
-    /// clears its published hazards (a true drop+pin, which for HP publishes
-    /// nothing); Hyaline re-enters only when batches were pushed onto its
-    /// slot during the critical section.
-    ///
-    /// The default (keep every protection, do nothing) is always *sound*:
-    /// continuing the critical section can only over-protect, never
-    /// under-protect.  What callers give up by batching is reclamation
-    /// granularity — memory retired during the batch may stay pinned until
-    /// the batch edge where the guard is dropped or the scheme's elision
-    /// check fires — which is exactly the bounded cost the `--pin-batch`
-    /// harness knob measures.
-    ///
-    /// After this call **all previously read pointers are void**, exactly as
-    /// for [`SmrGuard::checkpoint`]: callers must hold no `Shared` pointers
-    /// or value borrows across it (the `&mut self` receiver statically ends
-    /// any guard-scoped `&V` borrows).
-    #[inline]
-    fn repin(&mut self) {}
-
     /// Retires a batch of unlinked nodes in one call — a traversal unlinking a
     /// whole marked chain retires every node of the chain at once.  Schemes
     /// take the domain's retire-vault mutex and run the amortized era/scan
@@ -805,7 +777,7 @@ mod tests {
 
     /// The per-operation path is refcount-free: the domain's strong count
     /// changes on `register` and on handle drop, and nowhere in 1 000 ×
-    /// {`pin`, `protect`, `alloc`, `retire`, guard drop}, `repin` or `flush`
+    /// {`pin`, `protect`, `alloc`, `retire`, guard drop} or `flush`
     /// — neither between the calls nor (see [`CountProbe`]) inside them.
     fn per_operation_path_leaves_the_refcount_alone<S: Smr>(config: SmrConfig) {
         let d = S::new(config);
@@ -825,10 +797,6 @@ mod tests {
             drop(g);
             assert_eq!(Arc::strong_count(&d), held, "{}: guard drop", d.name());
         }
-        let mut g = h.pin();
-        g.repin();
-        assert_eq!(Arc::strong_count(&d), held, "{}: repin", d.name());
-        drop(g);
         h.flush();
         assert_eq!(Arc::strong_count(&d), held, "{}: flush", d.name());
         if d.kind() != SmrKind::Nr {

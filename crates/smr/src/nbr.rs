@@ -121,7 +121,7 @@ impl Nbr {
 
     /// Publishes the current global era as the checkpoint of `slot`,
     /// confirming it is still current, and clears a pending neutralize flag —
-    /// the shared body of `pin`, `checkpoint` and `repin`.
+    /// the shared body of `pin` and `checkpoint`.
     fn announce_checkpoint(&self, slot: &NbrSlot) {
         // ORDERING: Relaxed — the flag is a progress hint, not a safety
         // signal; clearing it late at worst triggers one redundant restart.
@@ -306,21 +306,6 @@ impl SmrGuard for NbrGuard<'_> {
     fn checkpoint(&mut self) {
         self.pinned.scheme().announce_checkpoint(self.slot);
     }
-
-    /// An op-boundary repin is semantically a checkpoint: re-announce the
-    /// current era so the minimum checkpoint keeps rising.  Elided when this
-    /// slot already announces the current era and no sweep has asked us to
-    /// restart — then the announcement is already as fresh as it can get.
-    #[inline]
-    fn repin(&mut self) {
-        let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
-        // ORDERING: Relaxed — our own checkpoint is single-writer (only this
-        // thread stores real eras into it), so the read needs no ordering.
-        if era == self.slot.checkpoint.load(Ordering::Relaxed) && !self.needs_restart() {
-            return;
-        }
-        self.checkpoint();
-    }
 }
 
 #[cfg(test)]
@@ -451,32 +436,32 @@ mod tests {
 
     #[test]
     fn repin_reannounces_and_clears_a_pending_neutralize() {
+        // "repin" in the name now means the batch edge: drop + pin.
         let d = Nbr::new(small_config());
         let mut h = d.register();
-        let mut g = h.pin();
-        let announced = d.slots[0].checkpoint.load(Ordering::SeqCst);
-        g.repin();
-        assert_eq!(
-            d.slots[0].checkpoint.load(Ordering::SeqCst),
-            announced,
-            "repin with an unmoved era and no pending flag must elide"
-        );
-        // A blocked sweep bumps the era and flags us; repin must behave like
-        // a checkpoint.
+        let g = h.pin();
+        // A blocked sweep bumps the era and flags us; the batch edge must
+        // behave like a checkpoint.
         d.neutralize_laggards();
         assert!(g.needs_restart());
-        g.repin();
-        assert!(!g.needs_restart(), "repin must acknowledge the flag");
+        drop(g);
+        let g = h.pin();
+        assert!(
+            !g.needs_restart(),
+            "the batch edge must acknowledge the flag"
+        );
         assert_eq!(
             d.slots[0].checkpoint.load(Ordering::SeqCst),
             d.global_era.load(Ordering::SeqCst),
-            "repin must re-announce the current era"
+            "the batch edge must re-announce the current era"
         );
         drop(g);
     }
 
     #[test]
     fn guard_held_across_repins_does_not_block_reclamation() {
+        // "repin" in the name now means the batch edge: drop + pin every 16
+        // worker retires.
         let d = Nbr::new(small_config());
         let mut holder = d.register();
         let mut worker = d.register();
@@ -487,12 +472,15 @@ mod tests {
             // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
             unsafe { wg.retire(p) };
             drop(wg);
-            g.repin();
+            if i % 16 == 15 {
+                drop(g);
+                g = holder.pin();
+            }
         }
         worker.flush();
         assert!(
             d.unreclaimed() < 128,
-            "a reader repinning at op boundaries is cooperative (got {})",
+            "a reader re-pinning at batch edges is cooperative (got {})",
             d.unreclaimed()
         );
         drop(g);

@@ -108,10 +108,10 @@ impl Smr for Vbr {
 
 impl Vbr {
     /// Publishes the current global epoch in `slot` and confirms it is still
-    /// current.  Returns exactly the epoch stored into the slot, so a guard's
-    /// cached `op_epoch` can never run ahead of the announcement (a cached
-    /// value ahead of the slot would elide `repin` forever while the stale
-    /// announcement pins the recycle queues).
+    /// current.  Returns exactly the epoch stored into the slot, so
+    /// `needs_restart` measures the lag of the announcement that actually
+    /// holds the recycle queues back (a cached `op_epoch` ahead of the slot
+    /// would under-report that lag and leave a stale reader undisplaced).
     #[inline]
     fn announce_epoch(&self, slot: &VbrSlot) -> u64 {
         loop {
@@ -303,18 +303,6 @@ impl SmrGuard for VbrGuard<'_> {
         global.load(Ordering::Acquire).saturating_sub(self.op_epoch) >= DISPLACEMENT_SLACK
     }
 
-    /// Re-announces the current epoch at an op boundary — same announcement
-    /// protocol as `checkpoint`, but without bumping the displacement
-    /// diagnostic (a repin is routine housekeeping, not a sweep-forced
-    /// restart).  Elided entirely when the epoch has not moved.
-    #[inline]
-    fn repin(&mut self) {
-        let scheme = self.pinned.scheme();
-        if scheme.global_epoch.load(Ordering::SeqCst) != self.op_epoch {
-            self.op_epoch = scheme.announce_epoch(self.slot);
-        }
-    }
-
     #[inline]
     fn checkpoint(&mut self) {
         let scheme = self.pinned.scheme();
@@ -465,33 +453,33 @@ mod tests {
 
     #[test]
     fn repin_reannounces_without_counting_as_displacement() {
+        // "repin" in the name now means the batch edge: drop + pin.
         let d = Vbr::new(small_config());
         let mut h = d.register();
-        let mut g = h.pin();
+        let g = h.pin();
         let announced = d.slots[0].epoch.load(Ordering::SeqCst);
-        g.repin();
+        d.global_epoch
+            .fetch_add(DISPLACEMENT_SLACK, Ordering::SeqCst);
+        assert!(g.needs_restart());
+        drop(g);
+        let g = h.pin();
         assert_eq!(
             d.slots[0].epoch.load(Ordering::SeqCst),
-            announced,
-            "repin with an unmoved epoch must elide"
-        );
-        d.global_epoch.fetch_add(1, Ordering::SeqCst);
-        g.repin();
-        assert_eq!(
-            d.slots[0].epoch.load(Ordering::SeqCst),
-            announced + 1,
-            "repin must re-announce after the epoch moved"
+            announced + DISPLACEMENT_SLACK,
+            "the batch edge must re-announce the current epoch"
         );
         assert!(
             !g.needs_restart(),
-            "a freshly repinned reader is not displaced"
+            "a freshly re-pinned reader is not displaced"
         );
-        assert_eq!(d.displacements(), 0, "repin is not a displacement");
+        assert_eq!(d.displacements(), 0, "the batch edge is not a displacement");
         drop(g);
     }
 
     #[test]
     fn guard_held_across_repins_does_not_block_recycling() {
+        // "repin" in the name now means the batch edge: drop + pin every 16
+        // worker retires.
         let d = Vbr::new(small_config());
         let mut holder = d.register();
         let mut worker = d.register();
@@ -502,12 +490,15 @@ mod tests {
             // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
             unsafe { wg.retire(p) };
             drop(wg);
-            g.repin();
+            if i % 16 == 15 {
+                drop(g);
+                g = holder.pin();
+            }
         }
         worker.flush();
         assert!(
             d.unreclaimed() < 128,
-            "a reader repinning at op boundaries must not pin the queues (got {})",
+            "a reader re-pinning at batch edges must not pin the queues (got {})",
             d.unreclaimed()
         );
         drop(g);
