@@ -706,9 +706,10 @@ fn check_docs(docs: &[DocFile], info: &EnumInfo, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 /// What a guard `impl` body must not contain, and what to call it.
-const REDERIVATIONS: [(&str, &str); 4] = [
+const REDERIVATIONS: [(&str, &str); 5] = [
     ("domain.clone()", "clones the domain `Arc`"),
     ("Arc::clone(", "clones an `Arc`"),
+    ("Arc::as_ptr(", "reads the domain through its `Arc`"),
     (".domain()", "re-derives the domain through the handle"),
     (".slots[", "re-indexes the slot array"),
 ];
@@ -829,8 +830,8 @@ fn has_must_use(file: &SourceFile, i: usize) -> bool {
 ///   warning.
 /// * Inside a guard's `impl` blocks under `crates/smr/src/` (`impl SmrGuard
 ///   for …`, `impl Drop for …Guard`, `impl …Guard`), nothing re-derives what
-///   `pin` already resolved: no `.clone()` of the domain `Arc`, no
-///   `.domain()` call, no `.slots[` index.  A guard holds `&Slot` and `&S`
+///   `pin` already resolved: no `.clone()` or `Arc::as_ptr` of the domain
+///   `Arc`, no `.domain()` call, no `.slots[` index.  A guard holds `&Slot` and `&S`
 ///   from `pin` on; walking handle → `Arc` → slot array again per `protect`
 ///   is what made Hyaline's enter/leave cost four times EBR's.
 pub fn l5_guard_discipline(files: &[SourceFile]) -> Vec<Finding> {
@@ -989,5 +990,21 @@ impl SmrGuard for XGuard<'_> {
         assert_eq!(l5("crates/smr/src/x.rs", GUARD_AFTER), []);
         // The rule is about the reclamation back ends only.
         assert_eq!(l5("crates/scot/src/x.rs", GUARD_BEFORE), []);
+    }
+
+    #[test]
+    fn l5_flags_a_guard_that_brands_itself_through_the_handle_arc() {
+        // NR's guard, back when it held `&mut NrHandle` instead of a `Pinned`.
+        let src = "\
+impl SmrGuard for NrGuard<'_> {
+    fn domain_addr(&self) -> usize {
+        std::sync::Arc::as_ptr(&self.handle.domain) as usize
+    }
+}
+";
+        let got = l5("crates/smr/src/nr.rs", src);
+        assert_eq!(got.len(), 1, "{got:#?}");
+        assert_eq!(got[0].0, 3, "{got:#?}");
+        assert!(got[0].1.contains("through its `Arc`"), "{got:#?}");
     }
 }

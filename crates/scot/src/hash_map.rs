@@ -112,7 +112,7 @@ impl<K: Key + Hash, S: Smr, V: Value> HashMap<K, S, V> {
     /// `bucket` as a SCOT list recording into the shared statistics block.
     #[inline]
     fn bind<'a>(&'a self, bucket: &'a RawList<K, V>) -> BoundList<'a, K, V> {
-        bucket.bind(&self.stats, ZoneMode::Scot { recovery: true })
+        bucket.bind(&self.stats, ZoneMode::Scot)
     }
 
     /// Brand-checks `guard` (once per operation, here rather than inside the

@@ -339,10 +339,6 @@ pub struct List<K, S: Smr, V, const EAGER: bool> {
     raw: RawList<K, V>,
     smr: Arc<S>,
     stats: TraversalStats,
-    /// Whether the §3.2.1 recovery optimization is enabled (always, except
-    /// through [`List::without_recovery`]; meaningless in eager mode, where
-    /// no dangerous zone exists to recover from).
-    recovery: bool,
 }
 
 /// Per-thread handle for [`List`] and [`crate::HashMap`].
@@ -359,18 +355,6 @@ impl<S: Smr> ListHandle<S> {
     }
 }
 
-impl<K: Key, S: Smr, V: Value> List<K, S, V, false> {
-    /// Like [`List::new`], but with the §3.2.1 recovery optimization
-    /// disabled: every dangerous-zone validation failure restarts from the
-    /// head.  Used by the recovery ablation benchmark.
-    pub fn without_recovery(smr: Arc<S>) -> Self {
-        Self {
-            recovery: false,
-            ..Self::new(smr)
-        }
-    }
-}
-
 impl<K: Key, S: Smr, V: Value, const EAGER: bool> List<K, S, V, EAGER> {
     /// Creates an empty list managed by the given reclamation domain.
     pub fn new(smr: Arc<S>) -> Self {
@@ -378,7 +362,6 @@ impl<K: Key, S: Smr, V: Value, const EAGER: bool> List<K, S, V, EAGER> {
             raw: RawList::new(),
             smr,
             stats: TraversalStats::default(),
-            recovery: true,
         }
     }
 
@@ -406,7 +389,7 @@ impl<K: Key, S: Smr, V: Value, const EAGER: bool> List<K, S, V, EAGER> {
     }
 
     /// Number of §3.2.1 recovery events (dangerous-zone escapes that avoided a
-    /// full restart); used by the recovery-optimization ablation benchmark.
+    /// full restart).
     pub fn recoveries(&self) -> u64 {
         self.stats.recoveries()
     }
@@ -418,9 +401,7 @@ impl<K: Key, S: Smr, V: Value, const EAGER: bool> List<K, S, V, EAGER> {
         let mode = if EAGER {
             ZoneMode::Eager
         } else {
-            ZoneMode::Scot {
-                recovery: self.recovery,
-            }
+            ZoneMode::Scot
         };
         self.raw.bind(&self.stats, mode)
     }

@@ -454,7 +454,7 @@ impl<K: Key, S: Smr, V: Value> SkipList<K, S, V> {
                     entry,
                     checkpoints,
                     &self.stats,
-                    ZoneMode::Scot { recovery: true },
+                    ZoneMode::Scot,
                 ) {
                     Ok(c) => c,
                     // `pred` is marked at this level: ladder rung 2 or 3.

@@ -322,12 +322,10 @@ impl<K: Ord> SeekBound<K> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ZoneMode {
     /// SCOT (Figure 5 right): traverse marked chains under dangerous-zone
-    /// validation; the caller unlinks the pending chain afterwards.
-    /// `recovery` enables the §3.2.1 escape (the ablation bench disables it).
-    Scot {
-        /// Whether the §3.2.1 recovery optimization is enabled.
-        recovery: bool,
-    },
+    /// validation, escaping a failed validation by §3.2.1 recovery when the
+    /// last safe node is unmarked; the caller unlinks the pending chain
+    /// afterwards.
+    Scot,
     /// Michael's discipline: never step past a marked node — unlink it on the
     /// spot and restart if the unlink CAS fails.  No dangerous zone ever
     /// forms, which is why the Harris-Michael baseline needs no validation.
@@ -551,15 +549,14 @@ impl<'t, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, K, N> {
     }
 
     /// One failed validation: attempt the §3.2.1 recovery (rung 1), climbing
-    /// the ladder when it is disabled or the last safe node is itself marked.
+    /// the ladder when the last safe node is itself marked.
     ///
     /// `observed` is the value the validation load saw in `prev`.
     /// Out of line: validations fail a few times per million operations, and
     /// a single-caller instantiation would otherwise fold into the hop loop.
     #[cold]
     fn recover<G: SmrGuard>(&mut self, g: &mut G, observed: Shared<N>) -> Recovery {
-        let recovery_enabled = matches!(self.mode, ZoneMode::Scot { recovery: true });
-        if observed.tag() == 0 && recovery_enabled {
+        if observed.tag() == 0 {
             // §3.2.1: the last safe node is still unmarked, so it merely
             // points at a new successor (a fresh insert, or the chain has
             // already been cleaned up); continue from there.

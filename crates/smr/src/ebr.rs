@@ -16,7 +16,7 @@
 //! the epoch protocol and its [`Scheme`] impl.
 
 use crate::block::Retired;
-use crate::limbo::{Handle, Pinned, RetireCore, Scheme};
+use crate::limbo::{Domain, Handle, Pinned, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
@@ -113,6 +113,17 @@ impl Ebr {
     }
 }
 
+impl Domain for Ebr {
+    #[inline]
+    fn core(&self) -> &RetireCore {
+        &self.core
+    }
+
+    fn neutralize(&self, slot: usize) {
+        self.slots[slot].epoch.store(INACTIVE, Ordering::SeqCst);
+    }
+}
+
 // SAFETY: `can_free` demands that the global epoch advanced two past the
 // block's retire epoch.  `try_advance` moves the epoch only when every active
 // slot announces the current one, so two advances imply every thread active
@@ -121,11 +132,6 @@ impl Ebr {
 // section.
 unsafe impl Scheme for Ebr {
     type Snapshot = u64;
-
-    #[inline]
-    fn core(&self) -> &RetireCore {
-        &self.core
-    }
 
     #[inline]
     fn retire_stamp(&self) -> Option<u64> {
@@ -142,10 +148,6 @@ unsafe impl Scheme for Ebr {
     #[inline]
     fn can_free(&self, global: &u64, retired: &Retired) -> bool {
         retired.retire_era().saturating_add(2) <= *global
-    }
-
-    fn neutralize(&self, slot: usize) {
-        self.slots[slot].epoch.store(INACTIVE, Ordering::SeqCst);
     }
 
     fn before_scan(&self, _force: bool) {
@@ -168,11 +170,7 @@ impl SmrHandle for EbrHandle {
         let pinned = self.inner.pin();
         let slot = &*pinned.scheme().slots[pinned.slot()];
         pinned.scheme().announce_epoch(slot);
-        EbrGuard {
-            pinned,
-            slot,
-            _thread_bound: std::marker::PhantomData,
-        }
+        EbrGuard { pinned, slot }
     }
 
     fn flush(&mut self) {
@@ -186,12 +184,6 @@ pub struct EbrGuard<'g> {
     pinned: Pinned<'g, Ebr>,
     /// The handle's announcement slot, resolved once at `pin`.
     slot: &'g EbrSlot,
-    /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
-    /// read-side critical section, and the slot registry's liveness beacon
-    /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
-    /// crossed threads could see its protections neutralized when the
-    /// pinning thread exits.
-    _thread_bound: std::marker::PhantomData<*mut ()>,
 }
 
 impl Drop for EbrGuard<'_> {

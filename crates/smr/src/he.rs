@@ -19,7 +19,7 @@
 //! retire core ([`crate::limbo`]).
 
 use crate::block::Retired;
-use crate::limbo::{EraCountdown, Handle, Pinned, RetireCore, Scheme};
+use crate::limbo::{Domain, EraCountdown, Handle, Pinned, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind, MAX_HAZARDS};
 use crossbeam_utils::CachePadded;
@@ -111,16 +111,7 @@ impl He {
     }
 }
 
-// SAFETY: a reader dereferences a node only under a reservation of an era in
-// which the node was reachable, i.e. an era inside `[birth, retire]`.
-// `can_free` accepts a record only when no claimed slot reserves an era in
-// that interval, read with SeqCst after the node was unlinked — from the
-// sorted snapshot (HEopt) or by a full per-record scan (HE).  `neutralize`
-// stores `NONE`, which is below every birth era.
-unsafe impl Scheme for He {
-    /// HEopt: every reserved era, sorted.  HE: `None`, rescan per record.
-    type Snapshot = Option<Vec<u64>>;
-
+impl Domain for He {
     #[inline]
     fn core(&self) -> &RetireCore {
         &self.core
@@ -130,6 +121,23 @@ unsafe impl Scheme for He {
     fn birth_stamp(&self) -> Option<u64> {
         Some(self.era_stamp())
     }
+
+    fn neutralize(&self, slot: usize) {
+        for e in &self.slots[slot].eras {
+            e.store(NONE, Ordering::SeqCst);
+        }
+    }
+}
+
+// SAFETY: a reader dereferences a node only under a reservation of an era in
+// which the node was reachable, i.e. an era inside `[birth, retire]`.
+// `can_free` accepts a record only when no claimed slot reserves an era in
+// that interval, read with SeqCst after the node was unlinked — from the
+// sorted snapshot (HEopt) or by a full per-record scan (HE).  `neutralize`
+// stores `NONE`, which is below every birth era.
+unsafe impl Scheme for He {
+    /// HEopt: every reserved era, sorted.  HE: `None`, rescan per record.
+    type Snapshot = Option<Vec<u64>>;
 
     #[inline]
     fn retire_stamp(&self) -> Option<u64> {
@@ -158,12 +166,6 @@ unsafe impl Scheme for He {
             None => !self.is_protected(birth, retire),
         }
     }
-
-    fn neutralize(&self, slot: usize) {
-        for e in &self.slots[slot].eras {
-            e.store(NONE, Ordering::SeqCst);
-        }
-    }
 }
 
 /// Per-thread handle for [`He`].
@@ -184,7 +186,6 @@ impl SmrHandle for HeHandle {
             eras: &pinned.scheme().slots[pinned.slot()].eras,
             pinned,
             era_tick: &mut self.era_tick,
-            _thread_bound: std::marker::PhantomData,
         }
     }
 
@@ -200,12 +201,6 @@ pub struct HeGuard<'g> {
     /// The handle's reservation array, resolved once at `pin`.
     eras: &'g [AtomicU64; MAX_HAZARDS],
     era_tick: &'g mut EraCountdown,
-    /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
-    /// read-side critical section, and the slot registry's liveness beacon
-    /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
-    /// crossed threads could see its protections neutralized when the
-    /// pinning thread exits.
-    _thread_bound: std::marker::PhantomData<*mut ()>,
 }
 
 impl Drop for HeGuard<'_> {

@@ -86,7 +86,7 @@
 //! that preceded it.
 
 use crate::block::Retired;
-use crate::limbo::{Handle, Pinned, RetireCore, Scheme};
+use crate::limbo::{Domain, Handle, Pinned, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind, MAX_HAZARDS};
 use crossbeam_utils::CachePadded;
@@ -277,6 +277,22 @@ mod membarrier {
     }
 }
 
+impl Domain for Hp {
+    #[inline]
+    fn core(&self) -> &RetireCore {
+        &self.core
+    }
+
+    fn neutralize(&self, slot: usize) {
+        let slot = &self.slots[slot];
+        for h in &slot.hazards {
+            h.store(0, Ordering::SeqCst);
+        }
+        // A stale flag would tax every later sweep with a barrier.
+        slot.light.store(0, Ordering::SeqCst);
+    }
+}
+
 // SAFETY: a retired node is unlinked, so a thread can only still dereference
 // it if it published the node's address before the unlink and has not cleared
 // it since.  `can_free` accepts an address only when it is absent from every
@@ -288,11 +304,6 @@ mod membarrier {
 unsafe impl Scheme for Hp {
     /// HPopt: every published hazard, sorted.  HP: `None`, rescan per record.
     type Snapshot = Option<Vec<usize>>;
-
-    #[inline]
-    fn core(&self) -> &RetireCore {
-        &self.core
-    }
 
     #[inline]
     fn retire_stamp(&self) -> Option<u64> {
@@ -321,15 +332,6 @@ unsafe impl Scheme for Hp {
             None => !self.is_protected(retired.value),
         }
     }
-
-    fn neutralize(&self, slot: usize) {
-        let slot = &self.slots[slot];
-        for h in &slot.hazards {
-            h.store(0, Ordering::SeqCst);
-        }
-        // A stale flag would tax every later sweep with a barrier.
-        slot.light.store(0, Ordering::SeqCst);
-    }
 }
 
 /// Per-thread handle for [`Hp`].
@@ -352,7 +354,6 @@ impl SmrHandle for HpHandle {
             pinned,
             used: 0,
             budget: HEAVY_BUDGET,
-            _thread_bound: std::marker::PhantomData,
         }
     }
 
@@ -367,12 +368,6 @@ pub struct HpGuard<'g> {
     pinned: Pinned<'g, Hp>,
     /// The handle's hazards and `light` word, resolved once at `pin`.
     slot: &'g HpSlot,
-    /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
-    /// read-side critical section, and the slot registry's liveness beacon
-    /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
-    /// crossed threads could see its protections neutralized when the
-    /// pinning thread exits.
-    _thread_bound: std::marker::PhantomData<*mut ()>,
     /// Heavy publications left before the guard goes light; 0 *is* light mode
     /// (the slot's `light` word is set exactly while this is 0).
     budget: u32,

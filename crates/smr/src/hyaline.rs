@@ -55,15 +55,21 @@
 //! to tell "died outside" from "died inside" a critical section.
 //!
 //! The handle remembers which era its slot publishes (the owner is the slot's
-//! only writer; `try_register` resets slot and cache to 0 together), so enter
-//! skips the SeqCst era store — a full fence on x86 — whenever the global era
-//! has not moved since the slot last published, which is nearly always: the
-//! era advances once per `epoch_freq` allocations.  A guard that republishes
-//! (`protect`, `announce`) hands the new era back when it leaves.
+//! only writer; registration resets the slot's era and the cache to 0
+//! together), so enter skips the SeqCst era store — a full fence on x86 —
+//! whenever the global era has not moved since the slot last published, which
+//! is nearly always: the era advances once per `epoch_freq` allocations.  A
+//! guard that republishes (`protect`, `announce`) hands the new era back when
+//! it leaves.
 //!
-//! Guards hold `&Hyaline`, `&HySlot` and `&mut` of the handle's thread-local
-//! half, all taken in `pin` by one disjoint-field borrow; nothing on the
-//! per-operation path clones or dereferences the domain `Arc`.
+//! Everything else is the slot lifecycle every scheme shares
+//! ([`crate::limbo`]).  The handle is a `limbo::Handle<Hyaline>` plus its era
+//! tick and cached era; a guard holds the `Pinned` that `pin` lends out
+//! (`&Hyaline`, the slot index, the thread's pool), `&HySlot` and `&mut` of
+//! the two cached fields, all taken by one disjoint-field borrow, so nothing
+//! on the per-operation path clones or dereferences the domain `Arc`.  The
+//! accumulating batch is the core's per-slot vault; release flushes it, and
+//! adoption flushes it and recycles or poisons the slot (below).
 //!
 //! Against the previous enter (unconditional era `xchg`) and leave (load + CAS
 //! loop + a clone of the domain `Arc`), 10 alternating runs per side of the
@@ -110,14 +116,12 @@
 //!   future pushes (stopping the leak from growing) but never recycled, and
 //!   the batches already pinned by its list are leaked permanently.
 
-use crate::block::{header_of, Header};
-use crate::limbo::EraCountdown;
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
+use crate::block::{Header, Retired};
+use crate::limbo::{Domain, EraCountdown, Handle, Lifecycle, Pinned, RetireCore};
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
+use crate::registry::AdoptGuard;
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -149,37 +153,11 @@ struct HySlot {
     era: AtomicU64,
 }
 
-/// A slot's accumulating (not yet pushed) retirement batch, domain-owned so a
-/// dead thread's batch is adoptable.
-struct HyBatch {
-    nodes: Vec<*mut Header>,
-    min_birth: u64,
-}
-
-impl HyBatch {
-    fn new() -> Self {
-        Self {
-            nodes: Vec::new(),
-            min_birth: u64::MAX,
-        }
-    }
-}
-
-// SAFETY: the raw header pointers are retired nodes owned exclusively by the
-// batch; any thread may flush them (the "any thread reclaims" property), and
-// handoff between threads is mediated by the vault mutex.
-unsafe impl Send for HyBatch {}
-
 /// The Hyaline-1S-style reclamation domain.
 pub struct Hyaline {
-    config: SmrConfig,
-    registry: SlotRegistry,
+    core: RetireCore,
     global_era: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<HySlot>]>,
-    /// Per-slot accumulating batches (see [`HyBatch`]).
-    vaults: Box<[Mutex<HyBatch>]>,
-    unreclaimed: ShardedCounter,
-    pool: Arc<PoolShared>,
     /// Batch size: enough nodes so that one node can be pushed to every slot
     /// plus the REFS node that carries the counter.
     batch_capacity: usize,
@@ -189,8 +167,9 @@ impl Smr for Hyaline {
     type Handle = HyalineHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        let slots = (0..config.max_threads)
+        let core = RetireCore::new(config);
+        let max_threads = core.config().max_threads;
+        let slots = (0..max_threads)
             .map(|_| {
                 CachePadded::new(HySlot {
                     head: AtomicU64::new(0),
@@ -199,44 +178,24 @@ impl Smr for Hyaline {
             })
             .collect();
         Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
+            core,
             global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
             slots,
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(HyBatch::new()))
-                .collect(),
-            unreclaimed: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            batch_capacity: config.max_threads + 1,
-            config,
+            batch_capacity: max_threads + 1,
         })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<HyalineHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
-        // ORDERING: Relaxed is enough — the slot is not yet visible to
-        // retirers (the claim above publishes it, and `is_claimed` readers
-        // synchronize through the registry), so nobody can observe these
-        // resets out of order.
-        self.slots[claim.index].head.store(0, Ordering::Relaxed);
-        // ORDERING: same as the head reset above -- the slot is unclaimed, so this races with nothing.
-        self.slots[claim.index].era.store(0, Ordering::Relaxed);
         Ok(HyalineHandle {
-            domain: self.clone(),
-            local: HyLocal {
-                claim,
-                binding: PinBinding::new(),
-                pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
-                era_tick: EraCountdown::new(&self.config),
-                published_era: 0,
-            },
+            inner: Handle::register(self)?,
+            era_tick: EraCountdown::new(self.core.config()),
+            // The era `neutralize` just stored in the slot.
+            published_era: 0,
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
@@ -244,16 +203,73 @@ impl Smr for Hyaline {
     }
 }
 
+impl Domain for Hyaline {
+    #[inline]
+    fn core(&self) -> &RetireCore {
+        &self.core
+    }
+
+    #[inline]
+    fn birth_stamp(&self) -> Option<u64> {
+        // ORDERING: a Relaxed era read can only lag the true era, making the
+        // birth stamp conservatively old — strictly more protective for the
+        // `-1S` stalled-reader exemption.
+        Some(self.global_era.load(Ordering::Relaxed))
+    }
+
+    /// Resets the slot to no reference, an empty list and era 0 — at
+    /// registration only: release and adoption leave the slot to the
+    /// [`Lifecycle`] hooks.
+    fn neutralize(&self, slot: usize) {
+        // ORDERING: Relaxed is enough — a pusher skips a slot whose count is
+        // 0, one that still sees a previous owner's count pushes onto a list
+        // nobody acknowledges (a leak, never an early free), and the new
+        // owner's enter `fetch_add` follows these stores in program order.
+        self.slots[slot].head.store(0, Ordering::Relaxed);
+        // ORDERING: same as the head reset above.
+        self.slots[slot].era.store(0, Ordering::Relaxed);
+    }
+}
+
+impl Lifecycle for Hyaline {
+    /// Pushes the slot's accumulated batch.
+    fn release(pinned: &mut Pinned<'_, Self>) {
+        Self::flush_vault(pinned.slot(), pinned);
+    }
+
+    /// A dead slot's `refs` counter is frozen (only its owner could pin):
+    /// `refs == 0` means the owner died outside any critical section, so its
+    /// accumulated batch is flushed and the slot recycled; `refs > 0` means it
+    /// died *inside* one, its acknowledgement boundary is unknowable, and the
+    /// slot is poisoned (see the module docs) before its batch is flushed.
+    fn adopt(adoption: AdoptGuard<'_>, slot: usize, pinned: &mut Pinned<'_, Self>) {
+        let (refs, _) = unpack(pinned.scheme().slots[slot].head.load(Ordering::SeqCst));
+        if refs == 0 {
+            // Flush before recycling so a new claimant cannot race us for the
+            // vault; pushes skip the dead slot itself because its refs count
+            // is zero.
+            Self::flush_vault(slot, pinned);
+            adoption.finish();
+        } else {
+            // Poison first: once the slot stops being `is_claimed`, the flush
+            // below (and all future pushes) exclude it, so the leak stops
+            // growing.
+            adoption.poison();
+            Self::flush_vault(slot, pinned);
+        }
+    }
+}
+
 impl Hyaline {
     /// Frees every node of the batch whose REFS node is `refs_node`, recycling
-    /// the blocks into the freeing thread's `pool` and debiting its shard
-    /// (`slot`) — under any-thread freeing the debited shard is often not the
-    /// one that was credited at retire time; only the sum is meaningful.
+    /// the blocks into the freeing thread's pool and debiting its shard —
+    /// under any-thread freeing the debited shard is often not the one that
+    /// was credited at retire time; only the sum is meaningful.
     ///
     /// # Safety
     /// The batch's reference counter must have reached zero, i.e. every thread
     /// that was required to acknowledge the batch has done so.
-    unsafe fn free_batch(&self, refs_node: *mut Header, slot: usize, pool: &mut BlockPool) {
+    unsafe fn free_batch(refs_node: *mut Header, pinned: &mut Pinned<'_, Self>) {
         let mut freed = 0usize;
         let mut cur = refs_node;
         while !cur.is_null() {
@@ -265,11 +281,11 @@ impl Hyaline {
             let next = unsafe { (*cur).batch_all.load(Ordering::Relaxed) } as *mut Header;
             // SAFETY: sole ownership as above — each node is unlinked from
             // every slot list (all acknowledgements arrived) and freed once.
-            unsafe { pool.free(cur) };
+            unsafe { pinned.pool().free(cur) };
             freed += 1;
             cur = next;
         }
-        self.unreclaimed.sub(slot, freed);
+        pinned.count_freed(freed);
     }
 
     /// Acknowledges (decrements) every batch whose node was pushed onto the
@@ -288,13 +304,7 @@ impl Hyaline {
     /// between observing `entry_addr` and observing `from`, so every node
     /// above the boundary counted it at push time and stays alive until the
     /// decrement below.
-    unsafe fn acknowledge(
-        &self,
-        from: usize,
-        entry_addr: usize,
-        slot: usize,
-        pool: &mut BlockPool,
-    ) {
+    unsafe fn acknowledge(from: usize, entry_addr: usize, pinned: &mut Pinned<'_, Self>) {
         let mut cur = from;
         while cur != 0 && cur != entry_addr {
             let hdr = cur as *mut Header;
@@ -311,7 +321,7 @@ impl Hyaline {
             if unsafe { (*refs_node).refs.fetch_sub(1, Ordering::AcqRel) } == 1 {
                 // SAFETY: our fetch_sub observed 1, so we dropped the last
                 // reference — exactly `free_batch`'s contract.
-                unsafe { self.free_batch(refs_node, slot, pool) };
+                unsafe { Self::free_batch(refs_node, pinned) };
             }
             cur = next;
         }
@@ -321,15 +331,10 @@ impl Hyaline {
     /// the retirer's own reference.  `nodes[0]` is the REFS node and is never
     /// pushed; the remaining nodes provide the per-slot list linkage.
     // SAFETY: callers must pass fully-initialized retired nodes that no other thread can still reach, plus a held REFS count.
-    unsafe fn retire_batch(
-        &self,
-        nodes: &[*mut Header],
-        min_birth: u64,
-        slot: usize,
-        pool: &mut BlockPool,
-    ) {
+    unsafe fn push_batch(nodes: &[Retired], min_birth: u64, pinned: &mut Pinned<'_, Self>) {
         debug_assert!(!nodes.is_empty());
-        let refs_node = nodes[0];
+        let d = pinned.scheme();
+        let refs_node = nodes[0].hdr;
 
         // Thread the whole batch through `batch_all` so the last acker can
         // free every node, and point every node at the REFS node.
@@ -341,28 +346,33 @@ impl Hyaline {
         // read them only after acquiring the same locations.
         for w in nodes.windows(2) {
             // SAFETY: / ORDERING: covered by the batch-threading comment above this loop.
-            unsafe { (*w[0]).batch_all.store(w[1] as usize, Ordering::Relaxed) };
+            unsafe {
+                (*w[0].hdr)
+                    .batch_all
+                    .store(w[1].hdr as usize, Ordering::Relaxed)
+            };
         }
         // SAFETY: / ORDERING: covered by the batch-threading comment above this loop.
         unsafe {
-            (*nodes[nodes.len() - 1])
+            (*nodes[nodes.len() - 1].hdr)
                 .batch_all
                 .store(0, Ordering::Relaxed);
         }
-        for &n in nodes {
+        for n in nodes {
             // SAFETY: / ORDERING: covered by the batch-threading comment above this loop.
-            unsafe { (*n).batch_link.store(refs_node as usize, Ordering::Relaxed) };
+            unsafe {
+                (*n.hdr)
+                    .batch_link
+                    .store(refs_node as usize, Ordering::Relaxed)
+            };
         }
         // The retirer holds one reference for the duration of the push phase
         // so concurrent acknowledgements cannot free the batch under it.
         // SAFETY: the REFS node is still unpublished (see above).
         unsafe { (*refs_node).refs.store(1, Ordering::Release) };
 
-        let mut spare = nodes[1..].iter().copied();
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
-                continue;
-            }
+        let mut spare = nodes[1..].iter().map(|n| n.hdr);
+        for slot in d.core.claimed(&d.slots) {
             // Robustness: a thread whose published era predates every node in
             // the batch can never have obtained a reference to any of them
             // (given the SCOT / Harris-Michael traversal discipline), so it
@@ -427,117 +437,46 @@ impl Hyaline {
         if unsafe { (*refs_node).refs.fetch_sub(1, Ordering::AcqRel) } == 1 {
             // SAFETY: observed 1 → ours was the last reference, which is
             // `free_batch`'s contract.
-            unsafe { self.free_batch(refs_node, slot, pool) };
+            unsafe { Self::free_batch(refs_node, pinned) };
         }
     }
 
-    /// Pushes slot `vault_idx`'s accumulated batch to the active slots,
-    /// padding it with dummy blocks up to the full linkage capacity.  Frees
-    /// and padding are charged to `counter_slot`.
-    fn flush_vault(&self, vault_idx: usize, counter_slot: usize, pool: &mut BlockPool) {
-        let (mut nodes, min_birth) = {
-            let mut vault = self.vaults[vault_idx].lock();
-            if vault.nodes.is_empty() {
-                return;
-            }
-            (
-                std::mem::take(&mut vault.nodes),
-                std::mem::replace(&mut vault.min_birth, u64::MAX),
-            )
-        };
+    /// Pushes the batch accumulated in the vault of slot `vault` to the
+    /// active slots, padding it with dummy blocks up to the full linkage
+    /// capacity.  Frees and padding are charged to the shard of `pinned`.
+    fn flush_vault(vault: usize, pinned: &mut Pinned<'_, Self>) {
+        let d = pinned.scheme();
+        let mut nodes = d.core.take_vault(vault);
+        if nodes.is_empty() {
+            return;
+        }
+        // One relaxed birth-era load per retired node, published by the vault
+        // mutex; the dummies below are left out, as no reader can reach them.
+        let min_birth = nodes.iter().map(Retired::birth_era).min();
         // A batch needs one linkage node per active slot plus the REFS node.
         // Pad undersized batches (possible at flush/drop/adoption time) with
         // freshly allocated dummy blocks.
-        while nodes.len() < self.batch_capacity {
-            let dummy = pool.alloc(());
+        let padding = d.batch_capacity.saturating_sub(nodes.len());
+        for _ in 0..padding {
+            let dummy = pinned.alloc(());
             // SAFETY: `dummy` was just allocated and never published; its
-            // header is exclusively ours.
-            // ORDERING: a Relaxed era read only lags the true era, stamping
-            // the dummy conservatively old — it can only make the batch's
-            // `min_birth` smaller, i.e. more conservative.
-            unsafe {
-                let hdr = header_of(dummy);
-                (*hdr)
-                    .birth_era
-                    // ORDERING: see the comment above this unsafe block.
-                    .store(self.global_era.load(Ordering::Relaxed), Ordering::Relaxed);
-                nodes.push(hdr);
-            }
-            self.unreclaimed.add(counter_slot, 1);
+            // block is exclusively this batch's.
+            nodes.push(unsafe { Retired::from_value(dummy.as_ptr()) });
         }
+        pinned.count_retired(padding);
         // SAFETY: every node is a retired (or fresh dummy) block owned by
-        // this batch, threaded and padded to full linkage capacity above.
-        unsafe { self.retire_batch(&nodes, min_birth, counter_slot, pool) };
-    }
-
-    /// Adopts slots abandoned by dead threads.  A dead slot's `refs` counter
-    /// is frozen (only its owner could pin): `refs == 0` means the owner died
-    /// outside any critical section, so its accumulated batch is flushed and
-    /// the slot recycled; `refs > 0` means it died *inside* one, its
-    /// acknowledgement boundary is unknowable, and the slot is poisoned (see
-    /// the module docs) before its batch is flushed.
-    fn adopt_orphans(&self, my_slot: usize, pool: &mut BlockPool) {
-        for i in 0..self.registry.capacity() {
-            if i == my_slot {
-                continue;
-            }
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                let (refs, _) = unpack(self.slots[i].head.load(Ordering::SeqCst));
-                if refs == 0 {
-                    // Flush before recycling so a new claimant cannot race us
-                    // for the vault; pushes skip the dead slot itself because
-                    // its refs count is zero.
-                    self.flush_vault(i, my_slot, pool);
-                    adoption.finish();
-                } else {
-                    // Poison first: once the slot stops being `is_claimed`,
-                    // the flush below (and all future pushes) exclude it, so
-                    // the leak stops growing.
-                    adoption.poison();
-                    self.flush_vault(i, my_slot, pool);
-                }
-            }
-        }
+        // this batch, padded to full linkage capacity above.
+        unsafe { Self::push_batch(&nodes, min_birth.unwrap_or(u64::MAX), pinned) };
     }
 }
 
-impl Drop for Hyaline {
-    fn drop(&mut self) {
-        // All handles are gone, so every *flushed* batch has been freed by
-        // its last acknowledger or retirer.  What can remain are the vaults
-        // of orphaned slots no survivor adopted: free their nodes directly
-        // (they were never pushed, so nothing else references them).  Batches
-        // pinned by a poisoned slot's list stay leaked — see the module docs.
-        let mut pool = BlockPool::new(self.pool.clone(), 0);
-        for (i, vault) in self.vaults.iter().enumerate() {
-            let mut vault = vault.lock();
-            let n = vault.nodes.len();
-            for hdr in vault.nodes.drain(..) {
-                // SAFETY: `&mut self` proves all handles are gone; vault
-                // nodes were never pushed, so nothing else references them.
-                unsafe { pool.free(hdr) };
-            }
-            self.unreclaimed.sub(i, n);
-        }
-    }
-}
-
-/// Per-thread handle for [`Hyaline`].  The domain is shared with every
-/// thread; [`HyLocal`] is touched only by the owner, and `pin` lends the two
-/// out together so a guard never reaches the slot through the `Arc`.
+/// Per-thread handle for [`Hyaline`]: the shared slot lifecycle's handle plus
+/// the two fields enter and `alloc` keep per thread.
 pub struct HyalineHandle {
-    domain: Arc<Hyaline>,
-    local: HyLocal,
-}
-
-/// Thread-local half of a [`HyalineHandle`].
-struct HyLocal {
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
+    inner: Handle<Hyaline>,
     era_tick: EraCountdown,
     /// What the slot's `era` currently holds.  The owner is the only writer
-    /// of a claimed slot's era (`try_register` resets slot and cache together
+    /// of a claimed slot's era (registration resets slot and cache together
     /// to 0, below every real era), so enter can skip the store whenever the
     /// global era still equals this.  A forgotten guard can leave it behind
     /// the slot but never ahead; eras only grow, so it then differs from the
@@ -572,51 +511,36 @@ impl SmrHandle for HyalineHandle {
         Self: 'g;
 
     fn pin(&mut self) -> HyalineGuard<'_> {
-        let (domain, local) = (&*self.domain, &mut self.local);
-        domain
-            .registry
-            .check_owner_and_bind(local.claim, &mut local.binding);
-        let slot = &*domain.slots[local.claim.index];
-        let (era, entry_addr) = enter(&domain.global_era, slot, local.published_era);
+        let pinned = self.inner.pin();
+        let scheme = pinned.scheme();
+        let slot = &*scheme.slots[pinned.slot()];
+        let (era, entry_addr) = enter(&scheme.global_era, slot, self.published_era);
         HyalineGuard {
-            domain,
+            pinned,
             slot,
-            local,
+            era_tick: &mut self.era_tick,
+            published_era: &mut self.published_era,
             entry_addr,
             cached_era: era,
-            _thread_bound: std::marker::PhantomData,
         }
     }
 
     fn flush(&mut self) {
-        let (domain, idx, pool) = (&*self.domain, self.local.claim.index, &mut self.local.pool);
-        domain.flush_vault(idx, idx, pool);
-        domain.adopt_orphans(idx, pool);
-    }
-}
-
-impl Drop for HyalineHandle {
-    fn drop(&mut self) {
-        let (domain, claim, pool) = (&*self.domain, self.local.claim, &mut self.local.pool);
-        domain.registry.release_with(claim, || {
-            domain.flush_vault(claim.index, claim.index, pool);
-        });
+        let mut pinned = self.inner.lend();
+        Hyaline::flush_vault(pinned.slot(), &mut pinned);
+        pinned.adopt_orphans();
     }
 }
 
 /// Critical-section guard for [`Hyaline`].
 #[must_use = "dropping a guard unpublishes every protection it holds"]
 pub struct HyalineGuard<'g> {
-    domain: &'g Hyaline,
+    pinned: Pinned<'g, Hyaline>,
     /// The handle's slot, resolved once at `pin`.
     slot: &'g HySlot,
-    local: &'g mut HyLocal,
-    /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
-    /// read-side critical section, and the slot registry's liveness beacon
-    /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
-    /// crossed threads could see its protections neutralized when the
-    /// pinning thread exits.
-    _thread_bound: std::marker::PhantomData<*mut ()>,
+    era_tick: &'g mut EraCountdown,
+    /// The handle's cache of the era its slot publishes.
+    published_era: &'g mut u64,
     /// Slot-list head address observed atomically when entering; the
     /// traversal boundary for leave-time acknowledgements.
     entry_addr: usize,
@@ -635,19 +559,12 @@ impl HyalineGuard<'_> {
     fn leave(&mut self) {
         let (refs, observed) = unpack(self.slot.head.swap(0, Ordering::AcqRel));
         debug_assert_eq!(refs, 1, "leave without exactly one matching enter");
-        self.local.published_era = self.cached_era;
+        *self.published_era = self.cached_era;
         // SAFETY: this thread held its slot reference continuously from the
         // enter `fetch_add` (which returned `entry_addr`) until the swap above
         // that released it and returned `observed` — exactly `acknowledge`'s
         // contract.
-        unsafe {
-            self.domain.acknowledge(
-                observed,
-                self.entry_addr,
-                self.local.claim.index,
-                &mut self.local.pool,
-            )
-        };
+        unsafe { Hyaline::acknowledge(observed, self.entry_addr, &mut self.pinned) };
     }
 }
 
@@ -663,7 +580,7 @@ impl Drop for HyalineGuard<'_> {
 impl SmrGuard for HyalineGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        std::ptr::from_ref(self.domain) as usize
+        self.pinned.domain_addr()
     }
 
     #[inline]
@@ -673,7 +590,7 @@ impl SmrGuard for HyalineGuard<'_> {
         // pointer's birth era is covered by the published era.
         loop {
             let ptr = src.load(Ordering::Acquire);
-            let era = self.domain.global_era.load(Ordering::SeqCst);
+            let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
             if era == self.cached_era {
                 return ptr;
             }
@@ -684,7 +601,7 @@ impl SmrGuard for HyalineGuard<'_> {
 
     #[inline]
     fn announce<T>(&mut self, _idx: usize, _ptr: Shared<T>) {
-        let era = self.domain.global_era.load(Ordering::SeqCst);
+        let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
         self.slot.era.store(era, Ordering::SeqCst);
         self.cached_era = era;
     }
@@ -696,60 +613,27 @@ impl SmrGuard for HyalineGuard<'_> {
     fn clear(&mut self, _idx: usize) {}
 
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.local.pool.alloc(value);
-        // ORDERING: a Relaxed era read can only lag the true era, making the
-        // birth stamp conservatively old — strictly more protective for the
-        // `-1S` stalled-reader exemption.  The Relaxed store is published to
-        // retirers by the vault mutex taken at retire time.
-        let era = self.domain.global_era.load(Ordering::Relaxed);
-        // SAFETY: `ptr` was just produced by `pool.alloc`; its header is live
-        // and exclusively ours until the pointer is published.
-        // ORDERING: see the era comment just above.
-        unsafe { (*header_of(ptr)).birth_era.store(era, Ordering::Relaxed) };
-        self.local.era_tick.tick(1, &self.domain.global_era);
-        Shared::from_ptr(ptr)
+        let ptr = self.pinned.alloc(value);
+        self.era_tick.tick(1, &self.pinned.scheme().global_era);
+        ptr
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
-        unsafe { crate::limbo::dealloc(&mut self.local.pool, ptr) };
+        unsafe { self.pinned.dealloc(ptr) };
     }
 
     // SAFETY: callers must guarantee every pointer in `batch` satisfies the
     // per-node `retire` contract (unlinked, owned, retired exactly once).
     unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let idx = self.local.claim.index;
-        let full = {
-            let mut vault = self.domain.vaults[idx].lock();
-            vault.nodes.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees every element came from
-                // `alloc` on this domain and is already unlinked, so each
-                // block header is live.
-                let hdr = unsafe { header_of(value) };
-                // SAFETY: header valid as above.
-                // ORDERING: Relaxed read — the stamp was written before the
-                // pointer was published, and unlink + retire on this thread
-                // ordered us after any concurrent refresh; the value only
-                // feeds the conservative `min_birth` minimum.
-                let birth = unsafe { (*hdr).birth_era.load(Ordering::Relaxed) };
-                vault.min_birth = vault.min_birth.min(birth);
-                vault.nodes.push(hdr);
-            }
-            vault.nodes.len() >= self.domain.batch_capacity
-        };
-        self.domain.unreclaimed.add(idx, batch.len());
-        if full {
+        // SAFETY: forwarded — same contract.
+        let pending = unsafe { self.pinned.push_vault(batch, None) };
+        if pending >= self.pinned.scheme().batch_capacity {
             // One oversized push is fine: the batch carries *at least* one
             // linkage node per slot, and the vault mutex was touched once for
             // the whole batch instead of once per node.
-            self.domain.flush_vault(idx, idx, &mut self.local.pool);
+            Hyaline::flush_vault(self.pinned.slot(), &mut self.pinned);
         }
     }
 }
@@ -884,7 +768,7 @@ mod tests {
         let era = d.global_era.load(Ordering::SeqCst);
         drop(h.pin());
         assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era);
-        assert_eq!(h.local.published_era, era);
+        assert_eq!(h.published_era, era);
 
         // Unchanged global era: the slot's era is not written again.
         d.slots[0].era.store(PLANTED, Ordering::SeqCst);
@@ -902,7 +786,7 @@ mod tests {
         assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era + 1);
         assert_eq!(unpack(d.slots[0].head.load(Ordering::SeqCst)), (1, 0));
         drop(g);
-        assert_eq!(h.local.published_era, era + 1);
+        assert_eq!(h.published_era, era + 1);
     }
 
     #[test]
@@ -923,7 +807,7 @@ mod tests {
             republish(&mut g, &cell);
             assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era);
             drop(g);
-            assert_eq!(h.local.published_era, era, "handed back on leave");
+            assert_eq!(h.published_era, era, "handed back on leave");
             // So the next pin elides against what the slot really holds.
             d.slots[0].era.store(PLANTED, Ordering::SeqCst);
             drop(h.pin());
@@ -943,11 +827,12 @@ mod tests {
         drop(h);
         let mut h = d.register();
         assert_eq!(
-            h.local.claim.index, 0,
+            h.inner.lend().slot(),
+            0,
             "the released slot is handed out again"
         );
         assert_eq!(d.slots[0].era.load(Ordering::SeqCst), 0);
-        assert_eq!(h.local.published_era, 0);
+        assert_eq!(h.published_era, 0);
         // 0 is below every real era, so the first pin always publishes.
         drop(h.pin());
         assert_eq!(
@@ -1028,7 +913,11 @@ mod tests {
         // until a survivor adopts and flushes it.
         let d =
             crate::tests::leaked_handle_on_dead_thread_is_adopted::<Hyaline>(config(), 3, false, 1);
-        assert_eq!(d.registry.poisoned(), 0, "death outside a CS recycles");
+        assert_eq!(
+            d.core.registry().poisoned(),
+            0,
+            "death outside a CS recycles"
+        );
     }
 
     #[test]
@@ -1048,7 +937,7 @@ mod tests {
         let mut survivor = d.register();
         survivor.flush();
         assert_eq!(
-            d.registry.poisoned(),
+            d.core.registry().poisoned(),
             1,
             "death inside a CS must poison the slot, not recycle it"
         );
@@ -1067,6 +956,43 @@ mod tests {
             0,
             "a poisoned slot must not pin batches retired after poisoning"
         );
+    }
+
+    #[test]
+    fn leaked_vault_is_freed_exactly_once_on_domain_drop() {
+        // The Hyaline twin of `ebr::tests::orphans_are_freed_on_domain_drop`:
+        // a batch whose handle never releases it stays in the core's vault
+        // until the domain drops.
+        use std::sync::atomic::AtomicUsize;
+
+        struct Counted(Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        let d = Hyaline::new(config());
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut h = d.register();
+        {
+            let mut g = h.pin();
+            let p = g.alloc(Counted(drops.clone()));
+            // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
+            unsafe { g.retire(p) };
+        }
+        // One node is below `batch_capacity`, so it waits in the vault.  The
+        // slot is recycled without the adoption hook — all the domain sees of
+        // a leaked handle no survivor adopted — so the handle's release is
+        // stale and flushes nothing.
+        let registry = d.core.registry();
+        registry.simulate_owner_exit(0);
+        registry.try_begin_adopt(0).unwrap().finish();
+        drop(h);
+        assert_eq!(d.unreclaimed(), 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        drop(d);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
 
     #[test]

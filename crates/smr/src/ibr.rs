@@ -16,7 +16,7 @@
 //! shared retire core ([`crate::limbo`]).
 
 use crate::block::Retired;
-use crate::limbo::{EraCountdown, Handle, Pinned, RetireCore, Scheme};
+use crate::limbo::{Domain, EraCountdown, Handle, Pinned, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
@@ -113,16 +113,7 @@ impl Ibr {
     }
 }
 
-// SAFETY: a reader's interval `[lower, upper]` covers every era in which it
-// loaded a pointer, so it can hold a reference to a node only if its interval
-// overlaps the node's lifetime `[birth, retire]`.  `can_free` accepts a record
-// only when no claimed slot's interval overlaps, read with SeqCst after the
-// node was retired — from the snapshot (IBRopt) or by a per-record scan
-// (IBR).  `neutralize` stores the empty interval `[MAX, 0]`.
-unsafe impl Scheme for Ibr {
-    /// IBRopt: every active interval.  IBR: `None`, rescan per record.
-    type Snapshot = Option<Vec<(u64, u64)>>;
-
+impl Domain for Ibr {
     #[inline]
     fn core(&self) -> &RetireCore {
         &self.core
@@ -132,6 +123,21 @@ unsafe impl Scheme for Ibr {
     fn birth_stamp(&self) -> Option<u64> {
         Some(self.era_stamp())
     }
+
+    fn neutralize(&self, slot: usize) {
+        self.slots[slot].deactivate(Ordering::SeqCst);
+    }
+}
+
+// SAFETY: a reader's interval `[lower, upper]` covers every era in which it
+// loaded a pointer, so it can hold a reference to a node only if its interval
+// overlaps the node's lifetime `[birth, retire]`.  `can_free` accepts a record
+// only when no claimed slot's interval overlaps, read with SeqCst after the
+// node was retired — from the snapshot (IBRopt) or by a per-record scan
+// (IBR).  `neutralize` stores the empty interval `[MAX, 0]`.
+unsafe impl Scheme for Ibr {
+    /// IBRopt: every active interval.  IBR: `None`, rescan per record.
+    type Snapshot = Option<Vec<(u64, u64)>>;
 
     #[inline]
     fn retire_stamp(&self) -> Option<u64> {
@@ -151,10 +157,6 @@ unsafe impl Scheme for Ibr {
             Some(snap) => !snap.iter().copied().any(overlaps),
             None => !self.intervals().any(overlaps),
         }
-    }
-
-    fn neutralize(&self, slot: usize) {
-        self.slots[slot].deactivate(Ordering::SeqCst);
     }
 }
 
@@ -182,7 +184,6 @@ impl SmrHandle for IbrHandle {
             slot,
             era_tick: &mut self.era_tick,
             cached_upper: era,
-            _thread_bound: std::marker::PhantomData,
         }
     }
 
@@ -198,12 +199,6 @@ pub struct IbrGuard<'g> {
     /// The handle's interval slot, resolved once at `pin`.
     slot: &'g IbrSlot,
     era_tick: &'g mut EraCountdown,
-    /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
-    /// read-side critical section, and the slot registry's liveness beacon
-    /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
-    /// crossed threads could see its protections neutralized when the
-    /// pinning thread exits.
-    _thread_bound: std::marker::PhantomData<*mut ()>,
     /// Local cache of the published `upper`, avoiding an atomic load per
     /// protect call on the fast path.
     cached_upper: u64,

@@ -31,13 +31,15 @@
 //!   epoch advancement that displaces long-running readers through the same
 //!   checkpoint protocol.
 //!
-//! Everything that happens to a block after `retire` under the six
-//! limbo-list schemes (EBR, HP, HE, IBR, NBR, VBR) — per-slot retire vaults,
-//! threshold-triggered sweeps, the orphan list, adoption of slots whose owner
+//! The slot lifecycle of all eight families — claim, pin, per-slot retire
+//! vaults, the block pool, the sharded counter, adoption of slots whose owner
 //! thread died, handle release, domain teardown — is written once, in the
-//! crate-private retire core (`limbo.rs`); a scheme contributes its stamps,
-//! its "may this block be freed" predicate and how a slot's reservation is
-//! withdrawn.  Hyaline has no limbo list and keeps its own batch machinery.
+//! crate-private retire core (`limbo.rs`); a scheme contributes how a slot's
+//! reservation is withdrawn and what release and adoption do with its vault.
+//! The six limbo-list schemes (EBR, HP, HE, IBR, NBR, VBR) also share its
+//! threshold-triggered sweeps and orphan list, contributing their stamps and
+//! their "may this block be freed" predicate.  Hyaline shares the lifecycle,
+//! not the sweep: its vault is flushed as reference-counted batches.
 //!
 //! All schemes expose the same narrow interface — [`Smr`] / [`SmrHandle`] /
 //! [`SmrGuard`] — modeled directly on the paper's Figure 1 (`protect`, `dup`)
@@ -411,7 +413,7 @@ pub trait SmrHandle {
     ///
     /// Also re-binds the handle's slot to the calling thread's liveness
     /// beacon (a pointer compare on the already-bound fast path; see
-    /// [`registry::SlotRegistry::check_owner_and_bind`]).
+    /// [`registry::PinBinding`]).
     ///
     /// # Panics
     /// If the handle's slot was adopted by a surviving thread — the thread
@@ -616,6 +618,7 @@ pub fn drain_with_timeout<S: Smr>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::limbo::Domain;
 
     /// Shared body of every scheme's `retire_batch_reclaims_like_per_node_retire`:
     /// a batch of `nodes` fresh blocks retired in one call is fully reclaimed
@@ -691,6 +694,48 @@ mod tests {
             d.name()
         );
         d
+    }
+
+    /// Shared body of `dead_slot_is_recycled_after_one_flush_under_every_scheme`:
+    /// with both slots claimed and one owner's exit simulated (no thread is
+    /// spawned, so this runs under Miri), registration fails until one
+    /// survivor `flush` adopts the dead slot, and then succeeds on the
+    /// recycled index.  The dead handle is dropped last: its claim is stale
+    /// by then, and its release must leave the new claim alone.
+    fn dead_slot_is_recycled_after_one_flush<S: Smr + Domain>() {
+        let d = S::new(SmrConfig {
+            max_threads: 2,
+            ..SmrConfig::default()
+        });
+        let mut survivor = d.register();
+        let dead = d.register();
+        let registry = d.core().registry();
+        registry.simulate_owner_exit(1);
+        assert_eq!(
+            d.try_register().err(),
+            Some(SmrError::RegistryFull { capacity: 2 }),
+            "{}",
+            d.name()
+        );
+        survivor.flush();
+        assert!(!registry.is_claimed(1), "{}: adopted", d.name());
+        let recycled = d.try_register().expect("the adopted slot is free");
+        assert!(registry.is_claimed(1), "{}: recycled", d.name());
+        drop(dead);
+        assert!(registry.is_claimed(1), "{}: stale release", d.name());
+        drop((recycled, survivor));
+    }
+
+    #[test]
+    fn dead_slot_is_recycled_after_one_flush_under_every_scheme() {
+        dead_slot_is_recycled_after_one_flush::<Nr>();
+        dead_slot_is_recycled_after_one_flush::<Ebr>();
+        dead_slot_is_recycled_after_one_flush::<Hp>();
+        dead_slot_is_recycled_after_one_flush::<He>();
+        dead_slot_is_recycled_after_one_flush::<Ibr>();
+        dead_slot_is_recycled_after_one_flush::<Hyaline>();
+        dead_slot_is_recycled_after_one_flush::<Nbr>();
+        dead_slot_is_recycled_after_one_flush::<Vbr>();
     }
 
     /// Era cadence is batch-invariant: retiring `K` nodes singly (`retire`)

@@ -1,31 +1,33 @@
-//! The retire core: everything that happens to a block between `retire` and
-//! `free`, written once for the six limbo-list schemes.
+//! The retire core: the slot lifecycle of all eight schemes, and everything
+//! that happens to a block between `retire` and `free` under the six
+//! limbo-list schemes.
 //!
 //! To a data structure a reclamation scheme is a reservation format plus a
-//! "may this block be freed" test; everything after `retire` is plumbing that
-//! does not depend on the scheme.  This module owns that plumbing —
-//! [`RetireCore`] holds the slot registry, the per-slot retire *vaults*, the
-//! orphan list, the sharded `unreclaimed` counter and the shared block pool,
-//! and [`Handle`] drives them: batched retirement, threshold-triggered scans,
-//! adoption of slots whose owner died, handle release and domain teardown.
-//! [`crate::Ebr`], [`crate::Hp`], [`crate::He`], [`crate::Ibr`],
-//! [`crate::Nbr`] and [`crate::Vbr`] plug in through [`Scheme`] and keep only
-//! their slots, their global clock and their read-side protocol.
-//! [`crate::Hyaline`] stays outside: its vault is a batch pushed to per-slot
-//! reference-counted lists and freed by the last acknowledger, so it has no
-//! limbo list to sweep and no `can_free` to ask.
+//! "may this block be freed" test; the rest is plumbing that does not depend
+//! on the scheme.  This module owns it: [`RetireCore`] holds the slot
+//! registry, the per-slot retire *vaults*, the orphan list, the sharded
+//! `unreclaimed` counter and the shared block pool, and [`Handle`] drives
+//! them.  The slot lifecycle — claim, pin, release, adoption of slots whose
+//! owner died, domain teardown — serves every domain ([`Domain`],
+//! [`Lifecycle`]).  The limbo sweep serves [`crate::Ebr`], [`crate::Hp`],
+//! [`crate::He`], [`crate::Ibr`], [`crate::Nbr`] and [`crate::Vbr`], which
+//! plug in through [`Scheme`] and keep only their slots, their global clock
+//! and their read-side protocol.  [`crate::Hyaline`] shares the lifecycle and
+//! the vault, not the sweep: it flushes its vault as reference-counted
+//! batches freed by the last acknowledger, so it has no `can_free` to ask.
+//! [`crate::Nr`] shares the lifecycle and leaks.
 //!
 //! ## Vaults, orphans, adoption
 //!
 //! Retired-but-unreclaimed blocks live in per-slot vaults owned by the
 //! *domain* rather than by the handle, so that when a thread dies without
 //! dropping its handle (see [`crate::registry`]) a survivor can adopt the
-//! slot: the dead owner's reservation is neutralized — sound because the
-//! owner can issue no further loads — its vault moves to the shared orphan
-//! list, and the slot returns to the free pool.  A vault is locked on every
-//! retirement, but only ever contended by an adopter: the owner is the sole
-//! routine writer.  A handle that is dropped normally does the same to its
-//! own slot after one last sweep.
+//! slot: for a limbo-list scheme the dead owner's reservation is neutralized
+//! — sound because the owner can issue no further loads — its vault moves to
+//! the shared orphan list, and the slot returns to the free pool.  A vault is
+//! locked on every retirement, but only ever contended by an adopter: the
+//! owner is the sole routine writer.  A handle that is dropped normally does
+//! the same to its own slot after one last sweep.
 //!
 //! ## One scan
 //!
@@ -39,15 +41,52 @@
 use crate::block::{header_of, Retired};
 use crate::pool::{BlockPool, PoolShared, ShardedCounter};
 use crate::ptr::Shared;
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
+use crate::registry::{AdoptGuard, PinBinding, SlotClaim, SlotRegistry};
 use crate::{SmrConfig, SmrError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What a limbo-list scheme contributes to reclamation: what it stamps on a
-/// block, the predicate that decides when a retired block may be freed, how a
-/// slot's reservation is withdrawn, and two scan hooks.
+/// What every domain gives the shared slot lifecycle: the core it embeds,
+/// the era it stamps on a new block, and how a slot's reservation is
+/// withdrawn.
+pub(crate) trait Domain: Send + Sync + Sized + 'static {
+    /// The core this domain embeds.
+    fn core(&self) -> &RetireCore;
+
+    /// Era to stamp into `Header::birth_era` at allocation, if the scheme
+    /// reads it.
+    #[inline]
+    fn birth_stamp(&self) -> Option<u64> {
+        None
+    }
+
+    /// Withdraws every reservation published in `slot`, leaving the state
+    /// that protects nothing.  Called when a slot is claimed, and by a
+    /// limbo-list scheme's release and adoption — never while a guard of that
+    /// slot can still dereference through the reservation.
+    fn neutralize(&self, slot: usize);
+}
+
+/// What release and adoption do with a slot: the two lifecycle steps a
+/// domain does not share.  One blanket impl gives them to every [`Scheme`];
+/// Hyaline and NR write their own.
+pub(crate) trait Lifecycle: Domain {
+    /// Tears down the slot of `pinned` as its handle drops.  Runs under the
+    /// slot's beacon mutex after the generation check
+    /// ([`SlotRegistry::release_with`]); guards cannot outlive their handle,
+    /// so no guard of the slot is alive.
+    fn release(pinned: &mut Pinned<'_, Self>);
+
+    /// Adopts `slot`, whose owning thread died without releasing it, on
+    /// behalf of the owner of `pinned`, and ends `adoption` with
+    /// [`AdoptGuard::finish`] or [`AdoptGuard::poison`].
+    fn adopt(adoption: AdoptGuard<'_>, slot: usize, pinned: &mut Pinned<'_, Self>);
+}
+
+/// What a limbo-list scheme adds to its [`Domain`]: what it stamps on a
+/// retired block, the predicate that decides when a retired block may be
+/// freed, and two scan hooks.
 ///
 /// # Safety
 /// The sweep frees every record `can_free` accepts, so an implementation must
@@ -55,24 +94,14 @@ use std::sync::Arc;
 /// record's block was retired (unlinked from the structure and stamped with
 /// [`Scheme::retire_stamp`]), `can_free(&snapshot, record)` returns `true`
 /// only if no thread holds, or can still obtain, a protected reference to the
-/// block.  [`Scheme::neutralize`] must leave the slot's reservation in the
+/// block.  [`Domain::neutralize`] must leave the slot's reservation in the
 /// state that protects nothing.
-pub(crate) unsafe trait Scheme: Send + Sync + Sized + 'static {
+pub(crate) unsafe trait Scheme: Domain {
     /// What one sweep needs to know about every live reservation: the global
     /// epoch (EBR), the minimum announced checkpoint/epoch (NBR, VBR), or the
     /// sorted hazard/era/interval list under `snapshot_scan` (`None` selects
     /// the per-record registry scan).
     type Snapshot;
-
-    /// The core this scheme's domain embeds.
-    fn core(&self) -> &RetireCore;
-
-    /// Era to stamp into `Header::birth_era` at allocation, if the predicate
-    /// reads it.
-    #[inline]
-    fn birth_stamp(&self) -> Option<u64> {
-        None
-    }
 
     /// Era/epoch to stamp into `Header::retire_era` at retirement, if the
     /// predicate reads it.  A relaxed read of the global clock is enough: the
@@ -84,11 +113,6 @@ pub(crate) unsafe trait Scheme: Send + Sync + Sized + 'static {
 
     /// Whether `retired` may be freed; see the trait's safety contract.
     fn can_free(&self, snapshot: &Self::Snapshot, retired: &Retired) -> bool;
-
-    /// Withdraws every reservation published in `slot`.  Called when a slot
-    /// is claimed, released, or adopted from a dead owner — never while a
-    /// guard of that slot can still dereference through the reservation.
-    fn neutralize(&self, slot: usize);
 
     /// Runs first in every scan (`force` on `flush`).
     #[inline]
@@ -102,7 +126,30 @@ pub(crate) unsafe trait Scheme: Send + Sync + Sized + 'static {
     }
 }
 
-/// Domain-side state of the retire path (see the module docs).
+impl<S: Scheme> Lifecycle for S {
+    /// Neutralizes first — no guard of the slot is alive — so the last sweep
+    /// frees what only this slot still pinned; the rest moves to the orphan
+    /// list.
+    fn release(pinned: &mut Pinned<'_, S>) {
+        let (scheme, slot) = (pinned.scheme, pinned.slot);
+        let core = scheme.core();
+        scheme.neutralize(slot);
+        core.sweep_vault(scheme, slot, pinned.pool);
+        core.orphan_vault(slot);
+    }
+
+    /// Neutralizes the dead owner's reservation, so neither the scheme's
+    /// clock nor the memory stays pinned forever, moves its vault to the
+    /// orphan list and recycles the slot.
+    fn adopt(adoption: AdoptGuard<'_>, slot: usize, pinned: &mut Pinned<'_, S>) {
+        pinned.scheme.neutralize(slot);
+        pinned.scheme.core().orphan_vault(slot);
+        adoption.finish();
+    }
+}
+
+/// Domain-side state of the slot lifecycle and the retire path (see the
+/// module docs).
 pub(crate) struct RetireCore {
     config: SmrConfig,
     registry: SlotRegistry,
@@ -154,6 +201,11 @@ impl RetireCore {
             .map(|(_, slot)| slot)
     }
 
+    /// Empties the vault of `slot` and returns what it held, in retire order.
+    pub(crate) fn take_vault(&self, slot: usize) -> Vec<Retired> {
+        std::mem::take(&mut *self.vaults[slot].lock())
+    }
+
     /// Frees every entry of `limbo` the scheme's predicate accepts, keeping
     /// the rest in order.  Freed blocks recycle into `pool`; the sweeper's
     /// own shard absorbs the decrement (shards may go negative, the sum stays
@@ -202,25 +254,6 @@ impl RetireCore {
             self.orphans.lock().append(&mut vault);
         }
     }
-
-    /// Adopts every slot whose owning thread died without releasing it
-    /// (leaked handle, thread torn down first) — neutralizing its reservation
-    /// and orphaning its vault, so neither the scheme's clock nor the memory
-    /// stays pinned forever — then sweeps the orphan list.
-    fn adopt_orphans<S: Scheme>(&self, scheme: &S, my_slot: usize, pool: &mut BlockPool) {
-        for i in (0..self.registry.capacity()).filter(|&i| i != my_slot) {
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                scheme.neutralize(i);
-                self.orphan_vault(i);
-                adoption.finish();
-            }
-        }
-        if let Some(mut orphans) = self.orphans.try_lock() {
-            if !orphans.is_empty() {
-                self.sweep(scheme, &mut orphans, my_slot, pool);
-            }
-        }
-    }
 }
 
 impl Drop for RetireCore {
@@ -232,36 +265,37 @@ impl Drop for RetireCore {
         for r in vaults.flatten().chain(orphans) {
             // SAFETY: every handle holds an `Arc` of the domain that embeds
             // this core, so `&mut self` proves no handle — and hence no guard
-            // — exists; nothing can be protected any more.
+            // — exists; nothing can be protected any more.  Hyaline's batches
+            // leave the vault before they are pushed, so each is freed once.
             unsafe { r.free() };
         }
     }
 }
 
-/// Per-thread side of the retire path: the claimed slot, its liveness
-/// binding and the thread's block pool.  Every limbo-list scheme's handle
-/// wraps one.  The domain is shared with every thread, the rest is touched
-/// only by the owner; [`Handle::pin`] lends both out at once (a disjoint-field
-/// borrow), so a guard resolves what it needs — scheme, reservation slot,
-/// pool — when the critical section opens and never walks handle → `Arc` →
-/// slot array again.
-pub(crate) struct Handle<S: Scheme> {
+/// Per-thread side of the slot lifecycle: the claimed slot, its liveness
+/// binding and the thread's block pool.  Every scheme's handle wraps one.
+/// The domain is shared with every thread, the rest is touched only by the
+/// owner; [`Handle::pin`] lends both out at once (a disjoint-field borrow),
+/// so a guard resolves what it needs — scheme, reservation slot, pool — when
+/// the critical section opens and never walks handle → `Arc` → slot array
+/// again.
+pub(crate) struct Handle<S: Lifecycle> {
     domain: Arc<S>,
     claim: SlotClaim,
     binding: PinBinding,
     pool: BlockPool,
 }
 
-impl<S: Scheme> Handle<S> {
+impl<S: Lifecycle> Handle<S> {
     /// Claims a slot of `domain` for the calling thread.
     pub(crate) fn register(domain: &Arc<S>) -> Result<Self, SmrError> {
         let core = domain.core();
         let claim = core.registry.try_claim().ok_or(SmrError::RegistryFull {
             capacity: core.registry.capacity(),
         })?;
-        // Release and adoption both leave the slot neutral; starting every
-        // claim from that state anyway keeps a scheme's `pin` free of
-        // assumptions about the previous owner.
+        // Every claim starts from the neutral state, so a scheme's `pin`
+        // assumes nothing about the previous owner (Hyaline's release and
+        // adoption leave the slot to this reset).
         domain.neutralize(claim.index);
         Ok(Self {
             pool: BlockPool::new(core.pool.clone(), core.config.pool_blocks()),
@@ -280,35 +314,58 @@ impl<S: Scheme> Handle<S> {
     pub(crate) fn pin(&mut self) -> Pinned<'_, S> {
         let registry = &self.domain.core().registry;
         registry.check_owner_and_bind(self.claim, &mut self.binding);
-        self.split()
+        self.lend()
     }
 
-    /// One forced reclamation pass: the `flush` of every limbo-list scheme.
-    pub(crate) fn flush(&mut self) {
-        self.split().scan(true);
-    }
-
+    /// Lends the handle out without the owner check, for `flush`: it
+    /// publishes no reservation.
     #[inline]
-    fn split(&mut self) -> Pinned<'_, S> {
+    pub(crate) fn lend(&mut self) -> Pinned<'_, S> {
         Pinned {
             scheme: &self.domain,
             slot: self.claim.index,
             pool: &mut self.pool,
+            _thread_bound: std::marker::PhantomData,
         }
     }
 }
 
-/// A [`Handle`] lent out for one critical section: the domain by `&`, the
-/// thread's pool by `&mut`, the slot index by value.  Guards embed it next to
-/// the `&'g` reservation slot they resolve from [`Pinned::scheme`] and
-/// [`Pinned::slot`] once, in `pin`.
-pub(crate) struct Pinned<'g, S: Scheme> {
+impl<S: Scheme> Handle<S> {
+    /// One forced reclamation pass: the `flush` of every limbo-list scheme.
+    pub(crate) fn flush(&mut self) {
+        self.lend().scan(true);
+    }
+}
+
+impl<S: Lifecycle> Drop for Handle<S> {
+    fn drop(&mut self) {
+        let claim = self.claim;
+        let mut pinned = self.lend();
+        let registry = &pinned.scheme.core().registry;
+        // If the slot was adopted (its last pinning thread died while the
+        // handle lived elsewhere) the generation check skips the release:
+        // the adopter already tore the slot down.
+        registry.release_with(claim, || S::release(&mut pinned));
+    }
+}
+
+/// A [`Handle`] lent out for one critical section (or one `flush`, release
+/// or adoption): the domain by `&`, the thread's pool by `&mut`, the slot
+/// index by value.  Guards embed it next to the `&'g` reservation slot they
+/// resolve from [`Pinned::scheme`] and [`Pinned::slot`] once, in `pin`.
+pub(crate) struct Pinned<'g, S: Lifecycle> {
     scheme: &'g S,
     slot: usize,
     pool: &'g mut BlockPool,
+    /// Makes every guard `!Send`/`!Sync`: a guard is the pinning thread's
+    /// read-side critical section, and the slot registry's liveness beacon
+    /// tracks exactly that thread (see [`crate::registry`]) — a guard that
+    /// crossed threads could see its protections neutralized when the
+    /// pinning thread exits.
+    _thread_bound: std::marker::PhantomData<*mut ()>,
 }
 
-impl<'g, S: Scheme> Pinned<'g, S> {
+impl<'g, S: Lifecycle> Pinned<'g, S> {
     /// The domain the handle registered with.
     #[inline]
     pub(crate) fn scheme(&self) -> &'g S {
@@ -319,6 +376,12 @@ impl<'g, S: Scheme> Pinned<'g, S> {
     #[inline]
     pub(crate) fn slot(&self) -> usize {
         self.slot
+    }
+
+    /// The thread's block pool.
+    #[inline]
+    pub(crate) fn pool(&mut self) -> &mut BlockPool {
+        self.pool
     }
 
     /// The guard brand: see [`crate::SmrGuard::domain_addr`].
@@ -343,57 +406,97 @@ impl<'g, S: Scheme> Pinned<'g, S> {
         Shared::from_ptr(ptr)
     }
 
-    /// Immediately frees a block that was never published.
+    /// Immediately frees a block that was never published — the
+    /// [`crate::SmrGuard::dealloc`] body shared by every scheme.
     ///
     /// # Safety
     /// The [`crate::SmrGuard::dealloc`] contract: `ptr` came from `alloc` on
     /// this domain and no other thread has observed it.
     #[inline]
     pub(crate) unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: forwarded — same contract.
-        unsafe { dealloc(self.pool, ptr) };
+        // SAFETY: never published, so the block is live and this thread is
+        // its sole owner; pool-freeing it runs the destructor exactly once.
+        unsafe { self.pool.free(header_of(ptr.untagged().as_ptr())) };
     }
 
-    /// Retires `batch` under one vault lock and one counter update, then
-    /// scans if the vault reached the threshold.  A one-element batch is the
-    /// single-node `retire`.
+    /// Counts `n` more blocks as retired and not yet reclaimed, on this
+    /// slot's shard.
+    #[inline]
+    pub(crate) fn count_retired(&self, n: usize) {
+        self.scheme.core().unreclaimed.add(self.slot, n);
+    }
+
+    /// Counts `n` blocks as reclaimed, on this slot's shard — often not the
+    /// shard they were retired on; only the sum is meaningful.
+    #[inline]
+    pub(crate) fn count_freed(&self, n: usize) {
+        self.scheme.core().unreclaimed.sub(self.slot, n);
+    }
+
+    /// Appends `batch` to this slot's vault under one lock and one counter
+    /// update, stamping each block's retire era with `stamp` if given, and
+    /// returns how many entries the vault now holds (0 for an empty batch).
+    /// Limbo-list retirement scans and Hyaline flushes past their threshold.
+    ///
+    /// # Safety
+    /// The [`crate::SmrGuard::retire`] contract for every element: produced
+    /// by `alloc` on this domain, physically unlinked, retired exactly once.
+    #[inline]
+    pub(crate) unsafe fn push_vault<T>(&self, batch: &[Shared<T>], stamp: Option<u64>) -> usize {
+        if batch.is_empty() {
+            return 0;
+        }
+        let mut vault = self.scheme.core().vaults[self.slot].lock();
+        if batch.len() > 1 {
+            vault.reserve(batch.len());
+        }
+        for &ptr in batch {
+            let value = ptr.untagged().as_ptr();
+            debug_assert!(!value.is_null());
+            // SAFETY: the caller guarantees every element came from `alloc`
+            // on this domain and is already unlinked, so its block header is
+            // live.
+            let retired = unsafe { Retired::from_value(value) };
+            if let Some(era) = stamp {
+                // SAFETY: the block is unlinked but not yet in any limbo
+                // list; this thread has exclusive access to its stamp.
+                // ORDERING: Relaxed — published to sweepers by the vault
+                // mutex held here.
+                unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
+            }
+            vault.push(retired);
+        }
+        let pending = vault.len();
+        drop(vault);
+        self.count_retired(batch.len());
+        pending
+    }
+
+    /// Adopts every slot whose owning thread died without releasing it
+    /// (leaked handle, thread torn down first), handing each to the scheme's
+    /// [`Lifecycle::adopt`].
+    pub(crate) fn adopt_orphans(&mut self) {
+        let (registry, me) = (&self.scheme.core().registry, self.slot);
+        for i in (0..registry.capacity()).filter(|&i| i != me) {
+            if let Some(adoption) = registry.try_begin_adopt(i) {
+                S::adopt(adoption, i, self);
+            }
+        }
+    }
+}
+
+impl<S: Scheme> Pinned<'_, S> {
+    /// Retires `batch` into the vault, then scans if the vault reached the
+    /// threshold.  A one-element batch is the single-node `retire`.
     ///
     /// # Safety
     /// The [`crate::SmrGuard::retire`] contract for every element: produced
     /// by `alloc` on this domain, physically unlinked, retired exactly once.
     #[inline]
     pub(crate) unsafe fn retire_batch<T>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let core = self.scheme.core();
-        let stamp = self.scheme.retire_stamp();
-        let slot = self.slot;
-        let pending = {
-            let mut vault = core.vaults[slot].lock();
-            if batch.len() > 1 {
-                vault.reserve(batch.len());
-            }
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees every element came from
-                // `alloc` on this domain and is already unlinked, so its
-                // block header is live.
-                let retired = unsafe { Retired::from_value(value) };
-                if let Some(era) = stamp {
-                    // SAFETY: the block is unlinked but not yet in any limbo
-                    // list; this thread has exclusive access to its stamp.
-                    // ORDERING: Relaxed — published to sweepers by the vault
-                    // mutex held here.
-                    unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
-                }
-                vault.push(retired);
-            }
-            vault.len()
-        };
-        core.unreclaimed.add(slot, batch.len());
-        if pending >= core.config.scan_threshold {
+        // SAFETY: forwarded — same contract.
+        let pending = unsafe { self.push_vault(batch, self.scheme.retire_stamp()) };
+        if pending >= self.scheme.core().config.scan_threshold {
             // Amortized reclamation: one scan per `scan_threshold`
             // retirements (§5 of the paper).
             self.scan(false);
@@ -402,51 +505,25 @@ impl<'g, S: Scheme> Pinned<'g, S> {
 
     /// One reclamation pass (see the module docs); `force` is `flush`.
     pub(crate) fn scan(&mut self, force: bool) {
-        let (scheme, slot, pool) = (self.scheme, self.slot, &mut *self.pool);
+        let (scheme, slot) = (self.scheme, self.slot);
         let core = scheme.core();
         scheme.before_scan(force);
-        let left = core.sweep_vault(scheme, slot, pool);
-        core.adopt_orphans(scheme, slot, pool);
+        let left = core.sweep_vault(scheme, slot, self.pool);
+        self.adopt_orphans();
+        if let Some(mut orphans) = core.orphans.try_lock() {
+            if !orphans.is_empty() {
+                core.sweep(scheme, &mut orphans, slot, self.pool);
+            }
+        }
         let blocked = if force {
             left > 0
         } else {
             left >= core.config.scan_threshold
         };
         if blocked && scheme.still_blocked() {
-            core.sweep_vault(scheme, slot, pool);
+            core.sweep_vault(scheme, slot, self.pool);
         }
     }
-}
-
-impl<S: Scheme> Drop for Handle<S> {
-    fn drop(&mut self) {
-        let (scheme, slot, pool) = (&*self.domain, self.claim.index, &mut self.pool);
-        let core = scheme.core();
-        // The teardown runs under the slot's beacon mutex after the
-        // generation check: if the slot was adopted (its last pinning thread
-        // died while the handle lived elsewhere) the closure is skipped — the
-        // adopter already neutralized the reservation and orphaned the vault.
-        // Guards cannot outlive the handle, so neutralizing first is sound
-        // and lets the last sweep free what only this slot still pinned.
-        core.registry.release_with(self.claim, || {
-            scheme.neutralize(slot);
-            core.sweep_vault(scheme, slot, pool);
-            core.orphan_vault(slot);
-        });
-    }
-}
-
-/// Frees a never-published block through `pool` — the
-/// [`crate::SmrGuard::dealloc`] body shared by every scheme.
-///
-/// # Safety
-/// `ptr` came from `alloc` on the pool's domain and no other thread has
-/// observed it.
-#[inline]
-pub(crate) unsafe fn dealloc<T>(pool: &mut BlockPool, ptr: Shared<T>) {
-    // SAFETY: never published, so the block is live and this thread is its
-    // sole owner; pool-freeing it runs the destructor exactly once.
-    unsafe { pool.free(header_of(ptr.untagged().as_ptr())) };
 }
 
 /// Per-handle countdown to the next advance of a global era/epoch clock: the
@@ -481,6 +558,13 @@ mod tests {
     use super::*;
     use crate::block::alloc_block;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
+
+    impl RetireCore {
+        /// The slot registry, for tests that simulate a dead owner.
+        pub(crate) fn registry(&self) -> &SlotRegistry {
+            &self.registry
+        }
+    }
 
     /// Retire stamp of the fake scheme; `can_free` checks every record
     /// carries it, i.e. that stamping happens before a record is swept.
@@ -528,15 +612,21 @@ mod tests {
         }
     }
 
+    impl Domain for Fake {
+        fn core(&self) -> &RetireCore {
+            &self.core
+        }
+
+        fn neutralize(&self, slot: usize) {
+            self.neutralized.lock().push(slot);
+        }
+    }
+
     // SAFETY: test double — no reader ever holds a reference to a block these
     // single-threaded tests retire, so every `can_free` answer is sound, and
     // there is no reservation for `neutralize` to withdraw.
     unsafe impl Scheme for Fake {
         type Snapshot = ();
-
-        fn core(&self) -> &RetireCore {
-            &self.core
-        }
 
         fn retire_stamp(&self) -> Option<u64> {
             Some(STAMP)
@@ -547,10 +637,6 @@ mod tests {
         fn can_free(&self, _: &(), retired: &Retired) -> bool {
             assert_eq!(retired.retire_era(), STAMP, "swept before stamped");
             self.permit_all.load(Ordering::SeqCst) || self.permitted.lock().contains(&retired.value)
-        }
-
-        fn neutralize(&self, slot: usize) {
-            self.neutralized.lock().push(slot);
         }
 
         fn before_scan(&self, _force: bool) {
@@ -578,7 +664,7 @@ mod tests {
         drops: &Arc<AtomicUsize>,
     ) -> Vec<Shared<Counted>> {
         (0..n)
-            .map(|_| h.split().alloc(Counted(drops.clone())))
+            .map(|_| h.lend().alloc(Counted(drops.clone())))
             .collect()
     }
 
@@ -589,7 +675,7 @@ mod tests {
         let mut h = Handle::register(&d).unwrap();
         let nodes = alloc_counted(&mut h, 6, &drops);
         // SAFETY: freshly allocated, never published, retired exactly once.
-        unsafe { h.split().retire_batch(&nodes) };
+        unsafe { h.lend().retire_batch(&nodes) };
         assert_eq!(d.core.unreclaimed(), 6);
         for i in [1, 3, 4] {
             d.permit(nodes[i]);
@@ -621,7 +707,7 @@ mod tests {
         let mut b = Handle::register(&d).unwrap();
         let nodes = alloc_counted(&mut a, 3, &drops);
         // SAFETY: freshly allocated, never published, retired exactly once.
-        unsafe { a.split().retire_batch(&nodes) };
+        unsafe { a.lend().retire_batch(&nodes) };
         // Nothing is freeable yet: dropping `a` sweeps, then orphans all 3.
         drop(a);
         assert_eq!(d.core.unreclaimed(), 3);
@@ -630,7 +716,7 @@ mod tests {
         d.permit_all.store(true, Ordering::SeqCst);
         let more = alloc_counted(&mut b, 2, &drops);
         // SAFETY: as above.
-        unsafe { b.split().retire_batch(&more) };
+        unsafe { b.lend().retire_batch(&more) };
         assert_eq!(d.core.unreclaimed(), 5);
         b.flush();
         assert_eq!(d.core.unreclaimed(), 0);
@@ -645,7 +731,7 @@ mod tests {
         let mut survivor = Handle::register(&d).unwrap();
         let nodes = alloc_counted(&mut dead, 2, &drops);
         // SAFETY: freshly allocated, never published, retired exactly once.
-        unsafe { dead.split().retire_batch(&nodes) };
+        unsafe { dead.lend().retire_batch(&nodes) };
         d.core.registry.simulate_owner_exit(dead.claim.index);
         d.neutralized.lock().clear(); // registration neutralizes too
         survivor.flush();
@@ -681,12 +767,12 @@ mod tests {
         let nodes = alloc_counted(&mut h, 8, &drops);
         for &p in &nodes[..3] {
             // SAFETY: freshly allocated, never published, retired exactly once.
-            unsafe { h.split().retire_batch(std::slice::from_ref(&p)) };
+            unsafe { h.lend().retire_batch(std::slice::from_ref(&p)) };
         }
         assert_eq!(d.scans.load(Ordering::SeqCst), 0, "below the threshold");
         // 3 + 5 crosses the threshold of 4 in the middle of the batch.
         // SAFETY: as above.
-        unsafe { h.split().retire_batch(&nodes[3..]) };
+        unsafe { h.lend().retire_batch(&nodes[3..]) };
         assert_eq!(d.scans.load(Ordering::SeqCst), 1);
         assert_eq!(d.blocked.load(Ordering::SeqCst), 1, "8 left >= threshold");
         assert_eq!(d.core.unreclaimed(), 8);

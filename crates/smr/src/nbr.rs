@@ -26,7 +26,7 @@
 //! the neutralization step is its still-blocked hook.
 
 use crate::block::Retired;
-use crate::limbo::{Handle, Pinned, RetireCore, Scheme};
+use crate::limbo::{Domain, Handle, Pinned, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
@@ -142,6 +142,22 @@ impl Nbr {
     }
 }
 
+impl Domain for Nbr {
+    #[inline]
+    fn core(&self) -> &RetireCore {
+        &self.core
+    }
+
+    fn neutralize(&self, slot: usize) {
+        let slot = &self.slots[slot];
+        slot.checkpoint.store(INACTIVE, Ordering::SeqCst);
+        // ORDERING: Relaxed — the flag is advisory (a progress hint, never a
+        // safety signal) and the old owner will never poll it again; the
+        // registry's release/adoption publishes it to the next claimant.
+        slot.neutralize.store(false, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: a reader checkpointed at era `C` can only reach nodes retired at
 // `C - 1` or later (anything older was unlinked before the reader announced
 // `C`), so `retire + 2 <= C` leaves one era of slack — the same grace
@@ -153,11 +169,6 @@ impl Nbr {
 unsafe impl Scheme for Nbr {
     /// Minimum checkpoint era over all active slots.
     type Snapshot = u64;
-
-    #[inline]
-    fn core(&self) -> &RetireCore {
-        &self.core
-    }
 
     #[inline]
     fn retire_stamp(&self) -> Option<u64> {
@@ -177,15 +188,6 @@ unsafe impl Scheme for Nbr {
     #[inline]
     fn can_free(&self, min: &u64, retired: &Retired) -> bool {
         retired.retire_era().saturating_add(2) <= *min
-    }
-
-    fn neutralize(&self, slot: usize) {
-        let slot = &self.slots[slot];
-        slot.checkpoint.store(INACTIVE, Ordering::SeqCst);
-        // ORDERING: Relaxed — the flag is advisory (a progress hint, never a
-        // safety signal) and the old owner will never poll it again; the
-        // registry's release/adoption publishes it to the next claimant.
-        slot.neutralize.store(false, Ordering::Relaxed);
     }
 
     /// A forced flush is the impatient path: move the era first so entries
@@ -220,11 +222,7 @@ impl SmrHandle for NbrHandle {
         let pinned = self.inner.pin();
         let slot = &*pinned.scheme().slots[pinned.slot()];
         pinned.scheme().announce_checkpoint(slot);
-        NbrGuard {
-            pinned,
-            slot,
-            _thread_bound: std::marker::PhantomData,
-        }
+        NbrGuard { pinned, slot }
     }
 
     fn flush(&mut self) {
@@ -238,12 +236,6 @@ pub struct NbrGuard<'g> {
     pinned: Pinned<'g, Nbr>,
     /// The handle's checkpoint slot, resolved once at `pin`.
     slot: &'g NbrSlot,
-    /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
-    /// read-side critical section, and the slot registry's liveness beacon
-    /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
-    /// crossed threads could see its protections neutralized when the
-    /// pinning thread exits.
-    _thread_bound: std::marker::PhantomData<*mut ()>,
 }
 
 impl Drop for NbrGuard<'_> {

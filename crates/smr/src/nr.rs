@@ -6,53 +6,34 @@
 //! cost sometimes makes real SMR schemes faster because they recycle memory
 //! through the allocator).
 //!
-//! Even a leak-everything baseline benefits from the block pool: `alloc`
-//! still reuses blocks released through `dealloc` (lost-CAS giveback), and
-//! the retire-path counter is sharded like every other scheme's so NR's
-//! "upper bound" role is not distorted by counter cache-line ping-pong.
+//! NR counts and leaks.  The rest is the slot lifecycle every scheme shares
+//! ([`crate::limbo`]) — with a release that does nothing and an adoption that
+//! only recycles the slot — so `alloc` still reuses `dealloc`ed blocks
+//! (lost-CAS giveback) and retirement counts on a per-thread shard.
 
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
+use crate::limbo::{Domain, Handle, Lifecycle, Pinned, RetireCore};
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
+use crate::registry::AdoptGuard;
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// The no-reclamation "scheme".
-pub struct Nr {
-    registry: SlotRegistry,
-    retired: ShardedCounter,
-    pool: Arc<PoolShared>,
-    pool_capacity: usize,
-}
+/// The no-reclamation "scheme": the retire core and nothing else.
+pub struct Nr(RetireCore);
 
 impl Smr for Nr {
     type Handle = NrHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
-            retired: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            pool_capacity: config.pool_blocks(),
-        })
+        Arc::new(Self(RetireCore::new(config)))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<NrHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
-        Ok(NrHandle {
-            pool: BlockPool::new(self.pool.clone(), self.pool_capacity),
-            domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
-        })
+        Ok(NrHandle(Handle::register(self)?))
     }
 
     fn unreclaimed(&self) -> usize {
-        self.retired.sum()
+        self.0.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
@@ -60,19 +41,25 @@ impl Smr for Nr {
     }
 }
 
-/// Per-thread handle for [`Nr`].
-pub struct NrHandle {
-    domain: Arc<Nr>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
+impl Domain for Nr {
+    #[inline]
+    fn core(&self) -> &RetireCore {
+        &self.0
+    }
+
+    fn neutralize(&self, _slot: usize) {}
 }
 
-impl Drop for NrHandle {
-    fn drop(&mut self) {
-        self.domain.registry.release(self.claim);
+impl Lifecycle for Nr {
+    fn release(_pinned: &mut Pinned<'_, Self>) {}
+
+    fn adopt(adoption: AdoptGuard<'_>, _slot: usize, _pinned: &mut Pinned<'_, Self>) {
+        adoption.finish();
     }
 }
+
+/// Per-thread handle for [`Nr`].
+pub struct NrHandle(Handle<Nr>);
 
 impl SmrHandle for NrHandle {
     type Guard<'g>
@@ -81,47 +68,22 @@ impl SmrHandle for NrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> NrGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
-        NrGuard {
-            handle: self,
-            _thread_bound: std::marker::PhantomData,
-        }
+        NrGuard(self.0.pin())
     }
 
     fn flush(&mut self) {
-        // NR has nothing to reclaim, but adopting dead threads' slots keeps
-        // the registry from filling up under thread churn: the leaked
-        // handle's slot (there is no other per-slot state) returns to the
-        // free pool.
-        for i in 0..self.domain.registry.capacity() {
-            if i == self.claim.index {
-                continue;
-            }
-            if let Some(adoption) = self.domain.registry.try_begin_adopt(i) {
-                adoption.finish();
-            }
-        }
+        self.0.lend().adopt_orphans();
     }
 }
 
 /// Critical-section guard for [`Nr`]; every operation is a plain load.
 #[must_use = "dropping a guard unpublishes every protection it holds"]
-pub struct NrGuard<'g> {
-    handle: &'g mut NrHandle,
-    /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
-    /// read-side critical section, and the slot registry's liveness beacon
-    /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
-    /// crossed threads could see its protections neutralized when the
-    /// pinning thread exits.
-    _thread_bound: std::marker::PhantomData<*mut ()>,
-}
+pub struct NrGuard<'g>(Pinned<'g, Nr>);
 
 impl SmrGuard for NrGuard<'_> {
     #[inline]
     fn domain_addr(&self) -> usize {
-        std::sync::Arc::as_ptr(&self.handle.domain) as usize
+        self.0.domain_addr()
     }
 
     #[inline]
@@ -138,8 +100,9 @@ impl SmrGuard for NrGuard<'_> {
     #[inline]
     fn clear(&mut self, _idx: usize) {}
 
+    #[inline]
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        Shared::from_ptr(self.handle.pool.alloc(value))
+        self.0.alloc(value)
     }
 
     // SAFETY: NR never frees, so any unlinked pointer is trivially safe to retire.
@@ -148,14 +111,14 @@ impl SmrGuard for NrGuard<'_> {
         // Leak: only account for it so memory-overhead experiments can report
         // the (ever-growing) number of unreclaimed objects.
         debug_assert!(batch.iter().all(|p| !p.is_null()));
-        let handle = &*self.handle;
-        handle.domain.retired.add(handle.claim.index, batch.len());
+        self.0.count_retired(batch.len());
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
+    #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: forwarded — same contract.
-        unsafe { crate::limbo::dealloc(&mut self.handle.pool, ptr) };
+        unsafe { self.0.dealloc(ptr) };
     }
 }
 

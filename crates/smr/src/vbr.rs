@@ -36,7 +36,7 @@
 //! [`SmrKind::is_robust`] reports `false`.
 
 use crate::block::Retired;
-use crate::limbo::{EraCountdown, Handle, Pinned, RetireCore, Scheme};
+use crate::limbo::{Domain, EraCountdown, Handle, Pinned, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
@@ -141,6 +141,22 @@ impl Vbr {
     }
 }
 
+impl Domain for Vbr {
+    #[inline]
+    fn core(&self) -> &RetireCore {
+        &self.core
+    }
+
+    #[inline]
+    fn birth_stamp(&self) -> Option<u64> {
+        Some(self.epoch_stamp())
+    }
+
+    fn neutralize(&self, slot: usize) {
+        self.slots[slot].epoch.store(INACTIVE, Ordering::SeqCst);
+    }
+}
+
 // SAFETY: a reader that announced epoch `E` can only reach blocks retired at
 // `E - 1` or later, so a block whose retire epoch is two behind the minimum
 // announced epoch can no longer be addressed — or still be validated — by
@@ -151,16 +167,6 @@ impl Vbr {
 unsafe impl Scheme for Vbr {
     /// Minimum epoch announced by any active slot.
     type Snapshot = u64;
-
-    #[inline]
-    fn core(&self) -> &RetireCore {
-        &self.core
-    }
-
-    #[inline]
-    fn birth_stamp(&self) -> Option<u64> {
-        Some(self.epoch_stamp())
-    }
 
     #[inline]
     fn retire_stamp(&self) -> Option<u64> {
@@ -179,10 +185,6 @@ unsafe impl Scheme for Vbr {
     #[inline]
     fn can_free(&self, min: &u64, retired: &Retired) -> bool {
         retired.retire_era().saturating_add(2) <= *min
-    }
-
-    fn neutralize(&self, slot: usize) {
-        self.slots[slot].epoch.store(INACTIVE, Ordering::SeqCst);
     }
 
     /// Still blocked: advance the epoch so lagging readers trip the
@@ -214,7 +216,6 @@ impl SmrHandle for VbrHandle {
             pinned,
             slot,
             epoch_tick: &mut self.epoch_tick,
-            _thread_bound: std::marker::PhantomData,
         }
     }
 
@@ -230,12 +231,6 @@ pub struct VbrGuard<'g> {
     /// The handle's announcement slot, resolved once at `pin`.
     slot: &'g VbrSlot,
     epoch_tick: &'g mut EraCountdown,
-    /// Makes the guard `!Send`/`!Sync`: a guard is the pinning thread's
-    /// read-side critical section, and the slot registry's liveness beacon
-    /// tracks exactly that thread (see [`crate::registry`]) -- a guard that
-    /// crossed threads could see its protections neutralized when the
-    /// pinning thread exits.
-    _thread_bound: std::marker::PhantomData<*mut ()>,
     /// Epoch announced for this operation (re-announced by `checkpoint`).
     op_epoch: u64,
 }
