@@ -4,11 +4,14 @@
 //! Usage:
 //!
 //! ```text
-//! scot-bench run <ds> <seconds> <key_range> <threads> <read%> <ins%> <del%> <SMR> [scan% [scan_len]]
-//! scot-bench exp <experiment-id | all> [--quick] [--seconds N] [--runs N] [--json DIR] [--bench-dir DIR]
-//! scot-bench bench-diff <baseline.json> <fresh.json> [--max-regress PCT]
+//! scot-bench run <ds> <seconds> <key_range> <threads> <read%> <ins%> <del%> <SMR> [scan% [scan_len]] [--pin-batch N]
+//! scot-bench exp <experiment-id | all> [--quick] [--seconds N] [--runs N] [--threads A,B,..] [--value-bytes N] [--scan-lens A,B,..] [--faults A,B,..] [--zipf-theta T] [--pin-batch N] [--bench-dir DIR]
+//! scot-bench bench-diff <baseline.json> <fresh.json> [--max-regress PCT] [--max-latency-regress PCT]
 //! scot-bench list
 //! ```
+//!
+//! `run` prints its row and then its result as one `BenchRecord` object;
+//! `exp` writes `BENCH_<id>.json` into `--bench-dir` (default: `.`).
 //!
 //! Examples (the first mirrors the paper's `./bench listlf 2 512 1 50 25 25 EBR 4`;
 //! the third adds 20% range scans of 64 keys each to the mix; the fifth runs
@@ -24,11 +27,14 @@
 //! scot-bench bench-diff BENCH_tab1.json fresh/BENCH_tab1.json --max-regress 25
 //! ```
 
+use scot_harness::artifact::{
+    parse_bench_records, to_json, write_bench_artifact, write_fault_artifact, BenchRecord,
+    DiffRecord,
+};
 use scot_harness::experiments::{
     cache_table, compatibility_matrix, cursor_table, faults_table, pool_table, restart_table,
     run_experiment, run_faults_experiment, run_service_experiment, scan_table, service_table,
-    skiplist_table, write_bench_artifact, write_fault_artifact, write_service_artifact,
-    ExperimentOptions, ALL_EXPERIMENTS,
+    skiplist_table, ExperimentOptions, ALL_EXPERIMENTS,
 };
 use scot_harness::{run_timed, DsKind, FaultKind, Mix, RunConfig, SmrKind};
 use std::time::Duration;
@@ -44,7 +50,7 @@ fn usage() -> ! {
     let schemes: Vec<&str> = SmrKind::ALL.iter().map(|s| s.name()).collect();
     let faults: Vec<&str> = FaultKind::ALL.iter().map(|f| f.name()).collect();
     eprintln!(
-        "usage:\n  scot-bench run <ds> <seconds> <key_range> <threads> <read%> <ins%> <del%> <SMR> [scan% [scan_len]] [--pin-batch N]\n  scot-bench exp <id|all> [--quick] [--seconds N] [--runs N] [--threads A,B,..] [--value-bytes N] [--scan-lens A,B,..] [--faults A,B,..] [--zipf-theta T] [--pin-batch N] [--json DIR] [--bench-dir DIR]\n  scot-bench bench-diff <baseline.json> <fresh.json> [--max-regress PCT] [--max-latency-regress PCT]\n  scot-bench list\n\ndata structures: listlf listwf hmlist tree hashmap skiplist\nSMR schemes:     {}\nexperiments:     {}\nfault classes:   {}",
+        "usage:\n  scot-bench run <ds> <seconds> <key_range> <threads> <read%> <ins%> <del%> <SMR> [scan% [scan_len]] [--pin-batch N]\n  scot-bench exp <id|all> [--quick] [--seconds N] [--runs N] [--threads A,B,..] [--value-bytes N] [--scan-lens A,B,..] [--faults A,B,..] [--zipf-theta T] [--pin-batch N] [--bench-dir DIR]\n  scot-bench bench-diff <baseline.json> <fresh.json> [--max-regress PCT] [--max-latency-regress PCT]\n  scot-bench list\n\ndata structures: listlf listwf hmlist tree hashmap skiplist\nSMR schemes:     {}\nexperiments:     {}\nfault classes:   {}",
         schemes.join(" "),
         ALL_EXPERIMENTS.join(" "),
         faults.join(" ")
@@ -96,12 +102,13 @@ fn next_arg<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
         .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
 }
 
-/// Parses and validates a `--pin-batch` value: at least 1 (every critical
-/// section runs at least one operation).
-fn parse_pin_batch(v: &str) -> u64 {
-    let n: u64 = parse(v, "--pin-batch");
-    if n == 0 {
-        fail("--pin-batch must be at least 1");
+/// Parses and validates a count that must be at least 1: `--pin-batch`
+/// (every critical section runs at least one operation) and `--runs` (a
+/// cell's median needs at least one run).
+fn parse_count<T: std::str::FromStr + From<u8> + PartialEq>(v: &str, flag: &str) -> T {
+    let n: T = parse(v, flag);
+    if n == T::from(0) {
+        fail(&format!("{flag} must be at least 1"));
     }
     n
 }
@@ -115,7 +122,7 @@ fn cmd_run(args: &[String]) {
     while i < args.len() {
         match args[i].as_str() {
             "--pin-batch" => {
-                pin_batch = parse_pin_batch(next_arg(args, &mut i, "--pin-batch"));
+                pin_batch = parse_count(next_arg(args, &mut i, "--pin-batch"), "--pin-batch");
             }
             other if other.starts_with("--") => {
                 eprintln!("unknown option {other}");
@@ -158,39 +165,7 @@ fn cmd_run(args: &[String]) {
     };
     let result = run_timed(ds, smr, &cfg);
     println!("{}", result.row());
-    println!("{}", serde_json::to_string_pretty(&result).unwrap());
-}
-
-/// Prints one finished preset — its table, if it has one — and writes what
-/// every preset leaves behind: the raw rows as `<id>.json` under `--json`,
-/// and the normalized `BENCH_<id>.json` trajectory artifact (`artifact` is
-/// the outcome of writing it), so the committed files stay regenerable and
-/// diffable across sessions.
-fn emit<T: serde::Serialize>(
-    id: &str,
-    table: Option<String>,
-    rows: &[T],
-    json_dir: Option<&str>,
-    artifact: std::io::Result<String>,
-) {
-    if let Some(table) = table {
-        println!("\n{table}");
-    }
-    if let Some(dir) = json_dir {
-        std::fs::create_dir_all(dir).expect("cannot create output directory");
-        let path = format!("{dir}/{id}.json");
-        let json = serde_json::to_string_pretty(rows).unwrap();
-        std::fs::write(&path, json).expect("cannot write results file");
-        println!("wrote {path}");
-    }
-    match artifact {
-        Ok(path) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("cannot write bench artifact for {id}: {e}");
-            std::process::exit(1);
-        }
-    }
-    println!();
+    println!("{}", to_json(&BenchRecord::from(&result)));
 }
 
 fn cmd_exp(args: &[String]) {
@@ -199,7 +174,6 @@ fn cmd_exp(args: &[String]) {
     }
     let id = args[0].to_ascii_lowercase();
     let mut opts = ExperimentOptions::default();
-    let mut json_dir: Option<String> = None;
     let mut bench_dir = String::from(".");
     let mut i = 1;
     while i < args.len() {
@@ -213,7 +187,7 @@ fn cmd_exp(args: &[String]) {
                 opts.duration = Duration::from_secs_f64(secs);
             }
             "--runs" => {
-                opts.runs = parse(next_arg(args, &mut i, "--runs"), "--runs");
+                opts.runs = parse_count(next_arg(args, &mut i, "--runs"), "--runs");
             }
             "--threads" => {
                 opts.threads = next_arg(args, &mut i, "--threads")
@@ -252,7 +226,7 @@ fn cmd_exp(args: &[String]) {
                     .collect();
             }
             "--pin-batch" => {
-                opts.pin_batch = parse_pin_batch(next_arg(args, &mut i, "--pin-batch"));
+                opts.pin_batch = parse_count(next_arg(args, &mut i, "--pin-batch"), "--pin-batch");
             }
             "--zipf-theta" => {
                 let theta: f64 = parse(next_arg(args, &mut i, "--zipf-theta"), "--zipf-theta");
@@ -262,9 +236,6 @@ fn cmd_exp(args: &[String]) {
                     ));
                 }
                 opts.zipf_theta = theta;
-            }
-            "--json" => {
-                json_dir = Some(next_arg(args, &mut i, "--json").to_string());
             }
             "--bench-dir" => {
                 bench_dir = next_arg(args, &mut i, "--bench-dir").to_string();
@@ -283,12 +254,12 @@ fn cmd_exp(args: &[String]) {
         vec![id]
     };
 
-    let json_dir = json_dir.as_deref();
     for id in &ids {
         println!("=== {id} ===");
-        match id.as_str() {
-            // The fault harness renders verdicts and the service runner
-            // per-phase latency rows, not uniform throughput rows.
+        // Every preset prints its table, if it has one, and writes its
+        // `BENCH_<id>.json`.  The fault harness renders verdicts and the
+        // service runner per-phase latency rows, not throughput rows.
+        let (table, artifact) = match id.as_str() {
             "faults" => {
                 let reports = run_faults_experiment(&opts, |r| {
                     println!(
@@ -297,13 +268,7 @@ fn cmd_exp(args: &[String]) {
                     )
                 });
                 let artifact = write_fault_artifact(&bench_dir, &reports);
-                emit(
-                    id,
-                    Some(faults_table(&reports)),
-                    &reports,
-                    json_dir,
-                    artifact,
-                );
+                (Some(faults_table(&reports)), artifact)
             }
             "service" => {
                 let reports = run_service_experiment(&opts, |r| {
@@ -319,14 +284,8 @@ fn cmd_exp(args: &[String]) {
                         r.peak_unreclaimed,
                     )
                 });
-                let artifact = write_service_artifact(&bench_dir, &reports);
-                emit(
-                    id,
-                    Some(service_table(&reports)),
-                    &reports,
-                    json_dir,
-                    artifact,
-                );
+                let artifact = write_bench_artifact(&bench_dir, id, &reports);
+                (Some(service_table(&reports)), artifact)
             }
             _ => {
                 let Some(results) = run_experiment(id, &opts, |r| println!("{}", r.row())) else {
@@ -343,47 +302,18 @@ fn cmd_exp(args: &[String]) {
                     "cursor" => Some(cursor_table(&results)),
                     _ => None,
                 };
-                let artifact = write_bench_artifact(&bench_dir, id, &results);
-                emit(id, table, &results, json_dir, artifact);
+                (table, write_bench_artifact(&bench_dir, id, &results))
             }
+        };
+        if let Some(table) = table {
+            println!("\n{table}");
         }
-    }
-}
-
-/// One comparable row extracted from a `BENCH_*.json` artifact.
-#[derive(Debug, Clone, PartialEq)]
-struct DiffRecord {
-    ds: String,
-    smr: String,
-    /// Ablation arm; artifacts from before the field existed (and presets
-    /// without arms, which write `null`) read as `None`.
-    arm: Option<String>,
-    threads: u64,
-    ops_per_sec: f64,
-    /// `p50` latency in nanoseconds where the preset records it (`null` in
-    /// the throughput presets' artifacts, which parses to `None` here).  The
-    /// gate keys on the *median* deliberately: p99/p999 on sub-second smoke
-    /// phases ride on a handful of samples at the stall cliff and swing
-    /// orders of magnitude between identical runs, while p50 is stable and
-    /// still catches any systematic hot-path slowdown.
-    p50_ns: Option<f64>,
-    /// Latency samples behind the percentiles, where the artifact records
-    /// them.  Rows with fewer than [`LATENCY_SAMPLE_FLOOR`] samples on
-    /// either side are exempt from the latency gate.
-    samples: Option<f64>,
-}
-
-impl DiffRecord {
-    /// What two artifacts' rows are matched on.
-    fn key(&self) -> (&str, &str, Option<&str>, u64) {
-        (&self.ds, &self.smr, self.arm.as_deref(), self.threads)
-    }
-
-    /// The scheme column: the scheme, with the arm where there is one.
-    fn scheme(&self) -> String {
-        match &self.arm {
-            Some(arm) => format!("{}[{arm}]", self.smr),
-            None => self.smr.clone(),
+        match artifact {
+            Ok(path) => println!("wrote {path}\n"),
+            Err(e) => {
+                eprintln!("cannot write bench artifact for {id}: {e}");
+                std::process::exit(1);
+            }
         }
     }
 }
@@ -393,64 +323,6 @@ impl DiffRecord {
 /// than code changes (the thin scan/insert classes of quick-mode service
 /// runs record a dozen samples per phase).
 const LATENCY_SAMPLE_FLOOR: f64 = 64.0;
-
-/// Extracts the `records` rows of a `BENCH_*.json` artifact with a
-/// line-oriented scanner.  The vendored `serde_json` is serialize-only, and
-/// the artifacts are written by this binary with `to_string_pretty` (one
-/// `"key": value` pair per line), so a full JSON parser is not needed.
-fn parse_bench_records(body: &str) -> Vec<DiffRecord> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let rest = line.trim().strip_prefix(&format!("\"{key}\":"))?;
-        Some(rest.trim().trim_end_matches(','))
-    }
-    let mut records = Vec::new();
-    let mut in_records = false;
-    let (mut ds, mut smr, mut threads, mut ops) = (None::<String>, None::<String>, None, None);
-    let (mut arm, mut p50, mut samples) = (None::<String>, None, None);
-    for line in body.lines() {
-        if line.trim_start().starts_with("\"records\"") {
-            in_records = true;
-            continue;
-        }
-        if !in_records {
-            continue;
-        }
-        if let Some(v) = field(line, "ds") {
-            ds = Some(v.trim_matches('"').to_string());
-        } else if let Some(v) = field(line, "smr") {
-            smr = Some(v.trim_matches('"').to_string());
-        } else if let Some(v) = field(line, "arm") {
-            arm = v
-                .strip_prefix('"')
-                .map(|a| a.trim_end_matches('"').to_string());
-        } else if let Some(v) = field(line, "threads") {
-            threads = v.parse::<u64>().ok();
-        } else if let Some(v) = field(line, "ops_per_sec") {
-            ops = v.parse::<f64>().ok();
-        } else if let Some(v) = field(line, "p50_ns") {
-            // `null` (the throughput presets) fails the parse and stays None.
-            p50 = v.parse::<f64>().ok();
-        } else if let Some(v) = field(line, "samples") {
-            samples = v.parse::<f64>().ok();
-        } else if line.trim() == "}" || line.trim() == "}," {
-            // End of one record object: emit it if complete.
-            if let (Some(d), Some(s), Some(t), Some(o)) = (&ds, &smr, threads, ops) {
-                records.push(DiffRecord {
-                    ds: d.clone(),
-                    smr: s.clone(),
-                    arm: arm.take(),
-                    threads: t,
-                    ops_per_sec: o,
-                    p50_ns: p50,
-                    samples,
-                });
-            }
-            (ds, smr, threads, ops) = (None, None, None, None);
-            (arm, p50, samples) = (None, None, None);
-        }
-    }
-    records
-}
 
 /// `bench-diff <baseline.json> <fresh.json> [--max-regress PCT]
 /// [--max-latency-regress PCT]`: compares two trajectory artifacts point by

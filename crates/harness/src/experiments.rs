@@ -29,9 +29,11 @@
 //! down with `ExperimentOptions::scale_large_range` so the sweep finishes on
 //! small machines while still exceeding cache capacity.
 //!
-//! Every preset is a row of [`spec`]'s table run by one sweep driver
-//! ([`run_experiment`]): enumerate the cells, run each `opts.runs` times,
-//! keep the median.  Every result table is a column list over one renderer.
+//! Every preset is a row of [`spec`]'s table.  One sweep driver
+//! ([`run_experiment`]) runs the timed ones: enumerate the cells, run each
+//! `opts.runs` times, keep the median.  `faults` and `service` have runners
+//! of their own.  Every result table is a column list over one renderer, and
+//! every artifact goes through [`crate::artifact`].
 
 use crate::faults::{run_fault_scenario, FaultKind, FaultPlan, FaultReport};
 use crate::kv::run_timed_kv;
@@ -289,33 +291,19 @@ fn median_by_throughput(mut runs: Vec<RunResult>) -> RunResult {
     runs.swap_remove(runs.len() / 2)
 }
 
-/// Runs one experiment preset, returning every measured point.
+/// Runs one timed experiment preset, returning every measured point.
 /// `progress` is invoked after each completed run with its textual row.
 ///
-/// The `faults` and `service` presets have richer report types of their own
-/// (the CLI calls [`run_faults_experiment`] / [`run_service_experiment`] for
-/// the verdicts and the latency table); here their footprint and per-phase
-/// throughput numbers are projected onto the uniform [`RunResult`] shape.
+/// Returns `None` for an unknown id and for the `faults` and `service`
+/// presets, whose reports have shapes of their own: run those through
+/// [`run_faults_experiment`] and [`run_service_experiment`].
 pub fn run_experiment(
     id: &str,
     opts: &ExperimentOptions,
-    mut progress: impl FnMut(&RunResult),
+    progress: impl FnMut(&RunResult),
 ) -> Option<Vec<RunResult>> {
-    let spec = spec(id, opts)?;
-    let results: Vec<RunResult> = match id {
-        "faults" => run_faults_experiment(opts, |_| {})
-            .iter()
-            .map(fault_run_result)
-            .collect(),
-        "service" => run_service_experiment(opts, |_| {})
-            .iter()
-            .filter(|r| r.op_class == "get")
-            .map(service_run_result)
-            .collect(),
-        _ => return Some(run_cells(&spec, opts, progress)),
-    };
-    results.iter().for_each(&mut progress);
-    Some(results)
+    let spec = spec(id, opts).filter(|_| !matches!(id, "faults" | "service"))?;
+    Some(run_cells(&spec, opts, progress))
 }
 
 /// The sweep driver of every timed preset: for each structure × scheme pair,
@@ -368,9 +356,7 @@ fn run_cells(
 /// pair of the `faults` spec under every fault class in `opts.faults`,
 /// returning one verdict per cell.  The requested per-run duration is split
 /// 1/4 warmup, 1/2 fault, 1/4 recovery (with floors so `--quick` cells still
-/// have meaningful phases).  This is the entry point the CLI uses so it can
-/// render the verdict table; [`run_experiment`] wraps it for uniform
-/// `RunResult` plumbing.
+/// have meaningful phases).
 pub fn run_faults_experiment(
     opts: &ExperimentOptions,
     mut progress: impl FnMut(&FaultReport),
@@ -395,40 +381,12 @@ pub fn run_faults_experiment(
     reports
 }
 
-/// Projects a fault verdict onto the uniform [`RunResult`] shape (footprint
-/// numbers only; the verdict itself lives in [`FaultReport`]).
-fn fault_run_result(r: &FaultReport) -> RunResult {
-    RunResult {
-        ds: r.ds.clone(),
-        smr: r.smr.clone(),
-        arm: None,
-        threads: r.threads,
-        key_range: 0,
-        ops: r.ops,
-        ops_per_sec: if r.elapsed_secs > 0.0 {
-            r.ops as f64 / r.elapsed_secs
-        } else {
-            0.0
-        },
-        avg_unreclaimed: Some(r.baseline as f64),
-        max_unreclaimed: Some(r.peak),
-        restarts: 0,
-        recoveries: 0,
-        spins: 0,
-        scan_len: 0,
-        scanned_keys: 0,
-        elapsed_secs: r.elapsed_secs,
-    }
-}
-
 /// Runs the service experiment: every structure × scheme pair of the
 /// `service` spec through the four-phase cache-server scenario, at the
 /// largest requested thread count; the requested per-run duration is the
 /// *total* across the four phases, split by [`ServicePlan::new`].  Returns
 /// one row per (structure, scheme, phase, op-class); `progress` fires once
-/// per phase (on its `get` row).  This is the entry point the CLI uses so it
-/// can render the latency table; [`run_experiment`] wraps it for uniform
-/// `RunResult` plumbing.
+/// per phase (on its `get` row).
 pub fn run_service_experiment(
     opts: &ExperimentOptions,
     mut progress: impl FnMut(&ServiceReport),
@@ -447,35 +405,12 @@ pub fn run_service_experiment(
     reports
 }
 
-/// Projects a service row onto the uniform [`RunResult`] shape (per-phase
-/// throughput and footprint only; the latency numbers live in
-/// [`ServiceReport`]).  The phase rides on the scheme label (`HP/warmup`).
-fn service_run_result(r: &ServiceReport) -> RunResult {
-    RunResult {
-        ds: r.ds.clone(),
-        smr: format!("{}/{}", r.smr, r.phase),
-        arm: None,
-        threads: r.threads,
-        key_range: 0,
-        ops: r.ops,
-        ops_per_sec: r.ops_per_sec,
-        avg_unreclaimed: None,
-        max_unreclaimed: Some(r.peak_unreclaimed),
-        restarts: r.restarts,
-        recoveries: r.recoveries,
-        spins: 0,
-        scan_len: 0,
-        scanned_keys: 0,
-        elapsed_secs: 0.0,
-    }
-}
-
 fn yes_no(yes: bool) -> String {
     if yes { "yes" } else { "no" }.to_string()
 }
 
 /// Whether a result's scheme is robust ([`SmrKind::is_robust`]).
-fn is_robust(r: &RunResult) -> bool {
+pub(crate) fn is_robust(r: &RunResult) -> bool {
     SmrKind::parse(&r.smr).is_some_and(|k| k.is_robust())
 }
 
@@ -722,191 +657,12 @@ pub fn restart_table(results: &[RunResult]) -> String {
     render(title, &columns, results)
 }
 
-/// One normalized row of a `BENCH_<preset>.json` trajectory artifact: the
-/// stable subset of [`RunResult`] that is comparable across machines and
-/// sessions (throughput and the paper's robustness counters), keyed by
-/// scheme × structure × arm × thread count.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct BenchRecord {
-    /// Data structure name (e.g. `HList`).
-    pub ds: String,
-    /// Scheme name (e.g. `NBR`), always one [`SmrKind::parse`] accepts.
-    pub smr: String,
-    /// Ablation arm (`pool-on` / `pool-off`, `base` / `batch`); `None` for
-    /// presets without arms.
-    pub arm: Option<String>,
-    /// Worker threads.
-    pub threads: usize,
-    /// Whether the scheme is robust ([`SmrKind::is_robust`]): bounded
-    /// unreclaimed growth even under stalled or dead readers.
-    pub is_robust: bool,
-    /// Throughput in operations per second.
-    pub ops_per_sec: f64,
-    /// Total traversal restarts.
-    pub restarts: u64,
-    /// Total §3.2.1 recoveries.
-    pub recoveries: u64,
-    /// Peak sampled retired-but-unreclaimed objects (`None` where the paper
-    /// skips the metric, e.g. Hyaline).
-    pub peak_unreclaimed: Option<usize>,
-    /// Service phase name (`None` for the throughput presets, which have no
-    /// phases; serialized as `null`).
-    pub phase: Option<String>,
-    /// Operation class (`None` for the throughput presets, which do not
-    /// split by class).
-    pub op_class: Option<String>,
-    /// Latency samples behind the percentiles below (`None` where latency is
-    /// not measured).  `bench-diff` skips the latency gate on rows with
-    /// fewer samples than its stability floor — a median over a handful of
-    /// samples is noise, not signal.
-    pub samples: Option<u64>,
-    /// Median latency in nanoseconds (`None` where latency is not measured).
-    /// The separate, looser `bench-diff` latency gate keys on this field:
-    /// p50 is stable run-to-run, while p99/p999 on smoke-length phases ride
-    /// on a handful of tail samples and are recorded for trend reading only.
-    pub p50_ns: Option<u64>,
-    /// 99th-percentile latency in nanoseconds (`None` where not measured).
-    pub p99_ns: Option<u64>,
-    /// 99.9th-percentile latency in nanoseconds (`None` where not measured).
-    pub p999_ns: Option<u64>,
-}
-
-/// The top-level shape of a `BENCH_<preset>.json` artifact.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct BenchArtifact {
-    /// Experiment preset id (e.g. `tab1`).
-    pub preset: String,
-    /// Scheme names available at generation time, in [`SmrKind::ALL`] order —
-    /// lets a reader detect artifacts from before a scheme existed.
-    pub schemes: Vec<String>,
-    /// One record per measured (structure, scheme, arm, threads) point.
-    pub records: Vec<BenchRecord>,
-}
-
-/// The top-level shape of the `BENCH_faults.json` artifact: full fault
-/// verdicts rather than throughput rows.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct FaultArtifact {
-    /// Always `faults`.
-    pub preset: String,
-    /// Scheme names available at generation time, in [`SmrKind::ALL`] order.
-    pub schemes: Vec<String>,
-    /// Fault-class names covered, in [`FaultKind::ALL`] order.
-    pub faults: Vec<String>,
-    /// One verdict per measured (structure, scheme, fault) cell.
-    pub records: Vec<FaultReport>,
-}
-
-fn scheme_names() -> Vec<String> {
-    SmrKind::ALL.iter().map(|s| s.name().to_string()).collect()
-}
-
-/// Normalizes experiment results into the committed-trajectory shape.
-pub fn bench_artifact(id: &str, results: &[RunResult]) -> BenchArtifact {
-    let record = |r: &RunResult| BenchRecord {
-        ds: r.ds.clone(),
-        smr: r.smr.clone(),
-        arm: r.arm.clone(),
-        threads: r.threads,
-        is_robust: is_robust(r),
-        ops_per_sec: r.ops_per_sec,
-        restarts: r.restarts,
-        recoveries: r.recoveries,
-        peak_unreclaimed: r.max_unreclaimed,
-        phase: None,
-        op_class: None,
-        samples: None,
-        p50_ns: None,
-        p99_ns: None,
-        p999_ns: None,
-    };
-    BenchArtifact {
-        preset: id.to_string(),
-        schemes: scheme_names(),
-        records: results.iter().map(record).collect(),
-    }
-}
-
-/// Normalizes service rows into [`BenchRecord`]s: one record per (structure,
-/// scheme, phase, op-class), with the percentile fields populated and the
-/// phase throughput as `ops_per_sec`.
-pub fn service_bench_records(reports: &[ServiceReport]) -> Vec<BenchRecord> {
-    let record = |r: &ServiceReport| BenchRecord {
-        ds: r.ds.clone(),
-        smr: r.smr.clone(),
-        arm: None,
-        threads: r.threads,
-        is_robust: r.is_robust,
-        ops_per_sec: r.ops_per_sec,
-        restarts: r.restarts,
-        recoveries: r.recoveries,
-        peak_unreclaimed: Some(r.peak_unreclaimed),
-        phase: Some(r.phase.clone()),
-        op_class: Some(r.op_class.clone()),
-        samples: Some(r.samples),
-        p50_ns: r.p50_ns,
-        p99_ns: r.p99_ns,
-        p999_ns: r.p999_ns,
-    };
-    reports.iter().map(record).collect()
-}
-
-/// Normalizes fault verdicts into the committed-artifact shape.
-pub fn fault_artifact(reports: &[FaultReport]) -> FaultArtifact {
-    FaultArtifact {
-        preset: "faults".to_string(),
-        schemes: scheme_names(),
-        faults: FaultKind::ALL
-            .iter()
-            .map(|f| f.name().to_string())
-            .collect(),
-        records: reports.to_vec(),
-    }
-}
-
-/// Writes `artifact` as `BENCH_<id>.json` into `dir`; returns the path.
-fn write_artifact(
-    dir: &str,
-    id: &str,
-    artifact: &impl serde::Serialize,
-) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
-    let path = format!("{dir}/BENCH_{id}.json");
-    let json =
-        serde_json::to_string_pretty(artifact).expect("bench artifact serialization cannot fail");
-    std::fs::write(&path, json + "\n")?;
-    Ok(path)
-}
-
-/// Writes the normalized `BENCH_<preset>.json` artifact into `dir` and returns
-/// the path written.  Every `exp` invocation of the `scot-bench` CLI calls
-/// this, so the benchmark trajectory is regenerated (and diffable) on each
-/// run.
-pub fn write_bench_artifact(dir: &str, id: &str, results: &[RunResult]) -> std::io::Result<String> {
-    write_artifact(dir, id, &bench_artifact(id, results))
-}
-
-/// Writes `BENCH_faults.json` into `dir` and returns the path written.
-pub fn write_fault_artifact(dir: &str, reports: &[FaultReport]) -> std::io::Result<String> {
-    write_artifact(dir, "faults", &fault_artifact(reports))
-}
-
-/// Writes the `BENCH_service.json` artifact into `dir` and returns the path
-/// written.  Unlike the throughput presets the records carry `phase`,
-/// `op_class` and the latency percentiles, so `bench-diff` can gate tail
-/// latency separately from throughput.
-pub fn write_service_artifact(dir: &str, reports: &[ServiceReport]) -> std::io::Result<String> {
-    let artifact = BenchArtifact {
-        preset: "service".to_string(),
-        schemes: scheme_names(),
-        records: service_bench_records(reports),
-    };
-    write_artifact(dir, "service", &artifact)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{
+        bench_artifact, fault_artifact, write_bench_artifact, write_fault_artifact,
+    };
 
     #[test]
     fn every_experiment_id_has_a_spec() {
@@ -1048,7 +804,6 @@ mod tests {
             spins: 0,
             scan_len: 0,
             scanned_keys: 0,
-            elapsed_secs: 0.1,
         }
     }
 
@@ -1107,21 +862,9 @@ mod tests {
     #[test]
     fn bench_artifact_is_normalized_and_writable() {
         let results = vec![RunResult {
-            ds: "SkipList".into(),
-            smr: "NBR".into(),
-            arm: None,
-            threads: 2,
-            key_range: 64,
-            ops: 10,
-            ops_per_sec: 123.0,
             avg_unreclaimed: Some(1.5),
             max_unreclaimed: Some(3),
-            restarts: 7,
-            recoveries: 2,
-            spins: 0,
-            scan_len: 0,
-            scanned_keys: 0,
-            elapsed_secs: 0.1,
+            ..labelled("NBR", None)
         }];
         let artifact = bench_artifact("smoke", &results);
         assert_eq!(artifact.preset, "smoke");
@@ -1131,6 +874,7 @@ mod tests {
         assert!(artifact.schemes.iter().any(|s| s == "VBR"));
         assert_eq!(artifact.records.len(), 1);
         assert_eq!(artifact.records[0].peak_unreclaimed, Some(3));
+        assert_eq!(artifact.records[0].avg_unreclaimed, Some(1.5));
         let dir = std::env::temp_dir().join("scot-bench-artifact-test");
         let dir = dir.to_str().unwrap();
         let path = write_bench_artifact(dir, "smoke", &results).unwrap();
@@ -1138,6 +882,7 @@ mod tests {
         assert!(path.ends_with("BENCH_smoke.json"));
         assert!(body.contains("\"ops_per_sec\""));
         assert!(body.contains("\"peak_unreclaimed\""));
+        assert!(body.contains("\"avg_unreclaimed\": 1.5"));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1315,13 +1060,13 @@ mod tests {
     #[test]
     fn service_artifact_carries_phase_class_and_percentiles() {
         let rows = vec![synthetic_service_row("churn-spike", "insert", 50)];
-        let records = service_bench_records(&rows);
+        let records = bench_artifact("service", &rows).records;
         assert_eq!(records[0].phase.as_deref(), Some("churn-spike"));
         assert_eq!(records[0].op_class.as_deref(), Some("insert"));
         assert_eq!(records[0].p99_ns, Some(9_000));
         let dir = std::env::temp_dir().join("scot-service-artifact-test");
         let dir = dir.to_str().unwrap();
-        let path = write_service_artifact(dir, &rows).unwrap();
+        let path = write_bench_artifact(dir, "service", &rows).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(path.ends_with("BENCH_service.json"));
         for field in [
@@ -1336,7 +1081,7 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
         // The throughput presets serialize the new fields as null, keeping
         // one schema across every BENCH_*.json.
-        let artifact = bench_artifact("smoke", &[]);
+        let artifact = bench_artifact::<RunResult>("smoke", &[]);
         assert!(artifact.records.is_empty());
     }
 

@@ -51,7 +51,6 @@ use crate::workload::{
 };
 use scot::ConcurrentMap;
 use scot_smr::SmrKind;
-use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
@@ -429,7 +428,7 @@ pub fn robustness_bound(
 }
 
 /// The verdict for one structure × scheme × fault cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FaultReport {
     /// Data structure under test.
     pub ds: String,

@@ -20,8 +20,9 @@
 //! is the same five pieces: one operation (draw, apply, verify) in one loop
 //! with one pin policy and one structure × scheme dispatch
 //! ([`workload`]), one phased driver (the crate-private `phases` module),
-//! one sweep driver ([`experiments::run_experiment`]) and one table renderer
-//! (the crate-private `table` module).
+//! one sweep driver for the timed presets ([`experiments::run_experiment`])
+//! and one table renderer (the crate-private `table` module).  Every JSON
+//! artifact, and the reader `bench-diff` compares them with, is [`artifact`].
 //!
 //! The hardware substitution relative to the paper (128-core EPYC + mimalloc
 //! versus whatever machine this crate runs on with the system allocator) is
@@ -31,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod experiments;
 pub mod faults;
 pub mod hist;

@@ -37,7 +37,6 @@ use crate::workload::{
 };
 use scot::{ConcurrentMap, TraversalSnapshot};
 use scot_smr::SmrKind;
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -302,7 +301,7 @@ impl Visitor<()> for ServiceRun<'_> {
 /// class rows); the percentiles are per-class.  Percentiles are `None` when
 /// the class recorded no samples in the phase (rendered as `-` in the table
 /// and `null` in `BENCH_service.json`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceReport {
     /// Data structure under test.
     pub ds: String,

@@ -8,7 +8,6 @@ use scot::{
     WfHarrisList,
 };
 use scot_smr::{Ebr, He, Hp, Hyaline, Ibr, Nbr, Nr, Smr, SmrConfig, SmrKind, Vbr};
-use serde::Serialize;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
@@ -234,7 +233,7 @@ impl std::fmt::Display for DsKind {
 
 /// Operation mix in percent: point reads, inserts, deletes and guard-scoped
 /// range scans (the four percentages must sum to 100).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Mix {
     /// Percentage of `contains` operations.
     pub read_pct: u32,
@@ -295,7 +294,7 @@ impl Mix {
 }
 
 /// One benchmark configuration (a single point of a figure).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Number of worker threads.
     pub threads: usize,
@@ -360,7 +359,7 @@ impl RunConfig {
 }
 
 /// The outcome of one run: the numbers behind one point of one figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Data structure under test.
     pub ds: String,
@@ -393,8 +392,6 @@ pub struct RunResult {
     pub scan_len: u64,
     /// Total keys yielded by range scans over the whole run.
     pub scanned_keys: u64,
-    /// Wall-clock seconds the measurement ran for.
-    pub elapsed_secs: f64,
 }
 
 /// One arm of an ablation preset: its name (the `arm` field of results and
@@ -962,7 +959,6 @@ impl<W: Workload> Visitor<W::V> for Timed<'_, W> {
                 0
             },
             scanned_keys: tally.scanned,
-            elapsed_secs: elapsed,
         }
     }
 }

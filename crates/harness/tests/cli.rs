@@ -120,6 +120,10 @@ fn run_arm_accepts_the_skiplist_structure() {
         text.contains("SkipList"),
         "row output missing ds name:\n{text}"
     );
+    // The result follows the row as one `BenchRecord` object.
+    for key in ["\"ops_per_sec\"", "\"avg_unreclaimed\""] {
+        assert!(text.contains(key), "JSON result missing {key}:\n{text}");
+    }
 }
 
 #[test]
@@ -218,11 +222,13 @@ fn run_arm_accepts_a_scan_mix() {
     let out = scot_bench(&[
         "run", "skiplist", "0.05", "256", "1", "40", "20", "20", "HP", "20", "16",
     ]);
+    // Every scan is oracle-checked in the loop (window, order, uniqueness),
+    // so exit 0 means the scans ran and returned what they should.
     assert!(out.status.success(), "run must exit 0: {}", stderr(&out));
     let text = stdout(&out);
     assert!(
-        text.contains("\"scanned_keys\""),
-        "JSON output missing scan volume:\n{text}"
+        text.contains("\"ds\": \"SkipList\"") && text.contains("\"ops_per_sec\""),
+        "JSON result missing:\n{text}"
     );
 }
 
@@ -641,14 +647,16 @@ fn run_arm_accepts_tuning_flags_anywhere() {
 #[test]
 fn removed_tuning_flags_are_unknown_options() {
     // The cursor's prefetch / backoff / chain-retire toggles are gone, and so
-    // are their flags: each must take the unknown-option path (usage, exit 2)
-    // on both arms instead of being silently accepted.
+    // are their flags, and so is `exp --json DIR` (its raw rows duplicated
+    // `BENCH_<id>.json`): each must take the unknown-option path (usage,
+    // exit 2) on both arms instead of being silently accepted.
     let run = ["run", "listlf", "0.05", "64", "1", "50", "25", "25", "EBR"];
     let exp = ["exp", "tab2", "--quick"];
     for flag in [
         &["--backoff", "none"][..],
         &["--no-prefetch"],
         &["--no-chain-batch"],
+        &["--json", "x"],
     ] {
         for arm in [&run[..], &exp[..]] {
             let out = scot_bench(&[arm, flag].concat());
@@ -686,6 +694,14 @@ fn exp_arm_rejects_zero_pin_batch() {
     let out = scot_bench(&["exp", "tab2", "--quick", "--pin-batch", "0"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--pin-batch"));
+}
+
+#[test]
+fn exp_arm_rejects_zero_runs() {
+    // Zero repetitions leave a cell without a median; this used to panic.
+    let out = scot_bench(&["exp", "tab2", "--quick", "--runs", "0"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--runs must be at least 1"));
 }
 
 #[test]

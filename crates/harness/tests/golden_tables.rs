@@ -40,7 +40,6 @@ fn run(
         spins: ops / 50,
         scan_len: 64,
         scanned_keys: ops * 20,
-        elapsed_secs: 0.5,
     }
 }
 
