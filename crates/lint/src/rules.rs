@@ -706,21 +706,35 @@ fn check_docs(docs: &[DocFile], info: &EnumInfo, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 /// What a guard `impl` body must not contain, and what to call it.
-const REDERIVATIONS: [(&str, &str); 5] = [
+const REDERIVATIONS: [(&str, &str); 6] = [
     ("domain.clone()", "clones the domain `Arc`"),
     ("Arc::clone(", "clones an `Arc`"),
     ("Arc::as_ptr(", "reads the domain through its `Arc`"),
     (".domain()", "re-derives the domain through the handle"),
     (".slots[", "re-indexes the slot array"),
+    (".slots()[", "re-indexes the slot array"),
 ];
+
+/// Whether `header` opens guard code: an `impl` that names a `…Guard` type
+/// or trait, or an impl of the scheme read-side trait (`impl ReadSide for
+/// …`), whose associated functions are the one guard's methods.
+fn is_guard_impl(header: &str) -> bool {
+    word_in(header, "impl")
+        && (idents_of(header).iter().any(|id| id.ends_with("Guard"))
+            || header.contains("ReadSide for "))
+}
+
+/// The name a `struct` line declares, if it declares one.
+fn struct_name(code: &str) -> Option<&str> {
+    let idents = idents_of(code);
+    let at = idents.iter().position(|id| *id == "struct")?;
+    idents.get(at + 1).copied()
+}
 
 /// The re-derivation half of [`l5_guard_discipline`] for one file.
 fn guard_rederivations(f: &SourceFile, out: &mut Vec<Finding>) {
     for (i, header) in f.code.iter().enumerate() {
-        let is_guard_impl = !f.test_lines[i]
-            && word_in(header, "impl")
-            && idents_of(header).iter().any(|id| id.ends_with("Guard"));
-        if !is_guard_impl {
+        if f.test_lines[i] || !is_guard_impl(header) {
             continue;
         }
         let Some((_, end)) = collect_block(f, i, '{', '}') else {
@@ -824,14 +838,16 @@ fn has_must_use(file: &SourceFile, i: usize) -> bool {
 ///   protections *and* (since PR 7) its slot's liveness accounting, which is
 ///   exactly the fault class `faults.rs` exists to inject deliberately.
 ///   `#[cfg(test)]` regions are exempt: stall/leak tests forget on purpose.
-/// * Every `…Guard` type and every `fn pin` declaration outside a trait-impl
-///   block must be `#[must_use]`, so dropping a freshly pinned guard on the
-///   floor — which unpublishes every protection — is always a compiler
-///   warning.
-/// * Inside a guard's `impl` blocks under `crates/smr/src/` (`impl SmrGuard
-///   for …`, `impl Drop for …Guard`, `impl …Guard`), nothing re-derives what
-///   `pin` already resolved: no `.clone()` or `Arc::as_ptr` of the domain
-///   `Arc`, no `.domain()` call, no `.slots[` index.  A guard holds `&Slot` and `&S`
+/// * Every struct whose name ends in `Guard` (`Guard` itself included) and
+///   every `fn pin` declaration outside a trait-impl block must be
+///   `#[must_use]`, so dropping a freshly pinned guard on the floor — which
+///   unpublishes every protection — is always a compiler warning.  A
+///   `…Guard` bound on some other struct does not make it a guard.
+/// * Inside guard code under `crates/smr/src/` (`impl SmrGuard for …`,
+///   `impl Drop for …Guard`, `impl …Guard`, and the scheme read-side impls,
+///   `impl ReadSide for …`), nothing re-derives what `pin` already resolved:
+///   no `.clone()` or `Arc::as_ptr` of the domain `Arc`, no `.domain()`
+///   call, no `.slots[` or `.slots()[` index.  A guard holds `&Slot` and `&S`
 ///   from `pin` on; walking handle → `Arc` → slot array again per `protect`
 ///   is what made Hyaline's enter/leave cost four times EBR's.
 pub fn l5_guard_discipline(files: &[SourceFile]) -> Vec<Finding> {
@@ -877,19 +893,14 @@ pub fn l5_guard_discipline(files: &[SourceFile]) -> Vec<Finding> {
                 }
             }
             if must_use_scope {
-                if word_in(code, "struct") {
-                    if let Some(name) = idents_of(code)
-                        .iter()
-                        .find(|id| id.ends_with("Guard") && id.len() > "Guard".len())
-                    {
-                        if !has_must_use(f, i) {
-                            out.push(finding(
-                                Rule::L5,
-                                &f.rel,
-                                i,
-                                format!("guard type `{name}` is not `#[must_use]`"),
-                            ));
-                        }
+                if let Some(name) = struct_name(code).filter(|name| name.ends_with("Guard")) {
+                    if !has_must_use(f, i) {
+                        out.push(finding(
+                            Rule::L5,
+                            &f.rel,
+                            i,
+                            format!("guard type `{name}` is not `#[must_use]`"),
+                        ));
                     }
                 }
                 if (code.contains("fn pin(") || code.contains("fn pin<"))
@@ -990,6 +1001,44 @@ impl SmrGuard for XGuard<'_> {
         assert_eq!(l5("crates/smr/src/x.rs", GUARD_AFTER), []);
         // The rule is about the reclamation back ends only.
         assert_eq!(l5("crates/scot/src/x.rs", GUARD_BEFORE), []);
+    }
+
+    #[test]
+    fn l5_requires_must_use_on_a_struct_named_guard_but_not_on_a_guard_bound() {
+        let src = "\
+pub struct Guard<'g, S: ReadSide> {
+    slot: &'g S::Slot,
+}
+pub struct Cursor<'g, G: SmrGuard> {
+    guard: &'g mut G,
+}
+";
+        let got = l5("crates/smr/src/limbo.rs", src);
+        assert_eq!(got.len(), 1, "{got:#?}");
+        assert_eq!(got[0].0, 1, "{got:#?}");
+        assert!(got[0].1.contains("guard type `Guard`"), "{got:#?}");
+    }
+
+    #[test]
+    fn l5_polices_read_side_impls_but_not_the_shared_pin() {
+        // A read-side impl is guard code; the shared `pin`, which resolves
+        // the slot once, is not — a `ReadSide` bound does not make it one.
+        let src = "\
+impl ReadSide for X {
+    fn protect(g: &mut Guard<'_, Self>, idx: usize) {
+        g.scheme().slots()[idx].hazard.store(1, Ordering::Release);
+    }
+}
+impl<S: ReadSide> SmrHandle for Handle<S> {
+    fn pin(&mut self) -> Guard<'_, S> {
+        let slot = &pinned.scheme.slots()[pinned.slot];
+    }
+}
+";
+        let got = l5("crates/smr/src/x.rs", src);
+        assert_eq!(got.len(), 1, "{got:#?}");
+        assert_eq!(got[0].0, 3, "{got:#?}");
+        assert!(got[0].1.contains("re-indexes the slot array"), "{got:#?}");
     }
 
     #[test]

@@ -1,0 +1,31 @@
+//! Fixture: seeded L5 violations in the one-guard shape — a struct named
+//! exactly `Guard` without `#[must_use]`, and a read-side impl that
+//! re-indexes the slot array.  The compliant twin of each must NOT fire.
+
+pub struct Guard<'g, S> {
+    slot: &'g S,
+}
+
+pub mod twin {
+    #[must_use = "fixture: this one is compliant"]
+    pub struct Guard<'g, S> {
+        slot: &'g S,
+    }
+
+    // A guard bound does not make a struct a guard.
+    pub struct Cursor<'g, G: SmrGuard> {
+        guard: &'g mut G,
+    }
+}
+
+impl ReadSide for Leaky {
+    fn protect(g: &mut Guard<'_, Self>, idx: usize) {
+        g.scheme().slots()[idx].hazard.store(1, Ordering::Release);
+    }
+}
+
+impl ReadSide for Resolved {
+    fn protect(g: &mut Guard<'_, Self>, idx: usize) {
+        g.slot.hazards[idx].store(1, Ordering::Release);
+    }
+}

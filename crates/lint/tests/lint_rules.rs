@@ -47,6 +47,12 @@ fn fixture_tree_produces_exactly_the_seeded_findings() {
         (Rule::L3, "crates/scot/src/traverse_bad.rs", 5),
         (Rule::L3, "crates/scot/src/traverse_bad.rs", 9),
         (Rule::L3, "crates/scot/src/traverse_bad.rs", 9),
+        // A struct named exactly `Guard` without #[must_use], and a
+        // read-side impl that re-indexes the slot array; their twins (a
+        // `#[must_use]` `Guard`, a struct with a guard bound, a read-side
+        // impl that uses its resolved slot) must NOT appear.
+        (Rule::L5, "crates/smr/src/guard_shell.rs", 5),
+        (Rule::L5, "crates/smr/src/guard_shell.rs", 23),
         // SmrKind::ALL forgot Ibr (whole-axis finding, anchored line 1).
         (Rule::L4, "crates/smr/src/lib.rs", 1),
         // unsafe fn / unsafe block without SAFETY.  The LINT-ALLOW'd
@@ -89,6 +95,8 @@ fn fixture_messages_name_the_violation() {
     assert!(msg(Rule::L4, 29).contains("missing [\"He\"]"));
     assert!(msg(Rule::L4, 1).contains("`SmrKind::ALL` is missing variant(s) [\"Ibr\"]"));
     assert!(msg(Rule::L5, 4).contains("`LeakyGuard`"));
+    assert!(msg(Rule::L5, 5).contains("guard type `Guard`"));
+    assert!(msg(Rule::L5, 23).contains("re-indexes the slot array"));
     assert!(msg(Rule::L2, 25).contains("ORDERING"));
     assert!(msg(Rule::L2, 36).contains("`Ordering::Relaxed` on protection-publication state"));
     assert!(msg(Rule::L2, 37).contains("`compiler_fence` without"));

@@ -16,9 +16,9 @@
 //! the epoch protocol and its [`Scheme`] impl.
 
 use crate::block::Retired;
-use crate::limbo::{Domain, Handle, Pinned, RetireCore, Scheme};
+use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
+use crate::{Smr, SmrConfig, SmrError, SmrKind};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,7 +29,8 @@ const INACTIVE: u64 = 0;
 /// + 2" comparison free of underflow special cases.
 const FIRST_EPOCH: u64 = 4;
 
-struct EbrSlot {
+/// One thread's epoch announcement.
+pub struct EbrSlot {
     /// Epoch announced by the slot's owner, or [`INACTIVE`].
     epoch: AtomicU64,
 }
@@ -42,7 +43,7 @@ pub struct Ebr {
 }
 
 impl Smr for Ebr {
-    type Handle = EbrHandle;
+    type Handle = Handle<Ebr>;
 
     fn new(config: SmrConfig) -> Arc<Self> {
         let core = RetireCore::new(config);
@@ -60,10 +61,8 @@ impl Smr for Ebr {
         })
     }
 
-    fn try_register(self: &Arc<Self>) -> Result<EbrHandle, SmrError> {
-        Ok(EbrHandle {
-            inner: Handle::register(self)?,
-        })
+    fn try_register(self: &Arc<Self>) -> Result<Handle<Ebr>, SmrError> {
+        Handle::register(self)
     }
 
     fn unreclaimed(&self) -> usize {
@@ -96,20 +95,6 @@ impl Ebr {
             Ordering::SeqCst,
         );
         self.global_epoch.load(Ordering::SeqCst)
-    }
-
-    /// Publishes the current global epoch in `slot` and confirms it is still
-    /// current; if it moved, re-announces, so a critical section never runs
-    /// under an announcement older than the epoch it entered at.
-    #[inline]
-    fn announce_epoch(&self, slot: &EbrSlot) {
-        loop {
-            let e = self.global_epoch.load(Ordering::SeqCst);
-            slot.epoch.store(e, Ordering::SeqCst);
-            if self.global_epoch.load(Ordering::SeqCst) == e {
-                return;
-            }
-        }
     }
 }
 
@@ -155,51 +140,36 @@ unsafe impl Scheme for Ebr {
     }
 }
 
-/// Per-thread handle for [`Ebr`].
-pub struct EbrHandle {
-    inner: Handle<Ebr>,
-}
+impl ReadSide for Ebr {
+    type Slot = CachePadded<EbrSlot>;
+    type State = ();
 
-impl SmrHandle for EbrHandle {
-    type Guard<'g>
-        = EbrGuard<'g>
-    where
-        Self: 'g;
-
-    fn pin(&mut self) -> EbrGuard<'_> {
-        let pinned = self.inner.pin();
-        let slot = &*pinned.scheme().slots[pinned.slot()];
-        pinned.scheme().announce_epoch(slot);
-        EbrGuard { pinned, slot }
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
-    }
-}
-
-/// Critical-section guard for [`Ebr`].
-#[must_use = "dropping a guard unpublishes every protection it holds"]
-pub struct EbrGuard<'g> {
-    pinned: Pinned<'g, Ebr>,
-    /// The handle's announcement slot, resolved once at `pin`.
-    slot: &'g EbrSlot,
-}
-
-impl Drop for EbrGuard<'_> {
-    fn drop(&mut self) {
-        self.slot.epoch.store(INACTIVE, Ordering::Release);
-    }
-}
-
-impl SmrGuard for EbrGuard<'_> {
     #[inline]
-    fn domain_addr(&self) -> usize {
-        self.pinned.domain_addr()
+    fn slots(&self) -> &[CachePadded<EbrSlot>] {
+        &self.slots
+    }
+
+    /// Publishes the current global epoch and confirms it is still current;
+    /// if it moved, re-announces, so a critical section never runs under an
+    /// announcement older than the epoch it entered at.
+    #[inline]
+    fn enter(&self, slot: &CachePadded<EbrSlot>) {
+        loop {
+            let e = self.global_epoch.load(Ordering::SeqCst);
+            slot.epoch.store(e, Ordering::SeqCst);
+            if self.global_epoch.load(Ordering::SeqCst) == e {
+                return;
+            }
+        }
     }
 
     #[inline]
-    fn protect<T>(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
+    fn exit(g: &mut Guard<'_, Self>) {
+        g.slot().epoch.store(INACTIVE, Ordering::Release);
+    }
+
+    #[inline]
+    fn protect<T>(_: &mut Guard<'_, Self>, _idx: usize, src: &Atomic<T>) -> Shared<T> {
         // The epoch announcement made at `pin` already protects everything
         // reachable; per-pointer work is unnecessary, which is precisely why
         // EBR is the paper's performance yardstick.
@@ -207,37 +177,13 @@ impl SmrGuard for EbrGuard<'_> {
     }
 
     #[inline]
-    fn announce<T>(&mut self, _idx: usize, _ptr: Shared<T>) {}
-
-    #[inline]
-    fn dup(&mut self, _from: usize, _to: usize) {}
-
-    #[inline]
-    fn clear(&mut self, _idx: usize) {}
-
-    #[inline]
-    fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        self.pinned.alloc(value)
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the per-node retire contract.
-    #[inline]
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        // SAFETY: forwarded — same contract.
-        unsafe { self.pinned.retire_batch(batch) };
-    }
-
-    // SAFETY: callers must guarantee `ptr` was never published to other threads.
-    #[inline]
-    unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: forwarded — same contract.
-        unsafe { self.pinned.dealloc(ptr) };
-    }
+    fn announce<T>(_: &mut Guard<'_, Self>, _idx: usize, _ptr: Shared<T>) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SmrGuard, SmrHandle};
 
     fn small_config() -> SmrConfig {
         SmrConfig {

@@ -19,9 +19,9 @@
 //! retire core ([`crate::limbo`]).
 
 use crate::block::Retired;
-use crate::limbo::{Domain, EraCountdown, Handle, Pinned, RetireCore, Scheme};
+use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind, MAX_HAZARDS};
+use crate::{Smr, SmrConfig, SmrError, SmrKind, MAX_HAZARDS};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,7 +32,8 @@ const NONE: u64 = 0;
 /// never be mistaken for a real reservation.
 const FIRST_ERA: u64 = 1;
 
-struct HeSlot {
+/// One thread's era reservations, one per hazard index.
+pub struct HeSlot {
     eras: [AtomicU64; MAX_HAZARDS],
 }
 
@@ -44,7 +45,7 @@ pub struct He {
 }
 
 impl Smr for He {
-    type Handle = HeHandle;
+    type Handle = Handle<He>;
 
     fn new(config: SmrConfig) -> Arc<Self> {
         let core = RetireCore::new(config);
@@ -62,11 +63,8 @@ impl Smr for He {
         })
     }
 
-    fn try_register(self: &Arc<Self>) -> Result<HeHandle, SmrError> {
-        Ok(HeHandle {
-            inner: Handle::register(self)?,
-            era_tick: EraCountdown::new(self.core.config()),
-        })
+    fn try_register(self: &Arc<Self>) -> Result<Handle<He>, SmrError> {
+        Handle::register(self)
     }
 
     fn unreclaimed(&self) -> usize {
@@ -98,17 +96,6 @@ impl He {
         }
         false
     }
-
-    /// The global era as stamped on a block at allocation and at retirement.
-    #[inline]
-    fn era_stamp(&self) -> u64 {
-        // ORDERING: Relaxed — a read that lags the true era stamps a birth
-        // conservatively *old*, which widens the protected interval; for a
-        // retirement, per-location coherence keeps it no older than any era
-        // this thread already observed, and an old retire stamp only delays
-        // reclamation.  The stamp reaches sweepers through the vault mutex.
-        self.global_era.load(Ordering::Relaxed)
-    }
 }
 
 impl Domain for He {
@@ -118,8 +105,8 @@ impl Domain for He {
     }
 
     #[inline]
-    fn birth_stamp(&self) -> Option<u64> {
-        Some(self.era_stamp())
+    fn clock(&self) -> Option<&AtomicU64> {
+        Some(&self.global_era)
     }
 
     fn neutralize(&self, slot: usize) {
@@ -141,7 +128,11 @@ unsafe impl Scheme for He {
 
     #[inline]
     fn retire_stamp(&self) -> Option<u64> {
-        Some(self.era_stamp())
+        // ORDERING: Relaxed — per-location coherence keeps the read no older
+        // than any era this thread already observed, and an old retire stamp
+        // only delays reclamation.  The stamp reaches sweepers through the
+        // vault mutex.
+        Some(self.global_era.load(Ordering::Relaxed))
     }
 
     fn snapshot(&self) -> Option<Vec<u64>> {
@@ -168,62 +159,31 @@ unsafe impl Scheme for He {
     }
 }
 
-/// Per-thread handle for [`He`].
-pub struct HeHandle {
-    inner: Handle<He>,
-    era_tick: EraCountdown,
-}
+impl ReadSide for He {
+    type Slot = CachePadded<HeSlot>;
+    type State = ();
 
-impl SmrHandle for HeHandle {
-    type Guard<'g>
-        = HeGuard<'g>
-    where
-        Self: 'g;
-
-    fn pin(&mut self) -> HeGuard<'_> {
-        let pinned = self.inner.pin();
-        HeGuard {
-            eras: &pinned.scheme().slots[pinned.slot()].eras,
-            pinned,
-            era_tick: &mut self.era_tick,
-        }
+    #[inline]
+    fn slots(&self) -> &[CachePadded<HeSlot>] {
+        &self.slots
     }
 
-    fn flush(&mut self) {
-        self.inner.flush();
-    }
-}
+    /// Reservations are per pointer: `pin` publishes nothing.
+    #[inline]
+    fn enter(&self, _slot: &CachePadded<HeSlot>) {}
 
-/// Critical-section guard for [`He`].
-#[must_use = "dropping a guard unpublishes every protection it holds"]
-pub struct HeGuard<'g> {
-    pinned: Pinned<'g, He>,
-    /// The handle's reservation array, resolved once at `pin`.
-    eras: &'g [AtomicU64; MAX_HAZARDS],
-    era_tick: &'g mut EraCountdown,
-}
-
-impl Drop for HeGuard<'_> {
-    fn drop(&mut self) {
+    #[inline]
+    fn exit(g: &mut Guard<'_, Self>) {
         // Clearing reservations at the end of every operation is what bounds
-        // the set of protected eras (and thus memory) per thread; it is also
-        // what makes a panic that unwinds through a traversal drop its
-        // protections (RAII unwind safety).
-        for e in self.eras {
+        // the set of protected eras (and thus memory) per thread.
+        for e in &g.slot().eras {
             e.store(NONE, Ordering::Release);
         }
     }
-}
-
-impl SmrGuard for HeGuard<'_> {
-    #[inline]
-    fn domain_addr(&self) -> usize {
-        self.pinned.domain_addr()
-    }
 
     #[inline]
-    fn protect<T>(&mut self, idx: usize, src: &Atomic<T>) -> Shared<T> {
-        let (eras, global) = (self.eras, &self.pinned.scheme().global_era);
+    fn protect<T>(g: &mut Guard<'_, Self>, idx: usize, src: &Atomic<T>) -> Shared<T> {
+        let (eras, global) = (&g.slot().eras, &g.scheme().global_era);
         // ORDERING: Relaxed — the slot was last written by this same thread
         // (reservations are single-writer); the value is only an avoid-a-store
         // hint, and any actual (re)publication below uses SeqCst.
@@ -240,17 +200,17 @@ impl SmrGuard for HeGuard<'_> {
     }
 
     #[inline]
-    fn announce<T>(&mut self, idx: usize, _ptr: Shared<T>) {
+    fn announce<T>(g: &mut Guard<'_, Self>, idx: usize, _ptr: Shared<T>) {
         // Protection is temporal: reserving the current era covers every
         // object alive in it, including `_ptr`.
-        let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
-        self.eras[idx].store(era, Ordering::SeqCst);
+        let era = g.scheme().global_era.load(Ordering::SeqCst);
+        g.slot().eras[idx].store(era, Ordering::SeqCst);
     }
 
     #[inline]
-    fn dup(&mut self, from: usize, to: usize) {
+    fn dup(g: &mut Guard<'_, Self>, from: usize, to: usize) {
         debug_assert!(from < to, "dup must copy a lower slot into a higher slot");
-        let eras = self.eras;
+        let eras = &g.slot().eras;
         // ORDERING: Relaxed read — `from` was last written by this same
         // thread.  The Release store plus the lower-to-higher slot discipline
         // and ascending-order scans close the publication window, exactly as
@@ -260,38 +220,15 @@ impl SmrGuard for HeGuard<'_> {
     }
 
     #[inline]
-    fn clear(&mut self, idx: usize) {
-        self.eras[idx].store(NONE, Ordering::Release);
-    }
-
-    #[inline]
-    fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.pinned.alloc(value);
-        self.era_tick.tick(1, &self.pinned.scheme().global_era);
-        ptr
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    #[inline]
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        // SAFETY: forwarded — same contract.
-        unsafe { self.pinned.retire_batch(batch) };
-        self.era_tick
-            .tick(batch.len(), &self.pinned.scheme().global_era);
-    }
-
-    // SAFETY: callers must guarantee `ptr` was never published to other threads.
-    #[inline]
-    unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: forwarded — same contract.
-        unsafe { self.pinned.dealloc(ptr) };
+    fn clear(g: &mut Guard<'_, Self>, idx: usize) {
+        g.slot().eras[idx].store(NONE, Ordering::Release);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SmrGuard, SmrHandle};
 
     fn config(snapshot: bool) -> SmrConfig {
         SmrConfig {

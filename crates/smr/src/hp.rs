@@ -86,9 +86,9 @@
 //! that preceded it.
 
 use crate::block::Retired;
-use crate::limbo::{Domain, Handle, Pinned, RetireCore, Scheme};
+use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind, MAX_HAZARDS};
+use crate::{Smr, SmrConfig, SmrError, SmrKind, MAX_HAZARDS};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{compiler_fence, fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -104,7 +104,8 @@ use std::sync::Arc;
 /// traversal still sheds three quarters of its fences.
 const HEAVY_BUDGET: u32 = 32;
 
-struct HpSlot {
+/// One thread's hazard pointers.
+pub struct HpSlot {
     hazards: [AtomicUsize; MAX_HAZARDS],
     /// Non-zero while the slot's guard is light: its hazards may sit in a
     /// store buffer, and a sweep that reads this as set must run the process
@@ -125,16 +126,14 @@ pub struct Hp {
 }
 
 impl Smr for Hp {
-    type Handle = HpHandle;
+    type Handle = Handle<Hp>;
 
     fn new(config: SmrConfig) -> Arc<Self> {
         Self::with_fence(config, membarrier::register())
     }
 
-    fn try_register(self: &Arc<Self>) -> Result<HpHandle, SmrError> {
-        Ok(HpHandle {
-            inner: Handle::register(self)?,
-        })
+    fn try_register(self: &Arc<Self>) -> Result<Handle<Hp>, SmrError> {
+        Handle::register(self)
     }
 
     fn unreclaimed(&self) -> usize {
@@ -334,40 +333,8 @@ unsafe impl Scheme for Hp {
     }
 }
 
-/// Per-thread handle for [`Hp`].
-pub struct HpHandle {
-    inner: Handle<Hp>,
-}
-
-impl SmrHandle for HpHandle {
-    type Guard<'g>
-        = HpGuard<'g>
-    where
-        Self: 'g;
-
-    fn pin(&mut self) -> HpGuard<'_> {
-        let pinned = self.inner.pin();
-        // Hazard pointers have no notion of a critical section: protection is
-        // entirely per-pointer, so `pin` publishes nothing.
-        HpGuard {
-            slot: &pinned.scheme().slots[pinned.slot()],
-            pinned,
-            used: 0,
-            budget: HEAVY_BUDGET,
-        }
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
-    }
-}
-
-/// Critical-section guard for [`Hp`].
-#[must_use = "dropping a guard unpublishes every protection it holds"]
-pub struct HpGuard<'g> {
-    pinned: Pinned<'g, Hp>,
-    /// The handle's hazards and `light` word, resolved once at `pin`.
-    slot: &'g HpSlot,
+/// What an HP guard carries beside its slot.
+pub struct HpState {
     /// Heavy publications left before the guard goes light; 0 *is* light mode
     /// (the slot's `light` word is set exactly while this is 0).
     budget: u32,
@@ -376,13 +343,13 @@ pub struct HpGuard<'g> {
     used: u8,
 }
 
-impl HpGuard<'_> {
+impl Guard<'_, Hp> {
     /// Publishes `addr` in hazard `idx`, ordered before every later load of
     /// this thread as far as a sweep can tell (module docs).
     #[inline]
     fn publish(&mut self, idx: usize, addr: usize) {
-        let hazard = &self.slot.hazards[idx];
-        if self.budget == 0 {
+        let hazard = &self.slot().hazards[idx];
+        if self.state.budget == 0 {
             hazard.store(addr, Ordering::Release);
             // ORDERING: compiler fence — keeps the store above the validating
             // re-read in program order; the hardware half is the barrier a
@@ -390,8 +357,8 @@ impl HpGuard<'_> {
             compiler_fence(Ordering::SeqCst);
         } else {
             hazard.store(addr, Ordering::SeqCst);
-            self.budget -= 1;
-            if self.budget == 0 {
+            self.state.budget -= 1;
+            if self.state.budget == 0 {
                 self.budget_spent();
             }
         }
@@ -401,27 +368,14 @@ impl HpGuard<'_> {
     /// process barrier to run — buy another round of heavy publications.
     #[cold]
     fn budget_spent(&mut self) {
-        if self.pinned.scheme().asymmetric {
+        if self.scheme().asymmetric {
             // ORDERING: Relaxed — the fence below orders the flag before
             // every light publication and re-read; a sweep whose fence came
             // first may read 0, and then those re-reads see what it unlinked.
-            self.slot.light.store(1, Ordering::Relaxed);
+            self.slot().light.store(1, Ordering::Relaxed);
             fence(Ordering::SeqCst);
         } else {
-            self.budget = HEAVY_BUDGET;
-        }
-    }
-
-    /// Leaves light mode with hazards still held.
-    #[inline]
-    fn go_heavy(&mut self) {
-        if self.budget == 0 {
-            // ORDERING: SeqCst fence before the flag drops — past it every
-            // hazard published light is globally visible, which is all a
-            // heavy guard ever promises, so the flag may drop with hazards
-            // still held: a sweep that reads the 0 reads them too.
-            fence(Ordering::SeqCst);
-            self.refill();
+            self.state.budget = HEAVY_BUDGET;
         }
     }
 
@@ -430,39 +384,51 @@ impl HpGuard<'_> {
     /// store (or clear) that preceded it.
     #[inline]
     fn refill(&mut self) {
-        if self.budget == 0 {
-            self.slot.light.store(0, Ordering::Release);
+        if self.state.budget == 0 {
+            self.slot().light.store(0, Ordering::Release);
         }
-        self.budget = HEAVY_BUDGET;
+        self.state.budget = HEAVY_BUDGET;
     }
 }
 
-impl Drop for HpGuard<'_> {
-    /// Clears every hazard this guard published, then its `light` word.
-    fn drop(&mut self) {
-        if self.used != 0 {
-            for (idx, hazard) in self.slot.hazards.iter().enumerate() {
-                if self.used & (1 << idx) != 0 {
+impl ReadSide for Hp {
+    type Slot = CachePadded<HpSlot>;
+    type State = HpState;
+
+    #[inline]
+    fn slots(&self) -> &[CachePadded<HpSlot>] {
+        &self.slots
+    }
+
+    /// Hazard pointers have no notion of a critical section: protection is
+    /// entirely per-pointer, so `pin` publishes nothing.
+    #[inline]
+    fn enter(&self, _slot: &CachePadded<HpSlot>) -> HpState {
+        HpState {
+            budget: HEAVY_BUDGET,
+            used: 0,
+        }
+    }
+
+    /// Clears every hazard the guard published, then its `light` word.
+    #[inline]
+    fn exit(g: &mut Guard<'_, Self>) {
+        if g.state.used != 0 {
+            for (idx, hazard) in g.slot().hazards.iter().enumerate() {
+                if g.state.used & (1 << idx) != 0 {
                     hazard.store(0, Ordering::Release);
                 }
             }
         }
-        self.refill();
-    }
-}
-
-impl SmrGuard for HpGuard<'_> {
-    #[inline]
-    fn domain_addr(&self) -> usize {
-        self.pinned.domain_addr()
+        g.refill();
     }
 
     #[inline]
-    fn protect<T>(&mut self, idx: usize, src: &Atomic<T>) -> Shared<T> {
+    fn protect<T>(g: &mut Guard<'_, Self>, idx: usize, src: &Atomic<T>) -> Shared<T> {
         // Figure 1 `protect`: publish, then verify the source still holds the
         // published pointer.  The hazard slot always stores the untagged
         // address ("also clear logical-deletion bits").
-        self.used |= 1 << idx;
+        g.state.used |= 1 << idx;
         let mut published = usize::MAX;
         loop {
             let ptr = src.load(Ordering::Acquire);
@@ -470,25 +436,25 @@ impl SmrGuard for HpGuard<'_> {
             if addr == published {
                 return ptr;
             }
-            self.publish(idx, addr);
+            g.publish(idx, addr);
             published = addr;
         }
     }
 
     #[inline]
-    fn announce<T>(&mut self, idx: usize, ptr: Shared<T>) {
-        self.used |= 1 << idx;
-        self.publish(idx, ptr.untagged().into_raw());
+    fn announce<T>(g: &mut Guard<'_, Self>, idx: usize, ptr: Shared<T>) {
+        g.state.used |= 1 << idx;
+        g.publish(idx, ptr.untagged().into_raw());
     }
 
     #[inline]
-    fn dup(&mut self, from: usize, to: usize) {
+    fn dup(g: &mut Guard<'_, Self>, from: usize, to: usize) {
         debug_assert!(
             from < to,
             "dup must copy a lower slot into a higher slot (paper §3.2)"
         );
-        self.used |= 1 << to;
-        let hazards = &self.slot.hazards;
+        g.state.used |= 1 << to;
+        let hazards = &g.slot().hazards;
         // ORDERING: Relaxed — `from` was last written by this same thread
         // (protect/announce), so the read needs no synchronization; the
         // Release store plus the lower-to-higher slot discipline and the
@@ -498,38 +464,30 @@ impl SmrGuard for HpGuard<'_> {
     }
 
     #[inline]
-    fn clear(&mut self, idx: usize) {
-        self.used &= !(1 << idx);
-        self.slot.hazards[idx].store(0, Ordering::Release);
+    fn clear(g: &mut Guard<'_, Self>, idx: usize) {
+        g.state.used &= !(1 << idx);
+        g.slot().hazards[idx].store(0, Ordering::Release);
     }
 
+    /// Leaves light mode with hazards still held: the retire may sweep, and a
+    /// sweep should not run a barrier for the thread it runs on.
     #[inline]
-    fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        self.pinned.alloc(value)
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    #[inline]
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        // The retire may sweep, and a sweep should not run a barrier for the
-        // thread it runs on.
-        self.go_heavy();
-        // SAFETY: forwarded — same contract.
-        unsafe { self.pinned.retire_batch(batch) };
-    }
-
-    // SAFETY: callers must guarantee `ptr` was never published to other threads.
-    #[inline]
-    unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: forwarded — same contract.
-        unsafe { self.pinned.dealloc(ptr) };
+    fn before_retire(g: &mut Guard<'_, Self>) {
+        if g.state.budget == 0 {
+            // ORDERING: SeqCst fence before the flag drops — past it every
+            // hazard published light is globally visible, which is all a
+            // heavy guard ever promises, so the flag may drop with hazards
+            // still held: a sweep that reads the 0 reads them too.
+            fence(Ordering::SeqCst);
+            g.refill();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SmrGuard, SmrHandle};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn config(snapshot: bool) -> SmrConfig {
@@ -570,7 +528,7 @@ mod tests {
     const WARM_UPS: [u32; 2] = [0, HEAVY_BUDGET + 3];
 
     /// `hops` publications in hazard `idx`, as a traversal that long makes.
-    fn walk(g: &mut HpGuard<'_>, idx: usize, hops: u32) {
+    fn walk(g: &mut Guard<'_, Hp>, idx: usize, hops: u32) {
         let cell = Atomic::<u64>::null();
         for _ in 0..hops {
             g.protect(idx, &cell);
@@ -588,7 +546,7 @@ mod tests {
     }
 
     /// Retires `n` fresh, never-published blocks through `h`.
-    fn retire_garbage(h: &mut HpHandle, n: u64) {
+    fn retire_garbage(h: &mut Handle<Hp>, n: u64) {
         let mut g = h.pin();
         for i in 0..n {
             let p = g.alloc(i);
@@ -632,17 +590,17 @@ mod tests {
             let mut h = d.register();
             let mut g = h.pin();
             walk(&mut g, 0, HEAVY_BUDGET - 1);
-            assert_eq!(g.budget, 1, "{}", tag(&d));
+            assert_eq!(g.state.budget, 1, "{}", tag(&d));
             assert_eq!(light_words(&d), [0; 4], "{}", tag(&d));
             walk(&mut g, 0, 1);
             if d.asymmetric {
-                assert_eq!(g.budget, 0);
+                assert_eq!(g.state.budget, 0);
                 assert_eq!(light_words(&d), [1, 0, 0, 0]);
                 // Light publications spend nothing.
                 walk(&mut g, 0, 3 * HEAVY_BUDGET);
-                assert_eq!(g.budget, 0);
+                assert_eq!(g.state.budget, 0);
             } else {
-                assert_eq!(g.budget, HEAVY_BUDGET, "the budget refills");
+                assert_eq!(g.state.budget, HEAVY_BUDGET, "the budget refills");
             }
             drop(g);
             assert_eq!(light_words(&d), [0; 4], "{}", tag(&d));
@@ -657,7 +615,7 @@ mod tests {
             let mut g = h.pin();
             for hop in 0..10 * HEAVY_BUDGET {
                 walk(&mut g, (hop % 3) as usize, 1);
-                assert_ne!(g.budget, 0, "hop {hop}");
+                assert_ne!(g.state.budget, 0, "hop {hop}");
                 assert_eq!(light_words(&d), [0; 4], "hop {hop}");
             }
             drop(g);
@@ -676,7 +634,7 @@ mod tests {
         let mut og = owner.pin();
         walk(&mut og, 1, warm_up);
         let light = d.asymmetric && warm_up >= HEAVY_BUDGET;
-        assert_eq!(og.budget == 0, light, "{}", tag(&d));
+        assert_eq!(og.state.budget == 0, light, "{}", tag(&d));
         let target = {
             let p = og.alloc(123u64);
             let cell = Atomic::new(p);
@@ -770,7 +728,7 @@ mod tests {
                 // A cleared slot leaves the mask, so drop does not store to it again:
                 // a value planted there afterwards survives the drop.
                 g.clear(1);
-                assert_eq!(g.used, 1 << 4);
+                assert_eq!(g.state.used, 1 << 4);
                 d.slots[0].hazards[1].store(usize::MAX, Ordering::SeqCst);
                 drop(g);
                 assert_eq!(d.slots[0].hazards[1].swap(0, Ordering::SeqCst), usize::MAX);
@@ -814,10 +772,10 @@ mod tests {
             assert_eq!(light_words(&d), [0; 4], "{}", tag(&d));
             // The re-pinned guard is heavy: its next publication spends from
             // a full budget.
-            assert_eq!(g.budget, HEAVY_BUDGET, "{}", tag(&d));
+            assert_eq!(g.state.budget, HEAVY_BUDGET, "{}", tag(&d));
             let seen = g.protect(0, &cell);
             assert_eq!(seen, p);
-            assert_eq!(g.budget, HEAVY_BUDGET - 1, "{}", tag(&d));
+            assert_eq!(g.state.budget, HEAVY_BUDGET - 1, "{}", tag(&d));
             g.clear(0);
             // SAFETY: `p` is unlinked and no hazard names it any more.
             unsafe { g.retire(p) };
@@ -875,7 +833,7 @@ mod tests {
                     unsafe { g.retire(p) };
                 }
                 assert_eq!(light_words(&d), [0; 4], "{}: retire goes heavy", tag(&d));
-                assert_ne!(g.budget, 0);
+                assert_ne!(g.state.budget, 0);
             }
             assert_eq!(d.unreclaimed(), 0, "the guard's own retires swept");
             assert_eq!(barriers(&d), 0, "{}: own light guard", tag(&d));
@@ -934,7 +892,7 @@ mod tests {
                         unsafe { g.retire(p) };
                         walk(&mut g, 1, warm_up);
                         g.protect(0, &Atomic::new(p));
-                        let light = g.budget == 0;
+                        let light = g.state.budget == 0;
                         std::mem::forget(g);
                         std::mem::forget(h);
                         light

@@ -16,9 +16,9 @@
 //! shared retire core ([`crate::limbo`]).
 
 use crate::block::Retired;
-use crate::limbo::{Domain, EraCountdown, Handle, Pinned, RetireCore, Scheme};
+use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
+use crate::{Smr, SmrConfig, SmrError, SmrKind};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,7 +26,8 @@ use std::sync::Arc;
 /// First era handed out.
 const FIRST_ERA: u64 = 1;
 
-struct IbrSlot {
+/// One thread's era interval.
+pub struct IbrSlot {
     /// Era at the start of the current operation; `u64::MAX` when inactive.
     lower: AtomicU64,
     /// Most recent era observed during the current operation; `0` when
@@ -51,7 +52,7 @@ pub struct Ibr {
 }
 
 impl Smr for Ibr {
-    type Handle = IbrHandle;
+    type Handle = Handle<Ibr>;
 
     fn new(config: SmrConfig) -> Arc<Self> {
         let core = RetireCore::new(config);
@@ -70,11 +71,8 @@ impl Smr for Ibr {
         })
     }
 
-    fn try_register(self: &Arc<Self>) -> Result<IbrHandle, SmrError> {
-        Ok(IbrHandle {
-            inner: Handle::register(self)?,
-            era_tick: EraCountdown::new(self.core.config()),
-        })
+    fn try_register(self: &Arc<Self>) -> Result<Handle<Ibr>, SmrError> {
+        Handle::register(self)
     }
 
     fn unreclaimed(&self) -> usize {
@@ -100,17 +98,6 @@ impl Ibr {
             )
         })
     }
-
-    /// The global era as stamped on a block at allocation and at retirement.
-    #[inline]
-    fn era_stamp(&self) -> u64 {
-        // ORDERING: Relaxed — a read can only lag the true era.  A lagging
-        // birth stamp is conservatively *early*, strictly more protective for
-        // the interval-overlap test; a lagging retire stamp at worst delays
-        // reclamation by one interval check.  The stamp reaches sweepers
-        // through the vault mutex.
-        self.global_era.load(Ordering::Relaxed)
-    }
 }
 
 impl Domain for Ibr {
@@ -120,8 +107,8 @@ impl Domain for Ibr {
     }
 
     #[inline]
-    fn birth_stamp(&self) -> Option<u64> {
-        Some(self.era_stamp())
+    fn clock(&self) -> Option<&AtomicU64> {
+        Some(&self.global_era)
     }
 
     fn neutralize(&self, slot: usize) {
@@ -141,7 +128,10 @@ unsafe impl Scheme for Ibr {
 
     #[inline]
     fn retire_stamp(&self) -> Option<u64> {
-        Some(self.era_stamp())
+        // ORDERING: Relaxed — a read can only lag the true era, and a lagging
+        // retire stamp at worst delays reclamation by one interval check.
+        // The stamp reaches sweepers through the vault mutex.
+        Some(self.global_era.load(Ordering::Relaxed))
     }
 
     fn snapshot(&self) -> Option<Vec<(u64, u64)>> {
@@ -160,121 +150,58 @@ unsafe impl Scheme for Ibr {
     }
 }
 
-/// Per-thread handle for [`Ibr`].
-pub struct IbrHandle {
-    inner: Handle<Ibr>,
-    era_tick: EraCountdown,
-}
+/// The guard's state is a local copy of the published `upper`, sparing
+/// `protect` an atomic load on the fast path.
+impl ReadSide for Ibr {
+    type Slot = CachePadded<IbrSlot>;
+    type State = u64;
 
-impl SmrHandle for IbrHandle {
-    type Guard<'g>
-        = IbrGuard<'g>
-    where
-        Self: 'g;
+    #[inline]
+    fn slots(&self) -> &[CachePadded<IbrSlot>] {
+        &self.slots
+    }
 
-    fn pin(&mut self) -> IbrGuard<'_> {
-        let pinned = self.inner.pin();
-        let scheme = pinned.scheme();
-        let slot = &*scheme.slots[pinned.slot()];
-        let era = scheme.global_era.load(Ordering::SeqCst);
+    #[inline]
+    fn enter(&self, slot: &CachePadded<IbrSlot>) -> u64 {
+        let era = self.global_era.load(Ordering::SeqCst);
         slot.upper.store(era, Ordering::SeqCst);
         slot.lower.store(era, Ordering::SeqCst);
-        IbrGuard {
-            pinned,
-            slot,
-            era_tick: &mut self.era_tick,
-            cached_upper: era,
-        }
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
-    }
-}
-
-/// Critical-section guard for [`Ibr`].
-#[must_use = "dropping a guard unpublishes every protection it holds"]
-pub struct IbrGuard<'g> {
-    pinned: Pinned<'g, Ibr>,
-    /// The handle's interval slot, resolved once at `pin`.
-    slot: &'g IbrSlot,
-    era_tick: &'g mut EraCountdown,
-    /// Local cache of the published `upper`, avoiding an atomic load per
-    /// protect call on the fast path.
-    cached_upper: u64,
-}
-
-impl Drop for IbrGuard<'_> {
-    fn drop(&mut self) {
-        // Deactivating the interval on drop is what makes a panicking
-        // operation release its protection (RAII unwind safety).
-        self.slot.deactivate(Ordering::Release);
-    }
-}
-
-impl SmrGuard for IbrGuard<'_> {
-    #[inline]
-    fn domain_addr(&self) -> usize {
-        self.pinned.domain_addr()
+        era
     }
 
     #[inline]
-    fn protect<T>(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
+    fn exit(g: &mut Guard<'_, Self>) {
+        g.slot().deactivate(Ordering::Release);
+    }
+
+    #[inline]
+    fn protect<T>(g: &mut Guard<'_, Self>, _idx: usize, src: &Atomic<T>) -> Shared<T> {
         loop {
             let ptr = src.load(Ordering::Acquire);
-            let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
-            if era == self.cached_upper {
+            let era = g.scheme().global_era.load(Ordering::SeqCst);
+            if era == g.state {
                 return ptr;
             }
             // The interval is extended *before* the pointer is re-read, so any
             // pointer we return was loaded under an already-published upper
             // bound covering its birth era.
-            self.slot.upper.store(era, Ordering::SeqCst);
-            self.cached_upper = era;
+            g.slot().upper.store(era, Ordering::SeqCst);
+            g.state = era;
         }
     }
 
     #[inline]
-    fn announce<T>(&mut self, _idx: usize, _ptr: Shared<T>) {
-        let era = self.pinned.scheme().global_era.load(Ordering::SeqCst);
-        self.slot.upper.store(era, Ordering::SeqCst);
-        self.cached_upper = era;
-    }
-
-    #[inline]
-    fn dup(&mut self, _from: usize, _to: usize) {}
-
-    #[inline]
-    fn clear(&mut self, _idx: usize) {}
-
-    #[inline]
-    fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.pinned.alloc(value);
-        self.era_tick.tick(1, &self.pinned.scheme().global_era);
-        ptr
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    #[inline]
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        // SAFETY: forwarded — same contract.
-        unsafe { self.pinned.retire_batch(batch) };
-        self.era_tick
-            .tick(batch.len(), &self.pinned.scheme().global_era);
-    }
-
-    // SAFETY: callers must guarantee `ptr` was never published to other threads.
-    #[inline]
-    unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: forwarded — same contract.
-        unsafe { self.pinned.dealloc(ptr) };
+    fn announce<T>(g: &mut Guard<'_, Self>, _idx: usize, _ptr: Shared<T>) {
+        let era = g.scheme().global_era.load(Ordering::SeqCst);
+        g.slot().upper.store(era, Ordering::SeqCst);
+        g.state = era;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SmrGuard, SmrHandle};
 
     fn config(snapshot: bool) -> SmrConfig {
         SmrConfig {

@@ -33,9 +33,12 @@
 //!
 //! The slot lifecycle of all eight families — claim, pin, per-slot retire
 //! vaults, the block pool, the sharded counter, adoption of slots whose owner
-//! thread died, handle release, domain teardown — is written once, in the
-//! crate-private retire core (`limbo.rs`); a scheme contributes how a slot's
-//! reservation is withdrawn and what release and adoption do with its vault.
+//! thread died, handle release, domain teardown — and the one handle and one
+//! guard they hand out are written once, in the crate-private retire core
+//! (`limbo.rs`).  A scheme contributes its read-side protocol (enter, exit,
+//! `protect`, `announce`, and `dup`/`clear`/`checkpoint` where it has them),
+//! how a slot's reservation is withdrawn, and what retirement, release and
+//! adoption do with its vault.
 //! The six limbo-list schemes (EBR, HP, HE, IBR, NBR, VBR) also share its
 //! threshold-triggered sweeps and orphan list, contributing their stamps and
 //! their "may this block be freed" predicate.  Hyaline shares the lifecycle,
@@ -44,8 +47,9 @@
 //! All schemes expose the same narrow interface — [`Smr`] / [`SmrHandle`] /
 //! [`SmrGuard`] — modeled directly on the paper's Figure 1 (`protect`, `dup`)
 //! plus allocation and retirement.  Index-based hazard slots are a no-op for
-//! the schemes that do not need them (EBR, NR, IBR, Hyaline), which is what
-//! allows a single data-structure implementation to run under every scheme.
+//! the schemes that do not need them (EBR, NR, IBR, Hyaline, NBR, VBR), which
+//! is what allows a single data-structure implementation to run under every
+//! scheme.
 //!
 //! # Compatibility contract
 //!
@@ -365,7 +369,9 @@ impl SmrConfig {
 /// Guards, by contrast, are `!Send`: a critical section never leaves the
 /// thread that opened it (see [`SmrGuard`]).
 pub trait Smr: Send + Sync + Sized + 'static {
-    /// Per-thread state: hazard slots, era reservations, limbo list.
+    /// Per-thread state: the claimed registry slot, its liveness binding, the
+    /// thread's block pool and era countdown.  Reservations and retired blocks
+    /// live in the domain, so a survivor can adopt them if the thread dies.
     type Handle: SmrHandle + Send + 'static;
 
     /// Creates a new domain.  Panics if `config` violates its invariants
@@ -466,7 +472,7 @@ pub trait SmrGuard {
     ///   until the era is stable.
     /// * IBR / Hyaline-1S: extends the thread's interval to the current era
     ///   and re-reads until stable (slots are ignored).
-    /// * EBR / NR: a plain `Acquire` load.
+    /// * EBR / NBR / VBR / NR: a plain `Acquire` load.
     ///
     /// The returned pointer preserves tag bits; the published protection always
     /// refers to the untagged address.
@@ -867,6 +873,32 @@ mod tests {
         per_operation_path_leaves_the_refcount_alone::<Hyaline>(config());
         per_operation_path_leaves_the_refcount_alone::<Nbr>(config());
         per_operation_path_leaves_the_refcount_alone::<Vbr>(config());
+    }
+
+    /// Shared body of `every_guard_fits_its_layout`: a guard of `S` is
+    /// `bytes` long.
+    fn guard_fits<S: Smr>(bytes: usize) {
+        let size = std::mem::size_of::<<S::Handle as SmrHandle>::Guard<'static>>();
+        assert_eq!(size, bytes, "{}", std::any::type_name::<S>());
+    }
+
+    /// Guard sizes on a 64-bit target, in bytes: the lent-out handle (three
+    /// words), the reservation slot (one), and the scheme's state — HP's
+    /// budget and mask, IBR's cached upper bound, VBR's operation epoch,
+    /// Hyaline's acknowledgement boundary and cached era.  A guard is what a
+    /// traversal keeps in registers or spills per hop, so growth shows up
+    /// here before it shows up in a benchmark.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn every_guard_fits_its_layout() {
+        guard_fits::<Ebr>(32);
+        guard_fits::<Hp>(40);
+        guard_fits::<He>(32);
+        guard_fits::<Ibr>(40);
+        guard_fits::<Hyaline>(48);
+        guard_fits::<Nbr>(32);
+        guard_fits::<Vbr>(40);
+        guard_fits::<Nr>(32);
     }
 
     #[test]

@@ -1,21 +1,33 @@
-//! The retire core: the slot lifecycle of all eight schemes, and everything
-//! that happens to a block between `retire` and `free` under the six
-//! limbo-list schemes.
+//! The retire core: the slot lifecycle of all eight schemes, the one handle
+//! and the one guard they hand out, and everything that happens to a block
+//! between `retire` and `free` under the six limbo-list schemes.
 //!
 //! To a data structure a reclamation scheme is a reservation format plus a
 //! "may this block be freed" test; the rest is plumbing that does not depend
 //! on the scheme.  This module owns it: [`RetireCore`] holds the slot
 //! registry, the per-slot retire *vaults*, the orphan list, the sharded
-//! `unreclaimed` counter and the shared block pool, and [`Handle`] drives
-//! them.  The slot lifecycle — claim, pin, release, adoption of slots whose
-//! owner died, domain teardown — serves every domain ([`Domain`],
-//! [`Lifecycle`]).  The limbo sweep serves [`crate::Ebr`], [`crate::Hp`],
-//! [`crate::He`], [`crate::Ibr`], [`crate::Nbr`] and [`crate::Vbr`], which
-//! plug in through [`Scheme`] and keep only their slots, their global clock
-//! and their read-side protocol.  [`crate::Hyaline`] shares the lifecycle and
-//! the vault, not the sweep: it flushes its vault as reference-counted
-//! batches freed by the last acknowledger, so it has no `can_free` to ask.
-//! [`crate::Nr`] shares the lifecycle and leaks.
+//! `unreclaimed` counter and the shared block pool; [`Handle`] is every
+//! domain's [`Smr::Handle`](crate::Smr::Handle) and [`Guard`] every domain's
+//! guard.  A scheme file plugs in through four traits and writes nothing else:
+//!
+//! * [`Domain`] — the core it embeds, its global clock, and how a slot's
+//!   reservation is withdrawn;
+//! * [`Lifecycle`] — what retire, flush, release and adoption do with a slot's
+//!   vault;
+//! * [`Scheme`] — the limbo sweep's stamps and predicate.  One blanket impl
+//!   turns it into the [`Lifecycle`] of [`crate::Ebr`], [`crate::Hp`],
+//!   [`crate::He`], [`crate::Ibr`], [`crate::Nbr`] and [`crate::Vbr`];
+//! * [`ReadSide`] — the paper's Figure 1: enter, exit, `protect`, `announce`,
+//!   and `dup`, `clear`, `needs_restart`, `checkpoint` where the scheme has
+//!   them.
+//!
+//! [`crate::Hyaline`] shares the lifecycle and the vault, not the sweep: it
+//! flushes its vault as reference-counted batches freed by the last
+//! acknowledger, so it has no `can_free` to ask.  [`crate::Nr`] shares the
+//! lifecycle and leaks.
+//!
+//! The traits are `pub` so that they may bound the `pub` [`Handle`] and
+//! [`Guard`], and are exactly as unnameable outside the crate as this module.
 //!
 //! ## Vaults, orphans, adoption
 //!
@@ -40,24 +52,25 @@
 
 use crate::block::{header_of, Retired};
 use crate::pool::{BlockPool, PoolShared, ShardedCounter};
-use crate::ptr::Shared;
+use crate::ptr::{Atomic, Shared};
 use crate::registry::{AdoptGuard, PinBinding, SlotClaim, SlotRegistry};
-use crate::{SmrConfig, SmrError};
+use crate::{SmrConfig, SmrError, SmrGuard, SmrHandle};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What every domain gives the shared slot lifecycle: the core it embeds,
-/// the era it stamps on a new block, and how a slot's reservation is
-/// withdrawn.
-pub(crate) trait Domain: Send + Sync + Sized + 'static {
+/// its global clock, and how a slot's reservation is withdrawn.
+pub trait Domain: Send + Sync + Sized + 'static {
     /// The core this domain embeds.
     fn core(&self) -> &RetireCore;
 
-    /// Era to stamp into `Header::birth_era` at allocation, if the scheme
-    /// reads it.
+    /// The global era/epoch that every `alloc` stamps into
+    /// `Header::birth_era` and that each handle advances once per
+    /// `epoch_freq` allocations — and retirements, under a limbo-list
+    /// scheme — if the scheme has one.
     #[inline]
-    fn birth_stamp(&self) -> Option<u64> {
+    fn clock(&self) -> Option<&AtomicU64> {
         None
     }
 
@@ -68,10 +81,20 @@ pub(crate) trait Domain: Send + Sync + Sized + 'static {
     fn neutralize(&self, slot: usize);
 }
 
-/// What release and adoption do with a slot: the two lifecycle steps a
-/// domain does not share.  One blanket impl gives them to every [`Scheme`];
-/// Hyaline and NR write their own.
-pub(crate) trait Lifecycle: Domain {
+/// What retirement, `flush`, release and adoption do with a slot: the
+/// lifecycle steps a domain does not share.  One blanket impl gives them to
+/// every [`Scheme`]; Hyaline and NR write their own.
+pub trait Lifecycle: Domain {
+    /// Retires `batch` on behalf of the owner of `pinned`.
+    ///
+    /// # Safety
+    /// The [`SmrGuard::retire`] contract for every element: produced by
+    /// `alloc` on this domain, physically unlinked, retired exactly once.
+    unsafe fn retire<T>(pinned: &mut Pinned<'_, Self>, batch: &[Shared<T>]);
+
+    /// One forced reclamation pass: [`SmrHandle::flush`].
+    fn flush(pinned: &mut Pinned<'_, Self>);
+
     /// Tears down the slot of `pinned` as its handle drops.  Runs under the
     /// slot's beacon mutex after the generation check
     /// ([`SlotRegistry::release_with`]); guards cannot outlive their handle,
@@ -96,7 +119,7 @@ pub(crate) trait Lifecycle: Domain {
 /// only if no thread holds, or can still obtain, a protected reference to the
 /// block.  [`Domain::neutralize`] must leave the slot's reservation in the
 /// state that protects nothing.
-pub(crate) unsafe trait Scheme: Domain {
+pub unsafe trait Scheme: Domain {
     /// What one sweep needs to know about every live reservation: the global
     /// epoch (EBR), the minimum announced checkpoint/epoch (NBR, VBR), or the
     /// sorted hazard/era/interval list under `snapshot_scan` (`None` selects
@@ -127,6 +150,26 @@ pub(crate) unsafe trait Scheme: Domain {
 }
 
 impl<S: Scheme> Lifecycle for S {
+    /// Pushes `batch` into the vault and scans if the vault reached the
+    /// threshold — amortized reclamation, one scan per `scan_threshold`
+    /// retirements (§5 of the paper) — then counts the retirements towards
+    /// the next clock advance.
+    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
+    // per-node `retire` contract (unlinked, owned, retired exactly once).
+    #[inline]
+    unsafe fn retire<T>(pinned: &mut Pinned<'_, S>, batch: &[Shared<T>]) {
+        // SAFETY: forwarded — same contract.
+        let pending = unsafe { pinned.push_vault(batch, pinned.scheme.retire_stamp()) };
+        if pending >= pinned.scheme.core().config.scan_threshold {
+            pinned.scan(false);
+        }
+        pinned.tick(batch.len());
+    }
+
+    fn flush(pinned: &mut Pinned<'_, S>) {
+        pinned.scan(true);
+    }
+
     /// Neutralizes first — no guard of the slot is alive — so the last sweep
     /// frees what only this slot still pinned; the rest moves to the orphan
     /// list.
@@ -134,7 +177,7 @@ impl<S: Scheme> Lifecycle for S {
         let (scheme, slot) = (pinned.scheme, pinned.slot);
         let core = scheme.core();
         scheme.neutralize(slot);
-        core.sweep_vault(scheme, slot, pinned.pool);
+        core.sweep_vault(scheme, slot, &mut pinned.local.pool);
         core.orphan_vault(slot);
     }
 
@@ -148,9 +191,68 @@ impl<S: Scheme> Lifecycle for S {
     }
 }
 
+/// A scheme's read-side protocol — the paper's Figure 1, the one part of a
+/// scheme a data structure sees.  [`Guard`] turns it into the one
+/// [`SmrGuard`] impl: allocation, retirement, `dealloc` and the domain brand
+/// are the guard's own, written once.
+///
+/// Enter, exit, `protect` and `announce` have no default: a scheme that
+/// forgot one would silently publish nothing.  The rest default to what a
+/// scheme without per-slot hazards or a checkpoint protocol does: nothing.
+pub trait ReadSide: Lifecycle {
+    /// One thread's reservation record.
+    type Slot;
+
+    /// What a guard carries between calls beside its slot: a hazard budget, a
+    /// cached era, the acknowledgement boundary — `()` for most schemes.
+    type State;
+
+    /// The reservation records, one per registry slot; the shared `pin`
+    /// indexes it once per critical section.
+    fn slots(&self) -> &[Self::Slot];
+
+    /// Opens a critical section on `slot`: publishes what the scheme
+    /// announces at [`SmrHandle::pin`] and returns the guard's state.
+    fn enter(&self, slot: &Self::Slot) -> Self::State;
+
+    /// Closes it, withdrawing what the guard published.  Runs from the
+    /// guard's `Drop`, on unwind too: a panicking operation releases its
+    /// protections (RAII unwind safety).
+    fn exit(guard: &mut Guard<'_, Self>);
+
+    /// [`SmrGuard::protect`].
+    fn protect<T>(guard: &mut Guard<'_, Self>, idx: usize, src: &Atomic<T>) -> Shared<T>;
+
+    /// [`SmrGuard::announce`].
+    fn announce<T>(guard: &mut Guard<'_, Self>, idx: usize, ptr: Shared<T>);
+
+    /// [`SmrGuard::dup`].
+    #[inline]
+    fn dup(_guard: &mut Guard<'_, Self>, _from: usize, _to: usize) {}
+
+    /// [`SmrGuard::clear`].
+    #[inline]
+    fn clear(_guard: &mut Guard<'_, Self>, _idx: usize) {}
+
+    /// [`SmrGuard::needs_restart`].
+    #[inline]
+    fn needs_restart(_guard: &Guard<'_, Self>) -> bool {
+        false
+    }
+
+    /// [`SmrGuard::checkpoint`].
+    #[inline]
+    fn checkpoint(_guard: &mut Guard<'_, Self>) {}
+
+    /// Runs before every retirement, with the guard's protections still
+    /// held.
+    #[inline]
+    fn before_retire(_guard: &mut Guard<'_, Self>) {}
+}
+
 /// Domain-side state of the slot lifecycle and the retire path (see the
 /// module docs).
-pub(crate) struct RetireCore {
+pub struct RetireCore {
     config: SmrConfig,
     registry: SlotRegistry,
     vaults: Box<[Mutex<Vec<Retired>>]>,
@@ -272,18 +374,24 @@ impl Drop for RetireCore {
     }
 }
 
-/// Per-thread side of the slot lifecycle: the claimed slot, its liveness
-/// binding and the thread's block pool.  Every scheme's handle wraps one.
-/// The domain is shared with every thread, the rest is touched only by the
-/// owner; [`Handle::pin`] lends both out at once (a disjoint-field borrow),
-/// so a guard resolves what it needs — scheme, reservation slot, pool — when
-/// the critical section opens and never walks handle → `Arc` → slot array
-/// again.
-pub(crate) struct Handle<S: Lifecycle> {
+/// Every domain's per-thread handle: the claimed slot, its liveness binding,
+/// and what only the owner touches.  The domain is shared with every thread;
+/// `pin` lends both halves out at once (a disjoint-field borrow), so a guard
+/// resolves what it needs — scheme, reservation slot, pool — when the
+/// critical section opens and never walks handle → `Arc` → slot array again.
+pub struct Handle<S: Lifecycle> {
     domain: Arc<S>,
     claim: SlotClaim,
     binding: PinBinding,
+    local: Local,
+}
+
+/// The owner's half of a handle, lent out behind one `&mut` so that a
+/// [`Pinned`] stays three words.
+struct Local {
     pool: BlockPool,
+    /// Countdown to the next advance of [`Domain::clock`], if any.
+    era_tick: EraCountdown,
 }
 
 impl<S: Lifecycle> Handle<S> {
@@ -293,47 +401,58 @@ impl<S: Lifecycle> Handle<S> {
         let claim = core.registry.try_claim().ok_or(SmrError::RegistryFull {
             capacity: core.registry.capacity(),
         })?;
-        // Every claim starts from the neutral state, so a scheme's `pin`
+        // Every claim starts from the neutral state, so a scheme's enter
         // assumes nothing about the previous owner (Hyaline's release and
         // adoption leave the slot to this reset).
         domain.neutralize(claim.index);
         Ok(Self {
-            pool: BlockPool::new(core.pool.clone(), core.config.pool_blocks()),
+            local: Local {
+                pool: BlockPool::new(core.pool.clone(), core.config.pool_blocks()),
+                era_tick: EraCountdown::new(&core.config),
+            },
             domain: domain.clone(),
             claim,
             binding: PinBinding::new(),
         })
     }
 
-    /// First step of every `pin`: verifies the slot was not adopted, binds
-    /// its liveness beacon to the calling thread
-    /// ([`SlotRegistry::check_owner_and_bind`]) and lends the handle to the
-    /// guard being built.
-    #[inline]
-    #[must_use = "the guard being built must embed it"]
-    pub(crate) fn pin(&mut self) -> Pinned<'_, S> {
-        let registry = &self.domain.core().registry;
-        registry.check_owner_and_bind(self.claim, &mut self.binding);
-        self.lend()
-    }
-
-    /// Lends the handle out without the owner check, for `flush`: it
-    /// publishes no reservation.
+    /// Lends the handle out without the owner check, for `flush` and
+    /// release: neither publishes a reservation.
     #[inline]
     pub(crate) fn lend(&mut self) -> Pinned<'_, S> {
         Pinned {
             scheme: &self.domain,
             slot: self.claim.index,
-            pool: &mut self.pool,
+            local: &mut self.local,
             _thread_bound: std::marker::PhantomData,
         }
     }
 }
 
-impl<S: Scheme> Handle<S> {
-    /// One forced reclamation pass: the `flush` of every limbo-list scheme.
-    pub(crate) fn flush(&mut self) {
-        self.lend().scan(true);
+impl<S: ReadSide> SmrHandle for Handle<S> {
+    type Guard<'g>
+        = Guard<'g, S>
+    where
+        Self: 'g;
+
+    /// Verifies the slot was not adopted and binds its liveness beacon to the
+    /// calling thread ([`SlotRegistry::check_owner_and_bind`]), resolves the
+    /// reservation slot once, and enters the scheme's critical section on it.
+    #[inline]
+    fn pin(&mut self) -> Guard<'_, S> {
+        let registry = &self.domain.core().registry;
+        registry.check_owner_and_bind(self.claim, &mut self.binding);
+        let pinned = self.lend();
+        let slot = &pinned.scheme.slots()[pinned.slot];
+        Guard {
+            state: pinned.scheme.enter(slot),
+            pinned,
+            slot,
+        }
+    }
+
+    fn flush(&mut self) {
+        S::flush(&mut self.lend());
     }
 }
 
@@ -349,14 +468,110 @@ impl<S: Lifecycle> Drop for Handle<S> {
     }
 }
 
+/// Every domain's critical-section guard: the lent-out handle, the
+/// reservation slot `pin` resolved, and the scheme's per-guard state.  Its
+/// methods are the scheme's [`ReadSide`]; no guard method re-derives the
+/// domain or the slot (scot-lint L5).
+#[must_use = "dropping a guard unpublishes every protection it holds"]
+pub struct Guard<'g, S: ReadSide> {
+    pinned: Pinned<'g, S>,
+    /// The handle's reservation record, resolved once in `pin`.
+    slot: &'g S::Slot,
+    /// The scheme's own: nothing here reads or writes it.
+    pub(crate) state: S::State,
+}
+
+impl<'g, S: ReadSide> Guard<'g, S> {
+    /// The domain the guard publishes into.
+    #[inline]
+    pub(crate) fn scheme(&self) -> &'g S {
+        self.pinned.scheme
+    }
+
+    /// The handle's reservation record.
+    #[inline]
+    pub(crate) fn slot(&self) -> &'g S::Slot {
+        self.slot
+    }
+
+    /// The lent-out handle, for a scheme whose exit frees blocks.
+    #[inline]
+    pub(crate) fn pinned(&mut self) -> &mut Pinned<'g, S> {
+        &mut self.pinned
+    }
+}
+
+impl<S: ReadSide> Drop for Guard<'_, S> {
+    fn drop(&mut self) {
+        S::exit(self);
+    }
+}
+
+impl<S: ReadSide> SmrGuard for Guard<'_, S> {
+    #[inline]
+    fn domain_addr(&self) -> usize {
+        std::ptr::from_ref(self.pinned.scheme) as usize
+    }
+
+    #[inline]
+    fn protect<T>(&mut self, idx: usize, src: &Atomic<T>) -> Shared<T> {
+        S::protect(self, idx, src)
+    }
+
+    #[inline]
+    fn announce<T>(&mut self, idx: usize, ptr: Shared<T>) {
+        S::announce(self, idx, ptr);
+    }
+
+    #[inline]
+    fn dup(&mut self, from: usize, to: usize) {
+        S::dup(self, from, to);
+    }
+
+    #[inline]
+    fn clear(&mut self, idx: usize) {
+        S::clear(self, idx);
+    }
+
+    #[inline]
+    fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
+        self.pinned.alloc(value)
+    }
+
+    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
+    // per-node `retire` contract (unlinked, owned, retired exactly once).
+    #[inline]
+    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
+        S::before_retire(self);
+        // SAFETY: forwarded — same contract.
+        unsafe { S::retire(&mut self.pinned, batch) };
+    }
+
+    // SAFETY: callers must guarantee `ptr` was never published to other threads.
+    #[inline]
+    unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
+        // SAFETY: forwarded — same contract.
+        unsafe { self.pinned.dealloc(ptr) };
+    }
+
+    #[inline]
+    fn needs_restart(&self) -> bool {
+        S::needs_restart(self)
+    }
+
+    #[inline]
+    fn checkpoint(&mut self) {
+        S::checkpoint(self);
+    }
+}
+
 /// A [`Handle`] lent out for one critical section (or one `flush`, release
-/// or adoption): the domain by `&`, the thread's pool by `&mut`, the slot
-/// index by value.  Guards embed it next to the `&'g` reservation slot they
-/// resolve from [`Pinned::scheme`] and [`Pinned::slot`] once, in `pin`.
-pub(crate) struct Pinned<'g, S: Lifecycle> {
+/// or adoption): the domain by `&`, the owner's pool and clock countdown by
+/// `&mut`, the slot index by value.
+pub struct Pinned<'g, S: Lifecycle> {
     scheme: &'g S,
     slot: usize,
-    pool: &'g mut BlockPool,
+    local: &'g mut Local,
     /// Makes every guard `!Send`/`!Sync`: a guard is the pinning thread's
     /// read-side critical section, and the slot registry's liveness beacon
     /// tracks exactly that thread (see [`crate::registry`]) — a guard that
@@ -381,42 +596,50 @@ impl<'g, S: Lifecycle> Pinned<'g, S> {
     /// The thread's block pool.
     #[inline]
     pub(crate) fn pool(&mut self) -> &mut BlockPool {
-        self.pool
+        &mut self.local.pool
     }
 
-    /// The guard brand: see [`crate::SmrGuard::domain_addr`].
+    /// Counts `n` allocations or retirements towards the next advance of
+    /// [`Domain::clock`].
     #[inline]
-    pub(crate) fn domain_addr(&self) -> usize {
-        std::ptr::from_ref(self.scheme) as usize
+    fn tick(&mut self, n: usize) {
+        if let Some(clock) = self.scheme.clock() {
+            self.local.era_tick.tick(n, clock);
+        }
     }
 
-    /// Allocates a block through the thread's pool, stamping its birth era if
-    /// the scheme asks for one.
+    /// Allocates a block through the thread's pool, stamping its birth era
+    /// and then counting the allocation if the scheme has a clock.
     #[inline]
     pub(crate) fn alloc<T>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.pool.alloc(value);
-        if let Some(era) = self.scheme.birth_stamp() {
+        let ptr = self.local.pool.alloc(value);
+        if let Some(clock) = self.scheme.clock() {
+            // ORDERING: Relaxed — a read that lags the true era stamps the
+            // birth conservatively *old*, which only widens what a
+            // reservation covers.
+            let era = clock.load(Ordering::Relaxed);
             // SAFETY: `ptr` was just allocated and is not yet shared, so this
             // thread has exclusive access to its header.
             // ORDERING: Relaxed — the stamp is published together with the
             // pointer by whatever store links the block, and reaches sweepers
             // through the vault mutex taken at retire time.
             unsafe { (*header_of(ptr)).birth_era.store(era, Ordering::Relaxed) };
+            self.tick(1);
         }
         Shared::from_ptr(ptr)
     }
 
     /// Immediately frees a block that was never published — the
-    /// [`crate::SmrGuard::dealloc`] body shared by every scheme.
+    /// [`SmrGuard::dealloc`] body shared by every scheme.
     ///
     /// # Safety
-    /// The [`crate::SmrGuard::dealloc`] contract: `ptr` came from `alloc` on
-    /// this domain and no other thread has observed it.
+    /// The [`SmrGuard::dealloc`] contract: `ptr` came from `alloc` on this
+    /// domain and no other thread has observed it.
     #[inline]
     pub(crate) unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
         // SAFETY: never published, so the block is live and this thread is
         // its sole owner; pool-freeing it runs the destructor exactly once.
-        unsafe { self.pool.free(header_of(ptr.untagged().as_ptr())) };
+        unsafe { self.local.pool.free(header_of(ptr.untagged().as_ptr())) };
     }
 
     /// Counts `n` more blocks as retired and not yet reclaimed, on this
@@ -439,8 +662,8 @@ impl<'g, S: Lifecycle> Pinned<'g, S> {
     /// Limbo-list retirement scans and Hyaline flushes past their threshold.
     ///
     /// # Safety
-    /// The [`crate::SmrGuard::retire`] contract for every element: produced
-    /// by `alloc` on this domain, physically unlinked, retired exactly once.
+    /// The [`SmrGuard::retire`] contract for every element: produced by
+    /// `alloc` on this domain, physically unlinked, retired exactly once.
     #[inline]
     pub(crate) unsafe fn push_vault<T>(&self, batch: &[Shared<T>], stamp: Option<u64>) -> usize {
         if batch.is_empty() {
@@ -486,33 +709,16 @@ impl<'g, S: Lifecycle> Pinned<'g, S> {
 }
 
 impl<S: Scheme> Pinned<'_, S> {
-    /// Retires `batch` into the vault, then scans if the vault reached the
-    /// threshold.  A one-element batch is the single-node `retire`.
-    ///
-    /// # Safety
-    /// The [`crate::SmrGuard::retire`] contract for every element: produced
-    /// by `alloc` on this domain, physically unlinked, retired exactly once.
-    #[inline]
-    pub(crate) unsafe fn retire_batch<T>(&mut self, batch: &[Shared<T>]) {
-        // SAFETY: forwarded — same contract.
-        let pending = unsafe { self.push_vault(batch, self.scheme.retire_stamp()) };
-        if pending >= self.scheme.core().config.scan_threshold {
-            // Amortized reclamation: one scan per `scan_threshold`
-            // retirements (§5 of the paper).
-            self.scan(false);
-        }
-    }
-
     /// One reclamation pass (see the module docs); `force` is `flush`.
-    pub(crate) fn scan(&mut self, force: bool) {
+    fn scan(&mut self, force: bool) {
         let (scheme, slot) = (self.scheme, self.slot);
         let core = scheme.core();
         scheme.before_scan(force);
-        let left = core.sweep_vault(scheme, slot, self.pool);
+        let left = core.sweep_vault(scheme, slot, &mut self.local.pool);
         self.adopt_orphans();
         if let Some(mut orphans) = core.orphans.try_lock() {
             if !orphans.is_empty() {
-                core.sweep(scheme, &mut orphans, slot, self.pool);
+                core.sweep(scheme, &mut orphans, slot, &mut self.local.pool);
             }
         }
         let blocked = if force {
@@ -521,7 +727,7 @@ impl<S: Scheme> Pinned<'_, S> {
             left >= core.config.scan_threshold
         };
         if blocked && scheme.still_blocked() {
-            core.sweep_vault(scheme, slot, self.pool);
+            core.sweep_vault(scheme, slot, &mut self.local.pool);
         }
     }
 }
@@ -675,12 +881,12 @@ mod tests {
         let mut h = Handle::register(&d).unwrap();
         let nodes = alloc_counted(&mut h, 6, &drops);
         // SAFETY: freshly allocated, never published, retired exactly once.
-        unsafe { h.lend().retire_batch(&nodes) };
+        unsafe { Fake::retire(&mut h.lend(), &nodes) };
         assert_eq!(d.core.unreclaimed(), 6);
         for i in [1, 3, 4] {
             d.permit(nodes[i]);
         }
-        h.flush();
+        Fake::flush(&mut h.lend());
         assert_eq!(drops.load(Ordering::SeqCst), 3);
         assert_eq!(d.core.unreclaimed(), 3);
         let kept: Vec<usize> = [0, 2, 5].iter().map(|&i| nodes[i].into_raw()).collect();
@@ -694,7 +900,7 @@ mod tests {
         assert_eq!(d.blocked.load(Ordering::SeqCst), 1);
         assert_eq!(d.core.unreclaimed(), 3);
         d.permit_all.store(true, Ordering::SeqCst);
-        h.flush();
+        Fake::flush(&mut h.lend());
         assert_eq!(drops.load(Ordering::SeqCst), 6);
         assert_eq!(d.core.unreclaimed(), 0);
     }
@@ -707,7 +913,7 @@ mod tests {
         let mut b = Handle::register(&d).unwrap();
         let nodes = alloc_counted(&mut a, 3, &drops);
         // SAFETY: freshly allocated, never published, retired exactly once.
-        unsafe { a.lend().retire_batch(&nodes) };
+        unsafe { Fake::retire(&mut a.lend(), &nodes) };
         // Nothing is freeable yet: dropping `a` sweeps, then orphans all 3.
         drop(a);
         assert_eq!(d.core.unreclaimed(), 3);
@@ -716,9 +922,9 @@ mod tests {
         d.permit_all.store(true, Ordering::SeqCst);
         let more = alloc_counted(&mut b, 2, &drops);
         // SAFETY: as above.
-        unsafe { b.lend().retire_batch(&more) };
+        unsafe { Fake::retire(&mut b.lend(), &more) };
         assert_eq!(d.core.unreclaimed(), 5);
-        b.flush();
+        Fake::flush(&mut b.lend());
         assert_eq!(d.core.unreclaimed(), 0);
         assert_eq!(drops.load(Ordering::SeqCst), 5);
     }
@@ -731,11 +937,11 @@ mod tests {
         let mut survivor = Handle::register(&d).unwrap();
         let nodes = alloc_counted(&mut dead, 2, &drops);
         // SAFETY: freshly allocated, never published, retired exactly once.
-        unsafe { dead.lend().retire_batch(&nodes) };
+        unsafe { Fake::retire(&mut dead.lend(), &nodes) };
         d.core.registry.simulate_owner_exit(dead.claim.index);
         d.neutralized.lock().clear(); // registration neutralizes too
-        survivor.flush();
-        survivor.flush();
+        Fake::flush(&mut survivor.lend());
+        Fake::flush(&mut survivor.lend());
         assert_eq!(
             *d.neutralized.lock(),
             [dead.claim.index],
@@ -754,7 +960,7 @@ mod tests {
         assert!(d.neutralized.lock().is_empty(), "stale release is a no-op");
         assert!(d.core.registry.is_claimed(reuse.claim.index));
         d.permit_all.store(true, Ordering::SeqCst);
-        survivor.flush();
+        Fake::flush(&mut survivor.lend());
         assert_eq!(d.core.unreclaimed(), 0);
         assert_eq!(drops.load(Ordering::SeqCst), 2);
     }
@@ -767,12 +973,12 @@ mod tests {
         let nodes = alloc_counted(&mut h, 8, &drops);
         for &p in &nodes[..3] {
             // SAFETY: freshly allocated, never published, retired exactly once.
-            unsafe { h.lend().retire_batch(std::slice::from_ref(&p)) };
+            unsafe { Fake::retire(&mut h.lend(), std::slice::from_ref(&p)) };
         }
         assert_eq!(d.scans.load(Ordering::SeqCst), 0, "below the threshold");
         // 3 + 5 crosses the threshold of 4 in the middle of the batch.
         // SAFETY: as above.
-        unsafe { h.lend().retire_batch(&nodes[3..]) };
+        unsafe { Fake::retire(&mut h.lend(), &nodes[3..]) };
         assert_eq!(d.scans.load(Ordering::SeqCst), 1);
         assert_eq!(d.blocked.load(Ordering::SeqCst), 1, "8 left >= threshold");
         assert_eq!(d.core.unreclaimed(), 8);

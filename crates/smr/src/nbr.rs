@@ -24,11 +24,14 @@
 //!
 //! Everything after `retire` is the shared retire core ([`crate::limbo`]);
 //! the neutralization step is its still-blocked hook.
+//!
+//! [`SmrGuard::needs_restart`]: crate::SmrGuard::needs_restart
+//! [`SmrGuard::checkpoint`]: crate::SmrGuard::checkpoint
 
 use crate::block::Retired;
-use crate::limbo::{Domain, Handle, Pinned, RetireCore, Scheme};
+use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
+use crate::{Smr, SmrConfig, SmrError, SmrKind};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,7 +42,8 @@ const INACTIVE: u64 = 0;
 /// comparison free of underflow special cases.
 const FIRST_ERA: u64 = 4;
 
-struct NbrSlot {
+/// One thread's checkpoint and neutralize request.
+pub struct NbrSlot {
     /// Era announced by the slot's owner at pin/checkpoint, or [`INACTIVE`].
     checkpoint: AtomicU64,
     /// Raised by a blocked sweep to ask the owner to checkpoint; cleared by
@@ -58,7 +62,7 @@ pub struct Nbr {
 }
 
 impl Smr for Nbr {
-    type Handle = NbrHandle;
+    type Handle = Handle<Nbr>;
 
     fn new(config: SmrConfig) -> Arc<Self> {
         let core = RetireCore::new(config);
@@ -78,10 +82,8 @@ impl Smr for Nbr {
         })
     }
 
-    fn try_register(self: &Arc<Self>) -> Result<NbrHandle, SmrError> {
-        Ok(NbrHandle {
-            inner: Handle::register(self)?,
-        })
+    fn try_register(self: &Arc<Self>) -> Result<Handle<Nbr>, SmrError> {
+        Handle::register(self)
     }
 
     fn unreclaimed(&self) -> usize {
@@ -207,53 +209,27 @@ unsafe impl Scheme for Nbr {
     }
 }
 
-/// Per-thread handle for [`Nbr`].
-pub struct NbrHandle {
-    inner: Handle<Nbr>,
-}
+impl ReadSide for Nbr {
+    type Slot = CachePadded<NbrSlot>;
+    type State = ();
 
-impl SmrHandle for NbrHandle {
-    type Guard<'g>
-        = NbrGuard<'g>
-    where
-        Self: 'g;
-
-    fn pin(&mut self) -> NbrGuard<'_> {
-        let pinned = self.inner.pin();
-        let slot = &*pinned.scheme().slots[pinned.slot()];
-        pinned.scheme().announce_checkpoint(slot);
-        NbrGuard { pinned, slot }
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
-    }
-}
-
-/// Critical-section guard for [`Nbr`].
-#[must_use = "dropping a guard unpublishes every protection it holds"]
-pub struct NbrGuard<'g> {
-    pinned: Pinned<'g, Nbr>,
-    /// The handle's checkpoint slot, resolved once at `pin`.
-    slot: &'g NbrSlot,
-}
-
-impl Drop for NbrGuard<'_> {
-    fn drop(&mut self) {
-        // Deactivating the checkpoint on drop also covers panicking
-        // operations (RAII unwind safety).
-        self.slot.checkpoint.store(INACTIVE, Ordering::Release);
-    }
-}
-
-impl SmrGuard for NbrGuard<'_> {
     #[inline]
-    fn domain_addr(&self) -> usize {
-        self.pinned.domain_addr()
+    fn slots(&self) -> &[CachePadded<NbrSlot>] {
+        &self.slots
     }
 
     #[inline]
-    fn protect<T>(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
+    fn enter(&self, slot: &CachePadded<NbrSlot>) {
+        self.announce_checkpoint(slot);
+    }
+
+    #[inline]
+    fn exit(g: &mut Guard<'_, Self>) {
+        g.slot().checkpoint.store(INACTIVE, Ordering::Release);
+    }
+
+    #[inline]
+    fn protect<T>(_: &mut Guard<'_, Self>, _idx: usize, src: &Atomic<T>) -> Shared<T> {
         // The checkpoint era announced at pin (or at the last `checkpoint`
         // call) protects everything reachable; per-pointer work is
         // unnecessary, exactly as under EBR.
@@ -261,48 +237,23 @@ impl SmrGuard for NbrGuard<'_> {
     }
 
     #[inline]
-    fn announce<T>(&mut self, _idx: usize, _ptr: Shared<T>) {}
+    fn announce<T>(_: &mut Guard<'_, Self>, _idx: usize, _ptr: Shared<T>) {}
 
     #[inline]
-    fn dup(&mut self, _from: usize, _to: usize) {}
-
-    #[inline]
-    fn clear(&mut self, _idx: usize) {}
-
-    #[inline]
-    fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        self.pinned.alloc(value)
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    #[inline]
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        // SAFETY: forwarded — same contract.
-        unsafe { self.pinned.retire_batch(batch) };
-    }
-
-    // SAFETY: callers must guarantee `ptr` was never published to other threads.
-    #[inline]
-    unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: forwarded — same contract.
-        unsafe { self.pinned.dealloc(ptr) };
+    fn needs_restart(g: &Guard<'_, Self>) -> bool {
+        g.slot().neutralize.load(Ordering::Acquire)
     }
 
     #[inline]
-    fn needs_restart(&self) -> bool {
-        self.slot.neutralize.load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn checkpoint(&mut self) {
-        self.pinned.scheme().announce_checkpoint(self.slot);
+    fn checkpoint(g: &mut Guard<'_, Self>) {
+        g.scheme().announce_checkpoint(g.slot());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SmrGuard, SmrHandle};
 
     fn small_config() -> SmrConfig {
         SmrConfig {

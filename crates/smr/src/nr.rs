@@ -11,29 +11,35 @@
 //! only recycles the slot — so `alloc` still reuses `dealloc`ed blocks
 //! (lost-CAS giveback) and retirement counts on a per-thread shard.
 
-use crate::limbo::{Domain, Handle, Lifecycle, Pinned, RetireCore};
+use crate::limbo::{Domain, Guard, Handle, Lifecycle, Pinned, ReadSide, RetireCore};
 use crate::ptr::{Atomic, Shared};
 use crate::registry::AdoptGuard;
-use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
+use crate::{Smr, SmrConfig, SmrError, SmrKind};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The no-reclamation "scheme": the retire core and nothing else.
-pub struct Nr(RetireCore);
+pub struct Nr {
+    core: RetireCore,
+    /// One empty reservation per registry slot: NR publishes nothing.
+    slots: Box<[()]>,
+}
 
 impl Smr for Nr {
-    type Handle = NrHandle;
+    type Handle = Handle<Nr>;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        Arc::new(Self(RetireCore::new(config)))
+        let core = RetireCore::new(config);
+        let slots = vec![(); core.config().max_threads].into_boxed_slice();
+        Arc::new(Self { core, slots })
     }
 
-    fn try_register(self: &Arc<Self>) -> Result<NrHandle, SmrError> {
-        Ok(NrHandle(Handle::register(self)?))
+    fn try_register(self: &Arc<Self>) -> Result<Handle<Nr>, SmrError> {
+        Handle::register(self)
     }
 
     fn unreclaimed(&self) -> usize {
-        self.0.unreclaimed()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
@@ -44,13 +50,26 @@ impl Smr for Nr {
 impl Domain for Nr {
     #[inline]
     fn core(&self) -> &RetireCore {
-        &self.0
+        &self.core
     }
 
     fn neutralize(&self, _slot: usize) {}
 }
 
 impl Lifecycle for Nr {
+    /// Leaks: only counts, so that memory-overhead experiments can report the
+    /// (ever-growing) number of unreclaimed objects.
+    // SAFETY: NR never frees, so any unlinked pointer is trivially safe to retire.
+    #[inline]
+    unsafe fn retire<T>(pinned: &mut Pinned<'_, Self>, batch: &[Shared<T>]) {
+        debug_assert!(batch.iter().all(|p| !p.is_null()));
+        pinned.count_retired(batch.len());
+    }
+
+    fn flush(pinned: &mut Pinned<'_, Self>) {
+        pinned.adopt_orphans();
+    }
+
     fn release(_pinned: &mut Pinned<'_, Self>) {}
 
     fn adopt(adoption: AdoptGuard<'_>, _slot: usize, _pinned: &mut Pinned<'_, Self>) {
@@ -58,73 +77,35 @@ impl Lifecycle for Nr {
     }
 }
 
-/// Per-thread handle for [`Nr`].
-pub struct NrHandle(Handle<Nr>);
+/// Every operation is a plain load.
+impl ReadSide for Nr {
+    type Slot = ();
+    type State = ();
 
-impl SmrHandle for NrHandle {
-    type Guard<'g>
-        = NrGuard<'g>
-    where
-        Self: 'g;
-
-    fn pin(&mut self) -> NrGuard<'_> {
-        NrGuard(self.0.pin())
-    }
-
-    fn flush(&mut self) {
-        self.0.lend().adopt_orphans();
-    }
-}
-
-/// Critical-section guard for [`Nr`]; every operation is a plain load.
-#[must_use = "dropping a guard unpublishes every protection it holds"]
-pub struct NrGuard<'g>(Pinned<'g, Nr>);
-
-impl SmrGuard for NrGuard<'_> {
     #[inline]
-    fn domain_addr(&self) -> usize {
-        self.0.domain_addr()
+    fn slots(&self) -> &[()] {
+        &self.slots
     }
 
     #[inline]
-    fn protect<T>(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
+    fn enter(&self, _slot: &()) {}
+
+    #[inline]
+    fn exit(_: &mut Guard<'_, Self>) {}
+
+    #[inline]
+    fn protect<T>(_: &mut Guard<'_, Self>, _idx: usize, src: &Atomic<T>) -> Shared<T> {
         src.load(Ordering::Acquire)
     }
 
     #[inline]
-    fn announce<T>(&mut self, _idx: usize, _ptr: Shared<T>) {}
-
-    #[inline]
-    fn dup(&mut self, _from: usize, _to: usize) {}
-
-    #[inline]
-    fn clear(&mut self, _idx: usize) {}
-
-    #[inline]
-    fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        self.0.alloc(value)
-    }
-
-    // SAFETY: NR never frees, so any unlinked pointer is trivially safe to retire.
-    #[inline]
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        // Leak: only account for it so memory-overhead experiments can report
-        // the (ever-growing) number of unreclaimed objects.
-        debug_assert!(batch.iter().all(|p| !p.is_null()));
-        self.0.count_retired(batch.len());
-    }
-
-    // SAFETY: callers must guarantee `ptr` was never published to other threads.
-    #[inline]
-    unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: forwarded — same contract.
-        unsafe { self.0.dealloc(ptr) };
-    }
+    fn announce<T>(_: &mut Guard<'_, Self>, _idx: usize, _ptr: Shared<T>) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SmrGuard, SmrHandle};
 
     #[test]
     fn retire_leaks_and_counts() {

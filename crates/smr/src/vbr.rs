@@ -34,11 +34,15 @@
 //! memory-safety guarantee.  The price is the cooperative-caveat shared with
 //! [`crate::Nbr`]: a reader that never polls pins the minimum epoch, so
 //! [`SmrKind::is_robust`] reports `false`.
+//!
+//! [`SmrHandle::pin`]: crate::SmrHandle::pin
+//! [`SmrGuard::needs_restart`]: crate::SmrGuard::needs_restart
+//! [`SmrGuard::checkpoint`]: crate::SmrGuard::checkpoint
 
 use crate::block::Retired;
-use crate::limbo::{Domain, EraCountdown, Handle, Pinned, RetireCore, Scheme};
+use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
+use crate::{Smr, SmrConfig, SmrError, SmrKind};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,7 +60,8 @@ const FIRST_EPOCH: u64 = 4;
 /// eligible only once the minimum rises).
 const DISPLACEMENT_SLACK: u64 = 2;
 
-struct VbrSlot {
+/// One thread's epoch announcement.
+pub struct VbrSlot {
     /// Epoch announced by the slot's owner, or [`INACTIVE`].
     epoch: AtomicU64,
 }
@@ -71,7 +76,7 @@ pub struct Vbr {
 }
 
 impl Smr for Vbr {
-    type Handle = VbrHandle;
+    type Handle = Handle<Vbr>;
 
     fn new(config: SmrConfig) -> Arc<Self> {
         let core = RetireCore::new(config);
@@ -90,11 +95,8 @@ impl Smr for Vbr {
         })
     }
 
-    fn try_register(self: &Arc<Self>) -> Result<VbrHandle, SmrError> {
-        Ok(VbrHandle {
-            inner: Handle::register(self)?,
-            epoch_tick: EraCountdown::new(self.core.config()),
-        })
+    fn try_register(self: &Arc<Self>) -> Result<Handle<Vbr>, SmrError> {
+        Handle::register(self)
     }
 
     fn unreclaimed(&self) -> usize {
@@ -123,18 +125,6 @@ impl Vbr {
         }
     }
 
-    /// The global epoch as stamped on a block at allocation and retirement.
-    #[inline]
-    fn epoch_stamp(&self) -> u64 {
-        // ORDERING: Relaxed — the birth stamp is informational (safety rests
-        // on the two-epoch bound, not on epoch precision), and a retire stamp
-        // only has to be no older than the epoch this thread announced at its
-        // last checkpoint (published with SeqCst there), which per-location
-        // coherence guarantees; a stale one only delays recycling.  The stamp
-        // reaches the recycler through the vault mutex.
-        self.global_epoch.load(Ordering::Relaxed)
-    }
-
     /// Total reader displacements acknowledged so far (diagnostic).
     pub fn displacements(&self) -> u64 {
         self.displacements.load(Ordering::Relaxed)
@@ -147,9 +137,11 @@ impl Domain for Vbr {
         &self.core
     }
 
+    /// The birth stamp is informational: safety rests on the two-epoch
+    /// bound, not on epoch precision.
     #[inline]
-    fn birth_stamp(&self) -> Option<u64> {
-        Some(self.epoch_stamp())
+    fn clock(&self) -> Option<&AtomicU64> {
+        Some(&self.global_epoch)
     }
 
     fn neutralize(&self, slot: usize) {
@@ -170,7 +162,12 @@ unsafe impl Scheme for Vbr {
 
     #[inline]
     fn retire_stamp(&self) -> Option<u64> {
-        Some(self.epoch_stamp())
+        // ORDERING: Relaxed — a retire stamp only has to be no older than the
+        // epoch this thread announced at its last checkpoint (published with
+        // SeqCst there), which per-location coherence guarantees; a stale one
+        // only delays recycling.  The stamp reaches the recycler through the
+        // vault mutex.
+        Some(self.global_epoch.load(Ordering::Relaxed))
     }
 
     fn snapshot(&self) -> u64 {
@@ -196,112 +193,47 @@ unsafe impl Scheme for Vbr {
     }
 }
 
-/// Per-thread handle for [`Vbr`].
-pub struct VbrHandle {
-    inner: Handle<Vbr>,
-    epoch_tick: EraCountdown,
-}
+/// The guard's state is the epoch announced for this operation
+/// (re-announced by `checkpoint`).
+impl ReadSide for Vbr {
+    type Slot = CachePadded<VbrSlot>;
+    type State = u64;
 
-impl SmrHandle for VbrHandle {
-    type Guard<'g>
-        = VbrGuard<'g>
-    where
-        Self: 'g;
-
-    fn pin(&mut self) -> VbrGuard<'_> {
-        let pinned = self.inner.pin();
-        let slot = &*pinned.scheme().slots[pinned.slot()];
-        VbrGuard {
-            op_epoch: pinned.scheme().announce_epoch(slot),
-            pinned,
-            slot,
-            epoch_tick: &mut self.epoch_tick,
-        }
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
-    }
-}
-
-/// Critical-section guard for [`Vbr`].
-#[must_use = "dropping a guard unpublishes every protection it holds"]
-pub struct VbrGuard<'g> {
-    pinned: Pinned<'g, Vbr>,
-    /// The handle's announcement slot, resolved once at `pin`.
-    slot: &'g VbrSlot,
-    epoch_tick: &'g mut EraCountdown,
-    /// Epoch announced for this operation (re-announced by `checkpoint`).
-    op_epoch: u64,
-}
-
-impl Drop for VbrGuard<'_> {
-    fn drop(&mut self) {
-        // Deactivating the epoch announcement on drop also covers panicking
-        // operations (RAII unwind safety).
-        self.slot.epoch.store(INACTIVE, Ordering::Release);
-    }
-}
-
-impl SmrGuard for VbrGuard<'_> {
     #[inline]
-    fn domain_addr(&self) -> usize {
-        self.pinned.domain_addr()
+    fn slots(&self) -> &[CachePadded<VbrSlot>] {
+        &self.slots
     }
 
     #[inline]
-    fn protect<T>(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
+    fn enter(&self, slot: &CachePadded<VbrSlot>) -> u64 {
+        self.announce_epoch(slot)
+    }
+
+    #[inline]
+    fn exit(g: &mut Guard<'_, Self>) {
+        g.slot().epoch.store(INACTIVE, Ordering::Release);
+    }
+
+    #[inline]
+    fn protect<T>(_: &mut Guard<'_, Self>, _idx: usize, src: &Atomic<T>) -> Shared<T> {
         // The epoch announced at pin (or the last checkpoint) holds the
         // recycle queues back; per-pointer work is unnecessary.
         src.load(Ordering::Acquire)
     }
 
     #[inline]
-    fn announce<T>(&mut self, _idx: usize, _ptr: Shared<T>) {}
+    fn announce<T>(_: &mut Guard<'_, Self>, _idx: usize, _ptr: Shared<T>) {}
 
     #[inline]
-    fn dup(&mut self, _from: usize, _to: usize) {}
-
-    #[inline]
-    fn clear(&mut self, _idx: usize) {}
-
-    #[inline]
-    fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.pinned.alloc(value);
-        // Allocation-driven epoch advancement: reuse pressure, not limbo
-        // growth, is what moves the clock under VBR.
-        self.epoch_tick.tick(1, &self.pinned.scheme().global_epoch);
-        ptr
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    #[inline]
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        // SAFETY: forwarded — same contract.
-        unsafe { self.pinned.retire_batch(batch) };
-        self.epoch_tick
-            .tick(batch.len(), &self.pinned.scheme().global_epoch);
-    }
-
-    // SAFETY: callers must guarantee `ptr` was never published to other threads.
-    #[inline]
-    unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: forwarded — same contract.  VBR's version stamp is
-        // irrelevant here: an unpublished block has no readers to displace.
-        unsafe { self.pinned.dealloc(ptr) };
+    fn needs_restart(g: &Guard<'_, Self>) -> bool {
+        let global = &g.scheme().global_epoch;
+        global.load(Ordering::Acquire).saturating_sub(g.state) >= DISPLACEMENT_SLACK
     }
 
     #[inline]
-    fn needs_restart(&self) -> bool {
-        let global = &self.pinned.scheme().global_epoch;
-        global.load(Ordering::Acquire).saturating_sub(self.op_epoch) >= DISPLACEMENT_SLACK
-    }
-
-    #[inline]
-    fn checkpoint(&mut self) {
-        let scheme = self.pinned.scheme();
-        self.op_epoch = scheme.announce_epoch(self.slot);
+    fn checkpoint(g: &mut Guard<'_, Self>) {
+        let scheme = g.scheme();
+        g.state = scheme.announce_epoch(g.slot());
         scheme.displacements.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -310,6 +242,7 @@ impl SmrGuard for VbrGuard<'_> {
 mod tests {
     use super::*;
     use crate::block::version_of;
+    use crate::{SmrGuard, SmrHandle};
 
     fn small_config() -> SmrConfig {
         SmrConfig {
