@@ -9,7 +9,7 @@
 //! newest scheme all compile cleanly and fail only under churn.  This crate
 //! walks the workspace sources with a hand-rolled scanner (no parser
 //! dependencies — it must build in the vendored-offline environment) and
-//! enforces five named rules:
+//! enforces six named rules:
 //!
 //! | rule | name | invariant |
 //! |------|------|-----------|
@@ -18,6 +18,7 @@
 //! | `L3` | `slot-discipline` | hazard-slot indices are the named `HP_*` constants, never raw integers, outside `scot::slots` |
 //! | `L4` | `matrix-completeness` | `SmrKind`/`DsKind` dispatch matches, test matrices and doc tables enumerate the full variant set |
 //! | `L5` | `guard-discipline` | no `mem::forget`/`ManuallyDrop` on guards outside `faults.rs`; guard types and `fn pin` are `#[must_use]`; `smr` guard bodies never re-derive domain or slot (`.clone()` or `Arc::as_ptr` of the domain `Arc`, `.domain()`, `.slots[`) |
+//! | `L6` | `raw-deref` | `crates/scot` reads nodes through the cursor's (or the tree seek record's) protection constructors: no `Shared::deref`/`deref_guarded`/`as_ref`, `Link` load/cas/`as_atomic` or `protect_link` outside them |
 //!
 //! Violations can be grandfathered in a committed `lint.allow` file (one
 //! `RULE path[:line]` entry per line) or suppressed at the site with a
@@ -49,11 +50,13 @@ pub enum Rule {
     L4,
     /// guard-discipline.
     L5,
+    /// raw-deref.
+    L6,
 }
 
 impl Rule {
     /// All rules, in id order.
-    pub const ALL: [Rule; 5] = [Rule::L1, Rule::L2, Rule::L3, Rule::L4, Rule::L5];
+    pub const ALL: [Rule; 6] = [Rule::L1, Rule::L2, Rule::L3, Rule::L4, Rule::L5, Rule::L6];
 
     /// The short id (`L1`).
     pub fn id(&self) -> &'static str {
@@ -63,6 +66,7 @@ impl Rule {
             Rule::L3 => "L3",
             Rule::L4 => "L4",
             Rule::L5 => "L5",
+            Rule::L6 => "L6",
         }
     }
 
@@ -74,10 +78,11 @@ impl Rule {
             Rule::L3 => "slot-discipline",
             Rule::L4 => "matrix-completeness",
             Rule::L5 => "guard-discipline",
+            Rule::L6 => "raw-deref",
         }
     }
 
-    /// Parses `L1`..`L5` (or the rule name).
+    /// Parses `L1`..`L6` (or the rule name).
     pub fn parse(s: &str) -> Option<Rule> {
         Rule::ALL
             .into_iter()
@@ -203,6 +208,7 @@ pub fn check(root: &Path, opts: &Options) -> Result<Report, String> {
     findings.extend(rules::l3_slot_discipline(&files));
     findings.extend(rules::l4_matrix_completeness(&files, &docs));
     findings.extend(rules::l5_guard_discipline(&files));
+    findings.extend(rules::l6_raw_deref(&files));
 
     // Site-level suppression: `LINT-ALLOW: L<n>` in a comment on the line or
     // directly above it.

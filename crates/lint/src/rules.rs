@@ -920,6 +920,87 @@ pub fn l5_guard_discipline(files: &[SourceFile]) -> Vec<Finding> {
     out
 }
 
+// ---------------------------------------------------------------------------
+// L6 · raw-deref
+// ---------------------------------------------------------------------------
+
+/// Raw dereference primitives: every one of them asserts "this node is
+/// protected" on the caller's word, which is exactly the claim the
+/// structures leave to the cursor's (or the tree seek record's) accessors.
+const RAW_DEREFS: [&str; 4] = [
+    ".deref()",
+    ".deref_guarded(",
+    "protect_link(",
+    ".as_atomic(",
+];
+
+/// Methods that, called as the whole body of an `unsafe { … }` block, are
+/// `Link::load` / `Link::cas` (their `Atomic` namesakes are safe and need no
+/// block) or `Shared::as_ref`.
+const UNSAFE_CALLS: [&str; 3] = [".load(", ".cas(", ".as_ref("];
+
+/// The method an `unsafe { path.method(` block on this line opens with, if it
+/// is one of [`UNSAFE_CALLS`].
+fn unsafe_raw_call(code: &str) -> Option<&'static str> {
+    let mut from = 0;
+    while let Some(pos) = code[from..].find("unsafe") {
+        let rest = code[from + pos + "unsafe".len()..].trim_start();
+        from += pos + "unsafe".len();
+        let Some(body) = rest.strip_prefix('{') else {
+            continue;
+        };
+        let body = body.trim_start();
+        let path_len = body
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '.'))
+            .unwrap_or(body.len());
+        let (path, after) = body.split_at(path_len);
+        if let Some(call) = UNSAFE_CALLS
+            .into_iter()
+            .find(|call| after.starts_with('(') && path.ends_with(&call[..call.len() - 1]))
+        {
+            return Some(call);
+        }
+    }
+    None
+}
+
+/// Structures read nodes through the cursor, never through a raw
+/// dereference: in non-test `crates/scot/src/` code, `.deref()`,
+/// `.deref_guarded(`, `protect_link(`, `.as_atomic(` and an
+/// `unsafe { ….load(` / `.cas(` / `.as_ref(` (a `Link` access or
+/// `Shared::as_ref`) are findings.  The protection constructors — the
+/// cursor's and the tree seek record's accessors, the exclusive-ownership
+/// `owned`, the quiescent walks — carry an inline `LINT-ALLOW: L6 <why>`.
+pub fn l6_raw_deref(files: &[SourceFile]) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for f in files {
+        if !in_scope(f, &["crates/scot/src/"]) {
+            continue;
+        }
+        for (i, code) in f.code.iter().enumerate() {
+            if f.test_lines[i] {
+                continue;
+            }
+            let hit = RAW_DEREFS
+                .into_iter()
+                .find(|raw| code.contains(raw))
+                .or_else(|| unsafe_raw_call(code));
+            if let Some(raw) = hit {
+                out.push(finding(
+                    Rule::L6,
+                    &f.rel,
+                    i,
+                    format!(
+                        "raw dereference `{raw}` outside a protection constructor — read \
+                         nodes through the cursor (or the tree's seek record)"
+                    ),
+                ));
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1039,6 +1120,33 @@ impl<S: ReadSide> SmrHandle for Handle<S> {
         assert_eq!(got.len(), 1, "{got:#?}");
         assert_eq!(got[0].0, 3, "{got:#?}");
         assert!(got[0].1.contains("re-indexes the slot array"), "{got:#?}");
+    }
+
+    #[test]
+    fn l6_spots_link_and_as_ref_calls_only_as_an_unsafe_block_body() {
+        assert_eq!(
+            unsafe_raw_call("unsafe { self.prev.load(Ordering::Acquire) }"),
+            Some(".load(")
+        );
+        assert_eq!(
+            unsafe_raw_call("if unsafe { r.prev.cas(a, b) }.is_ok() {"),
+            Some(".cas(")
+        );
+        assert_eq!(
+            unsafe_raw_call("unsafe { self.curr.as_ref() }"),
+            Some(".as_ref(")
+        );
+        // A safe `Atomic::load`, and an unsafe block opening with something
+        // else, are not raw accesses.
+        assert_eq!(
+            unsafe_raw_call("let v = link.load(Ordering::Acquire);"),
+            None
+        );
+        assert_eq!(
+            unsafe_raw_call("unsafe { owned(curr) }.next.load(Ordering::Relaxed)"),
+            None
+        );
+        assert_eq!(unsafe_raw_call("unsafe { self.g.retire(node) }"), None);
     }
 
     #[test]

@@ -34,6 +34,13 @@ fn fixture_tree_produces_exactly_the_seeded_findings() {
     let want: Vec<(Rule, String, usize)> = [
         // A dispatch `match` that forgot SmrKind::He.
         (Rule::L4, "crates/harness/src/workload.rs", 29),
+        // Raw dereferences outside a protection constructor: `deref()`, a
+        // `Link` load in an unsafe block, `deref_guarded(`.  The
+        // LINT-ALLOW'd constructor, the safe `Atomic` load and the test
+        // module must NOT appear.
+        (Rule::L6, "crates/scot/src/deref_bad.rs", 6),
+        (Rule::L6, "crates/scot/src/deref_bad.rs", 11),
+        (Rule::L6, "crates/scot/src/deref_bad.rs", 16),
         // A guard struct without #[must_use].
         (Rule::L5, "crates/scot/src/guard_bad.rs", 4),
         // A bare `fn pin` outside a trait impl.
@@ -47,6 +54,8 @@ fn fixture_tree_produces_exactly_the_seeded_findings() {
         (Rule::L3, "crates/scot/src/traverse_bad.rs", 5),
         (Rule::L3, "crates/scot/src/traverse_bad.rs", 9),
         (Rule::L3, "crates/scot/src/traverse_bad.rs", 9),
+        // The L3-clean `protect_link` twin is still a raw link access.
+        (Rule::L6, "crates/scot/src/traverse_bad.rs", 15),
         // A struct named exactly `Guard` without #[must_use], and a
         // read-side impl that re-indexes the slot array; their twins (a
         // `#[must_use]` `Guard`, a struct with a guard bound, a read-side
@@ -100,6 +109,7 @@ fn fixture_messages_name_the_violation() {
     assert!(msg(Rule::L2, 25).contains("ORDERING"));
     assert!(msg(Rule::L2, 36).contains("`Ordering::Relaxed` on protection-publication state"));
     assert!(msg(Rule::L2, 37).contains("`compiler_fence` without"));
+    assert!(msg(Rule::L6, 11).contains("raw dereference `.load(`"));
     // Both dup arguments are checked.
     let dup: Vec<_> = report
         .findings

@@ -8,8 +8,8 @@
 //! memory-overhead accounting matches the paper's methodology — and one
 //! [`TraversalStats`] block.
 
-use crate::list::{BoundList, ListHandle, Node, RawList};
-use crate::traverse::{ScanState, SeekBound, SlotNode, TraversalStats, ZoneMode};
+use crate::list::{BoundList, ListCursor, ListHandle, RawList};
+use crate::traverse::{ScanState, SeekBound, TraversalStats, ZoneMode};
 use crate::{check_guard, ConcurrentMap, Key, RangeScan, TraversalSnapshot, Value};
 use scot_smr::{Smr, SmrConfig, SmrHandle};
 use std::hash::{Hash, Hasher};
@@ -135,7 +135,7 @@ impl<K: Key + Hash, S: Smr, V: Value> HashMap<K, S, V> {
         check_guard(&self.smr, &g);
         let mut count = 0usize;
         for b in &self.buckets {
-            b.walk(&mut g, |_, _| count += 1);
+            self.bind(b).walk(&mut g, |_, _| count += 1);
         }
         count
     }
@@ -154,10 +154,10 @@ impl<K: Key + Hash, S: Smr, V: Value> HashMap<K, S, V> {
 /// sorted, which is the honest contract for an unordered container.
 pub struct HashMapRange<'r, 'h, K: Key + Hash, S: Smr, V: Value = ()> {
     map: &'r HashMap<K, S, V>,
-    guard: &'r mut <S::Handle as SmrHandle>::Guard<'h>,
+    cursor: ListCursor<'r, 'r, <S::Handle as SmrHandle>::Guard<'h>, K, V>,
     /// Index of the bucket currently being scanned.
     bucket: usize,
-    state: ScanState<K, Node<K, V>>,
+    state: ScanState<K>,
     /// Lower bound, re-applied at the start of every bucket.
     lo: K,
     hi: Option<K>,
@@ -165,30 +165,20 @@ pub struct HashMapRange<'r, 'h, K: Key + Hash, S: Smr, V: Value = ()> {
 
 impl<'r, 'h, K: Key + Hash, S: Smr, V: Value> RangeScan<K, V> for HashMapRange<'r, 'h, K, S, V> {
     fn next_entry(&mut self) -> Option<(K, &V)> {
-        // Position first (bucket hopping re-borrows the guard per iteration),
-        // then hand out the guard-scoped borrow once, outside the loop.
-        let node = loop {
-            let list = self.map.bind(self.map.buckets.get(self.bucket)?);
-            let node = crate::traverse::scan_next(
-                &mut *self.guard,
-                &mut self.state,
-                self.hi.as_ref(),
-                0,
-                |g, bound| list.scan_seek(g, bound),
-            );
-            if node.is_null() {
-                // Bucket exhausted (its sorted segment in [lo, hi) ended):
-                // restart the window in the next bucket.
-                self.bucket += 1;
-                self.state = ScanState::Seek(SeekBound::Ge(self.lo));
-                continue;
+        let map = self.map;
+        let hi = self.hi.as_ref();
+        loop {
+            let list = map.bind(map.buckets.get(self.bucket)?);
+            if self.cursor.scan_next(&mut self.state, hi, |c, bound| {
+                list.find(c, *bound, false);
+            }) {
+                return self.cursor.entry();
             }
-            break node;
-        };
-        // SAFETY: `node` is protected by HP_CURR; the exclusive guard borrow
-        // (held by `self`) keeps that slot published until the next advance.
-        let node_ref = unsafe { node.deref_guarded(&*self.guard) };
-        Some((*node_ref.node_key(), node_ref.node_value()))
+            // Bucket exhausted (its sorted segment in [lo, hi) ended):
+            // restart the window in the next bucket.
+            self.bucket += 1;
+            self.state = ScanState::Seek(SeekBound::Ge(self.lo));
+        }
     }
 }
 
@@ -240,7 +230,7 @@ impl<K: Key + Hash, S: Smr, V: Value> ConcurrentMap<K, V> for HashMap<K, S, V> {
         check_guard(&self.smr, &*guard);
         HashMapRange {
             map: self,
-            guard,
+            cursor: self.bind(&self.buckets[0]).cursor(guard),
             bucket: 0,
             state: ScanState::Seek(SeekBound::Ge(lo)),
             lo,
@@ -256,7 +246,7 @@ impl<K: Key + Hash, S: Smr, V: Value> ConcurrentMap<K, V> for HashMap<K, S, V> {
         check_guard(&self.smr, &g);
         let mut out = Vec::new();
         for b in &self.buckets {
-            b.walk(&mut g, |k, v| out.push((*k, v.clone())));
+            self.bind(b).walk(&mut g, |k, v| out.push((*k, v.clone())));
         }
         out.sort_unstable_by_key(|entry| entry.0);
         out
@@ -322,7 +312,7 @@ mod tests {
             .iter()
             .filter(|b| {
                 let mut live = 0;
-                b.walk(&mut g, |_, _| live += 1);
+                map.bind(b).walk(&mut g, |_, _| live += 1);
                 live > 0
             })
             .count();

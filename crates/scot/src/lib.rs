@@ -39,8 +39,9 @@
 //!
 //! All structures are parameterized by the reclamation scheme `S: Smr` from
 //! the `scot-smr` crate and can therefore be instantiated with NR, EBR, HP,
-//! HPopt, HE, IBR or Hyaline-1S without code changes — this is the crux of the
-//! paper: fix the data structure once, keep every SMR scheme intact.
+//! HPopt, HE, IBR, Hyaline-1S, NBR or VBR without code changes — this is the
+//! crux of the paper: fix the data structure once, keep every SMR scheme
+//! intact.
 //!
 //! The protect → validate → recover loop itself is fixed **once for the whole
 //! crate**: the [`traverse`] module holds the shared traversal cursor (and the
@@ -129,7 +130,8 @@ impl<T: Send + Sync + 'static> Value for T {}
 /// Per scheme, the protection backing the borrow is: a published hazard
 /// pointer (HP/HPopt), an era reservation (HE), the thread's `[lower, upper]`
 /// interval (IBR), the entered slot list (Hyaline-1S), the announced epoch
-/// (EBR), or triviality (NR never frees).
+/// (EBR), the published checkpoint era (NBR) or operation epoch (VBR), or
+/// triviality (NR never frees).
 ///
 /// A value borrow cannot outlive its guard; this is enforced at compile time:
 ///

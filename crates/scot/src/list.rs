@@ -7,9 +7,10 @@
 //!
 //! * `RawList` is the list itself, one head word wide.  Bound to what its
 //!   owner lends an operation (a statistics block and the cursor's
-//!   `ZoneMode`) it has the single begin → `seek` → `unlink_pending` → restart
-//!   loop around the shared [`crate::traverse`] cursor, and the single `get` /
-//!   `insert` / `remove` / `contains` / `walk` / scan re-seek / `Drop`.
+//!   `ZoneMode`) it has the single position → restart loop around the shared
+//!   [`crate::traverse`] cursor (one cursor per operation, holding its guard
+//!   borrow), and the single `get` / `insert` / `remove` / `contains` /
+//!   `walk` / scan re-seek / `Drop`.
 //! * [`List`] is the one public shell (domain, statistics, handle, range
 //!   type, [`ConcurrentMap`] impl), with the strategy as the compile-time
 //!   `EAGER` parameter: [`crate::HarrisList`] is `EAGER = false` (SCOT) and
@@ -20,12 +21,11 @@
 //! The hazard-slot roles are the Figure 5 assignment documented in
 //! [`crate::slots`].
 
-use crate::slots::{HP_CURR, HP_NEXT};
 use crate::traverse::{
-    self, Cursor, ScanState, Seek, SeekBound, SlotNode, TraversalStats, ZoneMode, MARK,
+    owned, Cursor, ScanState, SeekBound, SlotNode, Stop, TraversalStats, ZoneMode, MARK,
 };
 use crate::{check_guard, ConcurrentMap, Key, RangeScan, TraversalSnapshot, Value};
-use scot_smr::{Atomic, Link, Shared, Smr, SmrConfig, SmrGuard, SmrHandle};
+use scot_smr::{Atomic, Smr, SmrConfig, SmrGuard, SmrHandle};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -40,8 +40,7 @@ impl<K: Key, V: Value> SlotNode<K> for Node<K, V> {
     type Value = V;
 
     #[inline]
-    // SAFETY: `_level` is ignored -- a list node always has the single `next` link, so the call is unconditionally in bounds.
-    unsafe fn successor(&self, _level: usize) -> &Atomic<Self> {
+    fn successor(&self, _level: usize) -> &Atomic<Self> {
         &self.next
     }
 
@@ -56,15 +55,8 @@ impl<K: Key, V: Value> SlotNode<K> for Node<K, V> {
     }
 }
 
-/// Where a positioning traversal parked: the predecessor link and the
-/// protected `curr`/`next` snapshot, exactly the triple the paper's `Do_Find`
-/// returns, plus whether `curr` holds the sought key.
-struct Position<K, V> {
-    prev: Link<Node<K, V>>,
-    curr: Shared<Node<K, V>>,
-    next: Shared<Node<K, V>>,
-    found: bool,
-}
+/// The shared cursor over list nodes, holding one operation's guard borrow.
+pub(crate) type ListCursor<'t, 'g, G, K, V> = Cursor<'t, 'g, G, K, Node<K, V>>;
 
 /// The list itself: a head word, owning the nodes reachable from it.
 pub(crate) struct RawList<K, V> {
@@ -103,98 +95,68 @@ impl<K: Key, V: Value> RawList<K, V> {
             mode,
         }
     }
+}
+
+impl<'a, K: Key, V: Value> BoundList<'a, K, V> {
+    /// The cursor of one operation on this list.
+    #[inline]
+    pub(crate) fn cursor<'g, G: SmrGuard>(&self, g: &'g mut G) -> ListCursor<'a, 'g, G, K, V> {
+        Cursor::new(g, self.head, self.stats, self.mode, true)
+    }
 
     /// Visits every live entry in ascending key order, passing key and value
     /// borrows to `f`.  Shares [`crate::ConcurrentMap::collect`]'s caveats:
     /// the walk skips the SCOT validation, so it must not run concurrently
     /// with removals under a robust scheme.
     pub(crate) fn walk<G: SmrGuard, F: FnMut(&K, &V)>(&self, g: &mut G, mut f: F) {
-        let mut curr = g.protect(HP_CURR, &self.head);
-        while !curr.is_null() {
-            // SAFETY: protected by HP_CURR / HP_NEXT ping-pong below.
-            let node = unsafe { curr.deref() };
-            let next = g.protect(HP_NEXT, &node.next);
-            if next.tag() == 0 {
-                f(&node.key, &node.value);
-            }
-            curr = next.untagged();
-            g.dup(HP_NEXT, HP_CURR);
-        }
+        self.cursor(g).walk(self.head, |n| f(&n.key, &n.value));
     }
-}
 
-impl<K: Key, V: Value> BoundList<'_, K, V> {
-    /// The one positioning traversal, driven by the shared
-    /// `crate::traverse::Cursor`: parks on the first live node satisfying
-    /// `bound`, re-entering from the head until a seek completes.  `cleanup`
-    /// selects whether a pending marked chain is unlinked and retired before
-    /// returning (L57-62 + `Do_Retire`; searches and scans leave the chain in
-    /// place, and in eager mode no chain ever forms).  On `Some` the hazard
-    /// slots still protect `prev`, `curr` and `next`, so the caller can
-    /// immediately use them for its insert/delete CAS.
+    /// The one positioning traversal: parks the cursor on the first live
+    /// node satisfying `bound`, re-entering from the head until a seek
+    /// completes, and reports whether that node holds the bound's key.
+    /// `cleanup` selects whether a pending marked chain is unlinked and
+    /// retired before returning (L57-62 + `Do_Retire`; searches and scans
+    /// leave the chain in place, and in eager mode no chain ever forms).
     ///
     /// `None` only for the wait-free list's searches: `interrupt` (polled
     /// once per hop) fired, or `attempts` traversals all had to restart.
     #[inline]
     fn seek<G: SmrGuard>(
         &self,
-        g: &mut G,
+        c: &mut ListCursor<'a, '_, G, K, V>,
         bound: &SeekBound<K>,
         cleanup: bool,
         attempts: usize,
         mut interrupt: impl FnMut() -> bool,
-    ) -> Option<Position<K, V>> {
+    ) -> Option<bool> {
+        // Checkpoints are allowed: nothing protected survives a restart
+        // (insert's pending block is unpublished and owned, so voiding the
+        // guard's slots cannot invalidate it).  Every rung re-targets the
+        // head: a list has no entry anchor.
+        c.rewind(0, true);
         for _ in 0..attempts {
-            // The head link is never tagged, so `begin` cannot fail here; the
-            // restart loop keeps the control flow total regardless.
-            // Checkpoints are allowed: nothing protected survives across the
-            // `continue` (insert's pending block is unpublished and owned, so
-            // voiding the guard's slots cannot invalidate it).
-            let Ok(mut c) = Cursor::begin(
-                g,
-                Shared::null(),
-                self.head.as_link(),
-                0,
-                Shared::null(),
-                true,
-                self.stats,
-                self.mode,
-            ) else {
-                continue;
-            };
-            match c.seek(g, bound, &mut interrupt) {
-                Seek::Positioned => {}
-                Seek::Restart(_) => continue,
-                Seek::Interrupted => return None,
+            match c.position(self.head, bound, cleanup, &mut interrupt) {
+                Ok(()) => return Some(c.found(bound)),
+                Err(Stop::Restart(_)) => continue,
+                Err(Stop::Interrupted) => return None,
             }
-            if cleanup && c.unlink_pending(g, true).is_err() {
-                continue;
-            }
-            let curr = c.curr();
-            let found = !curr.is_null() && {
-                match bound {
-                    // SAFETY: `curr` is protected (HP_CURR) and durable.
-                    SeekBound::Ge(k) => unsafe { curr.deref() }.key == *k,
-                    // A strict bound never "finds" its key.
-                    SeekBound::Gt(_) => false,
-                }
-            };
-            return Some(Position {
-                prev: c.prev_link(),
-                curr,
-                next: c.next(),
-                found,
-            });
         }
         None
     }
 
     /// Internal `Do_Find` (Figure 5, right-hand unrolled version plus the
     /// §3.2.1 recovery optimization): the unbounded, uninterruptible
-    /// `BoundList::seek`.
+    /// `BoundList::seek`, and the validated re-positioning primitive of
+    /// every list-shaped range scan.
     #[inline]
-    fn find<G: SmrGuard>(&self, g: &mut G, bound: SeekBound<K>, cleanup: bool) -> Position<K, V> {
-        self.seek(g, &bound, cleanup, usize::MAX, || false)
+    pub(crate) fn find<G: SmrGuard>(
+        &self,
+        c: &mut ListCursor<'a, '_, G, K, V>,
+        bound: SeekBound<K>,
+        cleanup: bool,
+    ) -> bool {
+        self.seek(c, &bound, cleanup, usize::MAX, || false)
             .expect("a seek without interrupt source or restart budget always positions")
     }
 
@@ -208,30 +170,15 @@ impl<K: Key, V: Value> BoundList<'_, K, V> {
         attempts: usize,
         interrupt: impl FnMut() -> bool,
     ) -> Option<bool> {
-        self.seek(g, &SeekBound::Ge(*key), false, attempts, interrupt)
-            .map(|p| p.found)
-    }
-
-    /// Positions [`crate::slots::HP_CURR`] on the first live node satisfying
-    /// `bound` and returns it (null at the end of the list): the validated
-    /// re-positioning primitive of every list-shaped range scan.
-    pub(crate) fn scan_seek<G: SmrGuard>(
-        &self,
-        g: &mut G,
-        bound: &SeekBound<K>,
-    ) -> Shared<Node<K, V>> {
-        self.find(g, *bound, false).curr
+        let mut c = self.cursor(g);
+        self.seek(&mut c, &SeekBound::Ge(*key), false, attempts, interrupt)
     }
 
     /// See [`crate::ConcurrentMap::get`].
     pub(crate) fn get<'g, G: SmrGuard>(&self, g: &'g mut G, key: &K) -> Option<&'g V> {
-        let r = self.find(g, SeekBound::Ge(*key), false);
-        if r.found {
-            // SAFETY: `curr` is protected by HP_CURR (published with SCOT
-            // validation during the find) and the `&'g mut` guard borrow
-            // prevents any further operation from recycling that slot while
-            // the returned value borrow is alive.
-            Some(&unsafe { r.curr.deref_guarded(&*g) }.value)
+        let mut c = self.cursor(g);
+        if self.find(&mut c, SeekBound::Ge(*key), false) {
+            c.into_value()
         } else {
             None
         }
@@ -239,30 +186,30 @@ impl<K: Key, V: Value> BoundList<'_, K, V> {
 
     /// See [`crate::ConcurrentMap::contains`].
     pub(crate) fn contains<G: SmrGuard>(&self, g: &mut G, key: &K) -> bool {
-        self.find(g, SeekBound::Ge(*key), false).found
+        let mut c = self.cursor(g);
+        self.find(&mut c, SeekBound::Ge(*key), false)
     }
 
     /// See [`crate::ConcurrentMap::insert`].
     pub(crate) fn insert<G: SmrGuard>(&self, g: &mut G, key: K, value: V) -> Result<(), V> {
-        let mut r = self.find(g, SeekBound::Ge(key), true);
-        if r.found {
+        let mut c = self.cursor(g);
+        if self.find(&mut c, SeekBound::Ge(key), true) {
             return Err(value);
         }
-        let new = g.alloc(Node {
+        let new = c.alloc(Node {
             next: Atomic::null(),
             key,
             value,
         });
         loop {
             // SAFETY: `new` is owned by us until the CAS below publishes it.
+            let node = unsafe { owned(new) };
             // ORDERING: the publishing CAS (Release) below makes this initialization visible.
-            unsafe { new.deref().next.store(r.curr, Ordering::Relaxed) };
-            // SAFETY: `prev`'s owner is protected (HP_PREV) or is the head.
-            if unsafe { r.prev.cas(r.curr, new) }.is_ok() {
+            node.next.store(c.curr_ptr(), Ordering::Relaxed);
+            if c.cas_prev(new) {
                 return Ok(());
             }
-            r = self.find(g, SeekBound::Ge(key), true);
-            if r.found {
+            if self.find(&mut c, SeekBound::Ge(key), true) {
                 // A concurrent insert won the race after our first find.
                 // SAFETY: `new` was never published; reclaim the block and
                 // hand the caller's value back instead of dropping it.
@@ -274,19 +221,18 @@ impl<K: Key, V: Value> BoundList<'_, K, V> {
 
     /// See [`crate::ConcurrentMap::remove`].
     pub(crate) fn remove<'g, G: SmrGuard>(&self, g: &'g mut G, key: &K) -> Option<&'g V> {
+        let mut c = self.cursor(g);
         loop {
-            let r = self.find(g, SeekBound::Ge(*key), true);
-            if !r.found {
+            if !self.find(&mut c, SeekBound::Ge(*key), true) {
                 return None;
             }
-            // SAFETY: `curr` is protected (HP_CURR).
-            let curr_ref = unsafe { r.curr.deref() };
+            let (victim, next) = (c.curr_ptr(), c.next_ptr());
             // Logical deletion: tag curr's next pointer (Figure 3, L21).
-            if curr_ref
+            if c.curr()?
                 .next
                 .compare_exchange(
-                    r.next,
-                    r.next.with_tag(MARK),
+                    next,
+                    next.with_tag(MARK),
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 )
@@ -296,17 +242,13 @@ impl<K: Key, V: Value> BoundList<'_, K, V> {
             }
             // One attempt at physical unlinking (Figure 3, L22); if it fails a
             // later traversal will clean the node up and retire it.
-            //
-            // SAFETY: `prev`'s owner is protected (HP_PREV) or is the head.
-            if unsafe { r.prev.cas(r.curr, r.next) }.is_ok() {
+            if c.cas_prev(next) {
                 // SAFETY: we won the unlink CAS, so we are the unique retirer.
-                unsafe { g.retire(r.curr) };
+                unsafe { c.retire(victim) };
             }
-            // SAFETY: the victim stays protected by HP_CURR — retiring does
-            // not free, and no scheme reclaims a node covered by a published
-            // hazard slot / live era reservation.  The `&'g mut` guard borrow
-            // keeps that protection in place for the borrow's lifetime.
-            return Some(&unsafe { r.curr.deref_guarded(&*g) }.value);
+            // Retiring does not free: the victim stays protected by HP_CURR
+            // for as long as the value borrow.
+            return c.into_value();
         }
     }
 }
@@ -322,7 +264,7 @@ impl<K, V> Drop for RawList<K, V> {
             // visited exactly once.
             unsafe {
                 // ORDERING: drop holds `&mut self`, so no other thread can touch these links.
-                let next = curr.deref().next.load(Ordering::Relaxed).untagged();
+                let next = owned(curr).next.load(Ordering::Relaxed).untagged();
                 scot_smr::free_block(scot_smr::header_of(curr.as_ptr()));
                 curr = next;
             }
@@ -413,21 +355,22 @@ impl<K: Key, S: Smr, V: Value, const EAGER: bool> List<K, S, V, EAGER> {
 /// next advance.
 pub struct ListRange<'r, 'h, K: Key, S: Smr, V: Value = ()> {
     list: BoundList<'r, K, V>,
-    guard: &'r mut <S::Handle as SmrHandle>::Guard<'h>,
-    state: ScanState<K, Node<K, V>>,
+    cursor: ListCursor<'r, 'r, <S::Handle as SmrHandle>::Guard<'h>, K, V>,
+    state: ScanState<K>,
     hi: Option<K>,
 }
 
 impl<'r, 'h, K: Key, S: Smr, V: Value> RangeScan<K, V> for ListRange<'r, 'h, K, S, V> {
     fn next_entry(&mut self) -> Option<(K, &V)> {
         let list = &self.list;
-        traverse::scan_entry(
-            &mut *self.guard,
-            &mut self.state,
-            self.hi.as_ref(),
-            0,
-            |g, bound| list.scan_seek(g, bound),
-        )
+        let hi = self.hi.as_ref();
+        if self.cursor.scan_next(&mut self.state, hi, |c, bound| {
+            list.find(c, *bound, false);
+        }) {
+            self.cursor.entry()
+        } else {
+            None
+        }
     }
 }
 
@@ -481,9 +424,10 @@ impl<K: Key, S: Smr, V: Value, const EAGER: bool> ConcurrentMap<K, V> for List<K
         'h: 'r,
     {
         check_guard(&self.smr, &*guard);
+        let list = self.bound();
         ListRange {
-            list: self.bound(),
-            guard,
+            cursor: list.cursor(guard),
+            list,
             state: ScanState::Seek(SeekBound::Ge(lo)),
             hi,
         }
@@ -496,7 +440,7 @@ impl<K: Key, S: Smr, V: Value, const EAGER: bool> ConcurrentMap<K, V> for List<K
         let mut g = handle.smr.pin();
         check_guard(&self.smr, &g);
         let mut out = Vec::new();
-        self.raw.walk(&mut g, |k, v| out.push((*k, v.clone())));
+        self.bound().walk(&mut g, |k, v| out.push((*k, v.clone())));
         out
     }
 
@@ -604,5 +548,225 @@ pub(crate) mod tests {
         run::<Hyaline, EAGER>();
         run::<Nbr, EAGER>();
         run::<Vbr, EAGER>();
+    }
+
+    // -----------------------------------------------------------------------
+    // The restart ladder, pinned single-threaded: each case drives
+    // `BoundList::search` and uses its interrupt hook (polled once per hop)
+    // as the injection point that rewrites one link mid-traversal.
+    // -----------------------------------------------------------------------
+
+    mod ladder {
+        use super::super::{ListHandle, Node, RawList, MARK};
+        use super::{cfg, List};
+        use crate::ConcurrentMap;
+        use scot_smr::{Ebr, Hp, Smr};
+        use scot_smr::{Shared, SmrGuard};
+        use std::cell::Cell;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        /// A payload that counts its drops, i.e. the reclamations of its node.
+        struct Counted(Arc<AtomicUsize>);
+
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        type Probe<S, const EAGER: bool> = List<u64, S, Counted, EAGER>;
+
+        /// The list `1..=5` (each value counting into the returned counter).
+        fn five<S: Smr, const EAGER: bool>() -> (Probe<S, EAGER>, Arc<AtomicUsize>) {
+            let list = Probe::<S, EAGER>::with_config(cfg());
+            let drops = Arc::new(AtomicUsize::new(0));
+            let mut h = list.handle();
+            let mut g = ConcurrentMap::pin(&list, &mut h);
+            for k in 1..=5 {
+                assert!(ConcurrentMap::insert(&list, &mut g, k, Counted(drops.clone())).is_ok());
+            }
+            (list, drops)
+        }
+
+        /// The node holding `key` (quiescent walk: nothing runs concurrently).
+        fn node_at<V>(raw: &RawList<u64, V>, key: u64) -> Shared<Node<u64, V>> {
+            let mut curr = raw.head.load(Ordering::Acquire).untagged();
+            loop {
+                // SAFETY: single-threaded test; every reachable node is live.
+                let node = unsafe { curr.deref() };
+                if node.key == key {
+                    return curr;
+                }
+                curr = node.next.load(Ordering::Acquire).untagged();
+            }
+        }
+
+        /// Flushes until the domain holds no retired block.
+        fn drain<S: Smr, const EAGER: bool>(list: &Probe<S, EAGER>, h: &mut ListHandle<S>) {
+            for _ in 0..8 {
+                h.flush();
+            }
+            assert_eq!(list.domain().unreclaimed(), 0);
+        }
+
+        /// The live keys, in list order.
+        fn keys<S: Smr, const EAGER: bool>(
+            list: &Probe<S, EAGER>,
+            h: &mut ListHandle<S>,
+        ) -> Vec<u64> {
+            let mut g = ConcurrentMap::pin(list, h);
+            let mut out = Vec::new();
+            list.bound().walk(&mut g, |k, _| out.push(*k));
+            out
+        }
+
+        /// Logically deletes `node` (sets the mark bit on its successor link).
+        fn mark<V>(node: Shared<Node<u64, V>>) {
+            // SAFETY: single-threaded test; `node` is live.
+            let next = &unsafe { node.deref() }.next;
+            next.store(
+                next.load(Ordering::Acquire).with_tag(MARK),
+                Ordering::Release,
+            );
+        }
+
+        /// (a) Crossing a marked chain counts one zone entry; a cleanup seek then
+        /// unlinks and retires exactly that chain.
+        fn zone_crossing_and_cleanup<S: Smr>() {
+            let (list, drops) = five::<S, false>();
+            mark(node_at(&list.raw, 2));
+            mark(node_at(&list.raw, 3));
+            let mut h = list.handle();
+            let mut g = ConcurrentMap::pin(&list, &mut h);
+            assert_eq!(
+                list.bound().search(&mut g, &4, usize::MAX, || false),
+                Some(true)
+            );
+            let stats = list.stats.snapshot();
+            assert_eq!((stats.zone_entries, stats.restarts), (1, 0));
+            // Insert 3 again: its cleanup seek unlinks [2, 3] with one CAS.
+            assert!(ConcurrentMap::insert(&list, &mut g, 3, Counted(drops.clone())).is_ok());
+            assert_eq!(list.stats.snapshot().zone_entries, 2);
+            assert_eq!(
+                list.bound().search(&mut g, &5, usize::MAX, || false),
+                Some(true)
+            );
+            assert_eq!(list.stats.snapshot().zone_entries, 2, "the chain is gone");
+            drop(g);
+            drain(&list, &mut h);
+            assert_eq!(drops.load(Ordering::Relaxed), 2, "exactly the chain");
+            assert_eq!(keys(&list, &mut h), [1, 3, 4, 5]);
+        }
+
+        /// (b) §3.2.1: the chain is unlinked mid-zone while the last safe node
+        /// stays unmarked — the cursor recovers from its new successor.
+        fn recovery_from_unlinked_chain<S: Smr>() {
+            let (list, drops) = five::<S, false>();
+            let (n1, n2, n3, n4) = (
+                node_at(&list.raw, 1),
+                node_at(&list.raw, 2),
+                node_at(&list.raw, 3),
+                node_at(&list.raw, 4),
+            );
+            mark(n2);
+            mark(n3);
+            let mut h = list.handle();
+            let mut g = ConcurrentMap::pin(&list, &mut h);
+            let fired = Cell::new(false);
+            let hook = || {
+                if !fired.get() && list.stats.zone_entries() == 1 {
+                    fired.set(true);
+                    // SAFETY: single-threaded test; node 1 is live.
+                    let link = &unsafe { n1.deref() }.next;
+                    link.cas(n2, n4).expect("1 -> 2 is intact");
+                }
+                false
+            };
+            assert_eq!(
+                list.bound().search(&mut g, &4, usize::MAX, hook),
+                Some(true)
+            );
+            assert!(fired.get());
+            let stats = list.stats.snapshot();
+            assert_eq!((stats.recoveries, stats.restarts), (1, 0));
+            // The hook unlinked the chain, so the test is its unique retirer.
+            // SAFETY: 2 and 3 are unreachable and retired once.
+            unsafe {
+                g.retire(n2);
+                g.retire(n3);
+            }
+            drop(g);
+            drain(&list, &mut h);
+            assert_eq!(drops.load(Ordering::Relaxed), 2);
+        }
+
+        /// (c) Rung 3: the last safe node is marked mid-zone, so the seek
+        /// restarts from the head — and still finds the key.
+        fn restart_when_last_safe_node_is_marked<S: Smr>() {
+            let (list, _drops) = five::<S, false>();
+            let n1 = node_at(&list.raw, 1);
+            mark(node_at(&list.raw, 2));
+            mark(node_at(&list.raw, 3));
+            let mut h = list.handle();
+            let mut g = ConcurrentMap::pin(&list, &mut h);
+            let fired = Cell::new(false);
+            let hook = || {
+                if !fired.get() && list.stats.zone_entries() == 1 {
+                    fired.set(true);
+                    mark(n1);
+                }
+                false
+            };
+            assert_eq!(
+                list.bound().search(&mut g, &4, usize::MAX, hook),
+                Some(true)
+            );
+            assert!(fired.get());
+            let stats = list.stats.snapshot();
+            assert_eq!((stats.restarts, stats.recoveries), (1, 0));
+        }
+
+        /// (d) Eager mode unlinks and retires a marked node on the spot.
+        fn eager_unlinks_on_the_spot<S: Smr>() {
+            let (list, drops) = five::<S, true>();
+            mark(node_at(&list.raw, 3));
+            let mut h = list.handle();
+            let mut g = ConcurrentMap::pin(&list, &mut h);
+            assert_eq!(
+                list.bound().search(&mut g, &5, usize::MAX, || false),
+                Some(true)
+            );
+            let stats = list.stats.snapshot();
+            assert_eq!((stats.zone_entries, stats.restarts), (0, 0));
+            drop(g);
+            drain(&list, &mut h);
+            assert_eq!(drops.load(Ordering::Relaxed), 1);
+            assert_eq!(keys(&list, &mut h), [1, 2, 4, 5]);
+        }
+
+        #[test]
+        fn ladder_zone_crossing_retires_exactly_the_chain() {
+            zone_crossing_and_cleanup::<Ebr>();
+            zone_crossing_and_cleanup::<Hp>();
+        }
+
+        #[test]
+        fn ladder_recovers_when_the_chain_is_unlinked_mid_zone() {
+            recovery_from_unlinked_chain::<Ebr>();
+            recovery_from_unlinked_chain::<Hp>();
+        }
+
+        #[test]
+        fn ladder_restarts_when_the_last_safe_node_is_marked() {
+            restart_when_last_safe_node_is_marked::<Ebr>();
+            restart_when_last_safe_node_is_marked::<Hp>();
+        }
+
+        #[test]
+        fn ladder_eager_mode_unlinks_and_retires_on_the_spot() {
+            eager_unlinks_on_the_spot::<Ebr>();
+            eager_unlinks_on_the_spot::<Hp>();
+        }
     }
 }

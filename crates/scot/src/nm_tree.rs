@@ -32,7 +32,7 @@
 //! the recovery optimization: diverging traversals simply restart.
 
 use crate::slots::{HP_ANC, HP_CHILD, HP_LEAF, HP_PARENT, HP_SUCC, HP_VICTIM};
-use crate::traverse::{validate_link, TraversalStats};
+use crate::traverse::{owned, TraversalStats};
 use crate::{Key, RangeScan, TraversalSnapshot, Value};
 use scot_smr::{Atomic, Link, Shared, Smr, SmrConfig, SmrGuard, SmrHandle};
 use std::sync::atomic::Ordering;
@@ -140,29 +140,6 @@ impl<K: Key> SeekQuery<K> {
     }
 }
 
-/// The result of a `Seek`: the four nodes of the paper's seek record plus the
-/// link (field address) of the ancestor → successor edge and the value of the
-/// parent → leaf edge as it was read.
-struct SeekRecord<K, V> {
-    /// Kept for parity with the paper's seek record; the CAS itself goes
-    /// through `ancestor_link`, and the hazard slot HP_ANC keeps the node
-    /// protected, so the field is informational.
-    #[allow(dead_code)]
-    ancestor: Shared<TreeNode<K, V>>,
-    successor: Shared<TreeNode<K, V>>,
-    parent: Shared<TreeNode<K, V>>,
-    leaf: Shared<TreeNode<K, V>>,
-    /// The ancestor's child field on the search path (CAS target of CleanUp).
-    ancestor_link: Link<TreeNode<K, V>>,
-    /// Value of the parent → leaf edge when it was traversed (marks included).
-    #[allow(dead_code)]
-    parent_edge: Shared<TreeNode<K, V>>,
-    /// Routing key of the deepest node at which the descent turned left: the
-    /// upper bound of the reached leaf's key interval.  The range scan's
-    /// successor walk resumes from it when the seek lands on a predecessor.
-    left_turn: TreeKey<K>,
-}
-
 /// The Natarajan-Mittal ordered map with SCOT traversals, parameterized by the
 /// reclamation scheme (`V = ()` gives the paper's membership set).
 ///
@@ -261,13 +238,204 @@ impl<K: Key, S: Smr, V: Value> NmTree<K, S, V> {
     fn root_ref(&self) -> &TreeNode<K, V> {
         // SAFETY: the root sentinel is allocated in `new` and freed only in
         // `drop`, so it is alive for the lifetime of `&self`.
-        unsafe { self.root.deref() }
+        unsafe { self.root.deref() } // LINT-ALLOW: L6 the root sentinel constructor
+    }
+
+    /// One operation's seek record, positioned by a first `Seek::reseek`.
+    fn seek<'t, 'g, G: SmrGuard>(
+        &'t self,
+        g: &'g mut G,
+        query: &SeekQuery<K>,
+        checkpoints: bool,
+    ) -> Seek<'t, 'g, G, K, V> {
+        let mut s = Seek::new(self, g);
+        s.reseek(query, checkpoints);
+        s
+    }
+
+    /// Visits every live `(key, value)` leaf pair (testing/diagnostics; must
+    /// not run concurrently with removals under robust schemes — see
+    /// [`crate::ConcurrentMap::collect`]).
+    fn walk<F: FnMut(&K, &V)>(&self, mut f: F) {
+        let mut stack = vec![self.root];
+        while let Some(node) = stack.pop() {
+            if node.is_null() {
+                continue;
+            }
+            // SAFETY: quiescent traversal (test/diagnostic use only).
+            let node_ref = unsafe { node.untagged().deref() }; // LINT-ALLOW: L6 quiescent walk
+            let left = node_ref.left.load(Ordering::Acquire);
+            let right = node_ref.right.load(Ordering::Acquire);
+            if left.untagged().is_null() && right.untagged().is_null() {
+                if let (TreeKey::Fin(k), Some(v)) = (&node_ref.key, &node_ref.value) {
+                    f(k, v);
+                }
+            } else {
+                stack.push(left.untagged());
+                stack.push(right.untagged());
+            }
+        }
+    }
+}
+
+/// The seek record of the paper's Figure 6 — the nodes a `Seek` leaves
+/// behind — plus the fields (links) of its two CAS-able edges.
+struct Record<K, V> {
+    /// The successor: the node below the deepest untagged edge.
+    successor: Shared<TreeNode<K, V>>,
+    /// Parent of the leaf, protected by `HP_PARENT`.
+    parent: Shared<TreeNode<K, V>>,
+    /// The leaf, protected by `HP_LEAF`.
+    leaf: Shared<TreeNode<K, V>>,
+    /// The ancestor's child field on the search path (CAS target of
+    /// CleanUp); the ancestor is protected by `HP_ANC` (or is R).
+    ancestor_link: Link<TreeNode<K, V>>,
+    /// The parent's child field holding the edge into `leaf`.
+    parent_link: Link<TreeNode<K, V>>,
+    /// Value of the parent → leaf edge when it was traversed (marks included).
+    parent_edge: Shared<TreeNode<K, V>>,
+    /// Routing key of the deepest node at which the descent turned left: the
+    /// upper bound of the reached leaf's key interval.  The range scan's
+    /// successor walk resumes from it when the seek lands on a predecessor.
+    left_turn: TreeKey<K>,
+    /// The removal victim parked in `HP_VICTIM` (the root sentinel if none).
+    victim: Shared<TreeNode<K, V>>,
+}
+
+impl<K, V> Record<K, V> {
+    /// The leaf the seek reached.
+    #[inline]
+    fn leaf(&self) -> &TreeNode<K, V> {
+        // SAFETY: `leaf` is protected by `HP_LEAF` and was validated when it
+        // was the child being followed (or is a sentinel, never retired).
+        unsafe { self.leaf.deref() } // LINT-ALLOW: L6 the seek record's leaf constructor
+    }
+
+    /// The leaf's parent.
+    #[inline]
+    fn parent(&self) -> &TreeNode<K, V> {
+        // SAFETY: `parent` is protected by `HP_PARENT` (it was the validated
+        // leaf one step earlier), or is a sentinel.
+        unsafe { self.parent.deref() } // LINT-ALLOW: L6 the seek record's parent constructor
+    }
+
+    /// The parent → leaf edge's field.
+    #[inline]
+    fn parent_edge(&self) -> &Atomic<TreeNode<K, V>> {
+        // SAFETY: the field belongs to `parent` (see `Record::parent`).
+        unsafe { self.parent_link.as_atomic() } // LINT-ALLOW: L6 parent-edge constructor
+    }
+
+    /// The ancestor → successor edge's field.
+    #[inline]
+    fn ancestor_edge(&self) -> &Atomic<TreeNode<K, V>> {
+        // SAFETY: the field belongs to the ancestor, protected by `HP_ANC`,
+        // or to the root sentinel R.
+        unsafe { self.ancestor_link.as_atomic() } // LINT-ALLOW: L6 ancestor-edge constructor
+    }
+}
+
+/// A tree operation's seek: the [`Record`] plus the operation's exclusive
+/// `&'g mut` guard borrow, so nothing outside it can recycle the slots the
+/// record's accessors rely on.  Built once per operation and re-sought in
+/// place.
+struct Seek<'t, 'g, G, K, V> {
+    g: &'g mut G,
+    rec: Record<K, V>,
+    /// The root sentinel `R`: never retired, freed only by the tree's `Drop`.
+    root: &'t TreeNode<K, V>,
+    root_ptr: Shared<TreeNode<K, V>>,
+    stats: &'t TraversalStats,
+}
+
+impl<'t, 'g, G: SmrGuard, K: Key, V: Value> Seek<'t, 'g, G, K, V> {
+    /// A record parked on the root sentinel, before any descent.
+    fn new<S: Smr>(tree: &'t NmTree<K, S, V>, g: &'g mut G) -> Self {
+        Seek {
+            g,
+            rec: Record {
+                successor: tree.root,
+                parent: tree.root,
+                leaf: tree.root,
+                ancestor_link: tree.root_ref().left.as_link(),
+                parent_link: tree.root_ref().left.as_link(),
+                parent_edge: Shared::null(),
+                left_turn: TreeKey::Inf2,
+                victim: tree.root,
+            },
+            root: tree.root_ref(),
+            root_ptr: tree.root,
+            stats: &tree.stats,
+        }
+    }
+
+    /// The leaf the last seek reached.
+    #[inline]
+    fn leaf(&self) -> &TreeNode<K, V> {
+        self.rec.leaf()
+    }
+
+    /// The leaf's parent.
+    #[inline]
+    fn parent(&self) -> &TreeNode<K, V> {
+        self.rec.parent()
+    }
+
+    /// Allocates a node through the guard.
+    #[inline]
+    fn alloc(&mut self, node: TreeNode<K, V>) -> Shared<TreeNode<K, V>> {
+        self.g.alloc(node)
+    }
+
+    /// Frees a node that was never published.
+    ///
+    /// # Safety
+    /// The [`SmrGuard::dealloc`] contract: no other thread observed `node`.
+    #[inline]
+    unsafe fn dealloc(&mut self, node: Shared<TreeNode<K, V>>) {
+        // SAFETY: forwarded to the caller.
+        unsafe { self.g.dealloc(node) }
+    }
+
+    /// Parks the leaf in `HP_VICTIM`, where it stays protected across the
+    /// re-seeks that recycle slots 0–4.  Durable by the §3.2 dup argument:
+    /// the leaf is protected by `HP_LEAF` and was validated reachable when
+    /// that protection was published.
+    #[inline]
+    fn pin_victim(&mut self) {
+        self.g.dup(HP_LEAF, HP_VICTIM);
+        self.rec.victim = self.rec.leaf;
+    }
+
+    /// Ends the operation with the leaf, borrowed for as long as the guard.
+    #[inline]
+    fn into_leaf(self) -> &'g TreeNode<K, V> {
+        let node = self.rec.leaf;
+        self.into_parked(node)
+    }
+
+    /// Ends the operation with the victim parked by `Seek::pin_victim`.
+    #[inline]
+    fn into_victim(self) -> &'g TreeNode<K, V> {
+        let node = self.rec.victim;
+        self.into_parked(node)
+    }
+
+    /// `node` is the leaf or the victim.  Consuming the record hands its
+    /// `&'g mut` guard borrow to the returned node: no later seek can
+    /// recycle the slot that protects it while the borrow lives.
+    #[inline]
+    fn into_parked(self, node: Shared<TreeNode<K, V>>) -> &'g TreeNode<K, V> {
+        // SAFETY: `node` is protected by `HP_LEAF` or `HP_VICTIM` (durable,
+        // see `Record::leaf` / `Seek::pin_victim`); retiring it does not
+        // free it while that slot is published, and the slot stays published
+        // for `'g`.
+        unsafe { node.deref() } // LINT-ALLOW: L6 the guard-lifetime leaf constructor
     }
 
     /// `Seek`: descend to the leaf on the query's search path, maintaining
     /// the seek record and performing SCOT validation on every marked edge.
-    /// The validation primitive itself is `crate::traverse::validate_link`;
-    /// per §3.2.2 the tree uses no recovery ladder — a failed validation
+    /// Per §3.2.2 the tree uses no recovery ladder — a failed validation
     /// restarts the whole seek.
     ///
     /// `checkpoints` enables answering a scheme's restart request
@@ -276,36 +444,34 @@ impl<K: Key, S: Smr, V: Value> NmTree<K, S, V> {
     /// because the seek restarts from the immortal root and re-publishes all
     /// slots.  Callers holding a protected pointer of their own across the
     /// seek (the remover's `Hp5` victim after injection) must pass `false`.
-    fn seek<G: SmrGuard>(
-        &self,
-        g: &mut G,
-        query: &SeekQuery<K>,
-        checkpoints: bool,
-    ) -> SeekRecord<K, V> {
+    fn reseek(&mut self, query: &SeekQuery<K>, checkpoints: bool) {
+        // The descent runs on a local record (kept in registers) and
+        // publishes it on completion.
+        let (g, stats, root) = (&mut *self.g, self.stats, self.root);
         'restart: loop {
             if checkpoints && g.needs_restart() {
                 g.checkpoint();
-                self.stats.record_restart();
+                stats.record_restart();
                 // Fall through: this iteration starts from the root and
                 // republishes every slot, which is a complete acknowledgment.
             }
-            let root = self.root;
-            let root_ref = self.root_ref();
             // R and S are never removed, so no validation is required for the
             // first two levels; the protections are still published so generic
             // dup calls below keep every slot meaningful.
-            g.announce(HP_ANC, root);
-            let succ = g.protect(HP_PARENT, &root_ref.left); // S
+            g.announce(HP_ANC, self.root_ptr);
+            let s = g.protect(HP_PARENT, &root.left); // S
             g.dup(HP_PARENT, HP_SUCC);
-            let mut ancestor = root;
-            let mut successor = succ;
-            let mut ancestor_link = root_ref.left.as_link();
-            let mut parent = succ;
-            // SAFETY: S is a sentinel, never retired.
-            let s_ref = unsafe { succ.deref() };
-            let mut parent_edge_link = s_ref.left.as_link();
-            let mut parent_edge = g.protect(HP_LEAF, &s_ref.left);
-            let mut leaf = parent_edge.untagged();
+            let mut rec = Record {
+                successor: s,
+                parent: s,
+                ancestor_link: root.left.as_link(),
+                ..self.rec
+            };
+            let s_left = &rec.parent().left;
+            let (link, edge) = (s_left.as_link(), g.protect(HP_LEAF, s_left));
+            rec.parent_link = link;
+            rec.parent_edge = edge;
+            rec.leaf = edge.untagged();
             // The descent into S.left is the implicit deepest left turn so
             // far (S routes everything real to its left, key `Inf1`).
             let mut left_turn = TreeKey::Inf1;
@@ -317,44 +483,39 @@ impl<K: Key, S: Smr, V: Value> NmTree<K, S, V> {
             loop {
                 if checkpoints && g.needs_restart() {
                     g.checkpoint();
-                    self.stats.record_restart();
+                    stats.record_restart();
                     continue 'restart;
                 }
-                debug_assert!(!leaf.is_null(), "external tree: S.left is never null");
-                // SAFETY: `leaf` is protected (HP_LEAF) and was validated when
-                // it was the child being followed (or is the sentinel child of
-                // S, reachable via a never-marked edge).
-                let leaf_ref = unsafe { leaf.deref() };
-                let field = if query.goes_left(&leaf_ref.key) {
-                    left_turn = leaf_ref.key;
-                    &leaf_ref.left
+                debug_assert!(!rec.leaf.is_null(), "external tree: S.left is never null");
+                let leaf = rec.leaf();
+                let field = if query.goes_left(&leaf.key) {
+                    left_turn = leaf.key;
+                    &leaf.left
                 } else {
-                    &leaf_ref.right
+                    &leaf.right
                 };
                 let child = g.protect(HP_CHILD, field);
+                let field = field.as_link();
                 if child.tag() != 0 {
                     // SCOT validation: before touching a node reached through
                     // a flagged/tagged edge, confirm the deepest clean edge
                     // above it still holds its recorded value; otherwise the
                     // chain may already have been pruned and reclaimed.
                     if !in_zone {
-                        self.stats.record_zone_entry();
+                        stats.record_zone_entry();
                         in_zone = true;
                     }
-                    let ok = if parent_edge.tag() == 0 {
+                    // ORDERING: Acquire — a successful validation licenses
+                    // the deref of `child`.
+                    let ok = if rec.parent_edge.tag() == 0 {
                         // The parent edge is the deepest clean edge.
-                        //
-                        // SAFETY: the link belongs to `parent` (HP_PARENT) or
-                        // to the sentinel S.
-                        unsafe { validate_link(parent_edge_link, parent_edge) }
+                        rec.parent_edge().load(Ordering::Acquire) == rec.parent_edge
                     } else {
                         // Inside a tagged chain: validate ancestor → successor.
-                        //
-                        // SAFETY: the link belongs to `ancestor` (HP_ANC) or R.
-                        unsafe { validate_link(ancestor_link, successor) }
+                        rec.ancestor_edge().load(Ordering::Acquire) == rec.successor
                     };
                     if !ok {
-                        self.stats.record_restart();
+                        stats.record_restart();
                         continue 'restart;
                     }
                 } else {
@@ -362,32 +523,25 @@ impl<K: Key, S: Smr, V: Value> NmTree<K, S, V> {
                 }
                 if child.untagged().is_null() {
                     // `leaf` is an actual leaf: the seek ends here.
-                    return SeekRecord {
-                        ancestor,
-                        successor,
-                        parent,
-                        leaf,
-                        ancestor_link,
-                        parent_edge,
-                        left_turn,
-                    };
+                    rec.left_turn = left_turn;
+                    self.rec = rec;
+                    return;
                 }
                 // Shift the seek record one level down (Figure 6 roles).
-                if parent_edge.tag() & TAG == 0 {
+                if rec.parent_edge.tag() & TAG == 0 {
                     // The edge into `leaf` is untagged: it becomes the new
                     // deepest untagged edge strictly above the next level.
-                    ancestor = parent;
                     g.dup(HP_PARENT, HP_ANC);
-                    successor = leaf;
+                    rec.successor = rec.leaf;
                     g.dup(HP_LEAF, HP_SUCC);
-                    ancestor_link = parent_edge_link;
+                    rec.ancestor_link = rec.parent_link;
                 }
-                parent = leaf;
+                rec.parent = rec.leaf;
                 g.dup(HP_LEAF, HP_PARENT);
-                leaf = child.untagged();
+                rec.leaf = child.untagged();
                 g.dup(HP_CHILD, HP_LEAF);
-                parent_edge = child;
-                parent_edge_link = field.as_link();
+                rec.parent_edge = child;
+                rec.parent_link = field;
             }
         }
     }
@@ -396,14 +550,12 @@ impl<K: Key, S: Smr, V: Value> NmTree<K, S, V> {
     /// between the successor and the parent with one CAS on the ancestor's
     /// child field.  Returns whether the prune CAS succeeded; the winner
     /// retires every removed node.
-    fn cleanup<G: SmrGuard>(&self, g: &mut G, key: &TreeKey<K>, s: &SeekRecord<K, V>) -> bool {
-        // SAFETY: `parent` is protected by HP_PARENT for the lifetime of the
-        // seek record.
-        let parent_ref = unsafe { s.parent.deref() };
-        let (child_field, mut sibling_field) = if *key < parent_ref.key {
-            (&parent_ref.left, &parent_ref.right)
+    fn cleanup(&mut self, key: &TreeKey<K>) -> bool {
+        let parent = self.rec.parent();
+        let (child_field, mut sibling_field) = if *key < parent.key {
+            (&parent.left, &parent.right)
         } else {
-            (&parent_ref.right, &parent_ref.left)
+            (&parent.right, &parent.left)
         };
         let child_val = child_field.load(Ordering::Acquire);
         if child_val.tag() & FLAG == 0 {
@@ -437,92 +589,50 @@ impl<K: Key, S: Smr, V: Value> NmTree<K, S, V> {
         // Prune: one CAS on the ancestor's child field replaces the whole
         // chain of tagged edges (successor … parent) and the flagged leaves
         // hanging off it with the kept sibling subtree.
-        //
-        // SAFETY: the link belongs to `ancestor`, protected by HP_ANC (or R).
-        if unsafe { s.ancestor_link.cas(s.successor, promoted) }.is_ok() {
-            // SAFETY: we won the prune CAS: the chain rooted at `successor` is
-            // now unreachable and this thread is its unique retirer.
-            unsafe { self.retire_pruned_chain(g, s.successor, s.parent, sibling.untagged()) };
-            true
-        } else {
-            false
+        if self
+            .rec
+            .ancestor_edge()
+            .cas(self.rec.successor, promoted)
+            .is_err()
+        {
+            return false;
         }
-    }
-
-    /// Retires the pruned chain: every internal node from `successor` down to
-    /// `parent` plus the flagged leaf hanging off each of them, keeping only
-    /// the subtree rooted at `kept` (the promoted sibling).
-    ///
-    /// # Safety
-    /// The caller must have won the prune CAS that detached exactly this
-    /// chain.
-    unsafe fn retire_pruned_chain<G: SmrGuard>(
-        &self,
-        g: &mut G,
-        successor: Shared<TreeNode<K, V>>,
-        parent: Shared<TreeNode<K, V>>,
-        kept: Shared<TreeNode<K, V>>,
-    ) {
-        let mut cur = successor;
+        // We won the prune CAS: the chain rooted at `successor` is now
+        // unreachable and this thread is its unique retirer.  Retire every
+        // internal node from `successor` down to `parent` plus the flagged
+        // leaf hanging off each of them, keeping only the subtree rooted at
+        // the promoted sibling.
+        let kept = sibling.untagged();
+        let mut cur = self.rec.successor;
         loop {
             debug_assert!(!cur.is_null());
-            // SAFETY: the chain was detached by the prune CAS this caller
+            // SAFETY: the chain was detached by the prune CAS this thread
             // won, so every node on it is unreachable to new traversals but
-            // still allocated — this thread is its unique owner until retire.
-            let cur_ref = unsafe { cur.deref() };
-            let left = cur_ref.left.load(Ordering::Acquire);
-            let right = cur_ref.right.load(Ordering::Acquire);
-            if cur == parent {
-                // Retire the parent and the child that is not the kept
-                // sibling (that child is the flagged leaf of the deletion
-                // whose cleanup we completed).
-                let victim = if left.untagged() == kept { right } else { left };
-                debug_assert!(victim.untagged() != kept);
-                // SAFETY: both nodes hang off the detached chain and are
-                // retired exactly once — by the unique prune winner.
-                unsafe {
-                    g.retire(victim.untagged());
-                    g.retire(cur);
-                }
-                return;
-            }
-            // Interior chain node: exactly one child edge is flagged (its
-            // deleted leaf); the other (tagged) edge continues the chain.
-            let (leaf_edge, next_edge) = if left.tag() & FLAG != 0 {
-                (left, right)
+            // still allocated — this thread owns it until retire.
+            let node = unsafe { owned(cur) };
+            let left = node.left.load(Ordering::Acquire);
+            let right = node.right.load(Ordering::Acquire);
+            // At the parent, retire the child that is not the kept sibling
+            // (the flagged leaf of the deletion whose cleanup we completed);
+            // an interior chain node has exactly one flagged child edge (its
+            // deleted leaf), and the other (tagged) edge continues the chain.
+            let (victim, next) = if cur == self.rec.parent {
+                (if left.untagged() == kept { right } else { left }, None)
+            } else if left.tag() & FLAG != 0 {
+                (left, Some(right))
             } else {
-                (right, left)
+                (right, Some(left))
             };
-            // SAFETY: as above — chain nodes and their flagged leaves are
-            // unreachable after the prune CAS and retired exactly once.
+            debug_assert!(victim.untagged() != kept);
+            // SAFETY: both nodes hang off the detached chain and are retired
+            // exactly once — by the unique prune winner.
             unsafe {
-                g.retire(leaf_edge.untagged());
-                g.retire(cur);
+                self.g.retire(victim.untagged());
+                self.g.retire(cur);
             }
-            cur = next_edge.untagged();
-        }
-    }
-
-    /// Visits every live `(key, value)` leaf pair (testing/diagnostics; must
-    /// not run concurrently with removals under robust schemes — see
-    /// [`crate::ConcurrentMap::collect`]).
-    fn walk<F: FnMut(&K, &V)>(&self, mut f: F) {
-        let mut stack = vec![self.root];
-        while let Some(node) = stack.pop() {
-            if node.is_null() {
-                continue;
-            }
-            // SAFETY: quiescent traversal (test/diagnostic use only).
-            let node_ref = unsafe { node.untagged().deref() };
-            let left = node_ref.left.load(Ordering::Acquire);
-            let right = node_ref.right.load(Ordering::Acquire);
-            if left.untagged().is_null() && right.untagged().is_null() {
-                if let (TreeKey::Fin(k), Some(v)) = (&node_ref.key, &node_ref.value) {
-                    f(k, v);
-                }
-            } else {
-                stack.push(left.untagged());
-                stack.push(right.untagged());
+            match next {
+                Some(next) => cur = next.untagged(),
+                None => return true,
             }
         }
     }
@@ -544,33 +654,29 @@ enum TreeScanState<K> {
 /// left-turn routing key — which strictly increases until the successor or a
 /// sentinel is reached.
 pub struct TreeRange<'r, 'h, K: Key, S: Smr, V: Value = ()> {
-    tree: &'r NmTree<K, S, V>,
-    guard: &'r mut <S::Handle as SmrHandle>::Guard<'h>,
+    seek: Seek<'r, 'r, <S::Handle as SmrHandle>::Guard<'h>, K, V>,
     state: TreeScanState<K>,
     hi: Option<K>,
 }
 
 impl<'r, 'h, K: Key, S: Smr, V: Value> RangeScan<K, V> for TreeRange<'r, 'h, K, S, V> {
     fn next_entry(&mut self) -> Option<(K, &V)> {
-        // Position first (repeated seeks mutate the guard), then hand out the
-        // guard-scoped borrow once, outside the loop.
-        let (key, leaf) = loop {
+        // Position first (repeated seeks mutate the record), then hand out
+        // the guard-scoped borrow once, outside the loop.
+        let key = loop {
             let query = match &self.state {
                 TreeScanState::Done => return None,
                 TreeScanState::From(q) => *q,
             };
-            let s = self.tree.seek(&mut *self.guard, &query, true);
-            // SAFETY: `leaf` is protected by HP_LEAF (published under the
-            // seek's validation).
-            let leaf_key = unsafe { s.leaf.deref() }.key;
-            match leaf_key {
+            self.seek.reseek(&query, true);
+            match self.seek.leaf().key {
                 TreeKey::Fin(k) if query.admits(&k) => {
                     if self.hi.is_some_and(|h| k >= h) {
                         self.state = TreeScanState::Done;
                         return None;
                     }
                     self.state = TreeScanState::From(SeekQuery::Above(k));
-                    break (k, s.leaf);
+                    break k;
                 }
                 TreeKey::Fin(_) => {
                     // Landed on the predecessor leaf: no live key exists
@@ -578,9 +684,10 @@ impl<'r, 'h, K: Key, S: Smr, V: Value> RangeScan<K, V> for TreeRange<'r, 'h, K, 
                     // successor is the smallest key at or above it — unless
                     // that bound is already a sentinel, in which case no real
                     // key remains.
-                    match s.left_turn {
+                    match self.seek.rec.left_turn {
                         TreeKey::Fin(_) => {
-                            self.state = TreeScanState::From(SeekQuery::At(s.left_turn));
+                            self.state =
+                                TreeScanState::From(SeekQuery::At(self.seek.rec.left_turn));
                         }
                         _ => {
                             self.state = TreeScanState::Done;
@@ -595,17 +702,9 @@ impl<'r, 'h, K: Key, S: Smr, V: Value> RangeScan<K, V> for TreeRange<'r, 'h, K, 
                 }
             }
         };
-        // SAFETY: the leaf stays protected by HP_LEAF — no further seek runs
-        // before the next advance, and the exclusive guard borrow keeps the
-        // slot published while the returned borrow is alive.
-        let leaf_ref = unsafe { leaf.deref_guarded(&*self.guard) };
-        Some((
-            key,
-            leaf_ref
-                .value
-                .as_ref()
-                .expect("a live Fin leaf always carries a value"),
-        ))
+        // The leaf stays protected by HP_LEAF until the next advance.
+        let value = self.seek.leaf().value.as_ref();
+        Some((key, value.expect("a live Fin leaf always carries a value")))
     }
 }
 
@@ -632,12 +731,9 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
     fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
         crate::check_guard(&self.smr, &*guard);
         let tkey = TreeKey::Fin(*key);
-        let s = self.seek(&mut *guard, &SeekQuery::At(tkey), true);
-        // SAFETY: `leaf` is protected by HP_LEAF, and the `&'g mut` guard
-        // borrow keeps that slot published while the value borrow is alive.
-        let leaf_ref = unsafe { s.leaf.deref_guarded(&*guard) };
-        if leaf_ref.key == tkey {
-            leaf_ref.value.as_ref()
+        let leaf = self.seek(guard, &SeekQuery::At(tkey), true).into_leaf();
+        if leaf.key == tkey {
+            leaf.value.as_ref()
         } else {
             None
         }
@@ -646,34 +742,31 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
     fn insert<'h>(&self, guard: &mut Self::Guard<'h>, key: K, value: V) -> Result<(), V> {
         crate::check_guard(&self.smr, &*guard);
         let tkey = TreeKey::Fin(key);
-        let mut s = self.seek(&mut *guard, &SeekQuery::At(tkey), true);
-        // SAFETY: `leaf` is protected by HP_LEAF.
-        if unsafe { s.leaf.deref() }.key == tkey {
+        let mut s = self.seek(guard, &SeekQuery::At(tkey), true);
+        if s.leaf().key == tkey {
             return Err(value);
         }
         // Allocate the new leaf once; the internal router is (re)initialized on
         // every attempt because its key and children depend on the leaf found.
-        let new_leaf = guard.alloc(TreeNode {
+        let new_leaf = s.alloc(TreeNode {
             key: TreeKey::Fin(key),
             value: Some(value),
             left: Atomic::null(),
             right: Atomic::null(),
         });
-        let new_internal = guard.alloc(TreeNode {
+        let new_internal = s.alloc(TreeNode {
             key: TreeKey::Fin(key),
             value: None,
             left: Atomic::null(),
             right: Atomic::null(),
         });
         loop {
-            // SAFETY: `leaf` is protected by HP_LEAF.
-            let leaf_ref = unsafe { s.leaf.deref() };
-            // SAFETY: `parent` is protected by HP_PARENT.
-            let parent_ref = unsafe { s.parent.deref() };
-            let child_field = if tkey < parent_ref.key {
-                &parent_ref.left
+            let (leaf, leaf_key) = (s.rec.leaf, s.leaf().key);
+            let parent = s.parent();
+            let child_field = if tkey < parent.key {
+                &parent.left
             } else {
-                &parent_ref.right
+                &parent.right
             };
             // Arrange the new internal node: smaller key on the left, larger
             // on the right, routing key = the larger of the two.
@@ -681,18 +774,18 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
             // SAFETY: `new_internal` is exclusively ours until the CAS below.
             unsafe {
                 let internal = &mut *new_internal.as_ptr();
-                if tkey < leaf_ref.key {
-                    internal.key = leaf_ref.key;
+                if tkey < leaf_key {
+                    internal.key = leaf_key;
                     internal.left = Atomic::new(new_leaf);
-                    internal.right = Atomic::new(s.leaf);
+                    internal.right = Atomic::new(leaf);
                 } else {
                     internal.key = TreeKey::Fin(key);
-                    internal.left = Atomic::new(s.leaf);
+                    internal.left = Atomic::new(leaf);
                     internal.right = Atomic::new(new_leaf);
                 }
             }
             match child_field.compare_exchange(
-                s.leaf,
+                leaf,
                 new_internal,
                 Ordering::AcqRel,
                 Ordering::Acquire,
@@ -701,22 +794,21 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
                 Err(observed) => {
                     // If the edge still leads to our leaf but is flagged or
                     // tagged, help the pending deletion before retrying.
-                    if observed.untagged() == s.leaf && observed.tag() != 0 {
-                        self.cleanup(&mut *guard, &tkey, &s);
+                    if observed.untagged() == leaf && observed.tag() != 0 {
+                        s.cleanup(&tkey);
                     }
                 }
             }
             // A checkpoint here is still safe: neither allocation has been
             // published, so no thread can retire them out from under us.
-            s = self.seek(&mut *guard, &SeekQuery::At(tkey), true);
-            // SAFETY: `leaf` is protected by HP_LEAF.
-            if unsafe { s.leaf.deref() }.key == tkey {
+            s.reseek(&SeekQuery::At(tkey), true);
+            if s.leaf().key == tkey {
                 // A concurrent insert won the race after our first seek.
                 // SAFETY: neither allocation was ever published; the router
                 // carries no value, the leaf carries the caller's — reclaim
                 // both blocks and hand the value back instead of dropping it.
                 unsafe {
-                    guard.dealloc(new_internal);
+                    s.dealloc(new_internal);
                     let leaf = crate::take_unpublished(new_leaf);
                     return Err(leaf.value.expect("unpublished leaf keeps its value"));
                 }
@@ -727,73 +819,67 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
     fn remove<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
         crate::check_guard(&self.smr, &*guard);
         let tkey = TreeKey::Fin(*key);
+        let mut s = self.seek(guard, &SeekQuery::At(tkey), true);
         // Injection phase: flag the edge to the victim leaf.
-        let mut target: Shared<TreeNode<K, V>> = Shared::null();
         let mut injected = false;
         loop {
-            // After injection the victim is pinned in Hp5 across re-seeks, so
-            // a checkpoint (which voids that protection) must not be answered.
-            let s = self.seek(&mut *guard, &SeekQuery::At(tkey), !injected);
             if !injected {
-                // SAFETY: protected by HP_LEAF.
-                let leaf_ref = unsafe { s.leaf.deref() };
-                if leaf_ref.key != tkey {
+                if s.leaf().key != tkey {
                     return None;
                 }
-                // SAFETY: protected by HP_PARENT.
-                let parent_ref = unsafe { s.parent.deref() };
-                let child_field = if tkey < parent_ref.key {
-                    &parent_ref.left
-                } else {
-                    &parent_ref.right
-                };
+                let leaf = s.rec.leaf;
                 // Pin the prospective victim in the dedicated slot *before*
                 // the injection CAS: the cleanup loop below re-seeks (and so
                 // recycles slots 0–4), but slot 5 keeps the evicted leaf
-                // protected until the caller's value borrow ends.  Durable by
-                // the §3.2 dup argument: the leaf is protected by HP_LEAF and
-                // was validated reachable when that protection was published.
-                guard.dup(HP_LEAF, HP_VICTIM);
+                // protected until the caller's value borrow ends.
+                s.pin_victim();
+                let parent = s.parent();
+                let child_field = if tkey < parent.key {
+                    &parent.left
+                } else {
+                    &parent.right
+                };
                 match child_field.compare_exchange(
-                    s.leaf,
-                    s.leaf.with_tag(FLAG),
+                    leaf,
+                    leaf.with_tag(FLAG),
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 ) {
                     Ok(()) => {
                         // The deletion linearizes here (injection succeeded).
                         injected = true;
-                        target = s.leaf;
-                        if self.cleanup(&mut *guard, &tkey, &s) {
+                        if s.cleanup(&tkey) {
                             break;
                         }
                     }
                     Err(observed) => {
-                        if observed.untagged() == s.leaf && observed.tag() != 0 {
+                        if observed.untagged() == leaf && observed.tag() != 0 {
                             // Help the conflicting operation, then retry.
-                            self.cleanup(&mut *guard, &tkey, &s);
+                            s.cleanup(&tkey);
                         }
                     }
                 }
             } else {
                 // Cleanup phase: keep pruning until our flagged leaf is gone.
-                if s.leaf != target {
+                if s.rec.leaf != s.rec.victim {
                     // Someone else already pruned our chain (helping insert or
                     // another delete); the deletion is complete.
                     break;
                 }
-                if self.cleanup(&mut *guard, &tkey, &s) {
+                if s.cleanup(&tkey) {
                     break;
                 }
             }
+            // After injection the victim is pinned in Hp5 across re-seeks, so
+            // a checkpoint (which voids that protection) must not be answered.
+            s.reseek(&SeekQuery::At(tkey), !injected);
         }
-        // SAFETY: `target` has been protected by HP_VICTIM since before the
-        // injection CAS, no traversal touches that slot, and the `&'g mut`
-        // guard borrow keeps it published for the borrow's lifetime — so the
-        // retired leaf cannot be reclaimed while the caller reads its value.
-        let leaf = unsafe { target.deref_guarded(&*guard) };
+        // The victim has been protected by HP_VICTIM since before the
+        // injection CAS and no traversal touches that slot, so the retired
+        // leaf cannot be reclaimed while the caller reads its value.
         Some(
-            leaf.value
+            s.into_victim()
+                .value
                 .as_ref()
                 .expect("a removed Fin leaf always carries a value"),
         )
@@ -802,9 +888,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
     fn contains<'h>(&self, guard: &mut Self::Guard<'h>, key: &K) -> bool {
         crate::check_guard(&self.smr, &*guard);
         let tkey = TreeKey::Fin(*key);
-        let s = self.seek(&mut *guard, &SeekQuery::At(tkey), true);
-        // SAFETY: protected by HP_LEAF.
-        unsafe { s.leaf.deref() }.key == tkey
+        self.seek(guard, &SeekQuery::At(tkey), true).leaf().key == tkey
     }
 
     fn scan<'r, 'h>(
@@ -818,8 +902,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
     {
         crate::check_guard(&self.smr, &*guard);
         TreeRange {
-            tree: self,
-            guard,
+            seek: Seek::new(self, guard),
             state: TreeScanState::From(SeekQuery::At(TreeKey::Fin(lo))),
             hi,
         }
@@ -856,7 +939,7 @@ impl<K, S: Smr, V> Drop for NmTree<K, S, V> {
             // SAFETY: exclusive access during drop; each reachable node is
             // visited exactly once (it has a single parent).
             unsafe {
-                let node_ref = node.deref();
+                let node_ref = owned(node);
                 stack.push(node_ref.left.load(Ordering::Relaxed).untagged());
                 stack.push(node_ref.right.load(Ordering::Relaxed).untagged());
                 scot_smr::free_block(scot_smr::header_of(node.as_ptr()));

@@ -79,12 +79,11 @@
 //! | `Hp5` | removal victim, across the post-mark cleanup traversal |
 //! | `Hp6` | the inserter's own tower, across the tower build |
 
-use crate::slots::{HP_CURR, HP_ENTRY, HP_NEXT, HP_PREV, HP_TOWER, HP_VICTIM};
 use crate::traverse::{
-    self, Cursor, Restart, ScanState, Seek, SeekBound, SlotNode, TraversalStats, ZoneMode, MARK,
+    owned, Cursor, Restart, ScanState, SeekBound, SlotNode, Stop, TraversalStats, ZoneMode, MARK,
 };
 use crate::{Key, RangeScan, TraversalSnapshot, Value};
-use scot_smr::{Atomic, Link, Shared, Smr, SmrConfig, SmrGuard, SmrHandle};
+use scot_smr::{Atomic, Shared, Smr, SmrConfig, SmrGuard, SmrHandle};
 use std::mem;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -171,27 +170,25 @@ fn upper_offset<K, V>() -> usize {
 }
 
 impl<K, V> Node<K, V> {
-    /// The link cell for level `lvl` of this tower.
-    ///
-    /// # Safety
-    /// `lvl < self.height`: the tower allocation only carries `height` links,
-    /// and a node reached through a level-`lvl` pointer always satisfies this
-    /// (a node is only ever linked at levels below its height).
+    /// The link cell for level `lvl` of this tower; panics unless
+    /// `lvl < self.height` (the tower allocation only carries `height`
+    /// links, and a node reached through a level-`lvl` pointer always
+    /// satisfies this: a node is only ever linked at levels below its
+    /// height).
     #[inline]
-    unsafe fn level(&self, lvl: usize) -> &Atomic<Node<K, V>> {
-        debug_assert!(lvl < self.height, "level {lvl} out of tower bounds");
+    fn level(&self, lvl: usize) -> &Atomic<Node<K, V>> {
         if lvl == 0 {
-            &self.next0
-        } else {
-            // SAFETY: the tower was allocated as a `Tower<K, V, EXTRA>` with
-            // `EXTRA = height - 1` upper links laid out contiguously at
-            // `upper_offset` (repr(C), identical for every EXTRA); the
-            // caller's `lvl < height` contract keeps the index in bounds.
-            unsafe {
-                let first = (self as *const Self as *const u8).add(upper_offset::<K, V>())
-                    as *const Atomic<Node<K, V>>;
-                &*first.add(lvl - 1)
-            }
+            return &self.next0;
+        }
+        assert!(lvl < self.height, "level {lvl} out of tower bounds");
+        // SAFETY: the tower was allocated as a `Tower<K, V, EXTRA>` with
+        // `EXTRA = height - 1` upper links laid out contiguously at
+        // `upper_offset` (repr(C), identical for every EXTRA); the assert
+        // above keeps the index in bounds.
+        unsafe {
+            let first = (self as *const Self as *const u8).add(upper_offset::<K, V>())
+                as *const Atomic<Node<K, V>>;
+            &*first.add(lvl - 1)
         }
     }
 }
@@ -200,11 +197,8 @@ impl<K: Key, V: Value> SlotNode<K> for Node<K, V> {
     type Value = V;
 
     #[inline]
-    // SAFETY: callers must keep `level < self.height()`; forwarded to `SlotNode::successor`'s contract.
-    unsafe fn successor(&self, level: usize) -> &Atomic<Self> {
-        // SAFETY: forwarded — `SlotNode::successor`'s contract (`level`
-        // below this node's height) is exactly `Node::level`'s.
-        unsafe { self.level(level) }
+    fn successor(&self, level: usize) -> &Atomic<Self> {
+        self.level(level)
     }
 
     #[inline]
@@ -218,16 +212,9 @@ impl<K: Key, V: Value> SlotNode<K> for Node<K, V> {
     }
 }
 
-/// Result of the internal multi-level find, describing the target level:
-/// the predecessor link (for CAS), the protected `curr` snapshot and whether
-/// `curr` matches the key.  (Unlike the Harris list, removal re-reads the
-/// victim's level links itself — marking is a CAS loop per level — so the
-/// `next` snapshot is not part of the result.)
-struct LevelPos<K, V> {
-    pred: Link<Node<K, V>>,
-    curr: Shared<Node<K, V>>,
-    found: bool,
-}
+/// The shared cursor over skip-list towers, holding one operation's guard
+/// borrow.
+type SkipCursor<'t, 'g, G, K, V> = Cursor<'t, 'g, G, K, Node<K, V>>;
 
 /// A lock-free skip list with SCOT traversals, parameterized by the
 /// reclamation scheme.  The value type defaults to `()`, the membership-set
@@ -339,14 +326,27 @@ impl<K: Key, S: Smr, V: Value> SkipList<K, S, V> {
         self.stats.recoveries()
     }
 
+    /// The cursor of one operation on this list.  Unlike the lists, it
+    /// never retires the marked chains it unlinks (see
+    /// [`SkipList::find_bound`]).
+    #[inline]
+    fn cursor<'g, G: SmrGuard>(&self, g: &'g mut G) -> SkipCursor<'_, 'g, G, K, V> {
+        Cursor::new(g, &self.head[0], &self.stats, ZoneMode::Scot, false)
+    }
+
     /// Allocates a tower of the given height through the guard (and therefore
     /// through the scheme's block pool), dispatching to the height-specific
     /// monomorphized layout so each height class recycles in its own pool
     /// bin.
-    fn alloc_tower<G: SmrGuard>(g: &mut G, key: K, value: V, height: usize) -> Shared<Node<K, V>> {
+    fn alloc_tower<G: SmrGuard>(
+        c: &mut SkipCursor<'_, '_, G, K, V>,
+        key: K,
+        value: V,
+        height: usize,
+    ) -> Shared<Node<K, V>> {
         macro_rules! arm {
             ($extra:expr) => {{
-                let tower: Shared<Tower<K, V, $extra>> = g.alloc(Tower {
+                let tower: Shared<Tower<K, V, $extra>> = c.alloc(Tower {
                     base: Node {
                         next0: Atomic::null(),
                         state: AtomicUsize::new(BUILDING),
@@ -377,186 +377,89 @@ impl<K: Key, S: Smr, V: Value> SkipList<K, S, V> {
         }
     }
 
-    /// Multi-level find: descends from the top level to `target_level`,
-    /// running the shared `Cursor` per level.  The cursor applies the SCOT
-    /// validation in every dangerous zone and reports ladder outcomes; this
-    /// method only translates them into the level re-entry: `Restart::Entry`
-    /// re-enters through the level's entry anchor (held in `Hp4`,
-    /// [`crate::slots::HP_ENTRY`], and re-published into `Hp2` by the cursor —
-    /// sound despite copying "downwards" because `Hp4` protects the entry
-    /// continuously for the whole level), `Restart::Head` falls back to the
-    /// level's immortal head link, and `Restart::Operation` (a scheme
-    /// checkpoint voided every protection, including the upper levels'
-    /// anchors) resets the whole descent from the top.
-    ///
-    /// `checkpoints` is forwarded to every level's cursor; pass `false` when
-    /// the calling operation holds a protected pointer of its own across this
-    /// find (the tower builder's `Hp6` node, the remover's `Hp5` victim).
-    fn find<G: SmrGuard>(
-        &self,
-        g: &mut G,
+    /// Multi-level find for `key`: see [`SkipList::find_bound`].
+    fn find<'t, G: SmrGuard>(
+        &'t self,
+        c: &mut SkipCursor<'t, '_, G, K, V>,
         key: &K,
         cleanup: bool,
         checkpoints: bool,
         target_level: usize,
-    ) -> LevelPos<K, V> {
-        self.find_bound(g, &SeekBound::Ge(*key), cleanup, checkpoints, target_level)
+    ) -> bool {
+        self.find_bound(c, &SeekBound::Ge(*key), cleanup, checkpoints, target_level)
     }
 
-    /// [`SkipList::find`] generalized over the stop bound, which is what the
-    /// range scan's re-positioning uses (`Gt` bounds).  In cleanup mode,
-    /// marked chains are physically unlinked before the descent continues —
-    /// but, unlike the Harris list, **never retired here**: retirement
-    /// belongs exclusively to the marking remover or the handed-off builder
-    /// (see the module documentation), because a node unlinked from one level
-    /// may still be reachable through another.
+    /// Multi-level find: descends from the top level to `target_level`,
+    /// positioning the one cursor per level, and reports whether it parked
+    /// on the bound's key.  The cursor applies the SCOT validation in every
+    /// dangerous zone and re-targets itself on the ladder's rungs 2 and 3 —
+    /// the level's entry anchor (held in `Hp4`, [`crate::slots::HP_ENTRY`],
+    /// and re-published into `Hp2` — sound despite copying "downwards"
+    /// because `Hp4` protects the entry continuously for the whole level) or
+    /// its immortal head link — so this method only handles rung 4 (a scheme
+    /// checkpoint voided every protection, including the upper levels'
+    /// anchors), which resets the whole descent from the top.
     ///
+    /// In cleanup mode, marked chains are physically unlinked before the
+    /// descent continues — but, unlike the Harris list, **never retired
+    /// here**: retirement belongs exclusively to the marking remover or the
+    /// handed-off builder (see the module documentation), because a node
+    /// unlinked from one level may still be reachable through another.
+    ///
+    /// `checkpoints` is forwarded to the cursor; pass `false` when the
+    /// calling operation holds a protected pointer of its own across this
+    /// find (the tower builder's `Hp6` node, the remover's `Hp5` victim).
     /// On return, `Hp2`/`Hp1`/`Hp0` protect `pred`/`curr`/`next` at
     /// `target_level`.
-    fn find_bound<G: SmrGuard>(
-        &self,
-        g: &mut G,
+    fn find_bound<'t, G: SmrGuard>(
+        &'t self,
+        c: &mut SkipCursor<'t, '_, G, K, V>,
         bound: &SeekBound<K>,
         cleanup: bool,
         checkpoints: bool,
         target_level: usize,
-    ) -> LevelPos<K, V> {
+    ) -> bool {
         debug_assert!(target_level < MAX_HEIGHT);
-        // `pred` is the last node with key below the bound seen so far; null
-        // means the implicit head tower.  Protected by Hp2 whenever interior.
-        let mut pred: Shared<Node<K, V>> = Shared::null();
-        let mut level = MAX_HEIGHT;
-        'descend: loop {
-            level -= 1;
-            // The node this level is entered through: the restart anchor for
-            // ladder rung 2.  It stays protected by Hp4 for the whole level.
-            let entry = pred;
-            if !entry.is_null() {
-                g.dup(HP_PREV, HP_ENTRY);
-            }
-            let pos = 'level: loop {
-                // (Re)start the level traversal from `pred`.
-                //
-                // SAFETY: `pred` is the head or protected by Hp2/Hp4; its
-                // height exceeds `level` because it was reached through a
-                // level >= `level` link.
-                let start = if pred.is_null() {
-                    self.head[level].as_link()
-                } else {
-                    // SAFETY: `pred` was validated at this level, so it is protected and tall enough.
-                    unsafe { pred.deref().level(level) }.as_link()
-                };
-                let mut c = match Cursor::begin(
-                    g,
-                    pred,
-                    start,
-                    level,
-                    entry,
-                    checkpoints,
-                    &self.stats,
-                    ZoneMode::Scot,
-                ) {
-                    Ok(c) => c,
-                    // `pred` is marked at this level: ladder rung 2 or 3.
-                    Err(Restart::Entry) => {
-                        pred = entry;
-                        continue 'level;
-                    }
-                    Err(Restart::Head) => {
-                        pred = Shared::null();
-                        continue 'level;
-                    }
-                    // `begin` never polls the checkpoint, but stay total.
-                    Err(Restart::Operation) => {
-                        pred = Shared::null();
-                        level = MAX_HEIGHT;
-                        continue 'descend;
-                    }
-                };
-                match c.seek(g, bound, || false) {
-                    Seek::Positioned => {}
-                    Seek::Restart(Restart::Entry) => {
-                        pred = entry;
-                        continue 'level;
-                    }
-                    Seek::Restart(Restart::Head) => {
-                        pred = Shared::null();
-                        continue 'level;
-                    }
-                    // Rung 4: the checkpoint voided every protection, the
-                    // upper levels' anchors included — redo the whole descent.
-                    Seek::Restart(Restart::Operation) => {
-                        pred = Shared::null();
-                        level = MAX_HEIGHT;
-                        continue 'descend;
-                    }
-                    Seek::Interrupted => unreachable!("find has no interrupt source"),
-                }
-                // Per-level cleanup: unlink the pending marked chain, without
-                // retiring (towers retire through their handshake).
-                if cleanup {
-                    match c.unlink_pending(g, false) {
-                        Ok(()) => {}
-                        Err(Restart::Entry) => {
-                            pred = entry;
-                            continue 'level;
-                        }
-                        Err(Restart::Head) => {
-                            pred = Shared::null();
-                            continue 'level;
-                        }
-                        // As above: unreachable from `unlink_pending`, total.
-                        Err(Restart::Operation) => {
-                            pred = Shared::null();
-                            level = MAX_HEIGHT;
-                            continue 'descend;
-                        }
-                    }
-                }
+        let mut level = MAX_HEIGHT - 1;
+        c.rewind(level, checkpoints);
+        loop {
+            match c.position(&self.head[level], bound, cleanup, || false) {
+                Ok(()) if level == target_level => return c.found(bound),
                 // Descend: this level's last safe node is the entry node of
                 // `level - 1`.
-                pred = c.pred();
-                let curr = c.curr();
-                break 'level LevelPos {
-                    pred: c.prev_link(),
-                    curr,
-                    found: !curr.is_null() && {
-                        match bound {
-                            // SAFETY: `curr` is protected (Hp1) and durable;
-                            // positioned exits guarantee it is unmarked.
-                            SeekBound::Ge(k) => unsafe { curr.deref() }.key == *k,
-                            // A strict bound never "finds" its key.
-                            SeekBound::Gt(_) => false,
-                        }
-                    },
-                };
-            };
-            if level == target_level {
-                return pos;
+                Ok(()) => {
+                    c.descend();
+                    level -= 1;
+                }
+                // Rungs 2 and 3: the cursor already re-targeted this level.
+                Err(Stop::Restart(Restart::Entry | Restart::Head)) => {}
+                Err(Stop::Restart(Restart::Operation)) => {
+                    level = MAX_HEIGHT - 1;
+                    c.rewind(level, checkpoints);
+                }
+                Err(Stop::Interrupted) => unreachable!("find has no interrupt source"),
             }
         }
     }
 
-    /// Builds the upper levels of a freshly level-0-linked tower, then runs
-    /// the retirement handshake.  Aborts as soon as the node is marked (a
-    /// concurrent removal); if the remover already handed retirement off,
-    /// unlinks the tower everywhere and retires it.
-    fn build_tower<G: SmrGuard>(
-        &self,
-        g: &mut G,
+    /// Builds the upper levels of a freshly level-0-linked tower `node`
+    /// (parked in `Hp6`), then runs the retirement handshake.  Aborts as
+    /// soon as the node is marked (a concurrent removal); if the remover
+    /// already handed retirement off, unlinks the tower everywhere and
+    /// retires it.
+    fn build_tower<'t, G: SmrGuard>(
+        &'t self,
+        c: &mut SkipCursor<'t, '_, G, K, V>,
         node: Shared<Node<K, V>>,
         key: &K,
         height: usize,
     ) {
-        // SAFETY: `node` is protected by Hp6 for the whole build.
-        let node_ref = unsafe { node.deref() };
         'levels: for lvl in 1..height {
             loop {
                 // Checkpoints stay off: `node` may already be published, and
                 // a checkpoint would void its Hp6 protection mid-build.
-                let pos = self.find(g, key, true, false, lvl);
-                if pos.found {
-                    if pos.curr == node {
+                if self.find(c, key, true, false, lvl) {
+                    if c.curr_ptr() == node {
                         // Already linked at this level (a lost pred-CAS race
                         // resolved in our favour on retry); move up.
                         break;
@@ -570,25 +473,24 @@ impl<K: Key, S: Smr, V: Value> SkipList<K, S, V> {
                 // if a remover marked this level in the meantime (nobody else
                 // writes another tower's links), in which case building must
                 // stop.
-                //
-                // SAFETY: `lvl < height` by the loop bounds.
-                let own_link = unsafe { node_ref.level(lvl) };
+                let tower = c.parked().expect("the builder parks its tower");
+                let own_link = tower.level(lvl);
                 let prev = own_link.load(Ordering::Acquire);
                 if prev.tag() != 0
                     || own_link
-                        .compare_exchange(prev, pos.curr, Ordering::AcqRel, Ordering::Acquire)
+                        .compare_exchange(prev, c.curr_ptr(), Ordering::AcqRel, Ordering::Acquire)
                         .is_err()
                 {
                     break 'levels;
                 }
-                // SAFETY: `pos.pred`'s owner is the head or protected (Hp2).
-                if unsafe { pos.pred.cas(pos.curr, node) }.is_ok() {
+                if c.cas_prev(node) {
                     break;
                 }
                 // Lost the link CAS to a concurrent update: retry the level.
             }
         }
-        if node_ref
+        let tower = c.parked().expect("the builder parks its tower");
+        if tower
             .state
             .compare_exchange(BUILDING, DONE, Ordering::AcqRel, Ordering::Acquire)
             .is_err()
@@ -597,29 +499,11 @@ impl<K: Key, S: Smr, V: Value> SkipList<K, S, V> {
             // No further links can appear (every level is marked now and the
             // build has stopped), so one cleanup traversal conclusively
             // unlinks the tower from every level it ever reached.
-            let _ = self.find(g, key, true, false, 0);
+            self.find(c, key, true, false, 0);
             // SAFETY: the handshake elects exactly one retirer, the cleanup
             // pass above confirmed the tower is unreachable from every level,
             // and Hp6 keeps the node protected while we still touch it.
-            unsafe { g.retire(node) };
-        }
-    }
-
-    /// Visits every live entry in ascending key order (level-0 walk), passing
-    /// key and value borrows to `f`.  Same caveats as
-    /// [`crate::ConcurrentMap::collect`]: the walk skips the SCOT validation,
-    /// so it must not run concurrently with removals under a robust scheme.
-    fn walk<G: SmrGuard, F: FnMut(&K, &V)>(&self, g: &mut G, mut f: F) {
-        let mut curr = g.protect(HP_CURR, &self.head[0]);
-        while !curr.is_null() {
-            // SAFETY: protected by the Hp1/Hp0 ping-pong below.
-            let node = unsafe { curr.deref() };
-            let next = g.protect(HP_NEXT, &node.next0);
-            if next.tag() == 0 {
-                f(&node.key, &node.value);
-            }
-            curr = next.untagged();
-            g.dup(HP_NEXT, HP_CURR);
+            unsafe { c.retire(node) };
         }
     }
 }
@@ -630,21 +514,23 @@ impl<K: Key, S: Smr, V: Value> SkipList<K, S, V> {
 /// re-positioning is a validated `O(log n)` search.
 pub struct SkipRange<'r, 'h, K: Key, S: Smr, V: Value = ()> {
     list: &'r SkipList<K, S, V>,
-    guard: &'r mut SkipListGuard<'h, S>,
-    state: ScanState<K, Node<K, V>>,
+    cursor: SkipCursor<'r, 'r, <S::Handle as SmrHandle>::Guard<'h>, K, V>,
+    state: ScanState<K>,
     hi: Option<K>,
 }
 
 impl<'r, 'h, K: Key, S: Smr, V: Value> RangeScan<K, V> for SkipRange<'r, 'h, K, S, V> {
     fn next_entry(&mut self) -> Option<(K, &V)> {
         let list = self.list;
-        traverse::scan_entry(
-            &mut self.guard.g,
-            &mut self.state,
-            self.hi.as_ref(),
-            0,
-            |g, bound| list.find_bound(g, bound, false, true, 0).curr,
-        )
+        let hi = self.hi.as_ref();
+        let seek = |c: &mut SkipCursor<'r, 'r, _, K, V>, bound: &SeekBound<K>| {
+            list.find_bound(c, bound, false, true, 0);
+        };
+        if self.cursor.scan_next(&mut self.state, hi, seek) {
+            self.cursor.entry()
+        } else {
+            None
+        }
     }
 }
 
@@ -673,13 +559,9 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
 
     fn get<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
         crate::check_guard(&self.smr, &guard.g);
-        let pos = self.find(&mut guard.g, key, false, true, 0);
-        if pos.found {
-            // SAFETY: `curr` is protected by Hp1 (published under the SCOT
-            // validation during the find) and the `&'g mut` guard borrow
-            // prevents any further operation from recycling that slot while
-            // the returned value borrow is alive.
-            Some(&unsafe { pos.curr.deref_guarded(&guard.g) }.value)
+        let mut c = self.cursor(&mut guard.g);
+        if self.find(&mut c, key, false, true, 0) {
+            c.into_value()
         } else {
             None
         }
@@ -687,28 +569,31 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
 
     fn insert<'h>(&self, guard: &mut Self::Guard<'h>, key: K, value: V) -> Result<(), V> {
         crate::check_guard(&self.smr, &guard.g);
-        let mut pos = self.find(&mut guard.g, &key, true, true, 0);
-        if pos.found {
+        let SkipListGuard { g, rng } = guard;
+        let mut c = self.cursor(g);
+        if self.find(&mut c, &key, true, true, 0) {
             return Err(value);
         }
-        let height = tower_height(guard.rng);
-        let new = Self::alloc_tower(&mut guard.g, key, value, height);
+        let height = tower_height(rng);
+        let new = Self::alloc_tower(&mut c, key, value, height);
         // Protect our own tower for the rest of the operation: the moment the
         // level-0 CAS publishes it, another thread may remove and retire it.
         // Publishing before the CAS makes the hazard visible to any scan that
         // could run after such a retire.
-        guard.g.announce(HP_TOWER, new);
+        //
+        // SAFETY: `new` was just allocated and is not yet published.
+        unsafe { c.pin_tower(new) };
         loop {
             // SAFETY: `new` is owned by us until the CAS below publishes it.
-            unsafe { new.deref().next0.store(pos.curr, Ordering::Relaxed) };
-            // SAFETY: `pred`'s owner is the head or protected (Hp2).
-            if unsafe { pos.pred.cas(pos.curr, new) }.is_ok() {
+            unsafe { owned(new) }
+                .next0
+                .store(c.curr_ptr(), Ordering::Relaxed);
+            if c.cas_prev(new) {
                 break;
             }
             // A checkpoint here is still safe: `new` is unpublished (the CAS
             // failed), so no thread can retire it out from under us.
-            pos = self.find(&mut guard.g, &key, true, true, 0);
-            if pos.found {
+            if self.find(&mut c, &key, true, true, 0) {
                 // A concurrent insert won the race after our first find.
                 // SAFETY: `new` was never published; reclaim the block and
                 // hand the caller's value back instead of dropping it.
@@ -716,30 +601,28 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
                 return Err(node.value);
             }
         }
-        self.build_tower(&mut guard.g, new, &key, height);
+        self.build_tower(&mut c, new, &key, height);
         Ok(())
     }
 
     fn remove<'g, 'h>(&self, guard: &'g mut Self::Guard<'h>, key: &K) -> Option<&'g V> {
         crate::check_guard(&self.smr, &guard.g);
+        let mut c = self.cursor(&mut guard.g);
         'retry: loop {
-            let pos = self.find(&mut guard.g, key, true, true, 0);
-            if !pos.found {
+            if !self.find(&mut c, key, true, true, 0) {
                 return None;
             }
-            let victim = pos.curr;
+            let victim = c.curr_ptr();
             // Keep the victim protected across the cleanup traversals below,
             // which recycle Hp0-Hp4.
-            guard.g.dup(HP_CURR, HP_VICTIM);
-            // SAFETY: protected by Hp1/Hp5.
-            let victim_ref = unsafe { victim.deref() };
+            c.pin_victim();
+            let victim_ref = c.parked().expect("just parked");
             // Mark the tower top-down, so that any level observed unmarked
             // implies level 0 is still unmarked (the invariant the traversal
             // and build paths rely on).  Upper-level marking is cooperative
             // and idempotent.
             for lvl in (1..victim_ref.height).rev() {
-                // SAFETY: `lvl < height`.
-                let link = unsafe { victim_ref.level(lvl) };
+                let link = victim_ref.level(lvl);
                 loop {
                     let cur = link.load(Ordering::Acquire);
                     if cur.tag() != 0
@@ -783,26 +666,25 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
             // Checkpoints stay off for the cleanup pass: a checkpoint would
             // void the victim's Hp5 protection while a handed-off builder may
             // already be retiring it.
-            let _ = self.find(&mut guard.g, key, true, false, 0);
+            self.find(&mut c, key, true, false, 0);
             if !handed_off {
                 // SAFETY: we won the level-0 marking CAS (unique remover),
                 // the builder had already finished (state was DONE), and the
                 // cleanup pass above confirmed the tower is unlinked from
                 // every level — so this is the exactly-once retirement of a
                 // fully unreachable node.
-                unsafe { guard.g.retire(victim) };
+                unsafe { c.retire(victim) };
             }
-            // SAFETY: the victim stays protected by Hp5 — retiring does not
-            // free, and no scheme reclaims a node covered by a published
-            // hazard slot / live era reservation.  The `&'g mut` guard borrow
-            // keeps that protection in place for the borrow's lifetime.
-            return Some(&unsafe { victim.deref_guarded(&guard.g) }.value);
+            // Retiring does not free: the victim stays protected by Hp5 for
+            // as long as the value borrow.
+            return c.into_victim_value();
         }
     }
 
     fn contains<'h>(&self, guard: &mut Self::Guard<'h>, key: &K) -> bool {
         crate::check_guard(&self.smr, &guard.g);
-        self.find(&mut guard.g, key, false, true, 0).found
+        let mut c = self.cursor(&mut guard.g);
+        self.find(&mut c, key, false, true, 0)
     }
 
     fn scan<'r, 'h>(
@@ -817,7 +699,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
         crate::check_guard(&self.smr, &guard.g);
         SkipRange {
             list: self,
-            guard,
+            cursor: self.cursor(&mut guard.g),
             state: ScanState::Seek(SeekBound::Ge(lo)),
             hi,
         }
@@ -830,7 +712,8 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
         let mut g = handle.smr.pin();
         crate::check_guard(&self.smr, &g);
         let mut out = Vec::new();
-        self.walk(&mut g, |k, v| out.push((*k, v.clone())));
+        self.cursor(&mut g)
+            .walk(&self.head[0], |n| out.push((n.key, n.value.clone())));
         out
     }
 
@@ -857,7 +740,7 @@ impl<K, S: Smr, V> Drop for SkipList<K, S, V> {
             // of memory is released for every height class.
             unsafe {
                 // ORDERING: drop holds `&mut self`, so no other thread can touch these links.
-                let next = curr.deref().next0.load(Ordering::Relaxed).untagged();
+                let next = owned(curr).next0.load(Ordering::Relaxed).untagged();
                 scot_smr::free_block(scot_smr::header_of(curr.as_ptr()));
                 curr = next;
             }

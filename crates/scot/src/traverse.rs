@@ -15,20 +15,29 @@
 //!
 //! | Figure 5 (right)                         | here |
 //! |------------------------------------------|------|
-//! | L33-36 start from `&Head`                | `Cursor::begin` |
+//! | L33-36 start from `&Head`                | `Cursor::begin` (inside `Cursor::position`) |
 //! | L38-47 safe-zone walk                    | the first inner loop of `Cursor::seek` |
-//! | L48-49 anchor the first unsafe node      | the zone entry in `Cursor::seek` (slot `HP_ANCHOR`) |
+//! | L48-49 anchor the first unsafe node      | `Cursor::enter_zone` (slot `HP_ANCHOR`) |
 //! | L50-56 validated dangerous-zone walk     | the second inner loop of `Cursor::seek` |
 //! | §3.2.1 recovery                          | `Recovery::Recovered` |
 //! | restart (L50's `goto` on failure)        | `Recovery::Restart` / [`Restart`] |
 //! | L57-62 cleanup + `Do_Retire`             | `Cursor::unlink_pending` |
 //!
 //! The validation itself — *"does the last safe node still point at the first
-//! unsafe node?"* — is the one-line primitive `validate_link` plus a
+//! unsafe node?"* — is one load through the cursor's `prev` link plus a
 //! recycling-incarnation re-check on the anchored chain head (the version
 //! stamp the block pool maintains for VBR); the Natarajan-Mittal tree, whose
-//! recovery policy is a plain restart (§3.2.2), calls it directly on its
-//! edges instead of driving a full cursor.
+//! recovery policy is a plain restart (§3.2.2), validates its edges the same
+//! way in its own seek record.
+//!
+//! # Validation as a type
+//!
+//! A cursor owns its operation's `&'g mut` guard borrow, so nothing outside
+//! it can overwrite a hazard slot while it lives.  The rule "dereference a
+//! node only after protecting (and, in a zone, validating) it" is asserted
+//! once per pointer role, in the accessors of the cursor's position (`At`),
+//! and every read of a node goes through a safe `&self` borrow that ends
+//! before the next `&mut self` step recycles a slot.
 //!
 //! # The checkpoint protocol (rung 4)
 //!
@@ -38,10 +47,10 @@
 //! `SmrGuard::needs_restart` alongside the caller's interrupt hook,
 //! acknowledges with `SmrGuard::checkpoint` (which voids every protection the
 //! guard holds) and surfaces [`Restart::Operation`] — per-structure code only
-//! has to treat that rung as "restart the operation from the root", which the
-//! existing restart arms already do.  Traversals that keep protected pointers
-//! of their own across seeks (tower builds, post-injection cleanups) disable
-//! the poll through `Cursor::begin`'s `checkpoints` flag.
+//! has to treat that rung as "restart the operation from the root".
+//! Operations that keep protected pointers of their own across seeks (tower
+//! builds, post-mark cleanups) disable the poll through `Cursor::rewind`'s
+//! `checkpoints` flag.
 //!
 //! # Statistics
 //!
@@ -50,7 +59,8 @@
 //! dangerous-zone entries.  [`TraversalSnapshot`] is the read-side view the
 //! harness renders as uniform columns in every experiment table.
 
-use crate::slots::{HP_ANCHOR, HP_CURR, HP_NEXT, HP_PREV};
+use crate::slots::{HP_ANCHOR, HP_CURR, HP_ENTRY, HP_NEXT, HP_PREV, HP_TOWER, HP_VICTIM};
+use core::marker::PhantomData;
 use core::sync::atomic::{AtomicU64, Ordering};
 use scot_smr::{Atomic, Link, Shared, SmrGuard};
 
@@ -167,40 +177,9 @@ pub struct TraversalSnapshot {
     pub spins: u64,
 }
 
-impl TraversalSnapshot {
-    /// Component-wise sum, for callers aggregating several structures.
-    pub fn merged(self, other: TraversalSnapshot) -> TraversalSnapshot {
-        TraversalSnapshot {
-            restarts: self.restarts + other.restarts,
-            recoveries: self.recoveries + other.recoveries,
-            zone_entries: self.zone_entries + other.zone_entries,
-            spins: self.spins + other.spins,
-        }
-    }
-}
-
-/// The bare SCOT validation primitive (§3.1): does the recorded last-safe
-/// link still hold `expected`?  The cursor wraps this in the recovery ladder;
-/// the Natarajan-Mittal tree — whose policy on failure is a plain restart
-/// (§3.2.2) — calls it directly on its `parent → leaf` and
-/// `ancestor → successor` edges.
-///
-/// # Safety
-/// The owner of `link` must be live: the list/level head, a tree sentinel, or
-/// a node currently protected by a hazard slot / era reservation.
-#[inline]
-pub(crate) unsafe fn validate_link<T>(link: Link<T>, expected: Shared<T>) -> bool {
-    // SAFETY: forwarded — the caller guarantees the link's owner is live,
-    // which is exactly the `Link::load` contract.
-    // ORDERING: Acquire — a successful validation is what licenses the
-    // subsequent deref of `expected`'s pointee, so the load must synchronize
-    // with the release store that published the link.
-    unsafe { link.load(Ordering::Acquire) == expected }
-}
-
 /// One-hop software prefetch: while the cursor still examines the current
 /// node, warm the cache line of the already-protected successor snapshot so
-/// the upcoming `advance` dereferences into L1 instead of missing to memory.
+/// the upcoming advance dereferences into L1 instead of missing to memory.
 /// Pointer-chasing traversals expose no instruction-level parallelism on
 /// their own — every key comparison waits for the previous load — so this is
 /// where list walks spend their cycles; overlapping the next miss with the
@@ -247,8 +226,8 @@ std::thread_local! {
     /// Per-thread bounded-exponential backoff state: the next wait is
     /// `1 << shift` spin hints, doubling per consecutive failure up to
     /// [`BACKOFF_MAX_SHIFT`] and reset by the next successful positioning.
-    /// Thread-local (not per-cursor) so the state survives the cursor
-    /// re-creation that every restart performs, with no cross-thread traffic.
+    /// Thread-local (not per-cursor) so the state carries across the
+    /// operations of one thread, with no cross-thread traffic.
     static BACKOFF_SHIFT: core::cell::Cell<u32> = const { core::cell::Cell::new(0) };
 }
 
@@ -283,12 +262,10 @@ pub(crate) trait SlotNode<K>: Send + Sized + 'static {
     /// The value payload stored next to the key.
     type Value;
 
-    /// The link cell toward this node's successor at `level`.
-    ///
-    /// # Safety
-    /// `level` must be below the node's height.  Every node the cursor reaches
-    /// was reached through a level-`level` link, which implies exactly that.
-    unsafe fn successor(&self, level: usize) -> &Atomic<Self>;
+    /// The link cell toward this node's successor at `level`.  Every node
+    /// the cursor reaches was reached through a link of `level` or higher,
+    /// so `level` is below its height; an out-of-range level panics.
+    fn successor(&self, level: usize) -> &Atomic<Self>;
 
     /// The node's key.
     fn node_key(&self) -> &K;
@@ -365,180 +342,431 @@ enum Recovery {
     Restart(Restart),
 }
 
-/// Result of one `Cursor::seek`.
+/// Why `Cursor::position` did not park the cursor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Seek {
-    /// The cursor is parked: `curr` is the first live node satisfying the
-    /// bound (or null at the end of the level), `prev` is the CAS-able link
-    /// of the last safe node, and any marked chain crossed on the way is
-    /// retained for `Cursor::unlink_pending`.
-    Positioned,
-    /// Validation (or an eager unlink) failed; re-enter per the ladder.
+pub(crate) enum Stop {
+    /// Validation (or an eager unlink) failed.  The ladder has already
+    /// re-targeted the cursor — rung 2 at the level's entry anchor, rung 3
+    /// at the level head, rung 4 at nothing (`Cursor::rewind` first) — so
+    /// the caller only calls `position` again.
     Restart(Restart),
-    /// The caller's interrupt callback fired (wait-free helping protocol).
+    /// The caller's interrupt hook fired (wait-free helping protocol).
     Interrupted,
 }
 
-/// The shared traversal cursor: `prev`/`curr`/`next` over the
-/// [slot map](crate::slots), with `advance` (the safe-zone step),
-/// `enter_zone`/`validate` (the dangerous-zone discipline) and the §3.2.1
-/// recovery ladder driven by `Cursor::seek`.
+/// Borrows a node this thread owns outright: allocated and never published,
+/// unlinked by this thread as its unique retirer, or reached by a
+/// structure's `Drop`.
 ///
-/// One cursor traverses one level of one structure; multi-level structures
-/// (the skip list) run one cursor per level, feeding each level's final
-/// predecessor into the next level's `Cursor::begin`.
-pub(crate) struct Cursor<'t, K, N> {
+/// # Safety
+/// No other thread may free or write the node's fields (other than through
+/// atomics) while the borrow lives.
+#[inline]
+pub(crate) unsafe fn owned<'a, T>(ptr: Shared<T>) -> &'a T {
+    // SAFETY: forwarded — the caller owns the node exclusively, so it is
+    // live and nobody reclaims it under the borrow.
+    unsafe { ptr.deref() } // LINT-ALLOW: L6 the exclusive-ownership constructor
+}
+
+/// Where the cursor stands: `prev`/`curr`/`next` over the
+/// [slot map](crate::slots) plus the zone and ladder bookkeeping.  Kept apart
+/// from the guard borrow so a `protect` can read a link through `&self.at`
+/// while it mutates `self.g`.
+///
+/// Its accessors are where the per-scheme protection argument (DESIGN.md §
+/// "The per-scheme protection argument, stated once") is asserted, once
+/// each; the cursor maintains their invariant: every statement that moves a
+/// pointer moves the hazard slot the invariant names with it.
+struct At<K, N> {
     /// Link of the last safe node (the level head at start) — the CAS target
     /// for insert/unlink, and the source of every validation load.
     prev: Link<N>,
     /// Owner of `prev`: null for the head, otherwise the node protected by
-    /// `HP_PREV`.  Only consulted by the restart ladder.
+    /// `HP_PREV`.
     pred: Shared<N>,
     /// First unsafe node of the current dangerous zone (anchored in
     /// `HP_ANCHOR`); null while in the safe zone.  `prev_next` in Figure 5.
     chain: Shared<N>,
-    /// Current node, protected by `HP_CURR`.
+    /// Current node, protected by `HP_CURR` (null at the level end and
+    /// after a failed positioning).
     curr: Shared<N>,
     /// `curr`'s successor snapshot, protected by `HP_NEXT`; its tag bit is
     /// `curr`'s logical-deletion mark.
     next: Shared<N>,
     /// Which level's links this cursor walks (0 for plain lists).
     level: usize,
-    /// Restart anchor for ladder rung 2 (null = no rung 2, restart from head).
+    /// Restart anchor for ladder rung 2 (null = no rung 2, restart from
+    /// head), protected by `HP_ENTRY`.
     entry: Shared<N>,
-    /// Whether this traversal may answer a scheme's checkpoint request
-    /// (`SmrGuard::needs_restart`) with rung 4.  A checkpoint voids every
-    /// protection of the guard, so the constructing operation may only enable
-    /// this when it keeps **no** protected pointer of its own across the seek
-    /// (the skip-list tower builder and the tree's post-injection cleanup
-    /// hold their victim across re-seeks and must leave it off).
-    checkpoints: bool,
     /// Recycling-incarnation stamp of the anchored chain head, captured at
     /// zone entry and re-checked by every validation.
     chain_version: u64,
-    stats: &'t TraversalStats,
-    mode: ZoneMode,
-    _key: core::marker::PhantomData<K>,
+    /// The node the operation parked in a structure-owned slot: the removal
+    /// victim in `HP_VICTIM` or the inserter's own tower in `HP_TOWER`.
+    parked: Shared<N>,
+    _key: PhantomData<K>,
 }
 
-impl<'t, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, K, N> {
-    /// Starts a traversal at `start` (the level head, or an interior node's
-    /// level link when descending a skip list).  Protects the first node into
-    /// `HP_CURR` and its successor into `HP_NEXT`.
-    ///
-    /// `pred` is the owner of `start` (null for a head link) and `entry` the
-    /// rung-2 restart anchor (must stay protected in
-    /// [`crate::slots::HP_ENTRY`] by the caller for the whole level).
-    ///
-    /// Fails with a ladder outcome when `start` itself is already marked —
-    /// possible only for interior starts, where the owner can be logically
-    /// deleted between levels.
-    ///
-    /// `checkpoints` enables the rung-4 answer to a scheme's restart request
-    /// (see the field docs): pass `true` only when the calling operation
-    /// holds no protected pointers of its own across this seek.
-    ///
-    /// # Safety contract (debug-checked by construction sites)
-    /// The owner of `start` must be the head or a node protected by
-    /// `HP_PREV`/[`crate::slots::HP_ENTRY`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn begin<G: SmrGuard>(
-        g: &mut G,
-        pred: Shared<N>,
-        start: Link<N>,
-        level: usize,
-        entry: Shared<N>,
-        checkpoints: bool,
+impl<K, N: SlotNode<K>> At<K, N> {
+    /// The last safe node's link.
+    #[inline]
+    fn prev(&self) -> &Atomic<N> {
+        // SAFETY: `prev` is a level-head link, which lives as long as the
+        // structure the operation runs on, or a link of `pred`, which
+        // `HP_PREV` protects durably (fact 1).
+        unsafe { self.prev.as_atomic() } // LINT-ALLOW: L6 the cursor's `prev` constructor
+    }
+
+    /// `node`'s link at the cursor's level.
+    #[inline]
+    fn link<'n>(&self, node: &'n N) -> &'n Atomic<N> {
+        node.successor(self.level)
+    }
+
+    /// The current node.
+    #[inline]
+    fn curr(&self) -> Option<&N> {
+        // SAFETY: `curr` is protected by `HP_CURR` and the protection is
+        // durable: fact 1 in the safe zone, fact 2 (validated reachability)
+        // in the dangerous zone.
+        unsafe { self.curr.as_ref() } // LINT-ALLOW: L6 the cursor's `curr` constructor
+    }
+
+    /// The last safe node (`None` at the level head).
+    #[inline]
+    fn pred(&self) -> Option<&N> {
+        // SAFETY: `pred` is protected by `HP_PREV` (or, right after a rung-2
+        // climb, by `HP_ENTRY` too) and was unmarked when it became the last
+        // safe node (fact 1).
+        unsafe { self.pred.as_ref() } // LINT-ALLOW: L6 the cursor's `pred` constructor
+    }
+
+    /// The recycling-incarnation stamp of the anchored chain head.
+    #[inline]
+    fn chain_stamp(&self) -> u64 {
+        // SAFETY: `chain` is non-null inside a zone and protected by
+        // `HP_ANCHOR` (or the guard's era/epoch), so its header is readable.
+        unsafe { scot_smr::version_of(self.chain.untagged().as_ptr()) }
+    }
+}
+
+/// The shared traversal cursor: the operation's exclusive guard borrow plus
+/// where it stands, with the §3.2.1 recovery ladder driven by
+/// `Cursor::position`.
+///
+/// One cursor serves one whole operation: it is built once and re-targeted
+/// in place — by `Cursor::rewind` (a level head), `Cursor::descend` (the
+/// next skip-list level) and the ladder's own rungs.  Because it holds
+/// `&'g mut G`, nothing outside it can overwrite a hazard slot while it
+/// lives, so a node it has protected and validated is read through the safe
+/// `Cursor::curr`; those borrows end before any `&mut self` step recycles a
+/// slot.  The guard stays behind the cursor: it exposes only `alloc`,
+/// `retire` and the structure-owned slots ([`crate::slots::HP_ENTRY`],
+/// [`crate::slots::HP_VICTIM`], [`crate::slots::HP_TOWER`]).
+pub(crate) struct Cursor<'t, 'g, G, K, N> {
+    g: &'g mut G,
+    at: At<K, N>,
+    /// Whether this traversal may answer a scheme's checkpoint request
+    /// (`SmrGuard::needs_restart`) with rung 4.  A checkpoint voids every
+    /// protection of the guard, so an operation only enables this while it
+    /// keeps **no** protected pointer of its own across the seek (the
+    /// skip-list tower builder and remover hold theirs across re-seeks and
+    /// turn it off).
+    checkpoints: bool,
+    /// Whether `Cursor::position`'s cleanup retires the chain it unlinks
+    /// (lists) or leaves retirement to each tower's elected remover (skip
+    /// list: a node unlinked from one level may still be reachable through
+    /// another).
+    retire_chains: bool,
+    stats: &'t TraversalStats,
+    mode: ZoneMode,
+}
+
+impl<'t, 'g, G: SmrGuard, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, 'g, G, K, N> {
+    /// A cursor for one operation, at level 0 before `head`.
+    pub(crate) fn new(
+        g: &'g mut G,
+        head: &'t Atomic<N>,
         stats: &'t TraversalStats,
         mode: ZoneMode,
-    ) -> Result<Self, Restart> {
-        let mut cursor = Cursor {
-            prev: start,
-            pred,
-            chain: Shared::null(),
-            curr: Shared::null(),
-            next: Shared::null(),
-            level,
-            entry,
-            checkpoints,
-            chain_version: 0,
+        retire_chains: bool,
+    ) -> Self {
+        Cursor {
+            g,
+            at: At {
+                prev: head.as_link(),
+                pred: Shared::null(),
+                chain: Shared::null(),
+                curr: Shared::null(),
+                next: Shared::null(),
+                level: 0,
+                entry: Shared::null(),
+                chain_version: 0,
+                parked: Shared::null(),
+                _key: PhantomData,
+            },
+            checkpoints: true,
+            retire_chains,
             stats,
             mode,
-            _key: core::marker::PhantomData,
+        }
+    }
+
+    /// Re-targets the cursor at the head of `level`, with no entry anchor;
+    /// `checkpoints` enables the rung-4 answer to a scheme's restart request
+    /// (pass `true` only while the operation holds no protected pointer of
+    /// its own across the coming seeks).
+    #[inline]
+    pub(crate) fn rewind(&mut self, level: usize, checkpoints: bool) {
+        self.at.level = level;
+        self.at.pred = Shared::null();
+        self.at.entry = Shared::null();
+        self.checkpoints = checkpoints;
+    }
+
+    /// Moves one level down: this level's last safe node becomes the next
+    /// level's start and its rung-2 entry anchor, parked in `HP_ENTRY` for
+    /// the whole level.
+    #[inline]
+    pub(crate) fn descend(&mut self) {
+        self.at.level -= 1;
+        self.at.entry = self.at.pred;
+        if !self.at.entry.is_null() {
+            self.g.dup(HP_PREV, HP_ENTRY);
+        }
+    }
+
+    /// The one positioning call (Figure 5 right, L33-62): starts at the last
+    /// safe node (or `head`), walks the level until a live node satisfies
+    /// `bound` (or the level ends) under the cursor's `ZoneMode`, and, with
+    /// `cleanup`, unlinks the pending marked chain.
+    ///
+    /// `interrupt` is polled once per step; returning `true` aborts with
+    /// `Stop::Interrupted` (the wait-free list's helping protocol uses this
+    /// to stop every participant as soon as anyone published the answer).
+    ///
+    /// On `Ok`, slots `HP_PREV`/`HP_CURR`/`HP_NEXT` protect the last safe
+    /// node, `Cursor::curr` and its successor, so the caller can immediately
+    /// use them for its insert/delete CAS.
+    pub(crate) fn position(
+        &mut self,
+        head: &'t Atomic<N>,
+        bound: &SeekBound<K>,
+        cleanup: bool,
+        interrupt: impl FnMut() -> bool,
+    ) -> Result<(), Stop> {
+        self.begin(head).map_err(Stop::Restart)?;
+        self.seek(bound, interrupt)?;
+        // Progress: the next failure starts the backoff ladder from the
+        // bottom again.
+        backoff_reset();
+        if cleanup {
+            self.unlink_pending().map_err(Stop::Restart)?;
+        }
+        Ok(())
+    }
+
+    /// Whether the parked node holds `bound`'s key.
+    #[inline]
+    pub(crate) fn found(&self, bound: &SeekBound<K>) -> bool {
+        // A strict bound never "finds" its key.
+        matches!(bound, SeekBound::Ge(k) if self.curr().is_some_and(|n| n.node_key() == k))
+    }
+
+    /// The node the cursor is parked on (`None` at the end of the level).
+    /// After `Cursor::position` it is live and unmarked.
+    #[inline]
+    pub(crate) fn curr(&self) -> Option<&N> {
+        self.at.curr()
+    }
+
+    /// The parked node's pointer value, for CAS comparisons.
+    #[inline]
+    pub(crate) fn curr_ptr(&self) -> Shared<N> {
+        self.at.curr
+    }
+
+    /// The protected successor snapshot of the parked node.
+    #[inline]
+    pub(crate) fn next_ptr(&self) -> Shared<N> {
+        self.at.next
+    }
+
+    /// The parked node's key and value: what a range scan yields.
+    #[inline]
+    pub(crate) fn entry(&self) -> Option<(K, &N::Value)> {
+        self.curr().map(|n| (*n.node_key(), n.node_value()))
+    }
+
+    /// The insert/unlink CAS on the last safe node's link: swings it from the
+    /// parked node to `new`.
+    #[inline]
+    pub(crate) fn cas_prev(&self, new: Shared<N>) -> bool {
+        self.at.prev().cas(self.at.curr, new).is_ok()
+    }
+
+    /// Allocates a node through the guard.
+    #[inline]
+    pub(crate) fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
+        self.g.alloc(value)
+    }
+
+    /// Retires an unlinked node.
+    ///
+    /// # Safety
+    /// The [`SmrGuard::retire`] contract: this thread is `node`'s unique
+    /// retirer and `node` is unreachable for new operations.
+    #[inline]
+    pub(crate) unsafe fn retire(&mut self, node: Shared<N>) {
+        // SAFETY: forwarded to the caller.
+        unsafe { self.g.retire(node) }
+    }
+
+    /// Parks the node the cursor stands on in `HP_VICTIM`, where it stays
+    /// protected across the cleanup seeks that recycle the traversal slots.
+    #[inline]
+    pub(crate) fn pin_victim(&mut self) {
+        self.g.dup(HP_CURR, HP_VICTIM);
+        self.at.parked = self.at.curr;
+    }
+
+    /// Parks the inserter's own `node` in `HP_TOWER` before the CAS that
+    /// publishes it.
+    ///
+    /// # Safety
+    /// `node` comes from `Cursor::alloc` and is not yet published.
+    #[inline]
+    pub(crate) unsafe fn pin_tower(&mut self, node: Shared<N>) {
+        self.g.announce(HP_TOWER, node);
+        self.at.parked = node;
+    }
+
+    /// The node parked by `Cursor::pin_victim` or `Cursor::pin_tower`.
+    #[inline]
+    pub(crate) fn parked(&self) -> Option<&N> {
+        // SAFETY: `parked` is protected by `HP_VICTIM` or `HP_TOWER`; no
+        // traversal touches those slots, and both were durable when parked
+        // (a `dup` from the durable `HP_CURR`, or an announce before the
+        // publishing CAS).
+        unsafe { self.at.parked.as_ref() } // LINT-ALLOW: L6 the parked-node constructor
+    }
+
+    /// Ends the operation with the parked node's value, borrowed for as long
+    /// as the guard: `get` and the list `remove`.
+    #[inline]
+    pub(crate) fn into_value(self) -> Option<&'g N::Value> {
+        let node = self.at.curr;
+        self.into_parked_value(node)
+    }
+
+    /// Ends the operation with the victim's value (the skip-list `remove`).
+    #[inline]
+    pub(crate) fn into_victim_value(self) -> Option<&'g N::Value> {
+        let node = self.at.parked;
+        self.into_parked_value(node)
+    }
+
+    /// `node` is `curr` or the parked victim.  Consuming the cursor hands its
+    /// `&'g mut` guard borrow to the returned value: no later step can
+    /// recycle the slot that protects it while the borrow lives.
+    #[inline]
+    fn into_parked_value(self, node: Shared<N>) -> Option<&'g N::Value> {
+        // SAFETY: `node` is protected by `HP_CURR` or `HP_VICTIM` (durable,
+        // see `At::curr` / `Cursor::parked`); retiring it does not free it while
+        // that slot is published, and the slot stays published for `'g`.
+        unsafe { node.as_ref() }.map(N::node_value) // LINT-ALLOW: L6 the guard-lifetime value constructor
+    }
+
+    /// Visits every unmarked node of level 0 from `head`, unvalidated: like
+    /// [`crate::ConcurrentMap::collect`], which it serves, it must not run
+    /// concurrently with removals under a robust scheme.
+    pub(crate) fn walk(&mut self, head: &'t Atomic<N>, mut f: impl FnMut(&N)) {
+        let mut curr = self.g.protect(HP_CURR, head);
+        while !curr.is_null() {
+            // SAFETY: a quiescent walk — no node is retired while it runs,
+            // and `HP_CURR` protects `curr` besides.
+            let node = unsafe { curr.deref() }; // LINT-ALLOW: L6 quiescent walk
+            let next = self.g.protect(HP_NEXT, self.at.link(node));
+            if next.tag() == 0 {
+                f(node);
+            }
+            curr = next.untagged();
+            self.g.dup(HP_NEXT, HP_CURR);
+        }
+    }
+
+    /// Starts the level at the last safe node's link (or `head`): protects
+    /// the first node into `HP_CURR` and its successor into `HP_NEXT`.
+    /// Fails with a ladder outcome when the start owner is already marked —
+    /// possible only for interior starts, where the owner can be logically
+    /// deleted between levels.
+    #[inline]
+    fn begin(&mut self, head: &'t Atomic<N>) -> Result<(), Restart> {
+        self.at.prev = match self.at.pred() {
+            None => head.as_link(),
+            Some(pred) => self.at.link(pred).as_link(),
         };
-        // SAFETY: the caller guarantees the owner of `start` is live (head or
-        // protected); the protect re-reads the link until stable.
-        cursor.curr = unsafe { g.protect_link(HP_CURR, start) };
-        if cursor.curr.tag() != 0 {
+        self.at.chain = Shared::null();
+        self.at.curr = self.g.protect(HP_CURR, self.at.prev());
+        if self.at.curr.tag() != 0 {
             // The start owner is marked at this level: climb the ladder.
-            return Err(cursor.climb(g));
+            return Err(self.climb());
         }
-        if !cursor.curr.is_null() {
-            // SAFETY: `curr` was protected against a link of an unmarked
-            // owner (tag checked above), hence the protection is durable.
-            cursor.next = g.protect(HP_NEXT, unsafe { cursor.curr.deref().successor(level) });
-            prefetch_next(cursor.next);
-        }
-        Ok(cursor)
+        self.protect_next();
+        Ok(())
     }
 
-    /// The current node (null at the end of the level).  After a
-    /// `Seek::Positioned` it is live and unmarked.
+    /// Protects `curr`'s successor into `HP_NEXT` (null at the level end).
     #[inline]
-    pub(crate) fn curr(&self) -> Shared<N> {
-        self.curr
+    fn protect_next(&mut self) {
+        self.at.next = match self.at.curr() {
+            None => Shared::null(),
+            Some(curr) => self.g.protect(HP_NEXT, self.at.link(curr)),
+        };
+        prefetch_next(self.at.next);
     }
 
-    /// The protected successor snapshot of `Cursor::curr`.
-    #[inline]
-    pub(crate) fn next(&self) -> Shared<N> {
-        self.next
-    }
-
-    /// The last safe node's link — the CAS target for insert/unlink.
-    #[inline]
-    pub(crate) fn prev_link(&self) -> Link<N> {
-        self.prev
-    }
-
-    /// The owner of `Cursor::prev_link` (null for the head); multi-level
-    /// structures feed it into the next level's `Cursor::begin`.
-    #[inline]
-    pub(crate) fn pred(&self) -> Shared<N> {
-        self.pred
-    }
-
-    /// The rung-4 poll: answers a pending scheme restart request
+    /// The once-per-step poll: the caller's interrupt hook, then rung 4 —
+    /// answering a pending scheme restart request
     /// (`SmrGuard::needs_restart`) when this traversal is allowed to.  The
     /// acknowledging `checkpoint` call discards all protections and
-    /// re-announces the current era, so on `true` the seek must return
+    /// re-announces the current era, so the seek must then return
     /// [`Restart::Operation`] immediately — every cursor slot is void.
     #[inline]
-    fn poll_checkpoint<G: SmrGuard>(&mut self, g: &mut G) -> bool {
-        if self.checkpoints && g.needs_restart() {
-            g.checkpoint();
+    fn poll(&mut self, interrupt: &mut impl FnMut() -> bool) -> Result<(), Stop> {
+        if interrupt() {
+            return Err(Stop::Interrupted);
+        }
+        if self.checkpoints && self.g.needs_restart() {
+            self.g.checkpoint();
             self.stats.record_restart();
+            self.at.curr = Shared::null();
+            self.at.pred = Shared::null();
+            self.at.entry = Shared::null();
             // A checkpoint storm (the scheme repeatedly neutralizing this
             // thread) is a restart storm like any other: stagger the retry.
             backoff(self.stats);
-            true
-        } else {
-            false
+            return Err(Stop::Restart(Restart::Operation));
         }
+        Ok(())
     }
 
-    /// The recovery ladder, rungs 2 and 3: re-enter through the level-entry
-    /// anchor when it exists and the traversal has moved past it (the anchor
-    /// stays protected by [`crate::slots::HP_ENTRY`], so publishing it back
-    /// into `HP_PREV` is sound despite copying downwards); otherwise
-    /// restart from the level head.
-    fn climb<G: SmrGuard>(&mut self, g: &mut G) -> Restart {
-        let rung = if self.pred != self.entry && !self.entry.is_null() {
+    /// The recovery ladder, rungs 2 and 3: re-target the entry anchor when it
+    /// exists and the traversal has moved past it (the anchor stays protected
+    /// by [`crate::slots::HP_ENTRY`], so publishing it back into `HP_PREV` is
+    /// sound despite copying downwards); otherwise the level head.  `curr`
+    /// is dropped: a climb may follow a protect whose source was marked,
+    /// which leaves that protection without fact 1.
+    fn climb(&mut self) -> Restart {
+        self.at.curr = Shared::null();
+        let rung = if self.at.pred != self.at.entry && !self.at.entry.is_null() {
             self.stats.record_recovery();
-            g.announce(HP_PREV, self.entry);
+            self.g.announce(HP_PREV, self.at.entry);
+            self.at.pred = self.at.entry;
             Restart::Entry
         } else {
             self.stats.record_restart();
+            self.at.pred = Shared::null();
             Restart::Head
         };
         // Wait out one backoff step before the caller re-enters: consecutive
@@ -555,199 +783,120 @@ impl<'t, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, K, N> {
     /// Out of line: validations fail a few times per million operations, and
     /// a single-caller instantiation would otherwise fold into the hop loop.
     #[cold]
-    fn recover<G: SmrGuard>(&mut self, g: &mut G, observed: Shared<N>) -> Recovery {
-        if observed.tag() == 0 {
-            // §3.2.1: the last safe node is still unmarked, so it merely
-            // points at a new successor (a fresh insert, or the chain has
-            // already been cleaned up); continue from there.
-            self.stats.record_recovery();
-            // SAFETY: `prev` belongs to the head or the node protected by
-            // HP_PREV; the protect re-reads the link, whose owner is
-            // unmarked, so the returned pointer was not retired when the
-            // protection became visible.
-            self.curr = unsafe { g.protect_link(HP_CURR, self.prev) };
-            if self.curr.tag() != 0 {
-                // The last safe node got marked after all.
-                return Recovery::Restart(self.climb(g));
-            }
-            self.chain = Shared::null();
-            if self.curr.is_null() {
-                self.next = Shared::null();
-            } else {
-                // SAFETY: protected and validated unmarked just above.
-                self.next = g.protect(HP_NEXT, unsafe { self.curr.deref().successor(self.level) });
-                prefetch_next(self.next);
-            }
-            Recovery::Recovered
-        } else {
-            Recovery::Restart(self.climb(g))
+    fn recover(&mut self, observed: Shared<N>) -> Recovery {
+        if observed.tag() != 0 {
+            return Recovery::Restart(self.climb());
         }
+        // §3.2.1: the last safe node is still unmarked, so it merely points
+        // at a new successor (a fresh insert, or the chain has already been
+        // cleaned up); continue from there.
+        self.stats.record_recovery();
+        self.at.curr = self.g.protect(HP_CURR, self.at.prev());
+        if self.at.curr.tag() != 0 {
+            // The last safe node got marked after all.
+            return Recovery::Restart(self.climb());
+        }
+        self.at.chain = Shared::null();
+        self.protect_next();
+        Recovery::Recovered
     }
 
-    /// The protect-validate-recover loop (Figure 5 right, L38-56): walks the
-    /// level until a live node satisfies `bound` (or the level ends), applying
-    /// the dangerous-zone discipline of the cursor's `ZoneMode`.
-    ///
-    /// `interrupt` is polled once per step; returning `true` aborts with
-    /// `Seek::Interrupted` (the wait-free list's helping protocol uses this
-    /// to stop every participant as soon as anyone published the answer).
-    ///
-    /// On `Seek::Positioned`, slots `HP_PREV`/`HP_CURR`/`HP_NEXT`
-    /// protect `prev`/`curr`/`next`, so the caller can immediately use them
-    /// for its insert/delete CAS.
-    pub(crate) fn seek<G: SmrGuard>(
+    /// The protect-validate-recover loop (Figure 5 right, L38-56).
+    fn seek(
         &mut self,
-        g: &mut G,
-        bound: &SeekBound<K>,
-        interrupt: impl FnMut() -> bool,
-    ) -> Seek {
-        let outcome = self.seek_inner(g, bound, interrupt);
-        if outcome == Seek::Positioned {
-            // Progress: the next failure starts the backoff ladder from the
-            // bottom again.
-            backoff_reset();
-        }
-        outcome
-    }
-
-    fn seek_inner<G: SmrGuard>(
-        &mut self,
-        g: &mut G,
         bound: &SeekBound<K>,
         mut interrupt: impl FnMut() -> bool,
-    ) -> Seek {
+    ) -> Result<(), Stop> {
         'traverse: loop {
             // ---------- Phase 1: safe zone (L38-47) ----------
             loop {
-                if interrupt() {
-                    return Seek::Interrupted;
-                }
-                if self.poll_checkpoint(g) {
-                    return Seek::Restart(Restart::Operation);
-                }
-                if self.curr.is_null() {
-                    return Seek::Positioned;
-                }
+                self.poll(&mut interrupt)?;
+                let Some(curr) = self.at.curr() else {
+                    return Ok(());
+                };
+                // Michael's revalidation: the predecessor must still point at
+                // `curr`.  This both detects concurrent unlinks and maintains
+                // the "prev is unmarked" invariant his protection argument
+                // rests on.
+                //
+                // ORDERING: Acquire, like every validation load.
+                // Failing it restarts from the head (eager mode is the lists',
+                // which have no entry anchor, so the ladder lands there).
                 if let ZoneMode::Eager = self.mode {
-                    // Michael's revalidation: the predecessor must still point
-                    // at `curr`.  This both detects concurrent unlinks and
-                    // maintains the "prev is unmarked" invariant his
-                    // protection argument rests on.
-                    //
-                    // SAFETY: `prev` is the head or a field of the node
-                    // protected by HP_PREV.
-                    if unsafe { !validate_link(self.prev, self.curr) } {
-                        self.stats.record_restart();
-                        backoff(self.stats);
-                        return Seek::Restart(Restart::Head);
+                    if self.at.prev().load(Ordering::Acquire) != self.at.curr {
+                        return Err(Stop::Restart(self.climb()));
                     }
                 }
-                if self.next.tag() != 0 {
+                if self.at.next.tag() != 0 {
                     // `curr` is logically deleted: Phase 2 (or eager unlink).
                     break;
                 }
-                // SAFETY: `curr` is protected and was validated reachable
-                // from an unmarked predecessor when that protection was
-                // published (standard Harris-Michael argument), or by the
-                // SCOT validation when arriving from a dangerous zone.
-                let curr_ref = unsafe { self.curr.deref() };
-                if bound.stops_at(curr_ref.node_key()) {
-                    return Seek::Positioned;
+                if bound.stops_at(curr.node_key()) {
+                    return Ok(());
                 }
-                self.advance(g, curr_ref);
-                if self.curr.is_null() {
-                    return Seek::Positioned;
+                // The safe-zone advance (L43-47): `curr` becomes the last
+                // safe node.
+                self.at.prev = self.at.link(curr).as_link();
+                self.at.pred = self.at.curr;
+                self.at.chain = Shared::null();
+                self.g.dup(HP_CURR, HP_PREV);
+                self.at.curr = self.at.next;
+                if self.at.curr.is_null() {
+                    return Ok(());
                 }
-                g.dup(HP_NEXT, HP_CURR);
-                // SAFETY: `curr` was published (HP_NEXT) by the protect that
-                // read it from an unmarked predecessor, hence durable.
-                self.next = g.protect(HP_NEXT, unsafe { self.curr.deref().successor(self.level) });
-                prefetch_next(self.next);
+                self.g.dup(HP_NEXT, HP_CURR);
+                self.protect_next();
             }
 
             if let ZoneMode::Eager = self.mode {
                 // Unlink the single marked node right now (the defining
                 // difference from Harris' list) and retire it on success.
-                //
-                // SAFETY: `prev` is the head or a field of the HP_PREV node.
-                if unsafe { self.prev.cas(self.curr, self.next.untagged()) }.is_err() {
-                    self.stats.record_restart();
-                    backoff(self.stats);
-                    return Seek::Restart(Restart::Head);
+                if !self.cas_prev(self.at.next.untagged()) {
+                    return Err(Stop::Restart(self.climb()));
                 }
                 // SAFETY: we won the unlink CAS — unique retirer.
-                unsafe { g.retire(self.curr) };
-                self.curr = self.next.untagged();
-                g.dup(HP_NEXT, HP_CURR);
-                if !self.curr.is_null() {
-                    // SAFETY: `curr` was published (HP_NEXT) by the protect
-                    // that read it from the validated, unmarked predecessor.
-                    self.next =
-                        // SAFETY: see the comment above this statement.
-                        g.protect(HP_NEXT, unsafe { self.curr.deref().successor(self.level) });
-                    prefetch_next(self.next);
-                }
+                unsafe { self.g.retire(self.at.curr) };
+                self.at.curr = self.at.next.untagged();
+                self.g.dup(HP_NEXT, HP_CURR);
+                self.protect_next();
                 continue 'traverse;
             }
 
             // ---------- Phase 2: dangerous zone (L48-56) ----------
-            self.enter_zone(g);
+            self.enter_zone();
             loop {
-                if interrupt() {
-                    return Seek::Interrupted;
-                }
-                if self.poll_checkpoint(g) {
-                    return Seek::Restart(Restart::Operation);
-                }
-                match self.validate(g) {
+                self.poll(&mut interrupt)?;
+                match self.validate() {
                     Ok(()) => {}
                     Err(Recovery::Recovered) => continue 'traverse,
-                    Err(Recovery::Restart(r)) => return Seek::Restart(r),
+                    Err(Recovery::Restart(r)) => return Err(Stop::Restart(r)),
                 }
-                if self.next.tag() == 0 {
+                if self.at.next.tag() == 0 {
                     // End of the marked chain: back to the safe zone with the
                     // pending cleanup information intact.
                     continue 'traverse;
                 }
-                // Step deeper into the zone.
-                self.curr = self.next.untagged();
-                if self.curr.is_null() {
-                    return Seek::Positioned;
+                // Step deeper into the zone: the validation above proved the
+                // chain still linked after `next`'s protection became
+                // visible (Theorem 2, applied per level).
+                self.at.curr = self.at.next.untagged();
+                if self.at.curr.is_null() {
+                    return Ok(());
                 }
-                g.dup(HP_NEXT, HP_CURR);
-                // SAFETY: `curr` was published in HP_NEXT by the protect that
-                // read it, and the validation above confirmed the zone was
-                // still linked after that publication, so the protection is
-                // durable (Theorem 2, applied per level).
-                self.next = g.protect(HP_NEXT, unsafe { self.curr.deref().successor(self.level) });
-                prefetch_next(self.next);
+                self.g.dup(HP_NEXT, HP_CURR);
+                self.protect_next();
             }
         }
-    }
-
-    /// The safe-zone advance (L43-47): `curr` becomes the last safe node.
-    #[inline]
-    fn advance<G: SmrGuard>(&mut self, g: &mut G, curr_ref: &N) {
-        // SAFETY: (of the successor call) `curr` is linked at `level`, so its
-        // height exceeds `level`.
-        self.prev = unsafe { curr_ref.successor(self.level) }.as_link();
-        self.pred = self.curr;
-        self.chain = Shared::null();
-        g.dup(HP_CURR, HP_PREV);
-        self.curr = self.next;
     }
 
     /// Enters the dangerous zone: anchors the first unsafe node in
     /// `HP_ANCHOR` so the validation can rely on pointer comparison even if
     /// the chain is concurrently unlinked (ABA prevention, §3.2).
     #[inline]
-    fn enter_zone<G: SmrGuard>(&mut self, g: &mut G) {
-        g.dup(HP_CURR, HP_ANCHOR);
-        self.chain = self.curr;
-        // SAFETY: `chain` (= `curr`) is non-null — Phase 1 only breaks into
-        // the zone on a non-null, protected `curr` — so its header is
-        // readable for the incarnation stamp.
-        self.chain_version = unsafe { scot_smr::version_of(self.chain.untagged().as_ptr()) };
+    fn enter_zone(&mut self) {
+        self.g.dup(HP_CURR, HP_ANCHOR);
+        self.at.chain = self.at.curr;
+        self.at.chain_version = self.at.chain_stamp();
         self.stats.record_zone_entry();
     }
 
@@ -761,51 +910,37 @@ impl<'t, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, K, N> {
     /// first step; hoisting it to the zone entry matches the simple variant
     /// on the figure's left and the prose of §3.1.
     #[inline]
-    fn validate<G: SmrGuard>(&mut self, g: &mut G) -> Result<(), Recovery> {
-        // SAFETY: `prev` is either the level head or a field of the node
-        // protected by HP_PREV.
-        let observed = unsafe { self.prev.load(Ordering::Acquire) };
-        if observed == self.chain {
-            // Version re-check on top of the pointer comparison: a matching
-            // address whose recycling-incarnation stamp moved means the
-            // anchored chain head was reclaimed and the same memory
-            // re-inserted here (ABA through the block pool).  The anchor
-            // protection makes this impossible while it holds, so the check
-            // is hardening for the eager-recycling schemes, where the stamp
-            // is the paper-faithful detection primitive.
-            //
-            // SAFETY: `chain` is protected by HP_ANCHOR (or the guard's
-            // era/epoch), so its header is readable.
-            if unsafe { scot_smr::version_of(self.chain.untagged().as_ptr()) } == self.chain_version
-            {
-                Ok(())
-            } else {
-                Err(self.recover(g, observed))
-            }
+    fn validate(&mut self) -> Result<(), Recovery> {
+        // ORDERING: Acquire — a successful validation is what licenses the
+        // subsequent deref of the zone's next node, so the load must
+        // synchronize with the release store that published the link.
+        let observed = self.at.prev().load(Ordering::Acquire);
+        // Version re-check on top of the pointer comparison: a matching
+        // address whose recycling-incarnation stamp moved means the anchored
+        // chain head was reclaimed and the same memory re-inserted here (ABA
+        // through the block pool).  The anchor protection makes this
+        // impossible while it holds, so the check is hardening for the
+        // eager-recycling schemes, where the stamp is the paper-faithful
+        // detection primitive.
+        if observed == self.at.chain && self.at.chain_stamp() == self.at.chain_version {
+            Ok(())
         } else {
-            Err(self.recover(g, observed))
+            Err(self.recover(observed))
         }
     }
 
     /// Cleanup (L57-62): if a marked chain `[chain, curr)` is pending, unlink
-    /// it with one CAS on the last safe node's link.  `retire` selects who
-    /// owns the unlinked nodes: the lists retire the chain here (`Do_Retire`,
-    /// L24-29 — the unlink winner is the unique retirer), while the skip list
-    /// leaves retirement to each tower's elected remover, because a node
-    /// unlinked from one level may still be reachable through another.
-    pub(crate) fn unlink_pending<G: SmrGuard>(
-        &mut self,
-        g: &mut G,
-        retire: bool,
-    ) -> Result<(), Restart> {
-        if self.chain.is_null() || self.chain == self.curr {
+    /// it with one CAS on the last safe node's link, retiring it when the
+    /// cursor's structure owns chain retirement (`Do_Retire`, L24-29 — the
+    /// unlink winner is the unique retirer).
+    fn unlink_pending(&mut self) -> Result<(), Restart> {
+        if self.at.chain.is_null() || self.at.chain == self.at.curr {
             return Ok(());
         }
-        // SAFETY: `prev` is the head or a field of the HP_PREV node.
-        if unsafe { self.prev.cas(self.chain, self.curr) }.is_err() {
-            return Err(self.climb(g));
+        if self.at.prev().cas(self.at.chain, self.at.curr).is_err() {
+            return Err(self.climb());
         }
-        if retire {
+        if self.retire_chains {
             // Hand the scheme whole chain segments through `retire_batch` so
             // the domain's retire bookkeeping (one vault mutex per batch) is
             // paid once per chunk instead of once per node.  The chunk buffer
@@ -813,29 +948,30 @@ impl<'t, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, K, N> {
             const CHUNK: usize = 16;
             let mut buf = [Shared::null(); CHUNK];
             let mut n = 0;
-            let mut cur = self.chain;
-            while cur != self.curr {
-                debug_assert!(!cur.is_null(), "marked chain must end at `curr`");
-                // SAFETY: we won the unlink CAS, so this thread exclusively
-                // owns every node of the chain; the successor links of
-                // unlinked nodes are no longer written by anyone.
-                let next = unsafe { cur.deref().successor(self.level).load(Ordering::Acquire) };
-                buf[n] = cur;
-                n += 1;
-                if n == CHUNK {
+            let mut cur = self.at.chain;
+            loop {
+                let done = cur == self.at.curr;
+                if !done {
+                    debug_assert!(!cur.is_null(), "marked chain must end at `curr`");
+                    // SAFETY: we won the unlink CAS, so this thread owns every
+                    // chain node; their successor links are written by no one.
+                    let node = unsafe { owned(cur) };
+                    buf[n] = cur;
+                    n += 1;
+                    cur = self.at.link(node).load(Ordering::Acquire).untagged();
+                }
+                if n == CHUNK || (done && n > 0) {
                     // SAFETY: the unlink winner is the unique retirer of each
-                    // chain node, and each appears in the batch once.
-                    unsafe { g.retire_batch(&buf[..n]) };
+                    // chain node, and each appears in one batch once.
+                    unsafe { self.g.retire_batch(&buf[..n]) };
                     n = 0;
                 }
-                cur = next.untagged();
-            }
-            if n > 0 {
-                // SAFETY: as above — unique retirer, no duplicates.
-                unsafe { g.retire_batch(&buf[..n]) };
+                if done {
+                    break;
+                }
             }
         }
-        self.chain = Shared::null();
+        self.at.chain = Shared::null();
         Ok(())
     }
 }
@@ -844,124 +980,93 @@ impl<'t, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, K, N> {
 // Range-scan stepping
 // ---------------------------------------------------------------------------
 
-/// State of a guard-scoped range scan between two `next_entry` calls.
-pub(crate) enum ScanState<K, N> {
+/// State of a guard-scoped range scan between two advances.
+pub(crate) enum ScanState<K> {
     /// Position with a full validated seek for the first node in `bound`.
     Seek(SeekBound<K>),
-    /// Parked on the last yielded node (still protected by `HP_CURR`);
-    /// resume with the in-place step, falling back to a re-seek `> key` when
-    /// the local neighborhood was disrupted.
-    At(K, Shared<N>),
+    /// Parked on the last yielded node, whose key this is (still protected
+    /// by `HP_CURR`); resume with the in-place step, falling back to a
+    /// re-seek `> key` when the local neighborhood was disrupted.
+    At(K),
     /// Past the upper bound or the end of the structure.
     Done,
 }
 
-/// One in-place scan step from the parked node `curr` (protected by
-/// `HP_CURR` since it was yielded): advances to the immediate successor if
-/// the local neighborhood is still unmarked.
-///
-/// `Ok(Some(n))` — `n` is the next live node, now protected by `HP_CURR`.
-/// `Ok(None)` — end of the level.
-/// `Err(())` — `curr` or its successor is logically deleted; the scan must
-/// re-position with a full validated seek (the cheap step must never walk a
-/// marked chain, because that requires the dangerous-zone validation).
-///
-/// Safety of the step: `next` is protected by the protect's re-read against
-/// `curr`'s successor link while `curr` is unmarked (its tag lives on that
-/// very link) — an unmarked node is not yet unlinked, so the standard
-/// read-from-unmarked-reachable-predecessor argument applies, with the parked
-/// position in the role of the last safe node.
-pub(crate) fn scan_step<K: Ord + Copy, N: SlotNode<K>, G: SmrGuard>(
-    g: &mut G,
-    curr: Shared<N>,
-    level: usize,
-) -> Result<Option<Shared<N>>, ()> {
-    // SAFETY: `curr` is protected by HP_CURR (held since it was yielded; the
-    // range holds the guard exclusively, so no other operation recycled it).
-    let next = g.protect(HP_NEXT, unsafe { curr.deref().successor(level) });
-    if next.tag() != 0 {
-        // The parked node was logically deleted under us.
-        return Err(());
+impl<'t, 'g, G: SmrGuard, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, 'g, G, K, N> {
+    /// One scan advance, the single implementation behind every list-shaped
+    /// range scan: parks on the next live node below `hi` (via the in-place
+    /// step or the structure's validated `seek`) and updates `state`.
+    /// Returns whether the cursor is parked; `Cursor::entry` then yields it.
+    pub(crate) fn scan_next(
+        &mut self,
+        state: &mut ScanState<K>,
+        hi: Option<&K>,
+        mut seek: impl FnMut(&mut Self, &SeekBound<K>),
+    ) -> bool {
+        loop {
+            match *state {
+                ScanState::Done => return false,
+                ScanState::Seek(bound) => seek(self, &bound),
+                ScanState::At(last) => match self.step() {
+                    Ok(true) => {}
+                    Ok(false) => {
+                        *state = ScanState::Done;
+                        return false;
+                    }
+                    Err(()) => {
+                        *state = ScanState::Seek(SeekBound::Gt(last));
+                        continue;
+                    }
+                },
+            }
+            let Some(key) = self.curr().map(|n| *n.node_key()) else {
+                *state = ScanState::Done;
+                return false;
+            };
+            if hi.is_some_and(|h| &key >= h) {
+                *state = ScanState::Done;
+                return false;
+            }
+            *state = ScanState::At(key);
+            return true;
+        }
     }
-    if next.is_null() {
-        return Ok(None);
-    }
-    g.dup(HP_CURR, HP_PREV);
-    g.dup(HP_NEXT, HP_CURR);
-    // SAFETY: `next` was published (HP_NEXT, now duplicated into HP_CURR) by
-    // the protect that read it from the unmarked parked node.
-    let peek = g.protect(HP_NEXT, unsafe { next.deref().successor(level) });
-    if peek.tag() != 0 {
-        // The successor is itself marked: skipping it means walking a chain,
-        // which needs the full dangerous-zone discipline — re-seek.
-        return Err(());
-    }
-    Ok(Some(next))
-}
 
-/// Drives one `next_entry` of a range scan end to end: positions on the next
-/// live node via [`scan_next`] and hands out the guard-scoped `(key, &value)`
-/// pair.  This is the single implementation behind every list-shaped
-/// `RangeScan`; only the `seek` closure differs per structure.
-pub(crate) fn scan_entry<'g, K: Ord + Copy, N: SlotNode<K>, G: SmrGuard>(
-    g: &'g mut G,
-    state: &mut ScanState<K, N>,
-    hi: Option<&K>,
-    level: usize,
-    seek: impl FnMut(&mut G, &SeekBound<K>) -> Shared<N>,
-) -> Option<(K, &'g N::Value)> {
-    let node = scan_next(g, state, hi, level, seek);
-    if node.is_null() {
-        None
-    } else {
-        // SAFETY: `node` is protected by HP_CURR (by the seek or the step),
-        // and the caller's exclusive `&'g mut` guard borrow keeps that slot
-        // published until the next advance recycles it — at which point the
-        // returned borrow is dead by the lending-iterator contract.
-        let node_ref = unsafe { node.deref_guarded(&*g) };
-        Some((*node_ref.node_key(), node_ref.node_value()))
-    }
-}
-
-/// Drives one positioning step of a range scan: parks on the next live node
-/// (via the in-place step or a structure-specific validated `seek`), applies
-/// the upper bound, and updates the scan state.  Returns null when the scan
-/// is exhausted.
-pub(crate) fn scan_next<K: Ord + Copy, N: SlotNode<K>, G: SmrGuard>(
-    g: &mut G,
-    state: &mut ScanState<K, N>,
-    hi: Option<&K>,
-    level: usize,
-    mut seek: impl FnMut(&mut G, &SeekBound<K>) -> Shared<N>,
-) -> Shared<N> {
-    loop {
-        let node = match state {
-            ScanState::Done => return Shared::null(),
-            ScanState::Seek(bound) => seek(g, bound),
-            ScanState::At(last, curr) => match scan_step(g, *curr, level) {
-                Ok(Some(n)) => n,
-                Ok(None) => {
-                    *state = ScanState::Done;
-                    return Shared::null();
-                }
-                Err(()) => {
-                    *state = ScanState::Seek(SeekBound::Gt(*last));
-                    continue;
-                }
-            },
+    /// One in-place scan step from the parked node: advances to its
+    /// immediate successor if the local neighborhood is still unmarked.
+    ///
+    /// `Ok(true)` — parked on the next live node, now protected by `HP_CURR`.
+    /// `Ok(false)` — end of the level.
+    /// `Err(())` — the parked node or its successor is logically deleted;
+    /// the scan must re-position with a full validated seek (the cheap step
+    /// must never walk a marked chain, because that requires the
+    /// dangerous-zone validation).
+    ///
+    /// The successor's protection is durable by fact 1 with the parked node
+    /// in the role of the last safe node: the protect re-reads its link while
+    /// it is unmarked (its tag lives on that very link).
+    fn step(&mut self) -> Result<bool, ()> {
+        let Some(curr) = self.at.curr() else {
+            return Ok(false);
         };
-        if node.is_null() {
-            *state = ScanState::Done;
-            return Shared::null();
+        let next = self.g.protect(HP_NEXT, self.at.link(curr));
+        if next.tag() != 0 {
+            // The parked node was logically deleted under us.
+            return Err(());
         }
-        // SAFETY: `node` is protected by HP_CURR (by the seek or the step).
-        let key = *unsafe { node.deref() }.node_key();
-        if hi.is_some_and(|h| &key >= h) {
-            *state = ScanState::Done;
-            return Shared::null();
+        if next.is_null() {
+            return Ok(false);
         }
-        *state = ScanState::At(key, node);
-        return node;
+        self.g.dup(HP_CURR, HP_PREV);
+        self.g.dup(HP_NEXT, HP_CURR);
+        self.at.curr = next;
+        self.protect_next();
+        if self.at.next.tag() != 0 {
+            // The successor is itself marked: skipping it means walking a
+            // chain, which needs the full dangerous-zone discipline — re-seek.
+            return Err(());
+        }
+        Ok(true)
     }
 }
 
@@ -989,32 +1094,6 @@ mod tests {
         assert_eq!(stats.recoveries(), 1);
         assert_eq!(stats.zone_entries(), 3);
         assert_eq!(stats.spins(), 42);
-    }
-
-    #[test]
-    fn snapshot_merge_is_componentwise() {
-        let a = TraversalSnapshot {
-            restarts: 1,
-            recoveries: 2,
-            zone_entries: 3,
-            spins: 4,
-        };
-        let b = TraversalSnapshot {
-            restarts: 10,
-            recoveries: 20,
-            zone_entries: 30,
-            spins: 40,
-        };
-        assert_eq!(
-            a.merged(b),
-            TraversalSnapshot {
-                restarts: 11,
-                recoveries: 22,
-                zone_entries: 33,
-                spins: 44,
-            }
-        );
-        assert_eq!(TraversalSnapshot::default().merged(a), a);
     }
 
     #[test]

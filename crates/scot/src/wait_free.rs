@@ -129,9 +129,6 @@ pub struct WfHarrisList<K, S: Smr, V = ()> {
     list: HarrisList<K, S, V>,
     records: Box<[CachePadded<HelpRecord>]>,
     record_slots: Arc<SlotRegistry>,
-    /// Number of searches that exhausted the fast-path restart budget and
-    /// entered `Slow_Search`.
-    slow_entries: AtomicU64,
 }
 
 /// Per-thread handle for [`WfHarrisList`].
@@ -175,7 +172,6 @@ impl<K: WfKey, S: Smr, V: Value> WfHarrisList<K, S, V> {
             list: HarrisList::new(smr),
             records,
             record_slots: Arc::new(SlotRegistry::new(max_threads)),
-            slow_entries: AtomicU64::new(0),
         }
     }
 
@@ -205,12 +201,6 @@ impl<K: WfKey, S: Smr, V: Value> WfHarrisList<K, S, V> {
     /// Number of full traversal restarts of the underlying list (Table 2).
     pub fn restarts(&self) -> u64 {
         self.list.restarts()
-    }
-
-    /// Number of slow-path searches that were actually entered; exposed for
-    /// the wait-free ablation benchmark.
-    pub fn slow_path_entries(&self) -> u64 {
-        self.slow_entries.load(Ordering::Relaxed)
     }
 
     /// `Help_Threads` (Figure 7, L12-L26): every `DELAY` calls, examine one
@@ -351,7 +341,6 @@ impl<K: WfKey, S: Smr, V: Value> crate::ConcurrentMap<K, V> for WfHarrisList<K, 
             return found;
         }
         // Slow path: announce the request and search with helpers.
-        self.slow_entries.fetch_add(1, Ordering::Relaxed);
         let tag = self.request_help(guard, *key);
         let index = guard.index;
         self.slow_search(&mut guard.g, key, index, tag)

@@ -95,7 +95,6 @@ pub use registry::{thread_beacon, AdoptGuard, Beacon, PinBinding, SlotClaim, Slo
 pub use vbr::Vbr;
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Number of hazard/era slots available to each thread for each domain.
 ///
@@ -578,47 +577,6 @@ pub trait SmrGuard {
     /// [`SmrGuard::retire`] contract: produced by [`SmrGuard::alloc`] on this
     /// domain, physically unlinked, and retired exactly once.
     unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]);
-}
-
-/// Result of [`drain_with_timeout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrainOutcome {
-    /// Every retired block was reclaimed.
-    Drained,
-    /// The deadline passed with blocks still unreclaimed — a stalled reader
-    /// pins an epoch/era, a poisoned slot holds Hyaline batches, or the
-    /// scheme leaks by design (NR).  The payload is the number of blocks
-    /// still outstanding so callers can report instead of hang.
-    TimedOut {
-        /// Unreclaimed blocks at the deadline.
-        remaining: usize,
-    },
-}
-
-/// Drains a domain at shutdown: repeatedly forces reclamation passes (which
-/// also adopt orphaned slots left by dead threads) until
-/// [`Smr::unreclaimed`] reaches zero or `timeout` elapses.
-///
-/// This is the harness's answer to the acceptance question "does memory come
-/// back after the fault?" — it *reports* a stuck domain via
-/// [`DrainOutcome::TimedOut`] rather than spinning forever on one.
-pub fn drain_with_timeout<S: Smr>(
-    domain: &S,
-    handle: &mut S::Handle,
-    timeout: Duration,
-) -> DrainOutcome {
-    let deadline = Instant::now() + timeout;
-    loop {
-        handle.flush();
-        let remaining = domain.unreclaimed();
-        if remaining == 0 {
-            return DrainOutcome::Drained;
-        }
-        if Instant::now() >= deadline {
-            return DrainOutcome::TimedOut { remaining };
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
 }
 
 #[cfg(test)]

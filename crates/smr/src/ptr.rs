@@ -25,9 +25,9 @@ pub const TAG_MASK: usize = 0b111;
 ///
 /// This is intentionally similar to `crossbeam_epoch::Atomic`, but it is not
 /// tied to any particular reclamation scheme: all schemes in this crate
-/// (`NR`, `EBR`, `HP`, `HE`, `IBR`, `Hyaline-1S`) operate on the same pointer
-/// representation so data structures can be written once and instantiated
-/// with any of them.
+/// (`NR`, `EBR`, `HP`, `HE`, `IBR`, `Hyaline-1S`, `NBR`, `VBR`) operate on the
+/// same pointer representation so data structures can be written once and
+/// instantiated with any of them.
 #[repr(transparent)]
 pub struct Atomic<T> {
     data: AtomicUsize,
@@ -200,12 +200,14 @@ impl<T> Link<T> {
 
 /// A snapshot of an [`Atomic`] cell: a possibly-null, possibly-tagged pointer.
 ///
-/// `Shared` is `Copy` and intentionally does **not** borrow a guard: the
-/// protection discipline in this workspace is exactly the one from the paper
-/// (hazard-slot indices plus SCOT validation), which cannot be expressed in
-/// the type system without changing the algorithms.  All dereferences are
-/// `unsafe` and the data-structure code documents, for each one, which hazard
-/// slot or validation step makes it sound.
+/// `Shared` is `Copy` and intentionally does **not** borrow a guard: which
+/// hazard slot protects a pointer changes from hop to hop (the paper's
+/// slot-index discipline plus SCOT validation), so the lifetime of a
+/// protection belongs to the traversal, not to the pointer.  The `scot`
+/// crate expresses it there: its cursor holds the operation's `&mut` guard
+/// borrow and hands out node references through safe accessors bounded by
+/// that borrow, so the raw, `unsafe` dereferences below are confined to those
+/// accessors, each stating which slot or validation step makes it sound.
 pub struct Shared<T> {
     raw: usize,
     _marker: PhantomData<*mut T>,
@@ -331,8 +333,8 @@ impl<T> Shared<T> {
     /// `&'g V` borrows: the returned reference cannot outlive `guard`, so as
     /// long as the caller upholds the protection contract below, the borrow is
     /// sound under every scheme (HP/HE keep the covering hazard slot
-    /// published for the guard's lifetime; EBR/IBR/Hyaline keep the epoch/era
-    /// reservation active until the guard drops; NR never frees).
+    /// published for the guard's lifetime; EBR/IBR/Hyaline/NBR/VBR keep the
+    /// epoch/era reservation active until the guard drops; NR never frees).
     ///
     /// # Safety
     /// The pointee must be protected *for the remaining lifetime of `guard`*:
