@@ -37,14 +37,27 @@
 //! which a structure that sweeps 30 000 times a second cannot pay — so nobody
 //! chooses between the two, the guard does, from what it can observe:
 //!
-//! * A guard starts every operation with [`HEAVY_BUDGET`] heavy publications.
+//! * A guard starts an operation with [`HEAVY_BUDGET`] heavy publications.
 //!   Short operations (a hash bucket, a search tree) finish inside it and
 //!   cost sweeps nothing.
 //! * When the budget runs out the guard *goes light*: it sets the `light`
 //!   word of its slot, issues one `SeqCst` fence, and publishes light from
-//!   then on.  Guard drop clears the hazards, then the flag, and the next
-//!   `pin` starts with a full budget; `retire_batch` leaves light mode
-//!   first, so a sweep never pays a barrier on account of its own thread.
+//!   then on.  Guard drop clears the hazards, then the flag; `retire_batch`
+//!   leaves light mode first, so a sweep never pays a barrier on account of
+//!   its own thread.
+//! * The next `pin` predicts from the slot's own history.  Guard exit keeps
+//!   a `streak` word beside `light`: how many operations in a row made more
+//!   than [`HEAVY_BUDGET`] publications (`before_retire`'s refill does not
+//!   reset the count).  After [`LONG_STREAK`] = 2 of them `pin` goes light at
+//!   once — the same store, the same fence — so a list traversal skips the
+//!   32 fenced hops a held guard already skips; any operation that finishes
+//!   inside the budget resets the streak, and the next `pin` is heavy again.
+//!   Two, not one: the 5 % of tree operations that cross the budget would
+//!   otherwise each turn the next one light, and the tree's share of sweeps
+//!   that run a barrier would quadruple.  `neutralize` zeroes the streak, so
+//!   registration, release and adoption always start heavy: a new owner
+//!   inherits nothing.  A predicted-light guard is a guard whose budget ran
+//!   out before its first hop, so the argument below covers it unchanged.
 //! * Every sweep starts in `Scheme::snapshot`: a `SeqCst` fence, one read of
 //!   every claimed slot's `light` word, and one `membarrier` iff any is set.
 //!
@@ -90,19 +103,26 @@ use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
 use crate::{Smr, SmrConfig, SmrError, SmrKind, MAX_HAZARDS};
 use crossbeam_utils::CachePadded;
-use std::sync::atomic::{compiler_fence, fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{compiler_fence, fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Heavy publications a guard pays per operation before it goes light (module
-/// docs).  Going light moves the fence to every sweep that overlaps the rest
-/// of the operation, ~15 µs a barrier against ~9 ns a heavy publication, so
-/// it must be rare wherever operations are short and sweeps frequent, and
+/// Heavy publications a guard pays per operation before it goes light, unless
+/// `pin` predicted a long operation and started light (module docs).  Going
+/// light moves the fence to every sweep that overlaps the rest of the
+/// operation, ~15 µs a barrier against ~9 ns a heavy publication, so it must
+/// be rare wherever operations are short and sweeps frequent, and
 /// early wherever operations are long.  32 sits between the two populations
 /// the benchmark has: a hash bucket (≤ 3 publications) and a random search
 /// tree of 100 000 keys (~25) finish inside it — at 8 `tree-rw` lost 15 %, at
 /// 32 about one sweep in a hundred pays a barrier — while a 128-hop list
 /// traversal still sheds three quarters of its fences.
 const HEAVY_BUDGET: u32 = 32;
+
+/// Operations in a row that outran [`HEAVY_BUDGET`] after which `pin` starts
+/// light (module docs).  One is as good on the lists, but it makes the 5 % of
+/// `tree-rw` operations that cross the budget turn their successors light,
+/// and quadruples the tree's share of sweeps that run a barrier.
+const LONG_STREAK: u8 = 2;
 
 /// One thread's hazard pointers.
 pub struct HpSlot {
@@ -111,6 +131,11 @@ pub struct HpSlot {
     /// store buffer, and a sweep that reads this as set must run the process
     /// barrier before it reads them.
     light: AtomicUsize,
+    /// How many of the owner's latest operations in a row outran the budget,
+    /// saturating at [`LONG_STREAK`]: the prediction `pin` goes light on.
+    /// Written by the owner's guard exit and by `neutralize` only; no sweep
+    /// reads it.
+    streak: AtomicU8,
 }
 
 /// The hazard-pointer domain.  `snapshot_scan` in the configuration selects
@@ -157,6 +182,7 @@ impl Hp {
                 CachePadded::new(HpSlot {
                     hazards: std::array::from_fn(|_| AtomicUsize::new(0)),
                     light: AtomicUsize::new(0),
+                    streak: AtomicU8::new(0),
                 })
             })
             .collect();
@@ -173,6 +199,21 @@ impl Hp {
     #[cfg(test)]
     fn new_symmetric(config: SmrConfig) -> Arc<Self> {
         Self::with_fence(config, false)
+    }
+
+    /// Sets `slot`'s `light` word and fences, returning 0, the budget of a
+    /// light guard — or, where sweeps have no process barrier to run, a
+    /// fresh budget of heavy publications.
+    fn go_light(&self, slot: &HpSlot) -> u32 {
+        if !self.asymmetric {
+            return HEAVY_BUDGET;
+        }
+        // ORDERING: Relaxed — the fence below orders the flag before every
+        // light publication and re-read; a sweep whose fence came first may
+        // read 0, and then those re-reads see what it unlinked.
+        slot.light.store(1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        0
     }
 
     /// First step of every sweep: makes every hazard whose validating re-read
@@ -217,11 +258,12 @@ impl Hp {
 
 /// `membarrier(2)` through the `syscall` symbol of the libc std already
 /// links.  Everywhere but Linux on x86-64/aarch64 — and under Miri, which has
-/// no such syscall — the call is a stub that fails, so [`register`] answers
-/// `false` and no guard ever gives a sweep a reason to call [`barrier`].
+/// no such syscall — the call is a stub that fails, so
+/// [`register`](membarrier::register) answers `false` and no guard ever gives
+/// a sweep a reason to call [`barrier`](membarrier::barrier).
 mod membarrier {
     use std::ffi::c_long;
-    use std::sync::OnceLock;
+    use std::sync::atomic::{AtomicU8, Ordering};
 
     const PRIVATE_EXPEDITED: c_long = 1 << 3;
     const REGISTER_PRIVATE_EXPEDITED: c_long = 1 << 4;
@@ -257,11 +299,31 @@ mod membarrier {
         false
     }
 
-    /// Registers the process for expedited private barriers, once; whether
-    /// [`barrier`] can succeed.
+    /// [`register`]'s answer: not asked yet, or the probe's.
+    const UNKNOWN: u8 = 0;
+    const REGISTERED: u8 = 1;
+    const UNAVAILABLE: u8 = 2;
+
+    /// Registers the process for expedited private barriers; whether
+    /// [`barrier`] can succeed.  Idempotent: registering twice is a no-op
+    /// for the kernel, so two threads that race past `UNKNOWN` both probe
+    /// and store the same answer.
     pub(super) fn register() -> bool {
-        static REGISTERED: OnceLock<bool> = OnceLock::new();
-        *REGISTERED.get_or_init(|| membarrier(REGISTER_PRIVATE_EXPEDITED))
+        static STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
+        // ORDERING: Acquire — pairs with the Release store below: a thread
+        // that reads `REGISTERED` is ordered after the registering syscall,
+        // so its sweeps' barriers are never refused.
+        match STATE.load(Ordering::Acquire) {
+            REGISTERED => true,
+            UNAVAILABLE => false,
+            _ => {
+                let registered = membarrier(REGISTER_PRIVATE_EXPEDITED);
+                let answer = if registered { REGISTERED } else { UNAVAILABLE };
+                // ORDERING: Release — see the load above.
+                STATE.store(answer, Ordering::Release);
+                registered
+            }
+        }
     }
 
     /// Returns once every thread of the process that was running has executed
@@ -289,6 +351,11 @@ impl Domain for Hp {
         }
         // A stale flag would tax every later sweep with a barrier.
         slot.light.store(0, Ordering::SeqCst);
+        // ORDERING: Relaxed — owner-only: the next owner reaches the slot
+        // through the registry, which orders this store before its `pin`.
+        // Reset so that every registration, release and adoption starts
+        // heavy.
+        slot.streak.store(0, Ordering::Relaxed);
     }
 }
 
@@ -336,8 +403,14 @@ unsafe impl Scheme for Hp {
 /// What an HP guard carries beside its slot.
 pub struct HpState {
     /// Heavy publications left before the guard goes light; 0 *is* light mode
-    /// (the slot's `light` word is set exactly while this is 0).
+    /// (the slot's `light` word is set exactly while this is 0).  A guard
+    /// that `pin` predicted long starts at 0 where sweeps can run the
+    /// barrier.
     budget: u32,
+    /// Publications this operation made, heavy and light, saturating: over
+    /// [`HEAVY_BUDGET`] the operation was long, and guard exit extends the
+    /// slot's streak.  `before_retire`'s refill leaves it alone.
+    published: u16,
     /// Bitmask of hazard slots this guard published; cleared on drop so a
     /// panicking operation releases its protections (RAII unwind safety).
     used: u8,
@@ -349,6 +422,7 @@ impl Guard<'_, Hp> {
     #[inline]
     fn publish(&mut self, idx: usize, addr: usize) {
         let hazard = &self.slot().hazards[idx];
+        self.state.published = self.state.published.saturating_add(1);
         if self.state.budget == 0 {
             hazard.store(addr, Ordering::Release);
             // ORDERING: compiler fence — keeps the store above the validating
@@ -368,15 +442,7 @@ impl Guard<'_, Hp> {
     /// process barrier to run — buy another round of heavy publications.
     #[cold]
     fn budget_spent(&mut self) {
-        if self.scheme().asymmetric {
-            // ORDERING: Relaxed — the fence below orders the flag before
-            // every light publication and re-read; a sweep whose fence came
-            // first may read 0, and then those re-reads see what it unlinked.
-            self.slot().light.store(1, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-        } else {
-            self.state.budget = HEAVY_BUDGET;
-        }
+        self.state.budget = self.scheme().go_light(self.slot());
     }
 
     /// Drops the `light` word if it is set and refills the budget: the one
@@ -401,26 +467,48 @@ impl ReadSide for Hp {
     }
 
     /// Hazard pointers have no notion of a critical section: protection is
-    /// entirely per-pointer, so `pin` publishes nothing.
+    /// entirely per-pointer, so `pin` publishes nothing — unless the slot's
+    /// last [`LONG_STREAK`] operations outran the budget, and then it goes
+    /// light at once, as a guard whose budget ran out before its first hop.
     #[inline]
-    fn enter(&self, _slot: &CachePadded<HpSlot>) -> HpState {
+    fn enter(&self, slot: &CachePadded<HpSlot>) -> HpState {
+        // ORDERING: Relaxed — owner-only (`HpSlot::streak`).
+        let budget = if slot.streak.load(Ordering::Relaxed) >= LONG_STREAK {
+            self.go_light(slot)
+        } else {
+            HEAVY_BUDGET
+        };
         HpState {
-            budget: HEAVY_BUDGET,
+            budget,
+            published: 0,
             used: 0,
         }
     }
 
-    /// Clears every hazard the guard published, then its `light` word.
+    /// Clears every hazard the guard published, then its `light` word, and
+    /// records whether the operation was long.
     #[inline]
     fn exit(g: &mut Guard<'_, Self>) {
+        let slot = g.slot();
         if g.state.used != 0 {
-            for (idx, hazard) in g.slot().hazards.iter().enumerate() {
+            for (idx, hazard) in slot.hazards.iter().enumerate() {
                 if g.state.used & (1 << idx) != 0 {
                     hazard.store(0, Ordering::Release);
                 }
             }
         }
         g.refill();
+        // ORDERING: Relaxed — owner-only (`HpSlot::streak`); stored only
+        // when it changes, so a run of short operations writes nothing.
+        let old = slot.streak.load(Ordering::Relaxed);
+        let streak = if u32::from(g.state.published) > HEAVY_BUDGET {
+            (old + 1).min(LONG_STREAK)
+        } else {
+            0
+        };
+        if streak != old {
+            slot.streak.store(streak, Ordering::Relaxed);
+        }
     }
 
     #[inline]
@@ -522,10 +610,59 @@ mod tests {
         format!("{} asymmetric={}", d.name(), d.asymmetric)
     }
 
-    /// Hop counts a test runs before the publication it is about: none (the
-    /// publication is heavy) and a traversal that has outrun the budget (it
-    /// is light, where the domain allows).
-    const WARM_UPS: [u32; 2] = [0, HEAVY_BUDGET + 3];
+    /// Publications of a traversal that outruns the budget.
+    const LONG_WALK: u32 = HEAVY_BUDGET + 3;
+
+    /// How a test readies its guard before the publication it is about.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum WarmUp {
+        /// Not at all: the publication is heavy.
+        Cold,
+        /// A traversal inside the guard that has outrun the budget.
+        Walked,
+        /// [`LONG_STREAK`] long operations before `pin`: the guard begins
+        /// light.
+        EnteredLight,
+    }
+
+    const WARM_UPS: [WarmUp; 3] = [WarmUp::Cold, WarmUp::Walked, WarmUp::EnteredLight];
+
+    impl WarmUp {
+        /// Whether the readied guard is light: where the domain allows, every
+        /// warm-up but `Cold` ends light.
+        fn light(self, d: &Hp) -> bool {
+            d.asymmetric && self != WarmUp::Cold
+        }
+
+        /// Hops the warm-up walks inside the guard.
+        fn hops(self) -> u32 {
+            if self == WarmUp::Walked {
+                LONG_WALK
+            } else {
+                0
+            }
+        }
+
+        /// Pins `h`, after the long operations the warm-up runs first.
+        fn pin(self, h: &mut Handle<Hp>) -> Guard<'_, Hp> {
+            if self == WarmUp::EnteredLight {
+                for _ in 0..LONG_STREAK {
+                    walk(&mut h.pin(), 0, LONG_WALK);
+                }
+            }
+            let g = h.pin();
+            let light = self == WarmUp::EnteredLight && g.scheme().asymmetric;
+            assert_eq!(g.state.budget == 0, light, "{self:?}");
+            g
+        }
+    }
+
+    /// A guard of `h` readied as `warm_up` says, its walk in hazard `idx`.
+    fn warm_pin(h: &mut Handle<Hp>, idx: usize, warm_up: WarmUp) -> Guard<'_, Hp> {
+        let mut g = warm_up.pin(h);
+        walk(&mut g, idx, warm_up.hops());
+        g
+    }
 
     /// `hops` publications in hazard `idx`, as a traversal that long makes.
     fn walk(g: &mut Guard<'_, Hp>, idx: usize, hops: u32) {
@@ -538,6 +675,12 @@ mod tests {
     fn light_words(d: &Hp) -> Vec<usize> {
         (d.slots.iter())
             .map(|slot| slot.light.load(Ordering::SeqCst))
+            .collect()
+    }
+
+    fn streaks(d: &Hp) -> Vec<u8> {
+        (d.slots.iter())
+            .map(|slot| slot.streak.load(Ordering::SeqCst))
             .collect()
     }
 
@@ -566,18 +709,17 @@ mod tests {
         each_domain(|d| {
             for warm_up in WARM_UPS {
                 let mut h = d.register();
-                let mut g = h.pin();
-                walk(&mut g, 5, warm_up);
+                let mut g = warm_pin(&mut h, 5, warm_up);
                 let p = g.alloc(9u64);
                 let cell = Atomic::new(p.with_tag(1));
                 let seen = g.protect(2, &cell);
                 assert_eq!(seen.tag(), 1);
                 assert_eq!(seen.untagged(), p);
                 let published = d.slots[0].hazards[2].load(Ordering::SeqCst);
-                assert_eq!(published, p.into_raw(), "{} warm_up={warm_up}", tag(&d));
+                assert_eq!(published, p.into_raw(), "{} warm_up={warm_up:?}", tag(&d));
                 g.announce(3, p.with_tag(1));
                 let announced = d.slots[0].hazards[3].load(Ordering::SeqCst);
-                assert_eq!(announced, p.into_raw(), "{} warm_up={warm_up}", tag(&d));
+                assert_eq!(announced, p.into_raw(), "{} warm_up={warm_up:?}", tag(&d));
                 // SAFETY: `p` was never published to another thread; only this guard's own hazards name it.
                 unsafe { g.dealloc(p) };
             }
@@ -608,6 +750,68 @@ mod tests {
     }
 
     #[test]
+    fn pin_goes_light_after_two_long_operations() {
+        each_domain(|d| {
+            let mut h = d.register();
+            // One long operation does not flip the next pin.
+            walk(&mut h.pin(), 0, LONG_WALK);
+            assert_eq!(streaks(&d), [1, 0, 0, 0], "{}", tag(&d));
+            {
+                let mut g = h.pin();
+                assert_eq!(g.state.budget, HEAVY_BUDGET, "{}", tag(&d));
+                // The retire's refill does not restart the count: 3 more
+                // publications after it still make this operation long.
+                walk(&mut g, 0, LONG_WALK);
+                let p = g.alloc(0u64);
+                // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
+                unsafe { g.retire(p) };
+                assert_ne!(g.state.budget, 0, "{}: the retire went heavy", tag(&d));
+                walk(&mut g, 0, 3);
+            }
+            assert_eq!(streaks(&d), [LONG_STREAK, 0, 0, 0], "{}", tag(&d));
+
+            // Two in a row: the next pin is light before any publication —
+            // where the domain allows; a symmetric one never starts light.
+            for _ in 0..2 {
+                let mut g = h.pin();
+                assert_eq!(g.state.published, 0);
+                if d.asymmetric {
+                    assert_eq!(g.state.budget, 0);
+                    assert_eq!(light_words(&d), [1, 0, 0, 0]);
+                } else {
+                    assert_eq!(g.state.budget, HEAVY_BUDGET, "{}", tag(&d));
+                    assert_eq!(light_words(&d), [0; 4]);
+                }
+                // Another long operation keeps the streak where it is.
+                walk(&mut g, 0, LONG_WALK);
+                drop(g);
+                assert_eq!(light_words(&d), [0; 4], "{}", tag(&d));
+                assert_eq!(streaks(&d), [LONG_STREAK, 0, 0, 0], "{}", tag(&d));
+            }
+
+            // One short operation ends the streak: the next pin is heavy.
+            walk(&mut h.pin(), 0, 3);
+            assert_eq!(streaks(&d), [0; 4], "{}", tag(&d));
+            let g = h.pin();
+            assert_eq!(g.state.budget, HEAVY_BUDGET, "{}", tag(&d));
+            assert_eq!(light_words(&d), [0; 4], "{}", tag(&d));
+            drop(g);
+
+            // Release resets the streak: the slot's next owner starts heavy.
+            for _ in 0..LONG_STREAK {
+                walk(&mut h.pin(), 0, LONG_WALK);
+            }
+            assert_eq!(streaks(&d), [LONG_STREAK, 0, 0, 0], "{}", tag(&d));
+            drop(h);
+            assert_eq!(streaks(&d), [0; 4], "{}", tag(&d));
+            let mut h = d.register();
+            assert_eq!(h.pin().state.budget, HEAVY_BUDGET, "{}", tag(&d));
+            h.flush();
+            assert_eq!(d.unreclaimed(), 0, "{}", tag(&d));
+        });
+    }
+
+    #[test]
     fn fallback_never_sets_a_light_word() {
         for snapshot in [false, true] {
             let d = Hp::new_symmetric(config(snapshot));
@@ -626,14 +830,14 @@ mod tests {
         }
     }
 
-    /// An owner publishes `target` after `warm_up` hops and keeps its guard;
+    /// An owner publishes `target` from a guard readied by `warm_up` and keeps
+    /// it;
     /// a worker on another thread retires the node under a storm of garbage
     /// and sweeps.  Only the hazard keeps the node alive.
-    fn hazard_survives_another_threads_retire_storm(d: Arc<Hp>, warm_up: u32) {
+    fn hazard_survives_another_threads_retire_storm(d: Arc<Hp>, warm_up: WarmUp) {
         let mut owner = d.register();
-        let mut og = owner.pin();
-        walk(&mut og, 1, warm_up);
-        let light = d.asymmetric && warm_up >= HEAVY_BUDGET;
+        let mut og = warm_pin(&mut owner, 1, warm_up);
+        let light = warm_up.light(&d);
         assert_eq!(og.state.budget == 0, light, "{}", tag(&d));
         let target = {
             let p = og.alloc(123u64);
@@ -655,28 +859,33 @@ mod tests {
             });
         });
         // Everything except the protected node must be gone.
-        assert_eq!(d.unreclaimed(), 1, "{} warm_up={warm_up}", tag(&d));
+        assert_eq!(d.unreclaimed(), 1, "{} warm_up={warm_up:?}", tag(&d));
         // SAFETY: the published hazard pins the node, so the read cannot race reclamation.
         unsafe { assert_eq!(*Shared::<u64>::from_raw(target).as_ptr(), 123) };
         // Sweeps ran the process barrier iff they met a light guard.
-        assert_eq!(barriers(&d) > 0, light, "{} warm_up={warm_up}", tag(&d));
+        assert_eq!(barriers(&d) > 0, light, "{} warm_up={warm_up:?}", tag(&d));
 
         // Dropping the guard releases the hazard (RAII unwind safety); the
         // worker's handle orphaned the node on its way out.
         drop(og);
         assert_eq!(light_words(&d), [0; 4]);
         owner.flush();
-        assert_eq!(d.unreclaimed(), 0, "{} warm_up={warm_up}", tag(&d));
+        assert_eq!(d.unreclaimed(), 0, "{} warm_up={warm_up:?}", tag(&d));
     }
 
     #[test]
     fn protected_node_survives_scan() {
-        each_domain(|d| hazard_survives_another_threads_retire_storm(d, 0));
+        each_domain(|d| hazard_survives_another_threads_retire_storm(d, WarmUp::Cold));
     }
 
     #[test]
     fn light_hazard_survives_another_threads_retire_storm() {
-        each_domain(|d| hazard_survives_another_threads_retire_storm(d, HEAVY_BUDGET + 3));
+        each_domain(|d| hazard_survives_another_threads_retire_storm(d, WarmUp::Walked));
+    }
+
+    #[test]
+    fn entered_light_hazard_survives_another_threads_retire_storm() {
+        each_domain(|d| hazard_survives_another_threads_retire_storm(d, WarmUp::EnteredLight));
     }
 
     #[test]
@@ -685,8 +894,7 @@ mod tests {
             for warm_up in WARM_UPS {
                 let mut owner = d.register();
                 let mut worker = d.register();
-                let mut og = owner.pin();
-                walk(&mut og, 1, warm_up);
+                let mut og = warm_pin(&mut owner, 1, warm_up);
                 let p = {
                     let p = og.alloc(5u64);
                     let cell = Atomic::new(p);
@@ -704,7 +912,7 @@ mod tests {
                 assert_eq!(d.unreclaimed(), 1, "slot 3 still protects the node");
                 og.clear(3);
                 worker.flush();
-                assert_eq!(d.unreclaimed(), 0, "{} warm_up={warm_up}", tag(&d));
+                assert_eq!(d.unreclaimed(), 0, "{} warm_up={warm_up:?}", tag(&d));
                 drop(og);
             }
         });
@@ -715,8 +923,7 @@ mod tests {
         each_domain(|d| {
             for warm_up in WARM_UPS {
                 let mut h = d.register();
-                let mut g = h.pin();
-                walk(&mut g, 1, warm_up);
+                let mut g = warm_pin(&mut h, 1, warm_up);
                 let p = g.alloc(7u64);
                 let cell = Atomic::new(p);
                 g.protect(1, &cell);
@@ -739,7 +946,7 @@ mod tests {
                         "hazard {i} must be cleared by guard drop"
                     );
                 }
-                assert_eq!(light_words(&d), [0; 4], "{} warm_up={warm_up}", tag(&d));
+                assert_eq!(light_words(&d), [0; 4], "{} warm_up={warm_up:?}", tag(&d));
                 h.flush();
                 assert_eq!(d.unreclaimed(), 0);
             }
@@ -812,13 +1019,28 @@ mod tests {
             let mut sweeper = d.register();
 
             // Hash-map-style churn: no operation publishes more than three
-            // hazards, whether or not a sweep lands inside it.
-            for _ in 0..2 * HEAVY_BUDGET {
+            // hazards, whether or not a sweep lands inside it.  It starts
+            // right after two long operations, so its first operation pins
+            // light — and, short, ends the streak; its own retire leaves
+            // light mode before it sweeps.
+            for _ in 0..LONG_STREAK {
+                walk(&mut reader.pin(), 0, HEAVY_BUDGET + 3);
+            }
+            for op in 0..2 * HEAVY_BUDGET {
+                retire_garbage(&mut reader, threshold);
+                if op == 0 {
+                    assert_eq!(
+                        streaks(&d),
+                        [0; 4],
+                        "{}: the first short operation",
+                        tag(&d)
+                    );
+                }
                 let mut g = reader.pin();
+                assert_ne!(g.state.budget, 0, "{}", tag(&d));
                 walk(&mut g, 0, 3);
                 retire_garbage(&mut sweeper, threshold);
                 drop(g);
-                retire_garbage(&mut reader, threshold);
             }
             assert_eq!(barriers(&d), 0, "{}: short operations", tag(&d));
 
@@ -878,19 +1100,22 @@ mod tests {
     fn leaked_handle_on_dead_thread_is_adopted() {
         // Adoption must clear the dead thread's published hazard — and, if it
         // died in the middle of a long traversal, its `light` word, which
-        // would otherwise tax every later sweep with a barrier.
+        // would otherwise tax every later sweep with a barrier — and its
+        // streak, so the slot's next owner starts heavy.
         each_domain(|d| {
             for warm_up in WARM_UPS {
                 let died_light = {
                     let d = d.clone();
                     std::thread::spawn(move || {
                         let mut h = d.register();
-                        let mut g = h.pin();
+                        let mut g = warm_up.pin(&mut h);
                         let p = g.alloc(1u64);
                         // SAFETY: `p` is test-local and retired exactly once;
                         // the hazard published below is what keeps it alive.
+                        // The retire leaves light mode: a guard that entered
+                        // light dies heavy, its streak still standing.
                         unsafe { g.retire(p) };
-                        walk(&mut g, 1, warm_up);
+                        walk(&mut g, 1, warm_up.hops());
                         g.protect(0, &Atomic::new(p));
                         let light = g.state.budget == 0;
                         std::mem::forget(g);
@@ -900,8 +1125,14 @@ mod tests {
                     .join()
                     .unwrap()
                 };
-                assert_eq!(died_light, d.asymmetric && warm_up >= HEAVY_BUDGET);
+                assert_eq!(died_light, d.asymmetric && warm_up == WarmUp::Walked);
                 assert_eq!(light_words(&d)[0], usize::from(died_light));
+                let streak = if warm_up == WarmUp::EnteredLight {
+                    LONG_STREAK
+                } else {
+                    0
+                };
+                assert_eq!(streaks(&d), [streak, 0, 0, 0], "{}", tag(&d));
                 assert_eq!(d.unreclaimed(), 1, "{}", tag(&d));
                 let mut h = d.register();
                 h.flush();
@@ -912,7 +1143,16 @@ mod tests {
                      its reservation and drain its vault",
                     tag(&d)
                 );
-                assert_eq!(light_words(&d), [0; 4], "{} warm_up={warm_up}", tag(&d));
+                assert_eq!(light_words(&d), [0; 4], "{} warm_up={warm_up:?}", tag(&d));
+                assert_eq!(streaks(&d), [0; 4], "{} warm_up={warm_up:?}", tag(&d));
+                // The survivor, and the next owner of the adopted slot, pin
+                // heavy.
+                assert_eq!(h.pin().state.budget, HEAVY_BUDGET, "{}", tag(&d));
+                let mut next = d.register();
+                let g = next.pin();
+                assert!(std::ptr::eq(g.slot(), &d.slots[0]), "{}", tag(&d));
+                assert_eq!(g.state.budget, HEAVY_BUDGET, "{}", tag(&d));
+                assert_eq!(light_words(&d), [0; 4], "{} warm_up={warm_up:?}", tag(&d));
             }
         });
     }
@@ -999,8 +1239,7 @@ mod tests {
                 let cfg = d.core.config().clone();
                 let mut stalled = d.register();
                 let mut worker = d.register();
-                let mut sg = stalled.pin();
-                walk(&mut sg, 1, warm_up);
+                let mut sg = warm_pin(&mut stalled, 1, warm_up);
                 let held = sg.alloc(u64::MAX);
                 sg.protect(0, &Atomic::new(held));
                 // never cleared: the guard stays alive while the worker churns
@@ -1017,12 +1256,12 @@ mod tests {
                 let left = d.unreclaimed();
                 assert!(
                     (1..=bound).contains(&left),
-                    "{} warm_up={warm_up}: unreclaimed {left} outside [1, Theorem 1 bound {bound}]",
+                    "{} warm_up={warm_up:?}: unreclaimed {left} outside [1, Theorem 1 bound {bound}]",
                     tag(&d)
                 );
                 drop(sg);
                 worker.flush();
-                assert_eq!(d.unreclaimed(), 0, "{} warm_up={warm_up}", tag(&d));
+                assert_eq!(d.unreclaimed(), 0, "{} warm_up={warm_up:?}", tag(&d));
             }
         });
     }

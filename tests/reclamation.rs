@@ -94,7 +94,10 @@ fn stalled_reader_bounded_under_hp_unbounded_under_ebr() {
     /// its hazards still published.
     const RESIDENT: std::ops::Range<u64> = 1 << 20..(1 << 20) + 64;
 
-    fn run<S: Smr>(churn: u64, long_lookup: bool) -> usize {
+    /// `warm_lookups` full-list lookups, each its own operation, run before
+    /// the reader pins the guard it stalls in: after two, HP's guard is
+    /// light from `pin`.
+    fn run<S: Smr>(churn: u64, long_lookup: bool, warm_lookups: usize) -> usize {
         type Map<S> = HarrisList<u64, S>;
         let domain = S::new(cfg());
         let list: Arc<Map<S>> = Arc::new(HarrisList::new(domain.clone()));
@@ -107,9 +110,12 @@ fn stalled_reader_bounded_under_hp_unbounded_under_ebr() {
         // and never leaves (the SMR-level equivalent of a preempted
         // operation).
         let mut stalled = list.handle();
+        let last = RESIDENT.end - 1;
+        for _ in 0..warm_lookups {
+            assert!(list.contains(&mut stalled, &last));
+        }
         let mut guard = <Map<S> as scot::ConcurrentMap<u64, ()>>::pin(&list, &mut stalled);
         if long_lookup {
-            let last = RESIDENT.end - 1;
             assert!(
                 <Map<S> as scot::ConcurrentMap<u64, ()>>::get(&list, &mut guard, &last).is_some()
             );
@@ -132,19 +138,21 @@ fn stalled_reader_bounded_under_hp_unbounded_under_ebr() {
     // executes: scale the churn tenfold and compare the resulting backlogs.
     const SMALL_CHURN: u64 = 2_000;
     const LARGE_CHURN: u64 = 20_000;
-    let ebr_small = run::<Ebr>(SMALL_CHURN, false);
-    let ebr_large = run::<Ebr>(LARGE_CHURN, false);
+    let ebr_small = run::<Ebr>(SMALL_CHURN, false, 0);
+    let ebr_large = run::<Ebr>(LARGE_CHURN, false, 0);
 
     // HP: bounded by H*N + N*R regardless of churn volume (Theorem 1), so the
     // backlog must NOT scale with the churn: 10x the work, same ceiling —
-    // whether the reader stalled before its first hazard or light.
+    // whether the reader stalled before its first hazard, light after a long
+    // lookup, or light from `pin` after two.
     let bound = scot_smr::MAX_HAZARDS * 16 + 16 * 16;
-    for long_lookup in [false, true] {
+    for (long_lookup, warm_lookups) in [(false, 0), (true, 0), (true, 2)] {
         for churn in [SMALL_CHURN, LARGE_CHURN] {
-            let backlog = run::<Hp>(churn, long_lookup);
+            let backlog = run::<Hp>(churn, long_lookup, warm_lookups);
             assert!(
                 backlog <= bound,
-                "HP churn {churn} (long_lookup={long_lookup}) exceeded bound: {backlog}"
+                "HP churn {churn} (long_lookup={long_lookup}, warm_lookups={warm_lookups}) \
+                 exceeded bound: {backlog}"
             );
         }
     }
