@@ -259,7 +259,8 @@ pub struct FaultArtifact {
     pub preset: String,
     /// Scheme names available at generation time, in [`SmrKind::ALL`] order.
     pub schemes: Vec<String>,
-    /// Fault-class names covered, in [`FaultKind::ALL`] order.
+    /// Names of the fault classes the records cover, in [`FaultKind::ALL`]
+    /// order.
     pub faults: Vec<String>,
     /// One verdict per measured (structure, scheme, fault) cell.
     pub records: Vec<FaultReport>,
@@ -295,6 +296,7 @@ pub(crate) fn fault_artifact(reports: &[FaultReport]) -> FaultArtifact {
         schemes: scheme_names(),
         faults: FaultKind::ALL
             .iter()
+            .filter(|f| reports.iter().any(|r| r.fault == f.name()))
             .map(|f| f.name().to_string())
             .collect(),
         records: reports.to_vec(),

@@ -11,7 +11,9 @@
 //! ```
 //!
 //! `run` prints its row and then its result as one `BenchRecord` object;
-//! `exp` writes `BENCH_<id>.json` into `--bench-dir` (default: `.`).
+//! `exp` writes `BENCH_<id>.json` into `--bench-dir` (default: `.`);
+//! `exp faults` then exits 1 if any cell violates its scheme's robustness
+//! claim.
 //!
 //! Examples (the first mirrors the paper's `./bench listlf 2 512 1 50 25 25 EBR 4`;
 //! the third adds 20% range scans of 64 keys each to the mix; the fifth runs
@@ -32,9 +34,9 @@ use scot_harness::artifact::{
     DiffRecord,
 };
 use scot_harness::experiments::{
-    cache_table, compatibility_matrix, cursor_table, faults_table, pool_table, restart_table,
-    run_experiment, run_faults_experiment, run_service_experiment, scan_table, service_table,
-    skiplist_table, ExperimentOptions, ALL_EXPERIMENTS,
+    cache_table, claim_violations, compatibility_matrix, cursor_table, faults_table, pool_table,
+    restart_table, run_experiment, run_faults_experiment, run_service_experiment, scan_table,
+    service_table, skiplist_table, ExperimentOptions, ALL_EXPERIMENTS,
 };
 use scot_harness::{run_timed, DsKind, FaultKind, Mix, RunConfig, SmrKind};
 use std::time::Duration;
@@ -254,6 +256,7 @@ fn cmd_exp(args: &[String]) {
         vec![id]
     };
 
+    let mut violations = 0;
     for id in &ids {
         println!("=== {id} ===");
         // Every preset prints its table, if it has one, and writes its
@@ -267,6 +270,7 @@ fn cmd_exp(args: &[String]) {
                         r.ds, r.smr, r.fault, r.baseline, r.peak, r.residual, r.verdict
                     )
                 });
+                violations += claim_violations(&reports);
                 let artifact = write_fault_artifact(&bench_dir, &reports);
                 (Some(faults_table(&reports)), artifact)
             }
@@ -315,6 +319,10 @@ fn cmd_exp(args: &[String]) {
                 std::process::exit(1);
             }
         }
+    }
+    if violations > 0 {
+        eprintln!("{violations} fault cells violate their scheme's robustness claim");
+        std::process::exit(1);
     }
 }
 

@@ -31,13 +31,15 @@
 //!
 //! Every preset is a row of [`spec`]'s table.  One sweep driver
 //! ([`run_experiment`]) runs the timed ones: enumerate the cells, run each
-//! `opts.runs` times, keep the median.  `faults` and `service` have runners
-//! of their own.  Every result table is a column list over one renderer, and
-//! every artifact goes through [`crate::artifact`].
+//! `opts.runs` times, keep the median.  `faults` and `service` have sweeps
+//! of their own over the one scenario runner.  Every result table is a
+//! column list over one renderer, and every artifact goes through
+//! [`crate::artifact`].
 
-use crate::faults::{run_fault_scenario, FaultKind, FaultPlan, FaultReport};
+use crate::faults::{run_fault_scenario, FaultKind, FaultReport};
 use crate::kv::run_timed_kv;
-use crate::service::{run_service_scenario, ServicePlan, ServiceReport};
+use crate::phases::Scenario;
+use crate::service::{run_service_scenario, ServiceReport};
 use crate::table::{render, Column};
 use crate::workload::{run_timed, Arm, DsKind, Mix, RunConfig, RunResult};
 use crate::{default_thread_counts, SmrKind};
@@ -354,25 +356,18 @@ fn run_cells(
 
 /// Runs the fault-injection robustness experiment: every structure × scheme
 /// pair of the `faults` spec under every fault class in `opts.faults`,
-/// returning one verdict per cell.  The requested per-run duration is split
-/// 1/4 warmup, 1/2 fault, 1/4 recovery (with floors so `--quick` cells still
-/// have meaningful phases).
+/// returning one verdict per cell.  The requested per-run duration is the
+/// total of each cell's [`Scenario::faults`].
 pub fn run_faults_experiment(
     opts: &ExperimentOptions,
     mut progress: impl FnMut(&FaultReport),
 ) -> Vec<FaultReport> {
     let spec = spec("faults", opts).expect("faults spec always exists");
     let cfg = RunConfig::paper_default(opts.last_threads(), spec.key_range);
-    let d = opts.duration;
     let mut reports = Vec::new();
     for (ds, smr) in spec.pairs() {
         for &kind in &opts.faults {
-            let plan = FaultPlan {
-                warmup: (d / 4).max(Duration::from_millis(30)),
-                fault: (d / 2).max(Duration::from_millis(60)),
-                recovery: (d / 4).max(Duration::from_millis(30)),
-                ..FaultPlan::new(kind)
-            };
+            let plan = Scenario::faults(kind, opts.duration, cfg.mix);
             let r = run_fault_scenario(ds, smr, &cfg, &plan);
             progress(&r);
             reports.push(r);
@@ -384,7 +379,7 @@ pub fn run_faults_experiment(
 /// Runs the service experiment: every structure × scheme pair of the
 /// `service` spec through the four-phase cache-server scenario, at the
 /// largest requested thread count; the requested per-run duration is the
-/// *total* across the four phases, split by [`ServicePlan::new`].  Returns
+/// *total* across the four phases, split by [`Scenario::service`].  Returns
 /// one row per (structure, scheme, phase, op-class); `progress` fires once
 /// per phase (on its `get` row).
 pub fn run_service_experiment(
@@ -392,8 +387,11 @@ pub fn run_service_experiment(
     mut progress: impl FnMut(&ServiceReport),
 ) -> Vec<ServiceReport> {
     let spec = spec("service", opts).expect("service spec always exists");
-    let cfg = RunConfig::paper_default(opts.last_threads(), spec.key_range);
-    let plan = ServicePlan::new(opts.duration, opts.zipf_theta);
+    let cfg = RunConfig {
+        zipf_theta: opts.zipf_theta,
+        ..RunConfig::paper_default(opts.last_threads(), spec.key_range)
+    };
+    let plan = Scenario::service(opts.duration);
     let mut reports = Vec::new();
     for (ds, smr) in spec.pairs() {
         let rows = run_service_scenario(ds, smr, &cfg, &plan);
@@ -488,7 +486,7 @@ pub fn service_table(reports: &[ServiceReport]) -> String {
 /// blind spot made visible: blocks stranded in dead victims' leaked pool
 /// caches, which `residual`/`drained` cannot see
 /// ([`FaultReport::pool_leak_bound`]).  Ends with a one-line claim-violation
-/// summary.
+/// summary ([`claim_violations`]).
 pub fn faults_table(reports: &[FaultReport]) -> String {
     let pool_leak = |r: &FaultReport| match r.pool_leak_bound {
         0 => "0".to_string(),
@@ -509,12 +507,19 @@ pub fn faults_table(reports: &[FaultReport]) -> String {
     ];
     let title =
         "Fault-injection robustness: bounded peak unreclaimed per scheme x structure x fault";
-    let violations = reports.iter().filter(|r| r.violates_claim()).count();
     format!(
-        "{}{} cells, {violations} robustness-claim violations\n",
+        "{}{} cells, {} robustness-claim violations\n",
         render(title, &columns, reports),
         reports.len(),
+        claim_violations(reports),
     )
+}
+
+/// The cells that violate their scheme's robustness claim
+/// ([`FaultReport::violates_claim`]): what the verdict table's summary line
+/// counts and what makes `scot-bench exp faults` exit 1.
+pub fn claim_violations(reports: &[FaultReport]) -> usize {
+    reports.iter().filter(|r| r.violates_claim()).count()
 }
 
 /// Renders the scan experiment: throughput and scanned-key volume per
@@ -951,7 +956,11 @@ mod tests {
         )];
         let artifact = fault_artifact(&reports);
         assert_eq!(artifact.preset, "faults");
-        assert_eq!(artifact.faults.len(), FaultKind::ALL.len());
+        assert_eq!(
+            artifact.faults,
+            ["thread-death"],
+            "only the classes that ran"
+        );
         assert_eq!(artifact.schemes.len(), SmrKind::ALL.len());
         assert!(!artifact.records[0].is_robust);
         let dir = std::env::temp_dir().join("scot-fault-artifact-test");

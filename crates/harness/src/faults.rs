@@ -1,4 +1,4 @@
-//! Fault-injection harness: measures reclamation robustness under stalled,
+//! Fault-injection verdicts: reclamation robustness under stalled,
 //! panicking, and dying threads.
 //!
 //! The paper's benchmark assumes well-behaved workers: every thread pins,
@@ -9,22 +9,15 @@
 //! growth ([`SmrKind::is_robust`]); the fault harness turns that claim into a
 //! measured verdict instead of a table footnote.
 //!
-//! Each scenario runs in four phases driven by a shared phase word:
-//!
-//! 1. **warmup** — only the regular workers run; the unreclaimed count at the
-//!    end of the phase is the scheme's steady-state `baseline`.
-//! 2. **fault** — `victims` fault actors misbehave according to the
-//!    [`FaultKind`] while the workers keep hammering the structure.  The main
-//!    thread samples the domain's unreclaimed count throughout (including for
-//!    Hyaline, which the timed runner skips): the `peak` of those samples is
-//!    the scheme's footprint under the fault.
-//! 3. **recovery** — the actors stop misbehaving (stalled guards drop, dead
-//!    threads are gone) and the workers run on, which lets schemes with
-//!    amortized reclamation work off their backlog.
-//! 4. **drain** — after every thread has joined, a fresh handle repeatedly
-//!    [`ConcurrentMap::flush`]es the domain (adopting any slots orphaned by
-//!    dead threads) until the unreclaimed count reaches zero or the drain
-//!    timeout expires.  The drain *reports* a timeout rather than hanging.
+//! A fault cell runs [`Scenario::faults`] through the one scenario runner.
+//! The unreclaimed count at the end of **warmup** is the scheme's
+//! steady-state `baseline`.  In the **fault** phase the actors misbehave
+//! according to the [`FaultKind`] while the workers keep hammering the
+//! structure, and the main thread samples the domain's unreclaimed count
+//! (Hyaline included): the `peak` from there on is the scheme's footprint
+//! under the fault.  In **recovery** the actors are gone and schemes with
+//! amortized reclamation work off their backlog; the post-join drain then
+//! reports whether the domain reached zero.
 //!
 //! The verdict compares `peak` against a generous linear bound (a small
 //! multiple of the steady-state baseline plus a per-thread allowance): robust
@@ -40,41 +33,24 @@
 //! `victims × pool_blocks` cached blocks went out with the dead handles.
 //! Rather than silently fold that into the verdict, each report carries the
 //! worst case explicitly as [`FaultReport::pool_leak_bound`].
+//!
+//! Every scenario's actors, the service preset's stalled readers included,
+//! live here: scot-lint L5 confines `mem::forget` to this file.
 
 use crate::hist::OpClass;
-use crate::phases::{
-    run_phased, silence_injected_panics, stall_actor, wait_for_phase, Actor, PhaseEvent,
-};
-use crate::workload::{
-    smr_config, with_target, Draw, DsKind, Membership, Mix, Ops, RunConfig, Tally, Target, Visitor,
-    Workload,
-};
+use crate::phases::{run_scenario, Scenario};
+use crate::workload::{smr_config, Draw, DsKind, Membership, Mix, Ops, RunConfig, Tally, Workload};
 use scot::ConcurrentMap;
 use scot_smr::SmrKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::time::{Duration, Instant};
-
-/// Phase word value: fault-free warmup (baseline measurement at its end).
-pub const PHASE_WARMUP: u8 = 0;
-/// Phase word value: fault actors are misbehaving.
-pub const PHASE_FAULT: u8 = 1;
-/// Phase word value: actors recovered, workers running off the backlog.
-pub const PHASE_RECOVERY: u8 = 2;
-/// Phase word value: everyone exits.
-pub const PHASE_STOP: u8 = 3;
-
-/// Phase names, indexed by the phase word — the single source of truth for
-/// the verdict table, the CLI progress lines, and the docs (the warmup phase
-/// *ends* with the `baseline` measurement, hence `warmup-end` in table
-/// headers).
-pub const FAULT_PHASE_NAMES: [&str; 3] = ["warmup", "fault", "recovery"];
+use std::time::Duration;
 
 /// The fault classes the harness can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// A reader pins a guard, performs one lookup, and then stalls with the
-    /// guard held for the whole fault phase — the canonical robustness
+    /// guard held for the whole phase it acts in — the canonical robustness
     /// killer for epoch-style schemes.
     ReaderStall,
     /// A thread retires some nodes and then exits without releasing its
@@ -137,113 +113,132 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-/// One fault scenario: which fault to inject, the phase schedule, and how
-/// many misbehaving actors to run alongside the regular workers.
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    /// The fault class to inject.
-    pub kind: FaultKind,
-    /// Length of the fault-free warmup phase (ends with the `baseline`
-    /// unreclaimed measurement).
-    pub warmup: Duration,
-    /// Length of the fault phase (actors misbehave).
-    pub fault: Duration,
-    /// Length of the recovery phase (actors behave again, workers run on).
-    pub recovery: Duration,
-    /// Number of fault actors ([`FaultKind::PreemptionStorm`] spawns 4× this
-    /// many).
-    pub victims: usize,
-    /// Upper bound on the post-join drain loop; zero skips the drain (used
-    /// for NR, which never reclaims and would just burn the whole timeout).
-    pub drain_timeout: Duration,
-}
-
-impl FaultPlan {
-    /// Default schedule for a fault class: 150 ms warmup, 300 ms fault,
-    /// 150 ms recovery, two victims, a 2 s drain allowance.
-    pub fn new(kind: FaultKind) -> Self {
-        Self {
-            kind,
-            warmup: Duration::from_millis(150),
-            fault: Duration::from_millis(300),
-            recovery: Duration::from_millis(150),
-            victims: 2,
-            drain_timeout: Duration::from_secs(2),
-        }
-    }
-
-    /// Shrunk schedule for `--quick` sweeps and tests.
-    pub fn quick(kind: FaultKind) -> Self {
-        Self {
-            warmup: Duration::from_millis(40),
-            fault: Duration::from_millis(120),
-            recovery: Duration::from_millis(60),
-            ..Self::new(kind)
-        }
-    }
-
-    /// Number of threads the fault actors occupy (slots they may claim
-    /// concurrently).
-    pub fn actor_threads(&self) -> usize {
-        match self.kind {
-            FaultKind::PreemptionStorm => self.victims * 4,
-            _ => self.victims,
-        }
-    }
-}
-
-/// Raw output of one phased fault run (one structure × scheme × fault cell);
-/// [`FaultReport`] documents the fields.
-struct FaultOutput {
-    baseline: usize,
-    peak: usize,
-    end_of_fault: usize,
-    residual: usize,
-    drained: bool,
-    ops: u64,
-    elapsed_secs: f64,
-}
-
 /// What the actors draw from when they just hammer the structure: point
 /// operations in equal thirds.
-const ACTOR_MIX: Mix = Mix {
-    read_pct: 34,
-    insert_pct: 33,
-    delete_pct: 33,
-    scan_pct: 0,
-};
+const ACTOR_MIX: Mix = Mix::new(34, 33, 33, 0);
 
-type ActorOps<'a, C> = Ops<'a, C, Membership>;
-
-/// `n` insert-else-remove rounds on drawn keys: each one retires a node or
-/// sets one up to be retired.
-fn write_burst<C: ConcurrentMap<u64, ()>>(
-    ops: &ActorOps<'_, C>,
-    handle: &mut C::Handle,
-    draw: &mut Draw,
-    n: usize,
-) {
-    for _ in 0..n {
-        let (_, k) = draw.next(&ACTOR_MIX);
-        if !ops.once(handle, OpClass::Insert, k) {
-            ops.once(handle, OpClass::Remove, k);
-        }
-    }
+/// One fault actor: the structure it misbehaves against, the phase word, the
+/// phase it acts in, and its own operation source.
+pub(crate) struct FaultActor<'a, C> {
+    pub(crate) ops: &'a Ops<'a, C, Membership>,
+    pub(crate) phase: &'a AtomicU8,
+    pub(crate) at: u8,
+    pub(crate) draw: Draw,
 }
 
-/// [`FaultKind::ThreadDeath`]: retire some garbage, then exit without
-/// releasing the handle.  The slot stays claimed until the thread's exit
-/// beacon fires, at which point survivors adopt it.
-fn death_actor<C: ConcurrentMap<u64, ()>>(ops: &ActorOps<'_, C>, phase: &AtomicU8, mut draw: Draw) {
-    let mut handle = ops.target.map.handle();
-    while phase.load(Ordering::Acquire) < PHASE_FAULT {
-        let (class, key) = draw.next(&ACTOR_MIX);
-        ops.once(&mut handle, class, key);
+impl<C: ConcurrentMap<u64, ()>> FaultActor<'_, C> {
+    /// Misbehaves as `kind` prescribes, in the actor's phase.
+    pub(crate) fn run(self, kind: FaultKind) {
+        match kind {
+            FaultKind::ReaderStall => self.stall(),
+            FaultKind::ThreadDeath => self.death(),
+            FaultKind::PanicDuringOp => self.panic(),
+            FaultKind::ChurnSpike => self.churn(),
+            FaultKind::PreemptionStorm => self.storm(),
+        }
     }
-    // Freshly retired nodes land in this slot's vault right before death.
-    write_burst(ops, &mut handle, &mut draw, 64);
-    // Die mid-run: leak the handle so the slot is orphaned, not released.
-    std::mem::forget(handle);
+
+    /// Whether the phase word is in the actor's phase.
+    fn acting(&self) -> bool {
+        self.phase.load(Ordering::Acquire) == self.at
+    }
+
+    /// Sleeps until the phase word reaches `phase`.
+    fn wait(&self, phase: u8) {
+        while self.phase.load(Ordering::Acquire) < phase {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// `n` insert-else-remove rounds on drawn keys: each one retires a node
+    /// or sets one up to be retired.
+    fn write_burst(&mut self, handle: &mut C::Handle, n: usize) {
+        for _ in 0..n {
+            let (_, k) = self.draw.next(&ACTOR_MIX);
+            if !self.ops.once(handle, OpClass::Insert, k) {
+                self.ops.once(handle, OpClass::Remove, k);
+            }
+        }
+    }
+
+    /// [`FaultKind::ReaderStall`].
+    fn stall(mut self) {
+        let map = &self.ops.target.map;
+        let mut handle = map.handle();
+        self.wait(self.at);
+        let mut guard = map.pin(&mut handle);
+        let (_, key) = self.draw.next(&ACTOR_MIX);
+        (self.ops).apply(&mut guard, OpClass::Get, key, &mut Tally::default());
+        self.wait(self.at + 1);
+        // Recovery: the guard drops here, releasing whatever the scheme was
+        // holding back; the handle drop then releases the slot cleanly.
+    }
+
+    /// [`FaultKind::ThreadDeath`]: the slot stays claimed until the
+    /// thread's exit beacon fires, at which point survivors adopt it.
+    fn death(mut self) {
+        let mut handle = self.ops.target.map.handle();
+        while self.phase.load(Ordering::Acquire) < self.at {
+            let (class, key) = self.draw.next(&ACTOR_MIX);
+            self.ops.once(&mut handle, class, key);
+        }
+        // Freshly retired nodes land in this slot's vault right before death.
+        self.write_burst(&mut handle, 64);
+        // Die mid-run: leak the handle so the slot is orphaned, not released.
+        std::mem::forget(handle);
+    }
+
+    /// [`FaultKind::PanicDuringOp`].
+    fn panic(mut self) {
+        let ops = Ops {
+            target: self.ops.target,
+            workload: PanicOnRead,
+            scan_len: 16,
+        };
+        let map = &ops.target.map;
+        self.wait(self.at);
+        for class in OpClass::ALL.into_iter().cycle() {
+            if !self.acting() {
+                break;
+            }
+            let (_, key) = self.draw.next(&ACTOR_MIX);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                // Fresh handle per attempt: the unwind tears down the guard
+                // (dropping its protections) and then the handle (releasing
+                // its slot) — exactly the RAII path a panicking application
+                // exercises.
+                let mut handle = map.handle();
+                let mut guard = map.pin(&mut handle);
+                ops.apply(&mut guard, class, key, &mut Tally::default());
+                // The operation read nothing back (an insert, a miss): panic
+                // after it, guard still live.
+                inject_panic()
+            }));
+            assert!(result.is_err(), "injected panic did not propagate");
+        }
+    }
+
+    /// [`FaultKind::ChurnSpike`].
+    fn churn(mut self) {
+        self.wait(self.at);
+        while self.acting() {
+            let mut handle = self.ops.target.map.handle();
+            self.write_burst(&mut handle, 256);
+            // Handle drops here: slot released, retire list flushed — at
+            // spike rate.
+        }
+    }
+
+    /// [`FaultKind::PreemptionStorm`].
+    fn storm(mut self) {
+        let mut handle = self.ops.target.map.handle();
+        self.wait(self.at);
+        while self.acting() {
+            let (class, key) = self.draw.next(&ACTOR_MIX);
+            self.ops.once(&mut handle, class, key);
+            std::thread::yield_now();
+        }
+    }
 }
 
 /// The panic actor's workload: membership whose read-back hook is the
@@ -260,155 +255,15 @@ impl Workload for PanicOnRead {
     fn value(&self, _key: u64) {}
 
     fn verify(&self, _op: OpClass, _key: u64, _value: &()) -> u64 {
-        panic!("injected fault");
+        inject_panic()
     }
 }
 
-/// [`FaultKind::PanicDuringOp`]: panic with a guard live, rotating through
-/// the four operation kinds; each unwind must tear down guard and handle.
-fn panic_actor<C: ConcurrentMap<u64, ()>>(ops: &ActorOps<'_, C>, phase: &AtomicU8, mut draw: Draw) {
-    let ops = Ops {
-        target: ops.target,
-        workload: PanicOnRead,
-        scan_len: 16,
-    };
-    let map = &ops.target.map;
-    wait_for_phase(phase, PHASE_FAULT);
-    let mut round = 0;
-    while phase.load(Ordering::Acquire) == PHASE_FAULT {
-        let (_, key) = draw.next(&ACTOR_MIX);
-        let class = OpClass::ALL[round % OpClass::ALL.len()];
-        round += 1;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // Fresh handle per attempt: the unwind tears down the guard
-            // (dropping its protections) and then the handle (releasing its
-            // slot) — exactly the RAII path a panicking application exercises.
-            let mut handle = map.handle();
-            let mut guard = map.pin(&mut handle);
-            ops.apply(&mut guard, class, key, &mut Tally::default());
-            // The operation read nothing back (an insert, a miss): panic
-            // after it, guard still live.
-            panic!("injected fault");
-        }));
-        assert!(result.is_err(), "injected panic did not propagate");
-    }
-}
-
-/// [`FaultKind::ChurnSpike`]: bursts of writes through short-lived handles.
-fn churn_actor<C: ConcurrentMap<u64, ()>>(ops: &ActorOps<'_, C>, phase: &AtomicU8, mut draw: Draw) {
-    wait_for_phase(phase, PHASE_FAULT);
-    while phase.load(Ordering::Acquire) == PHASE_FAULT {
-        let mut handle = ops.target.map.handle();
-        write_burst(ops, &mut handle, &mut draw, 256);
-        // Handle drops here: slot released, retire list flushed — at spike
-        // rate.
-    }
-}
-
-/// [`FaultKind::PreemptionStorm`]: ops with a yield after each one, on 4×
-/// oversubscribed threads.
-fn storm_actor<C: ConcurrentMap<u64, ()>>(ops: &ActorOps<'_, C>, phase: &AtomicU8, mut draw: Draw) {
-    let mut handle = ops.target.map.handle();
-    wait_for_phase(phase, PHASE_FAULT);
-    while phase.load(Ordering::Acquire) == PHASE_FAULT {
-        let (class, key) = draw.next(&ACTOR_MIX);
-        ops.once(&mut handle, class, key);
-        std::thread::yield_now();
-    }
-}
-
-/// The phased fault runner.
-struct FaultRun<'a> {
-    cfg: &'a RunConfig,
-    plan: &'a FaultPlan,
-}
-
-impl Visitor<()> for FaultRun<'_> {
-    type Out = FaultOutput;
-
-    fn run<C: ConcurrentMap<u64, ()>>(self, target: &Target<C>) -> FaultOutput {
-        let (cfg, plan) = (self.cfg, self.plan);
-        cfg.mix.validate();
-        silence_injected_panics();
-        let ops = Ops::prefilled(target, Membership, cfg);
-        let actors = (0..plan.actor_threads())
-            .map(|v| {
-                let ops = &ops;
-                // Actor streams are numbered well away from the workers'.
-                let draw = Draw::for_thread(cfg.seed, 0x0fa6 + v, cfg.key_range, 0.0);
-                let body = move |phase: &AtomicU8| match plan.kind {
-                    FaultKind::ReaderStall => {
-                        stall_actor(ops, phase, v as u64 % cfg.key_range.max(1), PHASE_FAULT)
-                    }
-                    FaultKind::ThreadDeath => death_actor(ops, phase, draw),
-                    FaultKind::PanicDuringOp => panic_actor(ops, phase, draw),
-                    FaultKind::ChurnSpike => churn_actor(ops, phase, draw),
-                    FaultKind::PreemptionStorm => storm_actor(ops, phase, draw),
-                };
-                Box::new(body) as Actor<'_>
-            })
-            .collect();
-        let mut baseline = 0usize;
-        let mut end_of_fault = 0usize;
-        let mut peak = 0usize;
-        // The main thread is the phase clock and the footprint sampler.
-        // Unlike the timed runner, Hyaline is sampled too: robustness is
-        // precisely a question about footprint under faults.
-        let (tally, elapsed) = run_phased(
-            cfg.threads,
-            &|t, phase| ops.steady_worker(cfg, t, phase, PHASE_STOP),
-            actors,
-            &[plan.warmup, plan.fault, plan.recovery],
-            cfg.sample_interval,
-            target.unreclaimed.as_ref(),
-            &mut |ev: PhaseEvent| {
-                let n = ev.unreclaimed;
-                if ev.edge.is_some() {
-                    match ev.phase {
-                        PHASE_WARMUP => baseline = n,
-                        PHASE_FAULT => end_of_fault = n,
-                        // The recovery edge is the end of the run.
-                        _ => return,
-                    }
-                }
-                if ev.phase >= PHASE_FAULT {
-                    peak = peak.max(n);
-                }
-            },
-        );
-        // Every worker and actor has joined; dead actors' exit beacons have
-        // fired, so their orphaned slots are adoptable.  Shutdown drain: flush
-        // through a fresh handle until empty or the timeout expires — report,
-        // never hang.
-        let mut residual = (target.unreclaimed)();
-        let mut drained = residual == 0;
-        if !drained && plan.drain_timeout > Duration::ZERO {
-            let deadline = Instant::now() + plan.drain_timeout;
-            let mut handle = target.map.handle();
-            loop {
-                target.map.flush(&mut handle);
-                residual = (target.unreclaimed)();
-                if residual == 0 {
-                    drained = true;
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        peak = peak.max(residual);
-        FaultOutput {
-            baseline,
-            peak,
-            end_of_fault,
-            residual,
-            drained,
-            ops: tally.ops,
-            elapsed_secs: elapsed,
-        }
-    }
+/// Unwinds like a panic but skips the panic hook: an injected panic is the
+/// point of [`FaultKind::PanicDuringOp`], and the hook's report on every one
+/// would drown the verdict table.
+fn inject_panic() -> ! {
+    std::panic::resume_unwind(Box::new("injected fault"))
 }
 
 /// The robustness bound a scheme's peak footprint is judged against: a small
@@ -477,78 +332,78 @@ impl FaultReport {
     /// scheme advertising `is_robust` must stay bounded *and* drain to zero
     /// after the fault; non-robust schemes only promise the drain.
     pub fn violates_claim(&self) -> bool {
-        if self.smr == SmrKind::Nr.name() {
-            return false; // NR promises nothing.
-        }
-        let growth_violation = self.is_robust && !self.bounded;
-        let drain_violation = !self.drained;
-        growth_violation || drain_violation
+        // NR promises nothing.
+        self.smr != SmrKind::Nr.name() && (!self.drained || self.is_robust && !self.bounded)
     }
 }
 
-/// Runs one fault scenario against one structure × scheme pair and renders
-/// the verdict.
+/// Runs one fault scenario ([`Scenario::faults`]) against one structure ×
+/// scheme pair and renders the verdict: `baseline` is the unreclaimed count
+/// at the edge before the fault phase, `end_of_fault` the count at the fault
+/// phase's edge, and `peak` the maximum from the fault phase on, the
+/// post-drain residual included.
 pub fn run_fault_scenario(
     ds: DsKind,
     smr: SmrKind,
     cfg: &RunConfig,
-    plan: &FaultPlan,
+    scenario: &Scenario,
 ) -> FaultReport {
-    let mut plan = plan.clone();
-    if smr == SmrKind::Nr {
-        // NR never reclaims; draining would spin for the whole timeout.
-        plan.drain_timeout = Duration::ZERO;
-    }
-    let actors = plan.actor_threads();
-    // Size the registry for workers + actors + the post-join drain handle.
-    // (Actors that churn handles only hold one claim at a time each.)
-    let extra_threads = actors + 1;
-    let run = FaultRun { cfg, plan: &plan };
-    let out = with_target(ds, smr, cfg, extra_threads, run);
-    let bound = robustness_bound(smr, cfg.threads, actors, cfg.pool, out.baseline);
+    let (at, kind) = (scenario.phases.iter().enumerate())
+        .find_map(|(at, p)| Some((at, p.actor?)))
+        .expect("a fault scenario has a fault phase");
+    let (phases, residual) = run_scenario(ds, smr, cfg, scenario);
+    let baseline = at.checked_sub(1).map_or(0, |w| phases[w].at_edge);
+    let peak = phases[at..]
+        .iter()
+        .map(|p| p.peak)
+        .fold(residual, usize::max);
+    let actors = scenario.actor_threads();
+    let bound = robustness_bound(smr, cfg.threads, actors, cfg.pool, baseline);
     // Dead victims leak their handles, and with them their block-pool
     // caches; those blocks are pool capacity, not tracked garbage, so the
     // drain cannot see them.  Surface the worst case alongside the verdict.
-    let pool_leak_bound = if plan.kind == FaultKind::ThreadDeath {
-        plan.victims * smr_config(smr, cfg.threads + extra_threads, cfg.pool).pool_blocks()
+    // (The registry holds the workers, the actors and the drain handle.)
+    let pool_leak_bound = if kind == FaultKind::ThreadDeath {
+        scenario.victims * smr_config(smr, cfg.threads + actors + 1, cfg.pool).pool_blocks()
     } else {
         0
     };
-    let bounded = out.peak <= bound;
-    let growth = out.peak.saturating_sub(out.baseline);
+    let bounded = peak <= bound;
     let verdict = if smr == SmrKind::Nr {
         "leaks (by design)".to_string()
     } else if !bounded {
-        format!("grows (+{growth})")
-    } else if !out.drained {
-        format!("undrained ({} left)", out.residual)
+        format!("grows (+{})", peak.saturating_sub(baseline))
+    } else if residual > 0 {
+        format!("undrained ({residual} left)")
     } else {
         "bounded".to_string()
     };
     FaultReport {
         ds: ds.name().to_string(),
         smr: smr.name().to_string(),
-        fault: plan.kind.name().to_string(),
+        fault: kind.name().to_string(),
         threads: cfg.threads,
-        victims: plan.victims,
+        victims: scenario.victims,
         is_robust: smr.is_robust(),
-        baseline: out.baseline,
-        peak: out.peak,
-        end_of_fault: out.end_of_fault,
-        residual: out.residual,
-        drained: out.drained,
+        baseline,
+        peak,
+        end_of_fault: phases[at].at_edge,
+        residual,
+        drained: residual == 0,
         bound,
         pool_leak_bound,
         bounded,
         verdict,
-        ops: out.ops,
-        elapsed_secs: out.elapsed_secs,
+        ops: phases.iter().map(|p| p.ops).sum(),
+        elapsed_secs: phases.iter().map(|p| p.secs).sum(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::Mix;
+    use std::time::Duration;
 
     fn test_cfg(threads: usize, key_range: u64) -> RunConfig {
         RunConfig {
@@ -557,15 +412,14 @@ mod tests {
         }
     }
 
-    fn micro_plan(kind: FaultKind) -> FaultPlan {
-        FaultPlan {
-            warmup: Duration::from_millis(10),
-            fault: Duration::from_millis(30),
-            recovery: Duration::from_millis(15),
-            victims: 1,
-            drain_timeout: Duration::from_secs(5),
-            ..FaultPlan::new(kind)
+    /// A 10/30/15 ms fault scenario with one victim.
+    fn micro_plan(kind: FaultKind) -> Scenario {
+        let mut plan = Scenario::faults(kind, Duration::ZERO, Mix::READ_50);
+        for (p, ms) in plan.phases.iter_mut().zip([10, 30, 15]) {
+            p.secs = Duration::from_millis(ms);
         }
+        plan.victims = 1;
+        plan
     }
 
     #[test]
@@ -584,9 +438,19 @@ mod tests {
 
     #[test]
     fn storm_plan_oversubscribes() {
-        let plan = FaultPlan::new(FaultKind::PreemptionStorm);
+        let plan = Scenario::faults(FaultKind::PreemptionStorm, Duration::ZERO, Mix::READ_50);
         assert_eq!(plan.actor_threads(), 4 * plan.victims);
-        assert_eq!(FaultPlan::new(FaultKind::ReaderStall).actor_threads(), 2);
+        let stall = Scenario::faults(FaultKind::ReaderStall, Duration::from_secs(2), Mix::READ_50);
+        assert_eq!(stall.actor_threads(), 2);
+        // Warmup → fault → recovery: 1/4, 1/2, 1/4, and the actors act in
+        // the fault phase only.
+        let secs: Vec<_> = stall.phases.iter().map(|p| p.secs.as_millis()).collect();
+        assert_eq!(secs, [500, 1000, 500]);
+        let actors: Vec<_> = stall.phases.iter().map(|p| p.actor).collect();
+        assert_eq!(actors, [None, Some(FaultKind::ReaderStall), None]);
+        // Tiny totals hit the floors instead of collapsing to zero.
+        let secs: Vec<_> = plan.phases.iter().map(|p| p.secs.as_millis()).collect();
+        assert_eq!(secs, [30, 60, 30]);
     }
 
     /// The satellite matrix: a panic inside get/insert/remove/scan (the
@@ -638,12 +502,12 @@ mod tests {
     #[test]
     fn reader_stall_separates_hp_from_ebr() {
         let mut cfg = test_cfg(4, 128);
-        cfg.mix = crate::workload::Mix::WRITE_ONLY;
-        let mut plan = FaultPlan::quick(FaultKind::ReaderStall);
+        cfg.mix = Mix::WRITE_ONLY;
+        let mut plan = Scenario::faults(FaultKind::ReaderStall, Duration::ZERO, cfg.mix);
         plan.victims = 1;
         // Long enough that even an unoptimized build retires well past the
         // bound while the reader stalls.
-        plan.fault = Duration::from_millis(500);
+        plan.phases[1].secs = Duration::from_millis(500);
         let hp = run_fault_scenario(DsKind::HmList, SmrKind::Hp, &cfg, &plan);
         assert!(
             hp.bounded && hp.drained,

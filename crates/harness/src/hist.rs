@@ -16,8 +16,8 @@
 //!   self`, plain adds, no atomics); per-thread histograms are merged into a
 //!   shared accumulator only at phase boundaries, so the hot path never
 //!   touches a lock;
-//! * **amortized timing** — callers stamp only 1-in-N operations (see
-//!   [`crate::service::ServicePlan::sample_every`]), so the per-op cost of
+//! * **amortized timing** — scenario workers stamp only 1-in-16 operations
+//!   (DESIGN.md § Latency methodology), so the per-op cost of
 //!   the timer syscall amortizes away while the percentile estimate stays
 //!   unbiased (the sampled ops are a deterministic stride over an i.i.d.
 //!   random op stream).

@@ -19,7 +19,8 @@
 //! every preset — membership or key-value, timed, fault-injected or phased —
 //! is the same five pieces: one operation (draw, apply, verify) in one loop
 //! with one pin policy and one structure × scheme dispatch
-//! ([`workload`]), one phased driver (the crate-private `phases` module),
+//! ([`workload`]), one phased driver and one scenario runner for the fault
+//! and service presets (the crate-private `phases` module),
 //! one sweep driver for the timed presets ([`experiments::run_experiment`])
 //! and one table renderer (the crate-private `table` module).  Every JSON
 //! artifact, and the reader `bench-diff` compares them with, is [`artifact`].
@@ -42,10 +43,11 @@ pub mod service;
 mod table;
 pub mod workload;
 
-pub use faults::{run_fault_scenario, FaultKind, FaultPlan, FaultReport};
+pub use faults::{run_fault_scenario, FaultKind, FaultReport};
 pub use hist::{LatencyHistogram, OpClass, OpHistograms};
 pub use kv::{run_timed_kv, Payload};
-pub use service::{run_service_scenario, ServicePlan, ServiceReport};
+pub use phases::Scenario;
+pub use service::{run_service_scenario, ServiceReport};
 pub use workload::{run_timed, DsKind, Mix, RunConfig, RunResult};
 
 pub use scot_smr::SmrKind;

@@ -247,37 +247,28 @@ pub struct Mix {
 }
 
 impl Mix {
+    /// A mix of `read`% reads, `insert`% inserts, `delete`% deletes and
+    /// `scan`% scans.
+    pub(crate) const fn new(read: u32, insert: u32, delete: u32, scan: u32) -> Self {
+        Self {
+            read_pct: read,
+            insert_pct: insert,
+            delete_pct: delete,
+            scan_pct: scan,
+        }
+    }
+
     /// The paper's headline workload: 50% read, 25% insert, 25% delete.
-    pub const READ_50: Mix = Mix {
-        read_pct: 50,
-        insert_pct: 25,
-        delete_pct: 25,
-        scan_pct: 0,
-    };
+    pub const READ_50: Mix = Mix::new(50, 25, 25, 0);
     /// Read-dominated workload (90% read).
-    pub const READ_90: Mix = Mix {
-        read_pct: 90,
-        insert_pct: 5,
-        delete_pct: 5,
-        scan_pct: 0,
-    };
+    pub const READ_90: Mix = Mix::new(90, 5, 5, 0);
     /// Write-only workload (50% insert, 50% delete).
-    pub const WRITE_ONLY: Mix = Mix {
-        read_pct: 0,
-        insert_pct: 50,
-        delete_pct: 50,
-        scan_pct: 0,
-    };
+    pub const WRITE_ONLY: Mix = Mix::new(0, 50, 50, 0);
     /// Scan-dominated workload: 80% range scans over a churning key space —
     /// the `exp scan` preset's mix.  The scans continuously cross the marked
     /// chains the 20% writers leave behind, which is exactly the dangerous
     /// zone the cursor validates.
-    pub const SCAN_HEAVY: Mix = Mix {
-        read_pct: 0,
-        insert_pct: 10,
-        delete_pct: 10,
-        scan_pct: 80,
-    };
+    pub const SCAN_HEAVY: Mix = Mix::new(0, 10, 10, 80);
 
     pub(crate) fn validate(&self) {
         // Widen before summing so absurd percentages are rejected rather than
@@ -503,8 +494,8 @@ pub(crate) struct Target<C> {
     pub(crate) unreclaimed: Box<dyn Fn() -> usize + Send + Sync>,
 }
 
-/// What runs against a built target: implemented by the timed, fault and
-/// service runners, so [`with_target`] is the only place that names a
+/// What runs against a built target: implemented by the timed runner and the
+/// one scenario runner, so [`with_target`] is the only place that names a
 /// concrete structure or scheme type.
 pub(crate) trait Visitor<V: Value> {
     /// What the run produces.
@@ -686,17 +677,11 @@ impl<F: FnMut(u64, &mut Mix) -> bool> LoopControl for F {
 }
 
 /// The prefill "mix": inserts only.
-const FILL: Mix = Mix {
-    read_pct: 0,
-    insert_pct: 100,
-    delete_pct: 0,
-    scan_pct: 0,
-};
+const FILL: Mix = Mix::new(0, 100, 0, 0);
 
 /// A workload bound to a target: the one definition of "apply an operation",
-/// and of the prefill and the loop built on it.  The timed workers, the fault
-/// workers and actors, the stalled readers and the service workers all go
-/// through [`Ops::apply`].
+/// and of the prefill and the loop built on it.  The timed workers and the
+/// scenario workers and actors all go through [`Ops::apply`].
 pub(crate) struct Ops<'a, C, W> {
     pub(crate) target: &'a Target<C>,
     pub(crate) workload: W,
@@ -890,20 +875,13 @@ impl<'a, W: Workload, C: ConcurrentMap<u64, W::V>> Ops<'a, C, W> {
         tally
     }
 
-    /// A worker of a steady run: draws from `cfg.mix` until the phase word
-    /// reaches `stop_at`.  The word is polled only every 64 operations to
+    /// A worker of a timed run: draws from `cfg.mix` until the phase word
+    /// leaves its one phase.  The word is polled only every 64 operations to
     /// keep the hot loop tight, as the original benchmark does.
-    pub(crate) fn steady_worker(
-        &self,
-        cfg: &RunConfig,
-        thread_idx: usize,
-        phase: &AtomicU8,
-        stop_at: u8,
-    ) -> Tally {
+    fn steady_worker(&self, cfg: &RunConfig, thread_idx: usize, phase: &AtomicU8) -> Tally {
         let mut draw = Draw::for_thread(cfg.seed, thread_idx, cfg.key_range, cfg.zipf_theta);
-        let running = |ops: u64, _: &mut Mix| {
-            !(ops.is_multiple_of(64) && phase.load(Ordering::Relaxed) >= stop_at)
-        };
+        let running =
+            |ops: u64, _: &mut Mix| !(ops.is_multiple_of(64) && phase.load(Ordering::Relaxed) > 0);
         self.run_loop(&mut draw, cfg.mix, cfg.pin_batch, running)
     }
 }
@@ -926,7 +904,7 @@ impl<W: Workload> Visitor<W::V> for Timed<'_, W> {
         let mut samples = Vec::new();
         let (tally, elapsed) = run_phased(
             cfg.threads,
-            &|t, phase| ops.steady_worker(cfg, t, phase, 1),
+            &|t, phase| ops.steady_worker(cfg, t, phase),
             Vec::new(),
             &[cfg.duration],
             cfg.sample_interval,

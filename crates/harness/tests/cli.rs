@@ -368,6 +368,10 @@ fn exp_faults_renders_the_verdict_table_and_artifact() {
     for key in ["\"is_robust\"", "\"verdict\"", "\"peak\"", "\"drained\""] {
         assert!(body.contains(key), "fault artifact missing {key}:\n{body}");
     }
+    assert!(
+        body.contains("\"faults\": [\n    \"thread-death\"\n  ],"),
+        "the artifact must list only the fault classes that ran:\n{body}"
+    );
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! and title), the only golden strings that changed.
 
 use scot_harness::experiments::{
-    cache_table, compatibility_matrix, cursor_table, faults_table, pool_table, restart_table,
-    scan_table, service_table, skiplist_table,
+    cache_table, claim_violations, compatibility_matrix, cursor_table, faults_table, pool_table,
+    restart_table, scan_table, service_table, skiplist_table,
 };
 use scot_harness::{FaultReport, RunResult, ServiceReport};
 
@@ -321,6 +321,29 @@ fn golden_faults_table() {
         "4 cells, 2 robustness-claim violations",
     ]);
     assert_eq!(faults_table(&rows), want);
+}
+
+/// The count behind the table's summary line and `exp faults`' exit code:
+/// a robust scheme over its bound, any reclaiming scheme left undrained —
+/// robust or not — and never NR.
+#[test]
+fn claim_violations_count_every_violating_cell() {
+    let undrained = |smr: &str, is_robust| FaultReport {
+        residual: 3,
+        drained: false,
+        verdict: "undrained (3 left)".into(),
+        ..fault(smr, "panic", is_robust, 300, 0)
+    };
+    let rows = [
+        fault("HP", "reader-stall", true, 300, 0),
+        fault("IBR", "panic", true, 5_000, 0),
+        undrained("HE", true),
+        undrained("VBR", false),
+        fault("NR", "thread-death", false, 90_000, 0),
+    ];
+    assert_eq!(claim_violations(&rows), 3);
+    assert_eq!(claim_violations(&rows[..1]), 0);
+    assert!(faults_table(&rows).ends_with("5 cells, 3 robustness-claim violations\n"));
 }
 
 #[test]
