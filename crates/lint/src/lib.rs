@@ -18,7 +18,7 @@
 //! | `L3` | `slot-discipline` | hazard-slot indices are the named `HP_*` constants, never raw integers, outside `scot::slots` |
 //! | `L4` | `matrix-completeness` | `SmrKind`/`DsKind` dispatch matches, test matrices and doc tables enumerate the full variant set |
 //! | `L5` | `guard-discipline` | no `mem::forget`/`ManuallyDrop` on guards outside `faults.rs`; guard types and `fn pin` are `#[must_use]`; `smr` guard bodies never re-derive domain or slot (`.clone()` or `Arc::as_ptr` of the domain `Arc`, `.domain()`, `.slots[`) |
-//! | `L6` | `raw-deref` | `crates/scot` reads nodes through the cursor's (or the tree seek record's) protection constructors: no `Shared::deref`/`deref_guarded`/`as_ref`, `Link` load/cas/`as_atomic` or `protect_link` outside them |
+//! | `L6` | `raw-deref` | `crates/scot` reads nodes through the cursor's (or the tree seek record's) protection constructors: no `Shared::deref`/`deref_guarded`/`as_ref`, `Link` load/cas/`as_atomic` or `protect_link` outside them; `crates/smr` has no `UnsafeCell` outside the retire record's accessors |
 //!
 //! Violations can be grandfathered in a committed `lint.allow` file (one
 //! `RULE path[:line]` entry per line) or suppressed at the site with a

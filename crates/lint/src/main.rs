@@ -14,7 +14,8 @@ fn usage() -> &'static str {
      \x20 L3 slot-discipline      hazard slots are named HP_* constants\n\
      \x20 L4 matrix-completeness  SmrKind/DsKind matrices enumerate every variant\n\
      \x20 L5 guard-discipline     no mem::forget on guards; guards are #[must_use]\n\
-     \x20 L6 raw-deref            scot reads nodes through the cursor, not Shared::deref\n\
+     \x20 L6 raw-deref            scot reads nodes through the cursor, not Shared::deref;\n\
+     \x20                         smr has no UnsafeCell outside the retire record\n\
      \n\
      Exit codes: 0 clean, 1 findings, 2 usage/IO error.\n\
      Grandfathered sites live in lint.allow (`RULE path[:line]` per line);\n\

@@ -971,9 +971,29 @@ fn unsafe_raw_call(code: &str) -> Option<&'static str> {
 /// `Shared::as_ref`) are findings.  The protection constructors — the
 /// cursor's and the tree seek record's accessors, the exclusive-ownership
 /// `owned`, the quiescent walks — carry an inline `LINT-ALLOW: L6 <why>`.
+///
+/// The `crates/smr/src/` arm: shared state is atomics or behind a lock,
+/// except the retire record's owner-only vault.  In non-test code every
+/// `UnsafeCell` is a finding; the record's accessors carry the
+/// `LINT-ALLOW: L6`.
 pub fn l6_raw_deref(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in files {
+        if in_scope(f, &["crates/smr/src/"]) {
+            for (i, code) in f.code.iter().enumerate() {
+                if !f.test_lines[i] && word_in(code, "UnsafeCell") {
+                    out.push(finding(
+                        Rule::L6,
+                        &f.rel,
+                        i,
+                        "`UnsafeCell` outside the retire record's accessors — shared smr \
+                         state is atomic or locked"
+                            .to_string(),
+                    ));
+                }
+            }
+            continue;
+        }
         if !in_scope(f, &["crates/scot/src/"]) {
             continue;
         }

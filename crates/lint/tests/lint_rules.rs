@@ -56,6 +56,9 @@ fn fixture_tree_produces_exactly_the_seeded_findings() {
         (Rule::L3, "crates/scot/src/traverse_bad.rs", 9),
         // The L3-clean `protect_link` twin is still a raw link access.
         (Rule::L6, "crates/scot/src/traverse_bad.rs", 15),
+        // An `UnsafeCell` in smr outside the retire record's accessors; the
+        // LINT-ALLOW'd twin and the test module must NOT appear.
+        (Rule::L6, "crates/smr/src/cell_bad.rs", 5),
         // A struct named exactly `Guard` without #[must_use], and a
         // read-side impl that re-indexes the slot array; their twins (a
         // `#[must_use]` `Guard`, a struct with a guard bound, a read-side
@@ -110,6 +113,7 @@ fn fixture_messages_name_the_violation() {
     assert!(msg(Rule::L2, 36).contains("`Ordering::Relaxed` on protection-publication state"));
     assert!(msg(Rule::L2, 37).contains("`compiler_fence` without"));
     assert!(msg(Rule::L6, 11).contains("raw dereference `.load(`"));
+    assert!(msg(Rule::L6, 5).contains("`UnsafeCell` outside the retire record's accessors"));
     // Both dup arguments are checked.
     let dup: Vec<_> = report
         .findings

@@ -942,9 +942,10 @@ impl<'t, 'g, G: SmrGuard, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, 'g, G, K, N>
         }
         if self.retire_chains {
             // Hand the scheme whole chain segments through `retire_batch` so
-            // the domain's retire bookkeeping (one vault mutex per batch) is
-            // paid once per chunk instead of once per node.  The chunk buffer
-            // lives on the stack — no allocation on the unlink path.
+            // the domain's retire bookkeeping (one retire-record update per
+            // batch) is paid once per chunk instead of once per node.  The
+            // chunk buffer lives on the stack — no allocation on the unlink
+            // path.
             const CHUNK: usize = 16;
             let mut buf = [Shared::null(); CHUNK];
             let mut n = 0;

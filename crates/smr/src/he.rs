@@ -130,8 +130,8 @@ unsafe impl Scheme for He {
     fn retire_stamp(&self) -> Option<u64> {
         // ORDERING: Relaxed — per-location coherence keeps the read no older
         // than any era this thread already observed, and an old retire stamp
-        // only delays reclamation.  The stamp reaches sweepers through the
-        // vault mutex.
+        // only delays reclamation.  The stamp is read by the vault's owner,
+        // or after the owner/adopter hand-off (`crate::limbo` docs).
         Some(self.global_era.load(Ordering::Relaxed))
     }
 

@@ -116,6 +116,7 @@
 
 use crate::block::{Header, Retired};
 use crate::limbo::{Domain, Guard, Handle, Lifecycle, Pinned, ReadSide, RetireCore};
+use crate::pool::BlockPool;
 use crate::ptr::{Atomic, Shared};
 use crate::registry::AdoptGuard;
 use crate::{Smr, SmrConfig, SmrError, SmrKind};
@@ -236,21 +237,20 @@ impl Lifecycle for Hyaline {
         let pending = unsafe { pinned.push_vault(batch, None) };
         if pending >= pinned.scheme().batch_capacity {
             // One oversized push is fine: the batch carries *at least* one
-            // linkage node per slot, and the vault mutex was touched once for
-            // the whole batch instead of once per node.
-            Self::flush_vault(pinned.slot(), pinned);
+            // linkage node per slot.
+            Self::flush_vault(pinned, None);
         }
     }
 
     /// Pushes the slot's accumulated batch, then adopts dead slots.
     fn flush(pinned: &mut Pinned<'_, Self>) {
-        Self::flush_vault(pinned.slot(), pinned);
+        Self::flush_vault(pinned, None);
         pinned.adopt_orphans();
     }
 
     /// Pushes the slot's accumulated batch.
     fn release(pinned: &mut Pinned<'_, Self>) {
-        Self::flush_vault(pinned.slot(), pinned);
+        Self::flush_vault(pinned, None);
     }
 
     /// A dead slot's `refs` counter is frozen (only its owner could pin):
@@ -258,34 +258,36 @@ impl Lifecycle for Hyaline {
     /// accumulated batch is flushed and the slot recycled; `refs > 0` means it
     /// died *inside* one, its acknowledgement boundary is unknowable, and the
     /// slot is poisoned (see the module docs) before its batch is flushed.
-    fn adopt(adoption: AdoptGuard<'_>, slot: usize, pinned: &mut Pinned<'_, Self>) {
-        let (refs, _) = unpack(pinned.scheme().slots[slot].head.load(Ordering::SeqCst));
+    fn adopt(mut adoption: AdoptGuard<'_>, pinned: &mut Pinned<'_, Self>) {
+        let slot = &pinned.scheme().slots[adoption.slot()];
+        let (refs, _) = unpack(slot.head.load(Ordering::SeqCst));
         if refs == 0 {
             // Flush before recycling so a new claimant cannot race us for the
             // vault; pushes skip the dead slot itself because its refs count
             // is zero.
-            Self::flush_vault(slot, pinned);
+            Self::flush_vault(pinned, Some(&mut adoption));
             adoption.finish();
         } else {
             // Poison first: once the slot stops being `is_claimed`, the flush
             // below (and all future pushes) exclude it, so the leak stops
-            // growing.
+            // growing.  The poisoned guard is still the vault's license.
             adoption.poison();
-            Self::flush_vault(slot, pinned);
+            Self::flush_vault(pinned, Some(&mut adoption));
         }
     }
 }
 
 impl Hyaline {
-    /// Frees every node of the batch whose REFS node is `refs_node`, recycling
-    /// the blocks into the freeing thread's pool and debiting its shard —
-    /// under any-thread freeing the debited shard is often not the one that
-    /// was credited at retire time; only the sum is meaningful.
+    /// Frees every node of the batch whose REFS node is `refs_node`,
+    /// recycling the blocks into the freeing thread's `pool`, and returns how
+    /// many it freed.  The caller debits its own share of `unreclaimed` —
+    /// under any-thread freeing often not the slot that was credited at
+    /// retire time; only the sum is meaningful.
     ///
     /// # Safety
     /// The batch's reference counter must have reached zero, i.e. every thread
     /// that was required to acknowledge the batch has done so.
-    unsafe fn free_batch(refs_node: *mut Header, pinned: &mut Pinned<'_, Self>) {
+    unsafe fn free_batch(refs_node: *mut Header, pool: &mut BlockPool) -> usize {
         let mut freed = 0usize;
         let mut cur = refs_node;
         while !cur.is_null() {
@@ -297,16 +299,17 @@ impl Hyaline {
             let next = unsafe { (*cur).batch_all.load(Ordering::Relaxed) } as *mut Header;
             // SAFETY: sole ownership as above — each node is unlinked from
             // every slot list (all acknowledgements arrived) and freed once.
-            unsafe { pinned.pool().free(cur) };
+            unsafe { pool.free(cur) };
             freed += 1;
             cur = next;
         }
-        pinned.count_freed(freed);
+        freed
     }
 
     /// Acknowledges (decrements) every batch whose node was pushed onto the
     /// slot's list after the calling thread entered its critical section,
-    /// freeing batches that drop to zero.
+    /// freeing batches that drop to zero into `pool`, and returns how many
+    /// blocks it freed.
     ///
     /// `from` is the slot head observed while leaving; `entry_addr` is the
     /// head address at enter time (from the enter `fetch_add`).  Every node
@@ -320,7 +323,8 @@ impl Hyaline {
     /// between observing `entry_addr` and observing `from`, so every node
     /// above the boundary counted it at push time and stays alive until the
     /// decrement below.
-    unsafe fn acknowledge(from: usize, entry_addr: usize, pinned: &mut Pinned<'_, Self>) {
+    unsafe fn acknowledge(from: usize, entry_addr: usize, pool: &mut BlockPool) -> usize {
+        let mut freed = 0;
         let mut cur = from;
         while cur != 0 && cur != entry_addr {
             let hdr = cur as *mut Header;
@@ -337,19 +341,21 @@ impl Hyaline {
             if unsafe { (*refs_node).refs.fetch_sub(1, Ordering::AcqRel) } == 1 {
                 // SAFETY: our fetch_sub observed 1, so we dropped the last
                 // reference — exactly `free_batch`'s contract.
-                unsafe { Self::free_batch(refs_node, pinned) };
+                freed += unsafe { Self::free_batch(refs_node, pool) };
             }
             cur = next;
         }
+        freed
     }
 
     /// Pushes a fully-formed batch to every active, non-exempt slot and drops
-    /// the retirer's own reference.  `nodes[0]` is the REFS node and is never
-    /// pushed; the remaining nodes provide the per-slot list linkage.
+    /// the retirer's own reference, freeing the batch into `pool` if that was
+    /// the last one; returns how many blocks it freed.  `nodes[0]` is the
+    /// REFS node and is never pushed; the remaining nodes provide the
+    /// per-slot list linkage.
     // SAFETY: callers must pass fully-initialized retired nodes that no other thread can still reach, plus a held REFS count.
-    unsafe fn push_batch(nodes: &[Retired], min_birth: u64, pinned: &mut Pinned<'_, Self>) {
+    unsafe fn push_batch(&self, nodes: &[Retired], min_birth: u64, pool: &mut BlockPool) -> usize {
         debug_assert!(!nodes.is_empty());
-        let d = pinned.scheme();
         let refs_node = nodes[0].hdr;
 
         // Thread the whole batch through `batch_all` so the last acker can
@@ -388,7 +394,7 @@ impl Hyaline {
         unsafe { (*refs_node).refs.store(1, Ordering::Release) };
 
         let mut spare = nodes[1..].iter().map(|n| n.hdr);
-        for slot in d.core.claimed(&d.slots) {
+        for slot in self.core.claimed(&self.slots) {
             // Robustness: a thread whose published era predates every node in
             // the batch can never have obtained a reference to any of them
             // (given the SCOT / Harris-Michael traversal discipline), so it
@@ -453,21 +459,28 @@ impl Hyaline {
         if unsafe { (*refs_node).refs.fetch_sub(1, Ordering::AcqRel) } == 1 {
             // SAFETY: observed 1 → ours was the last reference, which is
             // `free_batch`'s contract.
-            unsafe { Self::free_batch(refs_node, pinned) };
+            return unsafe { Self::free_batch(refs_node, pool) };
         }
+        0
     }
 
-    /// Pushes the batch accumulated in the vault of slot `vault` to the
-    /// active slots, padding it with dummy blocks up to the full linkage
-    /// capacity.  Frees and padding are charged to the shard of `pinned`.
-    fn flush_vault(vault: usize, pinned: &mut Pinned<'_, Self>) {
+    /// Pushes the batch accumulated in a vault to the active slots, padded
+    /// with dummy blocks up to the full linkage capacity, and empties the
+    /// vault in place, so its buffer serves the next batch.  The vault is the
+    /// own slot's, or with `adoption` the adopted slot's; padding and frees
+    /// are charged to the own slot's share.
+    fn flush_vault(pinned: &mut Pinned<'_, Self>, adoption: Option<&mut AdoptGuard<'_>>) {
         let d = pinned.scheme();
-        let mut nodes = d.core.take_vault(vault);
+        let (nodes, pool) = match adoption {
+            None => pinned.vault(),
+            Some(adoption) => pinned.adopted_vault(adoption),
+        };
         if nodes.is_empty() {
             return;
         }
-        // One relaxed birth-era load per retired node, published by the vault
-        // mutex; the dummies below are left out, as no reader can reach them.
+        // One relaxed birth-era load per retired node, read by the vault's
+        // owner or after the owner/adopter hand-off; the dummies below are
+        // left out, as no reader can reach them.
         let min_birth = nodes.iter().map(Retired::birth_era).min();
         // A batch needs one linkage node per active slot plus the REFS node.
         // Pad undersized batches (possible at flush/drop/adoption time) with
@@ -476,15 +489,19 @@ impl Hyaline {
         // taken) and no clock tick (they are not allocations of the structure).
         let padding = d.batch_capacity.saturating_sub(nodes.len());
         for _ in 0..padding {
-            let dummy = pinned.pool().alloc(());
+            let dummy = pool.alloc(());
             // SAFETY: `dummy` was just allocated and never published; its
             // block is exclusively this batch's.
             nodes.push(unsafe { Retired::from_value(dummy) });
         }
-        pinned.count_retired(padding);
         // SAFETY: every node is a retired (or fresh dummy) block owned by
         // this batch, padded to full linkage capacity above.
-        unsafe { Self::push_batch(&nodes, min_birth.unwrap_or(u64::MAX), pinned) };
+        let freed = unsafe { d.push_batch(nodes, min_birth.unwrap_or(u64::MAX), pool) };
+        nodes.clear();
+        pinned.count_retired(padding);
+        if freed > 0 {
+            pinned.count_freed(freed);
+        }
     }
 }
 
@@ -541,11 +558,15 @@ impl ReadSide for Hyaline {
     fn exit(g: &mut Guard<'_, Self>) {
         let (refs, observed) = unpack(g.slot().head.swap(0, Ordering::AcqRel));
         debug_assert_eq!(refs, 1, "leave without exactly one matching enter");
+        let entry_addr = g.state.entry_addr;
         // SAFETY: this thread held its slot reference continuously from the
         // enter `fetch_add` (which returned `entry_addr`) until the swap above
         // that released it and returned `observed` — exactly `acknowledge`'s
         // contract.
-        unsafe { Hyaline::acknowledge(observed, g.state.entry_addr, g.pinned()) };
+        let freed = unsafe { Hyaline::acknowledge(observed, entry_addr, g.pinned().pool()) };
+        if freed > 0 {
+            g.pinned().count_freed(freed);
+        }
     }
 
     #[inline]
@@ -607,6 +628,33 @@ mod tests {
             // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
             unsafe { g.retire(p) };
         }
+        drop(h);
+        assert_eq!(d.unreclaimed(), 0);
+    }
+
+    #[test]
+    fn a_flush_keeps_the_vault_buffer() {
+        let d = Hyaline::new(config());
+        let mut h = d.register();
+        let retire = |h: &mut Handle<Hyaline>, n: u64| {
+            for i in 0..n {
+                let mut g = h.pin();
+                let p = g.alloc(i);
+                // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
+                unsafe { g.retire(p) };
+            }
+        };
+        // Below `batch_capacity`: the nodes wait in the vault.
+        retire(&mut h, 3);
+        assert_eq!(d.core.vault_shape(0).0, 3);
+        // Padded to `batch_capacity` in place, pushed, emptied.
+        h.flush();
+        let (len, capacity) = d.core.vault_shape(0);
+        assert_eq!(len, 0);
+        assert!(capacity >= d.batch_capacity, "capacity {capacity}");
+        // A full batch flushes from retire itself, into the same buffer.
+        retire(&mut h, d.batch_capacity as u64);
+        assert_eq!(d.core.vault_shape(0), (0, capacity));
         drop(h);
         assert_eq!(d.unreclaimed(), 0);
     }
@@ -778,7 +826,10 @@ mod tests {
         assert_ne!(d.slots[0].era.load(Ordering::SeqCst), 0);
         drop(h);
         let mut h = d.register();
-        assert_eq!(h.lend().slot(), 0, "the released slot is handed out again");
+        assert!(
+            d.core.registry().is_claimed(0),
+            "the released slot is handed out again"
+        );
         assert_eq!(d.slots[0].era.load(Ordering::SeqCst), 0);
         // 0 is below every real era, so the first pin always publishes.
         drop(h.pin());

@@ -130,7 +130,8 @@ unsafe impl Scheme for Ibr {
     fn retire_stamp(&self) -> Option<u64> {
         // ORDERING: Relaxed — a read can only lag the true era, and a lagging
         // retire stamp at worst delays reclamation by one interval check.
-        // The stamp reaches sweepers through the vault mutex.
+        // The stamp is read by the vault's owner, or after the owner/adopter
+        // hand-off (`crate::limbo` docs).
         Some(self.global_era.load(Ordering::Relaxed))
     }
 

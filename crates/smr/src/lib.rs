@@ -31,10 +31,11 @@
 //!   epoch advancement that displaces long-running readers through the same
 //!   checkpoint protocol.
 //!
-//! The slot lifecycle of all eight families — claim, pin, per-slot retire
-//! vaults, the block pool, the sharded counter, adoption of slots whose owner
-//! thread died, handle release, domain teardown — and the one handle and one
-//! guard they hand out are written once, in the crate-private retire core
+//! The slot lifecycle of all eight families — claim, pin, one padded retire
+//! record per slot (its vault and its share of `unreclaimed`), the block
+//! pool, adoption of slots whose owner thread died, handle release, domain
+//! teardown — and the one handle and one guard they hand out are written
+//! once, in the crate-private retire core
 //! (`limbo.rs`).  A scheme contributes its read-side protocol (enter, exit,
 //! `protect`, `announce`, and `dup`/`clear`/`checkpoint` where it has them),
 //! how a slot's reservation is withdrawn, and what retirement, release and
@@ -89,7 +90,7 @@ pub use hyaline::Hyaline;
 pub use ibr::Ibr;
 pub use nbr::Nbr;
 pub use nr::Nr;
-pub use pool::{BlockPool, PoolShared, ShardedCounter};
+pub use pool::{BlockPool, PoolShared};
 pub use ptr::{Atomic, Link, Shared, TAG_MASK};
 pub use registry::{thread_beacon, AdoptGuard, Beacon, PinBinding, SlotClaim, SlotRegistry};
 pub use vbr::Vbr;
@@ -569,7 +570,7 @@ pub trait SmrGuard {
 
     /// Retires a batch of unlinked nodes in one call — a traversal unlinking a
     /// whole marked chain retires every node of the chain at once.  Schemes
-    /// take the domain's retire-vault mutex and run the amortized era/scan
+    /// update the slot's retire record and run the amortized era/scan
     /// bookkeeping **once per batch** instead of once per node.
     ///
     /// # Safety

@@ -5,8 +5,9 @@
 //! To a data structure a reclamation scheme is a reservation format plus a
 //! "may this block be freed" test; the rest is plumbing that does not depend
 //! on the scheme.  This module owns it: [`RetireCore`] holds the slot
-//! registry, the per-slot retire *vaults*, the orphan list, the sharded
-//! `unreclaimed` counter and the shared block pool; [`Handle`] is every
+//! registry, one padded retire record per slot (the slot's *vault* and its
+//! share of the `unreclaimed` count, see [`SlotRetire`]), the orphan list and
+//! the shared block pool; [`Handle`] is every
 //! domain's [`Smr::Handle`](crate::Smr::Handle) and [`Guard`] every domain's
 //! guard.  A scheme file plugs in through four traits and writes nothing else:
 //!
@@ -36,10 +37,20 @@
 //! dropping its handle (see [`crate::registry`]) a survivor can adopt the
 //! slot: for a limbo-list scheme the dead owner's reservation is neutralized
 //! — sound because the owner can issue no further loads — its vault moves to
-//! the shared orphan list, and the slot returns to the free pool.  A vault is
-//! locked on every retirement, but only ever contended by an adopter: the
-//! owner is the sole routine writer.  A handle that is dropped normally does
-//! the same to its own slot after one last sweep.
+//! the shared orphan list, and the slot returns to the free pool.  A handle
+//! that is dropped normally does the same to its own slot after one last
+//! sweep.
+//!
+//! A vault takes no lock: it has one writer at a time, handed over along
+//! edges the registry already orders.  The owner writes it through its
+//! [`Pinned`] — retire, scan, Hyaline's flush, release.  When the owner's
+//! thread exits, its beacon fires (a Release store) and an adopter that sees
+//! it (an Acquire load) takes over while it holds the slot's [`AdoptGuard`].
+//! Release and adoption end with the slot marked free (Release), and the next
+//! claim (an AcqRel CAS) starts after them.  DEBRA's per-thread limbo bags
+//! (Brown) work the same way; here the bag stays domain-owned so a survivor
+//! can reach it after a thread dies holding it.  Each record sits on its own
+//! cache lines, so one slot's retirements never pull in another's.
 //!
 //! ## One scan
 //!
@@ -51,12 +62,13 @@
 //! keeps exactly the entries [`Scheme::can_free`] rejects.
 
 use crate::block::{header_of, Retired};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
+use crate::pool::{BlockPool, PoolShared};
 use crate::ptr::{Atomic, Shared};
 use crate::registry::{AdoptGuard, PinBinding, SlotClaim, SlotRegistry};
 use crate::{SmrConfig, SmrError, SmrGuard, SmrHandle};
+use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What every domain gives the shared slot lifecycle: the core it embeds,
@@ -101,10 +113,10 @@ pub trait Lifecycle: Domain {
     /// so no guard of the slot is alive.
     fn release(pinned: &mut Pinned<'_, Self>);
 
-    /// Adopts `slot`, whose owning thread died without releasing it, on
-    /// behalf of the owner of `pinned`, and ends `adoption` with
-    /// [`AdoptGuard::finish`] or [`AdoptGuard::poison`].
-    fn adopt(adoption: AdoptGuard<'_>, slot: usize, pinned: &mut Pinned<'_, Self>);
+    /// Adopts the slot of `adoption`, whose owning thread died without
+    /// releasing it, on behalf of the owner of `pinned`, and ends `adoption`
+    /// with [`AdoptGuard::finish`] or [`AdoptGuard::poison`].
+    fn adopt(adoption: AdoptGuard<'_>, pinned: &mut Pinned<'_, Self>);
 }
 
 /// What a limbo-list scheme adds to its [`Domain`]: what it stamps on a
@@ -128,7 +140,8 @@ pub unsafe trait Scheme: Domain {
 
     /// Era/epoch to stamp into `Header::retire_era` at retirement, if the
     /// predicate reads it.  A relaxed read of the global clock is enough: the
-    /// stamp reaches sweepers through the vault mutex.
+    /// stamp is read by the vault's owner, or by whoever takes the vault over
+    /// after the owner/adopter hand-off (see the module docs).
     fn retire_stamp(&self) -> Option<u64>;
 
     /// Captures the reservations one sweep is judged against.
@@ -174,19 +187,19 @@ impl<S: Scheme> Lifecycle for S {
     /// frees what only this slot still pinned; the rest moves to the orphan
     /// list.
     fn release(pinned: &mut Pinned<'_, S>) {
-        let (scheme, slot) = (pinned.scheme, pinned.slot);
-        let core = scheme.core();
-        scheme.neutralize(slot);
-        core.sweep_vault(scheme, slot, &mut pinned.local.pool);
-        core.orphan_vault(slot);
+        pinned.scheme.neutralize(pinned.slot);
+        pinned.sweep_vault();
+        let core = pinned.scheme.core();
+        core.orphan(pinned.vault().0);
     }
 
     /// Neutralizes the dead owner's reservation, so neither the scheme's
     /// clock nor the memory stays pinned forever, moves its vault to the
     /// orphan list and recycles the slot.
-    fn adopt(adoption: AdoptGuard<'_>, slot: usize, pinned: &mut Pinned<'_, S>) {
-        pinned.scheme.neutralize(slot);
-        pinned.scheme.core().orphan_vault(slot);
+    fn adopt(mut adoption: AdoptGuard<'_>, pinned: &mut Pinned<'_, S>) {
+        pinned.scheme.neutralize(adoption.slot());
+        let core = pinned.scheme.core();
+        core.orphan(pinned.adopted_vault(&mut adoption).0);
         adoption.finish();
     }
 }
@@ -255,12 +268,84 @@ pub trait ReadSide: Lifecycle {
 pub struct RetireCore {
     config: SmrConfig,
     registry: SlotRegistry,
-    vaults: Box<[Mutex<Vec<Retired>>]>,
+    records: Box<[CachePadded<SlotRetire>]>,
     /// Limbo entries inherited from handles that were dropped (or whose
-    /// thread died) before their retired blocks became reclaimable.
+    /// thread died) before their retired blocks became reclaimable.  Any
+    /// thread may sweep it, so it keeps its mutex.
     orphans: Mutex<Vec<Retired>>,
-    unreclaimed: ShardedCounter,
     pool: Arc<PoolShared>,
+}
+
+/// One slot's retire record: its vault of retired-but-unreclaimed blocks and
+/// its share of the domain's `unreclaimed` count.
+///
+/// One thread at a time writes a record: the slot's owner through its
+/// [`Pinned`], an adopter while it holds the slot's [`AdoptGuard`], and
+/// [`RetireCore`]'s drop through `&mut self` (the argument is at
+/// [`SlotRetire::vault`]).  So the vault needs no lock and the share is
+/// updated with a plain load and store instead of a locked RMW.  Each record
+/// is cache-padded: a retire touches no line another slot writes.
+pub(crate) struct SlotRetire {
+    vault: std::cell::UnsafeCell<Vec<Retired>>, // LINT-ALLOW: L6 the vault, opened only by `SlotRetire::vault`
+    /// Blocks retired minus blocks freed on this slot.  A thread that frees
+    /// blocks another slot retired (orphan sweeps, Hyaline's any-thread
+    /// freeing) debits its own share, so a share may go negative; only the
+    /// sum over all slots is meaningful.  Written by the record's one writer,
+    /// read by the sampler's [`RetireCore::unreclaimed`].
+    unreclaimed: AtomicIsize,
+}
+
+// SAFETY: the only field that is not `Sync` is the vault, and it is opened
+// only by `SlotRetire::vault`, for the record's one writer of the moment.
+unsafe impl Sync for SlotRetire {}
+
+impl SlotRetire {
+    fn new() -> Self {
+        Self {
+            vault: std::cell::UnsafeCell::new(Vec::new()), // LINT-ALLOW: L6 the vault's constructor
+            unreclaimed: AtomicIsize::new(0),
+        }
+    }
+
+    /// Opens the vault.  Its two callers, [`Pinned::vault`] (the owner) and
+    /// [`Pinned::adopted_vault`] (an adopter), each hand the vault out for no
+    /// longer than they borrow their license mutably.
+    #[allow(clippy::mut_from_ref)]
+    #[inline]
+    fn vault(&self) -> &mut Vec<Retired> {
+        // SAFETY: one thread at a time opens a record's vault, and no opener
+        // opens it twice at once.
+        // * The owner opens it through `&mut Pinned`.  A `Pinned` is `!Send`
+        //   and exists only on the thread whose beacon is installed in the
+        //   slot — `pin` and `flush` run `check_owner_and_bind` first — or,
+        //   for release, under the slot's beacon mutex with the claim's
+        //   generation checked.  So no adopter runs meanwhile: adoption needs
+        //   the installed beacon to have fired, and the beacon mutex.
+        // * An adopter opens it through `&mut AdoptGuard`, which holds the
+        //   slot's beacon mutex and was handed out only after the installed
+        //   beacon fired: the owner's thread is gone, and a stale handle's
+        //   pin, flush or release waits on the mutex and then finds its
+        //   generation bumped.  A poisoned slot is never claimed or adopted
+        //   again, so its adopter keeps the license while the guard lives.
+        // * `RetireCore::drop` has `&mut self` and uses `get_mut` instead.
+        // The hand-offs are ordered: owner to adopter by the beacon's Release
+        // store at thread exit and the adopter's Acquire load; owner or
+        // adopter to the next owner by the registry's claim (the slot is
+        // marked free with Release, `try_claim` acquires it with its CAS); a
+        // handle that moves between threads by whatever moved it.
+        unsafe { &mut *std::cell::UnsafeCell::get(&self.vault) } // LINT-ALLOW: L6 the vault's one accessor
+    }
+
+    /// Adds `delta` to this slot's share of `unreclaimed`.
+    #[inline]
+    fn count(&self, delta: isize) {
+        // ORDERING: Relaxed, and a load and a store rather than an RMW: the
+        // record has one writer at a time (see `vault`, whose hand-offs order
+        // successive writers), and the sum is exact only at quiescence.
+        let share = self.unreclaimed.load(Ordering::Relaxed);
+        // ORDERING: see the load above.
+        self.unreclaimed.store(share + delta, Ordering::Relaxed);
+    }
 }
 
 impl RetireCore {
@@ -270,11 +355,10 @@ impl RetireCore {
         let config = config.validated();
         Self {
             registry: SlotRegistry::new(config.max_threads),
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(Vec::new()))
+            records: (0..config.max_threads)
+                .map(|_| CachePadded::new(SlotRetire::new()))
                 .collect(),
             orphans: Mutex::new(Vec::new()),
-            unreclaimed: ShardedCounter::new(config.max_threads),
             pool: PoolShared::new(config.pool_blocks(), config.max_threads),
             config,
         }
@@ -286,9 +370,17 @@ impl RetireCore {
         &self.config
     }
 
-    /// Retired-but-not-yet-reclaimed blocks across the domain.
+    /// Retired-but-not-yet-reclaimed blocks across the domain: the sum of
+    /// every slot's share, clamped at zero.  Exact at quiescence; a sum taken
+    /// during retire/free traffic may miss updates in flight.
     pub(crate) fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        // ORDERING: Relaxed — sampler path; see above.
+        let sum: isize = self
+            .records
+            .iter()
+            .map(|r| r.unreclaimed.load(Ordering::Relaxed))
+            .sum();
+        sum.max(0) as usize
     }
 
     /// The entries of `slots` (a scheme's per-slot reservation array) whose
@@ -303,22 +395,10 @@ impl RetireCore {
             .map(|(_, slot)| slot)
     }
 
-    /// Empties the vault of `slot` and returns what it held, in retire order.
-    pub(crate) fn take_vault(&self, slot: usize) -> Vec<Retired> {
-        std::mem::take(&mut *self.vaults[slot].lock())
-    }
-
     /// Frees every entry of `limbo` the scheme's predicate accepts, keeping
-    /// the rest in order.  Freed blocks recycle into `pool`; the sweeper's
-    /// own shard absorbs the decrement (shards may go negative, the sum stays
-    /// exact — see [`ShardedCounter`]).
-    fn sweep<S: Scheme>(
-        &self,
-        scheme: &S,
-        limbo: &mut Vec<Retired>,
-        shard: usize,
-        pool: &mut BlockPool,
-    ) {
+    /// the rest in order, and returns how many it freed.  Freed blocks
+    /// recycle into `pool`.
+    fn sweep<S: Scheme>(scheme: &S, limbo: &mut Vec<Retired>, pool: &mut BlockPool) -> usize {
         let snapshot = scheme.snapshot();
         let before = limbo.len();
         limbo.retain(|r| {
@@ -333,42 +413,38 @@ impl RetireCore {
             unsafe { r.free_into(pool) };
             false
         });
-        let freed = before - limbo.len();
-        if freed > 0 {
-            self.unreclaimed.sub(shard, freed);
-        }
+        before - limbo.len()
     }
 
-    /// Sweeps the vault of `slot` on behalf of its owner and returns how many
-    /// entries stay behind — what the scan's blocked check consumes.
-    fn sweep_vault<S: Scheme>(&self, scheme: &S, slot: usize, pool: &mut BlockPool) -> usize {
-        let mut vault = self.vaults[slot].lock();
+    /// Moves whatever is left in `vault` to the orphan list.
+    fn orphan(&self, vault: &mut Vec<Retired>) {
         if !vault.is_empty() {
-            self.sweep(scheme, &mut vault, slot, pool);
-        }
-        vault.len()
-    }
-
-    /// Moves whatever is left in the vault of `slot` to the orphan list.
-    fn orphan_vault(&self, slot: usize) {
-        let mut vault = self.vaults[slot].lock();
-        if !vault.is_empty() {
-            self.orphans.lock().append(&mut vault);
+            self.orphans.lock().append(vault);
         }
     }
 }
 
 impl Drop for RetireCore {
     fn drop(&mut self) {
+        // `&mut self` already orders every slot's accesses before this (the
+        // last `Arc` drop).  Acquiring each slot's last release or adoption
+        // restates that edge through the registry, where a race detector
+        // sees it: TSan does not model the `Arc`'s fence.
+        for slot in 0..self.registry.capacity() {
+            self.registry.is_claimed(slot);
+        }
         // What is left are the vaults of slots leaked by dead threads that no
         // survivor adopted, and the orphan list.
         let orphans = std::mem::take(&mut *self.orphans.lock());
-        let vaults = self.vaults.iter().map(|v| std::mem::take(&mut *v.lock()));
+        let vaults = self
+            .records
+            .iter_mut()
+            .map(|r| std::mem::take(r.vault.get_mut()));
         for r in vaults.flatten().chain(orphans) {
             // SAFETY: every handle holds an `Arc` of the domain that embeds
             // this core, so `&mut self` proves no handle — and hence no guard
-            // — exists; nothing can be protected any more.  Hyaline's batches
-            // leave the vault before they are pushed, so each is freed once.
+            // — exists; nothing can be protected any more.  Hyaline clears its
+            // vault as soon as a batch is pushed, so each is freed once.
             unsafe { r.free() };
         }
     }
@@ -416,8 +492,8 @@ impl<S: Lifecycle> Handle<S> {
         })
     }
 
-    /// Lends the handle out without the owner check, for `flush` and
-    /// release: neither publishes a reservation.
+    /// Lends the handle out without the owner check: the caller has run
+    /// it (`pin`, `flush`), or holds the slot's beacon mutex (release).
     #[inline]
     pub(crate) fn lend(&mut self) -> Pinned<'_, S> {
         Pinned {
@@ -451,7 +527,11 @@ impl<S: ReadSide> SmrHandle for Handle<S> {
         }
     }
 
+    /// Runs `pin`'s owner check first: a handle whose slot was adopted must
+    /// not sweep the vault of the slot's next owner.
     fn flush(&mut self) {
+        let registry = &self.domain.core().registry;
+        registry.check_owner_and_bind(self.claim, &mut self.binding);
         S::flush(&mut self.lend());
     }
 }
@@ -587,12 +667,6 @@ impl<'g, S: Lifecycle> Pinned<'g, S> {
         self.scheme
     }
 
-    /// Index of the claimed slot.
-    #[inline]
-    pub(crate) fn slot(&self) -> usize {
-        self.slot
-    }
-
     /// The thread's block pool.
     #[inline]
     pub(crate) fn pool(&mut self) -> &mut BlockPool {
@@ -621,8 +695,8 @@ impl<'g, S: Lifecycle> Pinned<'g, S> {
             // SAFETY: `ptr` was just allocated and is not yet shared, so this
             // thread has exclusive access to its header.
             // ORDERING: Relaxed — the stamp is published together with the
-            // pointer by whatever store links the block, and reaches sweepers
-            // through the vault mutex taken at retire time.
+            // pointer by whatever store links the block, and is read by the
+            // vault's owner, or after the owner/adopter hand-off.
             unsafe { (*header_of(ptr)).birth_era.store(era, Ordering::Relaxed) };
             self.tick(1);
         }
@@ -643,33 +717,56 @@ impl<'g, S: Lifecycle> Pinned<'g, S> {
     }
 
     /// Counts `n` more blocks as retired and not yet reclaimed, on this
-    /// slot's shard.
+    /// slot's share.
     #[inline]
     pub(crate) fn count_retired(&self, n: usize) {
-        self.scheme.core().unreclaimed.add(self.slot, n);
+        self.scheme.core().records[self.slot].count(n as isize);
     }
 
-    /// Counts `n` blocks as reclaimed, on this slot's shard — often not the
-    /// shard they were retired on; only the sum is meaningful.
+    /// Counts `n` blocks as reclaimed, on this slot's share — often not the
+    /// slot they were retired on; only the sum is meaningful.
     #[inline]
     pub(crate) fn count_freed(&self, n: usize) {
-        self.scheme.core().unreclaimed.sub(self.slot, n);
+        self.scheme.core().records[self.slot].count(-(n as isize));
     }
 
-    /// Appends `batch` to this slot's vault under one lock and one counter
-    /// update, stamping each block's retire era with `stamp` if given, and
-    /// returns how many entries the vault now holds (0 for an empty batch).
+    /// Opens this slot's vault — the owner's role (see [`SlotRetire`]) —
+    /// beside the owner's pool.
+    #[inline]
+    pub(crate) fn vault(&mut self) -> (&mut Vec<Retired>, &mut BlockPool) {
+        let vault = self.scheme.core().records[self.slot].vault();
+        (vault, &mut self.local.pool)
+    }
+
+    /// Opens the vault of the slot `adoption` tears down — the adopter's role
+    /// (see [`SlotRetire`]) — beside this thread's pool.  The vault stays open
+    /// for as long as the adoption license is borrowed.
+    pub(crate) fn adopted_vault<'a>(
+        &'a mut self,
+        adoption: &'a mut AdoptGuard<'_>,
+    ) -> (&'a mut Vec<Retired>, &'a mut BlockPool) {
+        let vault = self.scheme.core().records[adoption.slot()].vault();
+        (vault, &mut self.local.pool)
+    }
+
+    /// Appends `batch` to this slot's vault with one update of its share,
+    /// stamping each block's retire era with `stamp` if given, and returns
+    /// how many entries the vault now holds (0 for an empty batch).
     /// Limbo-list retirement scans and Hyaline flushes past their threshold.
     ///
     /// # Safety
     /// The [`SmrGuard::retire`] contract for every element: produced by
     /// `alloc` on this domain, physically unlinked, retired exactly once.
     #[inline]
-    pub(crate) unsafe fn push_vault<T>(&self, batch: &[Shared<T>], stamp: Option<u64>) -> usize {
+    pub(crate) unsafe fn push_vault<T>(
+        &mut self,
+        batch: &[Shared<T>],
+        stamp: Option<u64>,
+    ) -> usize {
         if batch.is_empty() {
             return 0;
         }
-        let mut vault = self.scheme.core().vaults[self.slot].lock();
+        let vault = self.vault().0;
         if batch.len() > 1 {
             vault.reserve(batch.len());
         }
@@ -683,14 +780,13 @@ impl<'g, S: Lifecycle> Pinned<'g, S> {
             if let Some(era) = stamp {
                 // SAFETY: the block is unlinked but not yet in any limbo
                 // list; this thread has exclusive access to its stamp.
-                // ORDERING: Relaxed — published to sweepers by the vault
-                // mutex held here.
+                // ORDERING: Relaxed — read by this vault's sweeps, on this
+                // thread or after the owner/adopter hand-off.
                 unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
             }
             vault.push(retired);
         }
         let pending = vault.len();
-        drop(vault);
         self.count_retired(batch.len());
         pending
     }
@@ -702,7 +798,7 @@ impl<'g, S: Lifecycle> Pinned<'g, S> {
         let (registry, me) = (&self.scheme.core().registry, self.slot);
         for i in (0..registry.capacity()).filter(|&i| i != me) {
             if let Some(adoption) = registry.try_begin_adopt(i) {
-                S::adopt(adoption, i, self);
+                S::adopt(adoption, self);
             }
         }
     }
@@ -711,14 +807,15 @@ impl<'g, S: Lifecycle> Pinned<'g, S> {
 impl<S: Scheme> Pinned<'_, S> {
     /// One reclamation pass (see the module docs); `force` is `flush`.
     fn scan(&mut self, force: bool) {
-        let (scheme, slot) = (self.scheme, self.slot);
+        let scheme = self.scheme;
         let core = scheme.core();
         scheme.before_scan(force);
-        let left = core.sweep_vault(scheme, slot, &mut self.local.pool);
+        let left = self.sweep_vault();
         self.adopt_orphans();
         if let Some(mut orphans) = core.orphans.try_lock() {
             if !orphans.is_empty() {
-                core.sweep(scheme, &mut orphans, slot, &mut self.local.pool);
+                let freed = RetireCore::sweep(scheme, &mut orphans, &mut self.local.pool);
+                self.count_freed(freed);
             }
         }
         let blocked = if force {
@@ -727,8 +824,24 @@ impl<S: Scheme> Pinned<'_, S> {
             left >= core.config.scan_threshold
         };
         if blocked && scheme.still_blocked() {
-            core.sweep_vault(scheme, slot, &mut self.local.pool);
+            self.sweep_vault();
         }
+    }
+
+    /// Sweeps this slot's vault and returns how many entries stay behind —
+    /// what the scan's blocked check consumes.
+    fn sweep_vault(&mut self) -> usize {
+        let scheme = self.scheme;
+        let (vault, pool) = self.vault();
+        if vault.is_empty() {
+            return 0;
+        }
+        let freed = RetireCore::sweep(scheme, vault, pool);
+        let left = vault.len();
+        if freed > 0 {
+            self.count_freed(freed);
+        }
+        left
     }
 }
 
@@ -770,6 +883,17 @@ mod tests {
         pub(crate) fn registry(&self) -> &SlotRegistry {
             &self.registry
         }
+
+        /// Length and capacity of the vault of `slot`; quiescent callers only.
+        pub(crate) fn vault_shape(&self, slot: usize) -> (usize, usize) {
+            let vault = self.records[slot].vault();
+            (vault.len(), vault.capacity())
+        }
+
+        /// The share of `unreclaimed` charged to `slot`.
+        fn share(&self, slot: usize) -> isize {
+            self.records[slot].unreclaimed.load(Ordering::SeqCst)
+        }
     }
 
     /// Retire stamp of the fake scheme; `can_free` checks every record
@@ -810,11 +934,8 @@ mod tests {
         }
 
         fn vault_values(&self, slot: usize) -> Vec<usize> {
-            self.core.vaults[slot]
-                .lock()
-                .iter()
-                .map(|r| r.value)
-                .collect()
+            let vault = self.core.records[slot].vault();
+            vault.iter().map(|r| r.value).collect()
         }
     }
 
@@ -853,6 +974,26 @@ mod tests {
             self.blocked.fetch_add(1, Ordering::SeqCst);
             true
         }
+    }
+
+    /// Publishes nothing: enough to drive the handle through `SmrHandle`.
+    impl ReadSide for Fake {
+        type Slot = ();
+        type State = ();
+
+        fn slots(&self) -> &[()] {
+            &[(); 64]
+        }
+
+        fn enter(&self, _: &()) {}
+
+        fn exit(_: &mut Guard<'_, Self>) {}
+
+        fn protect<T>(_: &mut Guard<'_, Self>, _: usize, src: &Atomic<T>) -> Shared<T> {
+            src.load(Ordering::Acquire)
+        }
+
+        fn announce<T>(_: &mut Guard<'_, Self>, _: usize, _: Shared<T>) {}
     }
 
     /// Payload whose destructor counts.
@@ -990,14 +1131,163 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         // A vault resident (a slot leaked by a dead thread that nobody
         // adopted) and two orphans.
-        for limbo in [&d.core.vaults[1], &d.core.orphans, &d.core.orphans] {
-            let value = alloc_block(Counted(drops.clone()));
-            // SAFETY: `value` was just allocated and is referenced nowhere else.
-            limbo.lock().push(unsafe { Retired::from_value(value) });
-        }
+        let blocks: Vec<Retired> = (0..3)
+            .map(|_| {
+                let value = alloc_block(Counted(drops.clone()));
+                // SAFETY: `value` was just allocated and is referenced nowhere else.
+                unsafe { Retired::from_value(value) }
+            })
+            .collect();
+        d.core.records[1].vault().push(blocks[0]);
+        d.core.orphans.lock().extend_from_slice(&blocks[1..]);
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         drop(d);
         assert_eq!(drops.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn unreclaimed_sums_every_share_and_a_share_may_go_negative() {
+        let core = RetireCore::new(SmrConfig {
+            max_threads: 4,
+            ..SmrConfig::default()
+        });
+        core.records[0].count(10);
+        core.records[1].count(5);
+        // A cross-slot free: slot 2 frees blocks slots 0 and 1 retired.
+        core.records[2].count(-3);
+        assert_eq!(core.share(2), -3);
+        assert_eq!(core.unreclaimed(), 12);
+        core.records[0].count(-10);
+        core.records[1].count(-2);
+        assert_eq!(core.unreclaimed(), 0, "exact at quiescence");
+    }
+
+    #[test]
+    fn unreclaimed_clamps_a_negative_sum_at_zero() {
+        let core = RetireCore::new(SmrConfig {
+            max_threads: 2,
+            ..SmrConfig::default()
+        });
+        core.records[0].count(-5);
+        assert_eq!(core.unreclaimed(), 0);
+        core.records[1].count(5);
+        assert_eq!(core.unreclaimed(), 0);
+        core.records[1].count(7);
+        assert_eq!(core.unreclaimed(), 7);
+    }
+
+    #[test]
+    fn neighbouring_retire_records_never_share_a_line() {
+        const LINE: usize = 128;
+        let core = RetireCore::new(SmrConfig {
+            max_threads: 8,
+            ..SmrConfig::default()
+        });
+        for pair in core.records.windows(2) {
+            let first = std::ptr::from_ref::<SlotRetire>(&pair[0]) as usize;
+            let next = std::ptr::from_ref::<SlotRetire>(&pair[1]) as usize;
+            let first_last_line = (first + std::mem::size_of::<SlotRetire>() - 1) / LINE;
+            assert!(
+                first_last_line < next / LINE,
+                "records at {first:#x} and {next:#x} share a {LINE}-byte line"
+            );
+        }
+    }
+
+    #[test]
+    fn stale_handle_flush_panics_and_leaves_the_new_owner_alone() {
+        let d = Fake::new(3, 1024);
+        d.permit_all.store(true, Ordering::SeqCst);
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut survivor = Handle::register(&d).unwrap();
+        // The stale handle's last pinning thread exits while the handle sits
+        // on this one.  A real exit, not `simulate_owner_exit`: the handle
+        // must cache a fired beacon, or `flush` takes the owner check's fast
+        // path exactly as `pin` would.
+        let mut stale = {
+            let (d, drops) = (d.clone(), drops.clone());
+            std::thread::spawn(move || {
+                let mut h = Handle::register(&d).unwrap();
+                let nodes = alloc_counted(&mut h, 2, &drops);
+                // SAFETY: freshly allocated, never published, retired exactly once.
+                unsafe { Fake::retire(&mut h.lend(), &nodes) };
+                h
+            })
+            .join()
+            .unwrap()
+        };
+        Fake::flush(&mut survivor.lend());
+        assert_eq!(drops.load(Ordering::SeqCst), 2, "adopted and swept");
+        let mut owner = Handle::register(&d).unwrap();
+        let slot = owner.claim.index;
+        assert_eq!(slot, stale.claim.index, "the adopted slot is re-claimed");
+        let nodes = alloc_counted(&mut owner, 1, &drops);
+        // SAFETY: as above.
+        unsafe { Fake::retire(&mut owner.lend(), &nodes) };
+        let before = (d.vault_values(slot), d.core.share(slot));
+        let scans = d.scans.load(Ordering::SeqCst);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stale.flush()))
+            .expect_err("a stale flush must panic");
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("slot was adopted"), "{message}");
+        assert_eq!((d.vault_values(slot), d.core.share(slot)), before);
+        assert_eq!(d.scans.load(Ordering::SeqCst), scans, "no scan ran");
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+        drop((stale, owner, survivor));
+        assert_eq!(d.core.unreclaimed(), 0);
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn owners_retire_while_a_third_thread_adopts_and_every_destructor_runs_once() {
+        const PER_OWNER: usize = 20_000;
+        const ADOPTIONS: usize = 300;
+        const PER_VICTIM: usize = 3;
+        // Two owners, the adopter, and the slot it keeps adopting.
+        let d = Fake::new(4, 8);
+        d.permit_all.store(true, Ordering::SeqCst);
+        let drops = Arc::new(AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut h = Handle::register(&d).unwrap();
+                    for _ in 0..PER_OWNER {
+                        let node = h.lend().alloc(Counted(drops.clone()));
+                        // SAFETY: freshly allocated, never published, retired
+                        // exactly once.
+                        unsafe { Fake::retire(&mut h.lend(), &[node]) };
+                    }
+                });
+            }
+            s.spawn(|| {
+                let mut adopter = Handle::register(&d).unwrap();
+                for _ in 0..ADOPTIONS {
+                    // Registration may race an owner's adoption of the last
+                    // victim, which frees the slot a moment later.
+                    let mut victim = loop {
+                        if let Ok(h) = Handle::register(&d) {
+                            break h;
+                        }
+                        std::hint::spin_loop();
+                    };
+                    let nodes = alloc_counted(&mut victim, PER_VICTIM, &drops);
+                    // SAFETY: as above.
+                    unsafe { Fake::retire(&mut victim.lend(), &nodes) };
+                    let slot = victim.claim.index;
+                    d.core.registry.simulate_owner_exit(slot);
+                    // The owners' scans race this flush for the adoption.
+                    while d.core.registry.is_claimed(slot) {
+                        Fake::flush(&mut adopter.lend());
+                    }
+                    drop(victim);
+                }
+            });
+        });
+        let total = 2 * PER_OWNER + ADOPTIONS * PER_VICTIM;
+        let freed = drops.load(Ordering::SeqCst);
+        assert_eq!(d.core.unreclaimed(), total - freed, "exact at quiescence");
+        drop(d);
+        assert_eq!(drops.load(Ordering::SeqCst), total);
     }
 
     #[test]

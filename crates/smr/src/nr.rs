@@ -72,7 +72,7 @@ impl Lifecycle for Nr {
 
     fn release(_pinned: &mut Pinned<'_, Self>) {}
 
-    fn adopt(adoption: AdoptGuard<'_>, _slot: usize, _pinned: &mut Pinned<'_, Self>) {
+    fn adopt(adoption: AdoptGuard<'_>, _pinned: &mut Pinned<'_, Self>) {
         adoption.finish();
     }
 }

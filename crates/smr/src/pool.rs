@@ -1,18 +1,18 @@
-//! Reclamation-aware block pool and sharded domain statistics.
+//! Reclamation-aware block pool.
 //!
-//! Two hot-path costs dominate every scheme's `alloc`/`retire` once limbo
-//! scans are amortized (the observation behind DEBRA's and Hyaline's
-//! engineering, and the motivation for this module):
+//! Once limbo scans are amortized, a global-allocator round-trip per node is
+//! one of the hot-path costs of every scheme's `alloc`/`retire` (the
+//! observation behind DEBRA's and Hyaline's engineering): `malloc`/`free`
+//! take locks or touch shared arena state on every operation of a
+//! write-heavy workload.  The other one, shared state on the retire path, is
+//! the retire core's: each slot's vault and its share of the `unreclaimed`
+//! count sit in one cache-padded record with one writer at a time
+//! (`limbo::SlotRetire`).
 //!
-//! 1. a global-allocator round-trip per node — `malloc`/`free` take locks or
-//!    touch shared arena state on every operation of a write-heavy workload;
-//! 2. a `fetch_add`/`fetch_sub` on a single shared `unreclaimed` counter that
-//!    ping-pongs one cache line across all worker threads.
-//!
-//! [`BlockPool`] removes the first: every scheme handle owns a bounded
-//! free-list of dead blocks, binned by allocation [`Layout`], recycled
-//! in LIFO order (so reused blocks come back cache-warm).  The list is
-//! intrusive — it threads through the dead blocks' own `Header::next`
+//! [`BlockPool`] removes the allocator round-trip: every scheme handle owns
+//! a bounded free-list of dead blocks, binned by allocation [`Layout`],
+//! recycled in LIFO order (so reused blocks come back cache-warm).  The list
+//! is intrusive — it threads through the dead blocks' own `Header::next`
 //! fields — so the pool itself allocates nothing on the fast path.  When a
 //! handle's pool fills up (a thread that frees more than it allocates, e.g.
 //! the lucky acknowledger under Hyaline's any-thread freeing), it spills half
@@ -21,22 +21,11 @@
 //! overflow caps at `pool_capacity × max_threads` blocks and everything
 //! beyond that is returned to the global allocator, so total pooled memory
 //! never exceeds `2 × pool_capacity × max_threads` blocks per domain.
-//!
-//! [`ShardedCounter`] removes the second: one cache-padded counter per thread
-//! slot, written only by that slot's owner on the retire path; a reclaiming
-//! thread subtracts from *its own* shard even when it frees blocks another
-//! thread retired (Hyaline, orphan sweeps), so individual shards may go
-//! negative while the sum stays exact.  Reads sum all shards — they happen
-//! only on the 10 ms sampler path, where a few dozen relaxed loads are free.
-//! A sum taken concurrently with retire/free traffic can transiently miss
-//! in-flight updates (it is not a linearizable snapshot); quiescent reads are
-//! exact, which is what every accounting test relies on.
 
 use crate::block::{dealloc_raw, drop_value, Header};
 use core::alloc::Layout;
-use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A dead block awaiting reuse: raw memory plus the layout it was allocated
@@ -427,53 +416,6 @@ impl Drop for BlockPool {
     }
 }
 
-/// A counter sharded across thread slots to keep the write path off shared
-/// cache lines.
-///
-/// `add` is called by a slot's owner on retire; `sub` by whichever thread
-/// frees (against its own shard).  Shards are `isize` because any-thread
-/// freeing can drive an individual shard negative; the sum across shards is
-/// the true value.  See the module docs for the accuracy model.
-pub struct ShardedCounter {
-    shards: Box<[CachePadded<AtomicIsize>]>,
-}
-
-impl ShardedCounter {
-    /// Creates a counter with one shard per thread slot.
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards.max(1))
-                .map(|_| CachePadded::new(AtomicIsize::new(0)))
-                .collect(),
-        }
-    }
-
-    /// Increments `shard` (relaxed; owner-only on the hot path).
-    #[inline]
-    pub fn add(&self, shard: usize, n: usize) {
-        // ORDERING: Relaxed — statistics only; `sum` is documented as exact
-        // only at quiescence (see the module docs' accuracy model).
-        self.shards[shard].fetch_add(n as isize, Ordering::Relaxed);
-    }
-
-    /// Decrements `shard` (relaxed); may drive the shard negative.
-    #[inline]
-    pub fn sub(&self, shard: usize, n: usize) {
-        // ORDERING: Relaxed — statistics only; see `add`.
-        self.shards[shard].fetch_sub(n as isize, Ordering::Relaxed);
-    }
-
-    /// Sums all shards.  Quiescent reads are exact; concurrent reads may
-    /// transiently miss in-flight updates.  Clamped at zero for the same
-    /// reason the shards are signed.
-    pub fn sum(&self) -> usize {
-        // ORDERING: Relaxed — sampler path; the accuracy model in the module
-        // docs explicitly permits transiently missing in-flight updates.
-        let total: isize = self.shards.iter().map(|s| s.load(Ordering::Relaxed)).sum();
-        total.max(0) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,29 +625,6 @@ mod tests {
         assert_eq!(unsafe { crate::block::version_of(c) }, 2);
         // SAFETY: the block was allocated by this pool family and is freed exactly once.
         unsafe { consumer.free(header_of(c)) };
-    }
-
-    #[test]
-    fn sharded_counter_sums_across_shards() {
-        let c = ShardedCounter::new(4);
-        c.add(0, 10);
-        c.add(1, 5);
-        c.sub(2, 3); // any-thread freeing: shard goes negative
-        assert_eq!(c.sum(), 12);
-        c.sub(0, 10);
-        c.sub(1, 2);
-        assert_eq!(c.sum(), 0);
-    }
-
-    #[test]
-    fn sharded_counter_clamps_negative_sums() {
-        let c = ShardedCounter::new(2);
-        c.sub(0, 5);
-        assert_eq!(c.sum(), 0);
-        c.add(1, 5);
-        assert_eq!(c.sum(), 0);
-        c.add(1, 7);
-        assert_eq!(c.sum(), 7);
     }
 
     #[test]

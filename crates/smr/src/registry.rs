@@ -329,6 +329,7 @@ impl SlotRegistry {
             .ok()?;
         Some(AdoptGuard {
             entry,
+            index: idx,
             beacon,
             done: false,
         })
@@ -358,14 +359,22 @@ impl SlotRegistry {
 #[must_use = "an adoption must be finished or poisoned, never dropped on the floor"]
 pub struct AdoptGuard<'a> {
     entry: &'a SlotEntry,
+    index: usize,
     beacon: MutexGuard<'a, Option<Arc<Beacon>>>,
     done: bool,
 }
 
 impl AdoptGuard<'_> {
+    /// The slot being adopted.
+    #[inline]
+    pub fn slot(&self) -> usize {
+        self.index
+    }
+
     /// Completes the adoption: the dead owner's reservations were neutralized
     /// and its retire vault drained, so the slot returns to the free pool.
     pub fn finish(mut self) {
+        assert!(!self.done, "a poisoned slot is never recycled");
         *self.beacon = None;
         self.entry.gen.fetch_add(1, Ordering::Relaxed);
         self.entry.state.store(FREE, Ordering::Release);
@@ -376,8 +385,11 @@ impl AdoptGuard<'_> {
     /// reservations cannot be soundly neutralized (the owner died inside a
     /// critical section under a scheme where the acknowledgement boundary is
     /// unknowable), so reclaimers must stop waiting on it *and* the slot must
-    /// never be handed out again.
-    pub fn poison(mut self) {
+    /// never be handed out again.  The guard stays the license to the slot's
+    /// scheme state until it drops, so the adopter can drain what the dead
+    /// owner left after the slot stopped counting as claimed.
+    pub fn poison(&mut self) {
+        debug_assert!(!self.done, "an adoption ends once");
         *self.beacon = None;
         self.entry.gen.fetch_add(1, Ordering::Relaxed);
         self.entry.state.store(POISONED, Ordering::Release);
@@ -521,6 +533,20 @@ mod tests {
         assert_eq!(r.poisoned(), 1);
         // The sole slot is poisoned: the table is effectively exhausted.
         assert!(r.try_claim().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "a poisoned slot is never recycled")]
+    fn a_poisoned_adoption_cannot_be_finished() {
+        let r = StdArc::new(SlotRegistry::new(1));
+        let claim = {
+            let r = r.clone();
+            std::thread::spawn(move || r.claim()).join().unwrap()
+        };
+        let mut adoption = r.try_begin_adopt(claim.index).unwrap();
+        assert_eq!(adoption.slot(), claim.index);
+        adoption.poison();
+        adoption.finish();
     }
 
     #[test]

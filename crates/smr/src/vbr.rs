@@ -165,8 +165,8 @@ unsafe impl Scheme for Vbr {
         // ORDERING: Relaxed — a retire stamp only has to be no older than the
         // epoch this thread announced at its last checkpoint (published with
         // SeqCst there), which per-location coherence guarantees; a stale one
-        // only delays recycling.  The stamp reaches the recycler through the
-        // vault mutex.
+        // only delays recycling.  The stamp is read by the vault's owner, or
+        // after the owner/adopter hand-off (`crate::limbo` docs).
         Some(self.global_epoch.load(Ordering::Relaxed))
     }
 
