@@ -100,14 +100,6 @@ pub struct PoolShared {
     max_overflow: usize,
 }
 
-// SAFETY: FreeBlock addresses refer to dead allocations owned exclusively by
-// the pool; moving them across threads is the entire point of the overflow
-// tier.
-unsafe impl Send for PoolShared {}
-// SAFETY: all shared state is behind the overflow mutex or atomic; the raw
-// block addresses inside are only touched by whichever thread takes them out.
-unsafe impl Sync for PoolShared {}
-
 impl PoolShared {
     /// Creates the shared overflow for a domain: `capacity` is the per-handle
     /// pool capacity, `max_threads` the domain's slot count.
@@ -216,11 +208,6 @@ pub struct BlockPool {
     /// Current total across all bins.
     len: usize,
 }
-
-// SAFETY: the pooled blocks are dead memory owned exclusively by this pool;
-// the pool moves between threads only as part of its owning handle
-// (`Handle: Send`), never concurrently.
-unsafe impl Send for BlockPool {}
 
 impl BlockPool {
     /// Creates a pool bounded at `capacity` blocks, spilling into `shared`.
