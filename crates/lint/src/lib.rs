@@ -4,21 +4,25 @@
 //! The reclamation protocol this repository implements (validate before
 //! deref, publish protections before use, one slot-map table, closed
 //! scheme×structure matrices) is exactly the kind of invariant Rust's type
-//! system cannot see: a missing `// SAFETY:` argument, a hazard index that
+//! system cannot see: a missing `// ORDERING:` argument, a hazard index that
 //! bypasses the slot map, or a dispatch `match` that silently forgot the
 //! newest scheme all compile cleanly and fail only under churn.  This crate
 //! walks the workspace sources with a hand-rolled scanner (no parser
 //! dependencies — it must build in the vendored-offline environment) and
-//! enforces six named rules:
+//! enforces five named rules:
 //!
 //! | rule | name | invariant |
 //! |------|------|-----------|
-//! | `L1` | `unsafe-audit` | every `unsafe` site in `crates/smr` + `crates/scot` carries a `// SAFETY:` (or `# Safety` doc) justification |
 //! | `L2` | `ordering-audit` | every `Ordering::Relaxed` on protection-publication state, and every `compiler_fence`, carries an `// ORDERING:` justification |
 //! | `L3` | `slot-discipline` | hazard-slot indices are the named `HP_*` constants, never raw integers, outside `scot::slots` |
 //! | `L4` | `matrix-completeness` | `SmrKind`/`DsKind` dispatch matches, test matrices and doc tables enumerate the full variant set |
 //! | `L5` | `guard-discipline` | no `mem::forget`/`ManuallyDrop` on guards outside `faults.rs`; guard types and `fn pin` are `#[must_use]`; `smr` guard bodies never re-derive domain or slot (`.clone()` or `Arc::as_ptr` of the domain `Arc`, `.domain()`, `.slots[`) |
-//! | `L6` | `raw-deref` | `crates/scot` reads nodes through the cursor's (or the tree seek record's) protection constructors: no `Shared::deref`/`deref_guarded`/`as_ref`, `Link` load/cas/`as_atomic` or `protect_link` outside them; `crates/smr` has no `UnsafeCell` outside the retire record's accessors |
+//! | `L6` | `raw-deref` | `crates/scot` reads nodes through the cursor's (or the tree seek record's) protection constructors: no `Shared::deref`/`deref_guarded`/`as_ref`, `Link` load/cas/`as_atomic` or `protect_link` outside them; `crates/smr` has no `UnsafeCell` outside the retire record's accessors, and no raw block-memory call (`alloc`, `dealloc`, `ptr::read`/`write`, `drop_in_place`, `Box::from_raw`) outside the block pointer's methods |
+//!
+//! There is no `L1`: the `// SAFETY:` / `# Safety` audit of every `unsafe`
+//! site is clippy's `undocumented_unsafe_blocks` and `missing_safety_doc`,
+//! denied in `crates/smr` and `crates/scot`.  The ids `L2`–`L6` stay as they
+//! are, because `LINT-ALLOW` comments cite them.
 //!
 //! Violations can be grandfathered in a committed `lint.allow` file (one
 //! `RULE path[:line]` entry per line) or suppressed at the site with a
@@ -40,8 +44,6 @@ use std::path::{Path, PathBuf};
 /// allowlist entries and `LINT-ALLOW` comments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
-    /// unsafe-audit.
-    L1,
     /// ordering-audit.
     L2,
     /// slot-discipline.
@@ -56,12 +58,11 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in id order.
-    pub const ALL: [Rule; 6] = [Rule::L1, Rule::L2, Rule::L3, Rule::L4, Rule::L5, Rule::L6];
+    pub const ALL: [Rule; 5] = [Rule::L2, Rule::L3, Rule::L4, Rule::L5, Rule::L6];
 
-    /// The short id (`L1`).
+    /// The short id (`L2`).
     pub fn id(&self) -> &'static str {
         match self {
-            Rule::L1 => "L1",
             Rule::L2 => "L2",
             Rule::L3 => "L3",
             Rule::L4 => "L4",
@@ -70,10 +71,9 @@ impl Rule {
         }
     }
 
-    /// The human name (`unsafe-audit`).
+    /// The human name (`ordering-audit`).
     pub fn name(&self) -> &'static str {
         match self {
-            Rule::L1 => "unsafe-audit",
             Rule::L2 => "ordering-audit",
             Rule::L3 => "slot-discipline",
             Rule::L4 => "matrix-completeness",
@@ -82,7 +82,7 @@ impl Rule {
         }
     }
 
-    /// Parses `L1`..`L6` (or the rule name).
+    /// Parses `L2`..`L6` (or the rule name).
     pub fn parse(s: &str) -> Option<Rule> {
         Rule::ALL
             .into_iter()
@@ -189,21 +189,12 @@ fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
     Ok(out)
 }
 
-/// Options for a `check` run.
-#[derive(Default)]
-pub struct Options {
-    /// Insert `// SAFETY: TODO(audit): …` stubs above uncovered `unsafe`
-    /// sites (the stubs still count as L1 findings until filled in).
-    pub fix_safety_stubs: bool,
-}
-
 /// Runs every rule over the workspace rooted at `root`.
-pub fn check(root: &Path, opts: &Options) -> Result<Report, String> {
+pub fn check(root: &Path) -> Result<Report, String> {
     let files = load_sources(root)?;
     let docs = load_docs(root)?;
 
     let mut findings = Vec::new();
-    findings.extend(rules::l1_unsafe_audit(&files));
     findings.extend(rules::l2_ordering_audit(&files));
     findings.extend(rules::l3_slot_discipline(&files));
     findings.extend(rules::l4_matrix_completeness(&files, &docs));
@@ -222,14 +213,6 @@ pub fn check(root: &Path, opts: &Options) -> Result<Report, String> {
         src.marker_above(f.line - 1, &[&format!("LINT-ALLOW: {}", f.rule.id())])
             .is_none()
     });
-
-    if opts.fix_safety_stubs {
-        let stubbed = write_safety_stubs(root, &findings)?;
-        if stubbed > 0 {
-            // Re-run so line numbers and stub findings reflect the new text.
-            return check(root, &Options::default());
-        }
-    }
 
     // Allowlist.
     let allow_path = root.join("lint.allow");
@@ -327,41 +310,6 @@ fn load_docs(root: &Path) -> Result<Vec<DocFile>, String> {
     Ok(docs)
 }
 
-/// Inserts a `// SAFETY: TODO(audit)` stub above every L1 finding, matching
-/// the site's indentation.  Returns how many stubs were written.
-fn write_safety_stubs(root: &Path, findings: &[Finding]) -> Result<usize, String> {
-    let mut by_file: std::collections::BTreeMap<&str, Vec<usize>> = Default::default();
-    for f in findings {
-        if f.rule == Rule::L1 && f.line > 0 && !f.message.contains("TODO") {
-            by_file.entry(&f.file).or_default().push(f.line);
-        }
-    }
-    let mut written = 0;
-    for (rel, mut lines) in by_file {
-        let path = root.join(rel);
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("{rel}: {e}"))?;
-        let mut out: Vec<String> = text.lines().map(str::to_string).collect();
-        lines.sort_unstable_by(|a, b| b.cmp(a)); // bottom-up keeps indices valid
-        for line in lines {
-            let ix = line - 1;
-            let indent: String = out[ix].chars().take_while(|c| c.is_whitespace()).collect();
-            out.insert(
-                ix,
-                format!(
-                    "{indent}// SAFETY: TODO(audit): document the invariant that makes this sound."
-                ),
-            );
-            written += 1;
-        }
-        let mut joined = out.join("\n");
-        if text.ends_with('\n') {
-            joined.push('\n');
-        }
-        std::fs::write(&path, joined).map_err(|e| format!("{rel}: {e}"))?;
-    }
-    Ok(written)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,14 +317,18 @@ mod tests {
     #[test]
     fn allowlist_parses_and_rejects() {
         let entries =
-            parse_allowlist("# comment\nL1 crates/smr/src/hp.rs:10\nL4 README.md  # table\n")
+            parse_allowlist("# comment\nL2 crates/smr/src/hp.rs:10\nL4 README.md  # table\n")
                 .unwrap();
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].rule, Rule::L1);
+        assert_eq!(entries[0].rule, Rule::L2);
         assert_eq!(entries[0].line, Some(10));
         assert_eq!(entries[1].line, None);
         assert!(parse_allowlist("L9 foo.rs").is_err());
-        assert!(parse_allowlist("L1").is_err());
+        assert!(parse_allowlist("L2").is_err());
+        assert!(
+            parse_allowlist("L1 crates/smr/src/hp.rs").is_err(),
+            "L1 is clippy's now"
+        );
     }
 
     #[test]

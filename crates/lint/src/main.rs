@@ -1,4 +1,4 @@
-//! CLI driver: `scot-lint check [--fix-safety-stubs] [--root <dir>]`.
+//! CLI driver: `scot-lint check [--root <dir>]`.
 
 #![forbid(unsafe_code)]
 
@@ -6,16 +6,17 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
-    "usage: scot-lint check [--fix-safety-stubs] [--root <dir>]\n\
+    "usage: scot-lint check [--root <dir>]\n\
      \n\
      Enforces the repo's concurrency-protocol invariants:\n\
-     \x20 L1 unsafe-audit         every unsafe site carries // SAFETY:\n\
      \x20 L2 ordering-audit       Relaxed on protection state, and compiler_fence, carry // ORDERING:\n\
      \x20 L3 slot-discipline      hazard slots are named HP_* constants\n\
      \x20 L4 matrix-completeness  SmrKind/DsKind matrices enumerate every variant\n\
      \x20 L5 guard-discipline     no mem::forget on guards; guards are #[must_use]\n\
      \x20 L6 raw-deref            scot reads nodes through the cursor, not Shared::deref;\n\
-     \x20                         smr has no UnsafeCell outside the retire record\n\
+     \x20                         smr has no UnsafeCell outside the retire record,\n\
+     \x20                         no raw block memory outside the block pointer\n\
+     (the // SAFETY: audit is clippy's, denied in crates/smr and crates/scot)\n\
      \n\
      Exit codes: 0 clean, 1 findings, 2 usage/IO error.\n\
      Grandfathered sites live in lint.allow (`RULE path[:line]` per line);\n\
@@ -32,11 +33,9 @@ fn main() -> ExitCode {
         eprintln!("scot-lint: unknown command {cmd:?}\n\n{}", usage());
         return ExitCode::from(2);
     }
-    let mut opts = scot_lint::Options::default();
     let mut root: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--fix-safety-stubs" => opts.fix_safety_stubs = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
@@ -59,7 +58,7 @@ fn main() -> ExitCode {
             .unwrap_or_else(|_| PathBuf::from("."))
     });
 
-    match scot_lint::check(&root, &opts) {
+    match scot_lint::check(&root) {
         Err(e) => {
             eprintln!("scot-lint: {e}");
             ExitCode::from(2)
@@ -73,7 +72,7 @@ fn main() -> ExitCode {
             }
             if report.is_clean() {
                 println!(
-                    "scot-lint: clean — {} files scanned, 6 rules, 0 findings",
+                    "scot-lint: clean — {} files scanned, 5 rules, 0 findings",
                     report.files_scanned
                 );
                 ExitCode::SUCCESS

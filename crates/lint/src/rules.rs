@@ -27,58 +27,6 @@ fn finding(rule: Rule, file: &str, line0: usize, message: String) -> Finding {
 }
 
 // ---------------------------------------------------------------------------
-// L1 · unsafe-audit
-// ---------------------------------------------------------------------------
-
-/// Every `unsafe` site in the core crates must carry a justification: a
-/// `// SAFETY:` comment directly above (attributes may intervene), a trailing
-/// `// SAFETY:` on the same line, or — for `unsafe fn`/`unsafe trait`
-/// declarations — a `# Safety` section in the doc comment.  A stub left by
-/// `--fix-safety-stubs` (contains `TODO`) still counts as a violation: the
-/// flag produces *placeholders to fill in*, not passes.
-pub fn l1_unsafe_audit(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in files {
-        if !in_scope(f, &["crates/smr/src/", "crates/scot/src/"]) {
-            continue;
-        }
-        for i in 0..f.code.len() {
-            // `unsafe fn(` is a function-pointer *type*, not a definition —
-            // there is no body whose soundness needs arguing at this site.
-            let line = f.code[i].replace("unsafe fn(", "");
-            if !word_in(&line, "unsafe") {
-                continue;
-            }
-            let form = if f.code[i].contains("unsafe fn") {
-                "`unsafe fn`"
-            } else if f.code[i].contains("unsafe impl") {
-                "`unsafe impl`"
-            } else if f.code[i].contains("unsafe trait") {
-                "`unsafe trait`"
-            } else {
-                "`unsafe` block"
-            };
-            match f.marker_above(i, &["SAFETY:", "# Safety"]) {
-                None => out.push(finding(
-                    Rule::L1,
-                    &f.rel,
-                    i,
-                    format!("{form} without a `// SAFETY:` justification"),
-                )),
-                Some(text) if text.contains("TODO") => out.push(finding(
-                    Rule::L1,
-                    &f.rel,
-                    i,
-                    format!("{form} carries an unaudited `SAFETY: TODO` stub"),
-                )),
-                Some(_) => {}
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // L2 · ordering-audit
 // ---------------------------------------------------------------------------
 
@@ -934,6 +882,18 @@ const RAW_DEREFS: [&str; 4] = [
     ".as_atomic(",
 ];
 
+/// Calls that allocate, write, move out of, drop in place or free raw
+/// memory: in smr, only the block pointer's methods may make them.
+const RAW_MEMORY: [&str; 7] = [
+    "alloc::alloc(",
+    "alloc::dealloc(",
+    "alloc::realloc(",
+    "ptr::read(",
+    "ptr::write(",
+    "drop_in_place(",
+    "Box::from_raw(",
+];
+
 /// Methods that, called as the whole body of an `unsafe { … }` block, are
 /// `Link::load` / `Link::cas` (their `Atomic` namesakes are safe and need no
 /// block) or `Shared::as_ref`.
@@ -973,24 +933,32 @@ fn unsafe_raw_call(code: &str) -> Option<&'static str> {
 /// `owned`, the quiescent walks — carry an inline `LINT-ALLOW: L6 <why>`.
 ///
 /// The `crates/smr/src/` arm: shared state is atomics or behind a lock,
-/// except the retire record's owner-only vault.  In non-test code every
-/// `UnsafeCell` is a finding; the record's accessors carry the
-/// `LINT-ALLOW: L6`.
+/// except the retire record's owner-only vault, and block memory is touched
+/// only by the block pointer's methods (`crate::block`), each of which one
+/// role type's invariant makes sound.  In non-test code every `UnsafeCell`
+/// and every [`RAW_MEMORY`] call is a finding; the record's accessors and
+/// the block pointer's methods carry the `LINT-ALLOW: L6`.
 pub fn l6_raw_deref(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in files {
         if in_scope(f, &["crates/smr/src/"]) {
             for (i, code) in f.code.iter().enumerate() {
-                if !f.test_lines[i] && word_in(code, "UnsafeCell") {
-                    out.push(finding(
-                        Rule::L6,
-                        &f.rel,
-                        i,
-                        "`UnsafeCell` outside the retire record's accessors — shared smr \
-                         state is atomic or locked"
-                            .to_string(),
-                    ));
+                if f.test_lines[i] {
+                    continue;
                 }
+                let message = if word_in(code, "UnsafeCell") {
+                    "`UnsafeCell` outside the retire record's accessors — shared smr state is \
+                     atomic or locked"
+                        .to_string()
+                } else if let Some(raw) = RAW_MEMORY.into_iter().find(|raw| code.contains(raw)) {
+                    format!(
+                        "raw block memory `{raw}` outside the block pointer's methods — go \
+                         through a role type (`Retired`, `Reclaimable`, `Parked`)"
+                    )
+                } else {
+                    continue;
+                };
+                out.push(finding(Rule::L6, &f.rel, i, message));
             }
             continue;
         }

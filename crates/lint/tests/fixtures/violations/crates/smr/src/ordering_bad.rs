@@ -1,23 +1,4 @@
-//! Fixture: seeded L1 and L2 violations (plus covered sites that must NOT
-//! fire, and an inline-suppressed site).
-
-pub unsafe fn undocumented(p: *mut u8) {
-    p.write(0);
-}
-
-pub fn block_without_comment(x: &mut u8) {
-    unsafe { core::ptr::write(x, 1) };
-}
-
-// SAFETY: the pointer is non-null by construction in this fixture.
-pub unsafe fn documented(p: *mut u8) {
-    p.write(2);
-}
-
-// LINT-ALLOW: L1 fixture exercises inline suppression
-pub unsafe fn inline_allowed(p: *mut u8) {
-    p.write(3);
-}
+//! Fixture: seeded L2 violations, plus justified twins that must NOT fire.
 
 pub fn publish(slot: &core::sync::atomic::AtomicUsize) {
     // The identifier stem below ("hazard") marks this as protection state.

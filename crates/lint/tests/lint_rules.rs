@@ -5,7 +5,7 @@
 //! and the real workspace must be clean — the latter is what makes the
 //! lint a tier-1 gate rather than an aspiration.
 
-use scot_lint::{check, Options, Rule};
+use scot_lint::{check, Rule};
 use std::path::{Path, PathBuf};
 
 fn fixture_root() -> PathBuf {
@@ -25,7 +25,7 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn fixture_tree_produces_exactly_the_seeded_findings() {
-    let report = check(&fixture_root(), &Options::default()).expect("check runs");
+    let report = check(&fixture_root()).expect("check runs");
     let got: Vec<(Rule, String, usize)> = report
         .findings
         .iter()
@@ -67,17 +67,20 @@ fn fixture_tree_produces_exactly_the_seeded_findings() {
         (Rule::L5, "crates/smr/src/guard_shell.rs", 23),
         // SmrKind::ALL forgot Ibr (whole-axis finding, anchored line 1).
         (Rule::L4, "crates/smr/src/lib.rs", 1),
-        // unsafe fn / unsafe block without SAFETY.  The LINT-ALLOW'd
-        // `inline_allowed` fn and the documented one must NOT appear.
-        (Rule::L1, "crates/smr/src/unsafe_bad.rs", 4),
-        (Rule::L1, "crates/smr/src/unsafe_bad.rs", 9),
         // Relaxed on protection state; the ORDERING-justified twin is
         // covered and must NOT appear.
-        (Rule::L2, "crates/smr/src/unsafe_bad.rs", 25),
+        (Rule::L2, "crates/smr/src/ordering_bad.rs", 6),
         // Relaxed on HP's `light` word, and a bare `compiler_fence(`; the
         // ORDERING-justified pair below them must NOT appear.
-        (Rule::L2, "crates/smr/src/unsafe_bad.rs", 36),
-        (Rule::L2, "crates/smr/src/unsafe_bad.rs", 37),
+        (Rule::L2, "crates/smr/src/ordering_bad.rs", 17),
+        (Rule::L2, "crates/smr/src/ordering_bad.rs", 18),
+        // Raw block memory outside the block pointer's methods: `dealloc`,
+        // `ptr::read`, `drop_in_place`, `Box::from_raw`.  The LINT-ALLOW'd
+        // twin and the test module must NOT appear.
+        (Rule::L6, "crates/smr/src/raw_bad.rs", 6),
+        (Rule::L6, "crates/smr/src/raw_bad.rs", 11),
+        (Rule::L6, "crates/smr/src/raw_bad.rs", 16),
+        (Rule::L6, "crates/smr/src/raw_bad.rs", 21),
     ]
     .into_iter()
     .map(|(r, f, l)| (r, f.to_string(), l))
@@ -95,7 +98,7 @@ fn fixture_tree_produces_exactly_the_seeded_findings() {
 
 #[test]
 fn fixture_messages_name_the_violation() {
-    let report = check(&fixture_root(), &Options::default()).expect("check runs");
+    let report = check(&fixture_root()).expect("check runs");
     let msg = |rule: Rule, line: usize| {
         report
             .findings
@@ -109,11 +112,30 @@ fn fixture_messages_name_the_violation() {
     assert!(msg(Rule::L5, 4).contains("`LeakyGuard`"));
     assert!(msg(Rule::L5, 5).contains("guard type `Guard`"));
     assert!(msg(Rule::L5, 23).contains("re-indexes the slot array"));
-    assert!(msg(Rule::L2, 25).contains("ORDERING"));
-    assert!(msg(Rule::L2, 36).contains("`Ordering::Relaxed` on protection-publication state"));
-    assert!(msg(Rule::L2, 37).contains("`compiler_fence` without"));
+    assert!(msg(Rule::L2, 6).contains("ORDERING"));
+    assert!(msg(Rule::L2, 17).contains("`Ordering::Relaxed` on protection-publication state"));
+    assert!(msg(Rule::L2, 18).contains("`compiler_fence` without"));
     assert!(msg(Rule::L6, 11).contains("raw dereference `.load(`"));
     assert!(msg(Rule::L6, 5).contains("`UnsafeCell` outside the retire record's accessors"));
+    let raw: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.file == "crates/smr/src/raw_bad.rs")
+        .map(|f| f.message.as_str())
+        .collect();
+    for (message, call) in raw.iter().zip([
+        "alloc::dealloc(",
+        "ptr::read(",
+        "drop_in_place(",
+        "Box::from_raw(",
+    ]) {
+        assert!(
+            message.contains(&format!(
+                "raw block memory `{call}` outside the block pointer"
+            )),
+            "{message}"
+        );
+    }
     // Both dup arguments are checked.
     let dup: Vec<_> = report
         .findings
@@ -126,7 +148,7 @@ fn fixture_messages_name_the_violation() {
 
 #[test]
 fn rendered_diagnostics_are_rustc_shaped() {
-    let report = check(&fixture_root(), &Options::default()).expect("check runs");
+    let report = check(&fixture_root()).expect("check runs");
     let first = report.findings.first().expect("at least one finding");
     let rendered = first.to_string();
     assert!(
@@ -141,7 +163,7 @@ fn rendered_diagnostics_are_rustc_shaped() {
 
 #[test]
 fn the_real_workspace_is_clean() {
-    let report = check(&workspace_root(), &Options::default()).expect("check runs");
+    let report = check(&workspace_root()).expect("check runs");
     assert!(
         report.is_clean(),
         "workspace must stay lint-clean; findings: {:#?}, stale: {:?}",
@@ -163,7 +185,7 @@ fn cli_exit_codes_separate_clean_from_dirty() {
         .expect("run scot-lint");
     assert_eq!(dirty.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&dirty.stdout);
-    assert!(stdout.contains("error[L1 unsafe-audit]:"), "{stdout}");
+    assert!(stdout.contains("error[L6 raw-deref]:"), "{stdout}");
     assert!(stdout.contains("stale lint.allow entry"), "{stdout}");
 
     let clean = std::process::Command::new(bin)
@@ -172,42 +194,4 @@ fn cli_exit_codes_separate_clean_from_dirty() {
         .output()
         .expect("run scot-lint");
     assert_eq!(clean.status.code(), Some(0));
-}
-
-#[test]
-fn fix_safety_stubs_inserts_todo_and_still_fails() {
-    // Build a throwaway mini-tree; --fix-safety-stubs rewrites files, so it
-    // must never run against the committed fixtures.
-    let root = std::env::temp_dir().join(format!("scot-lint-fix-{}", std::process::id()));
-    let src = root.join("crates").join("smr").join("src");
-    std::fs::create_dir_all(&src).expect("mkdir");
-    let file = src.join("stubme.rs");
-    std::fs::write(
-        &file,
-        "pub fn poke(x: &mut u8) {\n    unsafe { core::ptr::write(x, 1) };\n}\n",
-    )
-    .expect("write");
-
-    let report = check(
-        &root,
-        &Options {
-            fix_safety_stubs: true,
-        },
-    )
-    .expect("check runs");
-    let text = std::fs::read_to_string(&file).expect("read back");
-    assert!(
-        text.contains("// SAFETY: TODO(audit):"),
-        "stub not inserted:\n{text}"
-    );
-    // The stub is a placeholder, not a pass: L1 still fires on it.
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.rule == Rule::L1 && f.message.contains("TODO")),
-        "{:#?}",
-        report.findings
-    );
-    std::fs::remove_dir_all(&root).ok();
 }

@@ -441,28 +441,3 @@ pub(crate) fn check_guard<S, G: scot_smr::SmrGuard>(smr: &std::sync::Arc<S>, g: 
         "guard was pinned from a handle of a different map's reclamation domain"
     );
 }
-
-/// Takes the payload back out of a node that was allocated through an SMR
-/// guard but **never published** to the data structure, releasing the block's
-/// raw memory without running the payload destructor.  This is what lets
-/// `insert` hand the caller's value back on a late-detected conflict instead
-/// of dropping it.
-///
-/// # Safety
-/// `ptr` must come from `SmrGuard::alloc` on a live domain, no other thread
-/// may ever have observed it, and the caller must not touch the block again.
-pub(crate) unsafe fn take_unpublished<T>(ptr: scot_smr::Shared<T>) -> T {
-    let raw = ptr.untagged().as_ptr();
-    debug_assert!(!raw.is_null());
-    // SAFETY: the caller guarantees the block was never published, so this
-    // thread has exclusive access; the value is moved out exactly once and
-    // the raw block (header + payload) is released without re-running the
-    // payload destructor.
-    unsafe {
-        let value = core::ptr::read(raw);
-        let hdr = scot_smr::header_of(raw);
-        let layout = (*hdr).vtable.layout;
-        scot_smr::block::dealloc_raw(hdr, layout);
-        value
-    }
-}

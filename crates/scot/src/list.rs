@@ -213,7 +213,7 @@ impl<'a, K: Key, V: Value> BoundList<'a, K, V> {
                 // A concurrent insert won the race after our first find.
                 // SAFETY: `new` was never published; reclaim the block and
                 // hand the caller's value back instead of dropping it.
-                let node = unsafe { crate::take_unpublished(new) };
+                let node = unsafe { scot_smr::take_unpublished(new) };
                 return Err(node.value);
             }
         }
@@ -265,7 +265,7 @@ impl<K, V> Drop for RawList<K, V> {
             unsafe {
                 // ORDERING: drop holds `&mut self`, so no other thread can touch these links.
                 let next = owned(curr).next.load(Ordering::Relaxed).untagged();
-                scot_smr::free_block(scot_smr::header_of(curr.as_ptr()));
+                scot_smr::free_unreachable(curr);
                 curr = next;
             }
         }

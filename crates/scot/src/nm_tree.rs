@@ -809,7 +809,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for NmTree<K, S, V> {
                 // both blocks and hand the value back instead of dropping it.
                 unsafe {
                     s.dealloc(new_internal);
-                    let leaf = crate::take_unpublished(new_leaf);
+                    let leaf = scot_smr::take_unpublished(new_leaf);
                     return Err(leaf.value.expect("unpublished leaf keeps its value"));
                 }
             }
@@ -942,7 +942,7 @@ impl<K, S: Smr, V> Drop for NmTree<K, S, V> {
                 let node_ref = owned(node);
                 stack.push(node_ref.left.load(Ordering::Relaxed).untagged());
                 stack.push(node_ref.right.load(Ordering::Relaxed).untagged());
-                scot_smr::free_block(scot_smr::header_of(node.as_ptr()));
+                scot_smr::free_unreachable(node);
             }
         }
     }

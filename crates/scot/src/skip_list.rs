@@ -597,7 +597,7 @@ impl<K: Key, S: Smr, V: Value> crate::ConcurrentMap<K, V> for SkipList<K, S, V> 
                 // A concurrent insert won the race after our first find.
                 // SAFETY: `new` was never published; reclaim the block and
                 // hand the caller's value back instead of dropping it.
-                let node = unsafe { crate::take_unpublished(new) };
+                let node = unsafe { scot_smr::take_unpublished(new) };
                 return Err(node.value);
             }
         }
@@ -737,11 +737,12 @@ impl<K, S: Smr, V> Drop for SkipList<K, S, V> {
         while !curr.is_null() {
             // SAFETY: exclusive access during drop; the block header's vtable
             // carries the height-specific tower layout, so the right amount
-            // of memory is released for every height class.
+            // of memory is released for every height class, and each tower is
+            // visited exactly once.
             unsafe {
                 // ORDERING: drop holds `&mut self`, so no other thread can touch these links.
                 let next = owned(curr).next0.load(Ordering::Relaxed).untagged();
-                scot_smr::free_block(scot_smr::header_of(curr.as_ptr()));
+                scot_smr::free_unreachable(curr);
                 curr = next;
             }
         }

@@ -446,7 +446,7 @@ impl<K, N: SlotNode<K>> At<K, N> {
     fn chain_stamp(&self) -> u64 {
         // SAFETY: `chain` is non-null inside a zone and protected by
         // `HP_ANCHOR` (or the guard's era/epoch), so its header is readable.
-        unsafe { scot_smr::version_of(self.chain.untagged().as_ptr()) }
+        unsafe { scot_smr::version_of(self.chain) }
     }
 }
 

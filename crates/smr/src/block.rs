@@ -1,28 +1,41 @@
-//! SMR-managed allocation blocks.
+//! SMR-managed allocation blocks, and the one place their memory is touched.
 //!
 //! Every node handed to a reclamation scheme in this crate is allocated as a
 //! [`Block<T>`]: a fixed-layout [`Header`] followed by the user value.  The
 //! header carries the per-object metadata that the era-based schemes (HE, IBR,
 //! Hyaline-1S) need — birth era, retire era — plus the intrusive links used by
 //! Hyaline's batch reclamation and a type-erased vtable so that limbo lists
-//! can be kept homogeneous (`*mut Header`) regardless of the node type.
-//!
-//! The vtable ([`BlockVTable`]) splits destruction into two halves so that the
-//! block pool ([`crate::pool`]) can recycle raw allocations: `drop_value` runs
-//! the payload's destructor *in place* without releasing the memory, and
-//! `layout` records the exact allocation layout so the raw block can later be
-//! either reused for a new value of any type with the same layout or handed
-//! back to the global allocator.  [`free_block`] composes the two halves and
-//! is the non-pooled path.
+//! can be kept homogeneous regardless of the node type.
 //!
 //! Schemes that do not need a given field simply ignore it; the uniform layout
 //! is what lets a single data-structure implementation run unmodified under
 //! every scheme, exactly as in the paper's benchmark harness.
+//!
+//! ## One pointer, one type per ownership role
+//!
+//! Inside the crate a block is named by one private pointer, `BlockPtr`, and
+//! only its methods allocate, write, read out, drop in place or deallocate
+//! block memory.  A `BlockPtr` is always held by exactly one value of one of
+//! three role types, and each role states once why its operations are sound:
+//!
+//! * [`Retired`] — unlinked and awaiting reclamation.  Minted `unsafe` from
+//!   the retirer's [`Shared`] (the [`crate::SmrGuard::retire`] contract), or
+//!   safely for a fresh Hyaline padding block.  Its header accessors are safe.
+//! * `Reclaimable` — no thread holds or can obtain a protected reference.
+//!   Minted `unsafe` where a scheme proves that: the limbo sweep after
+//!   `can_free`, Hyaline's last-reference decrement, the retire core's drop.
+//!   Freeing it is safe and consumes it, so a block is freed once.
+//! * `Parked` — payload dropped, memory owned by one block-pool tier.  Made
+//!   only from a `Reclaimable`; it reads its layout from its own header, so
+//!   it is one word (with an `Option` niche) and is reused or deallocated.
 
+use crate::pool::BlockPool;
+use crate::ptr::Shared;
 use core::alloc::Layout;
 use core::marker::PhantomData;
 use core::mem;
-use core::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize};
+use core::ptr::NonNull;
+use core::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 
 /// Type-erased per-`T` metadata installed into every block header.
 ///
@@ -32,22 +45,11 @@ use core::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize};
 pub struct BlockVTable {
     /// Runs the payload's destructor in place; the block's memory stays
     /// allocated and may be recycled afterwards.
-    pub drop_value: unsafe fn(*mut Header),
+    drop_value: fn(&BlockPtr),
     /// Allocation layout of the whole block (header + value).  Blocks with
     /// equal layouts are interchangeable as raw memory, which is the pool's
     /// recycling criterion.
     pub layout: Layout,
-}
-
-/// Drops the payload of a `Block<T>` in place, given only its header address.
-///
-/// # Safety
-/// `hdr` must point to the header of a live block created for payload type
-/// `T`, and the payload must not have been dropped already.
-unsafe fn drop_value_in_place<T>(hdr: *mut Header) {
-    // SAFETY: the caller guarantees `hdr` heads a live block of payload type
-    // `T`, so the value pointer is valid and the payload not yet dropped.
-    unsafe { core::ptr::drop_in_place(value_of::<T>(hdr)) };
 }
 
 /// Returns the static vtable for payload type `T`.
@@ -56,7 +58,7 @@ pub fn vtable_of<T>() -> &'static BlockVTable {
     struct Vt<T>(PhantomData<T>);
     impl<T> Vt<T> {
         const VTABLE: BlockVTable = BlockVTable {
-            drop_value: drop_value_in_place::<T>,
+            drop_value: BlockPtr::drop_payload::<T>,
             layout: Layout::new::<Block<T>>(),
         };
     }
@@ -69,20 +71,20 @@ pub fn vtable_of<T>() -> &'static BlockVTable {
 ///
 /// Field usage by scheme:
 ///
-/// | field        | EBR            | HP/HPopt | HE/IBR           | Hyaline-1S                      |
-/// |--------------|----------------|----------|------------------|---------------------------------|
-/// | `birth_era`  | –              | –        | allocation era   | allocation era                  |
-/// | `retire_era` | retire epoch   | –        | retire era       | – (batches use min birth)       |
-/// | `next`       | –              | –        | –                | per-slot retirement-list link   |
-/// | `batch_link` | –              | –        | –                | pointer to the batch REFS node  |
-/// | `batch_all`  | –              | –        | –                | intra-batch chain for freeing   |
-/// | `refs`       | –              | –        | –                | batch reference counter (REFS)  |
-/// | `version`    | all schemes: recycling-incarnation stamp (VBR re-checks it) |||
-/// | `vtable`     | all schemes: type-erased destructor + allocation layout |||
+/// | field        | EBR / NBR      | HP/HPopt | HE/IBR           | Hyaline-1S                      | VBR                      | NR |
+/// |--------------|----------------|----------|------------------|---------------------------------|--------------------------|----|
+/// | `birth_era`  | –              | –        | allocation era   | allocation era                  | allocation epoch (info)  | –  |
+/// | `retire_era` | retire epoch   | –        | retire era       | – (batches use min birth)       | retire epoch             | –  |
+/// | `next`       | –              | –        | –                | per-slot retirement-list link   | –                        | –  |
+/// | `batch_link` | –              | –        | –                | pointer to the batch REFS node  | –                        | –  |
+/// | `batch_all`  | –              | –        | –                | intra-batch chain for freeing   | –                        | –  |
+/// | `refs`       | –              | –        | –                | batch reference counter (REFS)  | –                        | –  |
+/// | `version`    | all schemes: recycling-incarnation stamp (VBR re-checks it) ||||||
+/// | `vtable`     | all schemes: type-erased destructor + allocation layout ||||||
 ///
-/// While a block sits in a [`crate::pool::BlockPool`] free list (payload
-/// already dropped), the `next` field is repurposed as the free-list link;
-/// every other field except `version` is dead and rewritten on reuse —
+/// While a block is parked in a [`BlockPool`] free list (payload already
+/// dropped), the `next` field is repurposed as the free-list link; every other
+/// field except `version` and `vtable` is dead and rewritten on reuse —
 /// `version` survives parking and is bumped by the pool on each reuse, so it
 /// counts the block's recycling incarnations across its whole life.
 #[repr(C)]
@@ -101,19 +103,18 @@ pub struct Header {
     /// Hyaline: reference counter, meaningful only on the REFS node of a batch.
     pub refs: AtomicIsize,
     /// Recycling-incarnation counter: 0 on a fresh allocation, incremented by
-    /// [`crate::pool::BlockPool`] each time the raw memory is reused for a new
-    /// value.  Version-based reclamation re-checks it to detect that a block
-    /// it optimistically dereferenced has been recycled underneath it.
+    /// [`BlockPool`] each time the raw memory is reused for a new value.
+    /// Version-based reclamation re-checks it to detect that a block it
+    /// optimistically dereferenced has been recycled underneath it.
     pub version: AtomicU64,
-    /// Type-erased destructor and allocation layout.  Installed by
-    /// [`alloc_block`] / [`init_block`].
+    /// Type-erased destructor and allocation layout, installed at allocation.
     pub vtable: &'static BlockVTable,
 }
 
 impl Header {
-    fn new(vtable: &'static BlockVTable) -> Self {
+    fn new(vtable: &'static BlockVTable, birth_era: u64) -> Self {
         Self {
-            birth_era: AtomicU64::new(0),
+            birth_era: AtomicU64::new(birth_era),
             retire_era: AtomicU64::new(0),
             next: AtomicUsize::new(0),
             batch_link: AtomicUsize::new(0),
@@ -134,7 +135,7 @@ pub struct Block<T> {
     pub value: T,
 }
 
-/// Byte offset from a value pointer back to its enclosing block header.
+/// Byte offset from a block's header to its value part.
 ///
 /// Constant for a given `T`; the header layout does not depend on `T`.
 #[inline]
@@ -142,273 +143,409 @@ pub fn value_offset<T>() -> usize {
     mem::offset_of!(Block<T>, value)
 }
 
-/// Writes a fresh `Block<T>` into `raw` (previously allocated with the layout
-/// recorded for `Block<T>`) and returns a pointer to the **value** part.
-///
-/// # Safety
-/// `raw` must point to an allocation of exactly `Layout::new::<Block<T>>()`
-/// whose previous contents (if any) are dead: the old payload must already
-/// have been dropped.
-#[inline]
-pub unsafe fn init_block<T>(raw: *mut Header, value: T) -> *mut T {
-    let block = raw as *mut Block<T>;
-    // SAFETY: the caller guarantees `raw` is an allocation of exactly
-    // `Layout::new::<Block<T>>()` with no live contents, so writing a whole
-    // fresh `Block<T>` over it neither overruns nor double-drops anything.
-    unsafe {
-        core::ptr::write(
-            block,
-            Block {
-                header: Header::new(vtable_of::<T>()),
-                value,
-            },
+/// The header address of an allocated block.  Private: every value is held
+/// by exactly one [`Retired`], [`Reclaimable`] or [`Parked`] (or is a local
+/// of a function below that owns the block outright), and its methods are
+/// called only in the states noted on each.
+struct BlockPtr(NonNull<Header>);
+
+// SAFETY: a `BlockPtr` is the one handle of its block's current role, and
+// handing a retired, reclaimable or parked block to another thread is part of
+// the SMR contract: orphan lists, Hyaline's any-thread freeing, the pool's
+// overflow tier.  Payloads are `Send` (`SmrGuard::alloc` requires it).
+unsafe impl Send for BlockPtr {}
+
+impl BlockPtr {
+    /// The block whose value part is `value` (tag bits stripped, non-null).
+    #[inline]
+    fn of<T>(value: *mut T) -> Self {
+        let hdr = value
+            .wrapping_byte_sub(value_offset::<T>())
+            .cast::<Header>();
+        Self(NonNull::new(hdr).expect("a block's value pointer is never null"))
+    }
+
+    /// The block at header address `addr`, or `None` for 0.
+    #[inline]
+    fn at(addr: usize) -> Option<Self> {
+        NonNull::new(addr as *mut Header).map(Self)
+    }
+
+    #[inline]
+    fn addr(&self) -> usize {
+        self.0.as_ptr() as usize
+    }
+
+    /// The value part, for a block laid out as `Block<T>`.
+    #[inline]
+    fn value<T>(&self) -> *mut T {
+        self.0
+            .as_ptr()
+            .wrapping_byte_add(value_offset::<T>())
+            .cast()
+    }
+
+    /// The header, in any role.
+    #[inline]
+    fn header(&self) -> &Header {
+        // SAFETY: the block is allocated for as long as the role value that
+        // holds this pointer exists (the module docs, one argument per role),
+        // and the header is only accessed through its atomics and the
+        // immutable vtable reference — except by `init`, which runs on a
+        // block no other thread can reach.
+        unsafe { self.0.as_ref() }
+    }
+
+    /// Allocates a fresh block holding `value`; returns the value part.
+    ///
+    /// The value pointer is at least 8-byte aligned (the header contains
+    /// `u64`/`usize` fields and the layout is `repr(C)`), so the low three bits
+    /// are usable as logical-deletion tags, which the data-structure crates
+    /// rely on.
+    #[inline]
+    fn alloc<T>(value: T, birth_era: u64) -> *mut T {
+        debug_assert!(value_offset::<T>().is_multiple_of(8));
+        debug_assert!(mem::align_of::<Block<T>>().is_multiple_of(8));
+        let block = Box::leak(Box::new(Block {
+            header: Header::new(vtable_of::<T>(), birth_era),
+            value,
+        }));
+        Self(NonNull::from(block).cast()).value()
+    }
+
+    /// Writes a fresh `Block<T>` over this parked block; returns the value
+    /// part.  Parked only: the payload is dead and no other thread can reach
+    /// the block.
+    #[inline]
+    fn init<T>(&self, value: T, birth_era: u64) -> *mut T {
+        assert!(
+            self.header().vtable.layout == Layout::new::<Block<T>>(),
+            "a parked block is reused only for its own layout"
         );
-        core::ptr::addr_of_mut!((*block).value)
+        let block = Block {
+            header: Header::new(vtable_of::<T>(), birth_era),
+            value,
+        };
+        // SAFETY: the allocation has exactly `Block<T>`'s layout (asserted
+        // above), and its old payload was dropped before it was parked:
+        // writing a whole fresh block neither overruns nor double-drops.
+        unsafe { core::ptr::write(self.0.cast::<Block<T>>().as_ptr(), block) }; // LINT-ALLOW: L6 the block's one re-initializer
+        self.value()
+    }
+
+    /// The vtable's type-erased destructor: drops the payload in place.
+    fn drop_payload<T>(&self) {
+        // SAFETY: installed for exactly the payload type `T` of this block,
+        // and called once, by `Reclaimable::into_parked`, on a block no
+        // thread can still reach.
+        unsafe { core::ptr::drop_in_place(self.value::<T>()) } // LINT-ALLOW: L6 the vtable's destructor
+    }
+
+    /// Returns the block's memory to the global allocator, with the layout
+    /// its header records.  The payload is dead: dropped or moved out.
+    #[inline]
+    fn dealloc(self) {
+        let layout = self.header().vtable.layout;
+        // SAFETY: every block comes from the global allocator with the layout
+        // its vtable records (`alloc`, and `init` keeps the layout); its
+        // payload is dead, and consuming the one `BlockPtr` frees it once.
+        unsafe { std::alloc::dealloc(self.0.as_ptr().cast(), layout) } // LINT-ALLOW: L6 the block's one deallocator
+    }
+
+    /// Moves the payload out and deallocates the block without running the
+    /// payload's destructor.  Owned outright: never published.
+    fn take<T>(self) -> T {
+        // SAFETY: the block is a live `Block<T>` that only this thread can
+        // reach; the value is read exactly once, and `dealloc` does not drop.
+        let value = unsafe { core::ptr::read(self.value::<T>()) }; // LINT-ALLOW: L6 the block's one move-out
+        self.dealloc();
+        value
     }
 }
 
 /// Allocates a new block holding `value` straight from the global allocator
-/// and returns a pointer to the **value** part.  The header is reachable via
-/// [`header_of`].  The pooled fast path lives in
-/// [`crate::pool::BlockPool::alloc`]; this is the slow/overflow path.
-///
-/// The returned pointer is at least 8-byte aligned (the header contains
-/// `u64`/`usize` fields and the layout is `repr(C)`), so the low three bits are
-/// usable as logical-deletion tags, which the data-structure crates rely on.
+/// and returns a pointer to the **value** part.  The pooled fast path lives in
+/// [`BlockPool::alloc`]; this is the slow/overflow path, and the one used for
+/// structure sentinels allocated outside any guard.
 pub fn alloc_block<T>(value: T) -> *mut T {
-    // The tag bits in `Shared` require 8-byte alignment of the value pointer.
-    // This holds structurally (see the doc comment) but is cheap to assert.
-    debug_assert!(value_offset::<T>().is_multiple_of(8));
-    debug_assert!(mem::align_of::<Block<T>>().is_multiple_of(8));
-    let layout = Layout::new::<Block<T>>();
-    // SAFETY: `Block<T>` is a non-zero-sized `repr(C)` struct (the header
-    // alone is several words), so the layout is valid for `alloc`.
-    let raw = unsafe { std::alloc::alloc(layout) } as *mut Header;
-    if raw.is_null() {
-        std::alloc::handle_alloc_error(layout);
-    }
-    // SAFETY: `raw` was just allocated with exactly `Layout::new::<Block<T>>()`
-    // and holds no previous contents.
-    unsafe { init_block(raw, value) }
+    alloc_fresh(value, 0)
 }
 
-/// Returns the header of the block that `value` was allocated in.
+/// [`alloc_block`] with the header's birth era stamped: the pool's path to
+/// the global allocator.
+#[inline]
+pub(crate) fn alloc_fresh<T>(value: T, birth_era: u64) -> *mut T {
+    BlockPtr::alloc(value, birth_era)
+}
+
+/// Frees a block reachable by no thread: runs the payload's destructor and
+/// returns the memory to the global allocator.  The data structures' `Drop`
+/// impls free what is still linked with it.
 ///
 /// # Safety
-/// `value` must have been returned by [`alloc_block`] (tag bits stripped) and
-/// the block must still be live.
-#[inline]
-pub unsafe fn header_of<T>(value: *mut T) -> *mut Header {
-    // SAFETY: the caller guarantees `value` is the value part of a live
-    // `Block<T>`, so the header sits exactly `value_offset::<T>()` bytes
-    // below it within the same allocation.
-    unsafe { (value as *mut u8).sub(value_offset::<T>()) as *mut Header }
+/// `ptr` (tag bits are ignored) must come from `alloc` on a domain, or from
+/// [`alloc_block`]; no thread may still reach it, and it must not be freed or
+/// retired again.
+pub unsafe fn free_unreachable<T>(ptr: Shared<T>) {
+    Reclaimable(BlockPtr::of(ptr.untagged().as_ptr())).free();
 }
 
-/// Returns the value pointer of a block given its header.
+/// Moves the payload out of a block that was allocated through an SMR guard
+/// but **never published**, releasing the block's memory without running the
+/// payload's destructor: `insert` hands the caller's value back this way on a
+/// late-detected conflict instead of dropping it.
 ///
 /// # Safety
-/// `hdr` must point to a live block header produced by [`alloc_block`] for the
-/// *same* `T`.
-#[inline]
-pub unsafe fn value_of<T>(hdr: *mut Header) -> *mut T {
-    // SAFETY: the caller guarantees `hdr` heads a live `Block<T>`, so the
-    // value part sits `value_offset::<T>()` bytes above it within the same
-    // allocation.
-    unsafe { (hdr as *mut u8).add(value_offset::<T>()) as *mut T }
+/// `ptr` (tag bits are ignored) must come from `alloc` on a live domain, no
+/// other thread may ever have observed it, and the caller must not touch the
+/// block again.
+pub unsafe fn take_unpublished<T>(ptr: Shared<T>) -> T {
+    BlockPtr::of(ptr.untagged().as_ptr()).take()
 }
 
-/// Reads the recycling-incarnation stamp of the block holding `value`
-/// (see [`Header::version`]): 0 for a fresh allocation, +1 per pool reuse.
+/// Reads the recycling-incarnation stamp of the block holding `ptr` (see
+/// [`Header::version`]): 0 for a fresh allocation, +1 per pool reuse.
 ///
 /// This is the load behind VBR's version re-check on deref: a traversal
 /// captures the stamp when it first protects a node and compares on
 /// re-validation — a changed stamp proves the memory was recycled.
 ///
 /// # Safety
-/// `value` must have been returned by [`alloc_block`] or
-/// [`crate::pool::BlockPool::alloc`] (tag bits stripped) and the block must be
-/// live or era-protected so the header read does not race a `dealloc_raw`.
+/// `ptr` (tag bits are ignored) must be non-null and come from `alloc` or
+/// [`alloc_block`], and the block must be live or protected, so that its
+/// memory is not returned to the global allocator during the load.
 #[inline]
-pub unsafe fn version_of<T>(value: *mut T) -> u64 {
-    // SAFETY: the caller guarantees the block is live or era-protected, so
-    // the header is a valid `Header` for the duration of the atomic load.
-    unsafe {
-        (*header_of(value))
-            .version
-            .load(core::sync::atomic::Ordering::Acquire)
-    }
+pub unsafe fn version_of<T>(ptr: Shared<T>) -> u64 {
+    BlockPtr::of(ptr.untagged().as_ptr())
+        .header()
+        .version
+        .load(Ordering::Acquire)
 }
 
-/// Runs the payload destructor of a block in place, leaving the raw memory
-/// allocated (for recycling).  The header becomes dead except for its
-/// `vtable.layout`, which remains valid for the eventual [`dealloc_raw`].
+/// A retired-but-not-yet-reclaimed block, as stored in per-slot vaults,
+/// orphan lists and Hyaline batches.
 ///
-/// # Safety
-/// The block must be live (payload not yet dropped) and unreachable by any
-/// other thread.
-#[inline]
-pub unsafe fn drop_value(hdr: *mut Header) {
-    // SAFETY: the caller guarantees the block is live and unreachable; the
-    // vtable was installed by `init_block` for the block's true payload type,
-    // so the type-erased destructor matches the payload.
-    unsafe { ((*hdr).vtable.drop_value)(hdr) }
-}
-
-/// Returns a dead block's raw memory to the global allocator.
+/// Invariant: the block is unlinked from every structure, was retired exactly
+/// once, and stays allocated while this record can be used — a limbo list
+/// frees it only by minting a `Reclaimable` and dropping the record, and
+/// Hyaline's `push_batch` uses a batch's records up to its last decrement,
+/// after which the flush clears them.  So the header accessors are safe.
 ///
-/// # Safety
-/// `hdr` must be a block allocation whose payload has already been dropped
-/// (via [`drop_value`]) and `layout` must be the block's recorded layout.
-#[inline]
-pub unsafe fn dealloc_raw(hdr: *mut Header, layout: Layout) {
-    // SAFETY: the caller guarantees `hdr` came from the global allocator with
-    // exactly `layout` and that its payload has already been dropped, so this
-    // hand-back neither double-frees nor leaks a destructor.
-    unsafe { std::alloc::dealloc(hdr as *mut u8, layout) };
-}
-
-/// Immediately frees a block (running the destructor and releasing the
-/// memory) given its header.  The non-pooled composition of [`drop_value`]
-/// and [`dealloc_raw`].
-///
-/// # Safety
-/// The block must not be reachable by any thread and must not be freed again.
-#[inline]
-pub unsafe fn free_block(hdr: *mut Header) {
-    // SAFETY: the caller guarantees the block is live and unreachable.  The
-    // layout is read out of the header *before* the payload destructor runs
-    // (the vtable reference itself stays valid until `dealloc_raw`).
-    unsafe {
-        let layout = (*hdr).vtable.layout;
-        drop_value(hdr);
-        dealloc_raw(hdr, layout);
-    }
-}
-
-/// A retired-but-not-yet-reclaimed block, as stored in per-thread limbo lists.
-///
-/// `Retired` is a thin record: the header pointer (birth/retire eras and the
-/// type-erased vtable live in the header) plus the address of the value
-/// part, which is what hazard-pointer slots publish and therefore what limbo
-/// scans must compare against.
-#[derive(Clone, Copy)]
+/// Two words: the header pointer plus the address of the value part, which is
+/// what hazard-pointer slots publish and therefore what limbo scans must
+/// compare against.
 pub struct Retired {
-    /// Header of the retired block.
-    pub hdr: *mut Header,
-    /// Address of the value part (what `Shared::as_ptr` / hazard slots hold).
-    pub value: usize,
+    block: BlockPtr,
+    value: usize,
 }
-
-// SAFETY: retired blocks are unreachable from the data structure; moving them
-// between threads (orphan lists, Hyaline's any-thread reclamation) is part of
-// the SMR contract, which requires node payloads to be `Send`.
-unsafe impl Send for Retired {}
 
 impl Retired {
-    /// Captures a retired block from a value pointer (tag bits must already be
-    /// stripped by the caller).
+    /// Captures the retired block `ptr` points to (tag bits are ignored).
     ///
     /// # Safety
-    /// `value` must have been allocated with [`alloc_block`] and already be
-    /// unlinked from the data structure.
-    pub unsafe fn from_value<T>(value: *mut T) -> Self {
+    /// The [`crate::SmrGuard::retire`] contract: `ptr` came from `alloc` on
+    /// this domain (or [`alloc_block`]), is physically unlinked, and is
+    /// retired exactly once.
+    #[inline]
+    pub(crate) unsafe fn new<T>(ptr: Shared<T>) -> Self {
+        let value = ptr.untagged().as_ptr();
         Self {
-            // SAFETY: the caller guarantees `value` came from `alloc_block`,
-            // so its enclosing block header is live and addressable.
-            hdr: unsafe { header_of(value) },
+            block: BlockPtr::of(value),
             value: value as usize,
         }
+    }
+
+    /// A fresh `()` block from `pool`, retired at once: Hyaline's padding
+    /// node, which no reader can reach.
+    #[inline]
+    pub(crate) fn padding(pool: &mut BlockPool) -> Self {
+        let value = pool.alloc((), 0);
+        Self {
+            block: BlockPtr::of(value),
+            value: value as usize,
+        }
+    }
+
+    /// The block's header.
+    #[inline]
+    pub fn header(&self) -> &Header {
+        self.block.header()
+    }
+
+    /// Address of the block's header: its link value in Hyaline's lists.
+    #[inline]
+    pub(crate) fn header_addr(&self) -> usize {
+        self.block.addr()
+    }
+
+    /// Address of the value part (what `Shared::as_ptr` and hazard slots
+    /// hold).
+    #[inline]
+    pub fn value(&self) -> usize {
+        self.value
     }
 
     /// Era at which the block was allocated.
     #[inline]
     pub fn birth_era(&self) -> u64 {
-        // SAFETY: a `Retired` is only constructed from a live retired block
-        // (`from_value`), and the owning limbo list keeps the header alive
-        // until the block is freed, which consumes the `Retired`.
-        unsafe {
-            (*self.hdr)
-                .birth_era
-                // ORDERING: era stamps are published to this reader by the vault/limbo handoff that made the `Retired` visible.
-                .load(core::sync::atomic::Ordering::Relaxed)
-        }
+        // ORDERING: era stamps are published to this reader by the vault/limbo handoff that made the `Retired` visible.
+        self.header().birth_era.load(Ordering::Relaxed)
     }
 
     /// Era at which the block was retired.
     #[inline]
     pub fn retire_era(&self) -> u64 {
-        // SAFETY: as for `birth_era` — the limbo list owning this `Retired`
-        // keeps the header alive until the block is freed.
-        unsafe {
-            (*self.hdr)
-                .retire_era
-                // ORDERING: era stamps are published to this reader by the vault/limbo handoff that made the `Retired` visible.
-                .load(core::sync::atomic::Ordering::Relaxed)
-        }
+        // ORDERING: era stamps are published to this reader by the vault/limbo handoff that made the `Retired` visible.
+        self.header().retire_era.load(Ordering::Relaxed)
     }
 
-    /// Frees the block straight to the global allocator (no pooling).  Sweep
-    /// paths prefer [`Retired::free_into`], which recycles.
+    /// The block, ready to free.
     ///
     /// # Safety
-    /// No thread may still hold a protected reference to the block.
+    /// No thread holds or can obtain a protected reference to the block, and
+    /// this record is dropped right after, unused.
     #[inline]
-    pub unsafe fn free(self) {
-        // SAFETY: the caller guarantees no protected references remain, and
-        // consuming `self` makes a second free impossible through this record.
-        unsafe { free_block(self.hdr) };
+    pub(crate) unsafe fn reclaimable(&self) -> Reclaimable {
+        Reclaimable(BlockPtr(self.block.0))
+    }
+}
+
+/// A block no thread holds or can obtain a protected reference to, owned by
+/// whoever holds this value.  Freeing consumes it.
+pub(crate) struct Reclaimable(BlockPtr);
+
+impl Reclaimable {
+    /// The block whose header sits at `addr`.
+    ///
+    /// # Safety
+    /// `addr` is the header address of a block that no thread holds or can
+    /// obtain a protected reference to, and nothing else frees it.
+    #[inline]
+    pub(crate) unsafe fn at(addr: usize) -> Self {
+        Self(BlockPtr::at(addr).expect("a reclaimable block is never null"))
     }
 
-    /// Runs the destructor and hands the raw block to `pool` for recycling.
-    ///
-    /// # Safety
-    /// No thread may still hold a protected reference to the block.
+    /// The block's header.
     #[inline]
-    pub unsafe fn free_into(self, pool: &mut crate::pool::BlockPool) {
-        // SAFETY: the caller guarantees no protected references remain;
-        // `BlockPool::free` runs the destructor and takes ownership of the
-        // raw memory for recycling.
-        unsafe { pool.free(self.hdr) };
+    pub(crate) fn header(&self) -> &Header {
+        self.0.header()
+    }
+
+    /// Runs the payload's destructor; the memory stays allocated.
+    #[inline]
+    fn into_parked(self) -> Parked {
+        (self.0.header().vtable.drop_value)(&self.0);
+        Parked(self.0)
+    }
+
+    /// Runs the destructor and hands the memory to `pool` for recycling.
+    #[inline]
+    pub(crate) fn free_into(self, pool: &mut BlockPool) {
+        pool.recycle(self.into_parked());
+    }
+
+    /// Runs the destructor and returns the memory to the global allocator.
+    #[inline]
+    pub(crate) fn free(self) {
+        self.into_parked().dealloc();
+    }
+}
+
+/// A dead block — payload dropped, memory allocated — owned by the pool tier
+/// that holds it.  One word; `Option<Parked>` is one word too, the empty
+/// free list.
+pub(crate) struct Parked(BlockPtr);
+
+impl Parked {
+    /// The block's allocation layout, read from its header.
+    #[inline]
+    pub(crate) fn layout(&self) -> Layout {
+        self.0.header().vtable.layout
+    }
+
+    /// Returns the memory to the global allocator.
+    #[inline]
+    pub(crate) fn dealloc(self) {
+        self.0.dealloc();
+    }
+
+    /// Reuses the block for `value`, whose `Block<T>` must have this block's
+    /// layout, preserving and bumping the recycling-incarnation stamp that a
+    /// fresh header would reset to zero.
+    #[inline]
+    pub(crate) fn reinit<T>(self, value: T, birth_era: u64) -> *mut T {
+        // ORDERING: the Relaxed read is single-owner (the stamp was last
+        // written either by this pool tier or before the block crossed the
+        // overflow mutex); the Release store pairs with the Acquire in
+        // `version_of` so a VBR reader that observes the new stamp also
+        // observes the reinitialized header.
+        let incarnation = self.0.header().version.load(Ordering::Relaxed);
+        let ptr = self.0.init(value, birth_era);
+        self.0
+            .header()
+            .version
+            .store(incarnation.wrapping_add(1), Ordering::Release);
+        ptr
+    }
+
+    /// Pushes the block onto the intrusive free list `head`, threaded through
+    /// `Header::next`.
+    #[inline]
+    pub(crate) fn push_onto(self, head: &mut Option<Parked>) {
+        let next = head.as_ref().map_or(0, |h| h.0.addr());
+        // ORDERING: Relaxed — a free list is single-owner (one thread per
+        // pool tier); transfers between threads synchronize through the
+        // overflow mutex, which fences these writes.
+        self.0.header().next.store(next, Ordering::Relaxed);
+        *head = Some(self);
+    }
+
+    /// Pops the top block of the intrusive free list `head`.
+    #[inline]
+    pub(crate) fn pop_from(head: &mut Option<Parked>) -> Option<Parked> {
+        let top = head.take()?;
+        // ORDERING: Relaxed — single-owner list; see `push_onto`.
+        *head = BlockPtr::at(top.0.header().next.load(Ordering::Relaxed)).map(Parked);
+        Some(top)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize as StdAtomicUsize;
     use std::sync::Arc;
+
+    struct DropCounter(Arc<StdAtomicUsize>);
+    impl Drop for DropCounter {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A freshly allocated block, owned outright by the test.
+    fn owned<T>(value: *mut T) -> Reclaimable {
+        Reclaimable(BlockPtr::of(value))
+    }
 
     #[test]
     fn alloc_and_free_runs_destructor() {
-        struct DropCounter(Arc<StdAtomicUsize>);
-        impl Drop for DropCounter {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
         let count = Arc::new(StdAtomicUsize::new(0));
         let v = alloc_block(DropCounter(count.clone()));
         assert_eq!(count.load(Ordering::SeqCst), 0);
-        // SAFETY: `v` was just allocated; this test is the sole owner of the block.
-        unsafe {
-            let hdr = header_of(v);
-            free_block(hdr);
-        }
+        owned(v).free();
         assert_eq!(count.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn header_value_roundtrip() {
         let v = alloc_block(12345u64);
+        let block = BlockPtr::of(v);
+        assert_eq!(block.value::<u64>(), v);
+        assert_eq!(block.addr() + value_offset::<u64>(), v as usize);
         // SAFETY: `v` was just allocated; this test is the sole owner of the block.
-        unsafe {
-            assert_eq!(*v, 12345);
-            let hdr = header_of(v);
-            let v2 = value_of::<u64>(hdr);
-            assert_eq!(v, v2);
-            free_block(hdr);
-        }
+        assert_eq!(unsafe { *v }, 12345);
+        Reclaimable(block).free();
     }
 
     #[test]
@@ -424,31 +561,36 @@ mod tests {
         assert_eq!(b as usize % 8, 0);
         assert_eq!(c as usize % 8, 0);
         assert_eq!(d as usize % 8, 0);
-        // SAFETY: each block was allocated above and is freed exactly once.
-        unsafe {
-            free_block(header_of(a));
-            free_block(header_of(b));
-            free_block(header_of(c));
-            free_block(header_of(d));
-        }
+        owned(a).free();
+        owned(b).free();
+        owned(c).free();
+        owned(d).free();
     }
 
     #[test]
     fn retired_reads_eras_from_header() {
         let v = alloc_block(7u32);
-        // SAFETY: `v` was just allocated; this test is the sole owner of the block.
-        unsafe {
-            let hdr = header_of(v);
-            // ORDERING: owner-only stamps on an unshared test block.
-            (*hdr).birth_era.store(3, Ordering::Relaxed);
-            // ORDERING: owner-only stamps on an unshared test block.
-            (*hdr).retire_era.store(9, Ordering::Relaxed);
-            let r = Retired::from_value(v);
-            assert_eq!(r.birth_era(), 3);
-            assert_eq!(r.retire_era(), 9);
-            assert_eq!(r.value, v as usize);
-            r.free();
-        }
+        // SAFETY: `v` was just allocated and is linked nowhere.
+        let r = unsafe { Retired::new(Shared::from_ptr(v)) };
+        // ORDERING: owner-only stamps on an unshared test block.
+        r.header().birth_era.store(3, Ordering::Relaxed);
+        // ORDERING: owner-only stamps on an unshared test block.
+        r.header().retire_era.store(9, Ordering::Relaxed);
+        assert_eq!(r.birth_era(), 3);
+        assert_eq!(r.retire_era(), 9);
+        assert_eq!(r.value(), v as usize);
+        // SAFETY: nothing else can reach the block.
+        unsafe { r.reclaimable() }.free();
+    }
+
+    #[test]
+    fn role_types_keep_the_retire_record_two_words() {
+        // The kill criterion of the role types: no word added to the record
+        // every vault holds, and a parked block is one word with a niche.
+        assert_eq!(mem::size_of::<Retired>(), 2 * mem::size_of::<usize>());
+        assert_eq!(mem::size_of::<Reclaimable>(), mem::size_of::<usize>());
+        assert_eq!(mem::size_of::<Parked>(), mem::size_of::<usize>());
+        assert_eq!(mem::size_of::<Option<Parked>>(), mem::size_of::<usize>());
     }
 
     #[test]
@@ -466,28 +608,41 @@ mod tests {
 
     #[test]
     fn drop_value_then_reinit_recycles_memory_without_double_drop() {
-        struct DropCounter(Arc<StdAtomicUsize>);
-        impl Drop for DropCounter {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
         let count = Arc::new(StdAtomicUsize::new(0));
         let v = alloc_block(DropCounter(count.clone()));
-        // SAFETY: `v` was just allocated; this test is the sole owner of the block.
-        unsafe {
-            let hdr = header_of(v);
-            let layout = (*hdr).vtable.layout;
-            drop_value(hdr);
-            assert_eq!(count.load(Ordering::SeqCst), 1);
-            // Reuse the same memory for a second value of the same layout.
-            let v2 = init_block(hdr, DropCounter(count.clone()));
-            assert_eq!(count.load(Ordering::SeqCst), 1, "reinit must not drop");
-            let hdr2 = header_of(v2);
-            assert_eq!(hdr2, hdr);
-            drop_value(hdr2);
-            assert_eq!(count.load(Ordering::SeqCst), 2);
-            dealloc_raw(hdr2, layout);
-        }
+        let parked = owned(v).into_parked();
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        // Reuse the same memory for a second value of the same layout.
+        let v2 = parked.reinit(DropCounter(count.clone()), 0);
+        assert_eq!(count.load(Ordering::SeqCst), 1, "reinit must not drop");
+        assert_eq!(v2, v);
+        owned(v2).free();
+        assert_eq!(count.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn take_unpublished_moves_the_payload_out_without_dropping_it() {
+        let count = Arc::new(StdAtomicUsize::new(0));
+        let v = alloc_block(DropCounter(count.clone()));
+        // SAFETY: `v` was just allocated and never published.
+        let back = unsafe { take_unpublished(Shared::from_ptr(v)) };
+        assert_eq!(count.load(Ordering::SeqCst), 0, "moved out, not dropped");
+        drop(back);
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn free_list_is_lifo_through_the_headers() {
+        let mut head = None;
+        let (a, b) = (alloc_block(1u64), alloc_block(2u64));
+        owned(a).into_parked().push_onto(&mut head);
+        owned(b).into_parked().push_onto(&mut head);
+        let top = Parked::pop_from(&mut head).expect("two parked");
+        assert_eq!(top.0.value::<u64>(), b);
+        let next = Parked::pop_from(&mut head).expect("one parked");
+        assert_eq!(next.0.value::<u64>(), a);
+        assert!(Parked::pop_from(&mut head).is_none());
+        top.dealloc();
+        next.dealloc();
     }
 }

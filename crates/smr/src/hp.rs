@@ -394,8 +394,8 @@ unsafe impl Scheme for Hp {
     #[inline]
     fn can_free(&self, snapshot: &Option<Vec<usize>>, retired: &Retired) -> bool {
         match snapshot {
-            Some(snap) => snap.binary_search(&retired.value).is_err(),
-            None => !self.is_protected(retired.value),
+            Some(snap) => snap.binary_search(&retired.value()).is_err(),
+            None => !self.is_protected(retired.value()),
         }
     }
 }

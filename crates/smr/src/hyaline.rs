@@ -114,7 +114,7 @@
 //!   future pushes (stopping the leak from growing) but never recycled, and
 //!   the batches already pinned by its list are leaked permanently.
 
-use crate::block::{Header, Retired};
+use crate::block::{Header, Reclaimable, Retired};
 use crate::limbo::{Domain, Guard, Handle, Lifecycle, Pinned, ReadSide, RetireCore};
 use crate::pool::BlockPool;
 use crate::ptr::{Atomic, Shared};
@@ -229,12 +229,9 @@ impl Lifecycle for Hyaline {
     /// Accumulates `batch` in the vault, and pushes the vault as one batch
     /// once it holds `batch_capacity` nodes.  No retire stamp and no clock
     /// tick: the era moves on allocation only.
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
     #[inline]
-    unsafe fn retire<T>(pinned: &mut Pinned<'_, Self>, batch: &[Shared<T>]) {
-        // SAFETY: forwarded — same contract.
-        let pending = unsafe { pinned.push_vault(batch, None) };
+    fn retire(pinned: &mut Pinned<'_, Self>, batch: impl ExactSizeIterator<Item = Retired>) {
+        let pending = pinned.push_vault(batch, None);
         if pending >= pinned.scheme().batch_capacity {
             // One oversized push is fine: the batch carries *at least* one
             // linkage node per slot.
@@ -283,27 +280,25 @@ impl Hyaline {
     /// many it freed.  The caller debits its own share of `unreclaimed` —
     /// under any-thread freeing often not the slot that was credited at
     /// retire time; only the sum is meaningful.
-    ///
-    /// # Safety
-    /// The batch's reference counter must have reached zero, i.e. every thread
-    /// that was required to acknowledge the batch has done so.
-    unsafe fn free_batch(refs_node: *mut Header, pool: &mut BlockPool) -> usize {
-        let mut freed = 0usize;
-        let mut cur = refs_node;
-        while !cur.is_null() {
-            // SAFETY: the counter reached zero, so this thread is the batch's
-            // sole owner; every node is live until freed below.
+    fn free_batch(refs_node: Reclaimable, pool: &mut BlockPool) -> usize {
+        let mut freed = 1;
+        let mut node = refs_node;
+        loop {
             // ORDERING: Relaxed suffices for `batch_all` — the links were
             // written before the REFS counter was published with Release, and
             // the zero-reaching fetch_sub(AcqRel) ordered us after that.
-            let next = unsafe { (*cur).batch_all.load(Ordering::Relaxed) } as *mut Header;
-            // SAFETY: sole ownership as above — each node is unlinked from
-            // every slot list (all acknowledgements arrived) and freed once.
-            unsafe { pool.free(cur) };
+            let next = node.header().batch_all.load(Ordering::Relaxed);
+            node.free_into(pool);
+            if next == 0 {
+                return freed;
+            }
+            // SAFETY: `next` is the next node of the same batch, and its REFS
+            // node was minted `Reclaimable`: the batch's counter reached
+            // zero, so every node is unlinked from every slot list, no thread
+            // can reach it, and this thread is its sole owner.
+            node = unsafe { Reclaimable::at(next) };
             freed += 1;
-            cur = next;
         }
-        freed
     }
 
     /// Acknowledges (decrements) every batch whose node was pushed onto the
@@ -327,21 +322,21 @@ impl Hyaline {
         let mut freed = 0;
         let mut cur = from;
         while cur != 0 && cur != entry_addr {
-            let hdr = cur as *mut Header;
-            // Read the link before decrementing: once we decrement, another
-            // thread may free the batch (and with it this node).
-            // SAFETY: `hdr` is above the acknowledgement boundary, so its
+            // SAFETY: `cur` is above the acknowledgement boundary, so its
             // batch counted this thread's reference at push time and cannot
             // be freed before the decrement below.
-            let next = unsafe { (*hdr).next.load(Ordering::Acquire) };
-            // SAFETY: as above — the node is pinned by our uncollected
-            // reference, and `batch_link` was written before the push.
-            let refs_node = unsafe { (*hdr).batch_link.load(Ordering::Acquire) } as *mut Header;
-            // SAFETY: the REFS node belongs to the same pinned batch.
-            if unsafe { (*refs_node).refs.fetch_sub(1, Ordering::AcqRel) } == 1 {
-                // SAFETY: our fetch_sub observed 1, so we dropped the last
-                // reference — exactly `free_batch`'s contract.
-                freed += unsafe { Self::free_batch(refs_node, pool) };
+            let node = unsafe { &*(cur as *const Header) };
+            // Read the links before decrementing: once we decrement, another
+            // thread may free the batch (and with it this node).
+            let next = node.next.load(Ordering::Acquire);
+            let refs_addr = node.batch_link.load(Ordering::Acquire);
+            // SAFETY: the REFS node belongs to the same pinned batch, and
+            // `batch_link` was written before the push.
+            let refs_node = unsafe { &*(refs_addr as *const Header) };
+            if refs_node.refs.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // SAFETY: our fetch_sub observed 1, so we dropped the batch's
+                // last reference: no thread can reach it any more.
+                freed += Self::free_batch(unsafe { Reclaimable::at(refs_addr) }, pool);
             }
             cur = next;
         }
@@ -352,48 +347,33 @@ impl Hyaline {
     /// the retirer's own reference, freeing the batch into `pool` if that was
     /// the last one; returns how many blocks it freed.  `nodes[0]` is the
     /// REFS node and is never pushed; the remaining nodes provide the
-    /// per-slot list linkage.
-    // SAFETY: callers must pass fully-initialized retired nodes that no other thread can still reach, plus a held REFS count.
-    unsafe fn push_batch(&self, nodes: &[Retired], min_birth: u64, pool: &mut BlockPool) -> usize {
+    /// per-slot list linkage.  The records are used up to the last decrement
+    /// only: the caller clears them right after.
+    fn push_batch(&self, nodes: &[Retired], min_birth: u64, pool: &mut BlockPool) -> usize {
         debug_assert!(!nodes.is_empty());
-        let refs_node = nodes[0].hdr;
+        let refs = &nodes[0].header().refs;
 
         // Thread the whole batch through `batch_all` so the last acker can
-        // free every node, and point every node at the REFS node.
-        // SAFETY (all header writes below): every node is a retired block the
-        // retirer exclusively owns until the push CAS publishes it; no other
-        // thread can reach these headers yet.
+        // free every node, and point every node at the REFS node.  Every node
+        // is a retired block the retirer exclusively owns until the push CAS
+        // publishes it.
         // ORDERING: the Relaxed link stores are published to ackers by the
         // Release store of `refs` below (and the AcqRel push CAS); ackers
         // read them only after acquiring the same locations.
-        for w in nodes.windows(2) {
-            // SAFETY: / ORDERING: covered by the batch-threading comment above this loop.
-            unsafe {
-                (*w[0].hdr)
-                    .batch_all
-                    .store(w[1].hdr as usize, Ordering::Relaxed)
-            };
-        }
-        // SAFETY: / ORDERING: covered by the batch-threading comment above this loop.
-        unsafe {
-            (*nodes[nodes.len() - 1].hdr)
-                .batch_all
-                .store(0, Ordering::Relaxed);
-        }
-        for n in nodes {
-            // SAFETY: / ORDERING: covered by the batch-threading comment above this loop.
-            unsafe {
-                (*n.hdr)
-                    .batch_link
-                    .store(refs_node as usize, Ordering::Relaxed)
-            };
+        for (i, n) in nodes.iter().enumerate() {
+            let next = nodes.get(i + 1).map_or(0, Retired::header_addr);
+            // ORDERING: see the batch-threading comment above this loop.
+            n.header().batch_all.store(next, Ordering::Relaxed);
+            // ORDERING: see the batch-threading comment above this loop.
+            n.header()
+                .batch_link
+                .store(nodes[0].header_addr(), Ordering::Relaxed);
         }
         // The retirer holds one reference for the duration of the push phase
         // so concurrent acknowledgements cannot free the batch under it.
-        // SAFETY: the REFS node is still unpublished (see above).
-        unsafe { (*refs_node).refs.store(1, Ordering::Release) };
+        refs.store(1, Ordering::Release);
 
-        let mut spare = nodes[1..].iter().map(|n| n.hdr);
+        let mut spare = nodes[1..].iter();
         for slot in self.core.claimed(&self.slots) {
             // Robustness: a thread whose published era predates every node in
             // the batch can never have obtained a reference to any of them
@@ -411,34 +391,25 @@ impl Hyaline {
                 // is the only safe fallback: pin it with a permanent reference
                 // rather than skip an active slot that may still acknowledge.
                 debug_assert!(false, "hyaline batch ran out of linkage nodes");
-                // SAFETY: the retirer's bias reference (set above) keeps the
-                // REFS node alive throughout the push phase.
-                unsafe {
-                    (*refs_node)
-                        .refs
-                        .fetch_add(isize::MAX / 2, Ordering::AcqRel);
-                }
+                refs.fetch_add(isize::MAX / 2, Ordering::AcqRel);
                 break;
             };
             loop {
                 let cur = slot.head.load(Ordering::Acquire);
-                let (refs, head_ptr) = unpack(cur);
-                if refs == 0 {
+                let (refs_in_slot, head_ptr) = unpack(cur);
+                if refs_in_slot == 0 {
                     // Nobody is inside a critical section on this slot: it
                     // cannot hold references to the batch.
                     break;
                 }
-                debug_assert_eq!(refs, 1, "a slot has one owner (module docs)");
-                // SAFETY: `node` is unpublished until the CAS below succeeds.
+                debug_assert_eq!(refs_in_slot, 1, "a slot has one owner (module docs)");
                 // ORDERING: the Relaxed `next` store is published by the
                 // AcqRel CAS that installs the node.
-                unsafe { (*node).next.store(head_ptr, Ordering::Relaxed) };
+                node.header().next.store(head_ptr, Ordering::Relaxed);
                 // Count the threads that will acknowledge this node *before*
                 // publishing it, so the counter can never be observed too low.
-                // SAFETY: the retirer's bias reference keeps the REFS node
-                // alive during the push phase.
-                unsafe { (*refs_node).refs.fetch_add(refs as isize, Ordering::AcqRel) };
-                let new = pack(refs, node as usize);
+                refs.fetch_add(refs_in_slot as isize, Ordering::AcqRel);
+                let new = pack(refs_in_slot, node.header_addr());
                 if slot
                     .head
                     .compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire)
@@ -447,19 +418,16 @@ impl Hyaline {
                     break;
                 }
                 // Undo the optimistic count and retry with the fresh head.
-                // SAFETY: bias reference still held — see above.
-                unsafe { (*refs_node).refs.fetch_sub(refs as isize, Ordering::AcqRel) };
+                refs.fetch_sub(refs_in_slot as isize, Ordering::AcqRel);
             }
         }
 
         // Drop the retirer's bias reference; if nothing else holds the batch
         // (no active slots, or every acknowledgement already arrived), free it.
-        // SAFETY: the bias reference dropped here is the one taken above, so
-        // the REFS node is alive up to this fetch_sub.
-        if unsafe { (*refs_node).refs.fetch_sub(1, Ordering::AcqRel) } == 1 {
-            // SAFETY: observed 1 → ours was the last reference, which is
-            // `free_batch`'s contract.
-            return unsafe { Self::free_batch(refs_node, pool) };
+        if refs.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // SAFETY: observed 1 → ours was the batch's last reference: no
+            // thread can reach it any more, and the caller drops the records.
+            return Self::free_batch(unsafe { nodes[0].reclaimable() }, pool);
         }
         0
     }
@@ -489,14 +457,9 @@ impl Hyaline {
         // taken) and no clock tick (they are not allocations of the structure).
         let padding = d.batch_capacity.saturating_sub(nodes.len());
         for _ in 0..padding {
-            let dummy = pool.alloc(());
-            // SAFETY: `dummy` was just allocated and never published; its
-            // block is exclusively this batch's.
-            nodes.push(unsafe { Retired::from_value(dummy) });
+            nodes.push(Retired::padding(pool));
         }
-        // SAFETY: every node is a retired (or fresh dummy) block owned by
-        // this batch, padded to full linkage capacity above.
-        let freed = unsafe { d.push_batch(nodes, min_birth.unwrap_or(u64::MAX), pool) };
+        let freed = d.push_batch(nodes, min_birth.unwrap_or(u64::MAX), pool);
         nodes.clear();
         pinned.count_retired(padding);
         if freed > 0 {

@@ -81,7 +81,8 @@ mod nr;
 mod vbr;
 
 pub use block::{
-    alloc_block, free_block, header_of, version_of, Block, BlockVTable, Header, Retired,
+    alloc_block, free_unreachable, take_unpublished, version_of, Block, BlockVTable, Header,
+    Retired,
 };
 pub use ebr::Ebr;
 pub use he::He;

@@ -61,7 +61,7 @@
 //! and at most one more sweep.  A sweep takes one [`Scheme::snapshot`] and
 //! keeps exactly the entries [`Scheme::can_free`] rejects.
 
-use crate::block::{header_of, Retired};
+use crate::block::Retired;
 use crate::pool::{BlockPool, PoolShared};
 use crate::ptr::{Atomic, Shared};
 use crate::registry::{AdoptGuard, PinBinding, SlotClaim, SlotRegistry};
@@ -98,11 +98,7 @@ pub trait Domain: Send + Sync + Sized + 'static {
 /// every [`Scheme`]; Hyaline and NR write their own.
 pub trait Lifecycle: Domain {
     /// Retires `batch` on behalf of the owner of `pinned`.
-    ///
-    /// # Safety
-    /// The [`SmrGuard::retire`] contract for every element: produced by
-    /// `alloc` on this domain, physically unlinked, retired exactly once.
-    unsafe fn retire<T>(pinned: &mut Pinned<'_, Self>, batch: &[Shared<T>]);
+    fn retire(pinned: &mut Pinned<'_, Self>, batch: impl ExactSizeIterator<Item = Retired>);
 
     /// One forced reclamation pass: [`SmrHandle::flush`].
     fn flush(pinned: &mut Pinned<'_, Self>);
@@ -167,16 +163,14 @@ impl<S: Scheme> Lifecycle for S {
     /// threshold — amortized reclamation, one scan per `scan_threshold`
     /// retirements (§5 of the paper) — then counts the retirements towards
     /// the next clock advance.
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
     #[inline]
-    unsafe fn retire<T>(pinned: &mut Pinned<'_, S>, batch: &[Shared<T>]) {
-        // SAFETY: forwarded — same contract.
-        let pending = unsafe { pinned.push_vault(batch, pinned.scheme.retire_stamp()) };
+    fn retire(pinned: &mut Pinned<'_, S>, batch: impl ExactSizeIterator<Item = Retired>) {
+        let n = batch.len();
+        let pending = pinned.push_vault(batch, pinned.scheme.retire_stamp());
         if pending >= pinned.scheme.core().config.scan_threshold {
             pinned.scan(false);
         }
-        pinned.tick(batch.len());
+        pinned.tick(n);
     }
 
     fn flush(pinned: &mut Pinned<'_, S>) {
@@ -409,8 +403,8 @@ impl RetireCore {
             // retired before `snapshot` was taken, and the `Scheme` contract
             // then makes `can_free` a proof that no thread holds or can
             // obtain a protected reference.  Each block appears in exactly
-            // one record and `retain` drops that record, so it is freed once.
-            unsafe { r.free_into(pool) };
+            // one record and `retain` drops that record right after.
+            unsafe { r.reclaimable() }.free_into(pool);
             false
         });
         before - limbo.len()
@@ -445,7 +439,7 @@ impl Drop for RetireCore {
             // this core, so `&mut self` proves no handle — and hence no guard
             // — exists; nothing can be protected any more.  Hyaline clears its
             // vault as soon as a batch is pushed, so each is freed once.
-            unsafe { r.free() };
+            unsafe { r.reclaimable() }.free();
         }
     }
 }
@@ -618,20 +612,26 @@ impl<S: ReadSide> SmrGuard for Guard<'_, S> {
         self.pinned.alloc(value)
     }
 
+    /// Mints each element's [`Retired`] record: the one `unsafe` step on the
+    /// retire path.
     // SAFETY: callers must guarantee every pointer in `batch` satisfies the
     // per-node `retire` contract (unlinked, owned, retired exactly once).
     #[inline]
     unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
         S::before_retire(self);
-        // SAFETY: forwarded — same contract.
-        unsafe { S::retire(&mut self.pinned, batch) };
+        // SAFETY: the caller's contract is, element by element, the contract
+        // of `Retired::new`.
+        let batch = batch.iter().map(|&ptr| unsafe { Retired::new(ptr) });
+        S::retire(&mut self.pinned, batch);
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     #[inline]
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: forwarded — same contract.
-        unsafe { self.pinned.dealloc(ptr) };
+        // SAFETY: `ptr` came from `alloc` and was never published, so it is
+        // linked nowhere, no thread can protect it, and this thread is its
+        // sole owner: it is retired and reclaimable at once, and freed once.
+        unsafe { Retired::new(ptr).reclaimable() }.free_into(self.pinned.pool());
     }
 
     #[inline]
@@ -682,38 +682,24 @@ impl<'g, S: Lifecycle> Pinned<'g, S> {
         }
     }
 
-    /// Allocates a block through the thread's pool, stamping its birth era
-    /// and then counting the allocation if the scheme has a clock.
+    /// Allocates a block through the thread's pool, its birth era stamped
+    /// and the allocation counted if the scheme has a clock.
     #[inline]
     pub(crate) fn alloc<T>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.local.pool.alloc(value);
-        if let Some(clock) = self.scheme.clock() {
-            // ORDERING: Relaxed — a read that lags the true era stamps the
-            // birth conservatively *old*, which only widens what a
-            // reservation covers.
-            let era = clock.load(Ordering::Relaxed);
-            // SAFETY: `ptr` was just allocated and is not yet shared, so this
-            // thread has exclusive access to its header.
-            // ORDERING: Relaxed — the stamp is published together with the
-            // pointer by whatever store links the block, and is read by the
-            // vault's owner, or after the owner/adopter hand-off.
-            unsafe { (*header_of(ptr)).birth_era.store(era, Ordering::Relaxed) };
-            self.tick(1);
-        }
-        Shared::from_ptr(ptr)
-    }
-
-    /// Immediately frees a block that was never published — the
-    /// [`SmrGuard::dealloc`] body shared by every scheme.
-    ///
-    /// # Safety
-    /// The [`SmrGuard::dealloc`] contract: `ptr` came from `alloc` on this
-    /// domain and no other thread has observed it.
-    #[inline]
-    pub(crate) unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: never published, so the block is live and this thread is
-        // its sole owner; pool-freeing it runs the destructor exactly once.
-        unsafe { self.local.pool.free(header_of(ptr.untagged().as_ptr())) };
+        let era = match self.scheme.clock() {
+            Some(clock) => {
+                // ORDERING: Relaxed — a read that lags the true era stamps the
+                // birth conservatively *old*, which only widens what a
+                // reservation covers.  The stamp is published together with
+                // the pointer by whatever store links the block, and is read
+                // by the vault's owner, or after the owner/adopter hand-off.
+                let era = clock.load(Ordering::Relaxed);
+                self.local.era_tick.tick(1, clock);
+                era
+            }
+            None => 0,
+        };
+        Shared::from_ptr(self.local.pool.alloc(value, era))
     }
 
     /// Counts `n` more blocks as retired and not yet reclaimed, on this
@@ -753,41 +739,30 @@ impl<'g, S: Lifecycle> Pinned<'g, S> {
     /// stamping each block's retire era with `stamp` if given, and returns
     /// how many entries the vault now holds (0 for an empty batch).
     /// Limbo-list retirement scans and Hyaline flushes past their threshold.
-    ///
-    /// # Safety
-    /// The [`SmrGuard::retire`] contract for every element: produced by
-    /// `alloc` on this domain, physically unlinked, retired exactly once.
     #[inline]
-    pub(crate) unsafe fn push_vault<T>(
+    pub(crate) fn push_vault(
         &mut self,
-        batch: &[Shared<T>],
+        batch: impl ExactSizeIterator<Item = Retired>,
         stamp: Option<u64>,
     ) -> usize {
-        if batch.is_empty() {
+        let n = batch.len();
+        if n == 0 {
             return 0;
         }
         let vault = self.vault().0;
-        if batch.len() > 1 {
-            vault.reserve(batch.len());
+        if n > 1 {
+            vault.reserve(n);
         }
-        for &ptr in batch {
-            let value = ptr.untagged().as_ptr();
-            debug_assert!(!value.is_null());
-            // SAFETY: the caller guarantees every element came from `alloc`
-            // on this domain and is already unlinked, so its block header is
-            // live.
-            let retired = unsafe { Retired::from_value(value) };
+        for retired in batch {
             if let Some(era) = stamp {
-                // SAFETY: the block is unlinked but not yet in any limbo
-                // list; this thread has exclusive access to its stamp.
                 // ORDERING: Relaxed — read by this vault's sweeps, on this
                 // thread or after the owner/adopter hand-off.
-                unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
+                retired.header().retire_era.store(era, Ordering::Relaxed);
             }
             vault.push(retired);
         }
         let pending = vault.len();
-        self.count_retired(batch.len());
+        self.count_retired(n);
         pending
     }
 
@@ -878,6 +853,19 @@ mod tests {
     use crate::block::alloc_block;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
 
+    /// Retires `nodes` through the lent-out handle, skipping `pin`'s owner
+    /// check.
+    ///
+    /// # Safety
+    /// The [`SmrGuard::retire`] contract for every element.
+    unsafe fn retire<T>(h: &mut Handle<Fake>, nodes: &[Shared<T>]) {
+        // SAFETY: forwarded — same contract.
+        Fake::retire(
+            &mut h.lend(),
+            nodes.iter().map(|&p| unsafe { Retired::new(p) }),
+        );
+    }
+
     impl RetireCore {
         /// The slot registry, for tests that simulate a dead owner.
         pub(crate) fn registry(&self) -> &SlotRegistry {
@@ -935,7 +923,7 @@ mod tests {
 
         fn vault_values(&self, slot: usize) -> Vec<usize> {
             let vault = self.core.records[slot].vault();
-            vault.iter().map(|r| r.value).collect()
+            vault.iter().map(Retired::value).collect()
         }
     }
 
@@ -963,7 +951,8 @@ mod tests {
 
         fn can_free(&self, _: &(), retired: &Retired) -> bool {
             assert_eq!(retired.retire_era(), STAMP, "swept before stamped");
-            self.permit_all.load(Ordering::SeqCst) || self.permitted.lock().contains(&retired.value)
+            self.permit_all.load(Ordering::SeqCst)
+                || self.permitted.lock().contains(&retired.value())
         }
 
         fn before_scan(&self, _force: bool) {
@@ -1022,7 +1011,7 @@ mod tests {
         let mut h = Handle::register(&d).unwrap();
         let nodes = alloc_counted(&mut h, 6, &drops);
         // SAFETY: freshly allocated, never published, retired exactly once.
-        unsafe { Fake::retire(&mut h.lend(), &nodes) };
+        unsafe { retire(&mut h, &nodes) };
         assert_eq!(d.core.unreclaimed(), 6);
         for i in [1, 3, 4] {
             d.permit(nodes[i]);
@@ -1054,7 +1043,7 @@ mod tests {
         let mut b = Handle::register(&d).unwrap();
         let nodes = alloc_counted(&mut a, 3, &drops);
         // SAFETY: freshly allocated, never published, retired exactly once.
-        unsafe { Fake::retire(&mut a.lend(), &nodes) };
+        unsafe { retire(&mut a, &nodes) };
         // Nothing is freeable yet: dropping `a` sweeps, then orphans all 3.
         drop(a);
         assert_eq!(d.core.unreclaimed(), 3);
@@ -1063,7 +1052,7 @@ mod tests {
         d.permit_all.store(true, Ordering::SeqCst);
         let more = alloc_counted(&mut b, 2, &drops);
         // SAFETY: as above.
-        unsafe { Fake::retire(&mut b.lend(), &more) };
+        unsafe { retire(&mut b, &more) };
         assert_eq!(d.core.unreclaimed(), 5);
         Fake::flush(&mut b.lend());
         assert_eq!(d.core.unreclaimed(), 0);
@@ -1078,7 +1067,7 @@ mod tests {
         let mut survivor = Handle::register(&d).unwrap();
         let nodes = alloc_counted(&mut dead, 2, &drops);
         // SAFETY: freshly allocated, never published, retired exactly once.
-        unsafe { Fake::retire(&mut dead.lend(), &nodes) };
+        unsafe { retire(&mut dead, &nodes) };
         d.core.registry.simulate_owner_exit(dead.claim.index);
         d.neutralized.lock().clear(); // registration neutralizes too
         Fake::flush(&mut survivor.lend());
@@ -1114,12 +1103,12 @@ mod tests {
         let nodes = alloc_counted(&mut h, 8, &drops);
         for &p in &nodes[..3] {
             // SAFETY: freshly allocated, never published, retired exactly once.
-            unsafe { Fake::retire(&mut h.lend(), std::slice::from_ref(&p)) };
+            unsafe { retire(&mut h, std::slice::from_ref(&p)) };
         }
         assert_eq!(d.scans.load(Ordering::SeqCst), 0, "below the threshold");
         // 3 + 5 crosses the threshold of 4 in the middle of the batch.
         // SAFETY: as above.
-        unsafe { Fake::retire(&mut h.lend(), &nodes[3..]) };
+        unsafe { retire(&mut h, &nodes[3..]) };
         assert_eq!(d.scans.load(Ordering::SeqCst), 1);
         assert_eq!(d.blocked.load(Ordering::SeqCst), 1, "8 left >= threshold");
         assert_eq!(d.core.unreclaimed(), 8);
@@ -1131,15 +1120,15 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         // A vault resident (a slot leaked by a dead thread that nobody
         // adopted) and two orphans.
-        let blocks: Vec<Retired> = (0..3)
-            .map(|_| {
-                let value = alloc_block(Counted(drops.clone()));
-                // SAFETY: `value` was just allocated and is referenced nowhere else.
-                unsafe { Retired::from_value(value) }
-            })
-            .collect();
-        d.core.records[1].vault().push(blocks[0]);
-        d.core.orphans.lock().extend_from_slice(&blocks[1..]);
+        let mut blocks = (0..3).map(|_| {
+            let value = alloc_block(Counted(drops.clone()));
+            // SAFETY: `value` was just allocated and is referenced nowhere else.
+            unsafe { Retired::new(Shared::from_ptr(value)) }
+        });
+        d.core.records[1]
+            .vault()
+            .push(blocks.next().expect("three blocks"));
+        d.core.orphans.lock().extend(blocks);
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         drop(d);
         assert_eq!(drops.load(Ordering::SeqCst), 3);
@@ -1210,7 +1199,7 @@ mod tests {
                 let mut h = Handle::register(&d).unwrap();
                 let nodes = alloc_counted(&mut h, 2, &drops);
                 // SAFETY: freshly allocated, never published, retired exactly once.
-                unsafe { Fake::retire(&mut h.lend(), &nodes) };
+                unsafe { retire(&mut h, &nodes) };
                 h
             })
             .join()
@@ -1223,7 +1212,7 @@ mod tests {
         assert_eq!(slot, stale.claim.index, "the adopted slot is re-claimed");
         let nodes = alloc_counted(&mut owner, 1, &drops);
         // SAFETY: as above.
-        unsafe { Fake::retire(&mut owner.lend(), &nodes) };
+        unsafe { retire(&mut owner, &nodes) };
         let before = (d.vault_values(slot), d.core.share(slot));
         let scans = d.scans.load(Ordering::SeqCst);
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stale.flush()))
@@ -1255,7 +1244,7 @@ mod tests {
                         let node = h.lend().alloc(Counted(drops.clone()));
                         // SAFETY: freshly allocated, never published, retired
                         // exactly once.
-                        unsafe { Fake::retire(&mut h.lend(), &[node]) };
+                        unsafe { retire(&mut h, &[node]) };
                     }
                 });
             }
@@ -1272,7 +1261,7 @@ mod tests {
                     };
                     let nodes = alloc_counted(&mut victim, PER_VICTIM, &drops);
                     // SAFETY: as above.
-                    unsafe { Fake::retire(&mut victim.lend(), &nodes) };
+                    unsafe { retire(&mut victim, &nodes) };
                     let slot = victim.claim.index;
                     d.core.registry.simulate_owner_exit(slot);
                     // The owners' scans race this flush for the adoption.

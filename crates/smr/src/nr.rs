@@ -11,6 +11,7 @@
 //! only recycles the slot — so `alloc` still reuses `dealloc`ed blocks
 //! (lost-CAS giveback) and retirement counts on a per-thread shard.
 
+use crate::block::Retired;
 use crate::limbo::{Domain, Guard, Handle, Lifecycle, Pinned, ReadSide, RetireCore};
 use crate::ptr::{Atomic, Shared};
 use crate::registry::AdoptGuard;
@@ -59,10 +60,8 @@ impl Domain for Nr {
 impl Lifecycle for Nr {
     /// Leaks: only counts, so that memory-overhead experiments can report the
     /// (ever-growing) number of unreclaimed objects.
-    // SAFETY: NR never frees, so any unlinked pointer is trivially safe to retire.
     #[inline]
-    unsafe fn retire<T>(pinned: &mut Pinned<'_, Self>, batch: &[Shared<T>]) {
-        debug_assert!(batch.iter().all(|p| !p.is_null()));
+    fn retire(pinned: &mut Pinned<'_, Self>, batch: impl ExactSizeIterator<Item = Retired>) {
         pinned.count_retired(batch.len());
     }
 

@@ -22,62 +22,39 @@
 //! beyond that is returned to the global allocator, so total pooled memory
 //! never exceeds `2 × pool_capacity × max_threads` blocks per domain.
 
-use crate::block::{dealloc_raw, drop_value, Header};
+use crate::block::{alloc_fresh, Block, Parked};
 use core::alloc::Layout;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A dead block awaiting reuse: raw memory plus the layout it was allocated
-/// with.  Addresses are stored as `usize` so the type is trivially `Send`.
-#[derive(Clone, Copy)]
-struct FreeBlock {
-    hdr: usize,
-    layout: Layout,
-}
-
-/// One free list of identically-laid-out dead blocks, threaded intrusively
-/// through `Header::next`.
+/// One free list of identically-laid-out parked blocks, threaded
+/// intrusively through `Header::next`.
 struct Bin {
     layout: Layout,
-    /// Head of the intrusive LIFO list (0 = empty).
-    head: usize,
+    head: Option<Parked>,
     len: usize,
 }
 
 impl Bin {
     #[inline]
-    fn push(&mut self, hdr: *mut Header) {
-        // SAFETY: `hdr` is a dead block owned exclusively by this pool (its
-        // payload was dropped before it entered a free list), so rewriting
-        // its repurposed `next` field cannot race another thread.
-        // ORDERING: Relaxed — the free list is single-owner (one thread per
-        // pool tier); transfers between threads synchronize through the
-        // overflow mutex, which fences these writes.
-        unsafe { (*hdr).next.store(self.head, Ordering::Relaxed) };
-        self.head = hdr as usize;
+    fn push(&mut self, block: Parked) {
+        block.push_onto(&mut self.head);
         self.len += 1;
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<*mut Header> {
-        if self.head == 0 {
-            return None;
-        }
-        let hdr = self.head as *mut Header;
-        // SAFETY: every block in the free list is dead memory owned by this
-        // pool, so its header stays valid until the pool hands it out.
-        // ORDERING: Relaxed — single-owner list; see `push`.
-        self.head = unsafe { (*hdr).next.load(Ordering::Relaxed) };
+    fn pop(&mut self) -> Option<Parked> {
+        let block = Parked::pop_from(&mut self.head)?;
         self.len -= 1;
-        Some(hdr)
+        Some(block)
     }
 }
 
 /// One layout's parked blocks inside the shared overflow.
 struct OverflowBin {
     layout: Layout,
-    blocks: Vec<usize>,
+    blocks: Vec<Parked>,
 }
 
 /// Domain-shared overflow tier of the block pool.
@@ -118,11 +95,11 @@ impl PoolShared {
         self.overflow_count.load(Ordering::Relaxed)
     }
 
-    /// Parks `blocks` in the overflow, deallocating whatever exceeds the
-    /// overflow bound.  The single write-side entry point, shared by
-    /// [`BlockPool::spill`] and [`BlockPool::drop`] so the count mirror and
-    /// the bound live in one place.
-    fn park(&self, mut blocks: Vec<FreeBlock>) {
+    /// Parks `blocks`, all of `layout`, in the overflow, deallocating
+    /// whatever exceeds the overflow bound.  The single write-side entry
+    /// point, shared by [`BlockPool::spill`] and [`BlockPool::drop`] so the
+    /// count mirror and the bound live in one place.
+    fn park(&self, layout: Layout, mut blocks: Vec<Parked>) {
         if blocks.is_empty() {
             return;
         }
@@ -130,40 +107,31 @@ impl PoolShared {
         // ORDERING: Relaxed — `overflow_count` is only *written* under the
         // overflow mutex (held here), so this read observes the latest value;
         // the mutex provides the synchronization.
-        let mut total = self.overflow_count.load(Ordering::Relaxed);
-        let room = self.max_overflow.saturating_sub(total);
-        let keep = blocks.len().min(room);
-        for fb in blocks.drain(..keep) {
-            let idx = match overflow.iter().position(|b| b.layout == fb.layout) {
-                Some(i) => i,
-                None => {
-                    overflow.push(OverflowBin {
-                        layout: fb.layout,
-                        blocks: Vec::new(),
-                    });
-                    overflow.len() - 1
-                }
-            };
-            overflow[idx].blocks.push(fb.hdr);
-            total += 1;
-        }
+        let total = self.overflow_count.load(Ordering::Relaxed);
+        let keep = blocks.len().min(self.max_overflow.saturating_sub(total));
+        let idx = match overflow.iter().position(|b| b.layout == layout) {
+            Some(i) => i,
+            None => {
+                overflow.push(OverflowBin {
+                    layout,
+                    blocks: Vec::new(),
+                });
+                overflow.len() - 1
+            }
+        };
+        overflow[idx].blocks.extend(blocks.drain(..keep));
         // ORDERING: Relaxed — written under the overflow mutex; readers that
         // need the exact value (park/take) also hold the mutex, and the
         // lock-free empty-check in `refill` tolerates staleness.
-        self.overflow_count.store(total, Ordering::Relaxed);
+        self.overflow_count.store(total + keep, Ordering::Relaxed);
         drop(overflow);
-        for fb in blocks {
-            // SAFETY: blocks entering the pool have had their payload dropped
-            // (`BlockPool::free`), so only the raw memory remains to release,
-            // and `fb.layout` is the block's recorded allocation layout.
-            unsafe { dealloc_raw(fb.hdr as *mut Header, fb.layout) };
-        }
+        blocks.into_iter().for_each(Parked::dealloc);
     }
 
     /// Takes up to `want` parked blocks of `layout`.  Returns an empty vector
     /// when the overflow is contended (`try_lock`) or holds no such layout —
     /// in either case the caller falls through to the global allocator.
-    fn take(&self, layout: Layout, want: usize) -> Vec<usize> {
+    fn take(&self, layout: Layout, want: usize) -> Vec<Parked> {
         let Some(mut overflow) = self.overflow.try_lock() else {
             return Vec::new();
         };
@@ -180,14 +148,8 @@ impl PoolShared {
 
 impl Drop for PoolShared {
     fn drop(&mut self) {
-        let mut overflow = self.overflow.lock();
-        for bin in overflow.drain(..) {
-            for hdr in bin.blocks {
-                // SAFETY: payloads were dropped before the blocks entered the
-                // pool; only the raw memory remains to release, and
-                // `bin.layout` is the layout every block in this bin shares.
-                unsafe { dealloc_raw(hdr as *mut Header, bin.layout) };
-            }
+        for bin in self.overflow.lock().drain(..) {
+            bin.blocks.into_iter().for_each(Parked::dealloc);
         }
     }
 }
@@ -237,103 +199,53 @@ impl BlockPool {
         }
         self.bins.push(Bin {
             layout,
-            head: 0,
+            head: None,
             len: 0,
         });
         self.bins.len() - 1
     }
 
-    /// Allocates a block holding `value`, reusing a cached block of the same
-    /// layout when one is available (local bin first, then a batched refill
-    /// from the shared overflow, then the global allocator).
+    /// Allocates a block holding `value`, its header stamped with
+    /// `birth_era`, reusing a cached block of the same layout when one is
+    /// available (local bin first, then a batched refill from the shared
+    /// overflow, then the global allocator).
     ///
     /// A reused block keeps its recycling-incarnation stamp
-    /// ([`Header::version`]) across the reinitialization, incremented by one —
-    /// the stamp survives parking in either pool tier, so it counts every
-    /// reuse of the raw memory since the original allocation.  VBR's version
-    /// re-check relies on this monotonicity.
-    pub fn alloc<T>(&mut self, value: T) -> *mut T {
+    /// ([`crate::block::Header::version`]) across the reinitialization,
+    /// incremented by one — the stamp survives parking in either pool tier,
+    /// so it counts every reuse of the raw memory since the original
+    /// allocation.  VBR's version re-check relies on this monotonicity.
+    pub fn alloc<T>(&mut self, value: T, birth_era: u64) -> *mut T {
         if self.capacity == 0 {
-            return crate::block::alloc_block(value);
+            return alloc_fresh(value, birth_era);
         }
-        let layout = Layout::new::<crate::block::Block<T>>();
-        let bin = self.bin_index(layout);
-        if let Some(hdr) = self.bins[bin].pop() {
-            self.len -= 1;
-            // SAFETY: the block came out of the bin matching `Block<T>`'s
-            // layout and is dead (payload dropped before it was pooled).
-            return unsafe { Self::reinit(hdr, value) };
-        }
-        if self.refill(bin) {
-            if let Some(hdr) = self.bins[bin].pop() {
-                self.len -= 1;
-                // SAFETY: as above — refill only moves blocks of this bin's
-                // layout, and overflow blocks are dead by construction.
-                return unsafe { Self::reinit(hdr, value) };
-            }
-        }
-        crate::block::alloc_block(value)
+        let bin = self.bin_index(Layout::new::<Block<T>>());
+        let block = match self.bins[bin].pop() {
+            Some(block) => block,
+            None if self.refill(bin) => self.bins[bin].pop().expect("refilled"),
+            None => return alloc_fresh(value, birth_era),
+        };
+        self.len -= 1;
+        block.reinit(value, birth_era)
     }
 
-    /// Rewrites a parked block with a fresh header and `value`, preserving
-    /// (and bumping) the recycling-incarnation stamp that
-    /// [`crate::block::init_block`] would otherwise reset to zero.
-    ///
-    /// # Safety
-    /// Same contract as [`crate::block::init_block`]: `hdr` must be a dead
-    /// block of exactly `Block<T>`'s layout.
-    #[inline]
-    unsafe fn reinit<T>(hdr: *mut Header, value: T) -> *mut T {
-        // SAFETY: the caller guarantees `hdr` is a dead block of exactly
-        // `Block<T>`'s layout, owned by this pool — reading its parked header
-        // and overwriting it with a fresh block is exclusive access.
-        // ORDERING: the Relaxed read is single-owner (the stamp was last
-        // written either by this pool tier or before the block crossed the
-        // overflow mutex); the Release store pairs with the Acquire in
-        // `version_of` so a VBR reader that observes the new stamp also
-        // observes the reinitialized header.
-        unsafe {
-            // ORDERING: see the block comment above -- the stamp is single-owner here.
-            let incarnation = (*hdr).version.load(Ordering::Relaxed);
-            let ptr = crate::block::init_block(hdr, value);
-            (*hdr)
-                .version
-                .store(incarnation.wrapping_add(1), Ordering::Release);
-            ptr
-        }
-    }
-
-    /// Runs the block's destructor and recycles its memory: into a local bin
+    /// Recycles a block whose payload was just dropped: into a local bin
     /// while below capacity, spilling half a bin to the shared overflow when
     /// full, and falling through to the global allocator only once both tiers
     /// are at their bounds.
-    ///
-    /// # Safety
-    /// The block must be live, unreachable by any other thread, and not freed
-    /// twice — the same contract as [`crate::block::free_block`].
-    pub unsafe fn free(&mut self, hdr: *mut Header) {
-        // SAFETY: the caller guarantees the block is live and unreachable, so
-        // reading its vtable and running the payload destructor in place is
-        // exclusive access; afterwards the block is dead memory this pool owns.
-        let layout = unsafe { (*hdr).vtable.layout };
-        // SAFETY: as above — live, unreachable, not freed twice.
-        unsafe { drop_value(hdr) };
+    pub(crate) fn recycle(&mut self, block: Parked) {
         if self.capacity == 0 {
-            // SAFETY: payload just dropped; `layout` is the recorded layout.
-            unsafe { dealloc_raw(hdr, layout) };
-            return;
+            return block.dealloc();
         }
         if self.len >= self.capacity {
             self.spill();
         }
         if self.len >= self.capacity {
             // Overflow tier was full too: give the block back for real.
-            // SAFETY: payload just dropped; `layout` is the recorded layout.
-            unsafe { dealloc_raw(hdr, layout) };
-            return;
+            return block.dealloc();
         }
-        let bin = self.bin_index(layout);
-        self.bins[bin].push(hdr);
+        let bin = self.bin_index(block.layout());
+        self.bins[bin].push(block);
         self.len += 1;
     }
 
@@ -350,16 +262,9 @@ impl BlockPool {
             return;
         };
         let want = (self.capacity / 2).max(1).min(bin.len);
-        let mut moved = Vec::with_capacity(want);
-        for _ in 0..want {
-            let Some(hdr) = bin.pop() else { break };
-            moved.push(FreeBlock {
-                hdr: hdr as usize,
-                layout: bin.layout,
-            });
-        }
+        let moved: Vec<Parked> = std::iter::from_fn(|| bin.pop()).take(want).collect();
         self.len -= moved.len();
-        self.shared.park(moved);
+        self.shared.park(bin.layout, moved);
     }
 
     /// Pulls up to half the local capacity of `layout`-compatible blocks from
@@ -374,14 +279,14 @@ impl BlockPool {
         if self.shared.overflow_count.load(Ordering::Relaxed) == 0 {
             return false;
         }
-        let layout = self.bins[bin].layout;
         let want = (self.capacity / 2).max(1);
-        let taken = self.shared.take(layout, want);
-        for &hdr in &taken {
-            self.bins[bin].push(hdr as *mut Header);
-        }
+        let taken = self.shared.take(self.bins[bin].layout, want);
         self.len += taken.len();
-        !taken.is_empty()
+        let refilled = !taken.is_empty();
+        taken
+            .into_iter()
+            .for_each(|block| self.bins[bin].push(block));
+        refilled
     }
 }
 
@@ -389,25 +294,31 @@ impl Drop for BlockPool {
     fn drop(&mut self) {
         // Park everything in the overflow so capacity survives thread churn;
         // whatever exceeds the overflow bound goes back to the allocator.
-        let mut moved = Vec::with_capacity(self.len);
         for bin in &mut self.bins {
-            while let Some(hdr) = bin.pop() {
-                moved.push(FreeBlock {
-                    hdr: hdr as usize,
-                    layout: bin.layout,
-                });
-            }
+            let moved: Vec<Parked> = std::iter::from_fn(|| bin.pop()).collect();
+            self.shared.park(bin.layout, moved);
         }
         self.len = 0;
-        self.shared.park(moved);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{alloc_block, header_of};
+    use crate::block::{alloc_block, version_of, Retired};
+    use crate::ptr::Shared;
     use std::sync::atomic::AtomicUsize;
+
+    /// Frees a block the test allocated and never shared into `pool`.
+    fn free<T>(pool: &mut BlockPool, ptr: *mut T) {
+        // SAFETY: every test block is owned by the test alone and freed once.
+        unsafe { Retired::new(Shared::from_ptr(ptr)).reclaimable() }.free_into(pool);
+    }
+
+    fn version<T>(ptr: *mut T) -> u64 {
+        // SAFETY: the block is live and owned by the test.
+        unsafe { version_of(Shared::from_ptr(ptr)) }
+    }
 
     fn pool(capacity: usize, max_threads: usize) -> (Arc<PoolShared>, BlockPool) {
         let shared = PoolShared::new(capacity, max_threads);
@@ -418,25 +329,22 @@ mod tests {
     #[test]
     fn alloc_free_recycles_the_same_memory() {
         let (_shared, mut pool) = pool(8, 1);
-        let a = pool.alloc(1u64);
+        let a = pool.alloc(1u64, 0);
         let addr = a as usize;
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe { pool.free(header_of(a)) };
+        free(&mut pool, a);
         assert_eq!(pool.cached(), 1);
-        let b = pool.alloc(2u64);
+        let b = pool.alloc(2u64, 0);
         assert_eq!(b as usize, addr, "LIFO reuse of the freed block");
         assert_eq!(pool.cached(), 0);
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe { pool.free(header_of(b)) };
+        free(&mut pool, b);
     }
 
     #[test]
     fn local_pool_never_exceeds_capacity() {
         let (shared, mut pool) = pool(4, 1);
-        let blocks: Vec<*mut u64> = (0..32).map(|i| pool.alloc(i as u64)).collect();
+        let blocks: Vec<*mut u64> = (0..32).map(|i| pool.alloc(i as u64, 0)).collect();
         for b in blocks {
-            // SAFETY: the block was allocated by this pool family and is freed exactly once.
-            unsafe { pool.free(header_of(b)) };
+            free(&mut pool, b);
         }
         assert!(
             pool.cached() <= pool.capacity(),
@@ -452,10 +360,9 @@ mod tests {
     fn overflow_bound_is_respected_and_excess_is_deallocated() {
         let shared = PoolShared::new(2, 2); // max_overflow = 4
         let mut pool = BlockPool::new(shared.clone(), 2);
-        let blocks: Vec<*mut u64> = (0..64).map(|i| pool.alloc(i as u64)).collect();
+        let blocks: Vec<*mut u64> = (0..64).map(|i| pool.alloc(i as u64, 0)).collect();
         for b in blocks {
-            // SAFETY: the block was allocated by this pool family and is freed exactly once.
-            unsafe { pool.free(header_of(b)) };
+            free(&mut pool, b);
         }
         assert!(pool.cached() <= 2);
         assert!(shared.overflow_len() <= 4);
@@ -467,29 +374,26 @@ mod tests {
         let mut producer = BlockPool::new(shared.clone(), 8);
         let mut consumer = BlockPool::new(shared.clone(), 8);
         // Producer frees blocks it never reuses; its pool fills and spills.
-        let blocks: Vec<*mut u64> = (0..32).map(|i| producer.alloc(i as u64)).collect();
+        let blocks: Vec<*mut u64> = (0..32).map(|i| producer.alloc(i as u64, 0)).collect();
         for b in blocks {
-            // SAFETY: the block was allocated by this pool family and is freed exactly once.
-            unsafe { producer.free(header_of(b)) };
+            free(&mut producer, b);
         }
         assert!(shared.overflow_len() > 0, "producer must have spilled");
         // Consumer starts empty and must refill from the overflow.
         let before = shared.overflow_len();
-        let c = consumer.alloc(7u64);
+        let c = consumer.alloc(7u64, 0);
         assert!(
             shared.overflow_len() < before,
             "consumer must refill from the shared overflow"
         );
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe { consumer.free(header_of(c)) };
+        free(&mut consumer, c);
     }
 
     #[test]
     fn zero_capacity_disables_pooling() {
         let (shared, mut pool) = pool(0, 1);
-        let a = pool.alloc(1u64);
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe { pool.free(header_of(a)) };
+        let a = pool.alloc(1u64, 0);
+        free(&mut pool, a);
         assert_eq!(pool.cached(), 0);
         assert_eq!(shared.overflow_len(), 0);
     }
@@ -506,9 +410,8 @@ mod tests {
         let (_shared, mut pool) = pool(4, 1);
         const ROUNDS: usize = 100;
         for _ in 0..ROUNDS {
-            let p = pool.alloc(DropCounter(count.clone()));
-            // SAFETY: the block was allocated by this pool family and is freed exactly once.
-            unsafe { pool.free(header_of(p)) };
+            let p = pool.alloc(DropCounter(count.clone()), 0);
+            free(&mut pool, p);
         }
         assert_eq!(count.load(Ordering::SeqCst), ROUNDS);
     }
@@ -516,26 +419,20 @@ mod tests {
     #[test]
     fn mixed_layouts_use_separate_bins() {
         let (_shared, mut pool) = pool(8, 1);
-        let small = pool.alloc(1u64);
-        let big = pool.alloc([0u8; 128]);
+        let small = pool.alloc(1u64, 0);
+        let big = pool.alloc([0u8; 128], 0);
         let small_addr = small as usize;
         let big_addr = big as usize;
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe {
-            pool.free(header_of(small));
-            pool.free(header_of(big));
-        }
+        free(&mut pool, small);
+        free(&mut pool, big);
         assert_eq!(pool.cached(), 2);
         // Each type gets back its own layout's memory, never the other's.
-        let big2 = pool.alloc([1u8; 128]);
-        let small2 = pool.alloc(2u64);
+        let big2 = pool.alloc([1u8; 128], 0);
+        let small2 = pool.alloc(2u64, 0);
         assert_eq!(big2 as usize, big_addr);
         assert_eq!(small2 as usize, small_addr);
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe {
-            pool.free(header_of(small2));
-            pool.free(header_of(big2));
-        }
+        free(&mut pool, small2);
+        free(&mut pool, big2);
     }
 
     #[test]
@@ -543,10 +440,9 @@ mod tests {
         let shared = PoolShared::new(4, 2);
         {
             let mut p = BlockPool::new(shared.clone(), 4);
-            let blocks: Vec<*mut u64> = (0..4).map(|i| p.alloc(i as u64)).collect();
+            let blocks: Vec<*mut u64> = (0..4).map(|i| p.alloc(i as u64, 0)).collect();
             for b in blocks {
-                // SAFETY: the block was allocated by this pool family and is freed exactly once.
-                unsafe { p.free(header_of(b)) };
+                free(&mut p, b);
             }
             assert_eq!(p.cached(), 4);
         }
@@ -559,34 +455,26 @@ mod tests {
         // were allocated by a different handle or before pooling kicked in.
         let (_shared, mut pool) = pool(4, 1);
         let raw = alloc_block(9u64);
-        // SAFETY: `raw` came straight from `alloc_block` and has a valid header; the pool takes ownership.
-        unsafe { pool.free(header_of(raw)) };
+        free(&mut pool, raw);
         assert_eq!(pool.cached(), 1);
-        let back = pool.alloc(10u64);
+        let back = pool.alloc(10u64, 0);
         assert_eq!(back as usize, raw as usize);
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe { pool.free(header_of(back)) };
+        free(&mut pool, back);
     }
 
     #[test]
     fn version_stamp_counts_recycling_incarnations() {
         let (_shared, mut pool) = pool(8, 1);
-        let a = pool.alloc(1u64);
-        // SAFETY: the pointer refers to a live block owned by this test.
-        assert_eq!(unsafe { crate::block::version_of(a) }, 0, "fresh block");
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe { pool.free(header_of(a)) };
-        let b = pool.alloc(2u64);
+        let a = pool.alloc(1u64, 0);
+        assert_eq!(version(a), 0, "fresh block");
+        free(&mut pool, a);
+        let b = pool.alloc(2u64, 0);
         assert_eq!(b as usize, a as usize, "must reuse the same memory");
-        // SAFETY: the pointer refers to a live block owned by this test.
-        assert_eq!(unsafe { crate::block::version_of(b) }, 1);
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe { pool.free(header_of(b)) };
-        let c = pool.alloc(3u64);
-        // SAFETY: the pointer refers to a live block owned by this test.
-        assert_eq!(unsafe { crate::block::version_of(c) }, 2);
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe { pool.free(header_of(c)) };
+        assert_eq!(version(b), 1);
+        free(&mut pool, b);
+        let c = pool.alloc(3u64, 0);
+        assert_eq!(version(c), 2);
+        free(&mut pool, c);
     }
 
     #[test]
@@ -596,22 +484,17 @@ mod tests {
         let mut consumer = BlockPool::new(shared.clone(), 8);
         // One recycle through the producer gives the block version 1, then
         // its drop parks everything in the shared overflow.
-        let a = producer.alloc(1u64);
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe { producer.free(header_of(a)) };
-        let b = producer.alloc(2u64);
-        // SAFETY: the pointer refers to a live block owned by this test.
-        assert_eq!(unsafe { crate::block::version_of(b) }, 1);
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe { producer.free(header_of(b)) };
+        let a = producer.alloc(1u64, 0);
+        free(&mut producer, a);
+        let b = producer.alloc(2u64, 0);
+        assert_eq!(version(b), 1);
+        free(&mut producer, b);
         drop(producer);
         // The consumer refills from the overflow; the stamp keeps counting.
-        let c = consumer.alloc(3u64);
+        let c = consumer.alloc(3u64, 0);
         assert_eq!(c as usize, b as usize);
-        // SAFETY: the pointer refers to a live block owned by this test.
-        assert_eq!(unsafe { crate::block::version_of(c) }, 2);
-        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-        unsafe { consumer.free(header_of(c)) };
+        assert_eq!(version(c), 2);
+        free(&mut consumer, c);
     }
 
     #[test]
@@ -623,16 +506,14 @@ mod tests {
                 s.spawn(move || {
                     let mut pool = BlockPool::new(shared, 16);
                     for i in 0..2000u64 {
-                        let p = pool.alloc(t as u64 * 1_000_000 + i);
-                        // SAFETY: the block was allocated by this pool family and is freed exactly once.
-                        unsafe { pool.free(header_of(p)) };
+                        let p = pool.alloc(t as u64 * 1_000_000 + i, 0);
+                        free(&mut pool, p);
                         if i % 7 == 0 {
                             // Burst of allocations to force refills.
                             let burst: Vec<*mut u64> =
-                                (0..8).map(|j| pool.alloc(j as u64)).collect();
+                                (0..8).map(|j| pool.alloc(j as u64, 0)).collect();
                             for b in burst {
-                                // SAFETY: the block was allocated by this pool family and is freed exactly once.
-                                unsafe { pool.free(header_of(b)) };
+                                free(&mut pool, b);
                             }
                         }
                     }

@@ -280,7 +280,7 @@ mod tests {
             let mut g = h.pin();
             let p = g.alloc(i);
             // SAFETY: `p` is live and owned by this test.
-            max_version = max_version.max(unsafe { version_of(p.as_ptr()) });
+            max_version = max_version.max(unsafe { version_of(p) });
             // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
             unsafe { g.retire(p) };
         }
