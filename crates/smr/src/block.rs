@@ -328,8 +328,8 @@ pub unsafe fn version_of<T>(ptr: Shared<T>) -> u64 {
 /// Invariant: the block is unlinked from every structure, was retired exactly
 /// once, and stays allocated while this record can be used — a limbo list
 /// frees it only by minting a `Reclaimable` and dropping the record, and
-/// Hyaline's `push_batch` uses a batch's records up to its last decrement,
-/// after which the flush clears them.  So the header accessors are safe.
+/// Hyaline's `push_batch` drops a batch's records at the retirer's last
+/// decrement.  So the header accessors are safe.
 ///
 /// Two words: the header pointer plus the address of the value part, which is
 /// what hazard-pointer slots publish and therefore what limbo scans must

@@ -69,13 +69,6 @@
 //! at `batch_capacity`, `flush` and release flush it, and adoption flushes it
 //! and recycles or poisons the slot (below).
 //!
-//! Against the previous enter (unconditional era `xchg`) and leave (load + CAS
-//! loop + a clone of the domain `Arc`), 10 alternating runs per side of the
-//! repo benchmark's `hashmap-wo`: `smr.pin_ns.HLN` 45.5 → 20.2 ns,
-//! `scot.pin_unpin_ns.HLN` 113 → 15.5 ns, `ops_per_s.HLN` 8.43 → 11.20 M/s
-//! (+33 %, 10 wins of 10).  The full table with quartiles is in `DESIGN.md`
-//! § Hot-path engineering.
-//!
 //! ## Deviations from the published algorithm
 //!
 //! * The original Hyaline-1S multiplexes all threads over one global slot and
@@ -347,9 +340,9 @@ impl Hyaline {
     /// the retirer's own reference, freeing the batch into `pool` if that was
     /// the last one; returns how many blocks it freed.  `nodes[0]` is the
     /// REFS node and is never pushed; the remaining nodes provide the
-    /// per-slot list linkage.  The records are used up to the last decrement
-    /// only: the caller clears them right after.
-    fn push_batch(&self, nodes: &[Retired], min_birth: u64, pool: &mut BlockPool) -> usize {
+    /// per-slot list linkage.  The records go with the retirer's last
+    /// decrement: `nodes` is left empty, its buffer kept for the next batch.
+    fn push_batch(&self, nodes: &mut Vec<Retired>, min_birth: u64, pool: &mut BlockPool) -> usize {
         debug_assert!(!nodes.is_empty());
         let refs = &nodes[0].header().refs;
 
@@ -424,16 +417,18 @@ impl Hyaline {
 
         // Drop the retirer's bias reference; if nothing else holds the batch
         // (no active slots, or every acknowledgement already arrived), free it.
-        if refs.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // SAFETY: observed 1 → ours was the batch's last reference: no
-            // thread can reach it any more, and the caller drops the records.
-            return Self::free_batch(unsafe { nodes[0].reclaimable() }, pool);
-        }
-        0
+        // Either way another thread may free it from here on, so the records
+        // go too.
+        let last = refs.fetch_sub(1, Ordering::AcqRel) == 1;
+        // SAFETY: observed 1 → ours was the batch's last reference: no thread
+        // can reach it any more, and the records are cleared right below.
+        let batch = last.then(|| unsafe { nodes[0].reclaimable() });
+        nodes.clear();
+        batch.map_or(0, |refs_node| Self::free_batch(refs_node, pool))
     }
 
     /// Pushes the batch accumulated in a vault to the active slots, padded
-    /// with dummy blocks up to the full linkage capacity, and empties the
+    /// with dummy blocks up to the full linkage capacity, which empties the
     /// vault in place, so its buffer serves the next batch.  The vault is the
     /// own slot's, or with `adoption` the adopted slot's; padding and frees
     /// are charged to the own slot's share.
@@ -460,7 +455,6 @@ impl Hyaline {
             nodes.push(Retired::padding(pool));
         }
         let freed = d.push_batch(nodes, min_birth.unwrap_or(u64::MAX), pool);
-        nodes.clear();
         pinned.count_retired(padding);
         if freed > 0 {
             pinned.count_freed(freed);
