@@ -884,10 +884,9 @@ const RAW_DEREFS: [&str; 4] = [
 
 /// Calls that allocate, write, move out of, drop in place or free raw
 /// memory: in smr, only the block pointer's methods may make them.
-const RAW_MEMORY: [&str; 7] = [
+const RAW_MEMORY: [&str; 6] = [
     "alloc::alloc(",
     "alloc::dealloc(",
-    "alloc::realloc(",
     "ptr::read(",
     "ptr::write(",
     "drop_in_place(",
