@@ -35,7 +35,9 @@
 //! worst case explicitly as [`FaultReport::pool_leak_bound`].
 //!
 //! Every scenario's actors, the service preset's stalled readers included,
-//! live here: scot-lint L5 confines `mem::forget` to this file.
+//! live here.  `clippy::mem_forget` is denied across the workspace's
+//! library crates; the thread-death actor's leaked handle is the one
+//! non-test `#[expect]` of it.
 
 use crate::hist::OpClass;
 use crate::phases::{run_scenario, Scenario};
@@ -176,6 +178,10 @@ impl<C: ConcurrentMap<u64, ()>> FaultActor<'_, C> {
 
     /// [`FaultKind::ThreadDeath`]: the slot stays claimed until the
     /// thread's exit beacon fires, at which point survivors adopt it.
+    #[expect(
+        clippy::mem_forget,
+        reason = "thread death: the leaked handle orphans its slot"
+    )]
     fn death(mut self) {
         let mut handle = self.ops.target.map.handle();
         while self.phase.load(Ordering::Acquire) < self.at {

@@ -1,34 +1,34 @@
 //! `scot-lint` — a protocol-invariant static analyzer for the SCOT/SMR
 //! stack.
 //!
-//! The reclamation protocol this repository implements (validate before
-//! deref, publish protections before use, one slot-map table, closed
-//! scheme×structure matrices) is exactly the kind of invariant Rust's type
-//! system cannot see: a missing `// ORDERING:` argument, a hazard index that
-//! bypasses the slot map, or a dispatch `match` that silently forgot the
-//! newest scheme all compile cleanly and fail only under churn.  This crate
-//! walks the workspace sources with a hand-rolled scanner (no parser
-//! dependencies — it must build in the vendored-offline environment) and
-//! enforces five named rules:
+//! The reclamation protocol this repository implements (publish protections
+//! before use, one slot-map table, closed scheme×structure matrices, guards
+//! that resolve their slot once) includes invariants that neither Rust's type
+//! system nor any clippy lint can see: a missing `// ORDERING:` argument, a
+//! hazard index that bypasses the slot map, or a scheme list that silently
+//! forgot the newest scheme all compile cleanly and fail only under churn.
+//! This crate walks the workspace sources with a hand-rolled scanner (no
+//! parser dependencies — it must build in the vendored-offline environment)
+//! and enforces four named rules:
 //!
 //! | rule | name | invariant |
 //! |------|------|-----------|
 //! | `L2` | `ordering-audit` | every `Ordering::Relaxed` on protection-publication state, and every `compiler_fence`, carries an `// ORDERING:` justification |
 //! | `L3` | `slot-discipline` | hazard-slot indices are the named `HP_*` constants, never raw integers, outside `scot::slots` |
-//! | `L4` | `matrix-completeness` | `SmrKind`/`DsKind` dispatch matches, test matrices and doc tables enumerate the full variant set |
-//! | `L5` | `guard-discipline` | no `mem::forget`/`ManuallyDrop` on guards outside `faults.rs`; guard types and `fn pin` are `#[must_use]`; `smr` guard bodies never re-derive domain or slot (`.clone()` or `Arc::as_ptr` of the domain `Arc`, `.domain()`, `.slots[`) |
-//! | `L6` | `raw-deref` | `crates/scot` reads nodes through the cursor's (or the tree seek record's) protection constructors: no `Shared::deref`/`deref_guarded`/`as_ref`, `Link` load/cas/`as_atomic` or `protect_link` outside them; `crates/smr` has no `UnsafeCell` outside the retire record's accessors, and no raw block-memory call (`alloc`, `dealloc`, `ptr::read`/`write`, `drop_in_place`, `Box::from_raw`) outside the block pointer's methods |
+//! | `L4` | `matrix-completeness` | `SmrKind`/`DsKind` `ALL`/`name()`/`parse()`, hand-enumerated arrays and the README/DESIGN.md tables enumerate the full variant set |
+//! | `L5` | `guard-discipline` | guard types and `fn pin` are `#[must_use]`; `smr` guard bodies never re-derive domain or slot (`.clone()` or `Arc::as_ptr` of the domain `Arc`, `.domain()`, `.slots[`) |
 //!
-//! There is no `L1`: the `// SAFETY:` / `# Safety` audit of every `unsafe`
-//! site is clippy's `undocumented_unsafe_blocks` and `missing_safety_doc`,
-//! denied in `crates/smr` and `crates/scot`.  The ids `L2`–`L6` stay as they
-//! are, because `LINT-ALLOW` comments cite them.
-//!
-//! Violations can be grandfathered in a committed `lint.allow` file (one
-//! `RULE path[:line]` entry per line) or suppressed at the site with a
-//! `LINT-ALLOW: <rule>` comment; both are meant to be empty-or-justified,
-//! and *stale* allowlist entries are themselves findings so the file can
-//! only shrink.
+//! Everything a compiler lint can check is clippy's, configured per crate
+//! (`Cargo.toml` `[lints.clippy]` and `clippy.toml`) and denied by the
+//! `clippy --all-targets -D warnings` CI job: the `// SAFETY:` / `# Safety`
+//! audit (`undocumented_unsafe_blocks`, `missing_safety_doc`), raw
+//! dereferences outside the protection constructors and raw block memory
+//! outside the block pointer (`disallowed_methods` / `disallowed_types`),
+//! leaked guards (`mem_forget`, `ManuallyDrop`) and dispatch `match`es that
+//! hide a variant behind `_` (`wildcard_enum_match_arm`).  An exception there
+//! is an `#[expect(clippy::…, reason = "…")]` at the site; this crate has no
+//! suppression mechanism — its rules are fixed at the site (L2's
+//! `// ORDERING:` comment is its own justification).
 
 #![forbid(unsafe_code)]
 
@@ -40,8 +40,7 @@ use scan::SourceFile;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Rule identifiers; `Display` renders the `L<n>` id used in diagnostics,
-/// allowlist entries and `LINT-ALLOW` comments.
+/// Rule identifiers; `Display` renders the `L<n>` id used in diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
     /// ordering-audit.
@@ -52,13 +51,11 @@ pub enum Rule {
     L4,
     /// guard-discipline.
     L5,
-    /// raw-deref.
-    L6,
 }
 
 impl Rule {
     /// All rules, in id order.
-    pub const ALL: [Rule; 5] = [Rule::L2, Rule::L3, Rule::L4, Rule::L5, Rule::L6];
+    pub const ALL: [Rule; 4] = [Rule::L2, Rule::L3, Rule::L4, Rule::L5];
 
     /// The short id (`L2`).
     pub fn id(&self) -> &'static str {
@@ -67,7 +64,6 @@ impl Rule {
             Rule::L3 => "L3",
             Rule::L4 => "L4",
             Rule::L5 => "L5",
-            Rule::L6 => "L6",
         }
     }
 
@@ -78,15 +74,7 @@ impl Rule {
             Rule::L3 => "slot-discipline",
             Rule::L4 => "matrix-completeness",
             Rule::L5 => "guard-discipline",
-            Rule::L6 => "raw-deref",
         }
-    }
-
-    /// Parses `L2`..`L6` (or the rule name).
-    pub fn parse(s: &str) -> Option<Rule> {
-        Rule::ALL
-            .into_iter()
-            .find(|r| r.id().eq_ignore_ascii_case(s) || r.name() == s)
     }
 }
 
@@ -128,11 +116,8 @@ impl fmt::Display for Finding {
 
 /// The outcome of a `check` run.
 pub struct Report {
-    /// Findings that survived the allowlist, sorted by (file, line, rule).
+    /// Every finding, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// Allowlist entries that matched nothing (stale — these fail the run
-    /// too, so `lint.allow` can only shrink).
-    pub stale_allows: Vec<String>,
     /// Number of Rust files scanned.
     pub files_scanned: usize,
 }
@@ -140,109 +125,25 @@ pub struct Report {
 impl Report {
     /// Whether the run is clean.
     pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.stale_allows.is_empty()
+        self.findings.is_empty()
     }
-}
-
-/// One parsed `lint.allow` entry: `RULE path[:line]` (anything after `#` is
-/// a comment).
-#[derive(Debug, PartialEq)]
-struct AllowEntry {
-    rule: Rule,
-    file: String,
-    line: Option<usize>,
-    raw: String,
-}
-
-fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
-    let mut out = Vec::new();
-    for (ix, line) in text.lines().enumerate() {
-        let stripped = line.split('#').next().unwrap_or("").trim();
-        if stripped.is_empty() {
-            continue;
-        }
-        let mut parts = stripped.split_whitespace();
-        let (rule, target) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(r), Some(t), None) => (r, t),
-            _ => {
-                return Err(format!(
-                    "lint.allow:{}: expected `RULE path[:line]`, got {stripped:?}",
-                    ix + 1
-                ))
-            }
-        };
-        let rule = Rule::parse(rule)
-            .ok_or_else(|| format!("lint.allow:{}: unknown rule {rule:?}", ix + 1))?;
-        let (file, line_no) = match target.rsplit_once(':') {
-            Some((f, n)) if n.bytes().all(|b| b.is_ascii_digit()) && !n.is_empty() => {
-                (f.to_string(), Some(n.parse::<usize>().unwrap()))
-            }
-            _ => (target.to_string(), None),
-        };
-        out.push(AllowEntry {
-            rule,
-            file,
-            line: line_no,
-            raw: stripped.to_string(),
-        });
-    }
-    Ok(out)
 }
 
 /// Runs every rule over the workspace rooted at `root`.
 pub fn check(root: &Path) -> Result<Report, String> {
     let files = load_sources(root)?;
-    let docs = load_docs(root)?;
+    let docs = load_docs(root);
 
     let mut findings = Vec::new();
     findings.extend(rules::l2_ordering_audit(&files));
     findings.extend(rules::l3_slot_discipline(&files));
     findings.extend(rules::l4_matrix_completeness(&files, &docs));
     findings.extend(rules::l5_guard_discipline(&files));
-    findings.extend(rules::l6_raw_deref(&files));
-
-    // Site-level suppression: `LINT-ALLOW: L<n>` in a comment on the line or
-    // directly above it.
-    findings.retain(|f| {
-        if f.line == 0 {
-            return true;
-        }
-        let Some(src) = files.iter().find(|s| s.rel == f.file) else {
-            return true;
-        };
-        src.marker_above(f.line - 1, &[&format!("LINT-ALLOW: {}", f.rule.id())])
-            .is_none()
-    });
-
-    // Allowlist.
-    let allow_path = root.join("lint.allow");
-    let allows = match std::fs::read_to_string(&allow_path) {
-        Ok(text) => parse_allowlist(&text)?,
-        Err(_) => Vec::new(),
-    };
-    let mut used = vec![false; allows.len()];
-    findings.retain(|f| {
-        for (ix, a) in allows.iter().enumerate() {
-            if a.rule == f.rule && a.file == f.file && a.line.is_none_or(|l| l == f.line) {
-                used[ix] = true;
-                return false;
-            }
-        }
-        true
-    });
-    let stale_allows = allows
-        .iter()
-        .zip(&used)
-        .filter(|(_, &u)| !u)
-        .map(|(a, _)| a.raw.clone())
-        .collect();
-
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
     Ok(Report {
         findings,
-        stale_allows,
         files_scanned: files.len(),
     })
 }
@@ -296,46 +197,15 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-fn load_docs(root: &Path) -> Result<Vec<DocFile>, String> {
-    let mut docs = Vec::new();
-    for rel in ["README.md", "DESIGN.md"] {
-        let p = root.join(rel);
-        if let Ok(text) = std::fs::read_to_string(&p) {
-            docs.push(DocFile {
+fn load_docs(root: &Path) -> Vec<DocFile> {
+    ["README.md", "DESIGN.md"]
+        .into_iter()
+        .filter_map(|rel| {
+            let text = std::fs::read_to_string(root.join(rel)).ok()?;
+            Some(DocFile {
                 rel: rel.to_string(),
                 lines: text.lines().map(str::to_string).collect(),
-            });
-        }
-    }
-    Ok(docs)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn allowlist_parses_and_rejects() {
-        let entries =
-            parse_allowlist("# comment\nL2 crates/smr/src/hp.rs:10\nL4 README.md  # table\n")
-                .unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].rule, Rule::L2);
-        assert_eq!(entries[0].line, Some(10));
-        assert_eq!(entries[1].line, None);
-        assert!(parse_allowlist("L9 foo.rs").is_err());
-        assert!(parse_allowlist("L2").is_err());
-        assert!(
-            parse_allowlist("L1 crates/smr/src/hp.rs").is_err(),
-            "L1 is clippy's now"
-        );
-    }
-
-    #[test]
-    fn rule_ids_round_trip() {
-        for r in Rule::ALL {
-            assert_eq!(Rule::parse(r.id()), Some(r));
-            assert_eq!(Rule::parse(r.name()), Some(r));
-        }
-    }
+            })
+        })
+        .collect()
 }

@@ -8,19 +8,15 @@ use std::process::ExitCode;
 fn usage() -> &'static str {
     "usage: scot-lint check [--root <dir>]\n\
      \n\
-     Enforces the repo's concurrency-protocol invariants:\n\
+     Enforces the repo's concurrency-protocol invariants that no compiler lint can:\n\
      \x20 L2 ordering-audit       Relaxed on protection state, and compiler_fence, carry // ORDERING:\n\
      \x20 L3 slot-discipline      hazard slots are named HP_* constants\n\
-     \x20 L4 matrix-completeness  SmrKind/DsKind matrices enumerate every variant\n\
-     \x20 L5 guard-discipline     no mem::forget on guards; guards are #[must_use]\n\
-     \x20 L6 raw-deref            scot reads nodes through the cursor, not Shared::deref;\n\
-     \x20                         smr has no UnsafeCell outside the retire record,\n\
-     \x20                         no raw block memory outside the block pointer\n\
-     (the // SAFETY: audit is clippy's, denied in crates/smr and crates/scot)\n\
+     \x20 L4 matrix-completeness  SmrKind/DsKind arrays and doc tables enumerate every variant\n\
+     \x20 L5 guard-discipline     guards are #[must_use]; guard bodies never re-derive domain or slot\n\
+     (the SAFETY audit, raw derefs, raw block memory, leaked guards and wildcard\n\
+     dispatch arms are clippy's: `cargo clippy --all-targets -- -D warnings`)\n\
      \n\
-     Exit codes: 0 clean, 1 findings, 2 usage/IO error.\n\
-     Grandfathered sites live in lint.allow (`RULE path[:line]` per line);\n\
-     stale entries are findings, so the file can only shrink."
+     Exit codes: 0 clean, 1 findings, 2 usage/IO error."
 }
 
 fn main() -> ExitCode {
@@ -67,20 +63,17 @@ fn main() -> ExitCode {
             for f in &report.findings {
                 println!("{f}\n");
             }
-            for stale in &report.stale_allows {
-                println!("error[allowlist]: stale lint.allow entry (matches nothing): {stale}\n");
-            }
             if report.is_clean() {
                 println!(
-                    "scot-lint: clean — {} files scanned, 5 rules, 0 findings",
-                    report.files_scanned
+                    "scot-lint: clean — {} files scanned, {} rules, 0 findings",
+                    report.files_scanned,
+                    scot_lint::Rule::ALL.len()
                 );
                 ExitCode::SUCCESS
             } else {
                 println!(
-                    "scot-lint: {} finding(s), {} stale allowlist entr(ies) across {} files",
+                    "scot-lint: {} finding(s) across {} files",
                     report.findings.len(),
-                    report.stale_allows.len(),
                     report.files_scanned
                 );
                 ExitCode::FAILURE

@@ -83,8 +83,7 @@ pub fn l2_ordering_audit(files: &[SourceFile]) -> Vec<Finding> {
             continue;
         }
         for i in 0..f.code.len() {
-            if f.code[i].contains("compiler_fence(") && f.marker_above(i, &["ORDERING:"]).is_none()
-            {
+            if f.code[i].contains("compiler_fence(") && !f.marker_above(i, "ORDERING:") {
                 out.push(finding(
                     Rule::L2,
                     &f.rel,
@@ -106,7 +105,7 @@ pub fn l2_ordering_audit(files: &[SourceFile]) -> Vec<Finding> {
                     relevant = touches_protection_word(prev);
                 }
             }
-            if relevant && f.marker_above(i, &["ORDERING:"]).is_none() {
+            if relevant && !f.marker_above(i, "ORDERING:") {
                 out.push(finding(
                     Rule::L2,
                     &f.rel,
@@ -125,10 +124,10 @@ pub fn l2_ordering_audit(files: &[SourceFile]) -> Vec<Finding> {
 // L3 · slot-discipline
 // ---------------------------------------------------------------------------
 
-/// Hazard-slot indices passed to `protect` / `protect_link` / `dup` must be
-/// the named `HP_*` constants from `scot::slots` — a raw integer bypasses the
-/// one documented slot-map table and is exactly how two call sites end up
-/// silently sharing a slot.  `crates/scot/src/slots.rs` itself (where the
+/// Hazard-slot indices passed to `protect` / `dup` must be the named `HP_*`
+/// constants from `scot::slots` — a raw integer bypasses the one documented
+/// slot-map table and is exactly how two call sites end up silently sharing
+/// a slot.  `crates/scot/src/slots.rs` itself (where the
 /// constants are defined) is exempt.
 pub fn l3_slot_discipline(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -138,7 +137,7 @@ pub fn l3_slot_discipline(files: &[SourceFile]) -> Vec<Finding> {
         }
         for i in 0..f.code.len() {
             let code = &f.code[i];
-            for callee in ["protect_link(", "protect(", "dup("] {
+            for callee in ["protect(", "dup("] {
                 let mut from = 0;
                 while let Some(pos) = code[from..].find(callee) {
                     let at = from + pos;
@@ -334,30 +333,6 @@ fn collect_block_at(
     None
 }
 
-/// Like [`enum_refs`] but keeps only references in *pattern position*: the
-/// next non-whitespace token after the variant is `=>` or `|`.  This is what
-/// distinguishes a dispatch `match smr { SmrKind::Nr => … }` from a match
-/// whose *bodies* happen to mention the enum.
-fn enum_pattern_refs(text: &str, enum_name: &str) -> Vec<String> {
-    let needle = format!("{enum_name}::");
-    let mut out: Vec<String> = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = text[from..].find(&needle) {
-        let at = from + pos + needle.len();
-        from = at;
-        let id: String = text[at..]
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        let rest = text[at + id.len()..].trim_start();
-        let is_pattern = rest.starts_with("=>") || rest.starts_with('|');
-        if is_pattern && !id.is_empty() && id != "ALL" && !out.contains(&id) {
-            out.push(id);
-        }
-    }
-    out
-}
-
 /// All `Enum::Variant` idents referenced in `text`, deduplicated in order.
 fn enum_refs(text: &str, enum_name: &str) -> Vec<String> {
     let needle = format!("{enum_name}::");
@@ -382,11 +357,15 @@ fn enum_refs(text: &str, enum_name: &str) -> Vec<String> {
 /// `crates/harness/src/workload.rs` — is cross-checked against:
 ///
 /// * the enum's own `ALL` const and `name()` / `parse()` matches,
-/// * every near-complete `match` block and `[Enum::…]` array literal in the
-///   workspace (a hand-enumerated matrix mentioning most-but-not-all
-///   variants is presumed to have drifted),
+/// * every near-complete `[Enum::…]` array literal in the workspace (a
+///   hand-enumerated matrix mentioning most-but-not-all variants is presumed
+///   to have drifted),
 /// * the README compatibility table header and the README/DESIGN.md scheme
 ///   and structure mentions.
+///
+/// A `match` needs no check here: `clippy::wildcard_enum_match_arm` is denied
+/// in every package that dispatches on an axis, so a `match` names every
+/// variant and a new one fails to compile wherever it is missed.
 pub fn l4_matrix_completeness(files: &[SourceFile], docs: &[DocFile]) -> Vec<Finding> {
     let mut out = Vec::new();
 
@@ -418,7 +397,7 @@ pub fn l4_matrix_completeness(files: &[SourceFile], docs: &[DocFile]) -> Vec<Fin
     }
 
     for info in &axes {
-        check_code_matrices(files, info, &mut out);
+        check_arrays(files, info, &mut out);
         check_docs(docs, info, &mut out);
     }
     out
@@ -479,22 +458,11 @@ fn check_axis_self_consistency(info: &EnumInfo, out: &mut Vec<Finding>) {
     }
 }
 
-/// How many variants a `match` block must mention before the lint presumes it
-/// is a full dispatch matrix (and therefore must mention *all* of them).
-/// Small predicate matches (`is_robust`'s four non-robust kinds) stay exempt;
-/// a dispatch that has merely forgotten the newest scheme does not.
-fn match_threshold(total: usize) -> usize {
-    (total / 2 + 1).max(3)
-}
-
-/// Array literals are held to a tighter bar: only near-complete enumerations
-/// (missing at most 2) are presumed to be drifted matrices, because partial
-/// arrays (the robust/non-robust splits in tests) are legitimate.
-fn array_threshold(total: usize) -> usize {
-    total.saturating_sub(2).max(3)
-}
-
-fn check_code_matrices(files: &[SourceFile], info: &EnumInfo, out: &mut Vec<Finding>) {
+/// Hand-enumerated `[Enum::…]` arrays must list every variant.  Only
+/// near-complete ones (missing at most 2 variants) are presumed to be
+/// drifted matrices, because partial arrays (the robust/non-robust splits in
+/// tests) are legitimate.
+fn check_arrays(files: &[SourceFile], info: &EnumInfo, out: &mut Vec<Finding>) {
     let scopes = [
         "crates/smr/src/",
         "crates/scot/src/",
@@ -503,83 +471,53 @@ fn check_code_matrices(files: &[SourceFile], info: &EnumInfo, out: &mut Vec<Find
         "src/",
         "examples/",
     ];
+    let threshold = info.variants.len().saturating_sub(2).max(3);
+    let variant_path = format!("{}::", info.name);
+    let needle = format!("[{variant_path}");
     for f in files {
         if !in_scope(f, &scopes) {
             continue;
         }
         for i in 0..f.code.len() {
-            if word_in(&f.code[i], "match") {
-                if let Some((block, _end)) = collect_block(f, i, '{', '}') {
-                    let refs = enum_pattern_refs(&block, &info.name);
-                    report_incomplete(
-                        info,
-                        &refs,
-                        match_threshold(info.variants.len()),
-                        "dispatch `match`",
-                        &f.rel,
-                        i,
-                        out,
-                    );
-                }
-            }
-            // Array literals: only start scanning at an opening bracket that
-            // is directly followed by an enum reference, which is what a
-            // hand-enumerated matrix looks like.
-            let needle = format!("[{}::", info.name);
-            if f.code[i].contains(&needle)
+            // Only start scanning at an opening bracket that is directly
+            // followed by an enum reference, which is what a hand-enumerated
+            // matrix looks like.
+            let opens_matrix = f.code[i].contains(&needle)
                 || (f.code[i].trim_end().ends_with('[')
                     && f.code
                         .get(i + 1)
-                        .is_some_and(|l| l.trim_start().starts_with(&format!("{}::", info.name))))
-            {
-                if let Some((block, _)) = collect_block(f, i, '[', ']') {
-                    let refs = enum_refs(&block, &info.name);
-                    report_incomplete(
-                        info,
-                        &refs,
-                        array_threshold(info.variants.len()),
-                        "hand-enumerated array",
-                        &f.rel,
-                        i,
-                        out,
-                    );
-                }
+                        .is_some_and(|l| l.trim_start().starts_with(&variant_path)));
+            if !opens_matrix {
+                continue;
+            }
+            let Some((block, _)) = collect_block(f, i, '[', ']') else {
+                continue;
+            };
+            let refs = enum_refs(&block, &info.name);
+            if refs.len() < threshold {
+                continue;
+            }
+            let missing: Vec<_> = info
+                .variants
+                .iter()
+                .filter(|v| !refs.contains(v))
+                .cloned()
+                .collect();
+            if !missing.is_empty() {
+                out.push(finding(
+                    Rule::L4,
+                    &f.rel,
+                    i,
+                    format!(
+                        "hand-enumerated array mentions {}/{} `{}` variants but is missing {:?}",
+                        refs.len(),
+                        info.variants.len(),
+                        info.name,
+                        missing
+                    ),
+                ));
             }
         }
-    }
-}
-
-fn report_incomplete(
-    info: &EnumInfo,
-    refs: &[String],
-    threshold: usize,
-    what: &str,
-    rel: &str,
-    line0: usize,
-    out: &mut Vec<Finding>,
-) {
-    if refs.len() < threshold {
-        return;
-    }
-    let missing: Vec<_> = info
-        .variants
-        .iter()
-        .filter(|v| !refs.contains(v))
-        .cloned()
-        .collect();
-    if !missing.is_empty() {
-        out.push(finding(
-            Rule::L4,
-            rel,
-            line0,
-            format!(
-                "{what} mentions {}/{} `{}` variants but is missing {:?}",
-                refs.len(),
-                info.variants.len(),
-                info.name,
-                missing
-            ),
-        ));
     }
 }
 
@@ -781,11 +719,6 @@ fn has_must_use(file: &SourceFile, i: usize) -> bool {
 
 /// Guard discipline:
 ///
-/// * `mem::forget` / `ManuallyDrop` are forbidden in production code outside
-///   `crates/harness/src/faults.rs` — leaking a guard silently disables its
-///   protections *and* (since PR 7) its slot's liveness accounting, which is
-///   exactly the fault class `faults.rs` exists to inject deliberately.
-///   `#[cfg(test)]` regions are exempt: stall/leak tests forget on purpose.
 /// * Every struct whose name ends in `Guard` (`Guard` itself included) and
 ///   every `fn pin` declaration outside a trait-impl block must be
 ///   `#[must_use]`, so dropping a freshly pinned guard on the floor — which
@@ -798,18 +731,17 @@ fn has_must_use(file: &SourceFile, i: usize) -> bool {
 ///   call, no `.slots[` or `.slots()[` index.  A guard holds `&Slot` and `&S`
 ///   from `pin` on; walking handle → `Arc` → slot array again per `protect`
 ///   is what made Hyaline's enter/leave cost four times EBR's.
+///
+/// Leaking a guard (`mem::forget`, `ManuallyDrop`) is clippy's to catch:
+/// `mem_forget` and a `disallowed-types` entry, outside the fault harness's
+/// thread death and the test stalls that `#[expect]` them.
 pub fn l5_guard_discipline(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in files {
         if in_scope(f, &["crates/smr/src/"]) {
             guard_rederivations(f, &mut out);
         }
-        let forget_scope = in_scope(
-            f,
-            &["crates/smr/src/", "crates/scot/src/", "crates/harness/src/"],
-        ) && !f.rel.ends_with("harness/src/faults.rs");
-        let must_use_scope = in_scope(f, &["crates/smr/src/", "crates/scot/src/"]);
-        if !forget_scope && !must_use_scope {
+        if !in_scope(f, &["crates/smr/src/", "crates/scot/src/"]) {
             continue;
         }
         let ctxs = item_contexts(f);
@@ -818,169 +750,25 @@ pub fn l5_guard_discipline(files: &[SourceFile]) -> Vec<Finding> {
                 continue;
             }
             let code = &f.code[i];
-            if forget_scope {
-                if code.contains("mem::forget") {
+            if let Some(name) = struct_name(code).filter(|name| name.ends_with("Guard")) {
+                if !has_must_use(f, i) {
                     out.push(finding(
                         Rule::L5,
                         &f.rel,
                         i,
-                        "`mem::forget` outside `faults.rs` — leaking guards/handles is \
-                         reserved for the fault-injection harness"
-                            .to_string(),
-                    ));
-                }
-                if word_in(code, "ManuallyDrop") {
-                    out.push(finding(
-                        Rule::L5,
-                        &f.rel,
-                        i,
-                        "`ManuallyDrop` outside `faults.rs` — guard/handle teardown must \
-                         stay RAII"
-                            .to_string(),
+                        format!("guard type `{name}` is not `#[must_use]`"),
                     ));
                 }
             }
-            if must_use_scope {
-                if let Some(name) = struct_name(code).filter(|name| name.ends_with("Guard")) {
-                    if !has_must_use(f, i) {
-                        out.push(finding(
-                            Rule::L5,
-                            &f.rel,
-                            i,
-                            format!("guard type `{name}` is not `#[must_use]`"),
-                        ));
-                    }
-                }
-                if (code.contains("fn pin(") || code.contains("fn pin<"))
-                    && *ctx != ItemCtx::TraitImpl
-                    && !has_must_use(f, i)
-                {
-                    out.push(finding(
-                        Rule::L5,
-                        &f.rel,
-                        i,
-                        "`fn pin` declaration is not `#[must_use]`".to_string(),
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// L6 · raw-deref
-// ---------------------------------------------------------------------------
-
-/// Raw dereference primitives: every one of them asserts "this node is
-/// protected" on the caller's word, which is exactly the claim the
-/// structures leave to the cursor's (or the tree seek record's) accessors.
-const RAW_DEREFS: [&str; 4] = [
-    ".deref()",
-    ".deref_guarded(",
-    "protect_link(",
-    ".as_atomic(",
-];
-
-/// Calls that allocate, write, move out of, drop in place or free raw
-/// memory: in smr, only the block pointer's methods may make them.
-const RAW_MEMORY: [&str; 6] = [
-    "alloc::alloc(",
-    "alloc::dealloc(",
-    "ptr::read(",
-    "ptr::write(",
-    "drop_in_place(",
-    "Box::from_raw(",
-];
-
-/// Methods that, called as the whole body of an `unsafe { … }` block, are
-/// `Link::load` / `Link::cas` (their `Atomic` namesakes are safe and need no
-/// block) or `Shared::as_ref`.
-const UNSAFE_CALLS: [&str; 3] = [".load(", ".cas(", ".as_ref("];
-
-/// The method an `unsafe { path.method(` block on this line opens with, if it
-/// is one of [`UNSAFE_CALLS`].
-fn unsafe_raw_call(code: &str) -> Option<&'static str> {
-    let mut from = 0;
-    while let Some(pos) = code[from..].find("unsafe") {
-        let rest = code[from + pos + "unsafe".len()..].trim_start();
-        from += pos + "unsafe".len();
-        let Some(body) = rest.strip_prefix('{') else {
-            continue;
-        };
-        let body = body.trim_start();
-        let path_len = body
-            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '.'))
-            .unwrap_or(body.len());
-        let (path, after) = body.split_at(path_len);
-        if let Some(call) = UNSAFE_CALLS
-            .into_iter()
-            .find(|call| after.starts_with('(') && path.ends_with(&call[..call.len() - 1]))
-        {
-            return Some(call);
-        }
-    }
-    None
-}
-
-/// Structures read nodes through the cursor, never through a raw
-/// dereference: in non-test `crates/scot/src/` code, `.deref()`,
-/// `.deref_guarded(`, `protect_link(`, `.as_atomic(` and an
-/// `unsafe { ….load(` / `.cas(` / `.as_ref(` (a `Link` access or
-/// `Shared::as_ref`) are findings.  The protection constructors — the
-/// cursor's and the tree seek record's accessors, the exclusive-ownership
-/// `owned`, the quiescent walks — carry an inline `LINT-ALLOW: L6 <why>`.
-///
-/// The `crates/smr/src/` arm: shared state is atomics or behind a lock,
-/// except the retire record's owner-only vault, and block memory is touched
-/// only by the block pointer's methods (`crate::block`), each of which one
-/// role type's invariant makes sound.  In non-test code every `UnsafeCell`
-/// and every [`RAW_MEMORY`] call is a finding; the record's accessors and
-/// the block pointer's methods carry the `LINT-ALLOW: L6`.
-pub fn l6_raw_deref(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in files {
-        if in_scope(f, &["crates/smr/src/"]) {
-            for (i, code) in f.code.iter().enumerate() {
-                if f.test_lines[i] {
-                    continue;
-                }
-                let message = if word_in(code, "UnsafeCell") {
-                    "`UnsafeCell` outside the retire record's accessors — shared smr state is \
-                     atomic or locked"
-                        .to_string()
-                } else if let Some(raw) = RAW_MEMORY.into_iter().find(|raw| code.contains(raw)) {
-                    format!(
-                        "raw block memory `{raw}` outside the block pointer's methods — go \
-                         through a role type (`Retired`, `Reclaimable`, `Parked`)"
-                    )
-                } else {
-                    continue;
-                };
-                out.push(finding(Rule::L6, &f.rel, i, message));
-            }
-            continue;
-        }
-        if !in_scope(f, &["crates/scot/src/"]) {
-            continue;
-        }
-        for (i, code) in f.code.iter().enumerate() {
-            if f.test_lines[i] {
-                continue;
-            }
-            let hit = RAW_DEREFS
-                .into_iter()
-                .find(|raw| code.contains(raw))
-                .or_else(|| unsafe_raw_call(code));
-            if let Some(raw) = hit {
+            if (code.contains("fn pin(") || code.contains("fn pin<"))
+                && *ctx != ItemCtx::TraitImpl
+                && !has_must_use(f, i)
+            {
                 out.push(finding(
-                    Rule::L6,
+                    Rule::L5,
                     &f.rel,
                     i,
-                    format!(
-                        "raw dereference `{raw}` outside a protection constructor — read \
-                         nodes through the cursor (or the tree's seek record)"
-                    ),
+                    "`fn pin` declaration is not `#[must_use]`".to_string(),
                 ));
             }
         }
@@ -1107,33 +895,6 @@ impl<S: ReadSide> SmrHandle for Handle<S> {
         assert_eq!(got.len(), 1, "{got:#?}");
         assert_eq!(got[0].0, 3, "{got:#?}");
         assert!(got[0].1.contains("re-indexes the slot array"), "{got:#?}");
-    }
-
-    #[test]
-    fn l6_spots_link_and_as_ref_calls_only_as_an_unsafe_block_body() {
-        assert_eq!(
-            unsafe_raw_call("unsafe { self.prev.load(Ordering::Acquire) }"),
-            Some(".load(")
-        );
-        assert_eq!(
-            unsafe_raw_call("if unsafe { r.prev.cas(a, b) }.is_ok() {"),
-            Some(".cas(")
-        );
-        assert_eq!(
-            unsafe_raw_call("unsafe { self.curr.as_ref() }"),
-            Some(".as_ref(")
-        );
-        // A safe `Atomic::load`, and an unsafe block opening with something
-        // else, are not raw accesses.
-        assert_eq!(
-            unsafe_raw_call("let v = link.load(Ordering::Acquire);"),
-            None
-        );
-        assert_eq!(
-            unsafe_raw_call("unsafe { owned(curr) }.next.load(Ordering::Relaxed)"),
-            None
-        );
-        assert_eq!(unsafe_raw_call("unsafe { self.g.retire(node) }"), None);
     }
 
     #[test]

@@ -187,14 +187,13 @@ impl SourceFile {
         }
     }
 
-    /// Whether line `i` (0-based) carries a marker comment — on the line
+    /// Whether line `i` (0-based) carries a `marker` comment — on the line
     /// itself, or in the contiguous comment/attribute block directly above.
     /// Attribute lines (`#[…]`) may sit between the marker and the code, so
-    /// `// SAFETY:` above `#[inline] unsafe fn …` is accepted.
-    pub fn marker_above(&self, i: usize, markers: &[&str]) -> Option<String> {
-        let hit = |text: &str| markers.iter().any(|m| text.contains(m));
-        if hit(&self.comment[i]) {
-            return Some(self.comment[i].clone());
+    /// `// ORDERING:` above `#[inline] fn …` is accepted.
+    pub fn marker_above(&self, i: usize, marker: &str) -> bool {
+        if self.comment[i].contains(marker) {
+            return true;
         }
         let mut j = i;
         while j > 0 {
@@ -202,8 +201,8 @@ impl SourceFile {
             let code = self.code[j].trim();
             let comment = self.comment[j].trim();
             if code.is_empty() && !comment.is_empty() {
-                if hit(comment) {
-                    return Some(comment.to_string());
+                if comment.contains(marker) {
+                    return true;
                 }
                 continue; // keep walking up the comment block
             }
@@ -212,12 +211,7 @@ impl SourceFile {
             }
             break; // any other code (or a blank line) ends the block
         }
-        None
-    }
-
-    /// Identifiers appearing in the code channel of line `i`.
-    pub fn idents(&self, i: usize) -> Vec<&str> {
-        idents_of(&self.code[i])
+        false
     }
 }
 
@@ -416,8 +410,8 @@ mod tests {
             "t.rs".into(),
             "// SAFETY: fine\n#[inline]\nunsafe fn g() {}\n\nunsafe fn h() {}",
         );
-        assert!(f.marker_above(2, &["SAFETY:"]).is_some());
-        assert!(f.marker_above(4, &["SAFETY:"]).is_none());
+        assert!(f.marker_above(2, "SAFETY:"));
+        assert!(!f.marker_above(4, "SAFETY:"));
     }
 
     #[test]

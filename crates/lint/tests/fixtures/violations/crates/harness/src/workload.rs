@@ -1,5 +1,4 @@
-//! Fixture axis: a complete `DsKind`, plus a dispatch `match` over
-//! `SmrKind` that silently forgot `He` (seeded L4 drift).
+//! Fixture axis: a complete `DsKind`.
 
 pub enum DsKind {
     ListLf,
@@ -22,15 +21,5 @@ impl DsKind {
             "tree" => DsKind::Tree,
             _ => return None,
         })
-    }
-}
-
-pub fn dispatch(kind: SmrKind) -> u32 {
-    match kind {
-        SmrKind::Nr => 0,
-        SmrKind::Ebr => 1,
-        SmrKind::Hp => 2,
-        SmrKind::Ibr => 4,
-        _ => 9,
     }
 }

@@ -1,7 +1,7 @@
-//! Fixture: seeded L5 violations — a guard type without `#[must_use]`, a
-//! bare `fn pin`, and forbidden leak idioms outside `faults.rs`.
+//! Fixture: seeded L5 violations — a guard type without `#[must_use]` and a
+//! bare `fn pin`.
 
-pub struct LeakyGuard {
+pub struct BareGuard {
     slot: usize,
 }
 
@@ -10,26 +10,8 @@ pub struct GoodGuard {
     slot: usize,
 }
 
-impl LeakyGuard {
+impl BareGuard {
     pub fn pin(&mut self) -> GoodGuard {
         GoodGuard { slot: self.slot }
-    }
-}
-
-pub fn leak_one(g: LeakyGuard) {
-    core::mem::forget(g);
-}
-
-pub fn wrap_one(g: LeakyGuard) -> core::mem::ManuallyDrop<LeakyGuard> {
-    core::mem::ManuallyDrop::new(g)
-}
-
-#[cfg(test)]
-mod tests {
-    // Test regions are exempt from the leak ban (stall tests leak on
-    // purpose), so this must NOT fire.
-    #[test]
-    fn leaks_on_purpose() {
-        core::mem::forget(super::LeakyGuard { slot: 0 });
     }
 }

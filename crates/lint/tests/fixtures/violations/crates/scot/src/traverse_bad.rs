@@ -12,5 +12,4 @@ pub fn bad_dup(g: &mut Guard) {
 pub fn good_calls(g: &mut Guard, cell: &Cell) {
     g.protect(HP_NEXT, cell);
     g.dup(HP_CURR, HP_PREV);
-    g.protect_link(HP_ANCHOR, cell);
 }

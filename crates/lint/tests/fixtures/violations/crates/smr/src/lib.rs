@@ -1,5 +1,6 @@
-//! Fixture axis: a miniature `SmrKind` with one seeded drift — `ALL` forgot
-//! the newest variant.  Never compiled; scanned by the lint's tests only.
+//! Fixture axis: a miniature `SmrKind` with two seeded drifts — `ALL` and a
+//! hand-enumerated sweep each forgot a variant.  Never compiled; scanned by
+//! the lint's tests only.
 
 #[derive(Clone, Copy, PartialEq)]
 pub enum SmrKind {
@@ -33,4 +34,8 @@ impl SmrKind {
             _ => return None,
         })
     }
+}
+
+pub fn sweep() -> Vec<SmrKind> {
+    vec![SmrKind::Nr, SmrKind::Ebr, SmrKind::Hp, SmrKind::Ibr]
 }

@@ -590,6 +590,10 @@ pub(crate) mod tests {
         }
 
         /// The node holding `key` (quiescent walk: nothing runs concurrently).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a quiescent test walk: nothing runs concurrently"
+        )]
         fn node_at<V>(raw: &RawList<u64, V>, key: u64) -> Shared<Node<u64, V>> {
             let mut curr = raw.head.load(Ordering::Acquire).untagged();
             loop {
@@ -622,6 +626,10 @@ pub(crate) mod tests {
         }
 
         /// Logically deletes `node` (sets the mark bit on its successor link).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a single-threaded test: the node is live"
+        )]
         fn mark<V>(node: Shared<Node<u64, V>>) {
             // SAFETY: single-threaded test; `node` is live.
             let next = &unsafe { node.deref() }.next;
@@ -661,6 +669,10 @@ pub(crate) mod tests {
 
         /// (b) §3.2.1: the chain is unlinked mid-zone while the last safe node
         /// stays unmarked — the cursor recovers from its new successor.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a single-threaded test hook: the node is live"
+        )]
         fn recovery_from_unlinked_chain<S: Smr>() {
             let (list, drops) = five::<S, false>();
             let (n1, n2, n3, n4) = (

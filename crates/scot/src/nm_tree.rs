@@ -235,10 +235,11 @@ impl<K: Key, S: Smr, V: Value> NmTree<K, S, V> {
 
     /// The root sentinel `R` (always alive).
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "the root sentinel constructor")]
     fn root_ref(&self) -> &TreeNode<K, V> {
         // SAFETY: the root sentinel is allocated in `new` and freed only in
         // `drop`, so it is alive for the lifetime of `&self`.
-        unsafe { self.root.deref() } // LINT-ALLOW: L6 the root sentinel constructor
+        unsafe { self.root.deref() }
     }
 
     /// One operation's seek record, positioned by a first `Seek::reseek`.
@@ -262,8 +263,12 @@ impl<K: Key, S: Smr, V: Value> NmTree<K, S, V> {
             if node.is_null() {
                 continue;
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a quiescent walk: no node is retired while it runs"
+            )]
             // SAFETY: quiescent traversal (test/diagnostic use only).
-            let node_ref = unsafe { node.untagged().deref() }; // LINT-ALLOW: L6 quiescent walk
+            let node_ref = unsafe { node.untagged().deref() };
             let left = node_ref.left.load(Ordering::Acquire);
             let right = node_ref.right.load(Ordering::Acquire);
             if left.untagged().is_null() && right.untagged().is_null() {
@@ -305,33 +310,49 @@ struct Record<K, V> {
 impl<K, V> Record<K, V> {
     /// The leaf the seek reached.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the seek record's leaf constructor"
+    )]
     fn leaf(&self) -> &TreeNode<K, V> {
         // SAFETY: `leaf` is protected by `HP_LEAF` and was validated when it
         // was the child being followed (or is a sentinel, never retired).
-        unsafe { self.leaf.deref() } // LINT-ALLOW: L6 the seek record's leaf constructor
+        unsafe { self.leaf.deref() }
     }
 
     /// The leaf's parent.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the seek record's parent constructor"
+    )]
     fn parent(&self) -> &TreeNode<K, V> {
         // SAFETY: `parent` is protected by `HP_PARENT` (it was the validated
         // leaf one step earlier), or is a sentinel.
-        unsafe { self.parent.deref() } // LINT-ALLOW: L6 the seek record's parent constructor
+        unsafe { self.parent.deref() }
     }
 
     /// The parent → leaf edge's field.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the seek record's parent-edge constructor"
+    )]
     fn parent_edge(&self) -> &Atomic<TreeNode<K, V>> {
         // SAFETY: the field belongs to `parent` (see `Record::parent`).
-        unsafe { self.parent_link.as_atomic() } // LINT-ALLOW: L6 parent-edge constructor
+        unsafe { self.parent_link.as_atomic() }
     }
 
     /// The ancestor → successor edge's field.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the seek record's ancestor-edge constructor"
+    )]
     fn ancestor_edge(&self) -> &Atomic<TreeNode<K, V>> {
         // SAFETY: the field belongs to the ancestor, protected by `HP_ANC`,
         // or to the root sentinel R.
-        unsafe { self.ancestor_link.as_atomic() } // LINT-ALLOW: L6 ancestor-edge constructor
+        unsafe { self.ancestor_link.as_atomic() }
     }
 }
 
@@ -425,12 +446,16 @@ impl<'t, 'g, G: SmrGuard, K: Key, V: Value> Seek<'t, 'g, G, K, V> {
     /// `&'g mut` guard borrow to the returned node: no later seek can
     /// recycle the slot that protects it while the borrow lives.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the guard-lifetime leaf constructor"
+    )]
     fn into_parked(self, node: Shared<TreeNode<K, V>>) -> &'g TreeNode<K, V> {
         // SAFETY: `node` is protected by `HP_LEAF` or `HP_VICTIM` (durable,
         // see `Record::leaf` / `Seek::pin_victim`); retiring it does not
         // free it while that slot is published, and the slot stays published
         // for `'g`.
-        unsafe { node.deref() } // LINT-ALLOW: L6 the guard-lifetime leaf constructor
+        unsafe { node.deref() }
     }
 
     /// `Seek`: descend to the leaf on the query's search path, maintaining
@@ -689,14 +714,14 @@ impl<'r, 'h, K: Key, S: Smr, V: Value> RangeScan<K, V> for TreeRange<'r, 'h, K, 
                             self.state =
                                 TreeScanState::From(SeekQuery::At(self.seek.rec.left_turn));
                         }
-                        _ => {
+                        TreeKey::Inf0 | TreeKey::Inf1 | TreeKey::Inf2 => {
                             self.state = TreeScanState::Done;
                             return None;
                         }
                     }
                 }
                 // A sentinel leaf: past every real key.
-                _ => {
+                TreeKey::Inf0 | TreeKey::Inf1 | TreeKey::Inf2 => {
                     self.state = TreeScanState::Done;
                     return None;
                 }

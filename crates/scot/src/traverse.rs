@@ -362,10 +362,14 @@ pub(crate) enum Stop {
 /// No other thread may free or write the node's fields (other than through
 /// atomics) while the borrow lives.
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the exclusive-ownership constructor"
+)]
 pub(crate) unsafe fn owned<'a, T>(ptr: Shared<T>) -> &'a T {
     // SAFETY: forwarded — the caller owns the node exclusively, so it is
     // live and nobody reclaims it under the borrow.
-    unsafe { ptr.deref() } // LINT-ALLOW: L6 the exclusive-ownership constructor
+    unsafe { ptr.deref() }
 }
 
 /// Where the cursor stands: `prev`/`curr`/`next` over the
@@ -410,11 +414,12 @@ struct At<K, N> {
 impl<K, N: SlotNode<K>> At<K, N> {
     /// The last safe node's link.
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "the cursor's `prev` constructor")]
     fn prev(&self) -> &Atomic<N> {
         // SAFETY: `prev` is a level-head link, which lives as long as the
         // structure the operation runs on, or a link of `pred`, which
         // `HP_PREV` protects durably (fact 1).
-        unsafe { self.prev.as_atomic() } // LINT-ALLOW: L6 the cursor's `prev` constructor
+        unsafe { self.prev.as_atomic() }
     }
 
     /// `node`'s link at the cursor's level.
@@ -425,20 +430,22 @@ impl<K, N: SlotNode<K>> At<K, N> {
 
     /// The current node.
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "the cursor's `curr` constructor")]
     fn curr(&self) -> Option<&N> {
         // SAFETY: `curr` is protected by `HP_CURR` and the protection is
         // durable: fact 1 in the safe zone, fact 2 (validated reachability)
         // in the dangerous zone.
-        unsafe { self.curr.as_ref() } // LINT-ALLOW: L6 the cursor's `curr` constructor
+        unsafe { self.curr.as_ref() }
     }
 
     /// The last safe node (`None` at the level head).
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "the cursor's `pred` constructor")]
     fn pred(&self) -> Option<&N> {
         // SAFETY: `pred` is protected by `HP_PREV` (or, right after a rung-2
         // climb, by `HP_ENTRY` too) and was unmarked when it became the last
         // safe node (fact 1).
-        unsafe { self.pred.as_ref() } // LINT-ALLOW: L6 the cursor's `pred` constructor
+        unsafe { self.pred.as_ref() }
     }
 
     /// The recycling-incarnation stamp of the anchored chain head.
@@ -643,12 +650,13 @@ impl<'t, 'g, G: SmrGuard, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, 'g, G, K, N>
 
     /// The node parked by `Cursor::pin_victim` or `Cursor::pin_tower`.
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "the parked-node constructor")]
     pub(crate) fn parked(&self) -> Option<&N> {
         // SAFETY: `parked` is protected by `HP_VICTIM` or `HP_TOWER`; no
         // traversal touches those slots, and both were durable when parked
         // (a `dup` from the durable `HP_CURR`, or an announce before the
         // publishing CAS).
-        unsafe { self.at.parked.as_ref() } // LINT-ALLOW: L6 the parked-node constructor
+        unsafe { self.at.parked.as_ref() }
     }
 
     /// Ends the operation with the parked node's value, borrowed for as long
@@ -670,11 +678,15 @@ impl<'t, 'g, G: SmrGuard, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, 'g, G, K, N>
     /// `&'g mut` guard borrow to the returned value: no later step can
     /// recycle the slot that protects it while the borrow lives.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the guard-lifetime value constructor"
+    )]
     fn into_parked_value(self, node: Shared<N>) -> Option<&'g N::Value> {
         // SAFETY: `node` is protected by `HP_CURR` or `HP_VICTIM` (durable,
         // see `At::curr` / `Cursor::parked`); retiring it does not free it while
         // that slot is published, and the slot stays published for `'g`.
-        unsafe { node.as_ref() }.map(N::node_value) // LINT-ALLOW: L6 the guard-lifetime value constructor
+        unsafe { node.as_ref() }.map(N::node_value)
     }
 
     /// Visits every unmarked node of level 0 from `head`, unvalidated: like
@@ -683,9 +695,13 @@ impl<'t, 'g, G: SmrGuard, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, 'g, G, K, N>
     pub(crate) fn walk(&mut self, head: &'t Atomic<N>, mut f: impl FnMut(&N)) {
         let mut curr = self.g.protect(HP_CURR, head);
         while !curr.is_null() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a quiescent walk: no node is retired while it runs"
+            )]
             // SAFETY: a quiescent walk — no node is retired while it runs,
             // and `HP_CURR` protects `curr` besides.
-            let node = unsafe { curr.deref() }; // LINT-ALLOW: L6 quiescent walk
+            let node = unsafe { curr.deref() };
             let next = self.g.protect(HP_NEXT, self.at.link(node));
             if next.tag() == 0 {
                 f(node);

@@ -217,6 +217,7 @@ impl BlockPtr {
     /// part.  Parked only: the payload is dead and no other thread can reach
     /// the block.
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "the block's one re-initializer")]
     fn init<T>(&self, value: T, birth_era: u64) -> *mut T {
         assert!(
             self.header().vtable.layout == Layout::new::<Block<T>>(),
@@ -229,35 +230,38 @@ impl BlockPtr {
         // SAFETY: the allocation has exactly `Block<T>`'s layout (asserted
         // above), and its old payload was dropped before it was parked:
         // writing a whole fresh block neither overruns nor double-drops.
-        unsafe { core::ptr::write(self.0.cast::<Block<T>>().as_ptr(), block) }; // LINT-ALLOW: L6 the block's one re-initializer
+        unsafe { core::ptr::write(self.0.cast::<Block<T>>().as_ptr(), block) };
         self.value()
     }
 
     /// The vtable's type-erased destructor: drops the payload in place.
+    #[expect(clippy::disallowed_methods, reason = "the vtable's destructor")]
     fn drop_payload<T>(&self) {
         // SAFETY: installed for exactly the payload type `T` of this block,
         // and called once, by `Reclaimable::into_parked`, on a block no
         // thread can still reach.
-        unsafe { core::ptr::drop_in_place(self.value::<T>()) } // LINT-ALLOW: L6 the vtable's destructor
+        unsafe { core::ptr::drop_in_place(self.value::<T>()) }
     }
 
     /// Returns the block's memory to the global allocator, with the layout
     /// its header records.  The payload is dead: dropped or moved out.
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "the block's one deallocator")]
     fn dealloc(self) {
         let layout = self.header().vtable.layout;
         // SAFETY: every block comes from the global allocator with the layout
         // its vtable records (`alloc`, and `init` keeps the layout); its
         // payload is dead, and consuming the one `BlockPtr` frees it once.
-        unsafe { std::alloc::dealloc(self.0.as_ptr().cast(), layout) } // LINT-ALLOW: L6 the block's one deallocator
+        unsafe { std::alloc::dealloc(self.0.as_ptr().cast(), layout) }
     }
 
     /// Moves the payload out and deallocates the block without running the
     /// payload's destructor.  Owned outright: never published.
     fn take<T>(self) -> T {
+        #[expect(clippy::disallowed_methods, reason = "the block's one move-out")]
         // SAFETY: the block is a live `Block<T>` that only this thread can
         // reach; the value is read exactly once, and `dealloc` does not drop.
-        let value = unsafe { core::ptr::read(self.value::<T>()) }; // LINT-ALLOW: L6 the block's one move-out
+        let value = unsafe { core::ptr::read(self.value::<T>()) };
         self.dealloc();
         value
     }

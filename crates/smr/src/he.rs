@@ -247,6 +247,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::mem_forget,
+        reason = "a stalled thread: the leaked guard keeps its era reservation"
+    )]
     fn era_reservation_protects_objects_alive_in_it() {
         for snapshot in [false, true] {
             let d = He::new(config(snapshot));
@@ -288,6 +292,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::mem_forget,
+        reason = "a stalled thread: the leaked guard keeps its era reservation"
+    )]
     fn unrelated_eras_do_not_block_reclamation() {
         let d = He::new(config(true));
         let mut stalled = d.register();

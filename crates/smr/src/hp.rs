@@ -1097,6 +1097,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::mem_forget,
+        reason = "a thread that dies without releasing its guard or handle"
+    )]
     fn leaked_handle_on_dead_thread_is_adopted() {
         // Adoption must clear the dead thread's published hazard — and, if it
         // died in the middle of a long traversal, its `light` word, which

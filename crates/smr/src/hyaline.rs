@@ -876,6 +876,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::mem_forget,
+        reason = "a reader that dies inside its critical section"
+    )]
     fn reader_dead_inside_critical_section_poisons_its_slot() {
         let d = Hyaline::new(config());
         let dd = d.clone();

@@ -221,6 +221,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::mem_forget,
+        reason = "a stalled reader: the leaked guard keeps its interval"
+    )]
     fn active_interval_protects_overlapping_lifetimes() {
         for snapshot in [false, true] {
             let d = Ibr::new(config(snapshot));
@@ -258,6 +262,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::mem_forget,
+        reason = "a stalled thread: the leaked guard keeps its interval"
+    )]
     fn nodes_born_after_a_stalled_interval_are_reclaimable() {
         let d = Ibr::new(config(true));
         let mut stalled = d.register();

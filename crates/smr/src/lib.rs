@@ -485,22 +485,6 @@ pub trait SmrGuard {
     /// the SCOT validation step).
     fn announce<T>(&mut self, idx: usize, ptr: Shared<T>);
 
-    /// Reads through a link address (`node_t **` in the paper's pseudocode)
-    /// and protects the result in slot `idx` — [`SmrGuard::protect`] for the
-    /// cursor paths that hold the predecessor as a [`Link`] rather than a
-    /// field reference (restarting a traversal from the last safe node,
-    /// re-protecting across cursor steps).
-    ///
-    /// # Safety
-    /// The owner of the link (the structure head or a protected node) must be
-    /// live for the duration of the call, exactly as for [`Link::as_atomic`].
-    #[inline]
-    unsafe fn protect_link<T>(&mut self, idx: usize, link: Link<T>) -> Shared<T> {
-        // SAFETY: forwarded — the caller guarantees the link's owner is live,
-        // which is exactly the `Link::as_atomic` contract.
-        self.protect(idx, unsafe { link.as_atomic() })
-    }
-
     /// Copies the protection in slot `from` to slot `to` (`dup` in Figure 1).
     /// Per §3.2, callers must only duplicate from a lower to a higher index on
     /// the traversal path they rely on.
@@ -615,6 +599,10 @@ mod tests {
     /// protecting the blocks stays published and the slot stays claimed past
     /// thread death.  A survivor must adopt the slot (neutralizing the
     /// reservation) and drain its vault within `flushes` forced passes.
+    #[expect(
+        clippy::mem_forget,
+        reason = "a thread that dies without releasing its guard or handle"
+    )]
     pub(crate) fn leaked_handle_on_dead_thread_is_adopted<S: Smr>(
         config: SmrConfig,
         nodes: u64,

@@ -280,7 +280,11 @@ pub struct RetireCore {
 /// updated with a plain load and store instead of a locked RMW.  Each record
 /// is cache-padded: a retire touches no line another slot writes.
 pub(crate) struct SlotRetire {
-    vault: std::cell::UnsafeCell<Vec<Retired>>, // LINT-ALLOW: L6 the vault, opened only by `SlotRetire::vault`
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the vault, opened only by `SlotRetire::vault`"
+    )]
+    vault: std::cell::UnsafeCell<Vec<Retired>>,
     /// Blocks retired minus blocks freed on this slot.  A thread that frees
     /// blocks another slot retired (orphan sweeps, Hyaline's any-thread
     /// freeing) debits its own share, so a share may go negative; only the
@@ -294,9 +298,10 @@ pub(crate) struct SlotRetire {
 unsafe impl Sync for SlotRetire {}
 
 impl SlotRetire {
+    #[expect(clippy::disallowed_types, reason = "the vault's constructor")]
     fn new() -> Self {
         Self {
-            vault: std::cell::UnsafeCell::new(Vec::new()), // LINT-ALLOW: L6 the vault's constructor
+            vault: std::cell::UnsafeCell::new(Vec::new()),
             unreclaimed: AtomicIsize::new(0),
         }
     }
@@ -306,6 +311,7 @@ impl SlotRetire {
     /// longer than they borrow their license mutably.
     #[allow(clippy::mut_from_ref)]
     #[inline]
+    #[expect(clippy::disallowed_types, reason = "the vault's one accessor")]
     fn vault(&self) -> &mut Vec<Retired> {
         // SAFETY: one thread at a time opens a record's vault, and no opener
         // opens it twice at once.
@@ -327,7 +333,7 @@ impl SlotRetire {
         // adopter to the next owner by the registry's claim (the slot is
         // marked free with Release, `try_claim` acquires it with its CAS); a
         // handle that moves between threads by whatever moved it.
-        unsafe { &mut *std::cell::UnsafeCell::get(&self.vault) } // LINT-ALLOW: L6 the vault's one accessor
+        unsafe { &mut *std::cell::UnsafeCell::get(&self.vault) }
     }
 
     /// Adds `delta` to this slot's share of `unreclaimed`.

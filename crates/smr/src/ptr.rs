@@ -174,28 +174,6 @@ impl<T> Link<T> {
         // `Atomic` cell it embeds is a valid, initialized atomic word.
         unsafe { &*self.cell }
     }
-
-    /// Loads through the link.
-    ///
-    /// # Safety
-    /// Same contract as [`Link::as_atomic`]: the owner of the link must still
-    /// be live when the load executes.
-    #[inline]
-    pub unsafe fn load(&self, ord: Ordering) -> Shared<T> {
-        // SAFETY: forwarded — the caller upholds the `as_atomic` contract.
-        unsafe { self.as_atomic() }.load(ord)
-    }
-
-    /// CAS through the link.
-    ///
-    /// # Safety
-    /// Same contract as [`Link::as_atomic`]: the owner of the link must still
-    /// be live when the CAS executes.
-    #[inline]
-    pub unsafe fn cas(&self, current: Shared<T>, new: Shared<T>) -> Result<(), Shared<T>> {
-        // SAFETY: forwarded — the caller upholds the `as_atomic` contract.
-        unsafe { self.as_atomic() }.cas(current, new)
-    }
 }
 
 /// A snapshot of an [`Atomic`] cell: a possibly-null, possibly-tagged pointer.
@@ -326,33 +304,13 @@ impl<T> Shared<T> {
         // `as_ref` returns `None` for null without dereferencing.
         unsafe { self.as_ptr().as_ref() }
     }
-
-    /// Dereferences the pointer, tying the borrow's lifetime to an SMR guard.
-    ///
-    /// This is the escape hatch that lets a guard-scoped map API hand out
-    /// `&'g V` borrows: the returned reference cannot outlive `guard`, so as
-    /// long as the caller upholds the protection contract below, the borrow is
-    /// sound under every scheme (HP/HE keep the covering hazard slot
-    /// published for the guard's lifetime; EBR/IBR/Hyaline/NBR/VBR keep the
-    /// epoch/era reservation active until the guard drops; NR never frees).
-    ///
-    /// # Safety
-    /// The pointee must be protected *for the remaining lifetime of `guard`*:
-    /// a hazard slot or era reservation covering it must stay in place — in
-    /// particular, no later operation on the same guard may overwrite the
-    /// covering hazard slot while the returned borrow is alive.  Taking
-    /// `guard` by shared reference means the borrow checker enforces exactly
-    /// that for callers who only mutate guards through `&mut`.
-    #[inline]
-    pub unsafe fn deref_guarded<'g, G: crate::SmrGuard>(&self, _guard: &'g G) -> &'g T {
-        // SAFETY: the caller guarantees a protection covering the pointee
-        // stays published for the guard's remaining lifetime, which is the
-        // lifetime of the returned borrow.
-        unsafe { &*self.as_ptr() }
-    }
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests free the boxes their pointers point at"
+)]
 mod tests {
     use super::*;
 
@@ -438,8 +396,9 @@ mod tests {
         let link = a.as_link();
         // SAFETY: the link view aliases `a`, which outlives it; `x` is reclaimed exactly once below.
         unsafe {
-            assert!(link.load(Ordering::Acquire).is_null());
-            link.cas(Shared::null(), Shared::from_ptr(x)).unwrap();
+            let cell = link.as_atomic();
+            assert!(cell.load(Ordering::Acquire).is_null());
+            cell.cas(Shared::null(), Shared::from_ptr(x)).unwrap();
             assert_eq!(a.load(Ordering::Acquire).as_ptr(), x);
             drop(Box::from_raw(x));
         }
