@@ -16,7 +16,7 @@
 //! | `L2` | `ordering-audit` | every `Ordering::Relaxed` on protection-publication state, and every `compiler_fence`, carries an `// ORDERING:` justification |
 //! | `L3` | `slot-discipline` | hazard-slot indices are the named `HP_*` constants, never raw integers, outside `scot::slots` |
 //! | `L4` | `matrix-completeness` | `SmrKind`/`DsKind` `ALL`/`name()`/`parse()`, hand-enumerated arrays and the README/DESIGN.md tables enumerate the full variant set |
-//! | `L5` | `guard-discipline` | guard types and `fn pin` are `#[must_use]`; `smr` guard bodies never re-derive domain or slot (`.clone()` or `Arc::as_ptr` of the domain `Arc`, `.domain()`, `.slots[`) |
+//! | `L5` | `guard-discipline` | guard types and `fn pin` are `#[must_use]`; `smr` guard bodies never re-derive domain or slot (`.clone()` or `Arc::as_ptr` of the domain `Arc`, `.domain()`, `.slots[`, the core's `.reservation(`) |
 //!
 //! Everything a compiler lint can check is clippy's, configured per crate
 //! (`Cargo.toml` `[lints.clippy]` and `clippy.toml`) and denied by the

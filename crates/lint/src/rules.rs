@@ -592,13 +592,14 @@ fn check_docs(docs: &[DocFile], info: &EnumInfo, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 /// What a guard `impl` body must not contain, and what to call it.
-const REDERIVATIONS: [(&str, &str); 6] = [
+const REDERIVATIONS: [(&str, &str); 7] = [
     ("domain.clone()", "clones the domain `Arc`"),
     ("Arc::clone(", "clones an `Arc`"),
     ("Arc::as_ptr(", "reads the domain through its `Arc`"),
     (".domain()", "re-derives the domain through the handle"),
     (".slots[", "re-indexes the slot array"),
     (".slots()[", "re-indexes the slot array"),
+    (".reservation(", "re-indexes the slot array via the core"),
 ];
 
 /// Whether `header` opens guard code: an `impl` that names a `…Guard` type
@@ -728,7 +729,8 @@ fn has_must_use(file: &SourceFile, i: usize) -> bool {
 ///   `impl Drop for …Guard`, `impl …Guard`, and the scheme read-side impls,
 ///   `impl ReadSide for …`), nothing re-derives what `pin` already resolved:
 ///   no `.clone()` or `Arc::as_ptr` of the domain `Arc`, no `.domain()`
-///   call, no `.slots[` or `.slots()[` index.  A guard holds `&Slot` and `&S`
+///   call, no `.slots[` or `.slots()[` index and no `.reservation(` — the
+///   retire core's accessor for the same array.  A guard holds `&Slot` and `&S`
 ///   from `pin` on; walking handle → `Arc` → slot array again per `protect`
 ///   is what made Hyaline's enter/leave cost four times EBR's.
 ///

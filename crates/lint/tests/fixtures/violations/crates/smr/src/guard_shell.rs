@@ -1,6 +1,7 @@
 //! Fixture: seeded L5 violations in the one-guard shape — a struct named
-//! exactly `Guard` without `#[must_use]`, and a read-side impl that
-//! re-indexes the slot array.  The compliant twin of each must NOT fire.
+//! exactly `Guard` without `#[must_use]`, and read-side impls that re-index
+//! the slot array, directly or through the retire core's accessor.  The
+//! compliant twin of each must NOT fire.
 
 pub struct Guard<'g, S> {
     slot: &'g S,
@@ -27,5 +28,12 @@ impl ReadSide for Leaky {
 impl ReadSide for Resolved {
     fn protect(g: &mut Guard<'_, Self>, idx: usize) {
         g.slot.hazards[idx].store(1, Ordering::Release);
+    }
+}
+
+impl ReadSide for ThroughTheCore {
+    fn exit(g: &mut Guard<'_, Self>) {
+        let core = g.scheme().core();
+        core.reservation(g.index).epoch.store(0, Ordering::Release);
     }
 }

@@ -40,12 +40,14 @@ fn fixture_tree_produces_exactly_the_seeded_findings() {
         (Rule::L3, "crates/scot/src/traverse_bad.rs", 5),
         (Rule::L3, "crates/scot/src/traverse_bad.rs", 9),
         (Rule::L3, "crates/scot/src/traverse_bad.rs", 9),
-        // A struct named exactly `Guard` without #[must_use], and a
-        // read-side impl that re-indexes the slot array; their twins (a
-        // `#[must_use]` `Guard`, a struct with a guard bound, a read-side
-        // impl that uses its resolved slot) must NOT appear.
-        (Rule::L5, "crates/smr/src/guard_shell.rs", 5),
-        (Rule::L5, "crates/smr/src/guard_shell.rs", 23),
+        // A struct named exactly `Guard` without #[must_use], and read-side
+        // impls that re-index the slot array, directly and through the
+        // retire core's accessor; their twins (a `#[must_use]` `Guard`, a
+        // struct with a guard bound, a read-side impl that uses its resolved
+        // slot) must NOT appear.
+        (Rule::L5, "crates/smr/src/guard_shell.rs", 6),
+        (Rule::L5, "crates/smr/src/guard_shell.rs", 24),
+        (Rule::L5, "crates/smr/src/guard_shell.rs", 37),
         // SmrKind::ALL forgot Ibr (whole-axis finding, anchored line 1), and
         // a hand-enumerated sweep forgot He.
         (Rule::L4, "crates/smr/src/lib.rs", 1),
@@ -79,8 +81,9 @@ fn fixture_messages_name_the_violation() {
     assert!(msg(Rule::L4, 1).contains("`SmrKind::ALL` is missing variant(s) [\"Ibr\"]"));
     assert!(msg(Rule::L4, 40).contains("mentions 4/5 `SmrKind` variants but is missing [\"He\"]"));
     assert!(msg(Rule::L5, 4).contains("`BareGuard`"));
-    assert!(msg(Rule::L5, 5).contains("guard type `Guard`"));
-    assert!(msg(Rule::L5, 23).contains("re-indexes the slot array"));
+    assert!(msg(Rule::L5, 6).contains("guard type `Guard`"));
+    assert!(msg(Rule::L5, 24).contains("re-indexes the slot array"));
+    assert!(msg(Rule::L5, 37).contains("slot array via the core"));
     assert!(msg(Rule::L2, 6).contains("ORDERING"));
     assert!(msg(Rule::L2, 17).contains("`Ordering::Relaxed` on protection-publication state"));
     assert!(msg(Rule::L2, 18).contains("`compiler_fence` without"));

@@ -264,6 +264,6 @@ mod tests {
         for i in 0..100 {
             list.remove(&mut h, &i);
         }
-        assert_eq!(list.restarts(), 0);
+        assert_eq!(crate::ConcurrentMap::traversal_stats(&list).restarts, 0);
     }
 }

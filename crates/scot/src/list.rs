@@ -325,17 +325,6 @@ impl<K: Key, S: Smr, V: Value, const EAGER: bool> List<K, S, V, EAGER> {
         }
     }
 
-    /// Number of full traversal restarts (Table 2).
-    pub fn restarts(&self) -> u64 {
-        self.stats.restarts()
-    }
-
-    /// Number of §3.2.1 recovery events (dangerous-zone escapes that avoided a
-    /// full restart).
-    pub fn recoveries(&self) -> u64 {
-        self.stats.recoveries()
-    }
-
     /// The list bound to this shell's statistics block and its cursor mode,
     /// which `EAGER` selects at compile time.
     #[inline]

@@ -228,11 +228,6 @@ impl<K: Key, S: Smr, V: Value> NmTree<K, S, V> {
         }
     }
 
-    /// Number of full traversal restarts caused by SCOT validation failures.
-    pub fn restarts(&self) -> u64 {
-        self.stats.restarts()
-    }
-
     /// The root sentinel `R` (always alive).
     #[inline]
     #[expect(clippy::disallowed_methods, reason = "the root sentinel constructor")]

@@ -312,20 +312,6 @@ impl<K: Key, S: Smr, V: Value> SkipList<K, S, V> {
         }
     }
 
-    /// Number of restart-ladder rung-3 events: a level re-entered from its
-    /// head after both the predecessor and the level-entry anchor died
-    /// (Table 2's restart column).
-    pub fn restarts(&self) -> u64 {
-        self.stats.restarts()
-    }
-
-    /// Number of cheap recoveries (ladder rungs 1 and 2): continuations from
-    /// a still-valid predecessor or level-entry anchor that avoided a
-    /// restart.
-    pub fn recoveries(&self) -> u64 {
-        self.stats.recoveries()
-    }
-
     /// The cursor of one operation on this list.  Unlike the lists, it
     /// never retires the marked chains it unlinks (see
     /// [`SkipList::find_bound`]).
@@ -1025,7 +1011,7 @@ mod tests {
         for i in 0..200 {
             list.remove(&mut h, &i);
         }
-        assert_eq!(list.restarts(), 0);
+        assert_eq!(crate::ConcurrentMap::traversal_stats(&list).restarts, 0);
     }
 
     #[test]

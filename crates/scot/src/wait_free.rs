@@ -198,11 +198,6 @@ impl<K: WfKey, S: Smr, V: Value> WfHarrisList<K, S, V> {
         }
     }
 
-    /// Number of full traversal restarts of the underlying list (Table 2).
-    pub fn restarts(&self) -> u64 {
-        self.list.restarts()
-    }
-
     /// `Help_Threads` (Figure 7, L12-L26): every `DELAY` calls, examine one
     /// announcement record in round-robin order and return its request if one
     /// is pending.
@@ -378,11 +373,6 @@ impl<K: WfKey, S: Smr, V: Value> crate::ConcurrentMap<K, V> for WfHarrisList<K, 
 }
 
 impl<S: Smr> WfListHandle<S> {
-    /// Index of this handle's announcement record (diagnostics).
-    pub fn record_index(&self) -> usize {
-        self.claim.index
-    }
-
     /// Forces a reclamation pass on this thread's SMR handle.
     pub fn flush(&mut self) {
         self.inner.flush();

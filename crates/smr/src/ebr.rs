@@ -16,20 +16,21 @@
 //! the epoch protocol and its [`Scheme`] impl.
 
 use crate::block::Retired;
-use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
+use crate::limbo::{announce_confirmed, Domain, Guard, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::{Smr, SmrConfig, SmrError, SmrKind};
+use crate::SmrKind;
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Epoch value meaning "not in a critical section".
+/// Epoch value meaning "not in a critical section"; 0, so a default slot
+/// is inactive.
 const INACTIVE: u64 = 0;
 /// First valid epoch.  Starting above `INACTIVE + 2` keeps the "retire epoch
 /// + 2" comparison free of underflow special cases.
 const FIRST_EPOCH: u64 = 4;
 
-/// One thread's epoch announcement.
+/// One thread's epoch announcement; the default is [`INACTIVE`].
+#[derive(Default)]
 pub struct EbrSlot {
     /// Epoch announced by the slot's owner, or [`INACTIVE`].
     epoch: AtomicU64,
@@ -37,41 +38,8 @@ pub struct EbrSlot {
 
 /// The epoch-based reclamation domain.
 pub struct Ebr {
-    core: RetireCore,
+    core: RetireCore<EbrSlot>,
     global_epoch: CachePadded<AtomicU64>,
-    slots: Box<[CachePadded<EbrSlot>]>,
-}
-
-impl Smr for Ebr {
-    type Handle = Handle<Ebr>;
-
-    fn new(config: SmrConfig) -> Arc<Self> {
-        let core = RetireCore::new(config);
-        let slots = (0..core.config().max_threads)
-            .map(|_| {
-                CachePadded::new(EbrSlot {
-                    epoch: AtomicU64::new(INACTIVE),
-                })
-            })
-            .collect();
-        Arc::new(Self {
-            core,
-            global_epoch: CachePadded::new(AtomicU64::new(FIRST_EPOCH)),
-            slots,
-        })
-    }
-
-    fn try_register(self: &Arc<Self>) -> Result<Handle<Ebr>, SmrError> {
-        Handle::register(self)
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.core.unreclaimed()
-    }
-
-    fn kind(&self) -> SmrKind {
-        SmrKind::Ebr
-    }
 }
 
 impl Ebr {
@@ -80,7 +48,7 @@ impl Ebr {
     /// a stalled thread blocks forever.
     fn try_advance(&self) -> u64 {
         let global = self.global_epoch.load(Ordering::SeqCst);
-        for slot in self.core.claimed(&self.slots) {
+        for slot in self.core.claimed() {
             let e = slot.epoch.load(Ordering::SeqCst);
             if e != INACTIVE && e != global {
                 return global;
@@ -99,13 +67,24 @@ impl Ebr {
 }
 
 impl Domain for Ebr {
+    const KIND: SmrKind = SmrKind::Ebr;
+    type Slot = EbrSlot;
+
+    fn build(core: RetireCore<EbrSlot>) -> Self {
+        Self {
+            core,
+            global_epoch: CachePadded::new(AtomicU64::new(FIRST_EPOCH)),
+        }
+    }
+
     #[inline]
-    fn core(&self) -> &RetireCore {
+    fn core(&self) -> &RetireCore<EbrSlot> {
         &self.core
     }
 
     fn neutralize(&self, slot: usize) {
-        self.slots[slot].epoch.store(INACTIVE, Ordering::SeqCst);
+        let slot = self.core.reservation(slot);
+        slot.epoch.store(INACTIVE, Ordering::SeqCst);
     }
 }
 
@@ -141,26 +120,14 @@ unsafe impl Scheme for Ebr {
 }
 
 impl ReadSide for Ebr {
-    type Slot = CachePadded<EbrSlot>;
     type State = ();
-
-    #[inline]
-    fn slots(&self) -> &[CachePadded<EbrSlot>] {
-        &self.slots
-    }
 
     /// Publishes the current global epoch and confirms it is still current;
     /// if it moved, re-announces, so a critical section never runs under an
     /// announcement older than the epoch it entered at.
     #[inline]
-    fn enter(&self, slot: &CachePadded<EbrSlot>) {
-        loop {
-            let e = self.global_epoch.load(Ordering::SeqCst);
-            slot.epoch.store(e, Ordering::SeqCst);
-            if self.global_epoch.load(Ordering::SeqCst) == e {
-                return;
-            }
-        }
+    fn enter(&self, slot: &EbrSlot) {
+        announce_confirmed(&self.global_epoch, &slot.epoch);
     }
 
     #[inline]
@@ -183,7 +150,7 @@ impl ReadSide for Ebr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SmrGuard, SmrHandle};
+    use crate::{Smr, SmrConfig, SmrGuard, SmrHandle};
 
     fn small_config() -> SmrConfig {
         SmrConfig {

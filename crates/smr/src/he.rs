@@ -19,65 +19,30 @@
 //! retire core ([`crate::limbo`]).
 
 use crate::block::Retired;
-use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
+use crate::limbo::{Domain, Guard, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::{Smr, SmrConfig, SmrError, SmrKind, MAX_HAZARDS};
+use crate::{SmrKind, MAX_HAZARDS};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Reservation value meaning "no era reserved".
+/// Reservation value meaning "no era reserved"; 0, so a default slot
+/// reserves nothing.
 const NONE: u64 = 0;
 /// First era handed out; birth eras are always `>= FIRST_ERA`, so `NONE` can
 /// never be mistaken for a real reservation.
 const FIRST_ERA: u64 = 1;
 
-/// One thread's era reservations, one per hazard index.
+/// One thread's era reservations, one per hazard index; the default
+/// reserves [`NONE`].
+#[derive(Default)]
 pub struct HeSlot {
     eras: [AtomicU64; MAX_HAZARDS],
 }
 
 /// The hazard-eras domain.
 pub struct He {
-    core: RetireCore,
+    core: RetireCore<HeSlot>,
     global_era: CachePadded<AtomicU64>,
-    slots: Box<[CachePadded<HeSlot>]>,
-}
-
-impl Smr for He {
-    type Handle = Handle<He>;
-
-    fn new(config: SmrConfig) -> Arc<Self> {
-        let core = RetireCore::new(config);
-        let slots = (0..core.config().max_threads)
-            .map(|_| {
-                CachePadded::new(HeSlot {
-                    eras: std::array::from_fn(|_| AtomicU64::new(NONE)),
-                })
-            })
-            .collect();
-        Arc::new(Self {
-            core,
-            global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
-            slots,
-        })
-    }
-
-    fn try_register(self: &Arc<Self>) -> Result<Handle<He>, SmrError> {
-        Handle::register(self)
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.core.unreclaimed()
-    }
-
-    fn kind(&self) -> SmrKind {
-        if self.core.config().snapshot_scan {
-            SmrKind::HeOpt
-        } else {
-            SmrKind::He
-        }
-    }
 }
 
 impl He {
@@ -86,7 +51,7 @@ impl He {
     /// its own on purpose — inlined into the sweep's `retain` closure the
     /// eight-era inner loop measured a quarter slower.
     fn is_protected(&self, birth: u64, retire: u64) -> bool {
-        for slot in self.core.claimed(&self.slots) {
+        for slot in self.core.claimed() {
             for e in &slot.eras {
                 let v = e.load(Ordering::SeqCst);
                 if v != NONE && birth <= v && v <= retire {
@@ -99,8 +64,18 @@ impl He {
 }
 
 impl Domain for He {
+    const KIND: SmrKind = SmrKind::He;
+    type Slot = HeSlot;
+
+    fn build(core: RetireCore<HeSlot>) -> Self {
+        Self {
+            core,
+            global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
+        }
+    }
+
     #[inline]
-    fn core(&self) -> &RetireCore {
+    fn core(&self) -> &RetireCore<HeSlot> {
         &self.core
     }
 
@@ -110,7 +85,7 @@ impl Domain for He {
     }
 
     fn neutralize(&self, slot: usize) {
-        for e in &self.slots[slot].eras {
+        for e in &self.core.reservation(slot).eras {
             e.store(NONE, Ordering::SeqCst);
         }
     }
@@ -137,7 +112,7 @@ unsafe impl Scheme for He {
 
     fn snapshot(&self) -> Option<Vec<u64>> {
         self.core.config().snapshot_scan.then(|| {
-            let mut snap: Vec<u64> = (self.core.claimed(&self.slots))
+            let mut snap: Vec<u64> = (self.core.claimed())
                 .flat_map(|slot| slot.eras.iter().map(|e| e.load(Ordering::SeqCst)))
                 .filter(|&e| e != NONE)
                 .collect();
@@ -160,17 +135,11 @@ unsafe impl Scheme for He {
 }
 
 impl ReadSide for He {
-    type Slot = CachePadded<HeSlot>;
     type State = ();
-
-    #[inline]
-    fn slots(&self) -> &[CachePadded<HeSlot>] {
-        &self.slots
-    }
 
     /// Reservations are per pointer: `pin` publishes nothing.
     #[inline]
-    fn enter(&self, _slot: &CachePadded<HeSlot>) {}
+    fn enter(&self, _slot: &HeSlot) {}
 
     #[inline]
     fn exit(g: &mut Guard<'_, Self>) {
@@ -228,7 +197,7 @@ impl ReadSide for He {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SmrGuard, SmrHandle};
+    use crate::{Smr, SmrConfig, SmrGuard, SmrHandle};
 
     fn config(snapshot: bool) -> SmrConfig {
         SmrConfig {
@@ -238,12 +207,6 @@ mod tests {
             snapshot_scan: snapshot,
             ..SmrConfig::default()
         }
-    }
-
-    #[test]
-    fn kind_reflects_snapshot_mode() {
-        assert_eq!(He::new(config(false)).kind(), SmrKind::He);
-        assert_eq!(He::new(config(true)).kind(), SmrKind::HeOpt);
     }
 
     #[test]
@@ -283,7 +246,7 @@ mod tests {
             assert_eq!(d.unreclaimed(), 1, "snapshot={snapshot}");
 
             // Clear the stalled reservation; now it can go.
-            for e in &d.slots[0].eras {
+            for e in &d.core.reservation(0).eras {
                 e.store(NONE, Ordering::SeqCst);
             }
             worker.flush();
@@ -375,7 +338,7 @@ mod tests {
             // SAFETY: `p` was never shared with another thread; only this guard's own reservations name it.
             unsafe { g.dealloc(p) };
         }
-        for e in &d.slots[0].eras {
+        for e in &d.core.reservation(0).eras {
             assert_eq!(e.load(Ordering::SeqCst), NONE);
         }
     }

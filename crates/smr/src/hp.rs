@@ -99,12 +99,10 @@
 //! that preceded it.
 
 use crate::block::Retired;
-use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
+use crate::limbo::{Domain, Guard, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::{Smr, SmrConfig, SmrError, SmrKind, MAX_HAZARDS};
-use crossbeam_utils::CachePadded;
+use crate::{SmrKind, MAX_HAZARDS};
 use std::sync::atomic::{compiler_fence, fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Heavy publications a guard pays per operation before it goes light, unless
 /// `pin` predicted a long operation and started light (module docs).  Going
@@ -124,7 +122,8 @@ const HEAVY_BUDGET: u32 = 32;
 /// and quadruples the tree's share of sweeps that run a barrier.
 const LONG_STREAK: u8 = 2;
 
-/// One thread's hazard pointers.
+/// One thread's hazard pointers; the default publishes nothing, heavy.
+#[derive(Default)]
 pub struct HpSlot {
     hazards: [AtomicUsize; MAX_HAZARDS],
     /// Non-zero while the slot's guard is light: its hazards may sit in a
@@ -141,8 +140,7 @@ pub struct HpSlot {
 /// The hazard-pointer domain.  `snapshot_scan` in the configuration selects
 /// between the paper's "HP" and "HPopt" variants.
 pub struct Hp {
-    core: RetireCore,
-    slots: Box<[CachePadded<HpSlot>]>,
+    core: RetireCore<HpSlot>,
     /// Whether sweeps can run the process barrier, i.e. whether guards may go
     /// light: the registration probe's answer, fixed for the domain's life.
     asymmetric: bool,
@@ -150,57 +148,7 @@ pub struct Hp {
     barriers_issued: AtomicU64,
 }
 
-impl Smr for Hp {
-    type Handle = Handle<Hp>;
-
-    fn new(config: SmrConfig) -> Arc<Self> {
-        Self::with_fence(config, membarrier::register())
-    }
-
-    fn try_register(self: &Arc<Self>) -> Result<Handle<Hp>, SmrError> {
-        Handle::register(self)
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.core.unreclaimed()
-    }
-
-    fn kind(&self) -> SmrKind {
-        if self.core.config().snapshot_scan {
-            SmrKind::HpOpt
-        } else {
-            SmrKind::Hp
-        }
-    }
-}
-
 impl Hp {
-    fn with_fence(config: SmrConfig, asymmetric: bool) -> Arc<Self> {
-        let core = RetireCore::new(config);
-        let slots = (0..core.config().max_threads)
-            .map(|_| {
-                CachePadded::new(HpSlot {
-                    hazards: std::array::from_fn(|_| AtomicUsize::new(0)),
-                    light: AtomicUsize::new(0),
-                    streak: AtomicU8::new(0),
-                })
-            })
-            .collect();
-        Arc::new(Self {
-            core,
-            slots,
-            asymmetric,
-            barriers_issued: AtomicU64::new(0),
-        })
-    }
-
-    /// A domain for which the probe answered "unavailable": the path every
-    /// platform without `membarrier` runs.
-    #[cfg(test)]
-    fn new_symmetric(config: SmrConfig) -> Arc<Self> {
-        Self::with_fence(config, false)
-    }
-
     /// Sets `slot`'s `light` word and fences, returning 0, the budget of a
     /// light guard — or, where sweeps have no process barrier to run, a
     /// fresh budget of heavy publications.
@@ -231,8 +179,7 @@ impl Hp {
         // ORDERING: Acquire — a 0 stored when a guard left light mode
         // (`Release`, after its hazard stores) makes that episode's hazards
         // visible to the loads that follow.
-        let any_light =
-            (self.core.claimed(&self.slots)).any(|slot| slot.light.load(Ordering::Acquire) != 0);
+        let any_light = (self.core.claimed()).any(|slot| slot.light.load(Ordering::Acquire) != 0);
         if any_light {
             membarrier::barrier();
             // ORDERING: Relaxed — a statistic; publishes nothing.
@@ -244,7 +191,7 @@ impl Hp {
     /// per-record scan of the baseline (non-snapshot) sweep, one full pass
     /// over the hazard array per retired node.
     fn is_protected(&self, addr: usize) -> bool {
-        for slot in self.core.claimed(&self.slots) {
+        for slot in self.core.claimed() {
             // Ascending index order; see the module documentation on `dup`.
             for h in &slot.hazards {
                 if h.load(Ordering::SeqCst) == addr {
@@ -339,13 +286,25 @@ mod membarrier {
 }
 
 impl Domain for Hp {
+    const KIND: SmrKind = SmrKind::Hp;
+    type Slot = HpSlot;
+
+    /// Runs the `membarrier` registration probe (module docs).
+    fn build(core: RetireCore<HpSlot>) -> Self {
+        Self {
+            core,
+            asymmetric: membarrier::register(),
+            barriers_issued: AtomicU64::new(0),
+        }
+    }
+
     #[inline]
-    fn core(&self) -> &RetireCore {
+    fn core(&self) -> &RetireCore<HpSlot> {
         &self.core
     }
 
     fn neutralize(&self, slot: usize) {
-        let slot = &self.slots[slot];
+        let slot = self.core.reservation(slot);
         for h in &slot.hazards {
             h.store(0, Ordering::SeqCst);
         }
@@ -381,7 +340,7 @@ unsafe impl Scheme for Hp {
         // — the handle-drop sweep too, which skips `before_scan`.
         self.await_light_publications();
         self.core.config().snapshot_scan.then(|| {
-            let mut snap: Vec<usize> = (self.core.claimed(&self.slots))
+            let mut snap: Vec<usize> = (self.core.claimed())
                 .flat_map(|slot| slot.hazards.iter().map(|h| h.load(Ordering::SeqCst)))
                 .filter(|&v| v != 0)
                 .collect();
@@ -458,20 +417,14 @@ impl Guard<'_, Hp> {
 }
 
 impl ReadSide for Hp {
-    type Slot = CachePadded<HpSlot>;
     type State = HpState;
-
-    #[inline]
-    fn slots(&self) -> &[CachePadded<HpSlot>] {
-        &self.slots
-    }
 
     /// Hazard pointers have no notion of a critical section: protection is
     /// entirely per-pointer, so `pin` publishes nothing — unless the slot's
     /// last [`LONG_STREAK`] operations outran the budget, and then it goes
     /// light at once, as a guard whose budget ran out before its first hop.
     #[inline]
-    fn enter(&self, slot: &CachePadded<HpSlot>) -> HpState {
+    fn enter(&self, slot: &HpSlot) -> HpState {
         // ORDERING: Relaxed — owner-only (`HpSlot::streak`).
         let budget = if slot.streak.load(Ordering::Relaxed) >= LONG_STREAK {
             self.go_light(slot)
@@ -575,8 +528,22 @@ impl ReadSide for Hp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SmrGuard, SmrHandle};
+    use crate::limbo::Handle;
+    use crate::{Smr, SmrConfig, SmrGuard, SmrHandle};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
+
+    impl Hp {
+        /// A domain for which the probe answered "unavailable": the path
+        /// every platform without `membarrier` runs.
+        fn new_symmetric(config: SmrConfig) -> Arc<Self> {
+            let core = RetireCore::new(config);
+            Arc::new(Self {
+                asymmetric: false,
+                ..Self::build(core)
+            })
+        }
+    }
 
     fn config(snapshot: bool) -> SmrConfig {
         SmrConfig {
@@ -673,14 +640,14 @@ mod tests {
     }
 
     fn light_words(d: &Hp) -> Vec<usize> {
-        (d.slots.iter())
-            .map(|slot| slot.light.load(Ordering::SeqCst))
+        (0..d.core.config().max_threads)
+            .map(|i| d.core.reservation(i).light.load(Ordering::SeqCst))
             .collect()
     }
 
     fn streaks(d: &Hp) -> Vec<u8> {
-        (d.slots.iter())
-            .map(|slot| slot.streak.load(Ordering::SeqCst))
+        (0..d.core.config().max_threads)
+            .map(|i| d.core.reservation(i).streak.load(Ordering::SeqCst))
             .collect()
     }
 
@@ -699,12 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn kind_reflects_snapshot_mode() {
-        assert_eq!(Hp::new(config(false)).kind(), SmrKind::Hp);
-        assert_eq!(Hp::new(config(true)).kind(), SmrKind::HpOpt);
-    }
-
-    #[test]
     fn protect_publishes_untagged_address() {
         each_domain(|d| {
             for warm_up in WARM_UPS {
@@ -715,10 +676,10 @@ mod tests {
                 let seen = g.protect(2, &cell);
                 assert_eq!(seen.tag(), 1);
                 assert_eq!(seen.untagged(), p);
-                let published = d.slots[0].hazards[2].load(Ordering::SeqCst);
+                let published = d.core.reservation(0).hazards[2].load(Ordering::SeqCst);
                 assert_eq!(published, p.into_raw(), "{} warm_up={warm_up:?}", tag(&d));
                 g.announce(3, p.with_tag(1));
-                let announced = d.slots[0].hazards[3].load(Ordering::SeqCst);
+                let announced = d.core.reservation(0).hazards[3].load(Ordering::SeqCst);
                 assert_eq!(announced, p.into_raw(), "{} warm_up={warm_up:?}", tag(&d));
                 // SAFETY: `p` was never published to another thread; only this guard's own hazards name it.
                 unsafe { g.dealloc(p) };
@@ -928,20 +889,23 @@ mod tests {
                 let cell = Atomic::new(p);
                 g.protect(1, &cell);
                 g.dup(1, 4);
-                assert_ne!(d.slots[0].hazards[1].load(Ordering::SeqCst), 0);
-                assert_ne!(d.slots[0].hazards[4].load(Ordering::SeqCst), 0);
+                assert_ne!(d.core.reservation(0).hazards[1].load(Ordering::SeqCst), 0);
+                assert_ne!(d.core.reservation(0).hazards[4].load(Ordering::SeqCst), 0);
                 // SAFETY: `p` is unlinked; this guard's own hazards do not block its later reclamation.
                 unsafe { g.retire(p) };
                 // A cleared slot leaves the mask, so drop does not store to it again:
                 // a value planted there afterwards survives the drop.
                 g.clear(1);
                 assert_eq!(g.state.used, 1 << 4);
-                d.slots[0].hazards[1].store(usize::MAX, Ordering::SeqCst);
+                d.core.reservation(0).hazards[1].store(usize::MAX, Ordering::SeqCst);
                 drop(g);
-                assert_eq!(d.slots[0].hazards[1].swap(0, Ordering::SeqCst), usize::MAX);
+                assert_eq!(
+                    d.core.reservation(0).hazards[1].swap(0, Ordering::SeqCst),
+                    usize::MAX
+                );
                 for i in 0..MAX_HAZARDS {
                     assert_eq!(
-                        d.slots[0].hazards[i].load(Ordering::SeqCst),
+                        d.core.reservation(0).hazards[i].load(Ordering::SeqCst),
                         0,
                         "hazard {i} must be cleared by guard drop"
                     );
@@ -964,14 +928,14 @@ mod tests {
             walk(&mut g, 2, HEAVY_BUDGET + 3);
             g.protect(1, &cell);
             g.dup(1, 5);
-            assert_ne!(d.slots[0].hazards[1].load(Ordering::SeqCst), 0);
-            assert_ne!(d.slots[0].hazards[5].load(Ordering::SeqCst), 0);
+            assert_ne!(d.core.reservation(0).hazards[1].load(Ordering::SeqCst), 0);
+            assert_ne!(d.core.reservation(0).hazards[5].load(Ordering::SeqCst), 0);
             assert_eq!(light_words(&d)[0], usize::from(d.asymmetric));
             drop(g);
             let mut g = h.pin();
             for i in 0..MAX_HAZARDS {
                 assert_eq!(
-                    d.slots[0].hazards[i].load(Ordering::SeqCst),
+                    d.core.reservation(0).hazards[i].load(Ordering::SeqCst),
                     0,
                     "hazard {i} must be unpublished at the batch edge"
                 );
@@ -1005,7 +969,7 @@ mod tests {
             }));
             assert!(unwound.is_err());
             assert_eq!(light_words(&d), [0; 4], "{}", tag(&d));
-            for hazard in &d.slots[0].hazards {
+            for hazard in &d.core.reservation(0).hazards {
                 assert_eq!(hazard.load(Ordering::SeqCst), 0, "{}", tag(&d));
             }
         });
@@ -1154,7 +1118,7 @@ mod tests {
                 assert_eq!(h.pin().state.budget, HEAVY_BUDGET, "{}", tag(&d));
                 let mut next = d.register();
                 let g = next.pin();
-                assert!(std::ptr::eq(g.slot(), &d.slots[0]), "{}", tag(&d));
+                assert!(std::ptr::eq(g.slot(), d.core.reservation(0)), "{}", tag(&d));
                 assert_eq!(g.state.budget, HEAVY_BUDGET, "{}", tag(&d));
                 assert_eq!(light_words(&d), [0; 4], "{} warm_up={warm_up:?}", tag(&d));
             }

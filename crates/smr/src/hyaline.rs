@@ -108,14 +108,15 @@
 //!   the batches already pinned by its list are leaked permanently.
 
 use crate::block::{Header, Reclaimable, Retired};
-use crate::limbo::{Domain, Guard, Handle, Lifecycle, Pinned, ReadSide, RetireCore};
+use crate::limbo::{
+    protect_era, publish_era, Domain, Guard, Lifecycle, Pinned, ReadSide, RetireCore,
+};
 use crate::pool::BlockPool;
 use crate::ptr::{Atomic, Shared};
 use crate::registry::AdoptGuard;
-use crate::{Smr, SmrConfig, SmrError, SmrKind};
+use crate::SmrKind;
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// First era handed out.
 const FIRST_ERA: u64 = 1;
@@ -138,7 +139,9 @@ fn unpack(word: u64) -> (u64, usize) {
     (word >> PTR_BITS, (word & PTR_MASK) as usize)
 }
 
-/// One thread's retirement list and published era.
+/// One thread's retirement list and published era; the default holds no
+/// reference, an empty list and era 0.
+#[derive(Default)]
 pub struct HySlot {
     /// Packed `{refs, head-pointer}` of the slot's retirement list.
     head: AtomicU64,
@@ -148,52 +151,27 @@ pub struct HySlot {
 
 /// The Hyaline-1S-style reclamation domain.
 pub struct Hyaline {
-    core: RetireCore,
+    core: RetireCore<HySlot>,
     global_era: CachePadded<AtomicU64>,
-    slots: Box<[CachePadded<HySlot>]>,
     /// Batch size: enough nodes so that one node can be pushed to every slot
     /// plus the REFS node that carries the counter.
     batch_capacity: usize,
 }
 
-impl Smr for Hyaline {
-    type Handle = Handle<Hyaline>;
+impl Domain for Hyaline {
+    const KIND: SmrKind = SmrKind::Hyaline;
+    type Slot = HySlot;
 
-    fn new(config: SmrConfig) -> Arc<Self> {
-        let core = RetireCore::new(config);
-        let max_threads = core.config().max_threads;
-        let slots = (0..max_threads)
-            .map(|_| {
-                CachePadded::new(HySlot {
-                    head: AtomicU64::new(0),
-                    era: AtomicU64::new(0),
-                })
-            })
-            .collect();
-        Arc::new(Self {
+    fn build(core: RetireCore<HySlot>) -> Self {
+        Self {
+            batch_capacity: core.config().max_threads + 1,
             core,
             global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
-            slots,
-            batch_capacity: max_threads + 1,
-        })
+        }
     }
 
-    fn try_register(self: &Arc<Self>) -> Result<Handle<Hyaline>, SmrError> {
-        Handle::register(self)
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.core.unreclaimed()
-    }
-
-    fn kind(&self) -> SmrKind {
-        SmrKind::Hyaline
-    }
-}
-
-impl Domain for Hyaline {
     #[inline]
-    fn core(&self) -> &RetireCore {
+    fn core(&self) -> &RetireCore<HySlot> {
         &self.core
     }
 
@@ -208,13 +186,14 @@ impl Domain for Hyaline {
     /// registration only: release and adoption leave the slot to the
     /// [`Lifecycle`] hooks.
     fn neutralize(&self, slot: usize) {
+        let slot = self.core.reservation(slot);
         // ORDERING: Relaxed is enough — a pusher skips a slot whose count is
         // 0, one that still sees a previous owner's count pushes onto a list
         // nobody acknowledges (a leak, never an early free), and the new
         // owner's enter `fetch_add` follows these stores in program order.
-        self.slots[slot].head.store(0, Ordering::Relaxed);
+        slot.head.store(0, Ordering::Relaxed);
         // ORDERING: same as the head reset above.
-        self.slots[slot].era.store(0, Ordering::Relaxed);
+        slot.era.store(0, Ordering::Relaxed);
     }
 }
 
@@ -249,7 +228,7 @@ impl Lifecycle for Hyaline {
     /// died *inside* one, its acknowledgement boundary is unknowable, and the
     /// slot is poisoned (see the module docs) before its batch is flushed.
     fn adopt(mut adoption: AdoptGuard<'_>, pinned: &mut Pinned<'_, Self>) {
-        let slot = &pinned.scheme().slots[adoption.slot()];
+        let slot = pinned.scheme().core.reservation(adoption.slot());
         let (refs, _) = unpack(slot.head.load(Ordering::SeqCst));
         if refs == 0 {
             // Flush before recycling so a new claimant cannot race us for the
@@ -367,7 +346,7 @@ impl Hyaline {
         refs.store(1, Ordering::Release);
 
         let mut spare = nodes[1..].iter();
-        for slot in self.core.claimed(&self.slots) {
+        for slot in self.core.claimed() {
             // Robustness: a thread whose published era predates every node in
             // the batch can never have obtained a reference to any of them
             // (given the SCOT / Harris-Michael traversal discipline), so it
@@ -472,20 +451,14 @@ pub struct HyState {
 }
 
 impl ReadSide for Hyaline {
-    type Slot = CachePadded<HySlot>;
     type State = HyState;
-
-    #[inline]
-    fn slots(&self) -> &[CachePadded<HySlot>] {
-        &self.slots
-    }
 
     /// Enter: one global-era load, an era store only when the slot publishes
     /// something else, one `fetch_add`.  The `fetch_add` returns the packed
     /// head at exactly the enter instant, and every node pushed above its
     /// pointer half counted this thread.
     #[inline]
-    fn enter(&self, slot: &CachePadded<HySlot>) -> HyState {
+    fn enter(&self, slot: &HySlot) -> HyState {
         let era = self.global_era.load(Ordering::SeqCst);
         // ORDERING: Relaxed — the owner is the only writer of a claimed
         // slot's era (registration resets it to 0, below every real era), so
@@ -526,34 +499,28 @@ impl ReadSide for Hyaline {
         }
     }
 
+    /// Same publication protocol as IBR's upper bound: the era is published
+    /// before the pointer that is returned is (re-)read, so any returned
+    /// pointer's birth era is covered by the published era.
     #[inline]
     fn protect<T>(g: &mut Guard<'_, Self>, _idx: usize, src: &Atomic<T>) -> Shared<T> {
-        // Same publication protocol as IBR's upper bound: the era is published
-        // before the pointer that is returned is (re-)read, so any returned
-        // pointer's birth era is covered by the published era.
-        loop {
-            let ptr = src.load(Ordering::Acquire);
-            let era = g.scheme().global_era.load(Ordering::SeqCst);
-            if era == g.state.cached_era {
-                return ptr;
-            }
-            g.slot().era.store(era, Ordering::SeqCst);
-            g.state.cached_era = era;
-        }
+        let (global, era) = (&g.scheme().global_era, &g.slot().era);
+        protect_era(src, global, era, &mut g.state.cached_era)
     }
 
     #[inline]
     fn announce<T>(g: &mut Guard<'_, Self>, _idx: usize, _ptr: Shared<T>) {
-        let era = g.scheme().global_era.load(Ordering::SeqCst);
-        g.slot().era.store(era, Ordering::SeqCst);
-        g.state.cached_era = era;
+        let (global, era) = (&g.scheme().global_era, &g.slot().era);
+        publish_era(global, era, &mut g.state.cached_era);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SmrGuard, SmrHandle};
+    use crate::limbo::Handle;
+    use crate::{Smr, SmrConfig, SmrGuard, SmrHandle};
+    use std::sync::Arc;
 
     fn config() -> SmrConfig {
         SmrConfig {
@@ -708,33 +675,34 @@ mod tests {
         // the value the slot already holds, so what is checked is the value
         // enter compares against.
         let d = Hyaline::new(config());
+        let slot = d.core.reservation(0);
         let mut h = d.register();
         let era = d.global_era.load(Ordering::SeqCst);
         drop(h.pin());
-        assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era);
+        assert_eq!(slot.era.load(Ordering::SeqCst), era);
 
         // Unchanged global era: the slot keeps the era it publishes.
         let g = h.pin();
-        assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era);
-        assert_eq!(unpack(d.slots[0].head.load(Ordering::SeqCst)), (1, 0));
+        assert_eq!(slot.era.load(Ordering::SeqCst), era);
+        assert_eq!(unpack(slot.head.load(Ordering::SeqCst)), (1, 0));
         drop(g);
-        assert_eq!(d.slots[0].head.load(Ordering::SeqCst), 0, "leave detaches");
+        assert_eq!(slot.head.load(Ordering::SeqCst), 0, "leave detaches");
 
         // The comparison reads the slot, not a copy of it: a slot that
         // publishes something else is republished although the global era
         // stood still.
-        d.slots[0].era.store(PLANTED, Ordering::SeqCst);
+        slot.era.store(PLANTED, Ordering::SeqCst);
         drop(h.pin());
-        assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era);
+        assert_eq!(slot.era.load(Ordering::SeqCst), era);
 
         // The era advanced: the guard is inside its critical section with
         // the new era already published.
         d.global_era.fetch_add(1, Ordering::SeqCst);
         let g = h.pin();
-        assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era + 1);
-        assert_eq!(unpack(d.slots[0].head.load(Ordering::SeqCst)), (1, 0));
+        assert_eq!(slot.era.load(Ordering::SeqCst), era + 1);
+        assert_eq!(unpack(slot.head.load(Ordering::SeqCst)), (1, 0));
         drop(g);
-        assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era + 1);
+        assert_eq!(slot.era.load(Ordering::SeqCst), era + 1);
     }
 
     #[test]
@@ -743,6 +711,7 @@ mod tests {
         // handle-side cache to hand an era back to, and the slot itself
         // carries a republished era past leave into the next enter.
         let d = Hyaline::new(config());
+        let slot = d.core.reservation(0);
         let mut h = d.register();
         let mut worker = d.register();
         let cell = Atomic::new(worker.pin().alloc(1u64));
@@ -757,17 +726,13 @@ mod tests {
             let mut g = h.pin();
             let era = d.global_era.fetch_add(1, Ordering::SeqCst) + 1;
             republish(&mut g, &cell);
-            assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era);
+            assert_eq!(slot.era.load(Ordering::SeqCst), era);
             drop(g);
-            assert_eq!(
-                d.slots[0].era.load(Ordering::SeqCst),
-                era,
-                "kept past leave"
-            );
+            assert_eq!(slot.era.load(Ordering::SeqCst), era, "kept past leave");
             // So the next pin compares against what the slot really holds.
-            d.slots[0].era.store(PLANTED, Ordering::SeqCst);
+            slot.era.store(PLANTED, Ordering::SeqCst);
             drop(h.pin());
-            assert_eq!(d.slots[0].era.load(Ordering::SeqCst), era);
+            assert_eq!(slot.era.load(Ordering::SeqCst), era);
         }
         // SAFETY: the cell's node was never shared beyond this test and is retired exactly once.
         unsafe { worker.pin().retire(cell.load(Ordering::Acquire)) };
@@ -778,20 +743,21 @@ mod tests {
         // The name predates enter reading the slot's own `era`: the slot is
         // the only side left.
         let d = Hyaline::new(config());
+        let slot = d.core.reservation(0);
         let mut h = d.register();
         drop(h.pin());
-        assert_ne!(d.slots[0].era.load(Ordering::SeqCst), 0);
+        assert_ne!(slot.era.load(Ordering::SeqCst), 0);
         drop(h);
         let mut h = d.register();
         assert!(
             d.core.registry().is_claimed(0),
             "the released slot is handed out again"
         );
-        assert_eq!(d.slots[0].era.load(Ordering::SeqCst), 0);
+        assert_eq!(slot.era.load(Ordering::SeqCst), 0);
         // 0 is below every real era, so the first pin always publishes.
         drop(h.pin());
         assert_eq!(
-            d.slots[0].era.load(Ordering::SeqCst),
+            slot.era.load(Ordering::SeqCst),
             d.global_era.load(Ordering::SeqCst)
         );
     }

@@ -16,12 +16,11 @@
 //! shared retire core ([`crate::limbo`]).
 
 use crate::block::Retired;
-use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
+use crate::limbo::{protect_era, publish_era, Domain, Guard, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::{Smr, SmrConfig, SmrError, SmrKind};
+use crate::SmrKind;
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// First era handed out.
 const FIRST_ERA: u64 = 1;
@@ -44,54 +43,26 @@ impl IbrSlot {
     }
 }
 
-/// The interval-based reclamation domain.
-pub struct Ibr {
-    core: RetireCore,
-    global_era: CachePadded<AtomicU64>,
-    slots: Box<[CachePadded<IbrSlot>]>,
-}
-
-impl Smr for Ibr {
-    type Handle = Handle<Ibr>;
-
-    fn new(config: SmrConfig) -> Arc<Self> {
-        let core = RetireCore::new(config);
-        let slots = (0..core.config().max_threads)
-            .map(|_| {
-                CachePadded::new(IbrSlot {
-                    lower: AtomicU64::new(u64::MAX),
-                    upper: AtomicU64::new(0),
-                })
-            })
-            .collect();
-        Arc::new(Self {
-            core,
-            global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
-            slots,
-        })
-    }
-
-    fn try_register(self: &Arc<Self>) -> Result<Handle<Ibr>, SmrError> {
-        Handle::register(self)
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.core.unreclaimed()
-    }
-
-    fn kind(&self) -> SmrKind {
-        if self.core.config().snapshot_scan {
-            SmrKind::IbrOpt
-        } else {
-            SmrKind::Ibr
+/// The empty interval `[MAX, 0]`.
+impl Default for IbrSlot {
+    fn default() -> Self {
+        Self {
+            lower: AtomicU64::new(u64::MAX),
+            upper: AtomicU64::new(0),
         }
     }
+}
+
+/// The interval-based reclamation domain.
+pub struct Ibr {
+    core: RetireCore<IbrSlot>,
+    global_era: CachePadded<AtomicU64>,
 }
 
 impl Ibr {
     /// The `(lower, upper)` interval of every claimed slot.
     fn intervals(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.core.claimed(&self.slots).map(|slot| {
+        self.core.claimed().map(|slot| {
             (
                 slot.lower.load(Ordering::SeqCst),
                 slot.upper.load(Ordering::SeqCst),
@@ -101,8 +72,18 @@ impl Ibr {
 }
 
 impl Domain for Ibr {
+    const KIND: SmrKind = SmrKind::Ibr;
+    type Slot = IbrSlot;
+
+    fn build(core: RetireCore<IbrSlot>) -> Self {
+        Self {
+            core,
+            global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
+        }
+    }
+
     #[inline]
-    fn core(&self) -> &RetireCore {
+    fn core(&self) -> &RetireCore<IbrSlot> {
         &self.core
     }
 
@@ -112,7 +93,7 @@ impl Domain for Ibr {
     }
 
     fn neutralize(&self, slot: usize) {
-        self.slots[slot].deactivate(Ordering::SeqCst);
+        self.core.reservation(slot).deactivate(Ordering::SeqCst);
     }
 }
 
@@ -154,16 +135,10 @@ unsafe impl Scheme for Ibr {
 /// The guard's state is a local copy of the published `upper`, sparing
 /// `protect` an atomic load on the fast path.
 impl ReadSide for Ibr {
-    type Slot = CachePadded<IbrSlot>;
     type State = u64;
 
     #[inline]
-    fn slots(&self) -> &[CachePadded<IbrSlot>] {
-        &self.slots
-    }
-
-    #[inline]
-    fn enter(&self, slot: &CachePadded<IbrSlot>) -> u64 {
+    fn enter(&self, slot: &IbrSlot) -> u64 {
         let era = self.global_era.load(Ordering::SeqCst);
         slot.upper.store(era, Ordering::SeqCst);
         slot.lower.store(era, Ordering::SeqCst);
@@ -175,34 +150,25 @@ impl ReadSide for Ibr {
         g.slot().deactivate(Ordering::Release);
     }
 
+    /// The interval is extended *before* the pointer is re-read, so any
+    /// pointer returned was loaded under an already-published upper bound
+    /// covering its birth era.
     #[inline]
     fn protect<T>(g: &mut Guard<'_, Self>, _idx: usize, src: &Atomic<T>) -> Shared<T> {
-        loop {
-            let ptr = src.load(Ordering::Acquire);
-            let era = g.scheme().global_era.load(Ordering::SeqCst);
-            if era == g.state {
-                return ptr;
-            }
-            // The interval is extended *before* the pointer is re-read, so any
-            // pointer we return was loaded under an already-published upper
-            // bound covering its birth era.
-            g.slot().upper.store(era, Ordering::SeqCst);
-            g.state = era;
-        }
+        let (global, upper) = (&g.scheme().global_era, &g.slot().upper);
+        protect_era(src, global, upper, &mut g.state)
     }
 
     #[inline]
     fn announce<T>(g: &mut Guard<'_, Self>, _idx: usize, _ptr: Shared<T>) {
-        let era = g.scheme().global_era.load(Ordering::SeqCst);
-        g.slot().upper.store(era, Ordering::SeqCst);
-        g.state = era;
+        publish_era(&g.scheme().global_era, &g.slot().upper, &mut g.state);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SmrGuard, SmrHandle};
+    use crate::{Smr, SmrConfig, SmrGuard, SmrHandle};
 
     fn config(snapshot: bool) -> SmrConfig {
         SmrConfig {
@@ -212,12 +178,6 @@ mod tests {
             snapshot_scan: snapshot,
             ..SmrConfig::default()
         }
-    }
-
-    #[test]
-    fn kind_reflects_snapshot_mode() {
-        assert_eq!(Ibr::new(config(false)).kind(), SmrKind::Ibr);
-        assert_eq!(Ibr::new(config(true)).kind(), SmrKind::IbrOpt);
     }
 
     #[test]
@@ -254,8 +214,11 @@ mod tests {
             assert_eq!(d.unreclaimed(), 1, "snapshot={snapshot}");
 
             // Simulate the reader finally finishing its operation.
-            d.slots[0].lower.store(u64::MAX, Ordering::SeqCst);
-            d.slots[0].upper.store(0, Ordering::SeqCst);
+            d.core
+                .reservation(0)
+                .lower
+                .store(u64::MAX, Ordering::SeqCst);
+            d.core.reservation(0).upper.store(0, Ordering::SeqCst);
             worker.flush();
             assert_eq!(d.unreclaimed(), 0, "snapshot={snapshot}");
         }
@@ -303,11 +266,12 @@ mod tests {
         {
             let _g = h.pin();
             assert!(
-                d.slots[0].lower.load(Ordering::SeqCst) <= d.slots[0].upper.load(Ordering::SeqCst)
+                d.core.reservation(0).lower.load(Ordering::SeqCst)
+                    <= d.core.reservation(0).upper.load(Ordering::SeqCst)
             );
         }
-        assert_eq!(d.slots[0].lower.load(Ordering::SeqCst), u64::MAX);
-        assert_eq!(d.slots[0].upper.load(Ordering::SeqCst), 0);
+        assert_eq!(d.core.reservation(0).lower.load(Ordering::SeqCst), u64::MAX);
+        assert_eq!(d.core.reservation(0).upper.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -316,19 +280,22 @@ mod tests {
         let d = Ibr::new(config(false));
         let mut h = d.register();
         let mut g = h.pin();
-        let lower_at_pin = d.slots[0].lower.load(Ordering::SeqCst);
+        let lower_at_pin = d.core.reservation(0).lower.load(Ordering::SeqCst);
         // Stretch the interval: advance the era, then observe it via protect.
         d.global_era.fetch_add(3, Ordering::SeqCst);
         let p = g.alloc(1u64);
         let cell = Atomic::new(p);
         g.protect(0, &cell);
-        assert!(d.slots[0].upper.load(Ordering::SeqCst) > lower_at_pin);
-        assert_eq!(d.slots[0].lower.load(Ordering::SeqCst), lower_at_pin);
+        assert!(d.core.reservation(0).upper.load(Ordering::SeqCst) > lower_at_pin);
+        assert_eq!(
+            d.core.reservation(0).lower.load(Ordering::SeqCst),
+            lower_at_pin
+        );
         drop(g);
         let mut g = h.pin();
         let era = d.global_era.load(Ordering::SeqCst);
-        assert_eq!(d.slots[0].lower.load(Ordering::SeqCst), era);
-        assert_eq!(d.slots[0].upper.load(Ordering::SeqCst), era);
+        assert_eq!(d.core.reservation(0).lower.load(Ordering::SeqCst), era);
+        assert_eq!(d.core.reservation(0).upper.load(Ordering::SeqCst), era);
         // SAFETY: `p` was never published to another thread.
         unsafe { g.dealloc(p) };
     }

@@ -31,15 +31,15 @@
 //!   epoch advancement that displaces long-running readers through the same
 //!   checkpoint protocol.
 //!
-//! The slot lifecycle of all eight families — claim, pin, one padded retire
-//! record per slot (its vault and its share of `unreclaimed`), the block
-//! pool, adoption of slots whose owner thread died, handle release, domain
-//! teardown — and the one handle and one guard they hand out are written
-//! once, in the crate-private retire core
+//! The slot lifecycle of all eight families — claim, pin, the reservation
+//! records, one padded retire record per slot (its vault and its share of
+//! `unreclaimed`), the block pool, adoption of slots whose owner thread
+//! died, handle release, domain teardown — and the one [`Smr`] impl, handle
+//! and guard they share are written once, in the crate-private retire core
 //! (`limbo.rs`).  A scheme contributes its read-side protocol (enter, exit,
 //! `protect`, `announce`, and `dup`/`clear`/`checkpoint` where it has them),
-//! how a slot's reservation is withdrawn, and what retirement, release and
-//! adoption do with its vault.
+//! its reservation record, how a slot's reservation is withdrawn, and what
+//! retirement, release and adoption do with its vault.
 //! The six limbo-list schemes (EBR, HP, HE, IBR, NBR, VBR) also share its
 //! threshold-triggered sweeps and orphan list, contributing their stamps and
 //! their "may this block be freed" predicate.  Hyaline shares the lifecycle,
@@ -899,20 +899,89 @@ mod tests {
         assert!(!g.needs_restart());
     }
 
-    #[test]
-    fn try_register_surfaces_slot_exhaustion() {
-        let d = Hp::new(SmrConfig {
+    /// Shared body of `try_register_surfaces_slot_exhaustion`: with both
+    /// slots claimed, `try_register` reports the exact capacity and
+    /// `register` panics naming the knob to raise; a dropped handle's slot
+    /// serves the next registration.  Single-threaded, so it runs under Miri.
+    fn slot_exhaustion_surfaces<S: Smr>() {
+        let d = S::new(SmrConfig {
             max_threads: 2,
             ..SmrConfig::default()
         });
-        let _a = d.try_register().expect("slot 0 must be free");
+        let a = d.try_register().expect("slot 0 must be free");
         let _b = d.try_register().expect("slot 1 must be free");
+        let full = Some(SmrError::RegistryFull { capacity: 2 });
+        assert_eq!(d.try_register().err(), full, "{}", d.name());
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.register()))
+            .err()
+            .expect("a full domain must refuse `register`");
         assert_eq!(
-            d.try_register().err(),
-            Some(SmrError::RegistryFull { capacity: 2 })
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some(
+                "SMR thread registration failed: all 2 thread slots are claimed; \
+                 raise SmrConfig::max_threads"
+            ),
+            "{}",
+            d.name()
         );
-        drop(_a);
+        drop(a);
         let _c = d.try_register().expect("released slot must be reclaimable");
+    }
+
+    #[test]
+    fn try_register_surfaces_slot_exhaustion() {
+        slot_exhaustion_surfaces::<Nr>();
+        slot_exhaustion_surfaces::<Ebr>();
+        slot_exhaustion_surfaces::<Hp>();
+        slot_exhaustion_surfaces::<He>();
+        slot_exhaustion_surfaces::<Ibr>();
+        slot_exhaustion_surfaces::<Hyaline>();
+        slot_exhaustion_surfaces::<Nbr>();
+        slot_exhaustion_surfaces::<Vbr>();
+    }
+
+    /// `kind()` and `name()` of a fresh `S`, without and with
+    /// `snapshot_scan`.
+    fn reported<S: Smr>() -> [(SmrKind, &'static str); 2] {
+        [false, true].map(|snapshot_scan| {
+            let d = S::new(SmrConfig {
+                max_threads: 1,
+                snapshot_scan,
+                ..SmrConfig::default()
+            });
+            (d.kind(), d.name())
+        })
+    }
+
+    /// Every scheme reports its legend under both scan modes — HP, HE and IBR
+    /// their `*opt` variant under `snapshot_scan`, the rest their base kind
+    /// either way — every name parses back to its kind, and together the
+    /// eight schemes report every kind of [`SmrKind::ALL`].
+    #[test]
+    fn every_scheme_reports_its_kind_in_both_scan_modes() {
+        let cases = [
+            (reported::<Nr>(), [SmrKind::Nr, SmrKind::Nr]),
+            (reported::<Ebr>(), [SmrKind::Ebr, SmrKind::Ebr]),
+            (reported::<Hp>(), [SmrKind::Hp, SmrKind::HpOpt]),
+            (reported::<He>(), [SmrKind::He, SmrKind::HeOpt]),
+            (reported::<Ibr>(), [SmrKind::Ibr, SmrKind::IbrOpt]),
+            (reported::<Hyaline>(), [SmrKind::Hyaline, SmrKind::Hyaline]),
+            (reported::<Nbr>(), [SmrKind::Nbr, SmrKind::Nbr]),
+            (reported::<Vbr>(), [SmrKind::Vbr, SmrKind::Vbr]),
+        ];
+        for (got, want) in cases {
+            for ((kind, name), want) in got.into_iter().zip(want) {
+                assert_eq!(kind, want);
+                assert_eq!(name, want.name());
+                assert_eq!(SmrKind::parse(name), Some(kind));
+            }
+        }
+        for k in SmrKind::ALL {
+            let by_some_scheme = cases
+                .iter()
+                .any(|(got, _)| got.iter().any(|&(kind, _)| kind == k));
+            assert!(by_some_scheme, "no scheme reports {k}");
+        }
     }
 
     #[test]

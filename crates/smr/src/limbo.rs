@@ -5,14 +5,14 @@
 //! To a data structure a reclamation scheme is a reservation format plus a
 //! "may this block be freed" test; the rest is plumbing that does not depend
 //! on the scheme.  This module owns it: [`RetireCore`] holds the slot
-//! registry, one padded retire record per slot (the slot's *vault* and its
-//! share of the `unreclaimed` count, see [`SlotRetire`]), the orphan list and
-//! the shared block pool; [`Handle`] is every
-//! domain's [`Smr::Handle`](crate::Smr::Handle) and [`Guard`] every domain's
-//! guard.  A scheme file plugs in through four traits and writes nothing else:
+//! registry, the scheme's padded reservation records, one padded retire
+//! record per slot (the slot's *vault* and its share of the `unreclaimed`
+//! count, see [`SlotRetire`]), the orphan list and the shared block pool;
+//! one blanket impl is every domain's [`Smr`], [`Handle`] its handle and
+//! [`Guard`] its guard.  A scheme file plugs in through four traits:
 //!
-//! * [`Domain`] — the core it embeds, its global clock, and how a slot's
-//!   reservation is withdrawn;
+//! * [`Domain`] — its legend, its reservation record, how it is built around
+//!   the core, its global clock, and how a slot's reservation is withdrawn;
 //! * [`Lifecycle`] — what retire, flush, release and adoption do with a slot's
 //!   vault;
 //! * [`Scheme`] — the limbo sweep's stamps and predicate.  One blanket impl
@@ -65,17 +65,29 @@ use crate::block::Retired;
 use crate::pool::{BlockPool, PoolShared};
 use crate::ptr::{Atomic, Shared};
 use crate::registry::{AdoptGuard, PinBinding, SlotClaim, SlotRegistry};
-use crate::{SmrConfig, SmrError, SmrGuard, SmrHandle};
+use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What every domain gives the shared slot lifecycle: the core it embeds,
-/// its global clock, and how a slot's reservation is withdrawn.
+/// What every domain gives the shared slot lifecycle: its legend, its
+/// reservation record, the core it embeds, its global clock, and how a
+/// slot's reservation is withdrawn.
 pub trait Domain: Send + Sync + Sized + 'static {
+    /// The scheme's legend; HP, HE and IBR report their `*opt` variant under
+    /// [`SmrConfig::snapshot_scan`].
+    const KIND: SmrKind;
+
+    /// One thread's reservation record.  `Default` is the state that
+    /// protects nothing: the core builds one per registry slot from it.
+    type Slot: Default;
+
+    /// Builds the domain around `core` ([`Smr::new`]).
+    fn build(core: RetireCore<Self::Slot>) -> Self;
+
     /// The core this domain embeds.
-    fn core(&self) -> &RetireCore;
+    fn core(&self) -> &RetireCore<Self::Slot>;
 
     /// The global era/epoch that every `alloc` stamps into
     /// `Header::birth_era` and that each handle advances once per
@@ -207,16 +219,9 @@ impl<S: Scheme> Lifecycle for S {
 /// forgot one would silently publish nothing.  The rest default to what a
 /// scheme without per-slot hazards or a checkpoint protocol does: nothing.
 pub trait ReadSide: Lifecycle {
-    /// One thread's reservation record.
-    type Slot;
-
     /// What a guard carries between calls beside its slot: a hazard budget, a
     /// cached era, the acknowledgement boundary — `()` for most schemes.
     type State;
-
-    /// The reservation records, one per registry slot; the shared `pin`
-    /// indexes it once per critical section.
-    fn slots(&self) -> &[Self::Slot];
 
     /// Opens a critical section on `slot`: publishes what the scheme
     /// announces at [`SmrHandle::pin`] and returns the guard's state.
@@ -257,11 +262,51 @@ pub trait ReadSide: Lifecycle {
     fn before_retire(_guard: &mut Guard<'_, Self>) {}
 }
 
+/// Every domain is an [`Smr`] through its `ReadSide`: a scheme file writes
+/// no `impl Smr` of its own.
+impl<S: ReadSide> Smr for S {
+    type Handle = Handle<S>;
+
+    fn new(config: SmrConfig) -> Arc<Self> {
+        Arc::new(S::build(RetireCore::new(config)))
+    }
+
+    fn try_register(self: &Arc<Self>) -> Result<Handle<S>, SmrError> {
+        Handle::register(self)
+    }
+
+    fn unreclaimed(&self) -> usize {
+        self.core().unreclaimed()
+    }
+
+    fn kind(&self) -> SmrKind {
+        if !self.core().config.snapshot_scan {
+            return S::KIND;
+        }
+        match S::KIND {
+            SmrKind::Hp => SmrKind::HpOpt,
+            SmrKind::He => SmrKind::HeOpt,
+            SmrKind::Ibr => SmrKind::IbrOpt,
+            SmrKind::Nr
+            | SmrKind::Ebr
+            | SmrKind::HpOpt
+            | SmrKind::HeOpt
+            | SmrKind::IbrOpt
+            | SmrKind::Hyaline
+            | SmrKind::Nbr
+            | SmrKind::Vbr => S::KIND,
+        }
+    }
+}
+
 /// Domain-side state of the slot lifecycle and the retire path (see the
-/// module docs).
-pub struct RetireCore {
+/// module docs), with the reservation records of a scheme whose slot is `T`.
+pub struct RetireCore<T> {
     config: SmrConfig,
     registry: SlotRegistry,
+    /// The scheme's reservation records, one per registry slot; `pin`
+    /// resolves a guard's once per critical section.
+    slots: Box<[CachePadded<T>]>,
     records: Box<[CachePadded<SlotRetire>]>,
     /// Limbo entries inherited from handles that were dropped (or whose
     /// thread died) before their retired blocks became reclaimable.  Any
@@ -348,13 +393,17 @@ impl SlotRetire {
     }
 }
 
-impl RetireCore {
-    /// Creates the core for a domain.  Panics if `config` violates its
-    /// invariants (see [`SmrConfig::validate`]).
+impl<T: Default> RetireCore<T> {
+    /// Creates the core for a domain, every reservation record at its
+    /// default.  Panics if `config` violates its invariants (see
+    /// [`SmrConfig::validate`]).
     pub(crate) fn new(config: SmrConfig) -> Self {
         let config = config.validated();
         Self {
             registry: SlotRegistry::new(config.max_threads),
+            slots: (0..config.max_threads)
+                .map(|_| CachePadded::new(T::default()))
+                .collect(),
             records: (0..config.max_threads)
                 .map(|_| CachePadded::new(SlotRetire::new()))
                 .collect(),
@@ -363,7 +412,9 @@ impl RetireCore {
             config,
         }
     }
+}
 
+impl<T> RetireCore<T> {
     /// The domain's (validated) configuration.
     #[inline]
     pub(crate) fn config(&self) -> &SmrConfig {
@@ -383,37 +434,20 @@ impl RetireCore {
         sum.max(0) as usize
     }
 
-    /// The entries of `slots` (a scheme's per-slot reservation array) whose
-    /// slot carries reservations a reclaimer must honour, in ascending slot
-    /// order.
+    /// The reservation records whose slot carries reservations a reclaimer
+    /// must honour, in ascending slot order.
     #[inline]
-    pub(crate) fn claimed<'a, T>(&'a self, slots: &'a [T]) -> impl Iterator<Item = &'a T> + 'a {
-        slots
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| self.registry.is_claimed(*i))
-            .map(|(_, slot)| slot)
+    pub(crate) fn claimed(&self) -> impl Iterator<Item = &T> + '_ {
+        (self.slots.iter().enumerate())
+            .filter(|(i, _)| self.registry.is_claimed(*i))
+            .map(|(_, slot)| &**slot)
     }
 
-    /// Frees every entry of `limbo` the scheme's predicate accepts, keeping
-    /// the rest in order, and returns how many it freed.  Freed blocks
-    /// recycle into `pool`.
-    fn sweep<S: Scheme>(scheme: &S, limbo: &mut Vec<Retired>, pool: &mut BlockPool) -> usize {
-        let snapshot = scheme.snapshot();
-        let before = limbo.len();
-        limbo.retain(|r| {
-            if !scheme.can_free(&snapshot, r) {
-                return true;
-            }
-            // SAFETY: the record sits in a limbo list, so its block was
-            // retired before `snapshot` was taken, and the `Scheme` contract
-            // then makes `can_free` a proof that no thread holds or can
-            // obtain a protected reference.  Each block appears in exactly
-            // one record and `retain` drops that record right after.
-            unsafe { r.reclaimable() }.free_into(pool);
-            false
-        });
-        before - limbo.len()
+    /// The reservation record of registry slot `index`, for the lifecycle
+    /// hooks: a guard uses the one `pin` resolved (scot-lint L5).
+    #[inline]
+    pub(crate) fn reservation(&self, index: usize) -> &T {
+        &self.slots[index]
     }
 
     /// Moves whatever is left in `vault` to the orphan list.
@@ -424,7 +458,28 @@ impl RetireCore {
     }
 }
 
-impl Drop for RetireCore {
+/// Frees every entry of `limbo` the scheme's predicate accepts, keeping the
+/// rest in order, and returns how many it freed.  Freed blocks recycle into
+/// `pool`.
+fn sweep<S: Scheme>(scheme: &S, limbo: &mut Vec<Retired>, pool: &mut BlockPool) -> usize {
+    let snapshot = scheme.snapshot();
+    let before = limbo.len();
+    limbo.retain(|r| {
+        if !scheme.can_free(&snapshot, r) {
+            return true;
+        }
+        // SAFETY: the record sits in a limbo list, so its block was retired
+        // before `snapshot` was taken, and the `Scheme` contract then makes
+        // `can_free` a proof that no thread holds or can obtain a protected
+        // reference.  Each block appears in exactly one record and `retain`
+        // drops that record right after.
+        unsafe { r.reclaimable() }.free_into(pool);
+        false
+    });
+    before - limbo.len()
+}
+
+impl<T> Drop for RetireCore<T> {
     fn drop(&mut self) {
         // `&mut self` already orders every slot's accesses before this (the
         // last `Arc` drop).  Acquiring each slot's last release or adoption
@@ -519,7 +574,7 @@ impl<S: ReadSide> SmrHandle for Handle<S> {
         let registry = &self.domain.core().registry;
         registry.check_owner_and_bind(self.claim, &mut self.binding);
         let pinned = self.lend();
-        let slot = &pinned.scheme.slots()[pinned.slot];
+        let slot = &pinned.scheme.core().slots[pinned.slot];
         Guard {
             state: pinned.scheme.enter(slot),
             pinned,
@@ -795,7 +850,7 @@ impl<S: Scheme> Pinned<'_, S> {
         self.adopt_orphans();
         if let Some(mut orphans) = core.orphans.try_lock() {
             if !orphans.is_empty() {
-                let freed = RetireCore::sweep(scheme, &mut orphans, &mut self.local.pool);
+                let freed = sweep(scheme, &mut orphans, &mut self.local.pool);
                 self.count_freed(freed);
             }
         }
@@ -817,7 +872,7 @@ impl<S: Scheme> Pinned<'_, S> {
         if vault.is_empty() {
             return 0;
         }
-        let freed = RetireCore::sweep(scheme, vault, pool);
+        let freed = sweep(scheme, vault, pool);
         let left = vault.len();
         if freed > 0 {
             self.count_freed(freed);
@@ -853,6 +908,52 @@ impl EraCountdown {
     }
 }
 
+/// Announces `clock` in `announced` until the clock has not moved past the
+/// announcement, so a critical section never runs under an announcement
+/// older than the clock it confirmed; returns the announced value.  EBR's
+/// enter, NBR's checkpoint and VBR's epoch announcement.
+#[inline]
+pub(crate) fn announce_confirmed(clock: &AtomicU64, announced: &AtomicU64) -> u64 {
+    loop {
+        let e = clock.load(Ordering::SeqCst);
+        announced.store(e, Ordering::SeqCst);
+        if clock.load(Ordering::SeqCst) == e {
+            return e;
+        }
+    }
+}
+
+/// Loads `src` under a published era: whenever `clock` moved past `cached`
+/// (the era `published` holds) the new era is published *before* the
+/// pointer is re-read, so any pointer returned was loaded under a published
+/// era covering its birth.  IBR's upper bound and Hyaline's era.
+#[inline]
+pub(crate) fn protect_era<T>(
+    src: &Atomic<T>,
+    clock: &AtomicU64,
+    published: &AtomicU64,
+    cached: &mut u64,
+) -> Shared<T> {
+    loop {
+        let ptr = src.load(Ordering::Acquire);
+        let era = clock.load(Ordering::SeqCst);
+        if era == *cached {
+            return ptr;
+        }
+        published.store(era, Ordering::SeqCst);
+        *cached = era;
+    }
+}
+
+/// Publishes the current era of `clock` in `published` and caches it: IBR's
+/// and Hyaline's `announce`.
+#[inline]
+pub(crate) fn publish_era(clock: &AtomicU64, published: &AtomicU64, cached: &mut u64) {
+    let era = clock.load(Ordering::SeqCst);
+    published.store(era, Ordering::SeqCst);
+    *cached = era;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -872,7 +973,7 @@ mod tests {
         );
     }
 
-    impl RetireCore {
+    impl<T> RetireCore<T> {
         /// The slot registry, for tests that simulate a dead owner.
         pub(crate) fn registry(&self) -> &SlotRegistry {
             &self.registry
@@ -897,7 +998,7 @@ mod tests {
     /// Test double: the test decides which records may be freed and which
     /// slots are dead, and sees every call the core makes.
     struct Fake {
-        core: RetireCore,
+        core: RetireCore<()>,
         /// Value addresses `can_free` accepts (all of them if `permit_all`).
         permitted: Mutex<Vec<usize>>,
         permit_all: AtomicBool,
@@ -909,17 +1010,10 @@ mod tests {
 
     impl Fake {
         fn new(max_threads: usize, scan_threshold: usize) -> Arc<Self> {
-            Arc::new(Self {
-                core: RetireCore::new(SmrConfig {
-                    max_threads,
-                    scan_threshold,
-                    ..SmrConfig::default()
-                }),
-                permitted: Mutex::new(Vec::new()),
-                permit_all: AtomicBool::new(false),
-                neutralized: Mutex::new(Vec::new()),
-                scans: AtomicUsize::new(0),
-                blocked: AtomicUsize::new(0),
+            <Self as Smr>::new(SmrConfig {
+                max_threads,
+                scan_threshold,
+                ..SmrConfig::default()
             })
         }
 
@@ -934,7 +1028,22 @@ mod tests {
     }
 
     impl Domain for Fake {
-        fn core(&self) -> &RetireCore {
+        /// No legend of its own.
+        const KIND: SmrKind = SmrKind::Nr;
+        type Slot = ();
+
+        fn build(core: RetireCore<()>) -> Self {
+            Self {
+                core,
+                permitted: Mutex::new(Vec::new()),
+                permit_all: AtomicBool::new(false),
+                neutralized: Mutex::new(Vec::new()),
+                scans: AtomicUsize::new(0),
+                blocked: AtomicUsize::new(0),
+            }
+        }
+
+        fn core(&self) -> &RetireCore<()> {
             &self.core
         }
 
@@ -973,12 +1082,7 @@ mod tests {
 
     /// Publishes nothing: enough to drive the handle through `SmrHandle`.
     impl ReadSide for Fake {
-        type Slot = ();
         type State = ();
-
-        fn slots(&self) -> &[()] {
-            &[(); 64]
-        }
 
         fn enter(&self, _: &()) {}
 
@@ -1142,7 +1246,7 @@ mod tests {
 
     #[test]
     fn unreclaimed_sums_every_share_and_a_share_may_go_negative() {
-        let core = RetireCore::new(SmrConfig {
+        let core = RetireCore::<()>::new(SmrConfig {
             max_threads: 4,
             ..SmrConfig::default()
         });
@@ -1159,7 +1263,7 @@ mod tests {
 
     #[test]
     fn unreclaimed_clamps_a_negative_sum_at_zero() {
-        let core = RetireCore::new(SmrConfig {
+        let core = RetireCore::<()>::new(SmrConfig {
             max_threads: 2,
             ..SmrConfig::default()
         });
@@ -1174,7 +1278,7 @@ mod tests {
     #[test]
     fn neighbouring_retire_records_never_share_a_line() {
         const LINE: usize = 128;
-        let core = RetireCore::new(SmrConfig {
+        let core = RetireCore::<()>::new(SmrConfig {
             max_threads: 8,
             ..SmrConfig::default()
         });

@@ -29,20 +29,22 @@
 //! [`SmrGuard::checkpoint`]: crate::SmrGuard::checkpoint
 
 use crate::block::Retired;
-use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
+use crate::limbo::{announce_confirmed, Domain, Guard, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::{Smr, SmrConfig, SmrError, SmrKind};
+use crate::SmrKind;
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Checkpoint value meaning "not in a critical section".
+/// Checkpoint value meaning "not in a critical section"; 0, so a default
+/// slot is inactive.
 const INACTIVE: u64 = 0;
 /// First valid era; starting above `INACTIVE + 2` keeps the "retire era + 2"
 /// comparison free of underflow special cases.
 const FIRST_ERA: u64 = 4;
 
-/// One thread's checkpoint and neutralize request.
+/// One thread's checkpoint and neutralize request; the default is
+/// [`INACTIVE`], no request.
+#[derive(Default)]
 pub struct NbrSlot {
     /// Era announced by the slot's owner at pin/checkpoint, or [`INACTIVE`].
     checkpoint: AtomicU64,
@@ -53,54 +55,19 @@ pub struct NbrSlot {
 
 /// The neutralization-based reclamation domain.
 pub struct Nbr {
-    core: RetireCore,
+    core: RetireCore<NbrSlot>,
     global_era: CachePadded<AtomicU64>,
-    slots: Box<[CachePadded<NbrSlot>]>,
     /// Total neutralize flags raised by blocked sweeps (monotonic; a
     /// diagnostic mirror of how often reclamation had to push readers).
     neutralizations: AtomicU64,
-}
-
-impl Smr for Nbr {
-    type Handle = Handle<Nbr>;
-
-    fn new(config: SmrConfig) -> Arc<Self> {
-        let core = RetireCore::new(config);
-        let slots = (0..core.config().max_threads)
-            .map(|_| {
-                CachePadded::new(NbrSlot {
-                    checkpoint: AtomicU64::new(INACTIVE),
-                    neutralize: AtomicBool::new(false),
-                })
-            })
-            .collect();
-        Arc::new(Self {
-            core,
-            global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
-            slots,
-            neutralizations: AtomicU64::new(0),
-        })
-    }
-
-    fn try_register(self: &Arc<Self>) -> Result<Handle<Nbr>, SmrError> {
-        Handle::register(self)
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.core.unreclaimed()
-    }
-
-    fn kind(&self) -> SmrKind {
-        SmrKind::Nbr
-    }
 }
 
 impl Nbr {
     /// The checkpoint era of every slot inside a critical section.
     fn active_checkpoints(&self) -> impl Iterator<Item = (&NbrSlot, u64)> + '_ {
         self.core
-            .claimed(&self.slots)
-            .map(|slot| (&**slot, slot.checkpoint.load(Ordering::SeqCst)))
+            .claimed()
+            .map(|slot| (slot, slot.checkpoint.load(Ordering::SeqCst)))
             .filter(|&(_, c)| c != INACTIVE)
     }
 
@@ -128,13 +95,7 @@ impl Nbr {
         // ORDERING: Relaxed — the flag is a progress hint, not a safety
         // signal; clearing it late at worst triggers one redundant restart.
         slot.neutralize.store(false, Ordering::Relaxed);
-        loop {
-            let e = self.global_era.load(Ordering::SeqCst);
-            slot.checkpoint.store(e, Ordering::SeqCst);
-            if self.global_era.load(Ordering::SeqCst) == e {
-                break;
-            }
-        }
+        announce_confirmed(&self.global_era, &slot.checkpoint);
     }
 
     /// Total neutralize flags raised so far (diagnostic).
@@ -145,13 +106,24 @@ impl Nbr {
 }
 
 impl Domain for Nbr {
+    const KIND: SmrKind = SmrKind::Nbr;
+    type Slot = NbrSlot;
+
+    fn build(core: RetireCore<NbrSlot>) -> Self {
+        Self {
+            core,
+            global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
+            neutralizations: AtomicU64::new(0),
+        }
+    }
+
     #[inline]
-    fn core(&self) -> &RetireCore {
+    fn core(&self) -> &RetireCore<NbrSlot> {
         &self.core
     }
 
     fn neutralize(&self, slot: usize) {
-        let slot = &self.slots[slot];
+        let slot = self.core.reservation(slot);
         slot.checkpoint.store(INACTIVE, Ordering::SeqCst);
         // ORDERING: Relaxed — the flag is advisory (a progress hint, never a
         // safety signal) and the old owner will never poll it again; the
@@ -210,16 +182,10 @@ unsafe impl Scheme for Nbr {
 }
 
 impl ReadSide for Nbr {
-    type Slot = CachePadded<NbrSlot>;
     type State = ();
 
     #[inline]
-    fn slots(&self) -> &[CachePadded<NbrSlot>] {
-        &self.slots
-    }
-
-    #[inline]
-    fn enter(&self, slot: &CachePadded<NbrSlot>) {
+    fn enter(&self, slot: &NbrSlot) {
         self.announce_checkpoint(slot);
     }
 
@@ -253,7 +219,7 @@ impl ReadSide for Nbr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SmrGuard, SmrHandle};
+    use crate::{Smr, SmrConfig, SmrGuard, SmrHandle};
 
     fn small_config() -> SmrConfig {
         SmrConfig {
@@ -308,7 +274,7 @@ mod tests {
         assert!(!g.needs_restart());
         let era = d.global_era.load(Ordering::SeqCst);
         assert_eq!(
-            d.slots[0].checkpoint.load(Ordering::SeqCst),
+            d.core.reservation(0).checkpoint.load(Ordering::SeqCst),
             era,
             "checkpoint must re-announce the current era"
         );
@@ -372,7 +338,10 @@ mod tests {
     fn pin_clears_a_stale_neutralize_flag() {
         let d = Nbr::new(small_config());
         let mut h = d.register();
-        d.slots[0].neutralize.store(true, Ordering::SeqCst);
+        d.core
+            .reservation(0)
+            .neutralize
+            .store(true, Ordering::SeqCst);
         let g = h.pin();
         assert!(!g.needs_restart(), "pin starts a fresh checkpoint");
     }
@@ -394,7 +363,7 @@ mod tests {
             "the batch edge must acknowledge the flag"
         );
         assert_eq!(
-            d.slots[0].checkpoint.load(Ordering::SeqCst),
+            d.core.reservation(0).checkpoint.load(Ordering::SeqCst),
             d.global_era.load(Ordering::SeqCst),
             "the batch edge must re-announce the current era"
         );

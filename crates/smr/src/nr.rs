@@ -12,45 +12,28 @@
 //! (lost-CAS giveback) and retirement counts on a per-thread shard.
 
 use crate::block::Retired;
-use crate::limbo::{Domain, Guard, Handle, Lifecycle, Pinned, ReadSide, RetireCore};
+use crate::limbo::{Domain, Guard, Lifecycle, Pinned, ReadSide, RetireCore};
 use crate::ptr::{Atomic, Shared};
 use crate::registry::AdoptGuard;
-use crate::{Smr, SmrConfig, SmrError, SmrKind};
+use crate::SmrKind;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// The no-reclamation "scheme": the retire core and nothing else.
 pub struct Nr {
-    core: RetireCore,
-    /// One empty reservation per registry slot: NR publishes nothing.
-    slots: Box<[()]>,
-}
-
-impl Smr for Nr {
-    type Handle = Handle<Nr>;
-
-    fn new(config: SmrConfig) -> Arc<Self> {
-        let core = RetireCore::new(config);
-        let slots = vec![(); core.config().max_threads].into_boxed_slice();
-        Arc::new(Self { core, slots })
-    }
-
-    fn try_register(self: &Arc<Self>) -> Result<Handle<Nr>, SmrError> {
-        Handle::register(self)
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.core.unreclaimed()
-    }
-
-    fn kind(&self) -> SmrKind {
-        SmrKind::Nr
-    }
+    core: RetireCore<()>,
 }
 
 impl Domain for Nr {
+    const KIND: SmrKind = SmrKind::Nr;
+    /// NR publishes nothing.
+    type Slot = ();
+
+    fn build(core: RetireCore<()>) -> Self {
+        Self { core }
+    }
+
     #[inline]
-    fn core(&self) -> &RetireCore {
+    fn core(&self) -> &RetireCore<()> {
         &self.core
     }
 
@@ -78,13 +61,7 @@ impl Lifecycle for Nr {
 
 /// Every operation is a plain load.
 impl ReadSide for Nr {
-    type Slot = ();
     type State = ();
-
-    #[inline]
-    fn slots(&self) -> &[()] {
-        &self.slots
-    }
 
     #[inline]
     fn enter(&self, _slot: &()) {}
@@ -104,7 +81,7 @@ impl ReadSide for Nr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SmrGuard, SmrHandle};
+    use crate::{Smr, SmrConfig, SmrGuard, SmrHandle};
 
     #[test]
     fn retire_leaks_and_counts() {

@@ -40,14 +40,14 @@
 //! [`SmrGuard::checkpoint`]: crate::SmrGuard::checkpoint
 
 use crate::block::Retired;
-use crate::limbo::{Domain, Guard, Handle, ReadSide, RetireCore, Scheme};
+use crate::limbo::{announce_confirmed, Domain, Guard, ReadSide, RetireCore, Scheme};
 use crate::ptr::{Atomic, Shared};
-use crate::{Smr, SmrConfig, SmrError, SmrKind};
+use crate::SmrKind;
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Epoch value meaning "not in a critical section".
+/// Epoch value meaning "not in a critical section"; 0, so a default slot
+/// is inactive.
 const INACTIVE: u64 = 0;
 /// First valid epoch; starting above `INACTIVE + 2` keeps the "retire epoch
 /// + 2" comparison free of underflow special cases.
@@ -60,7 +60,8 @@ const FIRST_EPOCH: u64 = 4;
 /// eligible only once the minimum rises).
 const DISPLACEMENT_SLACK: u64 = 2;
 
-/// One thread's epoch announcement.
+/// One thread's epoch announcement; the default is [`INACTIVE`].
+#[derive(Default)]
 pub struct VbrSlot {
     /// Epoch announced by the slot's owner, or [`INACTIVE`].
     epoch: AtomicU64,
@@ -68,63 +69,13 @@ pub struct VbrSlot {
 
 /// The version-based reclamation domain.
 pub struct Vbr {
-    core: RetireCore,
+    core: RetireCore<VbrSlot>,
     global_epoch: CachePadded<AtomicU64>,
-    slots: Box<[CachePadded<VbrSlot>]>,
     /// Total reader displacements acknowledged via `checkpoint` (diagnostic).
     displacements: AtomicU64,
 }
 
-impl Smr for Vbr {
-    type Handle = Handle<Vbr>;
-
-    fn new(config: SmrConfig) -> Arc<Self> {
-        let core = RetireCore::new(config);
-        let slots = (0..core.config().max_threads)
-            .map(|_| {
-                CachePadded::new(VbrSlot {
-                    epoch: AtomicU64::new(INACTIVE),
-                })
-            })
-            .collect();
-        Arc::new(Self {
-            core,
-            global_epoch: CachePadded::new(AtomicU64::new(FIRST_EPOCH)),
-            slots,
-            displacements: AtomicU64::new(0),
-        })
-    }
-
-    fn try_register(self: &Arc<Self>) -> Result<Handle<Vbr>, SmrError> {
-        Handle::register(self)
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.core.unreclaimed()
-    }
-
-    fn kind(&self) -> SmrKind {
-        SmrKind::Vbr
-    }
-}
-
 impl Vbr {
-    /// Publishes the current global epoch in `slot` and confirms it is still
-    /// current.  Returns exactly the epoch stored into the slot, so
-    /// `needs_restart` measures the lag of the announcement that actually
-    /// holds the recycle queues back (a cached `op_epoch` ahead of the slot
-    /// would under-report that lag and leave a stale reader undisplaced).
-    #[inline]
-    fn announce_epoch(&self, slot: &VbrSlot) -> u64 {
-        loop {
-            let e = self.global_epoch.load(Ordering::SeqCst);
-            slot.epoch.store(e, Ordering::SeqCst);
-            if self.global_epoch.load(Ordering::SeqCst) == e {
-                return e;
-            }
-        }
-    }
-
     /// Total reader displacements acknowledged so far (diagnostic).
     pub fn displacements(&self) -> u64 {
         self.displacements.load(Ordering::Relaxed)
@@ -132,8 +83,19 @@ impl Vbr {
 }
 
 impl Domain for Vbr {
+    const KIND: SmrKind = SmrKind::Vbr;
+    type Slot = VbrSlot;
+
+    fn build(core: RetireCore<VbrSlot>) -> Self {
+        Self {
+            core,
+            global_epoch: CachePadded::new(AtomicU64::new(FIRST_EPOCH)),
+            displacements: AtomicU64::new(0),
+        }
+    }
+
     #[inline]
-    fn core(&self) -> &RetireCore {
+    fn core(&self) -> &RetireCore<VbrSlot> {
         &self.core
     }
 
@@ -145,7 +107,8 @@ impl Domain for Vbr {
     }
 
     fn neutralize(&self, slot: usize) {
-        self.slots[slot].epoch.store(INACTIVE, Ordering::SeqCst);
+        let slot = self.core.reservation(slot);
+        slot.epoch.store(INACTIVE, Ordering::SeqCst);
     }
 }
 
@@ -172,7 +135,7 @@ unsafe impl Scheme for Vbr {
 
     fn snapshot(&self) -> u64 {
         self.core
-            .claimed(&self.slots)
+            .claimed()
             .map(|slot| slot.epoch.load(Ordering::SeqCst))
             .filter(|&e| e != INACTIVE)
             .min()
@@ -194,19 +157,16 @@ unsafe impl Scheme for Vbr {
 }
 
 /// The guard's state is the epoch announced for this operation
-/// (re-announced by `checkpoint`).
+/// (re-announced by `checkpoint`): exactly the epoch stored into the slot, so
+/// `needs_restart` measures the lag of the announcement that actually holds
+/// the recycle queues back (a cached epoch ahead of the slot would
+/// under-report that lag and leave a stale reader undisplaced).
 impl ReadSide for Vbr {
-    type Slot = CachePadded<VbrSlot>;
     type State = u64;
 
     #[inline]
-    fn slots(&self) -> &[CachePadded<VbrSlot>] {
-        &self.slots
-    }
-
-    #[inline]
-    fn enter(&self, slot: &CachePadded<VbrSlot>) -> u64 {
-        self.announce_epoch(slot)
+    fn enter(&self, slot: &VbrSlot) -> u64 {
+        announce_confirmed(&self.global_epoch, &slot.epoch)
     }
 
     #[inline]
@@ -233,7 +193,7 @@ impl ReadSide for Vbr {
     #[inline]
     fn checkpoint(g: &mut Guard<'_, Self>) {
         let scheme = g.scheme();
-        g.state = scheme.announce_epoch(g.slot());
+        g.state = announce_confirmed(&scheme.global_epoch, &g.slot().epoch);
         scheme.displacements.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -242,7 +202,7 @@ impl ReadSide for Vbr {
 mod tests {
     use super::*;
     use crate::block::version_of;
-    use crate::{SmrGuard, SmrHandle};
+    use crate::{Smr, SmrConfig, SmrGuard, SmrHandle};
 
     fn small_config() -> SmrConfig {
         SmrConfig {
@@ -316,7 +276,7 @@ mod tests {
         assert!(d.displacements() > 0);
         let epoch = d.global_epoch.load(Ordering::SeqCst);
         assert_eq!(
-            d.slots[0].epoch.load(Ordering::SeqCst),
+            d.core.reservation(0).epoch.load(Ordering::SeqCst),
             epoch,
             "checkpoint must re-announce the current epoch"
         );
@@ -385,14 +345,14 @@ mod tests {
         let d = Vbr::new(small_config());
         let mut h = d.register();
         let g = h.pin();
-        let announced = d.slots[0].epoch.load(Ordering::SeqCst);
+        let announced = d.core.reservation(0).epoch.load(Ordering::SeqCst);
         d.global_epoch
             .fetch_add(DISPLACEMENT_SLACK, Ordering::SeqCst);
         assert!(g.needs_restart());
         drop(g);
         let g = h.pin();
         assert_eq!(
-            d.slots[0].epoch.load(Ordering::SeqCst),
+            d.core.reservation(0).epoch.load(Ordering::SeqCst),
             announced + DISPLACEMENT_SLACK,
             "the batch edge must re-announce the current epoch"
         );
