@@ -210,6 +210,12 @@ mod tests {
     }
 
     #[test]
+    fn kind_reflects_snapshot_mode() {
+        assert_eq!(He::new(config(false)).kind(), SmrKind::He);
+        assert_eq!(He::new(config(true)).kind(), SmrKind::HeOpt);
+    }
+
+    #[test]
     #[expect(
         clippy::mem_forget,
         reason = "a stalled thread: the leaked guard keeps its era reservation"

@@ -572,6 +572,12 @@ mod tests {
         each_domain_of(config(false), test);
     }
 
+    #[test]
+    fn kind_reflects_snapshot_mode() {
+        assert_eq!(Hp::new(config(false)).kind(), SmrKind::Hp);
+        assert_eq!(Hp::new(config(true)).kind(), SmrKind::HpOpt);
+    }
+
     /// Names the domain flavour in an assertion message.
     fn tag(d: &Hp) -> String {
         format!("{} asymmetric={}", d.name(), d.asymmetric)

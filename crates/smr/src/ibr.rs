@@ -181,6 +181,12 @@ mod tests {
     }
 
     #[test]
+    fn kind_reflects_snapshot_mode() {
+        assert_eq!(Ibr::new(config(false)).kind(), SmrKind::Ibr);
+        assert_eq!(Ibr::new(config(true)).kind(), SmrKind::IbrOpt);
+    }
+
+    #[test]
     #[expect(
         clippy::mem_forget,
         reason = "a stalled reader: the leaked guard keeps its interval"
